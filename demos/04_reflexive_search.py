@@ -1,9 +1,11 @@
-"""Descending the height function to a reflexive zigzag.
+"""Solving for a reflexive zigzag and certifying it by the height function.
 
 The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
-vertex-preserving map.  Each genus is seeded from the previous solution
-by inserting a short handle side, then descended by simplex search.
+vertex-preserving map, that is, when both share one prevertex tuple.
+Each genus is seeded from the previous solution by inserting a short
+handle side, then solved for that shared tuple by Levenberg-Marquardt;
+D of the result is the certificate.
 """
 
 import numpy as np
@@ -28,11 +30,11 @@ for p in range(4):
 print()
 
 rec = ladder[2]
-print("Genus-2 descent trace (step, height, stratum distance):")
+print("Genus-2 solve trace (step, best ||F||^2, stratum distance; last row D):")
 rows = list(rec.trace)
 for row in rows[:: max(1, len(rows) // 8)]:
     print(f"  {row.step:>5}  {row.height:>12.3e}  {row.stratum_distance:>8.4f}")
-print(f"  final gradient norm {rec.trace[-1].grad_norm:.2e}")
+print(f"  final ||J^T F|| {rec.trace[-1].grad_norm:.2e}")
 print()
 
 print("At the solution both prevertex tuples coincide:")

@@ -35,8 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None,
                          help="solution file path (default zigzag_p<genus>_k<k>.json)")
     p_solve.add_argument("--trace", default=None,
-                         help="optional CSV path for the iteration trace "
-                              "(columns: step,height,grad_norm,stratum_distance)")
+                         help="optional CSV path for the solve trace of the top "
+                              "genus (columns: step,height,grad_norm,stratum_distance); "
+                              "each row is one residual evaluation with the running "
+                              "best ||F||^2, the last row holds the certified "
+                              "height D and ||J^T F||")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution file")
     p_verify.add_argument("path")
@@ -77,7 +80,7 @@ def cmd_solve(args) -> int:
     try:
         record = continuation_solve(args.genus, args.k, opts)
     except LadderFailure as exc:
-        print(f"ladder failed at genus {exc.failed_genus}", file=sys.stderr)
+        print(f"ladder failed at genus {exc.failed_genus}: {exc}", file=sys.stderr)
         if exc.records:
             top = max(exc.records)
             zio.save_solution(out + ".partial", exc.records[top])
@@ -128,7 +131,8 @@ def cmd_verify(args) -> int:
 def cmd_mesh(args) -> int:
     try:
         sf = zio.load_solution(args.path)
-    except OSError as exc:
+        record = zio.solution_to_record(sf)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load {args.path}: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.resolution < 8:
@@ -136,7 +140,7 @@ def cmd_mesh(args) -> int:
         return USAGE_EXIT
     try:
         wd = (zio.weierstrass_from_solution(sf) if "weierstrass" in sf.data
-              else build_weierstrass(zio.solution_to_record(sf)))
+              else build_weierstrass(record))
         radius = args.radius
         if radius is None:
             top = max(abs(v) for v in wd.prevertices.values)

@@ -1,4 +1,4 @@
-"""Height function on the moduli cell and the continuation descent.
+"""Height function on the moduli cell and the continuation solve.
 
 The height of a zigzag compares the extremal-length vectors of its two
 complementary domains,
@@ -7,9 +7,9 @@ complementary domains,
 
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
-solved by derivative-free simplex descent in unconstrained log-ratio
-coordinates on the open simplex of side lengths, seeded by handle addition
-from the genus p-1 solution.
+solved by one Levenberg-Marquardt least-squares solve for a prevertex
+tuple shared by both Schwarz-Christoffel maps, seeded by handle addition
+from the genus p-1 solution; D of the result is the certificate.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import least_squares
 
 from .errors import LadderFailure, StepTooLarge, ZigzagError
 from .geometry import ZigzagParams, add_handle, canonicalize, stratum_distance
-from .scmap import Prevertices, ne_pattern, solve_parameter_problem, sw_pattern
+from .scmap import (Prevertices, ne_pattern, positive_sides, solve_parameter_problem,
+                    sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # exp(1/E) guard; unreachable for float-representable cross-ratios
+_LM_TOL = 1e-15  # Levenberg-Marquardt step, reduction and gradient tolerances
 
 
 class TraceRow(NamedTuple):
@@ -51,10 +53,6 @@ class TraceRow(NamedTuple):
 class SolveOptions:
     tol: float = 1e-10
     eps: float = 0.05
-    max_iter: int = 20000
-    xatol: float = 1e-12
-    fatol: float = 1e-22
-    fd_step: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -83,17 +81,16 @@ def _height_from_ext(ext_ne, ext_sw) -> float:
     return total
 
 
-def height_parts(z: ZigzagParams, warm=None):
-    """Solve both parameter problems and return
+def height_parts(z: ZigzagParams):
+    """Solve both parameter problems cold and return
     (prev_ne, prev_sw, ext_ne, ext_sw, D)."""
     z = canonicalize(z)
     p = z.genus
     if p <= 1:
         prev = Prevertices((-1.0, 0.0, 1.0)) if p == 1 else Prevertices((0.0,))
         return prev, prev, (), (), 0.0
-    warm_ne, warm_sw = warm if warm is not None else (None, None)
-    prev_ne = solve_parameter_problem(z, ne_pattern(p, z.turn_order), initial_gaps=warm_ne)
-    prev_sw = solve_parameter_problem(z, sw_pattern(p, z.turn_order), initial_gaps=warm_sw)
+    prev_ne = solve_parameter_problem(z, ne_pattern(p, z.turn_order))
+    prev_sw = solve_parameter_problem(z, sw_pattern(p, z.turn_order))
     ext_ne = extremal_lengths(prev_ne)
     ext_sw = extremal_lengths(prev_sw)
     return prev_ne, prev_sw, ext_ne, ext_sw, _height_from_ext(ext_ne, ext_sw)
@@ -134,103 +131,58 @@ def grad_height_fd(z: ZigzagParams, h: float = 1e-5) -> tuple[float, ...]:
     return tuple(grad)
 
 
-def _lengths_from_coords(x: np.ndarray, p: int) -> tuple[float, ...]:
-    """Log-ratio chart of the open simplex: l_j proportional to exp(x_j),
-    with the last coordinate gauged to zero."""
-    w = np.exp(np.concatenate((x, [0.0])) - max(np.max(x, initial=0.0), 0.0))
-    return tuple(w / np.sum(w))
-
-
-def _coords_from_lengths(lengths) -> np.ndarray:
-    l = np.asarray(lengths)
-    return np.log(l[:-1] / l[-1])
-
-
 def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionRecord:
-    """Descend D from z0 by Nelder-Mead in the log-ratio chart.
+    """Solve for the reflexive zigzag near z0 as one least-squares problem.
 
-    Converged iff the final height is below opts.tol; a stalled search
-    returns the best record with converged = False (the trace's stratum
-    distance column distinguishes boundary escapes from stagnation).
-    Trace rows log the running best height per iteration; the gradient
-    column is NaN until the final row, where the finite-difference
-    gradient is evaluated once (it costs 2(p-1) extra height solves).
+    A zigzag is reflexive exactly when its NE and SW maps share one
+    prevertex tuple.  The unknowns are the log-gaps u of that shared tuple,
+    and the residual compares the side-length ratios of both patterns,
+
+        F(u) = log(ne[1:]/ne[0]) - log(sw[1:]/sw[0]),
+
+    solved by Levenberg-Marquardt from the NE parameter solution at z0.
+    The zigzag is read off the normalized NE sides; two cold parameter
+    solves then give D as an independent certificate, and the record is
+    converged iff D < opts.tol.  Trace rows log the running best ||F||^2
+    per residual evaluation (gradient column NaN); the final row holds D
+    and the norm of J^T F at the solution.
     """
     opts = opts or SolveOptions()
     z0 = canonicalize(z0)
-    p = z0.genus
+    p, k = z0.genus, z0.turn_order
     if p <= 1:
         prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z0)
         return SolutionRecord(z0, prev_ne, prev_sw, ext_ne, ext_sw, d, True,
                               (TraceRow(0, d, 0.0, stratum_distance(z0)),))
 
-    warm = {"ne": None, "sw": None}
-    best = {"d": math.inf, "z": z0, "parts": None}
+    ne_exps = ne_pattern(p, k).exponents
+    sw_exps = sw_pattern(p, k).exponents
     trace: list[TraceRow] = []
 
-    def positive_gaps(prev):
-        return tuple(np.diff([prev.value(j) for j in range(1, prev.genus + 1)]))
+    def zigzag_of(ne) -> ZigzagParams:
+        return ZigzagParams(p, k, tuple(ne / np.sum(ne)))
 
-    def objective(x):
-        lengths = _lengths_from_coords(np.asarray(x), p)
-        z = ZigzagParams(p, z0.turn_order, lengths)
-        try:
-            parts = height_parts(z, warm=(warm["ne"], warm["sw"]))
-        except ZigzagError:
-            return 1e9  # barrier against quadrature-hostile corners
-        prev_ne, prev_sw, *_, d = parts
-        warm["ne"], warm["sw"] = positive_gaps(prev_ne), positive_gaps(prev_sw)
-        if d < best["d"]:
-            best.update(d=d, z=z, parts=parts)
-        return d
+    def residual(u):
+        prev = Prevertices.from_positive_gaps(np.exp(u)).values
+        ne = positive_sides(prev, ne_exps)
+        sw = positive_sides(prev, sw_exps)
+        f = np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0])
+        best = min(float(f @ f), trace[-1].height if trace else math.inf)
+        trace.append(TraceRow(len(trace) + 1, best, math.nan,
+                              stratum_distance(zigzag_of(ne))))
+        return f
 
-    iteration = {"n": 0}
-
-    def callback(xk):
-        iteration["n"] += 1
-        trace.append(
-            TraceRow(iteration["n"], best["d"], math.nan,
-                     stratum_distance(best["z"]))
-        )
-
-    x0 = _coords_from_lengths(z0.side_lengths)
-    objective(x0)
-    if best["parts"] is None:
-        raise RuntimeError(f"height evaluation failed at seed {z0}")
-    _scipy_minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        callback=callback,
-        options={
-            "xatol": opts.xatol,
-            "fatol": opts.fatol,
-            "maxiter": opts.max_iter,
-            "maxfev": opts.max_iter,
-            "initial_simplex": _initial_simplex(x0),
-        },
-    )
-
-    z_best = best["z"]
-    prev_ne, prev_sw, ext_ne, ext_sw, d = best["parts"]
-    converged = d < opts.tol and stratum_distance(z_best) > 0.0
-    grad_norm = math.nan
-    if converged:
-        try:
-            grad_norm = float(np.linalg.norm(grad_height_fd(z_best, opts.fd_step)))
-        except StepTooLarge:
-            pass
-    trace.append(TraceRow(iteration["n"] + 1, d, grad_norm, stratum_distance(z_best)))
-    return SolutionRecord(z_best, prev_ne, prev_sw, ext_ne, ext_sw, d, converged,
+    seed = solve_parameter_problem(z0, ne_pattern(p, k))
+    u0 = np.log(np.diff([seed.value(j) for j in range(1, p + 1)]))
+    sol = least_squares(residual, u0, method="lm", xtol=_LM_TOL, ftol=_LM_TOL,
+                        gtol=_LM_TOL)
+    shared = Prevertices.from_positive_gaps(np.exp(sol.x))
+    z = canonicalize(zigzag_of(positive_sides(shared.values, ne_exps)))
+    prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
+    trace.append(TraceRow(len(trace) + 1, d, float(np.linalg.norm(sol.grad)),
+                          stratum_distance(z)))
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < opts.tol,
                           tuple(trace))
-
-
-def _initial_simplex(x0: np.ndarray) -> np.ndarray:
-    n = x0.size
-    simplex = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        simplex[i + 1, i] += 0.05
-    return simplex
 
 
 def _trivial_record(p: int, k: int) -> SolutionRecord:
@@ -245,10 +197,10 @@ def continuation_solve(p: int, k: int = 2, opts: SolveOptions | None = None,
     """Build the solution ladder from genus 0 up to genus p.
 
     Genus 0 and 1 are exact; each further genus is seeded by inserting a
-    short handle side into the previous solution and descending D.  The
-    insertion length is halved up to four times if the descent stalls.
-    Raises LadderFailure with the partial ladder if a genus cannot be
-    solved; with keep_ladder=True returns the full dict genus -> record.
+    short handle side into the previous solution and solved by minimize.
+    Raises LadderFailure with the partial ladder if a genus does not
+    converge or its solve raises (the library error is chained as the
+    cause); with keep_ladder=True returns the full dict genus -> record.
     """
     if p < 0 or k < 2:
         raise ValueError("need genus >= 0 and turn order >= 2")
@@ -260,18 +212,13 @@ def continuation_solve(p: int, k: int = 2, opts: SolveOptions | None = None,
             continue
         parent = ladder[q - 1]
         eps = min(opts.eps, 0.9 * stratum_distance(parent.zigzag) / 4.0)
-        record = None
-        for _ in range(5):
-            seed = add_handle(parent, eps)
-            candidate = minimize(seed, opts)
-            if candidate.converged:
-                record = candidate
-                break
-            record = candidate
-            eps *= 0.5
-        if record is None or not record.converged:
-            raise LadderFailure(
-                f"continuation stalled at genus {q}", records=ladder, failed_genus=q
-            )
+        try:
+            record = minimize(add_handle(parent, eps), opts)
+        except ZigzagError as exc:
+            raise LadderFailure(f"{type(exc).__name__}: {exc}", records=ladder,
+                                failed_genus=q) from exc
+        if not record.converged:
+            raise LadderFailure(f"height {record.height:.3e} not below {opts.tol:.1e}",
+                                records=ladder, failed_genus=q)
         ladder[q] = record
     return ladder if keep_ladder else ladder[p]

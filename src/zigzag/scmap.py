@@ -33,6 +33,7 @@ __all__ = [
     "Prevertices",
     "PeriodVector",
     "side_length",
+    "positive_sides",
     "solve_parameter_problem",
     "forward_map",
     "periods",
@@ -149,19 +150,26 @@ def _raw_side(prev_values, exponents, interval_index) -> float:
     return value
 
 
+def positive_sides(prev_values, exponents) -> np.ndarray:
+    """Raw SC side lengths of the p positive-side intervals (s_j, s_{j+1}),
+    j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern."""
+    p = len(prev_values) // 2
+    return np.array([_raw_side(prev_values, exponents, j + p) for j in range(p)])
+
+
 def solve_parameter_problem(
     z: ZigzagParams,
     pat: ExponentPattern,
-    initial_gaps=None,
     tol: float = 1e-11,
     max_iter: int = 60,
 ) -> Prevertices:
     """Prevertices whose SC side-length ratios match the zigzag's.
 
     Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
-    coordinates, which keeps the ordering constraint implicit.  Damped
-    Newton with a finite-difference Jacobian; falls back to Nelder-Mead on
-    the squared residual norm if Newton stalls, then re-polishes.
+    coordinates, which keeps the ordering constraint implicit, starting
+    from gaps proportional to the target sides.  Damped Newton with a
+    finite-difference Jacobian; falls back to Nelder-Mead on the squared
+    residual norm if Newton stalls, then re-polishes.
     """
     z = canonicalize(z)
     p = z.genus
@@ -174,14 +182,8 @@ def solve_parameter_problem(
     exps = pat.exponents
 
     def residual(u):
-        prevv = Prevertices.from_positive_gaps(np.exp(u)).values
-        sides = np.array([_raw_side(prevv, exps, j + p) for j in range(p)])
+        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exps)
         return np.log(sides[1:] / sides[0]) - target
-
-    if initial_gaps is not None:
-        u = np.log(np.asarray(initial_gaps, dtype=float))
-    else:
-        u = np.log(np.asarray(z.side_lengths[1:]) / z.side_lengths[0])
 
     trace = []
 
@@ -216,7 +218,7 @@ def solve_parameter_problem(
                 return u, norm
         return u, float(np.max(np.abs(r)))
 
-    u, norm = damped_newton(u)
+    u, norm = damped_newton(target)
     if norm <= tol:
         return Prevertices.from_positive_gaps(np.exp(u))
 

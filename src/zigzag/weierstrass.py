@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +185,11 @@ def verify_periods(wd: WeierstrassData, chain: VertexChain | None = None,
       (a) int alpha = (1 - e^{2 pi i e_{j+1}}) e^{-i pi/4} (P_j - P_{j+1}),
           which is 2 e^{-i pi/4}(P_j - P_{j+1}) for turn order 2;
       (b) int beta equals the complex conjugate of int alpha;
-      (c) dh periods vanish (dh is exact on the cover).
+      (c) dh = c dt is exact on the cover, so its periods vanish once the
+          constant obeys the conditions imposed by build_weierstrass:
+          c^2 = -i scale_ne scale_sw and c positive real.  ``dh_periods``
+          holds the two relative defects |c^2 + i scale_ne scale_sw| / |c|^2
+          and |Im c| / |c|.
     Raises PeriodMismatch with the report attached if any check fails.
     """
     chain = chain or wd.chain
@@ -196,11 +199,7 @@ def verify_periods(wd: WeierstrassData, chain: VertexChain | None = None,
     e_sw = wd.pattern_sw.exponents
     e_ne = wd.pattern_ne.exponents
 
-    alpha_comp, alpha_exp, beta_comp, dh_per = [], [], [], []
-    if p == 0:
-        report = PeriodReport((), (), (), (), 0.0, 0.0, 0.0)
-        return report
-
+    alpha_comp, alpha_exp, beta_comp = [], [], []
     for j in range(-p, p):
         m = j + p  # interval index
         seg = quad.segment_integral(s, e_sw, s[m], s[m + 1], sing0=m, sing1=m + 1)
@@ -212,14 +211,13 @@ def verify_periods(wd: WeierstrassData, chain: VertexChain | None = None,
         seg_ne = quad.segment_integral(s, e_ne, s[m], s[m + 1], sing0=m, sing1=m + 1)
         rho_ne = _cycle_factor(e_ne[m + 1])
         beta_comp.append(_PHASE * wd.scale_ne * rho_ne * (-seg_ne))
-        # dh = c dt pulls back identically to both sheets; the cycle closes
-        forth = wd.dh_scale * (s[m + 1] - s[m])
-        back = wd.dh_scale * (s[m] - s[m + 1])
-        dh_per.append(abs(forth + back))
 
-    worst_alpha = max(abs(a - b) for a, b in zip(alpha_comp, alpha_exp))
+    c = wd.dh_scale
+    dh_per = (abs(c * c + 1j * wd.scale_ne * wd.scale_sw) / abs(c) ** 2,
+              abs(c.imag) / abs(c))
+    worst_alpha = max((abs(a - b) for a, b in zip(alpha_comp, alpha_exp)), default=0.0)
     worst_conj = max(
-        abs(b - np.conj(a)) for a, b in zip(alpha_comp, beta_comp)
+        (abs(b - np.conj(a)) for a, b in zip(alpha_comp, beta_comp)), default=0.0
     )
     worst_dh = max(dh_per)
     report = PeriodReport(
@@ -320,15 +318,6 @@ def _symmetry_generators(wd: WeierstrassData) -> tuple[SymmetryGenerator, ...]:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ZIGZAG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, min(n, 64))
-
-
 def generate_mesh(wd: WeierstrassData, radius: float, resolution: int,
                   base: complex | None = None) -> SurfaceMesh:
     """Triangulated image of the half-disk of the given radius.
@@ -360,15 +349,7 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int,
     params = np.concatenate(rows)
     triangles = _fan_and_strip_triangles(len(rows[0]), len(radii), n_th + 1)
 
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda t: evaluate_surface(wd, t, base), params))
-    else:
-        points = [evaluate_surface(wd, t, base) for t in params]
-    vertices = np.asarray(points)
+    vertices = np.asarray([evaluate_surface(wd, t, base) for t in params])
     factor = wd.metric_factor(params)
     return SurfaceMesh(vertices, triangles, np.asarray(factor), params,
                        _symmetry_generators(wd))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ class TestVerify:
         bad.write_text(json.dumps(data))
         assert main(["verify", str(bad)]) == 3
 
+        data = json.loads(solved_file.read_text())
+        data["weierstrass"]["dh_scale"] = [3.0 * data["weierstrass"]["dh_scale"][0], 0.7]
+        bad_dh = tmp_path / "tampered_dh.json"
+        bad_dh.write_text(json.dumps(data))
+        assert main(["verify", str(bad_dh)]) == 3
+
 
 class TestMesh:
     def test_genus0_mesh(self, tmp_path):
@@ -87,8 +94,14 @@ class TestMesh:
         mesh = zz.generate_mesh(wd, 2.0, 8)
         assert np.all(np.isfinite(mesh.conformal_factor))
 
-    def test_bad_flags(self, solved_file):
+    def test_bad_flags(self, solved_file, tmp_path):
         assert main(["mesh", str(solved_file), "--resolution", "2"]) == 1
+        not_json = tmp_path / "not_json.json"
+        not_json.write_text("not a solution file")
+        assert main(["mesh", str(not_json)]) == 1
+        no_genus = tmp_path / "no_genus.json"
+        no_genus.write_text('{"schema_version": 1}')
+        assert main(["mesh", str(no_genus)]) == 1
 
 
 class TestSweep:
@@ -133,25 +146,25 @@ class TestLadderFailureExit:
         assert main(["solve", "--genus", "2", "--out", str(out)]) == 2
         assert (tmp_path / "p2.json.partial").exists()
 
+    def test_solver_error_exits_with_partial_ladder(self, tmp_path, monkeypatch):
+        from zigzag.errors import LadderFailure, NoConvergence
 
-class TestThreadEnv:
-    def test_mesh_worker_count_respects_env(self, monkeypatch):
-        from zigzag.weierstrass import _worker_count
+        height_mod = sys.modules["zigzag.height"]
+        original = height_mod.solve_parameter_problem
 
-        monkeypatch.setenv("ZIGZAG_THREADS", "2")
-        assert _worker_count() == 2
-        monkeypatch.setenv("ZIGZAG_THREADS", "0")
-        assert _worker_count() == 1
-        monkeypatch.setenv("ZIGZAG_THREADS", "junk")
-        assert _worker_count() == 1
+        def failing_at_genus3(z, pat, **kwargs):
+            if z.genus == 3:
+                raise NoConvergence("injected", [1.0])
+            return original(z, pat, **kwargs)
 
-    def test_threaded_mesh_matches_serial(self, monkeypatch):
-        rec = zz.continuation_solve(0, 2)
-        wd = zz.build_weierstrass(rec)
-        serial = zz.generate_mesh(wd, 2.0, 8)
-        monkeypatch.setenv("ZIGZAG_THREADS", "4")
-        threaded = zz.generate_mesh(wd, 2.0, 8)
-        assert np.allclose(serial.vertices, threaded.vertices, atol=0.0)
+        monkeypatch.setattr(height_mod, "solve_parameter_problem", failing_at_genus3)
+        with pytest.raises(LadderFailure) as info:
+            zz.continuation_solve(3, 2)
+        assert info.value.failed_genus == 3 and sorted(info.value.records) == [0, 1, 2]
+        assert isinstance(info.value.__cause__, NoConvergence)
+        out = tmp_path / "p3.json"
+        assert main(["solve", "--genus", "3", "--out", str(out)]) == 2
+        assert (tmp_path / "p3.json.partial").exists()
 
 
 class TestSolutionFileRoundTrip:

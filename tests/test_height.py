@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,29 @@ class TestContinuation:
         again = zz.continuation_solve(2, 2)
         assert again.zigzag.side_lengths == genus2.zigzag.side_lengths
         assert again.height == genus2.height
+
+
+class TestSharedPrevertexSolve:
+    @pytest.mark.parametrize("k, top", [(2, 10), (3, 5)])
+    def test_higher_genus_ladder_certified(self, k, top):
+        ladder = zz.continuation_solve(top, k, keep_ladder=True)
+        for p in range(2, top + 1):
+            rec = ladder[p]
+            assert rec.converged and rec.height < 1e-10
+            report = zz.verify_periods(zz.build_weierstrass(rec))
+            assert report.max_error() <= 1e-8
+
+    def test_matches_nelder_mead_references(self, ladder5, karcher_k3):
+        # side lengths found by Nelder-Mead descent on D, stored as files
+        data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+        for name, rec in (("p3_k2", ladder5[3]), ("p5_k2", ladder5[5]),
+                          ("p2_k3", karcher_k3[2])):
+            ref = json.loads((data / f"{name}.json").read_text())
+            assert (ref["genus"], ref["turn_order"]) == (rec.zigzag.genus,
+                                                         rec.zigzag.turn_order)
+            drift = np.max(np.abs(np.subtract(ref["side_lengths"],
+                                              rec.zigzag.side_lengths)))
+            assert drift < 1e-9
 
 
 class TestProperness:

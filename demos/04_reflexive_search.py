@@ -4,8 +4,9 @@ The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
 Each genus is seeded from the previous solution by inserting a short
-handle side, then solved for that shared tuple by Levenberg-Marquardt;
-D of the result is the certificate.
+handle side, then solved for that shared tuple by the damped Newton
+iteration (with a Nelder-Mead rescue) that also solves each parameter
+problem; D of the result is the certificate.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ print("Genus-2 solve trace (step, best ||F||^2, stratum distance; last row D):")
 rows = list(rec.trace)
 for row in rows[:: max(1, len(rows) // 8)]:
     print(f"  {row.step:>5}  {row.height:>12.3e}  {row.stratum_distance:>8.4f}")
-print(f"  final ||J^T F|| {rec.trace[-1].grad_norm:.2e}")
+print(f"  final max|F| {rec.trace[-1].grad_norm:.2e}")
 print()
 
 print("At the solution both prevertex tuples coincide:")

@@ -21,11 +21,9 @@ members = zz.make_coalescing_family(rec.prev_ne, j, deltas)
 
 print(f"collapsing the gap above s_{j + 1} of the solved genus-3 tuple:")
 print(f"  {'delta':>10}  {'|a_1| (NE)':>14}  {'|b_1| (SW)':>14}")
-from zigzag.scmap import _raw_side
-
 for d, member in zip(deltas, members):
-    a = _raw_side(member.values, zz.ne_pattern(3).exponents, j + 3)
-    b = _raw_side(member.values, zz.sw_pattern(3).exponents, j + 3)
+    a = zz.side_length(member, zz.ne_pattern(3), j)
+    b = zz.side_length(member, zz.sw_pattern(3), j)
     print(f"  {d:>10.1e}  {a:>14.10f}  {b:>14.10f}")
 
 c0n, c1n, rn = zz.coalescence_log_fit(deltas, members, zz.ne_pattern(3), j)

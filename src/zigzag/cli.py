@@ -37,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None,
                          help="optional CSV path for the solve trace of the top "
                               "genus (columns: step,height,grad_norm,stratum_distance); "
-                              "each row is one residual evaluation with the running "
-                              "best ||F||^2, the last row holds the certified "
-                              "height D and ||J^T F||")
+                              "each row is one residual evaluation of the damped "
+                              "Newton shared-prevertex solve with the running best "
+                              "||F||^2, the last row holds the certified height D "
+                              "and max|F|")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution file")
     p_verify.add_argument("path")
@@ -97,18 +98,26 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _load(path):
+    """(record, stored Weierstrass data or None) of a solution file, or
+    None after reporting why the file cannot be loaded."""
     try:
-        sf = zio.load_solution(args.path)
+        sf = zio.load_solution(path)
         record = zio.solution_to_record(sf)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {args.path}: {exc}", file=sys.stderr)
+        wd = zio.weierstrass_from_solution(sf) if "weierstrass" in sf.data else None
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ZigzagError) as exc:
+        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
+        return None
+    return record, wd
+
+
+def cmd_verify(args) -> int:
+    loaded = _load(args.path)
+    if loaded is None:
         return USAGE_EXIT
+    record, wd = loaded
     try:
-        if "weierstrass" in sf.data:
-            wd = zio.weierstrass_from_solution(sf)
-        else:
-            wd = build_weierstrass(record)
+        wd = wd or build_weierstrass(record)
         report = verify_periods(wd)
     except PeriodMismatch as exc:
         print(f"FAIL {exc}", file=sys.stderr)
@@ -129,18 +138,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    try:
-        sf = zio.load_solution(args.path)
-        record = zio.solution_to_record(sf)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load {args.path}: {exc}", file=sys.stderr)
+    loaded = _load(args.path)
+    if loaded is None:
         return USAGE_EXIT
+    record, wd = loaded
     if args.resolution < 8:
         print("error: --resolution must be >= 8", file=sys.stderr)
         return USAGE_EXIT
     try:
-        wd = (zio.weierstrass_from_solution(sf) if "weierstrass" in sf.data
-              else build_weierstrass(record))
+        wd = wd or build_weierstrass(record)
         radius = args.radius
         if radius is None:
             top = max(abs(v) for v in wd.prevertices.values)
@@ -167,8 +173,8 @@ def _parse_grid(grid: str):
 
 def cmd_sweep(args) -> int:
     from .elliptic import extremal_length_quad
-    from .scmap import coalescence_log_fit, make_coalescing_family, ne_pattern, sw_pattern
-    from .scmap import _raw_side
+    from .scmap import (coalescence_log_fit, make_coalescing_family, ne_pattern,
+                        side_length, sw_pattern)
 
     try:
         if args.kind == "extlength":
@@ -192,16 +198,8 @@ def cmd_sweep(args) -> int:
         pat_ne, pat_sw = ne_pattern(args.genus), sw_pattern(args.genus)
         _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
         _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
-        p = args.genus
-        rows = []
-        for d, member in zip(deltas, members):
-            rows.append((
-                float(d),
-                _raw_side(member.values, pat_ne.exponents, j + p),
-                _raw_side(member.values, pat_sw.exponents, j + p),
-                c1_ne.real,
-                c1_sw.real,
-            ))
+        rows = [(float(d), side_length(m, pat_ne, j), side_length(m, pat_sw, j),
+                 c1_ne.real, c1_sw.real) for d, m in zip(deltas, members)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "
               f"c1_ne={c1_ne.real:+.4f} (residual {res_ne:.2e}), "

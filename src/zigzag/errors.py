@@ -22,14 +22,17 @@ class QuadratureFailure(ZigzagError):
 
 
 class NoConvergence(ZigzagError):
-    """The prevertex parameter problem did not converge.
+    """A Newton solve did not converge.
 
-    Carries the iteration trace in ``trace`` (list of residual norms).
+    Carries the iteration trace in ``trace`` (list of residual norms); the
+    message ends with its length and last entry.
     """
 
     def __init__(self, message, trace=None):
-        super().__init__(message)
         self.trace = list(trace or [])
+        if self.trace:
+            message += f" after {len(self.trace)} Newton iterations, last residual {self.trace[-1]:.3e}"
+        super().__init__(message)
 
 
 class FitFailure(ZigzagError):

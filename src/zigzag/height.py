@@ -7,9 +7,10 @@ complementary domains,
 
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
-solved by one Levenberg-Marquardt least-squares solve for a prevertex
-tuple shared by both Schwarz-Christoffel maps, seeded by handle addition
-from the genus p-1 solution; D of the result is the certificate.
+solved for a prevertex tuple shared by both Schwarz-Christoffel maps,
+seeded by handle addition from the genus p-1 solution, with the damped
+Newton iteration (Nelder-Mead rescue) that also solves the parameter
+problem in ``scmap``; D of the result is the certificate.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import LadderFailure, StepTooLarge, ZigzagError
 from .geometry import ZigzagParams, add_handle, canonicalize, stratum_distance
-from .scmap import (Prevertices, ne_pattern, positive_sides, solve_parameter_problem,
-                    sw_pattern)
+from .scmap import (Prevertices, _log_ratios, _newton_solve, ne_pattern, positive_sides,
+                    solve_parameter_problem, sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # exp(1/E) guard; unreachable for float-representable cross-ratios
-_LM_TOL = 1e-15  # Levenberg-Marquardt step, reduction and gradient tolerances
 
 
 class TraceRow(NamedTuple):
@@ -86,9 +85,6 @@ def height_parts(z: ZigzagParams):
     (prev_ne, prev_sw, ext_ne, ext_sw, D)."""
     z = canonicalize(z)
     p = z.genus
-    if p <= 1:
-        prev = Prevertices((-1.0, 0.0, 1.0)) if p == 1 else Prevertices((0.0,))
-        return prev, prev, (), (), 0.0
     prev_ne = solve_parameter_problem(z, ne_pattern(p, z.turn_order))
     prev_sw = solve_parameter_problem(z, sw_pattern(p, z.turn_order))
     ext_ne = extremal_lengths(prev_ne)
@@ -101,17 +97,9 @@ def height(z: ZigzagParams) -> float:
     return height_parts(z)[4]
 
 
-def _simplex_tangent_basis(p: int) -> np.ndarray:
-    """Directions e_i - e_{p-1}, i = 0..p-2, spanning the sum-zero tangent."""
-    basis = np.zeros((p - 1, p))
-    for i in range(p - 1):
-        basis[i, i] = 1.0
-        basis[i, p - 1] = -1.0
-    return basis
-
-
 def grad_height_fd(z: ZigzagParams, h: float = 1e-5) -> tuple[float, ...]:
-    """Central-difference gradient of D along the simplex tangent basis.
+    """Central-difference gradient of D along the simplex tangent basis
+    e_i - e_{p-1}, i = 0..p-2.
 
     Requires stratum_distance(z) > 2h so that both one-sided perturbations
     stay interior; raises StepTooLarge otherwise.
@@ -124,7 +112,9 @@ def grad_height_fd(z: ZigzagParams, h: float = 1e-5) -> tuple[float, ...]:
         raise StepTooLarge(f"step {h} too large at stratum distance {stratum_distance(z)}")
     base = np.asarray(z.side_lengths)
     grad = []
-    for d in _simplex_tangent_basis(p):
+    for i in range(p - 1):
+        d = np.zeros(p)
+        d[i], d[p - 1] = 1.0, -1.0
         zp = ZigzagParams(p, z.turn_order, tuple(base + h * d))
         zm = ZigzagParams(p, z.turn_order, tuple(base - h * d))
         grad.append((height(zp) - height(zm)) / (2.0 * h))
@@ -132,7 +122,7 @@ def grad_height_fd(z: ZigzagParams, h: float = 1e-5) -> tuple[float, ...]:
 
 
 def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionRecord:
-    """Solve for the reflexive zigzag near z0 as one least-squares problem.
+    """Solve for the reflexive zigzag near z0 by one shared-prevertex solve.
 
     A zigzag is reflexive exactly when its NE and SW maps share one
     prevertex tuple.  The unknowns are the log-gaps u of that shared tuple,
@@ -140,56 +130,45 @@ def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionReco
 
         F(u) = log(ne[1:]/ne[0]) - log(sw[1:]/sw[0]),
 
-    solved by Levenberg-Marquardt from the NE parameter solution at z0.
-    The zigzag is read off the normalized NE sides; two cold parameter
-    solves then give D as an independent certificate, and the record is
-    converged iff D < opts.tol.  Trace rows log the running best ||F||^2
-    per residual evaluation (gradient column NaN); the final row holds D
-    and the norm of J^T F at the solution.
+    solved from the NE parameter solution at z0 by the damped Newton
+    iteration (Nelder-Mead rescue) that solves the parameter problem.
+    Genus 0 and 1 have no unknowns.  The zigzag is read off the normalized
+    NE sides; two cold parameter solves then give D as an independent
+    certificate, and the record is converged iff D < opts.tol.  Trace rows
+    log the running best ||F||^2 per residual evaluation (gradient column
+    NaN); the final row holds D and max|F| at the solution.
     """
     opts = opts or SolveOptions()
-    z0 = canonicalize(z0)
-    p, k = z0.genus, z0.turn_order
-    if p <= 1:
-        prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z0)
-        return SolutionRecord(z0, prev_ne, prev_sw, ext_ne, ext_sw, d, True,
-                              (TraceRow(0, d, 0.0, stratum_distance(z0)),))
-
-    ne_exps = ne_pattern(p, k).exponents
-    sw_exps = sw_pattern(p, k).exponents
+    z = canonicalize(z0)
+    p, k = z.genus, z.turn_order
     trace: list[TraceRow] = []
+    f_norm = 0.0
+    if p >= 2:
+        ne_exps = ne_pattern(p, k).exponents
+        sw_exps = sw_pattern(p, k).exponents
 
-    def zigzag_of(ne) -> ZigzagParams:
-        return ZigzagParams(p, k, tuple(ne / np.sum(ne)))
+        def sides_and_residual(u):
+            prev = Prevertices.from_positive_gaps(np.exp(u)).values
+            ne = positive_sides(prev, ne_exps)
+            return ne, _log_ratios(ne) - _log_ratios(positive_sides(prev, sw_exps))
 
-    def residual(u):
-        prev = Prevertices.from_positive_gaps(np.exp(u)).values
-        ne = positive_sides(prev, ne_exps)
-        sw = positive_sides(prev, sw_exps)
-        f = np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0])
-        best = min(float(f @ f), trace[-1].height if trace else math.inf)
-        trace.append(TraceRow(len(trace) + 1, best, math.nan,
-                              stratum_distance(zigzag_of(ne))))
-        return f
+        def residual(u):
+            ne, f = sides_and_residual(u)
+            best = min(float(f @ f), trace[-1].height if trace else math.inf)
+            trace.append(TraceRow(len(trace) + 1, best, math.nan,
+                                  stratum_distance(ZigzagParams(p, k, tuple(ne)))))
+            return f
 
-    seed = solve_parameter_problem(z0, ne_pattern(p, k))
-    u0 = np.log(np.diff([seed.value(j) for j in range(1, p + 1)]))
-    sol = least_squares(residual, u0, method="lm", xtol=_LM_TOL, ftol=_LM_TOL,
-                        gtol=_LM_TOL)
-    shared = Prevertices.from_positive_gaps(np.exp(sol.x))
-    z = canonicalize(zigzag_of(positive_sides(shared.values, ne_exps)))
+        seed = solve_parameter_problem(z, ne_pattern(p, k)).values
+        u = _newton_solve(residual, np.log(np.diff(seed[p + 1:])),
+                          f"shared-prevertex solve from {z}")
+        ne, f = sides_and_residual(u)
+        z = canonicalize(ZigzagParams(p, k, tuple(ne)))
+        f_norm = float(np.max(np.abs(f)))
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
-    trace.append(TraceRow(len(trace) + 1, d, float(np.linalg.norm(sol.grad)),
-                          stratum_distance(z)))
+    trace.append(TraceRow(len(trace) + 1, d, f_norm, stratum_distance(z)))
     return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < opts.tol,
                           tuple(trace))
-
-
-def _trivial_record(p: int, k: int) -> SolutionRecord:
-    z = ZigzagParams(p, k, (1.0,) * p if p == 1 else ())
-    prev = Prevertices((-1.0, 0.0, 1.0)) if p == 1 else Prevertices((0.0,))
-    return SolutionRecord(z, prev, prev, (), (), 0.0, True,
-                          (TraceRow(0, 0.0, 0.0, stratum_distance(z)),))
 
 
 def continuation_solve(p: int, k: int = 2, opts: SolveOptions | None = None,
@@ -208,12 +187,13 @@ def continuation_solve(p: int, k: int = 2, opts: SolveOptions | None = None,
     ladder: dict[int, SolutionRecord] = {}
     for q in range(0, p + 1):
         if q <= 1:
-            ladder[q] = _trivial_record(q, k)
-            continue
-        parent = ladder[q - 1]
-        eps = min(opts.eps, 0.9 * stratum_distance(parent.zigzag) / 4.0)
+            seed = ZigzagParams(q, k, (1.0,) * q)
+        else:
+            parent = ladder[q - 1]
+            seed = add_handle(parent, min(opts.eps,
+                                          0.9 * stratum_distance(parent.zigzag) / 4.0))
         try:
-            record = minimize(add_handle(parent, eps), opts)
+            record = minimize(seed, opts)
         except ZigzagError as exc:
             raise LadderFailure(f"{type(exc).__name__}: {exc}", records=ladder,
                                 failed_genus=q) from exc

@@ -15,6 +15,10 @@ reversed order (s_j lands on the mirror vertex P_{-j}) and the SW integrand
 traces P_{-p}, ..., P_p directly; a complex-linear normalization cannot
 swap the two since the raw images are mirror congruent.  ``forward_map``
 accounts for this when matching the developed chain to build_vertices.
+
+The parameter problem here and the shared-prevertex solve of
+``height.minimize`` are both posed in log side ratios over log-gaps and
+solved by one damped Newton iteration with a Nelder-Mead rescue.
 """
 
 from __future__ import annotations
@@ -145,46 +149,38 @@ def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
     return value
 
 
-def _raw_side(prev_values, exponents, interval_index) -> float:
-    value, _ = quad.interval_abs_integral(prev_values, exponents, interval_index)
-    return value
+def _positive_integrals(prev_values, exponents) -> np.ndarray:
+    """Rows (raw side lengths, quadrature error estimates) of the p
+    positive-side intervals.  The mirror interval (s_{-j-1}, s_{-j}) has
+    the same length, since prevertices and exponents are symmetric."""
+    p = len(prev_values) // 2
+    return np.array([quad.interval_abs_integral(prev_values, exponents, j + p)
+                     for j in range(p)]).reshape(p, 2).T
 
 
 def positive_sides(prev_values, exponents) -> np.ndarray:
     """Raw SC side lengths of the p positive-side intervals (s_j, s_{j+1}),
     j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern."""
-    p = len(prev_values) // 2
-    return np.array([_raw_side(prev_values, exponents, j + p) for j in range(p)])
+    return _positive_integrals(prev_values, exponents)[0]
 
 
-def solve_parameter_problem(
-    z: ZigzagParams,
-    pat: ExponentPattern,
-    tol: float = 1e-11,
-    max_iter: int = 60,
-) -> Prevertices:
-    """Prevertices whose SC side-length ratios match the zigzag's.
+def _log_ratios(sides: np.ndarray) -> np.ndarray:
+    """Scale-free side coordinates log(sides[1:] / sides[0]) in which both
+    the parameter problem and the shared-prevertex solve are posed."""
+    return np.log(sides[1:] / sides[0])
 
-    Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
-    coordinates, which keeps the ordering constraint implicit, starting
-    from gaps proportional to the target sides.  Damped Newton with a
-    finite-difference Jacobian; falls back to Nelder-Mead on the squared
-    residual norm if Newton stalls, then re-polishes.
+
+_NEWTON_TOL = 1e-11  # sup norm of the log-ratio residual
+
+
+def _newton_solve(residual, u0, label: str) -> np.ndarray:
+    """Log-gaps u with max|residual(u)| <= 1e-11.
+
+    Damped Newton with a forward-difference Jacobian and a halving line
+    search; if it stalls, Nelder-Mead on the squared residual norm, then a
+    second Newton polish.  Raises NoConvergence carrying the residual sup
+    norm of every Newton iteration.
     """
-    z = canonicalize(z)
-    p = z.genus
-    if p < 1:
-        raise ValueError("parameter problem needs genus >= 1")
-    if p == 1:
-        return Prevertices((-1.0, 0.0, 1.0))
-
-    target = np.log(np.asarray(z.side_lengths[1:]) / z.side_lengths[0])
-    exps = pat.exponents
-
-    def residual(u):
-        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exps)
-        return np.log(sides[1:] / sides[0]) - target
-
     trace = []
 
     def jacobian(u, r0):
@@ -198,10 +194,10 @@ def solve_parameter_problem(
 
     def damped_newton(u):
         r = residual(u)
-        for _ in range(max_iter):
+        for _ in range(60):
             norm = float(np.max(np.abs(r)))
             trace.append(norm)
-            if norm <= tol:
+            if norm <= _NEWTON_TOL:
                 return u, norm
             try:
                 step = np.linalg.solve(jacobian(u, r), -r)
@@ -218,9 +214,9 @@ def solve_parameter_problem(
                 return u, norm
         return u, float(np.max(np.abs(r)))
 
-    u, norm = damped_newton(target)
-    if norm <= tol:
-        return Prevertices.from_positive_gaps(np.exp(u))
+    u, norm = damped_newton(np.asarray(u0, dtype=float))
+    if norm <= _NEWTON_TOL:
+        return u
 
     # simplex rescue on ||r||^2, then a final Newton polish
     from scipy.optimize import minimize as _nm
@@ -232,11 +228,33 @@ def solve_parameter_problem(
         options={"xatol": 1e-13, "fatol": 1e-24, "maxiter": 4000},
     )
     u, norm = damped_newton(rescue.x)
-    if norm <= tol:
-        return Prevertices.from_positive_gaps(np.exp(u))
-    raise NoConvergence(
-        f"parameter problem stalled at residual {norm:.3e} for {z}", trace
-    )
+    if norm <= _NEWTON_TOL:
+        return u
+    raise NoConvergence(f"{label} stalled", trace)
+
+
+def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
+    """Prevertices whose SC side-length ratios match the zigzag's.
+
+    Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
+    coordinates, which keeps the ordering constraint implicit, starting
+    from gaps proportional to the target sides, by the damped Newton
+    iteration of _newton_solve.  Genus 0 and 1 have no unknowns.
+    """
+    z = canonicalize(z)
+    p = z.genus
+    if p <= 1:
+        return Prevertices.from_positive(np.arange(p + 1.0))
+
+    target = _log_ratios(np.asarray(z.side_lengths))
+    exps = pat.exponents
+
+    def residual(u):
+        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exps)
+        return _log_ratios(sides) - target
+
+    u = _newton_solve(residual, target, f"parameter problem for {z}")
+    return Prevertices.from_positive_gaps(np.exp(u))
 
 
 def _segment_directions_from_exponents(exps: np.ndarray) -> np.ndarray:
@@ -252,28 +270,31 @@ def _segment_directions_from_exponents(exps: np.ndarray) -> np.ndarray:
 
 
 def _raw_chain(prev: Prevertices, pat: ExponentPattern):
-    """Raw developed vertices V_{-p..p} (V at s_0 = 0) and interval data."""
+    """Raw developed vertices V_{-p..p} (V at s_0 = 0), the raw lengths of
+    the 2p intervals and the error estimates of the p positive ones."""
     p = prev.genus
     exps = pat.exponents
-    sides = np.array([_raw_side(prev.values, exps, m) for m in range(2 * p)])
+    pos, errs = _positive_integrals(prev.values, exps)
+    sides = np.concatenate((pos[::-1], pos))  # mirror intervals, equal lengths
     dirs = _segment_directions_from_exponents(exps)[:-1]  # per interval m = 0..2p-1
     steps = sides * dirs
     V = np.zeros(2 * p + 1, dtype=complex)
     V[p + 1:] = np.cumsum(steps[p:])
     V[:p] = -np.cumsum(steps[:p][::-1])[::-1]
-    return V, sides, dirs
+    return V, sides, errs
 
 
-def _chain_normalization(prev: Prevertices, pat: ExponentPattern):
+def _chain_normalization(prev: Prevertices, pat: ExponentPattern, raw=None):
     """Affine map A*raw + B sending the raw developed chain onto the
     normalized vertex chain of the induced zigzag.
 
     The NE integrand develops the chain in reversed vertex order, so its
     raw vertices are matched against P_p, ..., P_{-p}; the SW integrand is
-    matched against P_{-p}, ..., P_p.
+    matched against P_{-p}, ..., P_p.  ``raw`` is the _raw_chain result
+    when the caller already holds it.
     """
     p = prev.genus
-    V, sides, dirs = _raw_chain(prev, pat)
+    V, sides, _ = raw if raw is not None else _raw_chain(prev, pat)
     pos_sides = sides[p:]
     lengths = tuple(pos_sides / np.sum(pos_sides))
     chain = build_vertices(ZigzagParams(p, pat.turn_order, lengths))
@@ -303,7 +324,7 @@ def _raw_map(prev: Prevertices, pat: ExponentPattern, t: complex, V=None) -> com
     s = np.asarray(prev.values)
     exps = pat.exponents
     if V is None:
-        V, _, _ = _raw_chain(prev, pat)
+        V = _raw_chain(prev, pat)[0]
 
     # exact prevertex hits: cumulative interval walk
     hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0] if t.imag == 0.0 else []
@@ -395,13 +416,10 @@ def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:
     order 2 consecutive periods differ in direction by a factor +-i.
     """
     p = prev.genus
-    A, _, V, _, _ = _chain_normalization(prev, pat)
+    raw = _raw_chain(prev, pat)
+    A, _, V, _, _ = _chain_normalization(prev, pat, raw)
     vals = tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p))
-    errs = []
-    for j in range(p):
-        _, err = quad.interval_abs_integral(prev.values, pat.exponents, j + p)
-        errs.append(abs(A) * err)
-    return PeriodVector(vals, tuple(errs))
+    return PeriodVector(vals, tuple(float(abs(A) * err) for err in raw[2]))
 
 
 def make_coalescing_family(base: Prevertices, j: int, deltas):
@@ -447,15 +465,11 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     span = np.max(deltas) / np.min(deltas)
     if span < 99.0:
         raise ValueError("gap samples must span at least two decades")
-    p = pat.genus
     y = np.empty(deltas.size)
     xlog = np.empty(deltas.size)
     for i, member in enumerate(members):
-        y[i] = _raw_side(member.values, pat.exponents, j + p)
-        xlog[i] = (
-            math.log(deltas[i]) / math.pi
-            * _raw_side(member.values, pat.exponents, j + 1 + p)
-        )
+        y[i] = side_length(member, pat, j)
+        xlog[i] = math.log(deltas[i]) / math.pi * side_length(member, pat, j + 1)
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)
     coef, *_ = np.linalg.lstsq(A / scale, y, rcond=None)

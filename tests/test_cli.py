@@ -17,6 +17,25 @@ def solved_file(tmp_path_factory):
     return path
 
 
+def malformed_files(solved_file, tmp_path):
+    """Edited copies of a genus-2 solution file whose weierstrass block
+    cannot be loaded."""
+    edits = {
+        "empty_weierstrass": lambda d: d.update(weierstrass={}),
+        "scale_not_complex": lambda d: d["weierstrass"].update(scale_ne="x"),
+        "asymmetric_prevertices":
+            lambda d: d["weierstrass"]["prevertices"].__setitem__(0, -3.0),
+    }
+    paths = []
+    for name, edit in edits.items():
+        data = json.loads(solved_file.read_text())
+        edit(data)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(path)
+    return paths
+
+
 class TestSolve:
     def test_genus1_exit_zero(self, tmp_path):
         out = tmp_path / "p1.json"
@@ -53,8 +72,11 @@ class TestVerify:
         assert "deg g" in out and "3" in out
         assert "-12 pi" in out.replace("  ", " ")
 
-    def test_missing_file(self):
+    def test_missing_file(self, solved_file, tmp_path, capsys):
         assert main(["verify", "/nonexistent/sol.json"]) == 1
+        for bad in malformed_files(solved_file, tmp_path):
+            assert main(["verify", str(bad)]) == 1
+            assert "error: cannot load" in capsys.readouterr().err
 
     def test_tampered_file(self, solved_file, tmp_path):
         data = json.loads(solved_file.read_text())
@@ -102,6 +124,9 @@ class TestMesh:
         no_genus = tmp_path / "no_genus.json"
         no_genus.write_text('{"schema_version": 1}')
         assert main(["mesh", str(no_genus)]) == 1
+        for bad in malformed_files(solved_file, tmp_path):
+            assert main(["mesh", str(bad), "--out", str(tmp_path / "bad.obj")]) == 1
+        assert not (tmp_path / "bad.obj").exists()
 
 
 class TestSweep:
@@ -146,7 +171,7 @@ class TestLadderFailureExit:
         assert main(["solve", "--genus", "2", "--out", str(out)]) == 2
         assert (tmp_path / "p2.json.partial").exists()
 
-    def test_solver_error_exits_with_partial_ladder(self, tmp_path, monkeypatch):
+    def test_solver_error_exits_with_partial_ladder(self, tmp_path, monkeypatch, capsys):
         from zigzag.errors import LadderFailure, NoConvergence
 
         height_mod = sys.modules["zigzag.height"]
@@ -163,8 +188,13 @@ class TestLadderFailureExit:
         assert info.value.failed_genus == 3 and sorted(info.value.records) == [0, 1, 2]
         assert isinstance(info.value.__cause__, NoConvergence)
         out = tmp_path / "p3.json"
+        capsys.readouterr()
         assert main(["solve", "--genus", "3", "--out", str(out)]) == 2
         assert (tmp_path / "p3.json.partial").exists()
+        # the solver's history reaches the user
+        err = capsys.readouterr().err
+        assert "ladder failed at genus 3" in err
+        assert "after 1 Newton iterations, last residual 1.000e+00" in err
 
 
 class TestSolutionFileRoundTrip:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestSharedPrevertexSolve:
             drift = np.max(np.abs(np.subtract(ref["side_lengths"],
                                               rec.zigzag.side_lengths)))
             assert drift < 1e-9
+
+
+class TestWorkCounter:
+    def test_genus5_ladder_residual_evaluations(self, monkeypatch):
+        # deterministic work gate: SC side-vector evaluations in the ladder
+        original = sys.modules["zigzag.scmap"].positive_sides
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zigzag") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        assert zz.continuation_solve(5, 2).converged
+        assert 0 < len(calls) <= 300
 
 
 class TestProperness:

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
 from zigzag.quadrature import interval_abs_integral
-from zigzag.scmap import _chain_normalization
+from zigzag.scmap import _chain_normalization, positive_sides
 
 
 class TestExponentPattern:
@@ -106,6 +107,29 @@ class TestParameterProblem:
         pat = zz.sw_pattern(2, 3)
         sides = [zz.side_length(prev, pat, j) for j in range(2)]
         assert math.isclose(sides[1] / sides[0], 1.5, rel_tol=1e-8)
+
+
+@st.composite
+def sc_problems(draw):
+    """An exponent pattern and the p-1 log-gaps of a prevertex tuple."""
+    p = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.sampled_from((2, 3)))
+    orientation = draw(st.sampled_from(("NE", "SW")))
+    u = draw(st.lists(st.floats(-1.5, 1.5), min_size=p - 1, max_size=p - 1))
+    return zz.ExponentPattern(orientation, p, k), np.array(u)
+
+
+class TestParameterProblemProperty:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(sc_problems())
+    def test_solve_recovers_the_tuple(self, problem):
+        # the zigzag a tuple induces must be solved back to that tuple
+        pat, u = problem
+        prev = zz.Prevertices.from_positive_gaps(np.exp(u))
+        sides = positive_sides(prev.values, pat.exponents)
+        z = zz.ZigzagParams(pat.genus, pat.turn_order, tuple(sides))
+        got = zz.solve_parameter_problem(z, pat)
+        assert np.max(np.abs(np.subtract(got.values, prev.values))) < 1e-8
 
 
 class TestForwardMap:

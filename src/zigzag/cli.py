@@ -76,6 +76,9 @@ def cmd_solve(args) -> int:
     if args.genus < 0 or args.k < 2:
         print("error: need --genus >= 0 and --k >= 2", file=sys.stderr)
         return USAGE_EXIT
+    if not (0.0 < args.tol < math.inf and 0.0 < args.eps < math.inf):
+        print("error: --tol and --eps must be finite and positive", file=sys.stderr)
+        return USAGE_EXIT
     out = args.out or f"zigzag_p{args.genus}_k{args.k}.json"
     opts = SolveOptions(tol=args.tol, eps=args.eps)
     try:

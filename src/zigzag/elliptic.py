@@ -45,7 +45,10 @@ class EllipticData:
         return self.omega2 / self.omega1
 
 
-def carlson_rf(x: float, y: float, z: float, rel_tol: float = 1e-14) -> float:
+_RF_TOL = 1e-14  # relative spread of the duplicated arguments at which to stop
+
+
+def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson symmetric elliptic integral R_F(x, y, z) by duplication.
 
     Arguments nonnegative, at most one zero.  The complete elliptic
@@ -57,7 +60,7 @@ def carlson_rf(x: float, y: float, z: float, rel_tol: float = 1e-14) -> float:
         lam = math.sqrt(x) * math.sqrt(y) + math.sqrt(y) * math.sqrt(z) + math.sqrt(z) * math.sqrt(x)
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         mu = (x + y + z) / 3.0
-        if max(abs(x - mu), abs(y - mu), abs(z - mu)) <= rel_tol * mu:
+        if max(abs(x - mu), abs(y - mu), abs(z - mu)) <= _RF_TOL * mu:
             break
     X, Y = 1.0 - x / mu, 1.0 - y / mu
     Z = -X - Y

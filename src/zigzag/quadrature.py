@@ -2,20 +2,25 @@
 
 Integrands here are of the form prod_m (z - s_m)^{e_m} with real nodes s_m
 and exponents e_m > -1.  Singular endpoints are absorbed by Gauss-Jacobi
-rules; the rest of an interval is covered by dyadically graded
-Gauss-Legendre panels that never stretch closer to a foreign singularity
-than their own length, so every panel sees an analytic integrand with a
-uniformly fat Bernstein ellipse.  Accuracy is certified by node doubling.
+rules; the rest of a real interval or of a straight segment in the closed
+upper half-plane is covered by Gauss-Legendre panels no longer than their
+distance to the nearest foreign singularity (the one-half rule of compound
+Gauss-Jacobi SC quadrature), so every panel sees an analytic integrand with
+a uniformly fat Bernstein ellipse.  A segment between two points of the
+closed upper half-plane, not both real, meets the real axis at most at an
+endpoint, so no path needs a detour around a prevertex.
+Every integral is certified by one node-doubling routine, ``_doubled``.
 """
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import QuadratureFailure
+from .errors import DomainError, QuadratureFailure
 
 _BASE_NODES = 24
 _MAX_DOUBLINGS = 4
@@ -127,26 +132,37 @@ class IntervalPlan:
         return total
 
 
-def interval_abs_integral(prev, exps, j, rel_tol=_REL_TOL):
-    """Modulus integral over (s_j, s_{j+1}) with node-doubling certification.
+def _doubled(value, rel_tol: float, abs_tol: float, what: str):
+    """Certify value(n) by node doubling from _BASE_NODES nodes.
 
-    Returns (value, error_estimate); raises QuadratureFailure if the
-    doubling test never reaches ``rel_tol``.
+    Returns (fine, |fine - coarse|) for the first doubling whose change is
+    within rel_tol * |fine| + abs_tol; raises QuadratureFailure naming
+    ``what`` otherwise.
     """
-    plan = IntervalPlan(prev, exps, j)
     n = _BASE_NODES
-    coarse = plan.integrate_abs(n)
+    coarse = value(n)
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        fine = plan.integrate_abs(n)
+        fine = value(n)
         err = abs(fine - coarse)
-        if err <= rel_tol * abs(fine):
+        if err <= rel_tol * abs(fine) + abs_tol:
             return fine, err
         coarse = fine
     raise QuadratureFailure(
-        f"interval ({prev[j]}, {prev[j + 1]}) stuck at rel err "
-        f"{err / max(abs(fine), 1e-300):.3e} with {n} nodes"
+        f"{what} stuck at rel err {err / max(abs(fine), 1e-300):.3e} with {n} nodes"
     )
+
+
+def interval_abs_integral(prev, exps, j):
+    """Modulus integral over (s_j, s_{j+1}) with node-doubling certification
+    to relative accuracy 1e-12.
+
+    Returns (value, error_estimate); raises QuadratureFailure if the
+    doubling test never reaches it.
+    """
+    plan = IntervalPlan(prev, exps, j)
+    return _doubled(plan.integrate_abs, _REL_TOL, 0.0,
+                    f"interval ({prev[j]}, {prev[j + 1]})")
 
 
 def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
@@ -170,8 +186,10 @@ def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
 
     panels = []
 
+    # a straight path may graze a prevertex; 40 halvings resolve a closest
+    # approach of 1e-12 * length while panels still span ~1e4 ulps
     def refine(lo, hi, depth, protected):
-        if protected or depth >= 22 or hi - lo <= clearance(z0 + 0.5 * (lo + hi) * unit):
+        if protected or depth >= 40 or hi - lo <= clearance(z0 + 0.5 * (lo + hi) * unit):
             panels.append((lo, hi))
             return
         mid = 0.5 * (lo + hi)
@@ -187,7 +205,17 @@ def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
     return panels
 
 
-def _segment_value(prev, exps, z0, z1, sing0, sing1, n):
+def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
+    """Contour integral of the product along [z0, z1] in the closed UHP.
+
+    ``sing0``/``sing1`` name the prevertex index sitting exactly at the
+    respective endpoint, if any; those ends get Gauss-Jacobi panels, the
+    rest Gauss-Legendre panels no longer than their clearance to the
+    nearest prevertex.  Node doubling certifies the result to 1e-11
+    relative plus 1e-15 absolute.
+    """
+    if not (cmath.isfinite(complex(z0)) and cmath.isfinite(complex(z1))):
+        raise DomainError(f"segment [{z0}, {z1}] has a non-finite endpoint")
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
     direction = z1 - z0
@@ -196,61 +224,41 @@ def _segment_value(prev, exps, z0, z1, sing0, sing1, n):
         return 0.0 + 0j
     unit = direction / length
     panels = _segment_panels(z0, z1, prev, sing0, sing1)
-    total = 0.0 + 0j
-    for lo, hi in panels:
-        if hi <= lo:
-            continue
-        h = (hi - lo) / 2.0
-        if sing0 is not None and lo == 0.0:
-            e = exps[sing0]
-            x, w = _rule(n, 0.0, e)
-            r = lo + h * (x + 1.0)
-            zs = z0 + r * unit
-            vals = product_value(prev, exps, zs, skip=(sing0,))
-            # (z - s)^e = (r * unit)^e along the ray out of the singular endpoint
-            phase = np.exp(e * np.log(_upper_branch(np.array([unit]))))[0]
-            total += (h ** (1.0 + e)) * phase * unit * (w @ vals)
-        elif sing1 is not None and hi == panels[-1][1]:
-            e = exps[sing1]
-            x, w = _rule(n, e, 0.0)
-            r = hi - h * (1.0 - x)
-            zs = z0 + r * unit
-            vals = product_value(prev, exps, zs, skip=(sing1,))
-            phase = np.exp(e * np.log(_upper_branch(np.array([-unit]))))[0]
-            total += (h ** (1.0 + e)) * phase * unit * (w @ vals)
-        else:
-            x, w = _rule(n, 0.0, 0.0)
-            r = lo + h * (x + 1.0)
-            zs = z0 + r * unit
-            vals = product_value(prev, exps, zs)
-            total += h * unit * (w @ vals)
-    return total
+    last_hi = panels[-1][1]
+
+    def absorbed(idx, ray):
+        """Exponent and phase of (z - s_idx)^e = (r * ray)^e along the ray
+        out of a singular endpoint."""
+        e = exps[idx]
+        return e, np.exp(e * np.log(_upper_branch(np.array([ray]))))[0]
+
+    e0, phase0 = absorbed(sing0, unit) if sing0 is not None else (0.0, 1.0)
+    e1, phase1 = absorbed(sing1, -unit) if sing1 is not None else (0.0, 1.0)
+
+    def value(n):
+        total = 0.0 + 0j
+        for lo, hi in panels:
+            h = (hi - lo) / 2.0
+            if sing0 is not None and lo == 0.0:
+                x, w = _rule(n, 0.0, e0)
+                skip, scale = (sing0,), h ** (1.0 + e0) * phase0
+            elif sing1 is not None and hi == last_hi:
+                x, w = _rule(n, e1, 0.0)
+                skip, scale = (sing1,), h ** (1.0 + e1) * phase1
+            else:
+                x, w = _rule(n, 0.0, 0.0)
+                skip, scale = (), h
+            zs = z0 + (lo + h * (x + 1.0)) * unit
+            total += scale * unit * (w @ product_value(prev, exps, zs, skip=skip))
+        return total
+
+    return _doubled(value, 1e-11, 1e-15, f"segment [{z0}, {z1}]")[0]
 
 
-def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None, rel_tol=1e-11):
-    """Contour integral of the product along [z0, z1] in the closed UHP.
-
-    ``sing0``/``sing1`` name the prevertex index sitting exactly at the
-    respective endpoint, if any.  Node doubling certifies the result.
-    """
-    n = _BASE_NODES
-    coarse = _segment_value(prev, exps, z0, z1, sing0, sing1, n)
-    scale = max(abs(coarse), 1e-300)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        fine = _segment_value(prev, exps, z0, z1, sing0, sing1, n)
-        err = abs(fine - coarse)
-        scale = max(abs(fine), 1e-300)
-        if err <= rel_tol * scale + 1e-15:
-            return fine
-        coarse = fine
-    raise QuadratureFailure(
-        f"segment [{z0}, {z1}] stuck at rel err {err / scale:.3e} with {n} nodes"
-    )
-
-
-def arc_integral(prev, exps, center_idx, radius, th0, th1, rel_tol=1e-11):
-    """Integral along the circular arc z = s_c + radius * e^{i theta}."""
+def arc_integral(prev, exps, center_idx, radius, th0, th1):
+    """Integral along the circular arc z = s_c + radius * e^{i theta},
+    certified like segment_integral.  No library path uses arcs; the
+    benchmark tracer (perfbench/tracer.py) still looks this name up."""
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
     c = prev[center_idx]
@@ -263,12 +271,4 @@ def arc_integral(prev, exps, center_idx, radius, th0, th1, rel_tol=1e-11):
         dz = 1j * radius * np.exp(1j * th)
         return (th1 - th0) / 2.0 * (w @ (vals * dz))
 
-    n = _BASE_NODES
-    coarse = value(n)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        fine = value(n)
-        if abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300) + 1e-15:
-            return fine
-        coarse = fine
-    raise QuadratureFailure(f"arc around index {center_idx} did not converge")
+    return _doubled(value, 1e-11, 1e-15, f"arc around index {center_idx}")[0]

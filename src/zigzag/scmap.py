@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitFailure, NoConvergence
+from .errors import DomainError, FitFailure, NoConvergence
 from .geometry import ZigzagParams, build_vertices, canonicalize
 from . import quadrature as quad
 
@@ -311,102 +311,29 @@ def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
 
     The image chain coincides with build_vertices of the induced zigzag;
     prevertex s_j lands on P_j for the SW pattern and on the mirror vertex
-    P_{-j} for the NE pattern.  The integration path is a straight segment
-    from 0 with semicircular detours of radius min-gap/4 around intervening
-    prevertices.
+    P_{-j} for the NE pattern.  An interior t is reached along the straight
+    segment from s_0 = 0, whose panels shrink toward nearby prevertices by
+    the one-half rule of quadrature.segment_integral; a real t along its
+    own interval.  Raises DomainError for t below the real axis.
     """
+    t = complex(t)
+    if t.imag < 0.0:
+        raise DomainError(f"t = {t} lies below the real axis")
     A, B, V, _, _ = _chain_normalization(prev, pat)
-    return A * _raw_map(prev, pat, complex(t), V) + B
-
-
-def _raw_map(prev: Prevertices, pat: ExponentPattern, t: complex, V=None) -> complex:
     p = prev.genus
     s = np.asarray(prev.values)
     exps = pat.exponents
-    if V is None:
-        V = _raw_chain(prev, pat)[0]
+    if t.imag != 0.0:
+        return A * (V[p] + quad.segment_integral(s, exps, 0.0, t, sing0=p)) + B
 
-    # exact prevertex hits: cumulative interval walk
-    hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0] if t.imag == 0.0 else []
-    if t.imag == 0.0 and len(hit):
-        return complex(V[hit[0]])
-
-    gaps = np.diff(s)
-    r = float(np.min(gaps)) / 4.0 if gaps.size else 0.25
-
-    if t.imag == 0.0:
-        # real target between prevertices: walk to the nearest lower prevertex,
-        # then integrate the partial interval
-        x = t.real
-        if x < s[0] or x > s[-1]:
-            anchor = 0 if x < s[0] else 2 * p
-            piece = quad.segment_integral(s, exps, s[anchor], x, sing0=anchor)
-            return complex(V[anchor] + piece)
-        m = int(np.searchsorted(s, x)) - 1
-        piece = quad.segment_integral(s, exps, s[m], x, sing0=m)
-        return complex(V[m] + piece)
-
-    # interior target: straight path from s_0 = 0 with detours
-    pieces = _detoured_path(s, 0.0 + 0j, t, r)
-    total = 0.0 + 0j
-    for kind, payload in pieces:
-        if kind == "seg":
-            z0, z1, s0, s1 = payload
-            total += quad.segment_integral(s, exps, z0, z1, sing0=s0, sing1=s1)
-        else:
-            idx, radius, th0, th1 = payload
-            total += quad.arc_integral(s, exps, idx, radius, th0, th1)
-    return complex(V[p] + total)
-
-
-def _detoured_path(s, z0, z1, r):
-    """Straight segment z0 -> z1 with semicircular detours in the upper
-    half-plane around prevertices closer than r to the segment.
-
-    Endpoints sitting exactly on a prevertex get Gauss-Jacobi launches
-    instead of a detour; an endpoint strictly inside a detour circle
-    shrinks that circle so the chord geometry stays consistent."""
-    direction = z1 - z0
-    length = abs(direction)
-    unit = direction / length
-
-    def sing_at(z):
-        return next((i for i, sm in enumerate(s) if abs(z - sm) < 1e-15), None)
-
-    start_sing, end_sing = sing_at(z0), sing_at(z1)
-    events = []
-    for idx, sm in enumerate(s):
-        if idx == start_sing or idx == end_sing:
-            continue  # algebraic launch handles its own neighbourhood
-        # keep both endpoints strictly outside the detour circle
-        r_eff = min(r, 0.8 * abs(z0 - sm), 0.8 * abs(z1 - sm))
-        w = (sm - z0) / unit
-        proj, dist = w.real, abs(w.imag)
-        if dist >= r_eff * (1 - 1e-12):
-            continue
-        half = math.sqrt(max(r_eff * r_eff - dist * dist, 0.0))
-        t_in, t_out = proj - half, proj + half
-        if t_out <= 1e-12 * length or t_in >= length * (1.0 - 1e-12):
-            continue
-        events.append((t_in, t_out, idx, sm, r_eff))
-    events.sort()
-
-    pieces = []
-    cursor, cursor_sing = z0, start_sing
-    for t_in, t_out, idx, sm, r_eff in events:
-        z_in = z0 + t_in * unit
-        z_out = z0 + t_out * unit
-        if abs(z_in - cursor) > 1e-15:
-            pieces.append(("seg", (cursor, z_in, cursor_sing, None)))
-        th0 = math.atan2((z_in - sm).imag, (z_in - sm).real)
-        th1 = math.atan2((z_out - sm).imag, (z_out - sm).real)
-        # both angles lie in [0, pi]; sweeping directly keeps the arc
-        # inside the closed upper half-plane
-        pieces.append(("arc", (idx, r_eff, th0, th1)))
-        cursor, cursor_sing = z_out, None
-    if abs(z1 - cursor) > 1e-15:
-        pieces.append(("seg", (cursor, z1, cursor_sing, end_sing)))
-    return pieces
+    # real target: exact prevertex hits read off the chain; otherwise walk
+    # to the nearest lower prevertex (s_{-p} left of the tuple) and
+    # integrate the partial interval
+    hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0]
+    if len(hit):
+        return A * V[hit[0]] + B
+    m = max(int(np.searchsorted(s, t.real)) - 1, 0)
+    return A * (V[m] + quad.segment_integral(s, exps, s[m], t.real, sing0=m)) + B
 
 
 def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotReflexive, PeriodMismatch
+from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
 from .scmap import (
     ExponentPattern,
     Prevertices,
     _chain_normalization,
-    _detoured_path,
     ne_pattern,
     sw_pattern,
 )
@@ -132,24 +131,28 @@ class PeriodReport:
         return max(self.worst_alpha, self.worst_conjugacy, self.worst_dh)
 
 
-def build_weierstrass(sol, tol: float | None = None) -> WeierstrassData:
+_REFLEXIVE_TOL = math.sqrt(1e-10)  # sqrt of the default height tolerance
+
+
+def build_weierstrass(sol) -> WeierstrassData:
     """Weierstrass data of a converged SolutionRecord.
 
-    The NE and SW prevertex tuples must agree within sqrt(solver tol);
+    The NE and SW prevertex tuples must agree within 1e-5, the square root
+    of the default height tolerance, relative to the largest prevertex;
     they are averaged into the shared tuple.  Scale constants are fixed by
     developing each integrand onto the vertex chain, and the dh root is
     chosen so the image of (s_0, s_1) under dh is positive real.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
-    tol = math.sqrt(1e-10) if tol is None else tol
     v_ne = np.asarray(sol.prev_ne.values)
     v_sw = np.asarray(sol.prev_sw.values)
     spread = float(np.max(np.abs(v_ne - v_sw)))
     scale = max(1.0, float(np.max(np.abs(v_ne))))
-    if spread > tol * scale:
+    if spread > _REFLEXIVE_TOL * scale:
         raise NotReflexive(
-            f"prevertex tuples differ by {spread:.3e} (tolerance {tol * scale:.3e})"
+            f"prevertex tuples differ by {spread:.3e} "
+            f"(tolerance {_REFLEXIVE_TOL * scale:.3e})"
         )
     shared = Prevertices(tuple(0.5 * (v_ne + v_sw)))
     p, k = sol.zigzag.genus, sol.zigzag.turn_order
@@ -177,8 +180,8 @@ def _cycle_factor(exponent: float) -> complex:
     return 1.0 - cmath.exp(2j * math.pi * exponent)
 
 
-def verify_periods(wd: WeierstrassData, chain: VertexChain | None = None,
-                   tol: float = 1e-8, dh_tol: float = 1e-10) -> PeriodReport:
+def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
+                   dh_tol: float = 1e-10) -> PeriodReport:
     """Quadrature check of the homology periods of alpha, beta and dh.
 
     For every cycle B_j around (P_j, P_{j+1}), j = -p..p-1:
@@ -192,7 +195,7 @@ def verify_periods(wd: WeierstrassData, chain: VertexChain | None = None,
           and |Im c| / |c|.
     Raises PeriodMismatch with the report attached if any check fails.
     """
-    chain = chain or wd.chain
+    chain = wd.chain
     p = wd.genus
     prev = wd.prevertices
     s = np.asarray(prev.values)
@@ -261,10 +264,17 @@ def evaluate_surface(wd: WeierstrassData, t: complex, base: complex = 0.5j) -> n
     """Point of the minimal immersion at half-plane parameter t.
 
     Integrates (1/2(alpha - beta), i/2(alpha + beta), dh) from ``base``
-    along a singularity-avoiding path; X(base) = 0.
+    along the straight segment to t, with panels graded toward nearby
+    prevertices by the one-half rule of quadrature.segment_integral;
+    X(base) = 0.  The segment meets the real axis at most at t, so t must
+    lie in the closed and ``base`` in the open upper half-plane
+    (DomainError otherwise).
     """
+    t, base = complex(t), complex(base)
+    if t.imag < 0.0 or base.imag <= 0.0:
+        raise DomainError(f"need Im t >= 0 and Im base > 0, got t = {t}, base = {base}")
     w1, w2 = _form_integrals(wd, t, base)
-    wh = wd.dh_scale * (complex(t) - complex(base))
+    wh = wd.dh_scale * (t - base)
     return np.array([
         (0.5 * (w1 - w2)).real,
         (0.5j * (w1 + w2)).real,
@@ -273,30 +283,13 @@ def evaluate_surface(wd: WeierstrassData, t: complex, base: complex = 0.5j) -> n
 
 
 def _form_integrals(wd: WeierstrassData, t: complex, base: complex):
-    """Integrals of the two developing forms from base to t."""
+    """Integrals of the two developing forms along the segment base -> t;
+    a t on a prevertex gets a Gauss-Jacobi end panel."""
     s = np.asarray(wd.prevertices.values)
-    gaps = np.diff(s)
-    r = float(np.min(gaps)) / 4.0 if gaps.size else 0.25
-    t, base = complex(t), complex(base)
-    if abs(t - base) < 1e-300:
-        return 0.0 + 0j, 0.0 + 0j
-    pieces = _detoured_path(s, base, t, r)
-    tot_sw = 0.0 + 0j
-    tot_ne = 0.0 + 0j
-    e_sw = wd.pattern_sw.exponents
-    e_ne = wd.pattern_ne.exponents
-    for kind, payload in pieces:
-        if kind == "seg":
-            z0, z1, s0, s1 = payload
-            tot_sw += quad.segment_integral(s, e_sw, z0, z1, sing0=s0, sing1=s1)
-            tot_ne += quad.segment_integral(s, e_ne, z0, z1, sing0=s0, sing1=s1)
-        else:
-            idx, radius, th0, th1 = payload
-            tot_sw += quad.arc_integral(s, e_sw, idx, radius, th0, th1)
-            tot_ne += quad.arc_integral(s, e_ne, idx, radius, th0, th1)
-    alpha_int = _PHASE * wd.scale_sw * tot_sw
-    beta_int = _PHASE * wd.scale_ne * tot_ne
-    return alpha_int, beta_int
+    sing = next((i for i, sm in enumerate(s) if abs(t - sm) < 1e-15), None)
+    tot_sw = quad.segment_integral(s, wd.pattern_sw.exponents, base, t, sing1=sing)
+    tot_ne = quad.segment_integral(s, wd.pattern_ne.exponents, base, t, sing1=sing)
+    return _PHASE * wd.scale_sw * tot_sw, _PHASE * wd.scale_ne * tot_ne
 
 
 def _symmetry_generators(wd: WeierstrassData) -> tuple[SymmetryGenerator, ...]:
@@ -318,21 +311,23 @@ def _symmetry_generators(wd: WeierstrassData) -> tuple[SymmetryGenerator, ...]:
     )
 
 
-def generate_mesh(wd: WeierstrassData, radius: float, resolution: int,
-                  base: complex | None = None) -> SurfaceMesh:
+def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> SurfaceMesh:
     """Triangulated image of the half-disk of the given radius.
 
     Polar grid with angular nodes clustered toward the real axis (where
     the prevertices sit) and radial rings through the prevertex moduli;
-    nodes landing on a prevertex are nudged into the interior.  Requires
+    nodes landing on a prevertex are nudged into the interior.  Vertices
+    are integrated from the base point 0.5i * radius.  Requires a finite
     radius > max prevertex and resolution >= 8.
     """
     s = np.asarray(wd.prevertices.values)
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     if radius <= float(np.max(np.abs(s))):
         raise ValueError("radius must exceed the largest prevertex")
-    base = 0.5j * radius if base is None else base
+    base = 0.5j * radius
 
     n_r, n_th = resolution, 2 * resolution
     rows = [np.array([0.0 + 1e-3j * radius / resolution])]

@@ -50,6 +50,16 @@ class TestSolve:
     def test_missing_flag_usage_error(self):
         assert main(["solve"]) == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_bad_eps_or_tol_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "p3.json"
+        assert main(["solve", "--genus", "3", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not (tmp_path / "p3.json.partial").exists()
+
     def test_trace_written(self, tmp_path):
         out = tmp_path / "p2.json"
         trace = tmp_path / "trace.csv"
@@ -126,6 +136,9 @@ class TestMesh:
         assert main(["mesh", str(no_genus)]) == 1
         for bad in malformed_files(solved_file, tmp_path):
             assert main(["mesh", str(bad), "--out", str(tmp_path / "bad.obj")]) == 1
+        for radius in ("nan", "inf"):
+            assert main(["mesh", str(solved_file), "--radius", radius,
+                         "--out", str(tmp_path / "bad.obj")]) == 1
         assert not (tmp_path / "bad.obj").exists()
 
 

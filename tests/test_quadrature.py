@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.quadrature import IntervalPlan, interval_abs_integral, segment_integral
+from zigzag.errors import DomainError
+from zigzag.quadrature import (IntervalPlan, arc_integral, interval_abs_integral,
+                                segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -93,3 +96,28 @@ class TestSegmentIntegral:
         via = (segment_integral(prev, exps, 2j, 1.5 + 1.5j)
                + segment_integral(prev, exps, 1.5 + 1.5j, target))
         assert abs(direct - via) < 1e-10
+
+    @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
+                                     complex(0.5, math.inf)])
+    def test_rejects_non_finite_endpoint(self, end):
+        prev = np.array([-1.0, 0.0, 1.0])
+        exps = zz.sw_pattern(1).exponents
+        with pytest.raises(DomainError):
+            segment_integral(prev, exps, 0.5j, end)
+        with pytest.raises(DomainError):
+            segment_integral(prev, exps, end, 0.5j)
+
+
+class TestArcIntegral:
+    def test_arc_equals_chord(self):
+        # Cauchy: no prevertex lies between the arc around s_0 and its
+        # chord, so both paths give the same integral
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
+            exps = pat.exponents
+            r, th0, th1 = 0.5, 0.3, 2.5
+            arc = arc_integral(prev, exps, 2, r, th0, th1)
+            chord = segment_integral(prev, exps, r * cmath.exp(1j * th0),
+                                     r * cmath.exp(1j * th1))
+            assert abs(arc - chord) < 1e-13
+            assert abs(arc) > 0.1

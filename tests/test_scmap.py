@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
+from zigzag.errors import DomainError
 from zigzag.quadrature import interval_abs_integral
 from zigzag.scmap import _chain_normalization, positive_sides
 
@@ -148,15 +150,42 @@ class TestForwardMap:
         A, B, V, targets, chain = _chain_normalization(prev, zz.sw_pattern(2))
         assert np.max(np.abs(A * np.asarray(V) + B - targets)) < 1e-8
 
-    def test_interior_point_consistency(self):
-        # interior image is translation of segment integrals: check two paths
+    def test_interior_points_against_mpmath_oracle(self):
+        prev = zz.Prevertices((-2.3, -1.0, 0.0, 1.0, 2.3))
+        # the last two paths from 0 end 1e-12 above s_1 or graze it that close
+        points = (0.7 + 0.4j, 1 + 1e-3j, 1.6 + 1e-6j, -2.3 + 1e-4j, 3 + 0.01j,
+                  0.3j, -5 + 2j, 1 + 1e-12j, 1.6 + 1e-12j)
+        for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
+            A, B, V, _, _ = _chain_normalization(prev, pat)
+            for t in points:
+                raw = V[2] + mp_segment_from_zero(prev.values, pat.exponents, t)
+                assert abs(zz.forward_map(prev, pat, t) - (A * raw + B)) < 1e-10, t
+
+    def test_rejects_point_below_axis(self):
         prev = zz.Prevertices((-1.0, 0.0, 1.0))
-        pat = zz.sw_pattern(1)
-        t = 0.7 + 0.4j
-        f = zz.forward_map(prev, pat, t)
-        g = zz.forward_map(prev, pat, 0.5)
-        assert np.isfinite(f.real) and np.isfinite(f.imag)
-        assert abs(g - zz.forward_map(prev, pat, 0.5)) < 1e-12
+        with pytest.raises(DomainError):
+            zz.forward_map(prev, zz.sw_pattern(1), 0.5 - 1e-9j)
+
+
+def mp_segment_from_zero(prevs, exps, t):
+    """Independent oracle: tanh-sinh quadrature of the SC integrand along
+    [0, t], split at the closest approach to each prevertex."""
+    mp.mp.dps = 30
+    t = mp.mpc(t)
+    cuts = {mp.mpf(0), mp.mpf(1)}
+    for s in prevs:
+        u = mp.re(s * mp.conj(t)) / abs(t) ** 2  # closest approach, u in [0, 1]
+        if 0 < u < 1:
+            cuts.add(u)
+
+    def f(u):
+        z = t * u
+        r = mp.mpf(1)
+        for s, e in zip(prevs, exps):
+            r *= mp.power(z - s, e)
+        return r * t
+
+    return complex(mp.quad(f, sorted(cuts)))
 
 
 class TestPeriods:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import NotReflexive, PeriodMismatch
+from zigzag.errors import DomainError, NotReflexive, PeriodMismatch
 
 
 def enneper_closed_form(z):
@@ -161,6 +161,16 @@ class TestEvaluateSurface:
         x2 = x2_leg + zz.evaluate_surface(wd, t, 2.0 + 2.0j)
         assert np.max(np.abs(x1 - x2)) < 1e-9
 
+    def test_rejects_point_below_axis(self, wd_by_genus):
+        with pytest.raises(DomainError):
+            zz.evaluate_surface(wd_by_genus[2], 0.4 - 1e-6j)
+
+    def test_rejects_base_on_axis(self, wd_by_genus):
+        # a segment between two real points would run along the axis
+        # through the prevertices
+        with pytest.raises(DomainError):
+            zz.evaluate_surface(wd_by_genus[2], 0.4 + 0.2j, 0.5)
+
 
 class TestMesh:
     def test_enneper_conformality(self, wd_by_genus):
@@ -217,6 +227,11 @@ class TestMesh:
     def test_radius_must_cover_prevertices(self, wd_by_genus):
         with pytest.raises(ValueError):
             zz.generate_mesh(wd_by_genus[2], 0.5, 8)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_radius_must_be_finite(self, wd_by_genus, radius):
+        with pytest.raises(ValueError):
+            zz.generate_mesh(wd_by_genus[2], radius, 8)
 
     def test_resolution_floor(self, wd_by_genus):
         with pytest.raises(ValueError):

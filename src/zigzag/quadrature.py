@@ -9,7 +9,14 @@ Gauss-Jacobi SC quadrature), so every panel sees an analytic integrand with
 a uniformly fat Bernstein ellipse.  A segment between two points of the
 closed upper half-plane, not both real, meets the real axis at most at an
 endpoint, so no path needs a detour around a prevertex.
-Every integral is certified by one node-doubling routine, ``_doubled``.
+
+``segment_integral`` is one blocked kernel for any number of segments and
+exponent rows: it builds each segment's panels once, shares them across
+the rows, and evaluates the nodes of all pending panels in blocks of about
+2^14 node x prevertex entries, one log(z - s_m) matrix per block serving
+every row.  Each segment and row keeps its own node-doubling test and
+drops out once certified.  Intervals and arcs are certified one at a time
+by ``_doubled``, with the same base node count and number of doublings.
 """
 
 from __future__ import annotations
@@ -33,21 +40,35 @@ def _rule(n: int, alpha: float, beta: float):
     return x, w
 
 
-def _upper_branch(z):
-    """Clamp signed zeros so boundary points take upper half-plane logs."""
-    z = np.asarray(z, dtype=complex)
-    return z.real + 1j * (z.imag + 0.0)
+_BLOCK = 1 << 14  # node x prevertex log entries evaluated at once
+
+
+def _factor_logs(re, im):
+    """log|d| and arg d of the factors d = re + i im = z - s_m, principal
+    branches; ``im`` may broadcast against ``re``.  A signed-zero ``im`` is
+    cleared first, so a point on the real axis takes the upper half-plane
+    branch."""
+    im = im + 0.0
+    arg = np.arctan2(im, re)
+    with np.errstate(over="ignore"):
+        sq = re * re
+        sq += im * im
+    if sq.min(initial=np.inf) > 1e-300 and sq.max(initial=0.0) < 1e300:
+        mag = np.log(sq, out=sq)
+        mag *= 0.5
+    else:  # a square left the normal range: take |d| without squaring
+        mag = np.log(np.hypot(re, im))
+    return mag, arg
 
 
 def product_value(prev, exps, z, skip=()):
     """prod_m (z - s_m)^{e_m} with principal branches, z in closed UHP."""
-    z = _upper_branch(np.atleast_1d(z))
-    acc = np.zeros(z.shape, dtype=complex)
-    for m, (s, e) in enumerate(zip(prev, exps)):
-        if m in skip:
-            continue
-        acc += e * np.log(_upper_branch(z - s))
-    return np.exp(acc)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))[..., None]
+    mag, arg = _factor_logs(z.real - np.asarray(prev, float), z.imag)
+    skip = list(skip)
+    mag[..., skip] = arg[..., skip] = 0.0
+    exps = np.asarray(exps, float)
+    return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
 def _graded_breaks(length: float, clearance: float) -> list[float]:
@@ -206,53 +227,133 @@ def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
 
 
 def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
-    """Contour integral of the product along [z0, z1] in the closed UHP.
+    """Contour integrals of the product along straight segments [z0, z1]
+    in the closed UHP, for one exponent row or a stack of them.
 
-    ``sing0``/``sing1`` name the prevertex index sitting exactly at the
-    respective endpoint, if any; those ends get Gauss-Jacobi panels, the
-    rest Gauss-Legendre panels no longer than their clearance to the
-    nearest prevertex.  Node doubling certifies the result to 1e-11
-    relative plus 1e-15 absolute.
+    ``z0`` and ``z1`` broadcast against each other (and against
+    ``sing0``/``sing1``) to the segments; ``exps`` is one row of exponents
+    or an (R, M) stack of rows.  ``sing0``/``sing1`` name the prevertex
+    index sitting exactly at the respective endpoint of each segment, None
+    or a negative index where there is none; those ends get Gauss-Jacobi
+    panels, one rule per row, the rest Gauss-Legendre panels no longer than
+    their clearance to the nearest prevertex, shared by all rows.  Every
+    segment and row is certified by its own node-doubling test to 1e-11
+    relative plus 1e-15 absolute; a segment that never passes raises
+    QuadratureFailure naming it.
+
+    Returns the integrals with the broadcast segment shape, preceded by
+    the row axis for a stack of rows; a scalar for one segment and row.
     """
-    if not (cmath.isfinite(complex(z0)) and cmath.isfinite(complex(z1))):
-        raise DomainError(f"segment [{z0}, {z1}] has a non-finite endpoint")
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
-    direction = z1 - z0
-    length = abs(direction)
-    if length == 0.0:
-        return 0.0 + 0j
-    unit = direction / length
-    panels = _segment_panels(z0, z1, prev, sing0, sing1)
-    last_hi = panels[-1][1]
+    rows = np.atleast_2d(exps)
+    z0, z1, i0, i1 = np.broadcast_arrays(
+        np.asarray(z0, complex), np.asarray(z1, complex),
+        np.asarray(-1 if sing0 is None else sing0, int),
+        np.asarray(-1 if sing1 is None else sing1, int))
+    shape = z0.shape
+    z0, z1, i0, i1 = (a.ravel() for a in (z0, z1, i0, i1))
+    finite = np.isfinite(z0) & np.isfinite(z1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"segment [{z0[i]}, {z1[i]}] has a non-finite endpoint")
 
-    def absorbed(idx, ray):
-        """Exponent and phase of (z - s_idx)^e = (r * ray)^e along the ray
-        out of a singular endpoint."""
-        e = exps[idx]
-        return e, np.exp(e * np.log(_upper_branch(np.array([ray]))))[0]
+    panels = _SegmentPanels(prev, rows, z0, z1, i0, i1)
+    value = np.zeros((len(rows), z0.size), complex)
+    done = np.broadcast_to(panels.length == 0.0, value.shape).copy()
+    n = _BASE_NODES
+    coarse = panels.sums(n, ~done[0])
+    for _ in range(_MAX_DOUBLINGS):
+        if done.all():
+            break
+        n *= 2
+        fine = panels.sums(n, ~done.all(axis=0))
+        err = np.abs(fine - coarse)
+        ok = ~done & (err <= 1e-11 * np.abs(fine) + 1e-15)
+        value[ok] = fine[ok]
+        done |= ok
+        coarse = fine
+    if not done.all():
+        r, i = np.argwhere(~done)[0]
+        rel = err[r, i] / max(abs(fine[r, i]), 1e-300)
+        raise QuadratureFailure(
+            f"segment [{z0[i]}, {z1[i]}] stuck at rel err {rel:.3e} with {n} nodes"
+        )
+    return value.reshape(exps.shape[:-1] + shape)[()]
 
-    e0, phase0 = absorbed(sing0, unit) if sing0 is not None else (0.0, 1.0)
-    e1, phase1 = absorbed(sing1, -unit) if sing1 is not None else (0.0, 1.0)
 
-    def value(n):
-        total = 0.0 + 0j
-        for lo, hi in panels:
-            h = (hi - lo) / 2.0
-            if sing0 is not None and lo == 0.0:
-                x, w = _rule(n, 0.0, e0)
-                skip, scale = (sing0,), h ** (1.0 + e0) * phase0
-            elif sing1 is not None and hi == last_hi:
-                x, w = _rule(n, e1, 0.0)
-                skip, scale = (sing1,), h ** (1.0 + e1) * phase1
-            else:
-                x, w = _rule(n, 0.0, 0.0)
-                skip, scale = (), h
-            zs = z0 + (lo + h * (x + 1.0)) * unit
-            total += scale * unit * (w @ product_value(prev, exps, zs, skip=skip))
+class _SegmentPanels:
+    """Panels of a batch of segments, built once and evaluated at any node
+    count for every exponent row.
+
+    One entry per Gauss-Legendre panel, and one per Gauss-Jacobi end panel
+    and row, since the absorbed exponent, hence the rule, differs by row.
+    Factors are formed in offset coordinates, (z0 - s_m) + u * unit, so a
+    short segment leaving a prevertex keeps its distance u exact."""
+
+    def __init__(self, prev, rows, z0, z1, i0, i1):
+        self.rows = rows.T
+        self.re0 = z0.real[:, None] - prev
+        self.im0 = z0.imag
+        direction = z1 - z0
+        self.length = np.abs(direction)
+        self.unit = direction / np.where(self.length > 0.0, self.length, 1.0)
+        entries = {}  # rule (alpha, beta) -> [(segment, lo, h, absorbed, row, factor)]
+        for i in np.flatnonzero(self.length):
+            unit = complex(self.unit[i])
+            s0 = int(i0[i]) if i0[i] >= 0 else None
+            s1 = int(i1[i]) if i1[i] >= 0 else None
+            pieces = _segment_panels(complex(z0[i]), complex(z1[i]), prev, s0, s1)
+            last_hi = pieces[-1][1]
+            for lo, hi in pieces:
+                h = (hi - lo) / 2.0
+                if s0 is not None and lo == 0.0:
+                    end, ray, left = s0, unit, True
+                elif s1 is not None and hi == last_hi:
+                    end, ray, left = s1, -unit, False
+                else:
+                    entries.setdefault((0.0, 0.0), []).append((i, lo, h, -1, -1, h * unit))
+                    continue
+                # (z - s_end)^e = (r * ray)^e along the ray out of the end
+                log_ray = cmath.log(complex(ray.real, ray.imag + 0.0))
+                for r, e in enumerate(rows[:, end].tolist()):
+                    factor = h ** (1.0 + e) * cmath.exp(e * log_ray) * unit
+                    rule = (0.0, e) if left else (e, 0.0)
+                    entries.setdefault(rule, []).append((i, lo, h, end, r, factor))
+        self.groups = []
+        for rule, ent in entries.items():
+            seg, lo, h, end, row, factor = (np.array(c) for c in zip(*ent))
+            self.groups.append((rule, seg, lo, h, end, row, factor))
+
+    def sums(self, n, active):
+        """(R, S) panel sums with n nodes per panel for the active segments;
+        the entries of inactive segments are zero."""
+        m_count, r_count = self.rows.shape
+        total = np.zeros((r_count, active.size), complex)
+        step = max(1, _BLOCK // (n * m_count))
+        for rule, seg, lo, h, end, row, factor in self.groups:
+            jacobi = rule != (0.0, 0.0)
+            keep = np.flatnonzero(active[seg])
+            x, w = _rule(n, *rule)
+            for b in range(0, keep.size, step):
+                k = keep[b:b + step]
+                sk, pos = seg[k], np.arange(k.size)
+                u = lo[k, None] + h[k, None] * (x + 1.0)
+                unit = self.unit[sk, None]
+                mag, arg = _factor_logs(self.re0[sk, None, :] + (u * unit.real)[..., None],
+                                        (self.im0[sk, None] + u * unit.imag)[..., None])
+                if jacobi:  # the absorbed factor is in the rule
+                    mag[pos, :, end[k]] = arg[pos, :, end[k]] = 0.0
+                logs = (mag.reshape(-1, m_count) @ self.rows
+                        + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
+                if jacobi:  # entry k belongs to row[k] alone
+                    logs = logs[pos, :, row[k]][..., None]
+                    target = row[k, None]
+                else:
+                    target = np.arange(r_count)[None, :]
+                vals = factor[k, None] * np.einsum("pnr,n->pr", np.exp(logs), w)
+                np.add.at(total, (target, sk[:, None]), vals)
         return total
-
-    return _doubled(value, 1e-11, 1e-15, f"segment [{z0}, {z1}]")[0]
 
 
 def arc_integral(prev, exps, center_idx, radius, th0, th1):

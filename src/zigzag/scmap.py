@@ -311,29 +311,25 @@ def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
 
     The image chain coincides with build_vertices of the induced zigzag;
     prevertex s_j lands on P_j for the SW pattern and on the mirror vertex
-    P_{-j} for the NE pattern.  An interior t is reached along the straight
-    segment from s_0 = 0, whose panels shrink toward nearby prevertices by
-    the one-half rule of quadrature.segment_integral; a real t along its
-    own interval.  Raises DomainError for t below the real axis.
+    P_{-j} for the NE pattern.  A prevertex is read off the chain; any
+    other t is reached by one call of the blocked segment kernel
+    quadrature.segment_integral, along the straight segment from the
+    nearest prevertex s_m with s_m < Re t (s_{-p} left of the tuple).  That
+    segment passes no other prevertex, and its panels shrink toward nearby
+    ones by the one-half rule.  Raises DomainError for t below the real
+    axis.
     """
     t = complex(t)
     if t.imag < 0.0:
         raise DomainError(f"t = {t} lies below the real axis")
     A, B, V, _, _ = _chain_normalization(prev, pat)
-    p = prev.genus
     s = np.asarray(prev.values)
-    exps = pat.exponents
-    if t.imag != 0.0:
-        return A * (V[p] + quad.segment_integral(s, exps, 0.0, t, sing0=p)) + B
-
-    # real target: exact prevertex hits read off the chain; otherwise walk
-    # to the nearest lower prevertex (s_{-p} left of the tuple) and
-    # integrate the partial interval
-    hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0]
-    if len(hit):
-        return A * V[hit[0]] + B
+    if t.imag == 0.0:
+        hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0]
+        if len(hit):
+            return A * V[hit[0]] + B
     m = max(int(np.searchsorted(s, t.real)) - 1, 0)
-    return A * (V[m] + quad.segment_integral(s, exps, s[m], t.real, sing0=m)) + B
+    return A * (V[m] + quad.segment_integral(s, pat.exponents, s[m], t, sing0=m)) + B
 
 
 def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:

@@ -174,10 +174,10 @@ def build_weierstrass(sol) -> WeierstrassData:
     return WeierstrassData(p, k, shared, scale_ne, scale_sw, complex(c), chain)
 
 
-def _cycle_factor(exponent: float) -> complex:
+def _cycle_factor(exponents: np.ndarray) -> np.ndarray:
     """1 - e^{2 pi i e}: period of the two-point cycle relative to the
     developed side; equals 2 for turn order 2."""
-    return 1.0 - cmath.exp(2j * math.pi * exponent)
+    return 1.0 - np.exp(2j * math.pi * exponents)
 
 
 def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
@@ -202,18 +202,15 @@ def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
     e_sw = wd.pattern_sw.exponents
     e_ne = wd.pattern_ne.exponents
 
-    alpha_comp, alpha_exp, beta_comp = [], [], []
-    for j in range(-p, p):
-        m = j + p  # interval index
-        seg = quad.segment_integral(s, e_sw, s[m], s[m + 1], sing0=m, sing1=m + 1)
-        rho = _cycle_factor(e_sw[m + 1])
-        alpha_comp.append(_PHASE * wd.scale_sw * rho * (-seg))
-        alpha_exp.append(
-            rho * _PHASE * (chain.vertex(j) - chain.vertex(j + 1))
-        )
-        seg_ne = quad.segment_integral(s, e_ne, s[m], s[m + 1], sing0=m, sing1=m + 1)
-        rho_ne = _cycle_factor(e_ne[m + 1])
-        beta_comp.append(_PHASE * wd.scale_ne * rho_ne * (-seg_ne))
+    # the 2p cycle intervals of both forms in one kernel call
+    m = np.arange(2 * p)
+    seg_sw, seg_ne = quad.segment_integral(s, np.stack((e_sw, e_ne)), s[m], s[m + 1],
+                                           sing0=m, sing1=m + 1)
+    rho_sw, rho_ne = _cycle_factor(e_sw[m + 1]), _cycle_factor(e_ne[m + 1])
+    alpha_comp = list(_PHASE * wd.scale_sw * rho_sw * (-seg_sw))
+    beta_comp = list(_PHASE * wd.scale_ne * rho_ne * (-seg_ne))
+    alpha_exp = [rho_sw[j + p] * _PHASE * (chain.vertex(j) - chain.vertex(j + 1))
+                 for j in range(-p, p)]
 
     c = wd.dh_scale
     dh_per = (abs(c * c + 1j * wd.scale_ne * wd.scale_sw) / abs(c) ** 2,
@@ -260,35 +257,42 @@ def lattice_ratio(wd: WeierstrassData):
     return elliptic_periods(lam).lattice_ratio
 
 
-def evaluate_surface(wd: WeierstrassData, t: complex, base: complex = 0.5j) -> np.ndarray:
-    """Point of the minimal immersion at half-plane parameter t.
+def evaluate_surface(wd: WeierstrassData, t, base: complex = 0.5j) -> np.ndarray:
+    """Points of the minimal immersion at half-plane parameters t.
 
     Integrates (1/2(alpha - beta), i/2(alpha + beta), dh) from ``base``
-    along the straight segment to t, with panels graded toward nearby
-    prevertices by the one-half rule of quadrature.segment_integral;
-    X(base) = 0.  The segment meets the real axis at most at t, so t must
-    lie in the closed and ``base`` in the open upper half-plane
-    (DomainError otherwise).
+    along the straight segment to each t, with panels graded toward nearby
+    prevertices by the one-half rule of quadrature.segment_integral, all
+    points and both forms in one blocked kernel call; X(base) = 0.  A
+    segment meets the real axis at most at t, so every t must lie in the
+    closed and ``base`` in the open upper half-plane (DomainError
+    otherwise).  Returns shape (3,) for a scalar t and (n, 3) for n points.
     """
-    t, base = complex(t), complex(base)
-    if t.imag < 0.0 or base.imag <= 0.0:
-        raise DomainError(f"need Im t >= 0 and Im base > 0, got t = {t}, base = {base}")
+    t = np.asarray(t, dtype=complex)
+    base = complex(base)
+    if base.imag <= 0.0:
+        raise DomainError(f"need Im base > 0, got base = {base}")
+    below = t.imag < 0.0
+    if below.any():
+        raise DomainError(f"need Im t >= 0, got t = {t[below][0]}")
     w1, w2 = _form_integrals(wd, t, base)
     wh = wd.dh_scale * (t - base)
-    return np.array([
+    return np.stack([
         (0.5 * (w1 - w2)).real,
         (0.5j * (w1 + w2)).real,
         wh.real,
-    ])
+    ], axis=-1)
 
 
-def _form_integrals(wd: WeierstrassData, t: complex, base: complex):
-    """Integrals of the two developing forms along the segment base -> t;
-    a t on a prevertex gets a Gauss-Jacobi end panel."""
+def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: complex):
+    """Integrals of the two developing forms along the segments base -> t,
+    both rows in one kernel call; a t on a prevertex gets a Gauss-Jacobi
+    end panel."""
     s = np.asarray(wd.prevertices.values)
-    sing = next((i for i, sm in enumerate(s) if abs(t - sm) < 1e-15), None)
-    tot_sw = quad.segment_integral(s, wd.pattern_sw.exponents, base, t, sing1=sing)
-    tot_ne = quad.segment_integral(s, wd.pattern_ne.exponents, base, t, sing1=sing)
+    near = np.abs(t[..., None] - s) < 1e-15
+    sing = np.where(near.any(axis=-1), np.argmax(near, axis=-1), -1)
+    rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
+    tot_sw, tot_ne = quad.segment_integral(s, rows, base, t, sing1=sing)
     return _PHASE * wd.scale_sw * tot_sw, _PHASE * wd.scale_ne * tot_ne
 
 
@@ -317,8 +321,10 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     Polar grid with angular nodes clustered toward the real axis (where
     the prevertices sit) and radial rings through the prevertex moduli;
     nodes landing on a prevertex are nudged into the interior.  Vertices
-    are integrated from the base point 0.5i * radius.  Requires a finite
-    radius > max prevertex and resolution >= 8.
+    are integrated from the base point 0.5i * radius by one
+    evaluate_surface call, so both forms of every vertex go through one
+    call of the blocked segment kernel.  Requires a finite radius > max
+    prevertex and resolution >= 8.
     """
     s = np.asarray(wd.prevertices.values)
     if resolution < 8:
@@ -344,7 +350,7 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     params = np.concatenate(rows)
     triangles = _fan_and_strip_triangles(len(rows[0]), len(radii), n_th + 1)
 
-    vertices = np.asarray([evaluate_surface(wd, t, base) for t in params])
+    vertices = evaluate_surface(wd, params, base)
     factor = wd.metric_factor(params)
     return SurfaceMesh(vertices, triangles, np.asarray(factor), params,
                        _symmetry_generators(wd))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import DomainError
+from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (IntervalPlan, arc_integral, interval_abs_integral,
                                 segment_integral)
 
@@ -96,6 +96,35 @@ class TestSegmentIntegral:
         via = (segment_integral(prev, exps, 2j, 1.5 + 1.5j)
                + segment_integral(prev, exps, 1.5 + 1.5j, target))
         assert abs(direct - via) < 1e-10
+
+    def test_batch_matches_scalar_calls(self):
+        # segments with and without Jacobi ends, one of zero length, and a
+        # stack of two exponent rows
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents))
+        z0 = np.array([0.0, 0.5j, 1.0, 0.3 + 0.2j, 1.0])
+        z1 = np.array([1.0, 2 + 1j, 1.000000001, 0.3 + 0.2j, -1 + 1e-3j])
+        sing0 = np.array([2, -1, 3, -1, 3])
+        sing1 = np.array([3, -1, -1, -1, -1])
+        batch = segment_integral(prev, rows, z0, z1, sing0=sing0, sing1=sing1)
+        assert batch.shape == (2, 5)
+        for r, exps in enumerate(rows):
+            for i in range(5):
+                one = segment_integral(prev, exps, z0[i], z1[i],
+                                       sing0=None if sing0[i] < 0 else sing0[i],
+                                       sing1=None if sing1[i] < 0 else sing1[i])
+                assert np.ndim(one) == 0
+                assert abs(batch[r, i] - one) <= 1e-14 * abs(one)
+        assert np.all(batch[:, 3] == 0.0)
+
+    def test_failure_names_the_segment(self):
+        # the straight path from s_0 passes 1e-300 above s_1 and s_2,
+        # closer than the panel halvings resolve; its batch mates are fine
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        exps = zz.ne_pattern(2).exponents
+        with pytest.raises(QuadratureFailure, match=r"\(5\+1e-300j\)\]"):
+            segment_integral(prev, exps, np.array([0.5j, 0.0, 0.5j]),
+                             np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]), sing0=[-1, 2, -1])
 
     @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
                                      complex(0.5, math.inf)])

@@ -152,9 +152,12 @@ class TestForwardMap:
 
     def test_interior_points_against_mpmath_oracle(self):
         prev = zz.Prevertices((-2.3, -1.0, 0.0, 1.0, 2.3))
-        # the last two paths from 0 end 1e-12 above s_1 or graze it that close
+        # 1 + 1e-12j and 1.6 + 1e-12j end 1e-12 above the axis near s_1;
+        # 5 + 1e-300j lies 1e-300 above the axis beyond s_2, and the real
+        # point 1.000000001 ends 1e-9 past s_1
         points = (0.7 + 0.4j, 1 + 1e-3j, 1.6 + 1e-6j, -2.3 + 1e-4j, 3 + 0.01j,
-                  0.3j, -5 + 2j, 1 + 1e-12j, 1.6 + 1e-12j)
+                  0.3j, -5 + 2j, 1 + 1e-12j, 1.6 + 1e-12j, 5 + 1e-300j,
+                  1.000000001)
         for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
             A, B, V, _, _ = _chain_normalization(prev, pat)
             for t in points:

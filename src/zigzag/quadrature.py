@@ -14,9 +14,9 @@ endpoint, so no path needs a detour around a prevertex.
 exponent rows: it builds each segment's panels once, shares them across
 the rows, and evaluates the nodes of all pending panels in blocks of about
 2^14 node x prevertex entries, one log(z - s_m) matrix per block serving
-every row.  Each segment and row keeps its own node-doubling test and
-drops out once certified.  Intervals and arcs are certified one at a time
-by ``_doubled``, with the same base node count and number of doublings.
+every row.  One node-doubling routine, ``_doubled``, certifies every
+integral: each segment and row keeps its own test and drops out once
+certified, and an interval or an arc is the size-1 case.
 """
 
 from __future__ import annotations
@@ -61,12 +61,10 @@ def _factor_logs(re, im):
     return mag, arg
 
 
-def product_value(prev, exps, z, skip=()):
+def product_value(prev, exps, z):
     """prod_m (z - s_m)^{e_m} with principal branches, z in closed UHP."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))[..., None]
     mag, arg = _factor_logs(z.real - np.asarray(prev, float), z.imag)
-    skip = list(skip)
-    mag[..., skip] = arg[..., skip] = 0.0
     exps = np.asarray(exps, float)
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
@@ -153,25 +151,37 @@ class IntervalPlan:
         return total
 
 
-def _doubled(value, rel_tol: float, abs_tol: float, what: str):
-    """Certify value(n) by node doubling from _BASE_NODES nodes.
+def _doubled(sums, size, rel_tol: float, abs_tol: float, what):
+    """Certify panel sums of ``size`` items by node doubling from
+    _BASE_NODES nodes.
 
-    Returns (fine, |fine - coarse|) for the first doubling whose change is
-    within rel_tol * |fine| + abs_tol; raises QuadratureFailure naming
-    ``what`` otherwise.
+    ``sums(n, active)`` returns the (R, size) sums of every row and item
+    at n nodes per panel, for the items flagged in the boolean ``active``.
+    An item and row passes at the first doubling whose change is within
+    rel_tol * |fine| + abs_tol; an item with every row passed drops out of
+    later doublings.  Returns the (R, size) values and error estimates;
+    raises QuadratureFailure naming ``what(i)`` for an item i that never
+    passes.
     """
     n = _BASE_NODES
-    coarse = value(n)
+    coarse = sums(n, np.ones(size, bool))
+    value = np.zeros(coarse.shape, coarse.dtype)
+    err = np.zeros(coarse.shape)
+    pending = np.ones(coarse.shape, bool)
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
-        fine = value(n)
-        err = abs(fine - coarse)
-        if err <= rel_tol * abs(fine) + abs_tol:
-            return fine, err
+        fine = sums(n, pending.any(axis=0))
+        change = np.abs(fine - coarse)
+        ok = pending & (change <= rel_tol * np.abs(fine) + abs_tol)
+        np.copyto(value, fine, where=ok)
+        np.copyto(err, change, where=ok)
+        pending ^= ok
+        if not pending.any():
+            return value, err
         coarse = fine
-    raise QuadratureFailure(
-        f"{what} stuck at rel err {err / max(abs(fine), 1e-300):.3e} with {n} nodes"
-    )
+    r, i = np.argwhere(pending)[0]
+    rel = change[r, i] / max(abs(fine[r, i]), 1e-300)
+    raise QuadratureFailure(f"{what(i)} stuck at rel err {rel:.3e} with {n} nodes")
 
 
 def interval_abs_integral(prev, exps, j):
@@ -182,8 +192,9 @@ def interval_abs_integral(prev, exps, j):
     doubling test never reaches it.
     """
     plan = IntervalPlan(prev, exps, j)
-    return _doubled(plan.integrate_abs, _REL_TOL, 0.0,
-                    f"interval ({prev[j]}, {prev[j + 1]})")
+    value, err = _doubled(lambda n, active: np.array([[plan.integrate_abs(n)]]),
+                          1, _REL_TOL, 0.0, lambda i: f"interval ({prev[j]}, {prev[j + 1]})")
+    return float(value[0, 0]), float(err[0, 0])
 
 
 def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
@@ -259,26 +270,8 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
         raise DomainError(f"segment [{z0[i]}, {z1[i]}] has a non-finite endpoint")
 
     panels = _SegmentPanels(prev, rows, z0, z1, i0, i1)
-    value = np.zeros((len(rows), z0.size), complex)
-    done = np.broadcast_to(panels.length == 0.0, value.shape).copy()
-    n = _BASE_NODES
-    coarse = panels.sums(n, ~done[0])
-    for _ in range(_MAX_DOUBLINGS):
-        if done.all():
-            break
-        n *= 2
-        fine = panels.sums(n, ~done.all(axis=0))
-        err = np.abs(fine - coarse)
-        ok = ~done & (err <= 1e-11 * np.abs(fine) + 1e-15)
-        value[ok] = fine[ok]
-        done |= ok
-        coarse = fine
-    if not done.all():
-        r, i = np.argwhere(~done)[0]
-        rel = err[r, i] / max(abs(fine[r, i]), 1e-300)
-        raise QuadratureFailure(
-            f"segment [{z0[i]}, {z1[i]}] stuck at rel err {rel:.3e} with {n} nodes"
-        )
+    value, _ = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
+                        lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]
 
 
@@ -298,7 +291,9 @@ class _SegmentPanels:
         direction = z1 - z0
         self.length = np.abs(direction)
         self.unit = direction / np.where(self.length > 0.0, self.length, 1.0)
-        entries = {}  # rule (alpha, beta) -> [(segment, lo, h, absorbed, row, factor)]
+        # (rule (alpha, beta), Jacobi end?) -> [(segment, lo, h, absorbed, row, factor)];
+        # an absorbed exponent 0 gives the Legendre rule but still one row
+        entries = {}
         for i in np.flatnonzero(self.length):
             unit = complex(self.unit[i])
             s0 = int(i0[i]) if i0[i] >= 0 else None
@@ -312,18 +307,18 @@ class _SegmentPanels:
                 elif s1 is not None and hi == last_hi:
                     end, ray, left = s1, -unit, False
                 else:
-                    entries.setdefault((0.0, 0.0), []).append((i, lo, h, -1, -1, h * unit))
+                    entries.setdefault(((0.0, 0.0), False), []).append((i, lo, h, -1, -1, h * unit))
                     continue
                 # (z - s_end)^e = (r * ray)^e along the ray out of the end
                 log_ray = cmath.log(complex(ray.real, ray.imag + 0.0))
                 for r, e in enumerate(rows[:, end].tolist()):
                     factor = h ** (1.0 + e) * cmath.exp(e * log_ray) * unit
                     rule = (0.0, e) if left else (e, 0.0)
-                    entries.setdefault(rule, []).append((i, lo, h, end, r, factor))
+                    entries.setdefault((rule, True), []).append((i, lo, h, end, r, factor))
         self.groups = []
-        for rule, ent in entries.items():
+        for (rule, jacobi), ent in entries.items():
             seg, lo, h, end, row, factor = (np.array(c) for c in zip(*ent))
-            self.groups.append((rule, seg, lo, h, end, row, factor))
+            self.groups.append((rule, jacobi, seg, lo, h, end, row, factor))
 
     def sums(self, n, active):
         """(R, S) panel sums with n nodes per panel for the active segments;
@@ -331,8 +326,7 @@ class _SegmentPanels:
         m_count, r_count = self.rows.shape
         total = np.zeros((r_count, active.size), complex)
         step = max(1, _BLOCK // (n * m_count))
-        for rule, seg, lo, h, end, row, factor in self.groups:
-            jacobi = rule != (0.0, 0.0)
+        for rule, jacobi, seg, lo, h, end, row, factor in self.groups:
             keep = np.flatnonzero(active[seg])
             x, w = _rule(n, *rule)
             for b in range(0, keep.size, step):
@@ -364,7 +358,7 @@ def arc_integral(prev, exps, center_idx, radius, th0, th1):
     exps = np.asarray(exps, float)
     c = prev[center_idx]
 
-    def value(n):
+    def arc_sum(n):
         x, w = _rule(n, 0.0, 0.0)
         th = th0 + (th1 - th0) * (x + 1.0) / 2.0
         zs = c + radius * np.exp(1j * th)
@@ -372,4 +366,6 @@ def arc_integral(prev, exps, center_idx, radius, th0, th1):
         dz = 1j * radius * np.exp(1j * th)
         return (th1 - th0) / 2.0 * (w @ (vals * dz))
 
-    return _doubled(value, 1e-11, 1e-15, f"arc around index {center_idx}")[0]
+    value, _ = _doubled(lambda n, active: np.array([[arc_sum(n)]]), 1, 1e-11, 1e-15,
+                        lambda i: f"arc around index {center_idx}")
+    return complex(value[0, 0])

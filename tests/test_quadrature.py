@@ -99,15 +99,18 @@ class TestSegmentIntegral:
 
     def test_batch_matches_scalar_calls(self):
         # segments with and without Jacobi ends, one of zero length, and a
-        # stack of two exponent rows
+        # stack of three exponent rows, the last with exponent 0 at the
+        # Jacobi ends s_2 and s_3, where its end rule is the Legendre one
         prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
-        rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents))
+        flat = np.array(zz.ne_pattern(2).exponents, float)
+        flat[[2, 3]] = 0.0
+        rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents, flat))
         z0 = np.array([0.0, 0.5j, 1.0, 0.3 + 0.2j, 1.0])
         z1 = np.array([1.0, 2 + 1j, 1.000000001, 0.3 + 0.2j, -1 + 1e-3j])
         sing0 = np.array([2, -1, 3, -1, 3])
         sing1 = np.array([3, -1, -1, -1, -1])
         batch = segment_integral(prev, rows, z0, z1, sing0=sing0, sing1=sing1)
-        assert batch.shape == (2, 5)
+        assert batch.shape == (3, 5)
         for r, exps in enumerate(rows):
             for i in range(5):
                 one = segment_integral(prev, exps, z0[i], z1[i],

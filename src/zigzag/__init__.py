@@ -55,7 +55,6 @@ from .height import (
     SolveOptions,
     TraceRow,
     continuation_solve,
-    grad_height_fd,
     height,
     height_parts,
     minimize,
@@ -88,7 +87,7 @@ __all__ = [
     "EllipticData", "carlson_rf", "cross_ratio_lambda", "elliptic_periods",
     "extremal_length_quad", "extremal_lengths",
     "SolveOptions", "TraceRow", "SolutionRecord", "height", "height_parts",
-    "grad_height_fd", "minimize", "continuation_solve",
+    "minimize", "continuation_solve",
     "WeierstrassData", "SurfaceMesh", "SymmetryGenerator", "PeriodReport",
     "build_weierstrass", "verify_periods", "curvature_summary",
     "evaluate_surface", "generate_mesh", "lattice_ratio",

@@ -176,8 +176,8 @@ def _parse_grid(grid: str):
 
 def cmd_sweep(args) -> int:
     from .elliptic import extremal_length_quad
-    from .scmap import (coalescence_log_fit, make_coalescing_family, ne_pattern,
-                        side_length, sw_pattern)
+    from .quadrature import interval_abs_integral
+    from .scmap import coalescence_log_fit, make_coalescing_family, ne_pattern, sw_pattern
 
     try:
         if args.kind == "extlength":
@@ -201,7 +201,8 @@ def cmd_sweep(args) -> int:
         pat_ne, pat_sw = ne_pattern(args.genus), sw_pattern(args.genus)
         _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
         _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
-        rows = [(float(d), side_length(m, pat_ne, j), side_length(m, pat_sw, j),
+        both = np.stack((pat_ne.exponents, pat_sw.exponents))
+        rows = [(float(d), *interval_abs_integral(m.values, both, j + args.genus)[0],
                  c1_ne.real, c1_sw.real) for d, m in zip(deltas, members)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "

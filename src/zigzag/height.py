@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LadderFailure, StepTooLarge, ZigzagError
+from .errors import LadderFailure, ZigzagError
 from .geometry import ZigzagParams, add_handle, canonicalize, stratum_distance
 from .scmap import (Prevertices, _log_ratios, _newton_solve, ne_pattern, positive_sides,
                     solve_parameter_problem, sw_pattern)
@@ -33,7 +33,6 @@ __all__ = [
     "SolutionRecord",
     "height",
     "height_parts",
-    "grad_height_fd",
     "minimize",
     "continuation_solve",
 ]
@@ -97,30 +96,6 @@ def height(z: ZigzagParams) -> float:
     return height_parts(z)[4]
 
 
-def grad_height_fd(z: ZigzagParams, h: float = 1e-5) -> tuple[float, ...]:
-    """Central-difference gradient of D along the simplex tangent basis
-    e_i - e_{p-1}, i = 0..p-2.
-
-    Requires stratum_distance(z) > 2h so that both one-sided perturbations
-    stay interior; raises StepTooLarge otherwise.
-    """
-    z = canonicalize(z)
-    p = z.genus
-    if p <= 1:
-        return ()
-    if not stratum_distance(z) > 2.0 * h:
-        raise StepTooLarge(f"step {h} too large at stratum distance {stratum_distance(z)}")
-    base = np.asarray(z.side_lengths)
-    grad = []
-    for i in range(p - 1):
-        d = np.zeros(p)
-        d[i], d[p - 1] = 1.0, -1.0
-        zp = ZigzagParams(p, z.turn_order, tuple(base + h * d))
-        zm = ZigzagParams(p, z.turn_order, tuple(base - h * d))
-        grad.append((height(zp) - height(zm)) / (2.0 * h))
-    return tuple(grad)
-
-
 def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionRecord:
     """Solve for the reflexive zigzag near z0 by one shared-prevertex solve.
 
@@ -144,13 +119,11 @@ def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionReco
     trace: list[TraceRow] = []
     f_norm = 0.0
     if p >= 2:
-        ne_exps = ne_pattern(p, k).exponents
-        sw_exps = sw_pattern(p, k).exponents
+        rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
 
-        def sides_and_residual(u):
-            prev = Prevertices.from_positive_gaps(np.exp(u)).values
-            ne = positive_sides(prev, ne_exps)
-            return ne, _log_ratios(ne) - _log_ratios(positive_sides(prev, sw_exps))
+        def sides_and_residual(u):  # both patterns share one kernel call
+            ne, sw = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, rows)
+            return ne, _log_ratios(ne) - _log_ratios(sw)
 
         def residual(u):
             ne, f = sides_and_residual(u)

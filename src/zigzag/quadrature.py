@@ -5,23 +5,25 @@ and exponents e_m > -1.  Singular endpoints are absorbed by Gauss-Jacobi
 rules; the rest of a real interval or of a straight segment in the closed
 upper half-plane is covered by Gauss-Legendre panels no longer than their
 distance to the nearest foreign singularity (the one-half rule of compound
-Gauss-Jacobi SC quadrature), so every panel sees an analytic integrand with
-a uniformly fat Bernstein ellipse.  A segment between two points of the
-closed upper half-plane, not both real, meets the real axis at most at an
-endpoint, so no path needs a detour around a prevertex.
+Gauss-Jacobi SC quadrature, Driscoll & Trefethen, Schwarz-Christoffel
+Mapping, ch. 3), so every panel sees an analytic integrand with a uniformly
+fat Bernstein ellipse.  A segment between two points of the closed upper
+half-plane, not both real, meets the real axis at most at an endpoint, so
+no path needs a detour around a prevertex.
 
-``segment_integral`` is one blocked kernel for any number of segments and
-exponent rows: it builds each segment's panels once, shares them across
-the rows, and evaluates the nodes of all pending panels in blocks of about
-2^14 node x prevertex entries, one log(z - s_m) matrix per block serving
-every row.  One node-doubling routine, ``_doubled``, certifies every
-integral: each segment and row keeps its own test and drops out once
-certified, and an interval or an arc is the size-1 case.
+One blocked kernel computes every integral.  ``_SegmentPanels`` grades the
+panels of all segments at once, as arrays, and flattens them into entries
+that each carry their rule and the exponent rows they feed; its ``sums``
+evaluates the nodes of all pending entries in blocks of about 2^14
+node x prevertex entries, with one log(z - s_m) matrix per block serving
+every row.  ``segment_integral`` returns the contour integrals;
+``interval_abs_integral`` the moduli over real intervals (s_j, s_{j+1}),
+where the integrand has constant argument.  One node-doubling routine,
+``_doubled``, certifies each item and row.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -69,88 +71,6 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _graded_breaks(length: float, clearance: float) -> list[float]:
-    """Offsets 0 = b_0 < b_1 < ... <= length covering [0, length] from a
-    singular endpoint: first panel no longer than half the clearance to the
-    nearest foreign singularity, then dyadic doubling."""
-    first = min(length, clearance) / 2.0
-    breaks = [0.0, first]
-    while breaks[-1] < length:
-        h = breaks[-1]  # next panel as long as the distance back to the endpoint
-        breaks.append(min(length, breaks[-1] + max(h, first)))
-    return breaks
-
-
-class IntervalPlan:
-    """Panel decomposition of one real interval (s_j, s_{j+1}), reusable
-    across node-count refinements.
-
-    Works in offset coordinates u = t - s_j so that the distances to the
-    two singular endpoints are u and length - u exactly; absolute-position
-    cancellation would otherwise cap the accuracy on tiny intervals."""
-
-    def __init__(self, prev, exps, j):
-        prev = np.asarray(prev, dtype=float)
-        a, b = prev[j], prev[j + 1]
-        length = b - a
-        others = np.delete(prev, [j, j + 1])
-        da = float(np.min(np.abs(others - a))) if others.size else length
-        db = float(np.min(np.abs(others - b))) if others.size else length
-        half = length / 2.0
-        self.left_breaks = _graded_breaks(half, min(da, length))
-        self.right_breaks = _graded_breaks(half, min(db, length))
-        self.exps, self.j = np.asarray(exps, float), j
-        self.length = length
-        self.far_offsets = np.delete(prev, [j, j + 1]) - a  # u-coords of others
-        self.far_exps = np.delete(self.exps, [j, j + 1])
-
-    def _smooth_log(self, u, include_left=True, include_right=True):
-        """sum of exponent-weighted logs at offsets u, minus the absorbed
-        endpoint factor(s)."""
-        acc = np.zeros_like(u)
-        if include_left:
-            acc += self.exps[self.j] * np.log(u)
-        if include_right:
-            acc += self.exps[self.j + 1] * np.log(self.length - u)
-        for d, e in zip(self.far_offsets, self.far_exps):
-            acc += e * np.log(np.abs(u - d))
-        return acc
-
-    def integrate_abs(self, n: int) -> float:
-        """Integral of prod |t - s_m|^{e_m} over the interval, n-point panels."""
-        ea, eb = self.exps[self.j], self.exps[self.j + 1]
-        L = self.length
-        total = 0.0
-
-        # left Gauss-Jacobi panel: weight u^{ea}
-        u1 = self.left_breaks[1]
-        x, w = _rule(n, 0.0, ea)
-        h = u1 / 2.0
-        u = h * (x + 1.0)
-        g = self._smooth_log(u, include_left=False)
-        total += h ** (1.0 + ea) * float(w @ np.exp(g))
-
-        # right Gauss-Jacobi panel: weight (L - u)^{eb}
-        v1 = self.right_breaks[1]
-        x, w = _rule(n, eb, 0.0)
-        h = v1 / 2.0
-        u = L - h * (1.0 - x)
-        g = self._smooth_log(u, include_right=False)
-        total += h ** (1.0 + eb) * float(w @ np.exp(g))
-
-        # interior Gauss-Legendre panels
-        x, w = _rule(n, 0.0, 0.0)
-        cuts = self.left_breaks[1:] + [L - v for v in self.right_breaks[1:]][::-1]
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            if c1 <= c0:
-                continue
-            h = (c1 - c0) / 2.0
-            u = c0 + h * (x + 1.0)
-            g = self._smooth_log(u)
-            total += h * float(w @ np.exp(g))
-        return total
-
-
 def _doubled(sums, size, rel_tol: float, abs_tol: float, what):
     """Certify panel sums of ``size`` items by node doubling from
     _BASE_NODES nodes.
@@ -184,57 +104,166 @@ def _doubled(sums, size, rel_tol: float, abs_tol: float, what):
     raise QuadratureFailure(f"{what(i)} stuck at rel err {rel:.3e} with {n} nodes")
 
 
-def interval_abs_integral(prev, exps, j):
-    """Modulus integral over (s_j, s_{j+1}) with node-doubling certification
-    to relative accuracy 1e-12.
+def _graded_panels(prev, z0, z1, unit, length, i0, i1):
+    """Panels (segment, lo, hi), in offsets along their segment, of every
+    segment of positive length, ordered by segment and offset.
 
-    Returns (value, error_estimate); raises QuadratureFailure if the
-    doubling test never reaches it.
-    """
-    plan = IntervalPlan(prev, exps, j)
-    value, err = _doubled(lambda n, active: np.array([[plan.integrate_abs(n)]]),
-                          1, _REL_TOL, 0.0, lambda i: f"interval ({prev[j]}, {prev[j + 1]})")
-    return float(value[0, 0]), float(err[0, 0])
+    From each end at a prevertex (index i0 or i1 >= 0) the breaks are
+    graded dyadically: the first panel is half the clearance to the
+    nearest other prevertex (at most a quarter of the segment), each next
+    one as long as the distance back to that end, up to the midpoint; an
+    end without a prevertex gives one panel up to the midpoint.  Free
+    panels are then halved while longer than the clearance at their
+    midpoint, at most 40 times: a straight path may graze a prevertex, and
+    40 halvings resolve a closest approach of 1e-12 * length while panels
+    still span ~1e4 ulps."""
+    seg = np.flatnonzero(length)
+    half = length[seg] / 2.0
 
+    def breaks(z, own):
+        d = np.abs(z[seg, None] - prev)
+        at = np.flatnonzero(own[seg] >= 0)
+        d[at, own[seg[at]]] = np.inf
+        b = np.where(own[seg] >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
+        cols = [np.zeros_like(b), b]
+        while (b < half).any():
+            b = np.minimum(half, b + b)
+            cols.append(b)
+        return np.stack(cols, axis=1)
 
-def _segment_panels(z0: complex, z1: complex, prev, sing0, sing1):
-    """Break [z0, z1] into panels graded away from singular endpoints and no
-    longer than their clearance to the nearest prevertex."""
-    length = abs(z1 - z0)
-    prev = np.asarray(prev, dtype=float)
-    unit = (z1 - z0) / length
-
-    def clearance(zc, own=None):
-        d = np.abs(prev - zc)
-        if own is not None:
-            d = np.delete(d, own)
-        return float(np.min(d)) if d.size else length
-
-    left = _graded_breaks(length / 2.0, min(clearance(z0, sing0), length)) if sing0 is not None else [0.0, length / 2.0]
-    right = _graded_breaks(length / 2.0, min(clearance(z1, sing1), length)) if sing1 is not None else [0.0, length / 2.0]
-    offs = left + [length - u for u in right][::-1]
-    offs = sorted(set(offs))
-    coarse = list(zip(offs[:-1], offs[1:]))
-
-    panels = []
-
-    # a straight path may graze a prevertex; 40 halvings resolve a closest
-    # approach of 1e-12 * length while panels still span ~1e4 ulps
-    def refine(lo, hi, depth, protected):
-        if protected or depth >= 40 or hi - lo <= clearance(z0 + 0.5 * (lo + hi) * unit):
-            panels.append((lo, hi))
-            return
+    offs = np.concatenate((breaks(z0, i0), length[seg, None] - breaks(z1, i1)[:, ::-1]), axis=1)
+    lo, hi = offs[:, :-1], offs[:, 1:]
+    keep = hi > lo  # rows are non-decreasing; equal breaks give no panel
+    s = np.broadcast_to(seg[:, None], lo.shape)[keep]
+    lo, hi = lo[keep], hi[keep]
+    fixed = (lo == 0.0) & (i0[s] >= 0) | (hi == length[s]) & (i1[s] >= 0)
+    done = [(s[fixed], lo[fixed], hi[fixed])]
+    s, lo, hi = s[~fixed], lo[~fixed], hi[~fixed]
+    for _ in range(40):
+        if not s.size:
+            break
+        # midpoint clearance in offset coordinates, as the factors are formed:
+        # absolute ones round a close approach to a prevertex to 0
         mid = 0.5 * (lo + hi)
-        refine(lo, mid, depth + 1, False)
-        refine(mid, hi, depth + 1, False)
+        near = np.hypot(z0.real[s, None] - prev + (mid * unit[s].real)[:, None],
+                        (z0.imag[s] + mid * unit[s].imag)[:, None])
+        fits = hi - lo <= near.min(axis=1)
+        done.append((s[fits], lo[fits], hi[fits]))
+        s, lo, hi, mid = s[~fits], lo[~fits], hi[~fits], mid[~fits]
+        s, lo, hi = np.concatenate((s, s)), np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    done.append((s, lo, hi))
+    s, lo, hi = (np.concatenate(c) for c in zip(*done))
+    order = np.lexsort((hi, lo, s))
+    return s[order], lo[order], hi[order]
 
-    last_hi = coarse[-1][1]
-    for lo, hi in coarse:
-        if hi <= lo:
-            continue
-        protected = (sing0 is not None and lo == 0.0) or (sing1 is not None and hi == last_hi)
-        refine(lo, hi, 0, protected)
-    return panels
+
+class _SegmentPanels:
+    """Panels of a batch of segments, built once and evaluated at any node
+    count for every exponent row.
+
+    The panels of all segments are graded at once by ``_graded_panels``
+    and flattened into entries, each with its rule index and a row mask: a
+    Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
+    panel one entry per row feeding that row alone, since the absorbed
+    exponent, hence the rule, differs by row (an absorbed exponent 0 gives
+    the Legendre rule, still for its own row).  Factors are formed in
+    offset coordinates, (z0 - s_m) + u * unit, so a short segment leaving
+    a prevertex keeps its distance u exact."""
+
+    def __init__(self, prev, rows, z0, z1, i0, i1):
+        r_count = rows.shape[0]
+        self.rows = rows.T
+        self.re0 = z0.real[:, None] - prev
+        self.im0 = z0.imag
+        direction = z1 - z0
+        length = np.hypot(direction.real, direction.imag)
+        safe = np.where(length > 0.0, length, 1.0)  # per part: complex division rounds differently
+        self.unit = direction.real / safe + 1j * (direction.imag / safe)
+        seg, lo, hi = _graded_panels(prev, z0, z1, self.unit, length, i0, i1)
+        h = (hi - lo) / 2.0
+        left = (lo == 0.0) & (i0[seg] >= 0)
+        jacobi = left | (hi == length[seg]) & (i1[seg] >= 0)
+        jac, free = np.flatnonzero(jacobi), np.flatnonzero(~jacobi)
+        # (z - s_end)^e = (r * ray)^e along the ray out of the absorbed end
+        end = np.where(left, i0[seg], i1[seg])[jac]
+        ray = np.where(left[jac], 1.0, -1.0) * self.unit[seg[jac]]
+        e = rows[:, end].T.ravel()  # absorbed exponent of each (panel, row)
+        each = np.repeat(jac, r_count)
+        factor = h[each] ** (1.0 + e) * np.exp(e * np.repeat(np.log(ray + 0.0), r_count))
+        self.seg = np.concatenate((seg[free], seg[each]))
+        self.lo = np.concatenate((lo[free], lo[each]))
+        self.h = np.concatenate((h[free], h[each]))
+        self.end = np.concatenate((np.full(free.size, -1), np.repeat(end, r_count)))
+        self.factor = np.concatenate((h[free], factor)) * self.unit[self.seg]
+        self.mask = np.concatenate((np.ones((free.size, r_count), bool),
+                                    np.tile(np.eye(r_count, dtype=bool), (jac.size, 1))))
+        rules = np.zeros((self.seg.size, 2))
+        rules[free.size:] = np.column_stack((np.where(left[each], 0.0, e),
+                                             np.where(left[each], e, 0.0)))
+        self.rules, self.rule = np.unique(rules, axis=0, return_inverse=True)
+        self.rule = self.rule.ravel()
+
+    def sums(self, n, active):
+        """(R, S) panel sums with n nodes per panel for the active segments;
+        the entries of inactive segments are zero.  Each block of entries
+        takes one node array, one log matrix, one matmul pair and one exp."""
+        m_count, r_count = self.rows.shape
+        total = np.zeros((active.size, r_count), complex)
+        keep = np.flatnonzero(active[self.seg])
+        if not keep.size:  # no panels: only segments of zero length
+            return total.T
+        x, w = (np.array(c) for c in zip(*(_rule(n, a, b) for a, b in self.rules.tolist())))
+        step = max(1, _BLOCK // (n * m_count))
+        for b in range(0, keep.size, step):
+            k = keep[b:b + step]
+            sk, rule = self.seg[k], self.rule[k]
+            u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
+            unit = self.unit[sk, None]
+            mag, arg = _factor_logs(self.re0[sk, None, :] + (u * unit.real)[..., None],
+                                    (self.im0[sk, None] + u * unit.imag)[..., None])
+            jac = np.flatnonzero(self.end[k] >= 0)  # the absorbed factor is in the rule
+            mag[jac, :, self.end[k[jac]]] = arg[jac, :, self.end[k[jac]]] = 0.0
+            logs = (mag.reshape(-1, m_count) @ self.rows
+                    + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
+            vals = self.factor[k, None] * np.einsum("pnr,pn->pr", np.exp(logs), w[rule])
+            np.add.at(total, sk, np.where(self.mask[k], vals, 0.0))
+        return total.T
+
+
+class IntervalPlan(_SegmentPanels):
+    """The shared panels of real intervals (s_j, s_{j+1}): segments with
+    Gauss-Jacobi panels at both ends, for one exponent row or a stack.
+    Every point of an interval is nearer its ends than any other prevertex,
+    so its graded panels are never halved."""
+
+    def __init__(self, prev, exps, j):
+        prev, j = np.asarray(prev, float), np.asarray(j, int).ravel()
+        super().__init__(prev, np.atleast_2d(np.asarray(exps, float)),
+                         prev[j] + 0j, prev[j + 1] + 0j, j, j + 1)
+
+    integrate_abs = _SegmentPanels.sums
+
+
+def interval_abs_integral(prev, exps, j):
+    """Modulus integrals over real intervals (s_j, s_{j+1}), certified by
+    node doubling to relative accuracy 1e-12.
+
+    ``j`` is one interval index or an array of them, ``exps`` one exponent
+    row or an (R, M) stack of rows.  The integrand has constant argument
+    on an interval, so each value is the modulus of one contour integral
+    of the shared kernel along it.  Returns (values, error estimates) with
+    the row axis of a stack followed by the shape of ``j``, scalars for one
+    row and index; raises QuadratureFailure if a doubling test never
+    passes.
+    """
+    prev = np.asarray(prev, float)
+    exps = np.asarray(exps, float)
+    j = np.asarray(j, int)
+    plan = IntervalPlan(prev, exps, j)
+    value, err = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0,
+                          lambda i: f"interval ({prev[j.flat[i]]}, {prev[j.flat[i] + 1]})")
+    shape = exps.shape[:-1] + j.shape
+    return np.abs(value).reshape(shape)[()], err.reshape(shape)[()]
 
 
 def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
@@ -273,81 +302,6 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
     value, _ = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
                         lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]
-
-
-class _SegmentPanels:
-    """Panels of a batch of segments, built once and evaluated at any node
-    count for every exponent row.
-
-    One entry per Gauss-Legendre panel, and one per Gauss-Jacobi end panel
-    and row, since the absorbed exponent, hence the rule, differs by row.
-    Factors are formed in offset coordinates, (z0 - s_m) + u * unit, so a
-    short segment leaving a prevertex keeps its distance u exact."""
-
-    def __init__(self, prev, rows, z0, z1, i0, i1):
-        self.rows = rows.T
-        self.re0 = z0.real[:, None] - prev
-        self.im0 = z0.imag
-        direction = z1 - z0
-        self.length = np.abs(direction)
-        self.unit = direction / np.where(self.length > 0.0, self.length, 1.0)
-        # (rule (alpha, beta), Jacobi end?) -> [(segment, lo, h, absorbed, row, factor)];
-        # an absorbed exponent 0 gives the Legendre rule but still one row
-        entries = {}
-        for i in np.flatnonzero(self.length):
-            unit = complex(self.unit[i])
-            s0 = int(i0[i]) if i0[i] >= 0 else None
-            s1 = int(i1[i]) if i1[i] >= 0 else None
-            pieces = _segment_panels(complex(z0[i]), complex(z1[i]), prev, s0, s1)
-            last_hi = pieces[-1][1]
-            for lo, hi in pieces:
-                h = (hi - lo) / 2.0
-                if s0 is not None and lo == 0.0:
-                    end, ray, left = s0, unit, True
-                elif s1 is not None and hi == last_hi:
-                    end, ray, left = s1, -unit, False
-                else:
-                    entries.setdefault(((0.0, 0.0), False), []).append((i, lo, h, -1, -1, h * unit))
-                    continue
-                # (z - s_end)^e = (r * ray)^e along the ray out of the end
-                log_ray = cmath.log(complex(ray.real, ray.imag + 0.0))
-                for r, e in enumerate(rows[:, end].tolist()):
-                    factor = h ** (1.0 + e) * cmath.exp(e * log_ray) * unit
-                    rule = (0.0, e) if left else (e, 0.0)
-                    entries.setdefault((rule, True), []).append((i, lo, h, end, r, factor))
-        self.groups = []
-        for (rule, jacobi), ent in entries.items():
-            seg, lo, h, end, row, factor = (np.array(c) for c in zip(*ent))
-            self.groups.append((rule, jacobi, seg, lo, h, end, row, factor))
-
-    def sums(self, n, active):
-        """(R, S) panel sums with n nodes per panel for the active segments;
-        the entries of inactive segments are zero."""
-        m_count, r_count = self.rows.shape
-        total = np.zeros((r_count, active.size), complex)
-        step = max(1, _BLOCK // (n * m_count))
-        for rule, jacobi, seg, lo, h, end, row, factor in self.groups:
-            keep = np.flatnonzero(active[seg])
-            x, w = _rule(n, *rule)
-            for b in range(0, keep.size, step):
-                k = keep[b:b + step]
-                sk, pos = seg[k], np.arange(k.size)
-                u = lo[k, None] + h[k, None] * (x + 1.0)
-                unit = self.unit[sk, None]
-                mag, arg = _factor_logs(self.re0[sk, None, :] + (u * unit.real)[..., None],
-                                        (self.im0[sk, None] + u * unit.imag)[..., None])
-                if jacobi:  # the absorbed factor is in the rule
-                    mag[pos, :, end[k]] = arg[pos, :, end[k]] = 0.0
-                logs = (mag.reshape(-1, m_count) @ self.rows
-                        + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
-                if jacobi:  # entry k belongs to row[k] alone
-                    logs = logs[pos, :, row[k]][..., None]
-                    target = row[k, None]
-                else:
-                    target = np.arange(r_count)[None, :]
-                vals = factor[k, None] * np.einsum("pnr,n->pr", np.exp(logs), w)
-                np.add.at(total, (target, sk[:, None]), vals)
-        return total
 
 
 def arc_integral(prev, exps, center_idx, radius, th0, th1):

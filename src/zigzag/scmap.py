@@ -150,17 +150,19 @@ def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
 
 
 def _positive_integrals(prev_values, exponents) -> np.ndarray:
-    """Rows (raw side lengths, quadrature error estimates) of the p
-    positive-side intervals.  The mirror interval (s_{-j-1}, s_{-j}) has
-    the same length, since prevertices and exponents are symmetric."""
+    """(raw side lengths, quadrature error estimates) of the p positive-side
+    intervals, from one kernel call; each has the shape of positive_sides.
+    The mirror interval (s_{-j-1}, s_{-j}) has the same length, since
+    prevertices and exponents are symmetric."""
     p = len(prev_values) // 2
-    return np.array([quad.interval_abs_integral(prev_values, exponents, j + p)
-                     for j in range(p)]).reshape(p, 2).T
+    return np.array(quad.interval_abs_integral(prev_values, exponents, np.arange(p, 2 * p)))
 
 
 def positive_sides(prev_values, exponents) -> np.ndarray:
     """Raw SC side lengths of the p positive-side intervals (s_j, s_{j+1}),
-    j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern."""
+    j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern, or
+    under each row of an (R, 2p+1) stack of patterns as an (R, p) array,
+    all from one call of the shared quadrature kernel."""
     return _positive_integrals(prev_values, exponents)[0]
 
 
@@ -388,11 +390,15 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     span = np.max(deltas) / np.min(deltas)
     if span < 99.0:
         raise ValueError("gap samples must span at least two decades")
+    p = pat.genus
+    if not 0 <= j <= p - 2:
+        raise ValueError(f"need 0 <= j <= p-2 for the periods a_j, a_(j+1); got j = {j}")
     y = np.empty(deltas.size)
     xlog = np.empty(deltas.size)
-    for i, member in enumerate(members):
-        y[i] = side_length(member, pat, j)
-        xlog[i] = math.log(deltas[i]) / math.pi * side_length(member, pat, j + 1)
+    for i, member in enumerate(members):  # |a_j| and |a_{j+1}| in one kernel call
+        (y[i], nxt), _ = quad.interval_abs_integral(member.values, pat.exponents,
+                                                    [j + p, j + p + 1])
+        xlog[i] = math.log(deltas[i]) / math.pi * nxt
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)
     coef, *_ = np.linalg.lstsq(A / scale, y, rcond=None)

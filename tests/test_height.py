@@ -10,6 +10,30 @@ import zigzag as zz
 from zigzag.errors import StepTooLarge
 
 
+def grad_height_fd(z, h=1e-5):
+    """Central-difference gradient of D along the simplex tangent basis
+    e_i - e_{p-1}, i = 0..p-2, the oracle for stationarity at a solution.
+
+    Requires stratum_distance(z) > 2h so that both one-sided perturbations
+    stay interior; raises StepTooLarge otherwise.
+    """
+    z = zz.canonicalize(z)
+    p = z.genus
+    if p <= 1:
+        return ()
+    if not zz.stratum_distance(z) > 2.0 * h:
+        raise StepTooLarge(f"step {h} too large at stratum distance {zz.stratum_distance(z)}")
+    base = np.asarray(z.side_lengths)
+    grad = []
+    for i in range(p - 1):
+        d = np.zeros(p)
+        d[i], d[p - 1] = 1.0, -1.0
+        zp = zz.ZigzagParams(p, z.turn_order, tuple(base + h * d))
+        zm = zz.ZigzagParams(p, z.turn_order, tuple(base - h * d))
+        grad.append((zz.height(zp) - zz.height(zm)) / (2.0 * h))
+    return tuple(grad)
+
+
 class TestHeight:
     def test_genus0_and_1_vanish(self):
         assert zz.height(zz.ZigzagParams(0, 2, ())) == 0.0
@@ -32,24 +56,24 @@ class TestHeight:
 
 class TestGradient:
     def test_trivial_genera(self):
-        assert zz.grad_height_fd(zz.ZigzagParams(1, 2, (1.0,))) == ()
+        assert grad_height_fd(zz.ZigzagParams(1, 2, (1.0,))) == ()
 
     def test_step_guard(self):
         z = zz.ZigzagParams(2, 2, (0.99999, 1e-5))
         with pytest.raises(StepTooLarge):
-            zz.grad_height_fd(z, h=1e-4)
+            grad_height_fd(z, h=1e-4)
 
     def test_stationary_at_solution(self, genus2):
-        grad = zz.grad_height_fd(genus2.zigzag, h=1e-5)
+        grad = grad_height_fd(genus2.zigzag, h=1e-5)
         assert np.linalg.norm(grad) < 1e-6
 
     def test_richardson_consistency(self):
         # FD(h) - FD(h/2) shrinks like O(h^2)
         z = zz.ZigzagParams(2, 2, (0.45, 0.55))
         h = 1e-2
-        g1 = np.asarray(zz.grad_height_fd(z, h))
-        g2 = np.asarray(zz.grad_height_fd(z, h / 2))
-        g3 = np.asarray(zz.grad_height_fd(z, h / 4))
+        g1 = np.asarray(grad_height_fd(z, h))
+        g2 = np.asarray(grad_height_fd(z, h / 2))
+        g3 = np.asarray(grad_height_fd(z, h / 4))
         d12 = np.max(np.abs(g1 - g2))
         d23 = np.max(np.abs(g2 - g3))
         assert d23 < 0.5 * d12  # ratio 1/4 expected, allow slack
@@ -98,7 +122,7 @@ class TestContinuation:
 
 
 class TestSharedPrevertexSolve:
-    @pytest.mark.parametrize("k, top", [(2, 10), (3, 5)])
+    @pytest.mark.parametrize("k, top", [(2, 10), (3, 5), (4, 4)])
     def test_higher_genus_ladder_certified(self, k, top):
         ladder = zz.continuation_solve(top, k, keep_ladder=True)
         for p in range(2, top + 1):
@@ -122,13 +146,25 @@ class TestSharedPrevertexSolve:
 
 class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch):
-        # deterministic work gate: SC side-vector evaluations in the ladder
+        # deterministic work gate: SC side vectors evaluated in the ladder,
+        # one per exponent row, each call through one quadrature kernel call
+        quad = sys.modules["zigzag.quadrature"]
+        kernel = quad.interval_abs_integral
         original = sys.modules["zigzag.scmap"].positive_sides
-        calls = []
+        calls, kernel_calls = [], []
+
+        def counting_kernel(*args):
+            kernel_calls.append(1)
+            return kernel(*args)
 
         def counting(*args):
-            calls.append(1)
-            return original(*args)
+            before = len(kernel_calls)
+            calls.append(np.atleast_2d(args[1]).shape[0])
+            result = original(*args)
+            assert len(kernel_calls) == before + 1
+            return result
+
+        monkeypatch.setattr(quad, "interval_abs_integral", counting_kernel)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("zigzag") and module is not None:
@@ -136,7 +172,7 @@ class TestWorkCounter:
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
         assert zz.continuation_solve(5, 2).converged
-        assert 0 < len(calls) <= 300
+        assert 0 < sum(calls) <= 300
 
 
 class TestProperness:

@@ -7,16 +7,20 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (IntervalPlan, arc_integral, interval_abs_integral,
-                                segment_integral)
+from zigzag.quadrature import (IntervalPlan, _graded_panels, arc_integral,
+                                interval_abs_integral, segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
 
 
-def mp_side(prevs, exps, i):
-    """Independent oracle: scaled tanh-sinh quadrature of one interval."""
-    mp.mp.dps = 30
+def mp_side(prevs, exps, i, dps=30):
+    """Independent oracle: scaled tanh-sinh quadrature of one interval.
+
+    Its nodes resolve 1 - s only to about 10^-dps, which truncates an end
+    singularity (1 - s)^e by about 10^(-dps (1 + e)): 2.7e-9 relative at
+    e = -3/4 with 30 digits."""
+    mp.mp.dps = dps
     a, b = prevs[i], prevs[i + 1]
     ea, eb = exps[i], exps[i + 1]
     L = mp.mpf(b) - a
@@ -60,13 +64,35 @@ class TestSideLength:
             assert math.isclose(val, ora, rel_tol=1e-11)
 
     def test_node_doubling_stability(self):
-        # doubling the accepted node count moves the result by < 1e-12
+        # doubling the accepted node count moves every interval of both
+        # patterns by < 1e-12
         prev = (-1.7, -1.0, 0.0, 1.0, 1.7)
-        exps = zz.ne_pattern(2).exponents
-        plan = IntervalPlan(np.asarray(prev), exps, 2)
-        accepted = plan.integrate_abs(48)
-        doubled = plan.integrate_abs(96)
-        assert abs(doubled - accepted) < 1e-12 * abs(doubled)
+        rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents))
+        plan = IntervalPlan(np.asarray(prev), rows, np.arange(4))
+        accepted = np.abs(plan.integrate_abs(48, np.ones(4, bool)))
+        doubled = np.abs(plan.integrate_abs(96, np.ones(4, bool)))
+        assert accepted.shape == (2, 4)
+        assert np.all(np.abs(doubled - accepted) < 1e-12 * doubled)
+
+    @pytest.mark.parametrize("k, dps", [(2, 30), (3, 30), (4, 50)])
+    def test_batch_matches_scalar_calls_and_oracle(self, k, dps):
+        # every interval of a tuple with a 1e-9 gap, NE and SW rows stacked;
+        # the oracle needs 50 digits for the exponent -3/4 of k = 4, and
+        # the mirror intervals j >= 3 repeat the moduli of j < 3
+        prevs = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
+        rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
+        j = np.arange(len(prevs) - 1)
+        batch, err = interval_abs_integral(prevs, rows, j)
+        assert batch.shape == err.shape == (2, j.size)
+        for r, exps in enumerate(rows):
+            for i in j:
+                one, _ = interval_abs_integral(prevs, exps, i)
+                assert np.ndim(one) == 0
+                assert abs(batch[r, i] - one) <= 1e-14 * one
+            for i in range(3):
+                ora = mp_side(prevs, list(exps), i, dps=dps)
+                assert math.isclose(batch[r, i], ora, rel_tol=1e-10)
+                assert math.isclose(batch[r, 5 - i], ora, rel_tol=1e-10)
 
     def test_tiny_gap_interval(self):
         # collapsing interval keeps full relative accuracy
@@ -76,6 +102,75 @@ class TestSideLength:
             val, err = interval_abs_integral(prevs, exps, 3)
             ora = mp_side(prevs, list(exps), 3)
             assert math.isclose(val, ora, rel_tol=1e-10)
+
+
+def scalar_panels(z0, z1, prev, sing0, sing1):
+    """Reference loop for the panel grading of one segment: dyadic breaks
+    from each singular end, then recursive halving of free panels longer
+    than their midpoint clearance (in offset coordinates z0 - s_m), at
+    most 40 levels deep."""
+    length = abs(z1 - z0)
+    unit = (z1 - z0) / length
+
+    def clearance(zc, own=None):
+        d = [abs(s - zc) for m, s in enumerate(prev) if m != own]
+        return min(d) if d else length
+
+    def graded(own, z):
+        if own is None:
+            return [0.0, length / 2.0]
+        first = min(length / 2.0, clearance(z, own)) / 2.0
+        breaks = [0.0, first]
+        while breaks[-1] < length / 2.0:
+            breaks.append(min(length / 2.0, 2.0 * breaks[-1]))
+        return breaks
+
+    offs = sorted(set(graded(sing0, z0) + [length - u for u in graded(sing1, z1)]))
+    panels = []
+
+    def refine(lo, hi, depth):
+        mid = 0.5 * (lo + hi)
+        if depth >= 40 or hi - lo <= min(abs((z0 - s) + mid * unit) for s in prev):
+            panels.append((lo, hi))
+        else:
+            refine(lo, 0.5 * (lo + hi), depth + 1)
+            refine(0.5 * (lo + hi), hi, depth + 1)
+
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        if (sing0 is not None and lo == 0.0) or (sing1 is not None and hi == length):
+            panels.append((lo, hi))
+        else:
+            refine(lo, hi, 0)
+    return panels
+
+
+class TestPanelGrading:
+    def test_array_grading_matches_scalar_loop(self):
+        # one batch of intervals, segments leaving or reaching a prevertex
+        # (some grazing the axis) and free segments, on tuples with gaps
+        # down to 1e-10; the breaks must be identical
+        rng = np.random.default_rng(5)
+        prev = [-5.0, -4.1, -4.1 + 1e-10, -2.0, -1.0, 0.0, 1.0, 2.0, 4.1 - 1e-10, 4.1, 5.0]
+        cases = []
+        for j in range(len(prev) - 1):
+            cases.append((complex(prev[j]), complex(prev[j + 1]), j, j + 1))
+        for _ in range(60):
+            m = int(rng.integers(len(prev)))
+            far = complex(rng.uniform(-7, 7), 10.0 ** rng.uniform(-12, 1))
+            cases.append((complex(prev[m]), far, m, None))
+            cases.append((far, complex(prev[m]), None, m))
+            cases.append((far, complex(rng.uniform(-7, 7), rng.uniform(0, 3)), None, None))
+        z0, z1 = (np.array([c[i] for c in cases]) for i in (0, 1))
+        i0, i1 = (np.array([-1 if c[i] is None else c[i] for c in cases]) for i in (2, 3))
+        length = np.array([abs(b - a) for a, b, _, _ in cases])
+        unit = np.array([(b - a) / abs(b - a) for a, b, _, _ in cases])
+        seg, lo, hi = _graded_panels(np.array(prev), z0, z1, unit, length, i0, i1)
+        for i, case in enumerate(cases):
+            got = list(zip(lo[seg == i].tolist(), hi[seg == i].tolist()))
+            assert got == scalar_panels(case[0], case[1], prev, case[2], case[3])
+        # one path leaves s_{-3} = -4.1 + 1e-10 and passes 2e-22 above s_{-4};
+        # with the clearance in absolute coordinates it took 4,194,372 panels
+        assert np.bincount(seg).max() < 1000
 
 
 class TestSegmentIntegral:

@@ -261,6 +261,13 @@ class TestCoalescenceFit:
                 1,
             )
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_period_index_out_of_range(self, j):
+        # a_j and a_(j+1) must both be positive-side periods of genus 3
+        members = zz.make_coalescing_family(self.base, 1, self.deltas)
+        with pytest.raises(ValueError):
+            zz.coalescence_log_fit(self.deltas, members, zz.ne_pattern(3), j)
+
     def test_needs_six_samples(self):
         d = np.geomspace(1e-6, 1e-4, 4)
         with pytest.raises(ValueError):

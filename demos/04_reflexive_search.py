@@ -3,10 +3,11 @@
 The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
-Each genus is seeded from the previous solution by inserting a short
-handle side, then solved for that shared tuple by the damped Newton
-iteration (with a Nelder-Mead rescue) that also solves each parameter
-problem; D of the result is the certificate.
+Each genus inserts a short handle side into the previous solution and
+solves for that shared tuple by the damped Newton iteration (with a
+Nelder-Mead rescue) that also solves each parameter problem, seeded from
+the side ratios of the handle zigzag with no nested parameter solve; D of
+the result, from two cold parameter solves, is the certificate.
 """
 
 import numpy as np

@@ -18,7 +18,6 @@ from .errors import (
     NotReflexive,
     PeriodMismatch,
     QuadratureFailure,
-    StepTooLarge,
     ZigzagError,
 )
 from .geometry import (
@@ -52,7 +51,6 @@ from .elliptic import (
 )
 from .height import (
     SolutionRecord,
-    SolveOptions,
     TraceRow,
     continuation_solve,
     height,
@@ -77,8 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ZigzagError", "DegenerateSide", "EmbeddingViolation", "EpsTooLarge",
     "QuadratureFailure", "NoConvergence", "FitFailure", "DegenerateCrossRatio",
-    "DomainError", "StepTooLarge", "LadderFailure", "NotReflexive",
-    "PeriodMismatch",
+    "DomainError", "LadderFailure", "NotReflexive", "PeriodMismatch",
     "ZigzagParams", "VertexChain", "build_vertices", "canonicalize",
     "stratum_distance", "add_handle",
     "ExponentPattern", "Prevertices", "PeriodVector", "ne_pattern",
@@ -86,7 +83,7 @@ __all__ = [
     "periods", "coalescence_log_fit", "make_coalescing_family",
     "EllipticData", "carlson_rf", "cross_ratio_lambda", "elliptic_periods",
     "extremal_length_quad", "extremal_lengths",
-    "SolveOptions", "TraceRow", "SolutionRecord", "height", "height_parts",
+    "TraceRow", "SolutionRecord", "height", "height_parts",
     "minimize", "continuation_solve",
     "WeierstrassData", "SurfaceMesh", "SymmetryGenerator", "PeriodReport",
     "build_weierstrass", "verify_periods", "curvature_summary",

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .errors import LadderFailure, PeriodMismatch, ZigzagError
-from .height import SolveOptions, continuation_solve
+from .height import continuation_solve
 from . import io as zio
 from .weierstrass import build_weierstrass, curvature_summary, generate_mesh, verify_periods
 
@@ -30,8 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, default=2, help="turn order (default 2)")
     p_solve.add_argument("--tol", type=float, default=1e-10,
                          help="height convergence tolerance (default 1e-10)")
-    p_solve.add_argument("--eps", type=float, default=0.05,
-                         help="handle insertion length (default 0.05)")
     p_solve.add_argument("--out", default=None,
                          help="solution file path (default zigzag_p<genus>_k<k>.json)")
     p_solve.add_argument("--trace", default=None,
@@ -76,13 +74,12 @@ def cmd_solve(args) -> int:
     if args.genus < 0 or args.k < 2:
         print("error: need --genus >= 0 and --k >= 2", file=sys.stderr)
         return USAGE_EXIT
-    if not (0.0 < args.tol < math.inf and 0.0 < args.eps < math.inf):
-        print("error: --tol and --eps must be finite and positive", file=sys.stderr)
+    if not 0.0 < args.tol < math.inf:
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return USAGE_EXIT
     out = args.out or f"zigzag_p{args.genus}_k{args.k}.json"
-    opts = SolveOptions(tol=args.tol, eps=args.eps)
     try:
-        record = continuation_solve(args.genus, args.k, opts)
+        record = continuation_solve(args.genus, args.k, args.tol)
     except LadderFailure as exc:
         print(f"ladder failed at genus {exc.failed_genus}: {exc}", file=sys.stderr)
         if exc.records:

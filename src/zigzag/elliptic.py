@@ -70,11 +70,6 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     return series / math.sqrt(mu)
 
 
-def _ellipk(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention."""
-    return carlson_rf(0.0, 1.0 - m, 1.0)
-
-
 def cross_ratio_lambda(x1, x2, x3, x4) -> float:
     """Image of x2 under the Moebius map sending (x1, x3, x4) to
     (infinity, 0, 1); always negative for ordered real x1 < x2 < x3 < x4.
@@ -110,8 +105,11 @@ def elliptic_periods(lam: float) -> EllipticData:
         raise DomainError(f"need lambda < 0, got {lam}")
     eps = -lam
     scale = 2.0 / math.sqrt(1.0 + eps)
-    omega1 = 2.0 * scale * _ellipk(eps / (1.0 + eps))
-    omega2 = 2.0j * scale * _ellipk(1.0 / (1.0 + eps))
+    # K(m) = R_F(0, 1 - m, 1), with each complementary parameter 1 - m formed
+    # directly: 1 - eps/(1+eps) and 1 - 1/(1+eps) lose all digits by
+    # cancellation as eps -> infinity and eps -> 0
+    omega1 = 2.0 * scale * carlson_rf(0.0, 1.0 / (1.0 + eps), 1.0)
+    omega2 = 2.0j * scale * carlson_rf(0.0, eps / (1.0 + eps), 1.0)
     return EllipticData(lam, complex(omega1), complex(omega2))
 
 

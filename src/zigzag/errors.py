@@ -47,10 +47,6 @@ class DomainError(ZigzagError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class StepTooLarge(ZigzagError):
-    """Finite-difference step too large for the distance to the boundary."""
-
-
 class LadderFailure(ZigzagError):
     """Continuation ladder stalled.
 

@@ -7,10 +7,11 @@ complementary domains,
 
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
-solved for a prevertex tuple shared by both Schwarz-Christoffel maps,
-seeded by handle addition from the genus p-1 solution, with the damped
-Newton iteration (Nelder-Mead rescue) that also solves the parameter
-problem in ``scmap``; D of the result is the certificate.
+solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
+one damped Newton iteration (Nelder-Mead rescue), the one that also solves
+the parameter problem in ``scmap``.  It starts from the side ratios of the
+handle zigzag grown from the genus p-1 solution, with no nested parameter
+solve; D of the result, from two cold parameter solves, is the certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .scmap import (Prevertices, _log_ratios, _newton_solve, ne_pattern, positiv
 from .elliptic import extremal_lengths
 
 __all__ = [
-    "SolveOptions",
     "TraceRow",
     "SolutionRecord",
     "height",
@@ -37,7 +37,11 @@ __all__ = [
     "continuation_solve",
 ]
 
-_EXP_CAP = 700.0  # exp(1/E) guard; unreachable for float-representable cross-ratios
+# handle length inserted by the ladder, capped at 0.9 of what add_handle allows
+_HANDLE_LENGTH = 0.05
+# sup norm of F at which the shared solve stops: it fixes the stored zigzag,
+# so it is resolved past the 1e-11 of the parameter problem
+_F_TOL = 1e-12
 
 
 class TraceRow(NamedTuple):
@@ -45,12 +49,6 @@ class TraceRow(NamedTuple):
     height: float
     grad_norm: float
     stratum_distance: float
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-10
-    eps: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,10 @@ class SolutionRecord:
     trace: tuple[TraceRow, ...] = field(default=())
 
 
-def _guarded_exp(x: float) -> float:
-    return math.exp(min(x, _EXP_CAP))
-
-
 def _height_from_ext(ext_ne, ext_sw) -> float:
     total = 0.0
     for en, es in zip(ext_ne, ext_sw):
-        total += (_guarded_exp(1.0 / en) - _guarded_exp(1.0 / es)) ** 2
+        total += (math.exp(1.0 / en) - math.exp(1.0 / es)) ** 2
         total += (en - es) ** 2
     return total
 
@@ -96,7 +90,7 @@ def height(z: ZigzagParams) -> float:
     return height_parts(z)[4]
 
 
-def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionRecord:
+def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     """Solve for the reflexive zigzag near z0 by one shared-prevertex solve.
 
     A zigzag is reflexive exactly when its NE and SW maps share one
@@ -105,15 +99,15 @@ def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionReco
 
         F(u) = log(ne[1:]/ne[0]) - log(sw[1:]/sw[0]),
 
-    solved from the NE parameter solution at z0 by the damped Newton
-    iteration (Nelder-Mead rescue) that solves the parameter problem.
-    Genus 0 and 1 have no unknowns.  The zigzag is read off the normalized
-    NE sides; two cold parameter solves then give D as an independent
-    certificate, and the record is converged iff D < opts.tol.  Trace rows
-    log the running best ||F||^2 per residual evaluation (gradient column
-    NaN); the final row holds D and max|F| at the solution.
+    solved to max|F| <= 1e-12 by the damped Newton iteration (Nelder-Mead
+    rescue) that solves the parameter problem, from the same seed: gaps
+    proportional to the sides of z0, u = log(l[1:]/l[0]), with no nested
+    parameter solve.  Genus 0 and 1 have no unknowns.  The zigzag is read
+    off the normalized NE sides; two cold parameter solves then give D as
+    an independent certificate, and the record is converged iff D < tol.
+    Trace rows log the running best ||F||^2 per residual evaluation
+    (gradient column NaN); the final row holds D and max|F| at the solution.
     """
-    opts = opts or SolveOptions()
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
     trace: list[TraceRow] = []
@@ -132,46 +126,45 @@ def minimize(z0: ZigzagParams, opts: SolveOptions | None = None) -> SolutionReco
                                   stratum_distance(ZigzagParams(p, k, tuple(ne)))))
             return f
 
-        seed = solve_parameter_problem(z, ne_pattern(p, k)).values
-        u = _newton_solve(residual, np.log(np.diff(seed[p + 1:])),
-                          f"shared-prevertex solve from {z}")
+        u = _newton_solve(residual, _log_ratios(np.asarray(z.side_lengths)),
+                          f"shared-prevertex solve from {z}", _F_TOL)
         ne, f = sides_and_residual(u)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         f_norm = float(np.max(np.abs(f)))
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
     trace.append(TraceRow(len(trace) + 1, d, f_norm, stratum_distance(z)))
-    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < opts.tol,
-                          tuple(trace))
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, tuple(trace))
 
 
-def continuation_solve(p: int, k: int = 2, opts: SolveOptions | None = None,
-                       keep_ladder: bool = False):
+def continuation_solve(p: int, k: int = 2, tol: float = 1e-10, keep_ladder: bool = False):
     """Build the solution ladder from genus 0 up to genus p.
 
-    Genus 0 and 1 are exact; each further genus is seeded by inserting a
-    short handle side into the previous solution and solved by minimize.
+    Genus 0 and 1 are exact; each further genus inserts a handle side of
+    length min(0.05, 0.9 * stratum_distance / 4) into the previous
+    solution and solves the shared-prevertex problem by minimize, seeded
+    from the side ratios of that handle zigzag.
     Raises LadderFailure with the partial ladder if a genus does not
-    converge or its solve raises (the library error is chained as the
-    cause); with keep_ladder=True returns the full dict genus -> record.
+    converge (D >= tol) or its solve raises (the library error is chained
+    as the cause); with keep_ladder=True returns the full dict
+    genus -> record.
     """
     if p < 0 or k < 2:
         raise ValueError("need genus >= 0 and turn order >= 2")
-    opts = opts or SolveOptions()
     ladder: dict[int, SolutionRecord] = {}
     for q in range(0, p + 1):
         if q <= 1:
             seed = ZigzagParams(q, k, (1.0,) * q)
         else:
             parent = ladder[q - 1]
-            seed = add_handle(parent, min(opts.eps,
+            seed = add_handle(parent, min(_HANDLE_LENGTH,
                                           0.9 * stratum_distance(parent.zigzag) / 4.0))
         try:
-            record = minimize(seed, opts)
+            record = minimize(seed, tol)
         except ZigzagError as exc:
             raise LadderFailure(f"{type(exc).__name__}: {exc}", records=ladder,
                                 failed_genus=q) from exc
         if not record.converged:
-            raise LadderFailure(f"height {record.height:.3e} not below {opts.tol:.1e}",
+            raise LadderFailure(f"height {record.height:.3e} not below {tol:.1e}",
                                 records=ladder, failed_genus=q)
         ladder[q] = record
     return ladder if keep_ladder else ladder[p]

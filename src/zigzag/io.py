@@ -101,6 +101,13 @@ def record_to_solution(record: SolutionRecord,
     return SolutionFile(data)
 
 
+def _prevertices(values, genus: int, name: str) -> Prevertices:
+    if len(values) != 2 * genus + 1:
+        raise ValueError(f"{name} has {len(values)} entries, need {2 * genus + 1} "
+                         f"at genus {genus}")
+    return Prevertices(tuple(values))
+
+
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     d = sf.data
     if d.get("schema_version") != SCHEMA_VERSION:
@@ -116,8 +123,8 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     )
     return SolutionRecord(
         z,
-        Prevertices(tuple(d["prev_ne"])),
-        Prevertices(tuple(d["prev_sw"])),
+        _prevertices(d["prev_ne"], z.genus, "prev_ne"),
+        _prevertices(d["prev_sw"], z.genus, "prev_sw"),
         tuple(d["ext_ne"]),
         tuple(d["ext_sw"]),
         float(d["height"]),
@@ -140,7 +147,7 @@ def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
     return WeierstrassData(
         int(d["genus"]),
         int(d["turn_order"]),
-        Prevertices(tuple(w["prevertices"])),
+        _prevertices(w["prevertices"], z.genus, "weierstrass.prevertices"),
         as_complex(w["scale_ne"]),
         as_complex(w["scale_sw"]),
         as_complex(w["dh_scale"]),

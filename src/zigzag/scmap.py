@@ -18,7 +18,9 @@ accounts for this when matching the developed chain to build_vertices.
 
 The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
-solved by one damped Newton iteration with a Nelder-Mead rescue.
+solved by one damped Newton iteration with a Nelder-Mead rescue, from the
+same seed: gaps proportional to the target sides.  The shared solve starts
+from the sides of the handle zigzag, with no nested parameter solve.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
 _NEWTON_TOL = 1e-11  # sup norm of the log-ratio residual
 
 
-def _newton_solve(residual, u0, label: str) -> np.ndarray:
-    """Log-gaps u with max|residual(u)| <= 1e-11.
+def _newton_solve(residual, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndarray:
+    """Log-gaps u with max|residual(u)| <= tol.
 
     Damped Newton with a forward-difference Jacobian and a halving line
     search; if it stalls, Nelder-Mead on the squared residual norm, then a
@@ -199,7 +201,7 @@ def _newton_solve(residual, u0, label: str) -> np.ndarray:
         for _ in range(60):
             norm = float(np.max(np.abs(r)))
             trace.append(norm)
-            if norm <= _NEWTON_TOL:
+            if norm <= tol:
                 return u, norm
             try:
                 step = np.linalg.solve(jacobian(u, r), -r)
@@ -217,7 +219,7 @@ def _newton_solve(residual, u0, label: str) -> np.ndarray:
         return u, float(np.max(np.abs(r)))
 
     u, norm = damped_newton(np.asarray(u0, dtype=float))
-    if norm <= _NEWTON_TOL:
+    if norm <= tol:
         return u
 
     # simplex rescue on ||r||^2, then a final Newton polish
@@ -230,7 +232,7 @@ def _newton_solve(residual, u0, label: str) -> np.ndarray:
         options={"xatol": 1e-13, "fatol": 1e-24, "maxiter": 4000},
     )
     u, norm = damped_newton(rescue.x)
-    if norm <= _NEWTON_TOL:
+    if norm <= tol:
         return u
     raise NoConvergence(f"{label} stalled", trace)
 

@@ -18,13 +18,15 @@ def solved_file(tmp_path_factory):
 
 
 def malformed_files(solved_file, tmp_path):
-    """Edited copies of a genus-2 solution file whose weierstrass block
-    cannot be loaded."""
+    """Edited copies of a genus-2 solution file that cannot be loaded."""
     edits = {
         "empty_weierstrass": lambda d: d.update(weierstrass={}),
         "scale_not_complex": lambda d: d["weierstrass"].update(scale_ne="x"),
         "asymmetric_prevertices":
             lambda d: d["weierstrass"]["prevertices"].__setitem__(0, -3.0),
+        "short_prevertices":
+            lambda d: d["weierstrass"].update(prevertices=d["weierstrass"]["prevertices"][1:-1]),
+        "short_prev_ne": lambda d: d.update(prev_ne=d["prev_ne"][1:-1]),
     }
     paths = []
     for name, edit in edits.items():
@@ -51,7 +53,6 @@ class TestSolve:
         assert main(["solve"]) == 1
 
     @pytest.mark.parametrize("flag,value", [
-        ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
         ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
     ])
     def test_bad_eps_or_tol_usage_error(self, tmp_path, capsys, flag, value):

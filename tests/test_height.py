@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import StepTooLarge
+from zigzag.errors import ZigzagError
+
+
+class StepTooLarge(ZigzagError):
+    """Finite-difference step too large for the distance to the boundary."""
 
 
 def grad_height_fd(z, h=1e-5):
@@ -96,6 +100,17 @@ class TestMinimize:
     def test_trace_has_stratum_column(self, genus2):
         assert all(row.stratum_distance > 0 for row in genus2.trace)
 
+    @pytest.mark.parametrize("p, k", [(5, 2), (3, 3), (4, 4)])
+    def test_equal_sides_reach_ladder_zigzag(self, p, k, ladder5):
+        # the Newton basin of the shared-prevertex solve holds the seed
+        # farthest from the handle zigzag
+        ladder = ladder5 if k == 2 else zz.continuation_solve(p, k, keep_ladder=True)
+        rec = zz.minimize(zz.ZigzagParams(p, k, (1.0 / p,) * p))
+        assert rec.converged and rec.height < 1e-10
+        drift = np.max(np.abs(np.subtract(rec.zigzag.side_lengths,
+                                          ladder[p].zigzag.side_lengths)))
+        assert drift < 1e-9
+
 
 class TestContinuation:
     def test_ladder_converges(self, ladder5):
@@ -147,15 +162,22 @@ class TestSharedPrevertexSolve:
 class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch):
         # deterministic work gate: SC side vectors evaluated in the ladder,
-        # one per exponent row, each call through one quadrature kernel call
+        # one per exponent row, each call through one quadrature kernel
+        # call; cold parameter solves only for the two certificates of D
         quad = sys.modules["zigzag.quadrature"]
+        height_mod = sys.modules["zigzag.height"]
         kernel = quad.interval_abs_integral
+        solve = height_mod.solve_parameter_problem
         original = sys.modules["zigzag.scmap"].positive_sides
-        calls, kernel_calls = [], []
+        calls, kernel_calls, solves = [], [], []
 
         def counting_kernel(*args):
             kernel_calls.append(1)
             return kernel(*args)
+
+        def counting_solve(*args):
+            solves.append(args[0].genus)
+            return solve(*args)
 
         def counting(*args):
             before = len(kernel_calls)
@@ -165,6 +187,7 @@ class TestWorkCounter:
             return result
 
         monkeypatch.setattr(quad, "interval_abs_integral", counting_kernel)
+        monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("zigzag") and module is not None:
@@ -172,7 +195,8 @@ class TestWorkCounter:
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
         assert zz.continuation_solve(5, 2).converged
-        assert 0 < sum(calls) <= 300
+        assert sorted(solves) == [q for q in range(6) for _ in range(2)]
+        assert 0 < sum(calls) <= 240
 
 
 class TestProperness:

@@ -4,8 +4,8 @@ The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
 Each genus inserts a short handle side into the previous solution and
-solves for that shared tuple by the damped Newton iteration (with a
-Nelder-Mead rescue) that also solves each parameter problem, seeded from
+solves for that shared tuple by the Newton iteration (full steps until
+one fails to reduce max|F|, then a Nelder-Mead rescue) that also solves each parameter problem, seeded from
 the side ratios of the handle zigzag with no nested parameter solve; D of
 the result, from two cold parameter solves, is the certificate.
 """

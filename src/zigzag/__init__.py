@@ -10,7 +10,6 @@ from .errors import (
     DegenerateCrossRatio,
     DegenerateSide,
     DomainError,
-    EmbeddingViolation,
     EpsTooLarge,
     FitFailure,
     LadderFailure,
@@ -73,7 +72,7 @@ from .weierstrass import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ZigzagError", "DegenerateSide", "EmbeddingViolation", "EpsTooLarge",
+    "ZigzagError", "DegenerateSide", "EpsTooLarge",
     "QuadratureFailure", "NoConvergence", "FitFailure", "DegenerateCrossRatio",
     "DomainError", "LadderFailure", "NotReflexive", "PeriodMismatch",
     "ZigzagParams", "VertexChain", "build_vertices", "canonicalize",

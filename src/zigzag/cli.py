@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None,
                          help="optional CSV path for the solve trace of the top "
                               "genus (columns: step,height,grad_norm,stratum_distance); "
-                              "each row is one residual evaluation of the damped "
+                              "each row is one residual evaluation of the "
                               "Newton shared-prevertex solve with the running best "
                               "||F||^2, the last row holds the certified height D "
                               "and max|F|")

@@ -9,10 +9,6 @@ class DegenerateSide(ZigzagError):
     """A side length is zero or negative (boundary of the moduli cell)."""
 
 
-class EmbeddingViolation(ZigzagError):
-    """The constructed polygonal arc intersects itself."""
-
-
 class EpsTooLarge(ZigzagError):
     """Handle-insertion parameter outside the admissible range."""
 

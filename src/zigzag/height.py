@@ -8,10 +8,11 @@ complementary domains,
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
 solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
-one damped Newton iteration (Nelder-Mead rescue), the one that also solves
-the parameter problem in ``scmap``.  It starts from the side ratios of the
-handle zigzag grown from the genus p-1 solution, with no nested parameter
-solve; D of the result, from two cold parameter solves, is the certificate.
+one Newton iteration, full steps until one fails to reduce max|F|, then a
+Nelder-Mead rescue: the one that also solves the parameter problem in
+``scmap``.  It starts from the side ratios of the handle zigzag grown from
+the genus p-1 solution, with no nested parameter solve; D of the result,
+from two cold parameter solves, is the certificate.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
 
         F(u) = log(ne[1:]/ne[0]) - log(sw[1:]/sw[0]),
 
-    solved to max|F| <= 1e-12 by the damped Newton iteration (Nelder-Mead
-    rescue) that solves the parameter problem, from the same seed: gaps
-    proportional to the sides of z0, u = log(l[1:]/l[0]), with no nested
-    parameter solve.  Genus 0 and 1 have no unknowns.  The zigzag is read
-    off the normalized NE sides; two cold parameter solves then give D as
-    an independent certificate, and the record is converged iff D < tol.
+    solved to max|F| <= 1e-12 by the Newton iteration (full steps until one
+    fails to reduce max|F|, then a Nelder-Mead rescue) that solves the
+    parameter problem, from the same seed: gaps proportional to the sides
+    of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Genus 0
+    and 1 have no unknowns.  The zigzag is read off the normalized NE
+    sides; two cold parameter solves then give D as an independent
+    certificate, and the record is converged iff D < tol.
     Trace rows log the running best ||F||^2 per residual evaluation
     (gradient column NaN); the final row holds D and max|F| at the solution.
     """
@@ -115,20 +117,20 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
 
-        def sides_and_residual(u):  # both patterns share one kernel call
-            ne, sw = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, rows)
-            return ne, _log_ratios(ne) - _log_ratios(sw)
+        ne = f = None
 
-        def residual(u):
-            ne, f = sides_and_residual(u)
+        def residual(u):  # both patterns share one kernel call
+            nonlocal ne, f
+            ne, sw = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, rows)
+            f = _log_ratios(ne) - _log_ratios(sw)
             best = min(float(f @ f), trace[-1].height if trace else math.inf)
             trace.append(TraceRow(len(trace) + 1, best, math.nan,
                                   stratum_distance(ZigzagParams(p, k, tuple(ne)))))
             return f
 
-        u = _newton_solve(residual, _log_ratios(np.asarray(z.side_lengths)),
-                          f"shared-prevertex solve from {z}", _F_TOL)
-        ne, f = sides_and_residual(u)
+        # on success the last evaluation, hence ne and f, is at the solution
+        _newton_solve(residual, _log_ratios(np.asarray(z.side_lengths)),
+                      f"shared-prevertex solve from {z}", _F_TOL)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         f_norm = float(np.max(np.abs(f)))
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)

@@ -18,9 +18,10 @@ accounts for this when matching the developed chain to build_vertices.
 
 The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
-solved by one damped Newton iteration with a Nelder-Mead rescue, from the
-same seed: gaps proportional to the target sides.  The shared solve starts
-from the sides of the handle zigzag, with no nested parameter solve.
+solved by one Newton iteration, full steps until one fails to reduce
+max|F|, then a Nelder-Mead rescue, from the same seed: gaps proportional
+to the target sides.  The shared solve starts from the sides of the handle
+zigzag, with no nested parameter solve.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class ExponentPattern:
         j = np.arange(-p, p + 1)
         e = np.where((j + p) % 2 == 0, mag, -mag)
         return e if self.orientation == "NE" else -e
-
-    def exponent(self, j: int) -> float:
-        return float(self.exponents[j + self.genus])
 
 
 def ne_pattern(genus: int, turn_order: int = 2) -> ExponentPattern:
@@ -180,10 +178,11 @@ _NEWTON_TOL = 1e-11  # sup norm of the log-ratio residual
 def _newton_solve(residual, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndarray:
     """Log-gaps u with max|residual(u)| <= tol.
 
-    Damped Newton with a forward-difference Jacobian and a halving line
-    search; if it stalls, Nelder-Mead on the squared residual norm, then a
-    second Newton polish.  Raises NoConvergence carrying the residual sup
-    norm of every Newton iteration.
+    Newton with a forward-difference Jacobian, taking full steps and
+    stopping when a step does not reduce max|residual|; from that iterate,
+    Nelder-Mead on the squared residual norm, then a second Newton polish.
+    On success the last residual evaluation is at the returned u.  Raises
+    NoConvergence carrying the residual sup norm of every Newton iteration.
     """
     trace = []
 
@@ -196,29 +195,25 @@ def _newton_solve(residual, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndar
             J[:, i] = (residual(ui) - r0) / h
         return J
 
-    def damped_newton(u):
+    def newton(u):
         r = residual(u)
+        norm = float(np.max(np.abs(r)))
         for _ in range(60):
-            norm = float(np.max(np.abs(r)))
             trace.append(norm)
             if norm <= tol:
-                return u, norm
+                break
             try:
                 step = np.linalg.solve(jacobian(u, r), -r)
             except np.linalg.LinAlgError:
-                return u, norm
-            for _ in range(12):
-                u_try = u + step
-                r_try = residual(u_try)
-                if np.max(np.abs(r_try)) < norm:
-                    u, r = u_try, r_try
-                    break
-                step *= 0.5
-            else:
-                return u, norm
-        return u, float(np.max(np.abs(r)))
+                break
+            r_new = residual(u + step)
+            norm_new = float(np.max(np.abs(r_new)))
+            if not norm_new < norm:
+                break
+            u, r, norm = u + step, r_new, norm_new
+        return u, norm
 
-    u, norm = damped_newton(np.asarray(u0, dtype=float))
+    u, norm = newton(np.asarray(u0, dtype=float))
     if norm <= tol:
         return u
 
@@ -231,7 +226,7 @@ def _newton_solve(residual, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndar
         method="Nelder-Mead",
         options={"xatol": 1e-13, "fatol": 1e-24, "maxiter": 4000},
     )
-    u, norm = damped_newton(rescue.x)
+    u, norm = newton(rescue.x)
     if norm <= tol:
         return u
     raise NoConvergence(f"{label} stalled", trace)
@@ -242,8 +237,8 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
 
     Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
     coordinates, which keeps the ordering constraint implicit, starting
-    from gaps proportional to the target sides, by the damped Newton
-    iteration of _newton_solve.  Genus 0 and 1 have no unknowns.
+    from gaps proportional to the target sides, by the Newton iteration
+    of _newton_solve.  Genus 0 and 1 have no unknowns.
     """
     z = canonicalize(z)
     p = z.genus

@@ -98,6 +98,22 @@ class TestBuildVertices:
         assert np.all(np.diff(v.real) >= -1e-15)
         assert np.all(np.diff(v.imag) <= 1e-15)
 
+    @given(st.integers(2, 50), st.integers(1, 10).flatmap(
+        lambda p: st.lists(st.floats(-6.0, 6.0), min_size=p, max_size=p)))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_monotone_along_bisector(self, k, log_sides):
+        # the turns alternate, so every edge and both rays run in one of two
+        # directions pi*(1 - 1/k) apart: the arc is monotone along their
+        # bisector, hence embedded, and always admits the diagonal
+        # normalization, whatever the side ratios
+        z = zz.ZigzagParams(len(log_sides), k, tuple(10.0 ** x for x in log_sides))
+        chain = zz.build_vertices(z)
+        bisector = chain.ray_out * np.exp(-0.5j * math.pi * (1 - 1 / k))
+        edges = np.concatenate(([-chain.ray_in], np.diff(chain.vertices), [chain.ray_out]))
+        assert np.all((edges * np.conj(bisector)).real > 0.0)
+        walk_end = np.sum(np.asarray(zz.canonicalize(z).side_lengths) * segment_directions(z))
+        assert walk_end.real - walk_end.imag > 0.0
+
     def test_turn_angles_general_k(self):
         for k in (2, 3, 5):
             chain = zz.build_vertices(zz.ZigzagParams(3, k, (0.2, 0.5, 0.3)))

@@ -196,7 +196,7 @@ class TestWorkCounter:
                         monkeypatch.setattr(module, attr, counting)
         assert zz.continuation_solve(5, 2).converged
         assert sorted(solves) == [q for q in range(6) for _ in range(2)]
-        assert 0 < sum(calls) <= 240
+        assert 0 < sum(calls) <= 224
 
 
 class TestProperness:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
-from zigzag.errors import DomainError
+from zigzag.errors import DomainError, NoConvergence
 from zigzag.quadrature import interval_abs_integral
 from zigzag.scmap import _chain_normalization, positive_sides
 
@@ -132,6 +132,53 @@ class TestParameterProblemProperty:
         z = zz.ZigzagParams(pat.genus, pat.turn_order, tuple(sides))
         got = zz.solve_parameter_problem(z, pat)
         assert np.max(np.abs(np.subtract(got.values, prev.values))) < 1e-8
+
+
+class TestNewtonFallback:
+    """Thin SW zigzags on which Newton stops short of the tolerance, so the
+    Nelder-Mead rescue and, failing that, NoConvergence are reached."""
+
+    RESCUED = (5, 2, (0.0001829710324967196, 0.15957477285088748, 0.8385852567045686,
+                      0.0010644370942349446, 0.0005925623178122302))
+    STALLED = [
+        (5, 2, (0.007894788333827259, 0.012422950638328267, 0.9784753070938964,
+                0.00037870005830786916, 0.0008282538756402956)),
+        (5, 3, (0.46279620454221515, 0.0019207332671975135, 0.532670526071807,
+                0.0019155686755075666, 0.0006969674432730067)),
+    ]
+
+    def test_rescue_solves(self, monkeypatch):
+        import scipy.optimize
+
+        rescues = []
+        nelder_mead = scipy.optimize.minimize
+
+        def spy(*args, **kwargs):
+            rescues.append(1)
+            return nelder_mead(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        p, k, sides = self.RESCUED
+        pat = zz.sw_pattern(p, k)
+        prev = zz.solve_parameter_problem(zz.ZigzagParams(p, k, sides), pat)
+        assert rescues == [1]
+        got = np.array([zz.side_length(prev, pat, j) for j in range(p)])
+        target = np.asarray(sides) / math.fsum(sides)
+        assert np.max(np.abs(got / math.fsum(got) - target) / target) < 1e-8
+
+    @pytest.mark.parametrize("p,k,sides", STALLED)
+    def test_stall_gives_up_promptly(self, monkeypatch, p, k, sides):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return positive_sides(*args)
+
+        monkeypatch.setattr(zz.scmap, "positive_sides", counting)
+        with pytest.raises(NoConvergence) as err:
+            zz.solve_parameter_problem(zz.ZigzagParams(p, k, sides), zz.sw_pattern(p, k))
+        assert err.value.trace and err.value.trace[-1] > 1e-11
+        assert len(calls) <= 2000
 
 
 class TestForwardMap:

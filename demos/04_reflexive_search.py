@@ -5,9 +5,13 @@ vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
 Each genus inserts a short handle side into the previous solution and
 solves for that shared tuple by the Newton iteration (full steps until
-one fails to reduce max|F|, then a Nelder-Mead rescue) that also solves each parameter problem, seeded from
-the side ratios of the handle zigzag with no nested parameter solve; D of
-the result, from two cold parameter solves, is the certificate.
+one fails to reduce max|F|, then a Nelder-Mead rescue) that also solves
+each parameter problem, seeded from the side ratios of the handle zigzag
+with no nested parameter solve.  Its Jacobian is exact, taken with F from
+one quadrature kernel call per Newton point, and converges quadratically.
+D of the result, from two cold parameter solves, is the certificate; the
+smallest singular value of the Jacobian at the solution shows the zero
+is isolated.
 """
 
 import numpy as np
@@ -36,7 +40,8 @@ print("Genus-2 solve trace (step, best ||F||^2, stratum distance; last row D):")
 rows = list(rec.trace)
 for row in rows[:: max(1, len(rows) // 8)]:
     print(f"  {row.step:>5}  {row.height:>12.3e}  {row.stratum_distance:>8.4f}")
-print(f"  final max|F| {rec.trace[-1].grad_norm:.2e}")
+print(f"  final max|F| {rec.trace[-1].grad_norm:.2e}, "
+      f"smallest singular value of the Jacobian {rec.sigma_min:.4f}")
 print()
 
 print("At the solution both prevertex tuples coincide:")

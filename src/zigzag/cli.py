@@ -35,10 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None,
                          help="optional CSV path for the solve trace of the top "
                               "genus (columns: step,height,grad_norm,stratum_distance); "
-                              "each row is one residual evaluation of the "
-                              "Newton shared-prevertex solve with the running best "
-                              "||F||^2, the last row holds the certified height D "
-                              "and max|F|")
+                              "each row is one evaluation of the Newton "
+                              "shared-prevertex solve (one kernel call for F and its "
+                              "exact Jacobian at a Newton point, F alone in the "
+                              "Nelder-Mead rescue) with the running best ||F||^2, "
+                              "the last row holds the certified height D and max|F|")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution file")
     p_verify.add_argument("path")

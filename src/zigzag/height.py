@@ -8,11 +8,14 @@ complementary domains,
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
 solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
-one Newton iteration, full steps until one fails to reduce max|F|, then a
-Nelder-Mead rescue: the one that also solves the parameter problem in
-``scmap``.  It starts from the side ratios of the handle zigzag grown from
-the genus p-1 solution, with no nested parameter solve; D of the result,
-from two cold parameter solves, is the certificate.
+one Newton iteration with an exact Jacobian, full steps until one fails to
+reduce max|F|, then a Nelder-Mead rescue: the one that also solves the
+parameter problem in ``scmap``.  Each Newton point takes the residual and
+its Jacobian for both patterns from one kernel call.  It starts from the
+side ratios of the handle zigzag grown from the genus p-1 solution, with
+no nested parameter solve; D of the result, from two cold parameter
+solves, is the certificate, and the smallest singular value of the
+Jacobian at the solution certifies that the zero is isolated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import LadderFailure, ZigzagError
 from .geometry import ZigzagParams, add_handle, canonicalize, stratum_distance
-from .scmap import (Prevertices, _log_ratios, _newton_solve, ne_pattern, positive_sides,
+from .scmap import (_log_ratio_system, _log_ratios, _newton_solve, ne_pattern,
                     solve_parameter_problem, sw_pattern)
 from .elliptic import extremal_lengths
 
@@ -40,8 +43,11 @@ __all__ = [
 
 # handle length inserted by the ladder, capped at 0.9 of what add_handle allows
 _HANDLE_LENGTH = 0.05
-# sup norm of F at which the shared solve stops: it fixes the stored zigzag,
-# so it is resolved past the 1e-11 of the parameter problem
+# sup norm of F at which the shared solve stops.  It fixes the stored zigzag,
+# so it is resolved past the 1e-11 of the parameter problem: quadratic Newton
+# may stop anywhere below its tolerance, and at 1e-11 the genus-4 k=3 sides
+# moved 2.9e-12 from the converged zigzag.  The cold parameter solves cannot
+# follow: at 1e-12 thin ones stall at their rounding floor.
 _F_TOL = 1e-12
 
 
@@ -64,6 +70,9 @@ class SolutionRecord:
     height: float
     converged: bool
     trace: tuple[TraceRow, ...] = field(default=())
+    # smallest singular value of the exact Jacobian of F at the shared
+    # solution (NaN without unknowns): nonzero certifies an isolated zero
+    sigma_min: float = math.nan
 
 
 def _height_from_ext(ext_ne, ext_sw) -> float:
@@ -103,39 +112,43 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     solved to max|F| <= 1e-12 by the Newton iteration (full steps until one
     fails to reduce max|F|, then a Nelder-Mead rescue) that solves the
     parameter problem, from the same seed: gaps proportional to the sides
-    of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Genus 0
-    and 1 have no unknowns.  The zigzag is read off the normalized NE
-    sides; two cold parameter solves then give D as an independent
-    certificate, and the record is converged iff D < tol.
+    of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Each
+    Newton point takes F and its exact Jacobian from one kernel call for
+    both patterns; the smallest singular value of that Jacobian at the
+    solution is stored as the isolation certificate.  Genus 0 and 1 have
+    no unknowns.  The zigzag is read off the normalized NE sides; two cold
+    parameter solves then give D as an independent certificate, and the
+    record is converged iff D < tol.
     Trace rows log the running best ||F||^2 per residual evaluation
     (gradient column NaN); the final row holds D and max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
     trace: list[TraceRow] = []
-    f_norm = 0.0
+    f_norm, sigma_min = 0.0, math.nan
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
+        ne = f = jac = None
 
-        ne = f = None
-
-        def residual(u):  # both patterns share one kernel call
-            nonlocal ne, f
-            ne, sw = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, rows)
-            f = _log_ratios(ne) - _log_ratios(sw)
+        def system(u, jacobian):  # both patterns share one kernel call
+            nonlocal ne, f, jac
+            sides, ratios, J = _log_ratio_system(u, rows, jacobian)
+            ne, f, jac = sides[0], ratios[0] - ratios[1], None if J is None else J[0] - J[1]
             best = min(float(f @ f), trace[-1].height if trace else math.inf)
             trace.append(TraceRow(len(trace) + 1, best, math.nan,
                                   stratum_distance(ZigzagParams(p, k, tuple(ne)))))
-            return f
+            return f, jac
 
-        # on success the last evaluation, hence ne and f, is at the solution
-        _newton_solve(residual, _log_ratios(np.asarray(z.side_lengths)),
+        # on success the last evaluation, hence ne, f and jac, is at the solution
+        _newton_solve(system, _log_ratios(np.asarray(z.side_lengths)),
                       f"shared-prevertex solve from {z}", _F_TOL)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         f_norm = float(np.max(np.abs(f)))
+        sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
     trace.append(TraceRow(len(trace) + 1, d, f_norm, stratum_distance(z)))
-    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, tuple(trace))
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, tuple(trace),
+                          sigma_min)
 
 
 def continuation_solve(p: int, k: int = 2, tol: float = 1e-10, keep_ladder: bool = False):

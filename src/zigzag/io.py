@@ -76,6 +76,8 @@ def record_to_solution(record: SolutionRecord,
         "min_stratum_distance": min((row.stratum_distance for row in tr),
                                     default=math.nan),
     }
+    if not math.isnan(record.sigma_min):  # only solves with unknowns have a Jacobian
+        summary["jacobian_sigma_min"] = record.sigma_min
     data = {
         "schema_version": SCHEMA_VERSION,
         "genus": record.zigzag.genus,
@@ -130,6 +132,7 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         float(d["height"]),
         bool(d["converged"]),
         (row,),
+        float(summary.get("jacobian_sigma_min", math.nan)),
     )
 
 

@@ -18,7 +18,9 @@ evaluates the nodes of all pending entries in blocks of about 2^14
 node x prevertex entries, with one log(z - s_m) matrix per block serving
 every row.  ``segment_integral`` returns the contour integrals;
 ``interval_abs_integral`` the moduli over real intervals (s_j, s_{j+1}),
-where the integrand has constant argument.  One node-doubling routine,
+where the integrand has constant argument; ``interval_jacobian`` the
+interval integrals with their exact derivatives in every prevertex, the
+derivative rows riding on the same panels.  One node-doubling routine,
 ``_doubled``, certifies each item and row.
 """
 
@@ -71,23 +73,25 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _doubled(sums, size, rel_tol: float, abs_tol: float, what):
+def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
     """Certify panel sums of ``size`` items by node doubling from
     _BASE_NODES nodes.
 
     ``sums(n, active)`` returns the (R, size) sums of every row and item
     at n nodes per panel, for the items flagged in the boolean ``active``.
     An item and row passes at the first doubling whose change is within
-    rel_tol * |fine| + abs_tol; an item with every row passed drops out of
-    later doublings.  Returns the (R, size) values and error estimates;
-    raises QuadratureFailure naming ``what(i)`` for an item i that never
-    passes.
+    rel_tol * |fine| + abs_tol, where ``rel_tol`` is a number or an (R, 1)
+    column of per-row tolerances; an item with every row passed drops out
+    of later doublings.  A (row, item) pair masked out by the (R, size)
+    boolean ``valid`` starts as passed and reads 0.  Returns the (R, size)
+    values and error estimates; raises QuadratureFailure naming ``what(i)``
+    for an item i that never passes.
     """
     n = _BASE_NODES
     coarse = sums(n, np.ones(size, bool))
     value = np.zeros(coarse.shape, coarse.dtype)
     err = np.zeros(coarse.shape)
-    pending = np.ones(coarse.shape, bool)
+    pending = np.ones(coarse.shape, bool) if valid is None else valid.copy()
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
         fine = sums(n, pending.any(axis=0))
@@ -164,14 +168,29 @@ class _SegmentPanels:
     The panels of all segments are graded at once by ``_graded_panels``
     and flattened into entries, each with its rule index and a row mask: a
     Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
-    panel one entry per row feeding that row alone, since the absorbed
-    exponent, hence the rule, differs by row (an absorbed exponent 0 gives
-    the Legendre rule, still for its own row).  Factors are formed in
-    offset coordinates, (z0 - s_m) + u * unit, so a short segment leaving
-    a prevertex keeps its distance u exact."""
+    panel one entry per distinct absorbed exponent among the rows, feeding
+    the rows with that exponent, since the exponent fixes the rule (an
+    absorbed exponent 0 gives the Legendre rule, still for its own rows).
+    Factors are formed in offset coordinates, (z0 - s_m) + u * unit, so a
+    short segment leaving a prevertex keeps its distance u exact.
 
-    def __init__(self, prev, rows, z0, z1, i0, i1):
-        r_count = rows.shape[0]
+    With ``derivatives`` each row e is followed by the M rows e - delta_m,
+    whose integrands are that of e over (z - s_m), on the same entries and
+    rules as e, so no rule is built for them.  Such a row is not integrable
+    on a segment with a Jacobi end at s_m: the (R (M+1), S) boolean
+    ``valid`` masks it there, its sums are meaningless and _doubled, given
+    ``valid``, reads it as 0."""
+
+    def __init__(self, prev, rows, z0, z1, i0, i1, derivatives=False):
+        r_count, m_count = rows.shape
+        width = m_count + 1 if derivatives else 1
+        valid = np.ones((z0.size, r_count, width), bool)
+        if derivatives:
+            for ends in (i0, i1):
+                at = np.flatnonzero(ends >= 0)
+                valid[at, :, 1 + ends[at]] = False
+        self.valid = valid.reshape(z0.size, r_count * width).T
+        self.derivatives = derivatives
         self.rows = rows.T
         self.re0 = z0.real[:, None] - prev
         self.im0 = z0.imag
@@ -184,19 +203,28 @@ class _SegmentPanels:
         left = (lo == 0.0) & (i0[seg] >= 0)
         jacobi = left | (hi == length[seg]) & (i1[seg] >= 0)
         jac, free = np.flatnonzero(jacobi), np.flatnonzero(~jacobi)
-        # (z - s_end)^e = (r * ray)^e along the ray out of the absorbed end
+        # one entry per Jacobi end panel and distinct absorbed exponent, at
+        # the first row carrying it; every row feeds its exponent's entry
         end = np.where(left, i0[seg], i1[seg])[jac]
-        ray = np.where(left[jac], 1.0, -1.0) * self.unit[seg[jac]]
-        e = rows[:, end].T.ravel()  # absorbed exponent of each (panel, row)
-        each = np.repeat(jac, r_count)
-        factor = h[each] ** (1.0 + e) * np.exp(e * np.repeat(np.log(ray + 0.0), r_count))
+        absorbed = rows[:, end].T
+        first = np.argmax(absorbed[:, :, None] == absorbed[:, None, :], axis=2)
+        own = first == np.arange(r_count)
+        panel, row = np.nonzero(own)
+        index = np.cumsum(own).reshape(own.shape) - 1  # entry of each own (panel, row)
+        which = index[np.arange(jac.size)[:, None], first]
+        each, e, end = jac[panel], absorbed[panel, row], end[panel]
+        # (z - s_end)^e = (r * ray)^e along the ray out of the absorbed end
+        ray = np.where(left[each], 1.0, -1.0) * self.unit[seg[each]]
+        factor = h[each] ** (1.0 + e) * np.exp(e * np.log(ray + 0.0))
         self.seg = np.concatenate((seg[free], seg[each]))
         self.lo = np.concatenate((lo[free], lo[each]))
         self.h = np.concatenate((h[free], h[each]))
-        self.end = np.concatenate((np.full(free.size, -1), np.repeat(end, r_count)))
+        self.end = np.concatenate((np.full(free.size, -1), end))
         self.factor = np.concatenate((h[free], factor)) * self.unit[self.seg]
-        self.mask = np.concatenate((np.ones((free.size, r_count), bool),
-                                    np.tile(np.eye(r_count, dtype=bool), (jac.size, 1))))
+        mask = np.zeros((self.seg.size, r_count), bool)
+        mask[:free.size] = True
+        mask[free.size + which.ravel(), np.tile(np.arange(r_count), jac.size)] = True
+        self.mask = np.repeat(mask, width, axis=1)
         rules = np.zeros((self.seg.size, 2))
         rules[free.size:] = np.column_stack((np.where(left[each], 0.0, e),
                                              np.where(left[each], e, 0.0)))
@@ -204,11 +232,13 @@ class _SegmentPanels:
         self.rule = self.rule.ravel()
 
     def sums(self, n, active):
-        """(R, S) panel sums with n nodes per panel for the active segments;
-        the entries of inactive segments are zero.  Each block of entries
-        takes one node array, one log matrix, one matmul pair and one exp."""
+        """(R, S) panel sums with n nodes per panel for the active segments,
+        R counting the derivative rows; the entries of inactive segments
+        are zero.  Each block of entries takes one node array, one log
+        matrix, one matmul pair and one exp, plus, for the derivative rows,
+        one exp of the factor logs and one batched matmul."""
         m_count, r_count = self.rows.shape
-        total = np.zeros((active.size, r_count), complex)
+        total = np.zeros((active.size, self.valid.shape[0]), complex)
         keep = np.flatnonzero(active[self.seg])
         if not keep.size:  # no panels: only segments of zero length
             return total.T
@@ -225,21 +255,28 @@ class _SegmentPanels:
             mag[jac, :, self.end[k[jac]]] = arg[jac, :, self.end[k[jac]]] = 0.0
             logs = (mag.reshape(-1, m_count) @ self.rows
                     + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
-            vals = self.factor[k, None] * np.einsum("pnr,pn->pr", np.exp(logs), w[rule])
+            values = np.exp(logs)
+            vals = np.einsum("pnr,pn->pr", values, w[rule])
+            if self.derivatives:  # rows e - delta_m: the integrand of e over (z - s_m)
+                weighted = (values * w[rule][..., None]).transpose(0, 2, 1)
+                vals = np.concatenate((vals[..., None], weighted @ np.exp(-mag - 1j * arg)),
+                                      axis=2).reshape(k.size, -1)
+            vals = self.factor[k, None] * vals
             np.add.at(total, sk, np.where(self.mask[k], vals, 0.0))
         return total.T
 
 
 class IntervalPlan(_SegmentPanels):
     """The shared panels of real intervals (s_j, s_{j+1}): segments with
-    Gauss-Jacobi panels at both ends, for one exponent row or a stack.
+    Gauss-Jacobi panels at both ends, for one exponent row or a stack, and
+    with ``derivatives`` the rows e - delta_m of _SegmentPanels.
     Every point of an interval is nearer its ends than any other prevertex,
     so its graded panels are never halved."""
 
-    def __init__(self, prev, exps, j):
+    def __init__(self, prev, exps, j, derivatives=False):
         prev, j = np.asarray(prev, float), np.asarray(j, int).ravel()
         super().__init__(prev, np.atleast_2d(np.asarray(exps, float)),
-                         prev[j] + 0j, prev[j + 1] + 0j, j, j + 1)
+                         prev[j] + 0j, prev[j + 1] + 0j, j, j + 1, derivatives)
 
     integrate_abs = _SegmentPanels.sums
 
@@ -264,6 +301,48 @@ def interval_abs_integral(prev, exps, j):
                           lambda i: f"interval ({prev[j.flat[i]]}, {prev[j.flat[i] + 1]})")
     shape = exps.shape[:-1] + j.shape
     return np.abs(value).reshape(shape)[()], err.reshape(shape)[()]
+
+
+def interval_jacobian(prev, exps, j):
+    """Complex integrals I_j over real intervals (s_j, s_{j+1}) and their
+    derivatives dI_j/ds_m with respect to every prevertex, from one kernel
+    call.
+
+    ``j`` is an array of interval indices, ``exps`` one exponent row e or
+    an (B, M) stack.  For a prevertex m that is not an end of the interval,
+
+        dI_j/ds_m = -e_m * integral of (t - s_m)^(e_m - 1) prod_{i != m} (t - s_i)^e_i,
+
+    the integral of the row e - delta_m on the interval's own panels, which
+    shares the base row's Gauss-Jacobi rules (IntervalPlan with
+    ``derivatives``); that row is masked out on the two intervals it would
+    make non-integrable.  The two end derivatives follow from translation,
+    sum_m dI/ds_m = 0, and scaling about s_j,
+    sum_m (s_m - s_j) dI/ds_m = (1 + sum e) I; centring the scaling at s_j
+    avoids the cancellation of sum_m s_m dI/ds_m on thin tuples.  Base rows
+    are certified to 1e-12 relative, derivative rows to 1e-10: at 1e-12
+    they reach the rounding floor on thin tuples.  Returns
+    (I, dI/ds) of shapes (B, n) and (B, M, n) for a stack, (n,) and (M, n)
+    for one row; raises QuadratureFailure if a doubling test never passes.
+    """
+    prev = np.asarray(prev, float)
+    exps = np.asarray(exps, float)
+    base = np.atleast_2d(exps)
+    j = np.asarray(j, int).ravel()
+    b_count, m_count = base.shape
+    n, cols = j.size, np.arange(j.size)
+    plan = IntervalPlan(prev, base, j, derivatives=True)
+    tol = np.full((b_count, m_count + 1), 1e-10)
+    tol[:, 0] = _REL_TOL
+    value, _ = _doubled(plan.integrate_abs, n, tol.reshape(-1, 1), 0.0,
+                        lambda i: f"interval ({prev[j[i]]}, {prev[j[i] + 1]})", plan.valid)
+    value = value.reshape(b_count, m_count + 1, n)
+    total, deriv = value[:, 0], -base[:, :, None] * value[:, 1:]
+    scaled = (1.0 + base.sum(axis=1))[:, None] * total
+    moment = np.einsum("mn,bmn->bn", prev[:, None] - prev[j], deriv)
+    deriv[:, j + 1, cols] = (scaled - moment) / (prev[j + 1] - prev[j])
+    deriv[:, j, cols] = -deriv.sum(axis=1)
+    return total.reshape(exps.shape[:-1] + (n,)), deriv.reshape(exps.shape[:-1] + (m_count, n))
 
 
 def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):

@@ -20,8 +20,10 @@ The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
 solved by one Newton iteration, full steps until one fails to reduce
 max|F|, then a Nelder-Mead rescue, from the same seed: gaps proportional
-to the target sides.  The shared solve starts from the sides of the handle
-zigzag, with no nested parameter solve.
+to the target sides.  Its Jacobian is exact: the prevertex derivatives of
+the side integrals are extra exponent rows on the panels of the sides, so
+each Newton point costs one kernel call.  The shared solve starts from the
+sides of the handle zigzag, with no nested parameter solve.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitFailure, NoConvergence
+from .errors import DomainError, FitFailure, NoConvergence, QuadratureFailure
 from .geometry import ZigzagParams, build_vertices, canonicalize
 from . import quadrature as quad
 
@@ -167,66 +169,111 @@ def positive_sides(prev_values, exponents) -> np.ndarray:
 
 
 def _log_ratios(sides: np.ndarray) -> np.ndarray:
-    """Scale-free side coordinates log(sides[1:] / sides[0]) in which both
-    the parameter problem and the shared-prevertex solve are posed."""
-    return np.log(sides[1:] / sides[0])
+    """Scale-free side coordinates log(sides[1:] / sides[0]), along the last
+    axis, in which both the parameter problem and the shared-prevertex
+    solve are posed."""
+    return np.log(sides[..., 1:] / sides[..., :1])
+
+
+def _side_jacobian(u, exponents):
+    """Raw positive sides (R, p) of the tuple with log-gaps u under each
+    row of the (R, 2p+1) stack ``exponents`` and their exact (R, p, p-1)
+    Jacobian over u, from one kernel call.
+
+    It chains the prevertex derivatives of quadrature.interval_jacobian:
+    d|I| = Re(conj(I) dI) / |I|, and the gap g_i = e^{u_i} above s_{i+1}
+    moves s_{+-m} by +-g_i for every m >= i+2.
+    """
+    gaps = np.exp(u)
+    prev = Prevertices.from_positive_gaps(gaps).values
+    p = len(prev) // 2
+    total, deriv = quad.interval_jacobian(prev, exponents, np.arange(p, 2 * p))
+    ds_du = np.zeros((2 * p + 1, p - 1))
+    for i, g in enumerate(gaps):
+        ds_du[p + i + 2:, i], ds_du[:p - i - 1, i] = g, -g
+    sides = np.abs(total)
+    d_total = np.einsum("rmj,mi->rji", deriv, ds_du)
+    return sides, np.real(np.conj(total)[:, :, None] * d_total) / sides[:, :, None]
+
+
+def _log_ratio_system(u, exponents, jacobian: bool):
+    """Raw positive sides of the tuple with log-gaps u under each row of
+    the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row,
+    and, if asked, the (R, p-1, p-1) Jacobian of those over u (None
+    otherwise), all from one kernel call."""
+    if not jacobian:
+        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exponents)
+        return sides, _log_ratios(sides), None
+    sides, d_sides = _side_jacobian(u, exponents)
+    d_log = d_sides / sides[:, :, None]
+    return sides, _log_ratios(sides), d_log[:, 1:] - d_log[:, :1]
 
 
 _NEWTON_TOL = 1e-11  # sup norm of the log-ratio residual
 
 
-def _newton_solve(residual, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndarray:
-    """Log-gaps u with max|residual(u)| <= tol.
+class _Reached(Exception):
+    """Ends the Nelder-Mead rescue at a point within the Newton tolerance."""
 
-    Newton with a forward-difference Jacobian, taking full steps and
-    stopping when a step does not reduce max|residual|; from that iterate,
-    Nelder-Mead on the squared residual norm, then a second Newton polish.
-    On success the last residual evaluation is at the returned u.  Raises
-    NoConvergence carrying the residual sup norm of every Newton iteration.
+
+def _newton_solve(system, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndarray:
+    """Log-gaps u with max|F(u)| <= tol.
+
+    ``system(u, jacobian)`` returns F(u) and, when ``jacobian`` is true,
+    its exact Jacobian (None otherwise), both from one kernel call.  Newton
+    takes full steps, each trial point evaluating F and J at once, so an
+    accepted step already holds its Jacobian; it stops when a step does not
+    reduce max|F| or the kernel fails at the trial point.  From that
+    iterate, Nelder-Mead on ||F||^2 (F alone), which ends at the first
+    point within the tolerance or once its simplex is 1e-13 wide in u,
+    then a second Newton polish.  On success the last evaluation is at the
+    returned u and holds J.  Raises NoConvergence carrying max|F| of every
+    Newton iteration.
     """
     trace = []
 
-    def jacobian(u, r0):
-        h = 1e-6
-        J = np.empty((r0.size, u.size))
-        for i in range(u.size):
-            ui = u.copy()
-            ui[i] += h
-            J[:, i] = (residual(ui) - r0) / h
-        return J
-
     def newton(u):
-        r = residual(u)
+        try:
+            r, J = system(u, True)
+        except QuadratureFailure:
+            return u, math.inf
         norm = float(np.max(np.abs(r)))
         for _ in range(60):
             trace.append(norm)
             if norm <= tol:
                 break
             try:
-                step = np.linalg.solve(jacobian(u, r), -r)
-            except np.linalg.LinAlgError:
+                step = np.linalg.solve(J, -r)
+                r_new, J_new = system(u + step, True)
+            except (np.linalg.LinAlgError, QuadratureFailure):
                 break
-            r_new = residual(u + step)
             norm_new = float(np.max(np.abs(r_new)))
             if not norm_new < norm:
                 break
-            u, r, norm = u + step, r_new, norm_new
+            u, r, J, norm = u + step, r_new, J_new, norm_new
         return u, norm
 
     u, norm = newton(np.asarray(u0, dtype=float))
     if norm <= tol:
         return u
 
-    # simplex rescue on ||r||^2, then a final Newton polish
+    # simplex rescue on ||F||^2, then a final Newton polish.  It stops on the
+    # simplex width alone: where F sits at its rounding floor, ||F||^2 jumps
+    # between adjacent points and an f-spread test never passes
     from scipy.optimize import minimize as _nm
 
-    rescue = _nm(
-        lambda v: float(np.sum(residual(v) ** 2)),
-        u,
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-24, "maxiter": 4000},
-    )
-    u, norm = newton(rescue.x)
+    def objective(v):
+        r = system(v, False)[0]
+        if np.max(np.abs(r)) <= tol:
+            raise _Reached(np.array(v))
+        return float(np.sum(r ** 2))
+
+    try:
+        u = _nm(objective, u, method="Nelder-Mead",
+                options={"xatol": 1e-13, "fatol": np.inf, "maxiter": 4000}).x
+    except _Reached as reached:
+        u = reached.args[0]
+    u, norm = newton(u)
     if norm <= tol:
         return u
     raise NoConvergence(f"{label} stalled", trace)
@@ -238,7 +285,8 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
     coordinates, which keeps the ordering constraint implicit, starting
     from gaps proportional to the target sides, by the Newton iteration
-    of _newton_solve.  Genus 0 and 1 have no unknowns.
+    of _newton_solve with the exact Jacobian.  Genus 0 and 1 have no
+    unknowns.
     """
     z = canonicalize(z)
     p = z.genus
@@ -246,13 +294,13 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
         return Prevertices.from_positive(np.arange(p + 1.0))
 
     target = _log_ratios(np.asarray(z.side_lengths))
-    exps = pat.exponents
+    exps = pat.exponents[None, :]
 
-    def residual(u):
-        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exps)
-        return _log_ratios(sides) - target
+    def system(u, jacobian):
+        _, ratios, J = _log_ratio_system(u, exps, jacobian)
+        return ratios[0] - target, None if J is None else J[0]
 
-    u = _newton_solve(residual, target, f"parameter problem for {z}")
+    u = _newton_solve(system, target, f"parameter problem for {z}")
     return Prevertices.from_positive_gaps(np.exp(u))
 
 

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -48,3 +49,19 @@ def karcher_k3():
 @pytest.fixture(scope="session")
 def karcher_k3_elapsed(karcher_k3):
     return _CACHE["k3_elapsed"]
+
+
+@pytest.fixture
+def kernel_plans(monkeypatch):
+    """Kernel plans (quadrature.IntervalPlan constructions) built during the
+    test, one per side vector or Newton point."""
+    quad = sys.modules["zigzag.quadrature"]
+    plans = []
+
+    class Counting(quad.IntervalPlan):
+        def __init__(self, *args, **kwargs):
+            plans.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "IntervalPlan", Counting)
+    return plans

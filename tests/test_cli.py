@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,18 @@ class TestSolutionFileRoundTrip:
         assert rec2.zigzag == rec.zigzag
         assert rec2.prev_ne.values == rec.prev_ne.values
         assert rec2.height == rec.height
+
+    def test_isolation_certificate(self, solved_file):
+        # written by solve and carried through a load; files without it,
+        # such as the committed benchmark inputs, still load
+        sf = zio.load_solution(solved_file)
+        sigma = sf.data["trace_summary"]["jacobian_sigma_min"]
+        assert sigma > 0.0
+        assert zio.solution_to_record(sf).sigma_min == sigma
+        data = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "p3_k2.json"
+        rec = zio.solution_to_record(zio.load_solution(data))
+        assert math.isnan(rec.sigma_min)
+        assert "jacobian_sigma_min" not in zio.record_to_solution(rec).data["trace_summary"]
 
     def test_reverify_height(self, solved_file):
         sf = zio.load_solution(solved_file)

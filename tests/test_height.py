@@ -8,6 +8,7 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import ZigzagError
+from zigzag.scmap import positive_sides
 
 
 class StepTooLarge(ZigzagError):
@@ -160,43 +161,47 @@ class TestSharedPrevertexSolve:
 
 
 class TestWorkCounter:
-    def test_genus5_ladder_residual_evaluations(self, monkeypatch):
-        # deterministic work gate: SC side vectors evaluated in the ladder,
-        # one per exponent row, each call through one quadrature kernel
-        # call; cold parameter solves only for the two certificates of D
-        quad = sys.modules["zigzag.quadrature"]
+    def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
+        # deterministic work gate: kernel plans in the ladder, one per Newton
+        # point (residual and exact Jacobian together) and per rescue
+        # evaluation; cold parameter solves only for the two certificates of D
         height_mod = sys.modules["zigzag.height"]
-        kernel = quad.interval_abs_integral
         solve = height_mod.solve_parameter_problem
-        original = sys.modules["zigzag.scmap"].positive_sides
-        calls, kernel_calls, solves = [], [], []
-
-        def counting_kernel(*args):
-            kernel_calls.append(1)
-            return kernel(*args)
+        solves = []
 
         def counting_solve(*args):
             solves.append(args[0].genus)
             return solve(*args)
 
-        def counting(*args):
-            before = len(kernel_calls)
-            calls.append(np.atleast_2d(args[1]).shape[0])
-            result = original(*args)
-            assert len(kernel_calls) == before + 1
-            return result
-
-        monkeypatch.setattr(quad, "interval_abs_integral", counting_kernel)
         monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("zigzag") and module is not None:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
         assert zz.continuation_solve(5, 2).converged
         assert sorted(solves) == [q for q in range(6) for _ in range(2)]
-        assert 0 < sum(calls) <= 224
+        assert 0 < len(kernel_plans) <= 60
+
+
+class TestIsolationCertificate:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sigma_min_matches_central_differences(self, k):
+        # sigma_min of the exact Jacobian of F stored by minimize, against a
+        # central-difference Jacobian at the shared tuple (h = 1e-5 in u)
+        ladder = zz.continuation_solve(6, k, keep_ladder=True)
+        assert all(math.isnan(ladder[p].sigma_min) for p in (0, 1))
+        for p in range(2, 7):
+            rec = ladder[p]
+            rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
+
+            def f(u):
+                ne, sw = positive_sides(zz.Prevertices.from_positive_gaps(np.exp(u)).values,
+                                        rows)
+                return np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0])
+
+            u = np.log(np.diff(rec.prev_ne.values[p + 1:]))
+            h = 1e-5
+            fd = np.column_stack([(f(u + h * e) - f(u - h * e)) / (2.0 * h)
+                                  for e in np.eye(p - 1)])
+            sigma = np.linalg.svd(fd, compute_uv=False)[-1]
+            assert rec.sigma_min > 0.0
+            assert abs(rec.sigma_min - sigma) <= 1e-6 * sigma
 
 
 class TestProperness:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -102,6 +103,38 @@ class TestSideLength:
             val, err = interval_abs_integral(prevs, exps, 3)
             ora = mp_side(prevs, list(exps), 3)
             assert math.isclose(val, ora, rel_tol=1e-10)
+
+
+class TestValidityMask:
+    def test_masked_pairs_are_never_built_and_read_zero(self, monkeypatch):
+        # the derivative rows e - delta_m on every interval of a tuple with a
+        # 1e-6 gap: a row is masked on the two intervals ending at s_m, where
+        # its Jacobi exponent e_m - 1 would be below -1
+        quad = sys.modules["zigzag.quadrature"]
+        p, k = 3, 3
+        pos = np.array([0.0, 1.0, 1.0 + 1e-6, 2.7])
+        prev = np.concatenate((-pos[:0:-1], pos))
+        base = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
+        m_count = base.shape[1]
+        rows = (base[:, None, :] - np.vstack((np.zeros(m_count), np.eye(m_count)))).reshape(-1, m_count)
+        j = np.arange(2 * p)
+        built = []
+        rule = quad._rule
+
+        def spy(n, alpha, beta):
+            built.append(min(alpha, beta))
+            return rule(n, alpha, beta)
+
+        monkeypatch.setattr(quad, "_rule", spy)
+        plan = IntervalPlan(prev, base, j, derivatives=True)
+        masked = np.array([[r % (m_count + 1) - 1 in (i, i + 1) for i in j] for r in range(len(rows))])
+        assert np.array_equal(~plan.valid, masked)
+        value, _ = quad._doubled(plan.integrate_abs, j.size, quad._REL_TOL, 0.0, str, plan.valid)
+        assert min(built) > -1.0 and plan.rules.min() > -1.0
+        assert np.all(value[masked] == 0.0)
+        for r, i in zip(*np.nonzero(~masked)):
+            ref, _ = interval_abs_integral(prev, rows[r], j[i])
+            assert abs(abs(value[r, i]) - ref) <= 1e-14 * ref
 
 
 def scalar_panels(z0, z1, prev, sing0, sing1):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
-from zigzag.errors import DomainError, NoConvergence
+from zigzag.errors import DomainError, NoConvergence, QuadratureFailure
 from zigzag.quadrature import interval_abs_integral
-from zigzag.scmap import _chain_normalization, positive_sides
+from zigzag.scmap import _chain_normalization, _newton_solve, _side_jacobian, positive_sides
 
 
 class TestExponentPattern:
@@ -134,6 +134,40 @@ class TestParameterProblemProperty:
         assert np.max(np.abs(np.subtract(got.values, prev.values))) < 1e-8
 
 
+@st.composite
+def jacobian_problems(draw):
+    """Genus, turn order and p-1 log-gaps, log-uniform in [1e-6, 10]."""
+    p = draw(st.integers(2, 8))
+    k = draw(st.integers(2, 5))
+    u = draw(st.lists(st.floats(math.log(1e-6), math.log(10.0)), min_size=p - 1,
+                      max_size=p - 1))
+    return p, k, np.array(u)
+
+
+class TestExactJacobian:
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(jacobian_problems())
+    def test_matches_central_differences(self, problem):
+        # d(sides)/du of both patterns at once against fourth-order central
+        # differences.  Next to a tiny gap the sides carry rounding noise of
+        # about ulp(s)/gap from the prevertex coordinates, so differences at
+        # h = 1e-5 are off by up to ~1e-6 of max|J|; at h = 1e-2 the
+        # fourth-order stencil stays within 1e-8 of the exact J
+        p, k, u = problem
+        rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
+
+        def sides_at(v):
+            return positive_sides(zz.Prevertices.from_positive_gaps(np.exp(v)).values, rows)
+
+        sides, jac = _side_jacobian(u, rows)
+        assert np.array_equal(sides, sides_at(u))
+        h = 1e-2
+        fd = np.stack([(8.0 * (sides_at(u + h * e) - sides_at(u - h * e))
+                        - (sides_at(u + 2.0 * h * e) - sides_at(u - 2.0 * h * e))) / (12.0 * h)
+                       for e in np.eye(p - 1)], axis=-1)
+        assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
 class TestNewtonFallback:
     """Thin SW zigzags on which Newton stops short of the tolerance, so the
     Nelder-Mead rescue and, failing that, NoConvergence are reached."""
@@ -167,18 +201,38 @@ class TestNewtonFallback:
         assert np.max(np.abs(got / math.fsum(got) - target) / target) < 1e-8
 
     @pytest.mark.parametrize("p,k,sides", STALLED)
-    def test_stall_gives_up_promptly(self, monkeypatch, p, k, sides):
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return positive_sides(*args)
-
-        monkeypatch.setattr(zz.scmap, "positive_sides", counting)
+    def test_stall_gives_up_promptly(self, kernel_plans, p, k, sides):
+        # kernel calls, Newton points and rescue evaluations alike
         with pytest.raises(NoConvergence) as err:
             zz.solve_parameter_problem(zz.ZigzagParams(p, k, sides), zz.sw_pattern(p, k))
         assert err.value.trace and err.value.trace[-1] > 1e-11
-        assert len(calls) <= 2000
+        assert len(kernel_plans) <= 2000
+
+    def test_kernel_failure_at_a_trial_point_ends_newton(self, monkeypatch):
+        # a QuadratureFailure at the first trial point is a failed step: the
+        # rescue starts from the last good iterate and the polish converges
+        import scipy.optimize
+
+        rescues = []
+        nelder_mead = scipy.optimize.minimize
+
+        def spy(*args, **kwargs):
+            rescues.append(args[1].copy())
+            return nelder_mead(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        calls = []
+
+        def system(u, jacobian):
+            calls.append(jacobian)
+            if len(calls) == 2:
+                raise QuadratureFailure("injected at the first trial point")
+            return u - 1.0, np.eye(u.size) if jacobian else None
+
+        u = _newton_solve(system, np.zeros(2), "linear test system")
+        assert calls[:2] == [True, True]
+        assert len(rescues) == 1 and np.array_equal(rescues[0], np.zeros(2))
+        assert np.max(np.abs(u - 1.0)) <= 1e-11
 
 
 class TestForwardMap:

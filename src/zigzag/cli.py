@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
         _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
         _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
         both = np.stack((pat_ne.exponents, pat_sw.exponents))
-        rows = [(float(d), *interval_abs_integral(m.values, both, j + args.genus)[0],
+        rows = [(float(d), *interval_abs_integral(m.values, both, j + args.genus),
                  c1_ne.real, c1_sw.real) for d, m in zip(deltas, members)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "

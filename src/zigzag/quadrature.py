@@ -12,11 +12,16 @@ half-plane, not both real, meets the real axis at most at an endpoint, so
 no path needs a detour around a prevertex.
 
 One blocked kernel computes every integral.  ``_SegmentPanels`` grades the
-panels of all segments at once, as arrays, and flattens them into entries
-that each carry their rule and the exponent rows they feed; its ``sums``
-evaluates the nodes of all pending entries in blocks of about 2^14
-node x prevertex entries, with one log(z - s_m) matrix per block serving
-every row.  ``segment_integral`` returns the contour integrals;
+panels of all segments at once, as arrays, each half of a segment from
+its own end, as SCPACK integrates each half of a path (Trefethen 1980):
+its offsets, its factors z - s_m and its Gauss-Jacobi end panel are all
+measured from that end, so a prevertex just beyond either end keeps its
+distance exact and every Jacobi rule has the one orientation (0, e).  The
+panels are flattened into entries that each carry their rule and the
+exponent rows they feed; ``sums`` evaluates the nodes of all pending
+entries in blocks of about 2^14 node x prevertex entries, with one
+log(z - s_m) matrix per block serving every row.  ``segment_integral``
+returns the contour integrals;
 ``interval_abs_integral`` the moduli over real intervals (s_j, s_{j+1}),
 where the integrand has constant argument; ``interval_jacobian`` the
 interval integrals with their exact derivatives in every prevertex, the
@@ -84,13 +89,12 @@ def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
     column of per-row tolerances; an item with every row passed drops out
     of later doublings.  A (row, item) pair masked out by the (R, size)
     boolean ``valid`` starts as passed and reads 0.  Returns the (R, size)
-    values and error estimates; raises QuadratureFailure naming ``what(i)``
-    for an item i that never passes.
+    values; raises QuadratureFailure naming ``what(i)`` for an item i that
+    never passes.
     """
     n = _BASE_NODES
     coarse = sums(n, np.ones(size, bool))
     value = np.zeros(coarse.shape, coarse.dtype)
-    err = np.zeros(coarse.shape)
     pending = np.ones(coarse.shape, bool) if valid is None else valid.copy()
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
@@ -98,10 +102,9 @@ def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
         change = np.abs(fine - coarse)
         ok = pending & (change <= rel_tol * np.abs(fine) + abs_tol)
         np.copyto(value, fine, where=ok)
-        np.copyto(err, change, where=ok)
         pending ^= ok
         if not pending.any():
-            return value, err
+            return value
         coarse = fine
     r, i = np.argwhere(pending)[0]
     rel = change[r, i] / max(abs(fine[r, i]), 1e-300)
@@ -109,70 +112,70 @@ def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
 
 
 def _graded_panels(prev, z0, z1, unit, length, i0, i1):
-    """Panels (segment, lo, hi), in offsets along their segment, of every
-    segment of positive length, ordered by segment and offset.
+    """Panels (segment, end, lo, hi) of every segment of positive length,
+    each half graded from its own end: lo and hi are offsets from z0 along
+    +unit for end 0, from z1 along -unit for end 1.  Ordered by segment,
+    end and offset.
 
-    From each end at a prevertex (index i0 or i1 >= 0) the breaks are
-    graded dyadically: the first panel is half the clearance to the
-    nearest other prevertex (at most a quarter of the segment), each next
-    one as long as the distance back to that end, up to the midpoint; an
-    end without a prevertex gives one panel up to the midpoint.  Free
-    panels are then halved while longer than the clearance at their
-    midpoint, at most 40 times: a straight path may graze a prevertex, and
-    40 halvings resolve a closest approach of 1e-12 * length while panels
-    still span ~1e4 ulps."""
+    From an end at a prevertex (index i0 or i1 >= 0) the breaks are graded
+    dyadically: the first panel is half the clearance to the nearest other
+    prevertex (at most a quarter of the segment), each next one as long as
+    the distance back to that end, up to the midpoint; an end without a
+    prevertex gives one panel up to the midpoint.  Free panels are then
+    halved while longer than the clearance at their midpoint, at most 40
+    times: a straight path may graze a prevertex, and 40 halvings resolve a
+    closest approach of 1e-12 * length while panels still span ~1e4 ulps."""
     seg = np.flatnonzero(length)
+    seg, end = np.tile(seg, 2), np.repeat((0, 1), seg.size)  # one row per half
+    z, own, ray = (np.stack(pair)[end, seg] for pair in ((z0, z1), (i0, i1), (unit, -unit)))
     half = length[seg] / 2.0
-
-    def breaks(z, own):
-        d = np.abs(z[seg, None] - prev)
-        at = np.flatnonzero(own[seg] >= 0)
-        d[at, own[seg[at]]] = np.inf
-        b = np.where(own[seg] >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
-        cols = [np.zeros_like(b), b]
-        while (b < half).any():
-            b = np.minimum(half, b + b)
-            cols.append(b)
-        return np.stack(cols, axis=1)
-
-    offs = np.concatenate((breaks(z0, i0), length[seg, None] - breaks(z1, i1)[:, ::-1]), axis=1)
+    d = np.abs(z[:, None] - prev)
+    at = np.flatnonzero(own >= 0)
+    d[at, own[at]] = np.inf
+    b = np.where(own >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
+    cols = [np.zeros_like(b), b]
+    while (b < half).any():
+        b = np.minimum(half, b + b)
+        cols.append(b)
+    offs = np.stack(cols, axis=1)
     lo, hi = offs[:, :-1], offs[:, 1:]
     keep = hi > lo  # rows are non-decreasing; equal breaks give no panel
-    s = np.broadcast_to(seg[:, None], lo.shape)[keep]
+    r = np.broadcast_to(np.arange(seg.size)[:, None], lo.shape)[keep]  # half of each panel
     lo, hi = lo[keep], hi[keep]
-    fixed = (lo == 0.0) & (i0[s] >= 0) | (hi == length[s]) & (i1[s] >= 0)
-    done = [(s[fixed], lo[fixed], hi[fixed])]
-    s, lo, hi = s[~fixed], lo[~fixed], hi[~fixed]
+    fixed = (lo == 0.0) & (own[r] >= 0)
+    done = [(r[fixed], lo[fixed], hi[fixed])]
+    r, lo, hi = r[~fixed], lo[~fixed], hi[~fixed]
     for _ in range(40):
-        if not s.size:
+        if not r.size:
             break
         # midpoint clearance in offset coordinates, as the factors are formed:
         # absolute ones round a close approach to a prevertex to 0
         mid = 0.5 * (lo + hi)
-        near = np.hypot(z0.real[s, None] - prev + (mid * unit[s].real)[:, None],
-                        (z0.imag[s] + mid * unit[s].imag)[:, None])
+        near = np.hypot(z.real[r, None] - prev + (mid * ray[r].real)[:, None],
+                        (z.imag[r] + mid * ray[r].imag)[:, None])
         fits = hi - lo <= near.min(axis=1)
-        done.append((s[fits], lo[fits], hi[fits]))
-        s, lo, hi, mid = s[~fits], lo[~fits], hi[~fits], mid[~fits]
-        s, lo, hi = np.concatenate((s, s)), np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    done.append((s, lo, hi))
-    s, lo, hi = (np.concatenate(c) for c in zip(*done))
-    order = np.lexsort((hi, lo, s))
-    return s[order], lo[order], hi[order]
+        done.append((r[fits], lo[fits], hi[fits]))
+        r, lo, hi, mid = r[~fits], lo[~fits], hi[~fits], mid[~fits]
+        r, lo, hi = np.concatenate((r, r)), np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    done.append((r, lo, hi))
+    r, lo, hi = (np.concatenate(c) for c in zip(*done))
+    order = np.lexsort((hi, lo, end[r], seg[r]))
+    return seg[r][order], end[r][order], lo[order], hi[order]
 
 
 class _SegmentPanels:
     """Panels of a batch of segments, built once and evaluated at any node
     count for every exponent row.
 
-    The panels of all segments are graded at once by ``_graded_panels``
-    and flattened into entries, each with its rule index and a row mask: a
-    Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
-    panel one entry per distinct absorbed exponent among the rows, feeding
-    the rows with that exponent, since the exponent fixes the rule (an
-    absorbed exponent 0 gives the Legendre rule, still for its own rows).
-    Factors are formed in offset coordinates, (z0 - s_m) + u * unit, so a
-    short segment leaving a prevertex keeps its distance u exact.
+    The panels of all segments are graded at once by ``_graded_panels``,
+    each half from its own end a, and flattened into entries, each with its
+    rule index and a row mask: a Gauss-Legendre panel is one entry feeding
+    every row, a Gauss-Jacobi end panel one entry per row, with the rule of
+    that row's absorbed exponent (exponent 0 gives the Legendre rule).
+    Every factor is formed from the panel's own end, (a - s_m) + u * ray
+    with ray = +unit out of z0 and -unit out of z1, so a prevertex near
+    either end keeps its distance u exact, and every Jacobi panel starts at
+    offset 0, so its rule weights (1 + x) alone.
 
     With ``derivatives`` each row e is followed by the M rows e - delta_m,
     whose integrands are that of e over (z - s_m), on the same entries and
@@ -192,44 +195,32 @@ class _SegmentPanels:
         self.valid = valid.reshape(z0.size, r_count * width).T
         self.derivatives = derivatives
         self.rows = rows.T
-        self.re0 = z0.real[:, None] - prev
-        self.im0 = z0.imag
         direction = z1 - z0
         length = np.hypot(direction.real, direction.imag)
         safe = np.where(length > 0.0, length, 1.0)  # per part: complex division rounds differently
-        self.unit = direction.real / safe + 1j * (direction.imag / safe)
-        seg, lo, hi = _graded_panels(prev, z0, z1, self.unit, length, i0, i1)
-        h = (hi - lo) / 2.0
-        left = (lo == 0.0) & (i0[seg] >= 0)
-        jacobi = left | (hi == length[seg]) & (i1[seg] >= 0)
-        jac, free = np.flatnonzero(jacobi), np.flatnonzero(~jacobi)
-        # one entry per Jacobi end panel and distinct absorbed exponent, at
-        # the first row carrying it; every row feeds its exponent's entry
-        end = np.where(left, i0[seg], i1[seg])[jac]
-        absorbed = rows[:, end].T
-        first = np.argmax(absorbed[:, :, None] == absorbed[:, None, :], axis=2)
-        own = first == np.arange(r_count)
-        panel, row = np.nonzero(own)
-        index = np.cumsum(own).reshape(own.shape) - 1  # entry of each own (panel, row)
-        which = index[np.arange(jac.size)[:, None], first]
-        each, e, end = jac[panel], absorbed[panel, row], end[panel]
-        # (z - s_end)^e = (r * ray)^e along the ray out of the absorbed end
-        ray = np.where(left[each], 1.0, -1.0) * self.unit[seg[each]]
-        factor = h[each] ** (1.0 + e) * np.exp(e * np.log(ray + 0.0))
-        self.seg = np.concatenate((seg[free], seg[each]))
-        self.lo = np.concatenate((lo[free], lo[each]))
-        self.h = np.concatenate((h[free], h[each]))
-        self.end = np.concatenate((np.full(free.size, -1), end))
-        self.factor = np.concatenate((h[free], factor)) * self.unit[self.seg]
-        mask = np.zeros((self.seg.size, r_count), bool)
-        mask[:free.size] = True
-        mask[free.size + which.ravel(), np.tile(np.arange(r_count), jac.size)] = True
+        unit = direction.real / safe + 1j * (direction.imag / safe)
+        # the ends of segment i are origins 2i (z0, ray +unit) and 2i + 1 (z1, ray -unit)
+        point = np.column_stack((z0, z1)).ravel()
+        self.re, self.im = point.real[:, None] - prev, point.imag
+        self.ray = np.column_stack((unit, -unit)).ravel()
+        seg, end, lo, hi = _graded_panels(prev, z0, z1, unit, length, i0, i1)
+        origin = 2 * seg + end
+        own = np.column_stack((i0, i1)).ravel()[origin]  # prevertex at the panel's end
+        jacobi = (lo == 0.0) & (own >= 0)
+        free, each = np.flatnonzero(~jacobi), np.repeat(np.flatnonzero(jacobi), r_count)
+        row = np.tile(np.arange(r_count), each.size // r_count)
+        take = np.concatenate((free, each))
+        self.seg, self.origin, self.lo = seg[take], origin[take], lo[take]
+        self.h = (hi[take] - lo[take]) / 2.0
+        self.absorbed = np.concatenate((np.full(free.size, -1), own[each]))
+        e = np.concatenate((np.zeros(free.size), rows[row, own[each]]))
+        # (z - s_own)^e = (u * ray)^e along the ray out of the absorbed end;
+        # dz runs along the segment whichever end the offsets start from
+        self.factor = (self.h ** (1.0 + e) * np.exp(e * np.log(self.ray[self.origin] + 0.0))
+                       * unit[self.seg])
+        mask = np.concatenate((np.ones((free.size, r_count), bool), row[:, None] == np.arange(r_count)))
         self.mask = np.repeat(mask, width, axis=1)
-        rules = np.zeros((self.seg.size, 2))
-        rules[free.size:] = np.column_stack((np.where(left[each], 0.0, e),
-                                             np.where(left[each], e, 0.0)))
-        self.rules, self.rule = np.unique(rules, axis=0, return_inverse=True)
-        self.rule = self.rule.ravel()
+        self.rules, self.rule = np.unique(e, return_inverse=True)
 
     def sums(self, n, active):
         """(R, S) panel sums with n nodes per panel for the active segments,
@@ -242,17 +233,17 @@ class _SegmentPanels:
         keep = np.flatnonzero(active[self.seg])
         if not keep.size:  # no panels: only segments of zero length
             return total.T
-        x, w = (np.array(c) for c in zip(*(_rule(n, a, b) for a, b in self.rules.tolist())))
+        x, w = (np.array(c) for c in zip(*(_rule(n, 0.0, e) for e in self.rules.tolist())))
         step = max(1, _BLOCK // (n * m_count))
         for b in range(0, keep.size, step):
             k = keep[b:b + step]
-            sk, rule = self.seg[k], self.rule[k]
+            o, rule = self.origin[k], self.rule[k]
             u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
-            unit = self.unit[sk, None]
-            mag, arg = _factor_logs(self.re0[sk, None, :] + (u * unit.real)[..., None],
-                                    (self.im0[sk, None] + u * unit.imag)[..., None])
-            jac = np.flatnonzero(self.end[k] >= 0)  # the absorbed factor is in the rule
-            mag[jac, :, self.end[k[jac]]] = arg[jac, :, self.end[k[jac]]] = 0.0
+            ray = self.ray[o, None]
+            mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
+                                    (self.im[o, None] + u * ray.imag)[..., None])
+            jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
+            mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
             logs = (mag.reshape(-1, m_count) @ self.rows
                     + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
             values = np.exp(logs)
@@ -262,7 +253,7 @@ class _SegmentPanels:
                 vals = np.concatenate((vals[..., None], weighted @ np.exp(-mag - 1j * arg)),
                                       axis=2).reshape(k.size, -1)
             vals = self.factor[k, None] * vals
-            np.add.at(total, sk, np.where(self.mask[k], vals, 0.0))
+            np.add.at(total, self.seg[k], np.where(self.mask[k], vals, 0.0))
         return total.T
 
 
@@ -288,19 +279,18 @@ def interval_abs_integral(prev, exps, j):
     ``j`` is one interval index or an array of them, ``exps`` one exponent
     row or an (R, M) stack of rows.  The integrand has constant argument
     on an interval, so each value is the modulus of one contour integral
-    of the shared kernel along it.  Returns (values, error estimates) with
-    the row axis of a stack followed by the shape of ``j``, scalars for one
-    row and index; raises QuadratureFailure if a doubling test never
-    passes.
+    of the shared kernel along it, measured from its own end on either
+    half.  Returns the values with the row axis of a stack followed by the
+    shape of ``j``, a scalar for one row and index; raises
+    QuadratureFailure if a doubling test never passes.
     """
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
     j = np.asarray(j, int)
     plan = IntervalPlan(prev, exps, j)
-    value, err = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0,
-                          lambda i: f"interval ({prev[j.flat[i]]}, {prev[j.flat[i] + 1]})")
-    shape = exps.shape[:-1] + j.shape
-    return np.abs(value).reshape(shape)[()], err.reshape(shape)[()]
+    value = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0,
+                     lambda i: f"interval ({prev[j.flat[i]]}, {prev[j.flat[i] + 1]})")
+    return np.abs(value).reshape(exps.shape[:-1] + j.shape)[()]
 
 
 def interval_jacobian(prev, exps, j):
@@ -334,8 +324,8 @@ def interval_jacobian(prev, exps, j):
     plan = IntervalPlan(prev, base, j, derivatives=True)
     tol = np.full((b_count, m_count + 1), 1e-10)
     tol[:, 0] = _REL_TOL
-    value, _ = _doubled(plan.integrate_abs, n, tol.reshape(-1, 1), 0.0,
-                        lambda i: f"interval ({prev[j[i]]}, {prev[j[i] + 1]})", plan.valid)
+    value = _doubled(plan.integrate_abs, n, tol.reshape(-1, 1), 0.0,
+                     lambda i: f"interval ({prev[j[i]]}, {prev[j[i] + 1]})", plan.valid)
     value = value.reshape(b_count, m_count + 1, n)
     total, deriv = value[:, 0], -base[:, :, None] * value[:, 1:]
     scaled = (1.0 + base.sum(axis=1))[:, None] * total
@@ -378,8 +368,8 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
         raise DomainError(f"segment [{z0[i]}, {z1[i]}] has a non-finite endpoint")
 
     panels = _SegmentPanels(prev, rows, z0, z1, i0, i1)
-    value, _ = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
-                        lambda i: f"segment [{z0[i]}, {z1[i]}]")
+    value = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
+                     lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]
 
 
@@ -399,6 +389,6 @@ def arc_integral(prev, exps, center_idx, radius, th0, th1):
         dz = 1j * radius * np.exp(1j * th)
         return (th1 - th0) / 2.0 * (w @ (vals * dz))
 
-    value, _ = _doubled(lambda n, active: np.array([[arc_sum(n)]]), 1, 1e-11, 1e-15,
-                        lambda i: f"arc around index {center_idx}")
+    value = _doubled(lambda n, active: np.array([[arc_sum(n)]]), 1, 1e-11, 1e-15,
+                     lambda i: f"arc around index {center_idx}")
     return complex(value[0, 0])

@@ -29,7 +29,7 @@ sides of the handle zigzag, with no nested parameter solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,11 +130,9 @@ class Prevertices:
 @dataclass(frozen=True)
 class PeriodVector:
     """Complex periods of the positive-side segments, normalized so that
-    the moduli match the vertex chain of the underlying zigzag, together
-    with quadrature error estimates."""
+    the moduli match the vertex chain of the underlying zigzag."""
 
     values: tuple[complex, ...]
-    errors: tuple[float, ...] = field(default=())
 
 
 def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
@@ -147,25 +145,18 @@ def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
     p = prev.genus
     if not 0 <= j < p:
         raise ValueError(f"segment index {j} out of range for genus {p}")
-    value, _ = quad.interval_abs_integral(prev.values, pat.exponents, j + p)
-    return value
-
-
-def _positive_integrals(prev_values, exponents) -> np.ndarray:
-    """(raw side lengths, quadrature error estimates) of the p positive-side
-    intervals, from one kernel call; each has the shape of positive_sides.
-    The mirror interval (s_{-j-1}, s_{-j}) has the same length, since
-    prevertices and exponents are symmetric."""
-    p = len(prev_values) // 2
-    return np.array(quad.interval_abs_integral(prev_values, exponents, np.arange(p, 2 * p)))
+    return quad.interval_abs_integral(prev.values, pat.exponents, j + p)
 
 
 def positive_sides(prev_values, exponents) -> np.ndarray:
     """Raw SC side lengths of the p positive-side intervals (s_j, s_{j+1}),
     j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern, or
     under each row of an (R, 2p+1) stack of patterns as an (R, p) array,
-    all from one call of the shared quadrature kernel."""
-    return _positive_integrals(prev_values, exponents)[0]
+    all from one call of the shared quadrature kernel.  The mirror interval
+    (s_{-j-1}, s_{-j}) has the same length, since prevertices and exponents
+    are symmetric."""
+    p = len(prev_values) // 2
+    return quad.interval_abs_integral(prev_values, exponents, np.arange(p, 2 * p))
 
 
 def _log_ratios(sides: np.ndarray) -> np.ndarray:
@@ -317,31 +308,30 @@ def _segment_directions_from_exponents(exps: np.ndarray) -> np.ndarray:
 
 
 def _raw_chain(prev: Prevertices, pat: ExponentPattern):
-    """Raw developed vertices V_{-p..p} (V at s_0 = 0), the raw lengths of
-    the 2p intervals and the error estimates of the p positive ones."""
+    """Raw developed vertices V_{-p..p} (V at s_0 = 0) and the raw lengths
+    of the 2p intervals."""
     p = prev.genus
     exps = pat.exponents
-    pos, errs = _positive_integrals(prev.values, exps)
+    pos = positive_sides(prev.values, exps)
     sides = np.concatenate((pos[::-1], pos))  # mirror intervals, equal lengths
     dirs = _segment_directions_from_exponents(exps)[:-1]  # per interval m = 0..2p-1
     steps = sides * dirs
     V = np.zeros(2 * p + 1, dtype=complex)
     V[p + 1:] = np.cumsum(steps[p:])
     V[:p] = -np.cumsum(steps[:p][::-1])[::-1]
-    return V, sides, errs
+    return V, sides
 
 
-def _chain_normalization(prev: Prevertices, pat: ExponentPattern, raw=None):
+def _chain_normalization(prev: Prevertices, pat: ExponentPattern):
     """Affine map A*raw + B sending the raw developed chain onto the
     normalized vertex chain of the induced zigzag.
 
     The NE integrand develops the chain in reversed vertex order, so its
     raw vertices are matched against P_p, ..., P_{-p}; the SW integrand is
-    matched against P_{-p}, ..., P_p.  ``raw`` is the _raw_chain result
-    when the caller already holds it.
+    matched against P_{-p}, ..., P_p.
     """
     p = prev.genus
-    V, sides, _ = raw if raw is not None else _raw_chain(prev, pat)
+    V, sides = _raw_chain(prev, pat)
     pos_sides = sides[p:]
     lengths = tuple(pos_sides / np.sum(pos_sides))
     chain = build_vertices(ZigzagParams(p, pat.turn_order, lengths))
@@ -386,10 +376,8 @@ def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:
     order 2 consecutive periods differ in direction by a factor +-i.
     """
     p = prev.genus
-    raw = _raw_chain(prev, pat)
-    A, _, V, _, _ = _chain_normalization(prev, pat, raw)
-    vals = tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p))
-    return PeriodVector(vals, tuple(float(abs(A) * err) for err in raw[2]))
+    A, _, V, _, _ = _chain_normalization(prev, pat)
+    return PeriodVector(tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p)))
 
 
 def make_coalescing_family(base: Prevertices, j: int, deltas):
@@ -441,8 +429,7 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     y = np.empty(deltas.size)
     xlog = np.empty(deltas.size)
     for i, member in enumerate(members):  # |a_j| and |a_{j+1}| in one kernel call
-        (y[i], nxt), _ = quad.interval_abs_integral(member.values, pat.exponents,
-                                                    [j + p, j + p + 1])
+        y[i], nxt = quad.interval_abs_integral(member.values, pat.exponents, [j + p, j + p + 1])
         xlog[i] = math.log(deltas[i]) / math.pi * nxt
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)

@@ -140,8 +140,10 @@ def build_weierstrass(sol) -> WeierstrassData:
     The NE and SW prevertex tuples must agree within 1e-5, the square root
     of the default height tolerance, relative to the largest prevertex;
     they are averaged into the shared tuple.  Scale constants are fixed by
-    developing each integrand onto the vertex chain, and the dh root is
-    chosen so the image of (s_0, s_1) under dh is positive real.
+    developing each integrand onto the vertex chain.  The phases of A_ne
+    and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw is positive real
+    for every tuple, and the principal root c is positive real: the image
+    of (s_0, s_1) under dh.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
@@ -165,13 +167,8 @@ def build_weierstrass(sol) -> WeierstrassData:
         A_ne, _, _, _, _ = _chain_normalization(shared, ne_pattern(p, k))
         scale_sw, scale_ne = complex(A_sw), complex(A_ne)
 
-    c2 = -1j * scale_ne * scale_sw
-    c = cmath.sqrt(c2)
-    if c.real < 0 or (c.real == 0 and c.imag < 0):
-        c = -c
-    if abs(c.imag) > 1e-8 * abs(c):
-        raise NotReflexive(f"dh scale is not positive real: c^2 = {c2}")
-    return WeierstrassData(p, k, shared, scale_ne, scale_sw, complex(c), chain)
+    c = cmath.sqrt(-1j * scale_ne * scale_sw)
+    return WeierstrassData(p, k, shared, scale_ne, scale_sw, c, chain)
 
 
 def _cycle_factor(exponents: np.ndarray) -> np.ndarray:
@@ -180,8 +177,11 @@ def _cycle_factor(exponents: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(2j * math.pi * exponents)
 
 
-def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
-                   dh_tol: float = 1e-10) -> PeriodReport:
+_PERIOD_TOL = 1e-8  # alpha periods and their conjugacy with beta
+_DH_TOL = 1e-10  # relative defects of the dh constant
+
+
+def verify_periods(wd: WeierstrassData) -> PeriodReport:
     """Quadrature check of the homology periods of alpha, beta and dh.
 
     For every cycle B_j around (P_j, P_{j+1}), j = -p..p-1:
@@ -193,7 +193,9 @@ def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
           c^2 = -i scale_ne scale_sw and c positive real.  ``dh_periods``
           holds the two relative defects |c^2 + i scale_ne scale_sw| / |c|^2
           and |Im c| / |c|.
-    Raises PeriodMismatch with the report attached if any check fails.
+    The alpha and conjugacy checks pass within 1e-8 absolute, the dh
+    defects within 1e-10.  Raises PeriodMismatch with the report attached
+    if any check fails.
     """
     chain = wd.chain
     p = wd.genus
@@ -224,7 +226,7 @@ def verify_periods(wd: WeierstrassData, tol: float = 1e-8,
         tuple(alpha_comp), tuple(alpha_exp), tuple(beta_comp), tuple(dh_per),
         float(worst_alpha), float(worst_conj), float(worst_dh),
     )
-    if worst_alpha > tol or worst_conj > tol or worst_dh > dh_tol:
+    if worst_alpha > _PERIOD_TOL or worst_conj > _PERIOD_TOL or worst_dh > _DH_TOL:
         raise PeriodMismatch(
             f"period checks failed: alpha {worst_alpha:.3e}, "
             f"conjugacy {worst_conj:.3e}, dh {worst_dh:.3e}",

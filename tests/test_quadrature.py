@@ -47,8 +47,8 @@ class TestSideLength:
     def test_scaling_law(self):
         # doubling all prevertex gaps scales the genus-1 NE side by 2^(3/2)
         exps = zz.ne_pattern(1).exponents
-        v1, _ = interval_abs_integral([-1.0, 0.0, 1.0], exps, 1)
-        v2, _ = interval_abs_integral([-2.0, 0.0, 2.0], exps, 1)
+        v1 = interval_abs_integral([-1.0, 0.0, 1.0], exps, 1)
+        v2 = interval_abs_integral([-2.0, 0.0, 2.0], exps, 1)
         assert math.isclose(v2 / v1, 2.0 ** 1.5, rel_tol=1e-12)
 
     def test_index_out_of_range(self):
@@ -83,11 +83,11 @@ class TestSideLength:
         prevs = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
         rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
         j = np.arange(len(prevs) - 1)
-        batch, err = interval_abs_integral(prevs, rows, j)
-        assert batch.shape == err.shape == (2, j.size)
+        batch = interval_abs_integral(prevs, rows, j)
+        assert batch.shape == (2, j.size)
         for r, exps in enumerate(rows):
             for i in j:
-                one, _ = interval_abs_integral(prevs, exps, i)
+                one = interval_abs_integral(prevs, exps, i)
                 assert np.ndim(one) == 0
                 assert abs(batch[r, i] - one) <= 1e-14 * one
             for i in range(3):
@@ -100,7 +100,7 @@ class TestSideLength:
         exps = zz.ne_pattern(2).exponents
         for gap in (1e-4, 1e-6):
             prevs = [-1.0 - gap, -1.0, 0.0, 1.0, 1.0 + gap]
-            val, err = interval_abs_integral(prevs, exps, 3)
+            val = interval_abs_integral(prevs, exps, 3)
             ora = mp_side(prevs, list(exps), 3)
             assert math.isclose(val, ora, rel_tol=1e-10)
 
@@ -122,26 +122,29 @@ class TestValidityMask:
         rule = quad._rule
 
         def spy(n, alpha, beta):
-            built.append(min(alpha, beta))
+            assert alpha == 0.0  # every Jacobi panel starts at its own end
+            built.append(beta)
             return rule(n, alpha, beta)
 
         monkeypatch.setattr(quad, "_rule", spy)
         plan = IntervalPlan(prev, base, j, derivatives=True)
         masked = np.array([[r % (m_count + 1) - 1 in (i, i + 1) for i in j] for r in range(len(rows))])
         assert np.array_equal(~plan.valid, masked)
-        value, _ = quad._doubled(plan.integrate_abs, j.size, quad._REL_TOL, 0.0, str, plan.valid)
+        value = quad._doubled(plan.integrate_abs, j.size, quad._REL_TOL, 0.0, str, plan.valid)
         assert min(built) > -1.0 and plan.rules.min() > -1.0
         assert np.all(value[masked] == 0.0)
         for r, i in zip(*np.nonzero(~masked)):
-            ref, _ = interval_abs_integral(prev, rows[r], j[i])
+            ref = interval_abs_integral(prev, rows[r], j[i])
             assert abs(abs(value[r, i]) - ref) <= 1e-14 * ref
 
 
 def scalar_panels(z0, z1, prev, sing0, sing1):
-    """Reference loop for the panel grading of one segment: dyadic breaks
-    from each singular end, then recursive halving of free panels longer
-    than their midpoint clearance (in offset coordinates z0 - s_m), at
-    most 40 levels deep."""
+    """Reference loop for the panel grading of one segment, each half from
+    its own end: dyadic breaks from a singular end, then recursive halving
+    of free panels longer than their midpoint clearance (in offset
+    coordinates from that end, (z - s_m) + u * ray), at most 40 levels
+    deep.  Returns (end, lo, hi) with offsets from z0 for end 0 and from z1
+    for end 1."""
     length = abs(z1 - z0)
     unit = (z1 - z0) / length
 
@@ -158,22 +161,23 @@ def scalar_panels(z0, z1, prev, sing0, sing1):
             breaks.append(min(length / 2.0, 2.0 * breaks[-1]))
         return breaks
 
-    offs = sorted(set(graded(sing0, z0) + [length - u for u in graded(sing1, z1)]))
     panels = []
+    for end, (z, own, ray) in enumerate(((z0, sing0, unit), (z1, sing1, -unit))):
+        offs = sorted(set(graded(own, z)))
 
-    def refine(lo, hi, depth):
-        mid = 0.5 * (lo + hi)
-        if depth >= 40 or hi - lo <= min(abs((z0 - s) + mid * unit) for s in prev):
-            panels.append((lo, hi))
-        else:
-            refine(lo, 0.5 * (lo + hi), depth + 1)
-            refine(0.5 * (lo + hi), hi, depth + 1)
+        def refine(lo, hi, depth):
+            mid = 0.5 * (lo + hi)
+            if depth >= 40 or hi - lo <= min(abs((z - s) + mid * ray) for s in prev):
+                panels.append((end, lo, hi))
+            else:
+                refine(lo, 0.5 * (lo + hi), depth + 1)
+                refine(0.5 * (lo + hi), hi, depth + 1)
 
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        if (sing0 is not None and lo == 0.0) or (sing1 is not None and hi == length):
-            panels.append((lo, hi))
-        else:
-            refine(lo, hi, 0)
+        for lo, hi in zip(offs[:-1], offs[1:]):
+            if own is not None and lo == 0.0:
+                panels.append((end, lo, hi))
+            else:
+                refine(lo, hi, 0)
     return panels
 
 
@@ -197,9 +201,9 @@ class TestPanelGrading:
         i0, i1 = (np.array([-1 if c[i] is None else c[i] for c in cases]) for i in (2, 3))
         length = np.array([abs(b - a) for a, b, _, _ in cases])
         unit = np.array([(b - a) / abs(b - a) for a, b, _, _ in cases])
-        seg, lo, hi = _graded_panels(np.array(prev), z0, z1, unit, length, i0, i1)
+        seg, end, lo, hi = _graded_panels(np.array(prev), z0, z1, unit, length, i0, i1)
         for i, case in enumerate(cases):
-            got = list(zip(lo[seg == i].tolist(), hi[seg == i].tolist()))
+            got = list(zip(end[seg == i].tolist(), lo[seg == i].tolist(), hi[seg == i].tolist()))
             assert got == scalar_panels(case[0], case[1], prev, case[2], case[3])
         # one path leaves s_{-3} = -4.1 + 1e-10 and passes 2e-22 above s_{-4};
         # with the clearance in absolute coordinates it took 4,194,372 panels
@@ -210,7 +214,7 @@ class TestSegmentIntegral:
     def test_matches_interval_on_axis(self):
         prev = np.array([-1.0, 0.0, 1.0])
         exps = zz.ne_pattern(1).exponents
-        mod, _ = interval_abs_integral(prev, exps, 1)
+        mod = interval_abs_integral(prev, exps, 1)
         seg = segment_integral(prev, exps, 0.0, 1.0, sing0=1, sing1=2)
         assert math.isclose(abs(seg), mod, rel_tol=1e-10)
         # phase on (0, 1) is i for the NE genus-1 pattern

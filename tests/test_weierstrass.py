@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
 from zigzag import quadrature, weierstrass
 from zigzag.errors import DomainError, NotReflexive, PeriodMismatch
+from zigzag.scmap import _chain_normalization
 
 
 def enneper_closed_form(z):
@@ -33,6 +35,16 @@ def wd_by_genus(ladder5):
     return {p: zz.build_weierstrass(ladder5[p]) for p in range(6)}
 
 
+@st.composite
+def sc_tuples(draw):
+    """Genus 1..7, turn order 2..5 and p-1 log-gaps in [-8, 2]: in
+    general not a reflexive tuple."""
+    p = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 5))
+    u = draw(st.lists(st.floats(-8.0, 2.0), min_size=p - 1, max_size=p - 1))
+    return p, k, np.array(u)
+
+
 class TestBuildWeierstrass:
     def test_product_identity(self, wd_by_genus):
         # alpha * beta = dh^2 pointwise
@@ -47,6 +59,17 @@ class TestBuildWeierstrass:
         for wd in wd_by_genus.values():
             assert wd.dh_scale.real > 0
             assert abs(wd.dh_scale.imag) < 1e-10 * abs(wd.dh_scale)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(sc_tuples())
+    def test_dh_square_positive_real_on_any_tuple(self, problem):
+        # the phases of A_ne and A_sw are fixed by (p, k) alone, so
+        # c^2 = -i A_ne A_sw is positive real on every tuple, reflexive or not
+        p, k, u = problem
+        prev = zz.Prevertices.from_positive_gaps(np.exp(u))
+        a_ne = _chain_normalization(prev, zz.ne_pattern(p, k))[0]
+        a_sw = _chain_normalization(prev, zz.sw_pattern(p, k))[0]
+        assert abs(cmath.phase(-1j * a_ne * a_sw)) <= 1e-12
 
     def test_genus0_is_enneper_data(self, wd_by_genus):
         wd = wd_by_genus[0]

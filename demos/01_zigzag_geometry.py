@@ -42,7 +42,7 @@ dirs = np.diff(np.asarray(chain3.vertices))
 print(f"  turn angle between sides: {np.degrees(np.angle(chain3.ray_out / dirs[-1])):.1f} deg")
 print()
 
-print("Handle insertion seeds the next genus from a solved one:")
+print("Handle insertion, the paper's continuation step, grows a solved genus by one:")
 parent = zz.continuation_solve(1, 2)
 grown = zz.add_handle(parent, 0.05)
-print(f"  genus-1 solution + eps=0.05  ->  genus-2 seed {np.round(grown.side_lengths, 6)}")
+print(f"  genus-1 solution + eps=0.05  ->  genus-2 zigzag {np.round(grown.side_lengths, 6)}")

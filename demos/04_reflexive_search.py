@@ -3,12 +3,14 @@
 The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
-Each genus inserts a short handle side into the previous solution and
-solves for that shared tuple by the Newton iteration (full steps until
-one fails to reduce max|F|, then a Nelder-Mead rescue) that also solves
-each parameter problem, seeded from the side ratios of the handle zigzag
-with no nested parameter solve.  Its Jacobian is exact, taken with F from
-one quadrature kernel call per Newton point, and converges quadratically.
+Each genus is solved on its own, from equal sides, for that shared tuple
+by the Newton iteration (full steps until one fails to reduce max|F|,
+then a Nelder-Mead rescue) that also solves each parameter problem, with
+no nested parameter solve.  The paper reaches genus p by inserting a
+handle into the genus p-1 solution; that continuation proves the zigzag
+exists, and the computation does not need it.  The Jacobian is exact,
+taken with F from one quadrature kernel call per Newton point, and
+converges quadratically.
 D of the result, from two cold parameter solves, is the certificate; the
 smallest singular value of the Jacobian at the solution shows the zero
 is isolated.
@@ -28,14 +30,13 @@ for l0 in np.linspace(0.30, 0.75, 10):
     print(f"  {l0:>6.3f}  {d:>12.3e}  {bar}")
 print()
 
-print("Continuation ladder to genus 3:")
-ladder = zz.continuation_solve(3, 2, keep_ladder=True)
-for p in range(4):
-    rec = ladder[p]
+print("Independent solves of genus 0 to 3:")
+records = {p: zz.continuation_solve(p, 2) for p in range(4)}
+for p, rec in records.items():
     print(f"  genus {p}: D = {rec.height:.3e}  sides {np.round(rec.zigzag.side_lengths, 6)}")
 print()
 
-rec = ladder[2]
+rec = records[2]
 print("Genus-2 solve trace (step, best ||F||^2, stratum distance; last row D):")
 rows = list(rec.trace)
 for row in rows[:: max(1, len(rows) // 8)]:

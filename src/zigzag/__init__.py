@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     EpsTooLarge,
     FitFailure,
-    LadderFailure,
     NoConvergence,
     NotReflexive,
     PeriodMismatch,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ZigzagError", "DegenerateSide", "EpsTooLarge",
     "QuadratureFailure", "NoConvergence", "FitFailure", "DegenerateCrossRatio",
-    "DomainError", "LadderFailure", "NotReflexive", "PeriodMismatch",
+    "DomainError", "NotReflexive", "PeriodMismatch",
     "ZigzagParams", "VertexChain", "build_vertices", "canonicalize",
     "stratum_distance", "add_handle",
     "ExponentPattern", "Prevertices", "PeriodVector", "ne_pattern",

@@ -8,13 +8,13 @@ import sys
 
 import numpy as np
 
-from .errors import LadderFailure, PeriodMismatch, ZigzagError
+from .errors import PeriodMismatch, ZigzagError
 from .height import continuation_solve
 from . import io as zio
 from .weierstrass import build_weierstrass, curvature_summary, generate_mesh, verify_periods
 
 USAGE_EXIT = 1
-LADDER_EXIT = 2
+SOLVE_EXIT = 2
 VERIFY_EXIT = 3
 
 
@@ -25,16 +25,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run the continuation ladder to a genus")
+    p_solve = sub.add_parser("solve", help="solve and certify the reflexive zigzag of a "
+                                           "genus; exit 2 and write nothing if it fails")
     p_solve.add_argument("--genus", type=int, required=True)
     p_solve.add_argument("--k", type=int, default=2, help="turn order (default 2)")
     p_solve.add_argument("--tol", type=float, default=1e-10,
-                         help="height convergence tolerance (default 1e-10)")
+                         help="height certificate: the solve fails unless D < tol "
+                              "(default 1e-10)")
     p_solve.add_argument("--out", default=None,
                          help="solution file path (default zigzag_p<genus>_k<k>.json)")
     p_solve.add_argument("--trace", default=None,
-                         help="optional CSV path for the solve trace of the top "
-                              "genus (columns: step,height,grad_norm,stratum_distance); "
+                         help="optional CSV path for the solve trace "
+                              "(columns: step,height,grad_norm,stratum_distance); "
                               "each row is one evaluation of the Newton "
                               "shared-prevertex solve (one kernel call for F and its "
                               "exact Jacobian at a Newton point, F alone in the "
@@ -79,16 +81,9 @@ def cmd_solve(args) -> int:
         print("error: --tol must be finite and positive", file=sys.stderr)
         return USAGE_EXIT
     out = args.out or f"zigzag_p{args.genus}_k{args.k}.json"
-    try:
-        record = continuation_solve(args.genus, args.k, args.tol)
-    except LadderFailure as exc:
-        print(f"ladder failed at genus {exc.failed_genus}: {exc}", file=sys.stderr)
-        if exc.records:
-            top = max(exc.records)
-            zio.save_solution(out + ".partial", exc.records[top])
-            print(f"partial ladder (genus {top}) written to {out}.partial",
-                  file=sys.stderr)
-        return LADDER_EXIT
+    record = _solve(args.genus, args.k, args.tol)
+    if record is None:
+        return SOLVE_EXIT
     zio.save_solution(out, record)
     if args.trace:
         zio.write_csv(args.trace,
@@ -97,6 +92,16 @@ def cmd_solve(args) -> int:
     print(f"genus {args.genus} (k={args.k}) solved: height {record.height:.3e}, "
           f"written to {out}")
     return 0
+
+
+def _solve(p, k, tol=1e-10):
+    """The certified solution record, or None after reporting why the
+    solve failed."""
+    try:
+        return continuation_solve(p, k, tol)
+    except ZigzagError as exc:
+        print(f"solve failed at genus {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
 
 
 def _load(path):
@@ -192,7 +197,9 @@ def cmd_sweep(args) -> int:
         if args.genus < 3:
             print("error: coalescence sweep needs --genus >= 3", file=sys.stderr)
             return USAGE_EXIT
-        record = continuation_solve(args.genus, 2)
+        record = _solve(args.genus, 2)
+        if record is None:
+            return SOLVE_EXIT
         prev = record.prev_ne
         j = args.j if args.j is not None else args.genus - 2
         members = make_coalescing_family(prev, j, deltas)

@@ -43,21 +43,9 @@ class DomainError(ZigzagError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class LadderFailure(ZigzagError):
-    """Continuation ladder stalled.
-
-    ``records`` holds the partial ladder (genus -> SolutionRecord) built
-    before the failing genus, ``failed_genus`` the genus that stalled.
-    """
-
-    def __init__(self, message, records=None, failed_genus=None):
-        super().__init__(message)
-        self.records = dict(records or {})
-        self.failed_genus = failed_genus
-
-
 class NotReflexive(ZigzagError):
-    """NE and SW prevertex tuples differ beyond tolerance."""
+    """A zigzag is not certified reflexive: its height D is not below the
+    tolerance, or its NE and SW prevertex tuples differ beyond it."""
 
 
 class PeriodMismatch(ZigzagError):

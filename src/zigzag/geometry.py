@@ -165,7 +165,9 @@ def build_vertices(z: ZigzagParams) -> VertexChain:
 def add_handle(parent, eps: float) -> ZigzagParams:
     """Genus p zigzag near the stratum where the parent's central vertices
     coalesce: insert a new first side of length ``eps`` into the genus p-1
-    solution and renormalize.
+    solution and renormalize.  This is the paper's continuation step; the
+    solver does not take it, since one solve from equal sides reaches the
+    same zigzag.
 
     ``parent`` is a converged SolutionRecord (anything with ``.zigzag`` and
     ``.converged`` attributes).  Requires 0 < eps < stratum_distance/4 of

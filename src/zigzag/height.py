@@ -1,4 +1,4 @@
-"""Height function on the moduli cell and the continuation solve.
+"""Height function on the moduli cell and the reflexive-zigzag solve.
 
 The height of a zigzag compares the extremal-length vectors of its two
 complementary domains,
@@ -11,11 +11,13 @@ solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
 one Newton iteration with an exact Jacobian, full steps until one fails to
 reduce max|F|, then a Nelder-Mead rescue: the one that also solves the
 parameter problem in ``scmap``.  Each Newton point takes the residual and
-its Jacobian for both patterns from one kernel call.  It starts from the
-side ratios of the handle zigzag grown from the genus p-1 solution, with
-no nested parameter solve; D of the result, from two cold parameter
-solves, is the certificate, and the smallest singular value of the
-Jacobian at the solution certifies that the zero is isolated.
+its Jacobian for both patterns from one kernel call.  The top genus is
+solved directly from equal sides, with no nested parameter solve and no
+lower genus: the paper's handle insertion from genus p-1 is its existence
+argument by continuation, not a step of the computation.  D of the result,
+from two cold parameter solves, is the certificate, and the smallest
+singular value of the Jacobian at the solution certifies that the zero is
+isolated.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LadderFailure, ZigzagError
-from .geometry import ZigzagParams, add_handle, canonicalize, stratum_distance
-from .scmap import (_log_ratio_system, _log_ratios, _newton_solve, ne_pattern,
-                    solve_parameter_problem, sw_pattern)
+from .errors import NotReflexive
+from .geometry import ZigzagParams, canonicalize, stratum_distance
+from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _newton_solve,
+                    ne_pattern, solve_parameter_problem, sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "continuation_solve",
 ]
 
-# handle length inserted by the ladder, capped at 0.9 of what add_handle allows
-_HANDLE_LENGTH = 0.05
 # sup norm of F at which the shared solve stops.  It fixes the stored zigzag,
 # so it is resolved past the 1e-11 of the parameter problem: quadratic Newton
 # may stop anywhere below its tolerance, and at 1e-11 the genus-4 k=3 sides
@@ -151,35 +151,19 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
                           sigma_min)
 
 
-def continuation_solve(p: int, k: int = 2, tol: float = 1e-10, keep_ladder: bool = False):
-    """Build the solution ladder from genus 0 up to genus p.
+def continuation_solve(p: int, k: int = 2, tol: float = 1e-10) -> SolutionRecord:
+    """The certified reflexive zigzag of genus p and turn order k.
 
-    Genus 0 and 1 are exact; each further genus inserts a handle side of
-    length min(0.05, 0.9 * stratum_distance / 4) into the previous
-    solution and solves the shared-prevertex problem by minimize, seeded
-    from the side ratios of that handle zigzag.
-    Raises LadderFailure with the partial ladder if a genus does not
-    converge (D >= tol) or its solve raises (the library error is chained
-    as the cause); with keep_ladder=True returns the full dict
-    genus -> record.
+    One shared-prevertex solve by minimize from equal sides.  The name is
+    the paper's: it reaches genus p by continuation, inserting a handle
+    (geometry.add_handle) into the genus p-1 solution, which proves the
+    zigzag exists; the equal-sides seed lands on the same zigzag without
+    solving the lower genera.  Raises NotReflexive if the certificate D is
+    not below tol; solver errors propagate unchanged.
     """
     if p < 0 or k < 2:
         raise ValueError("need genus >= 0 and turn order >= 2")
-    ladder: dict[int, SolutionRecord] = {}
-    for q in range(0, p + 1):
-        if q <= 1:
-            seed = ZigzagParams(q, k, (1.0,) * q)
-        else:
-            parent = ladder[q - 1]
-            seed = add_handle(parent, min(_HANDLE_LENGTH,
-                                          0.9 * stratum_distance(parent.zigzag) / 4.0))
-        try:
-            record = minimize(seed, tol)
-        except ZigzagError as exc:
-            raise LadderFailure(f"{type(exc).__name__}: {exc}", records=ladder,
-                                failed_genus=q) from exc
-        if not record.converged:
-            raise LadderFailure(f"height {record.height:.3e} not below {tol:.1e}",
-                                records=ladder, failed_genus=q)
-        ladder[q] = record
-    return ladder if keep_ladder else ladder[p]
+    record = minimize(ZigzagParams(p, k, (1.0,) * p), tol)
+    if not record.converged:
+        raise NotReflexive(f"height {record.height:.3e} not below {tol:.1e}")
+    return record

@@ -22,8 +22,8 @@ solved by one Newton iteration, full steps until one fails to reduce
 max|F|, then a Nelder-Mead rescue, from the same seed: gaps proportional
 to the target sides.  Its Jacobian is exact: the prevertex derivatives of
 the side integrals are extra exponent rows on the panels of the sides, so
-each Newton point costs one kernel call.  The shared solve starts from the
-sides of the handle zigzag, with no nested parameter solve.
+each Newton point costs one kernel call.  The shared solve starts from
+equal sides, with no nested parameter solve.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ _CACHE = {}
 
 @pytest.fixture(scope="session")
 def ladder5():
-    """Continuation ladder for k = 2 up to genus 5, shared across tests."""
+    """Independent k = 2 solves of genus 0 to 5, shared across tests."""
     if "ladder" not in _CACHE:
         t0 = time.perf_counter()
-        _CACHE["ladder"] = zz.continuation_solve(5, 2, keep_ladder=True)
+        _CACHE["ladder"] = {p: zz.continuation_solve(p, 2) for p in range(6)}
         _CACHE["ladder_elapsed"] = time.perf_counter() - t0
     return _CACHE["ladder"]
 

@@ -87,7 +87,7 @@ def test_criterion_3_ladder_and_isolation(ladder5, ladder5_elapsed):
                 assert perturbed > rec.height
     assert ladder5_elapsed < 600.0
     _report("3 reflexive solutions p=2..5 with isolation",
-            f"max height {worst_height:.2e}, ladder {ladder5_elapsed:.0f}s")
+            f"max height {worst_height:.2e}, solves {ladder5_elapsed:.0f}s")
 
 
 def test_criterion_4_period_identities(ladder5):

@@ -161,6 +161,28 @@ class TestSweep:
                      "--lambdas", "1e-6,1e-3,0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_coalescence_solver_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        from zigzag import cli as zcli
+        from zigzag.errors import NoConvergence
+
+        def failing(p, k, tol):
+            raise NoConvergence("injected", [1.0])
+
+        monkeypatch.setattr(zcli, "continuation_solve", failing)
+        out = tmp_path / "coal.csv"
+        assert main(["sweep", "--kind", "coalescence", "--genus", "3",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "solve failed at genus 3: NoConvergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--deltas", "1e-4,1e-6,9"], ["--j", "2"]],
+                             ids=["grid", "j"])
+    def test_coalescence_bad_grid_or_j_usage_error(self, tmp_path, extra):
+        out = tmp_path / "coal.csv"
+        assert main(["sweep", "--kind", "coalescence", "--genus", "3",
+                     "--out", str(out), *extra]) == 1
+        assert not out.exists()
+
     def test_coalescence_sign_contrast(self, tmp_path):
         out = tmp_path / "coal.csv"
         assert main(["sweep", "--kind", "coalescence", "--genus", "3",
@@ -172,23 +194,9 @@ class TestSweep:
         assert c1_ne * c1_sw < 0
 
 
-class TestLadderFailureExit:
-    def test_partial_ladder_written(self, tmp_path, monkeypatch):
-        from zigzag import cli as zcli
-        from zigzag.errors import LadderFailure
-
-        partial = {1: zz.continuation_solve(1, 2)}
-
-        def stalling(p, k, opts):
-            raise LadderFailure("stalled", records=partial, failed_genus=2)
-
-        monkeypatch.setattr(zcli, "continuation_solve", stalling)
-        out = tmp_path / "p2.json"
-        assert main(["solve", "--genus", "2", "--out", str(out)]) == 2
-        assert (tmp_path / "p2.json.partial").exists()
-
-    def test_solver_error_exits_with_partial_ladder(self, tmp_path, monkeypatch, capsys):
-        from zigzag.errors import LadderFailure, NoConvergence
+class TestSolveFailureExit:
+    def test_solver_error_exits_without_file(self, tmp_path, monkeypatch, capsys):
+        from zigzag.errors import NoConvergence
 
         height_mod = sys.modules["zigzag.height"]
         original = height_mod.solve_parameter_problem
@@ -199,18 +207,27 @@ class TestLadderFailureExit:
             return original(z, pat, **kwargs)
 
         monkeypatch.setattr(height_mod, "solve_parameter_problem", failing_at_genus3)
-        with pytest.raises(LadderFailure) as info:
+        with pytest.raises(NoConvergence):  # the library error, unwrapped
             zz.continuation_solve(3, 2)
-        assert info.value.failed_genus == 3 and sorted(info.value.records) == [0, 1, 2]
-        assert isinstance(info.value.__cause__, NoConvergence)
         out = tmp_path / "p3.json"
-        capsys.readouterr()
         assert main(["solve", "--genus", "3", "--out", str(out)]) == 2
-        assert (tmp_path / "p3.json.partial").exists()
+        assert not out.exists() and not (tmp_path / "p3.json.partial").exists()
         # the solver's history reaches the user
         err = capsys.readouterr().err
-        assert "ladder failed at genus 3" in err
+        assert "solve failed at genus 3: NoConvergence: injected" in err
         assert "after 1 Newton iterations, last residual 1.000e+00" in err
+
+    def test_not_reflexive_exits_without_file(self, tmp_path, monkeypatch, capsys):
+        from zigzag.errors import NotReflexive
+
+        height_mod = sys.modules["zigzag.height"]
+        monkeypatch.setattr(height_mod, "_height_from_ext", lambda ext_ne, ext_sw: 1e-3)
+        with pytest.raises(NotReflexive, match="height 1.000e-03 not below 1.0e-10"):
+            zz.continuation_solve(2, 2)
+        out = tmp_path / "p2.json"
+        assert main(["solve", "--genus", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "solve failed at genus 2: NotReflexive" in capsys.readouterr().err
 
 
 class TestSolutionFileRoundTrip:

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,18 @@ def grad_height_fd(z, h=1e-5):
         zm = zz.ZigzagParams(p, z.turn_order, tuple(base - h * d))
         grad.append((zz.height(zp) - zz.height(zm)) / (2.0 * h))
     return tuple(grad)
+
+
+def handle_ladder(p, k, eps=0.05):
+    """The genus-p record by the paper's continuation, the reference for the
+    direct solve: from the genus-1 point, insert a handle side of length
+    min(eps, 0.9 * stratum_distance / 4) into each solution (add_handle)
+    and solve the next genus by minimize from that seed."""
+    rec = zz.minimize(zz.ZigzagParams(1, k, (1.0,)))
+    for _ in range(2, p + 1):
+        handle = min(eps, 0.9 * zz.stratum_distance(rec.zigzag) / 4.0)
+        rec = zz.minimize(zz.add_handle(rec, handle))
+    return rec
 
 
 class TestHeight:
@@ -101,15 +114,20 @@ class TestMinimize:
     def test_trace_has_stratum_column(self, genus2):
         assert all(row.stratum_distance > 0 for row in genus2.trace)
 
-    @pytest.mark.parametrize("p, k", [(5, 2), (3, 3), (4, 4)])
-    def test_equal_sides_reach_ladder_zigzag(self, p, k, ladder5):
-        # the Newton basin of the shared-prevertex solve holds the seed
-        # farthest from the handle zigzag
-        ladder = ladder5 if k == 2 else zz.continuation_solve(p, k, keep_ladder=True)
-        rec = zz.minimize(zz.ZigzagParams(p, k, (1.0 / p,) * p))
-        assert rec.converged and rec.height < 1e-10
+    def test_record_type_hints_resolve(self):
+        assert typing.get_type_hints(zz.SolutionRecord)["prev_ne"] is zz.Prevertices
+
+    @pytest.mark.parametrize("p, k", [(10, 2), (5, 3), (4, 4)])
+    def test_direct_solve_matches_handle_ladder(self, p, k):
+        # basin guard: the Newton basin of the shared-prevertex solve holds
+        # equal sides, the seed farthest from the handle zigzag, and leads to
+        # the zigzag the paper's continuation reaches
+        rec = zz.continuation_solve(p, k)
+        assert rec.height < 1e-10
+        reference = handle_ladder(p, k)
+        assert reference.converged
         drift = np.max(np.abs(np.subtract(rec.zigzag.side_lengths,
-                                          ladder[p].zigzag.side_lengths)))
+                                          reference.zigzag.side_lengths)))
         assert drift < 1e-9
 
 
@@ -140,9 +158,8 @@ class TestContinuation:
 class TestSharedPrevertexSolve:
     @pytest.mark.parametrize("k, top", [(2, 10), (3, 5), (4, 4)])
     def test_higher_genus_ladder_certified(self, k, top):
-        ladder = zz.continuation_solve(top, k, keep_ladder=True)
         for p in range(2, top + 1):
-            rec = ladder[p]
+            rec = zz.continuation_solve(p, k)
             assert rec.converged and rec.height < 1e-10
             report = zz.verify_periods(zz.build_weierstrass(rec))
             assert report.max_error() <= 1e-8
@@ -162,9 +179,10 @@ class TestSharedPrevertexSolve:
 
 class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
-        # deterministic work gate: kernel plans in the ladder, one per Newton
-        # point (residual and exact Jacobian together) and per rescue
-        # evaluation; cold parameter solves only for the two certificates of D
+        # deterministic work gate: kernel plans in the direct genus-5 solve,
+        # one per Newton point (residual and exact Jacobian together) and per
+        # rescue evaluation; cold parameter solves only for the two
+        # certificates of D, with no lower genus solved
         height_mod = sys.modules["zigzag.height"]
         solve = height_mod.solve_parameter_problem
         solves = []
@@ -175,8 +193,8 @@ class TestWorkCounter:
 
         monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
         assert zz.continuation_solve(5, 2).converged
-        assert sorted(solves) == [q for q in range(6) for _ in range(2)]
-        assert 0 < len(kernel_plans) <= 60
+        assert solves == [5, 5]
+        assert 0 < len(kernel_plans) <= 16
 
 
 class TestIsolationCertificate:
@@ -184,7 +202,7 @@ class TestIsolationCertificate:
     def test_sigma_min_matches_central_differences(self, k):
         # sigma_min of the exact Jacobian of F stored by minimize, against a
         # central-difference Jacobian at the shared tuple (h = 1e-5 in u)
-        ladder = zz.continuation_solve(6, k, keep_ladder=True)
+        ladder = {p: zz.continuation_solve(p, k) for p in range(7)}
         assert all(math.isnan(ladder[p].sigma_min) for p in (0, 1))
         for p in range(2, 7):
             rec = ladder[p]

@@ -4,9 +4,8 @@ The height D compares the extremal-length vectors of the two domains and
 vanishes exactly when the domains are conformally equivalent by a
 vertex-preserving map, that is, when both share one prevertex tuple.
 Each genus is solved on its own, from equal sides, for that shared tuple
-by the Newton iteration (full steps until one fails to reduce max|F|,
-then a Nelder-Mead rescue) that also solves each parameter problem, with
-no nested parameter solve.  The paper reaches genus p by inserting a
+by the plain Newton iteration that also solves each parameter problem,
+with no nested parameter solve.  The paper reaches genus p by inserting a
 handle into the genus p-1 solution; that continuation proves the zigzag
 exists, and the computation does not need it.  The Jacobian is exact,
 taken with F from one quadrature kernel call per Newton point, and

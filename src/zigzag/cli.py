@@ -37,10 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None,
                          help="optional CSV path for the solve trace "
                               "(columns: step,height,grad_norm,stratum_distance); "
-                              "each row is one evaluation of the Newton "
-                              "shared-prevertex solve (one kernel call for F and its "
-                              "exact Jacobian at a Newton point, F alone in the "
-                              "Nelder-Mead rescue) with the running best ||F||^2, "
+                              "each row is one Newton point of the shared-prevertex "
+                              "solve (one kernel call for F and its exact Jacobian) "
+                              "with the running best ||F||^2, "
                               "the last row holds the certified height D and max|F|")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution file")
@@ -197,17 +196,19 @@ def cmd_sweep(args) -> int:
         if args.genus < 3:
             print("error: coalescence sweep needs --genus >= 3", file=sys.stderr)
             return USAGE_EXIT
+        j = args.j if args.j is not None else args.genus - 2
+        if not 0 <= j <= args.genus - 2:
+            print(f"error: need 0 <= --j <= {args.genus - 2}", file=sys.stderr)
+            return USAGE_EXIT
         record = _solve(args.genus, 2)
         if record is None:
             return SOLVE_EXIT
-        prev = record.prev_ne
-        j = args.j if args.j is not None else args.genus - 2
-        members = make_coalescing_family(prev, j, deltas)
+        members = make_coalescing_family(record.prev_ne, j, deltas)
         pat_ne, pat_sw = ne_pattern(args.genus), sw_pattern(args.genus)
         _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
         _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
         both = np.stack((pat_ne.exponents, pat_sw.exponents))
-        rows = [(float(d), *interval_abs_integral(m.values, both, j + args.genus),
+        rows = [(float(d), *interval_abs_integral(m.gaps, both, j + args.genus),
                  c1_ne.real, c1_sw.real) for d, m in zip(deltas, members)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "

@@ -8,16 +8,15 @@ complementary domains,
 and vanishes exactly at reflexive zigzags, where the two prevertex tuples
 coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
 solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
-one Newton iteration with an exact Jacobian, full steps until one fails to
-reduce max|F|, then a Nelder-Mead rescue: the one that also solves the
-parameter problem in ``scmap``.  Each Newton point takes the residual and
-its Jacobian for both patterns from one kernel call.  The top genus is
-solved directly from equal sides, with no nested parameter solve and no
-lower genus: the paper's handle insertion from genus p-1 is its existence
-argument by continuation, not a step of the computation.  D of the result,
-from two cold parameter solves, is the certificate, and the smallest
-singular value of the Jacobian at the solution certifies that the zero is
-isolated.
+one plain Newton iteration with an exact Jacobian, to the tolerance that
+also ends the parameter solves in ``scmap``.  Each Newton point takes the
+residual and its Jacobian for both patterns from one kernel call.  The
+top genus is solved directly from equal sides, with no nested parameter
+solve and no lower genus: the paper's handle insertion from genus p-1 is
+its existence argument by continuation, not a step of the computation.
+D of the result, from two cold parameter solves, is the certificate, and
+the smallest singular value of the Jacobian at the solution certifies
+that the zero is isolated.
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ __all__ = [
     "minimize",
     "continuation_solve",
 ]
-
-# sup norm of F at which the shared solve stops.  It fixes the stored zigzag,
-# so it is resolved past the 1e-11 of the parameter problem: quadratic Newton
-# may stop anywhere below its tolerance, and at 1e-11 the genus-4 k=3 sides
-# moved 2.9e-12 from the converged zigzag.  The cold parameter solves cannot
-# follow: at 1e-12 thin ones stall at their rounding floor.
-_F_TOL = 1e-12
-
 
 class TraceRow(NamedTuple):
     step: int
@@ -109,8 +100,7 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
 
         F(u) = log(ne[1:]/ne[0]) - log(sw[1:]/sw[0]),
 
-    solved to max|F| <= 1e-12 by the Newton iteration (full steps until one
-    fails to reduce max|F|, then a Nelder-Mead rescue) that solves the
+    solved to max|F| <= 1e-12 by the plain Newton iteration that solves the
     parameter problem, from the same seed: gaps proportional to the sides
     of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Each
     Newton point takes F and its exact Jacobian from one kernel call for
@@ -119,8 +109,8 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     no unknowns.  The zigzag is read off the normalized NE sides; two cold
     parameter solves then give D as an independent certificate, and the
     record is converged iff D < tol.
-    Trace rows log the running best ||F||^2 per residual evaluation
-    (gradient column NaN); the final row holds D and max|F| at the solution.
+    Trace rows log the running best ||F||^2 per Newton point (gradient
+    column NaN); the final row holds D and max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
@@ -130,10 +120,10 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
         ne = f = jac = None
 
-        def system(u, jacobian):  # both patterns share one kernel call
+        def system(u):  # both patterns share one kernel call
             nonlocal ne, f, jac
-            sides, ratios, J = _log_ratio_system(u, rows, jacobian)
-            ne, f, jac = sides[0], ratios[0] - ratios[1], None if J is None else J[0] - J[1]
+            sides, ratios, J = _log_ratio_system(u, rows)
+            ne, f, jac = sides[0], ratios[0] - ratios[1], J[0] - J[1]
             best = min(float(f @ f), trace[-1].height if trace else math.inf)
             trace.append(TraceRow(len(trace) + 1, best, math.nan,
                                   stratum_distance(ZigzagParams(p, k, tuple(ne)))))
@@ -141,7 +131,7 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
 
         # on success the last evaluation, hence ne, f and jac, is at the solution
         _newton_solve(system, _log_ratios(np.asarray(z.side_lengths)),
-                      f"shared-prevertex solve from {z}", _F_TOL)
+                      f"shared-prevertex solve from {z}")
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         f_norm = float(np.max(np.abs(f)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])

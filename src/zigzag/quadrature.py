@@ -21,12 +21,16 @@ panels are flattened into entries that each carry their rule and the
 exponent rows they feed; ``sums`` evaluates the nodes of all pending
 entries in blocks of about 2^14 node x prevertex entries, with one
 log(z - s_m) matrix per block serving every row.  ``segment_integral``
-returns the contour integrals;
-``interval_abs_integral`` the moduli over real intervals (s_j, s_{j+1}),
-where the integrand has constant argument; ``interval_jacobian`` the
-interval integrals with their exact derivatives in every prevertex, the
-derivative rows riding on the same panels.  One node-doubling routine,
-``_doubled``, certifies each item and row.
+returns the contour integrals; ``interval_abs_integral`` the moduli over
+real intervals (s_j, s_{j+1}), where the integrand has constant
+argument; ``interval_jacobian`` the interval integrals with their exact
+derivatives in every log-gap, the derivative rows riding on the same
+panels.  Both interval routines take the tuple's gaps s_{m+1} - s_m, not
+its prevertices: every offset is a partial sum of gaps from the
+interval's end and every length a gap, so no digit of a gap 1e-8 of the
+prevertices is lost to their absolute size.  Segments keep absolute
+coordinates.  One node-doubling routine, ``_doubled``, certifies each
+item and row.
 """
 
 from __future__ import annotations
@@ -85,9 +89,8 @@ def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
     ``sums(n, active)`` returns the (R, size) sums of every row and item
     at n nodes per panel, for the items flagged in the boolean ``active``.
     An item and row passes at the first doubling whose change is within
-    rel_tol * |fine| + abs_tol, where ``rel_tol`` is a number or an (R, 1)
-    column of per-row tolerances; an item with every row passed drops out
-    of later doublings.  A (row, item) pair masked out by the (R, size)
+    rel_tol * |fine| + abs_tol; an item with every row passed drops out of
+    later doublings.  A (row, item) pair masked out by the (R, size)
     boolean ``valid`` starts as passed and reads 0.  Returns the (R, size)
     values; raises QuadratureFailure naming ``what(i)`` for an item i that
     never passes.
@@ -111,28 +114,30 @@ def _doubled(sums, size, rel_tol, abs_tol: float, what, valid=None):
     raise QuadratureFailure(f"{what(i)} stuck at rel err {rel:.3e} with {n} nodes")
 
 
-def _graded_panels(prev, z0, z1, unit, length, i0, i1):
+def _graded_panels(re, im, ray, length, own):
     """Panels (segment, end, lo, hi) of every segment of positive length,
-    each half graded from its own end: lo and hi are offsets from z0 along
-    +unit for end 0, from z1 along -unit for end 1.  Ordered by segment,
-    end and offset.
+    each half graded from its own end: lo and hi are offsets along ``ray``
+    from that end.  The ends are origins 2i (z0) and 2i + 1 (z1) of
+    segment i; ``re`` (2S, M) and ``im`` (2S,) hold the offsets z - s_m
+    from every origin, ``ray`` its direction into the segment and ``own``
+    the prevertex at it (-1 for none).  Ordered by segment, end and offset.
 
-    From an end at a prevertex (index i0 or i1 >= 0) the breaks are graded
-    dyadically: the first panel is half the clearance to the nearest other
-    prevertex (at most a quarter of the segment), each next one as long as
-    the distance back to that end, up to the midpoint; an end without a
-    prevertex gives one panel up to the midpoint.  Free panels are then
-    halved while longer than the clearance at their midpoint, at most 40
-    times: a straight path may graze a prevertex, and 40 halvings resolve a
-    closest approach of 1e-12 * length while panels still span ~1e4 ulps."""
+    From an end at a prevertex the breaks are graded dyadically: the first
+    panel is half the clearance to the nearest other prevertex (at most a
+    quarter of the segment), each next one as long as the distance back to
+    that end, up to the midpoint; an end without a prevertex gives one
+    panel up to the midpoint.  Free panels are then halved while longer
+    than the clearance at their midpoint, at most 40 times: a straight path
+    may graze a prevertex, and 40 halvings resolve a closest approach of
+    1e-12 * length while panels still span ~1e4 ulps."""
     seg = np.flatnonzero(length)
     seg, end = np.tile(seg, 2), np.repeat((0, 1), seg.size)  # one row per half
-    z, own, ray = (np.stack(pair)[end, seg] for pair in ((z0, z1), (i0, i1), (unit, -unit)))
+    o = 2 * seg + end
     half = length[seg] / 2.0
-    d = np.abs(z[:, None] - prev)
-    at = np.flatnonzero(own >= 0)
-    d[at, own[at]] = np.inf
-    b = np.where(own >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
+    d = np.hypot(re[o], im[o, None])
+    at = np.flatnonzero(own[o] >= 0)
+    d[at, own[o[at]]] = np.inf
+    b = np.where(own[o] >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
     cols = [np.zeros_like(b), b]
     while (b < half).any():
         b = np.minimum(half, b + b)
@@ -142,7 +147,7 @@ def _graded_panels(prev, z0, z1, unit, length, i0, i1):
     keep = hi > lo  # rows are non-decreasing; equal breaks give no panel
     r = np.broadcast_to(np.arange(seg.size)[:, None], lo.shape)[keep]  # half of each panel
     lo, hi = lo[keep], hi[keep]
-    fixed = (lo == 0.0) & (own[r] >= 0)
+    fixed = (lo == 0.0) & (own[o[r]] >= 0)
     done = [(r[fixed], lo[fixed], hi[fixed])]
     r, lo, hi = r[~fixed], lo[~fixed], hi[~fixed]
     for _ in range(40):
@@ -151,8 +156,8 @@ def _graded_panels(prev, z0, z1, unit, length, i0, i1):
         # midpoint clearance in offset coordinates, as the factors are formed:
         # absolute ones round a close approach to a prevertex to 0
         mid = 0.5 * (lo + hi)
-        near = np.hypot(z.real[r, None] - prev + (mid * ray[r].real)[:, None],
-                        (z.imag[r] + mid * ray[r].imag)[:, None])
+        near = np.hypot(re[o[r]] + (mid * ray[o[r]].real)[:, None],
+                        (im[o[r]] + mid * ray[o[r]].imag)[:, None])
         fits = hi - lo <= near.min(axis=1)
         done.append((r[fits], lo[fits], hi[fits]))
         r, lo, hi, mid = r[~fits], lo[~fits], hi[~fits], mid[~fits]
@@ -163,19 +168,28 @@ def _graded_panels(prev, z0, z1, unit, length, i0, i1):
     return seg[r][order], end[r][order], lo[order], hi[order]
 
 
+def _ends(a, b):
+    """Per-segment values at z0 and z1 interleaved into per-origin ones."""
+    return np.column_stack((a, b)).ravel()
+
+
 class _SegmentPanels:
     """Panels of a batch of segments, built once and evaluated at any node
     count for every exponent row.
 
-    The panels of all segments are graded at once by ``_graded_panels``,
-    each half from its own end a, and flattened into entries, each with its
-    rule index and a row mask: a Gauss-Legendre panel is one entry feeding
-    every row, a Gauss-Jacobi end panel one entry per row, with the rule of
-    that row's absorbed exponent (exponent 0 gives the Legendre rule).
-    Every factor is formed from the panel's own end, (a - s_m) + u * ray
-    with ray = +unit out of z0 and -unit out of z1, so a prevertex near
-    either end keeps its distance u exact, and every Jacobi panel starts at
-    offset 0, so its rule weights (1 + x) alone.
+    A segment i has origins 2i at z0, with ray +unit, and 2i + 1 at z1,
+    with ray -unit.  ``re`` (2S, M) and ``im`` (2S,) are the offsets
+    a - s_m of every origin a from every prevertex, ``own`` (2S,) the
+    prevertex at each origin (-1 for none), ``length`` (S,) the segment
+    lengths.  The panels of all segments are graded at once by
+    ``_graded_panels`` from that same table, each half from its own end,
+    and flattened into entries, each with its rule index and a row mask: a
+    Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
+    panel one entry per row, with the rule of that row's absorbed exponent
+    (exponent 0 gives the Legendre rule).  Every factor is formed from the
+    panel's own end, (a - s_m) + u * ray, so a prevertex near either end
+    keeps its distance u exact, and every Jacobi panel starts at offset 0,
+    so its rule weights (1 + x) alone.
 
     With ``derivatives`` each row e is followed by the M rows e - delta_m,
     whose integrands are that of e over (z - s_m), on the same entries and
@@ -184,28 +198,20 @@ class _SegmentPanels:
     ``valid`` masks it there, its sums are meaningless and _doubled, given
     ``valid``, reads it as 0."""
 
-    def __init__(self, prev, rows, z0, z1, i0, i1, derivatives=False):
+    def __init__(self, re, im, unit, length, own, rows, derivatives=False):
         r_count, m_count = rows.shape
         width = m_count + 1 if derivatives else 1
-        valid = np.ones((z0.size, r_count, width), bool)
+        valid = np.ones((length.size, r_count, width), bool)
         if derivatives:
-            for ends in (i0, i1):
-                at = np.flatnonzero(ends >= 0)
-                valid[at, :, 1 + ends[at]] = False
-        self.valid = valid.reshape(z0.size, r_count * width).T
+            at = np.flatnonzero(own >= 0)
+            valid[at // 2, :, 1 + own[at]] = False
+        self.valid = valid.reshape(length.size, r_count * width).T
         self.derivatives = derivatives
         self.rows = rows.T
-        direction = z1 - z0
-        length = np.hypot(direction.real, direction.imag)
-        safe = np.where(length > 0.0, length, 1.0)  # per part: complex division rounds differently
-        unit = direction.real / safe + 1j * (direction.imag / safe)
-        # the ends of segment i are origins 2i (z0, ray +unit) and 2i + 1 (z1, ray -unit)
-        point = np.column_stack((z0, z1)).ravel()
-        self.re, self.im = point.real[:, None] - prev, point.imag
-        self.ray = np.column_stack((unit, -unit)).ravel()
-        seg, end, lo, hi = _graded_panels(prev, z0, z1, unit, length, i0, i1)
+        self.re, self.im, self.ray = re, im, _ends(unit, -unit)
+        seg, end, lo, hi = _graded_panels(re, im, self.ray, length, own)
         origin = 2 * seg + end
-        own = np.column_stack((i0, i1)).ravel()[origin]  # prevertex at the panel's end
+        own = own[origin]  # prevertex at the panel's end
         jacobi = (lo == 0.0) & (own >= 0)
         free, each = np.flatnonzero(~jacobi), np.repeat(np.flatnonzero(jacobi), r_count)
         row = np.tile(np.arange(r_count), each.size // r_count)
@@ -257,24 +263,45 @@ class _SegmentPanels:
         return total.T
 
 
-class IntervalPlan(_SegmentPanels):
-    """The shared panels of real intervals (s_j, s_{j+1}): segments with
-    Gauss-Jacobi panels at both ends, for one exponent row or a stack, and
-    with ``derivatives`` the rows e - delta_m of _SegmentPanels.
-    Every point of an interval is nearer its ends than any other prevertex,
-    so its graded panels are never halved."""
+def _gap_offsets(gaps, ends):
+    """(len(ends), M) offsets s_a - s_m of each end a from every prevertex
+    of the tuple with gaps s_{m+1} - s_m: partial sums of gaps taken
+    outward from a, nearest gap first, so each is exact to its own
+    rounding however far the tuple extends."""
+    i, a = np.arange(gaps.size), ends[:, None]
+    up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
+    down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
+    zero = np.zeros((ends.size, 1))
+    return np.hstack((down, zero)) - np.hstack((zero, up))
 
-    def __init__(self, prev, exps, j, derivatives=False):
-        prev, j = np.asarray(prev, float), np.asarray(j, int).ravel()
-        super().__init__(prev, np.atleast_2d(np.asarray(exps, float)),
-                         prev[j] + 0j, prev[j + 1] + 0j, j, j + 1, derivatives)
+
+class IntervalPlan(_SegmentPanels):
+    """The shared panels of real intervals (s_j, s_{j+1}) of the tuple with
+    gaps s_{m+1} - s_m: segments with Gauss-Jacobi panels at both ends, for
+    one exponent row or a stack, and with ``derivatives`` the rows
+    e - delta_m of _SegmentPanels.  Each end's offsets are partial sums of
+    gaps, the length is the gap itself and the direction exactly +1, so a
+    gap far smaller than the prevertices keeps its full relative accuracy.
+    Every point of an interval is nearer its ends than any other
+    prevertex, so its graded panels are never halved."""
+
+    def __init__(self, gaps, exps, j, derivatives=False):
+        gaps, j = np.asarray(gaps, float), np.asarray(j, int).ravel()
+        ends = _ends(j, j + 1)
+        super().__init__(_gap_offsets(gaps, ends), np.zeros(ends.size), np.ones(j.size, complex),
+                         gaps[j], ends, np.atleast_2d(np.asarray(exps, float)), derivatives)
 
     integrate_abs = _SegmentPanels.sums
 
 
-def interval_abs_integral(prev, exps, j):
-    """Modulus integrals over real intervals (s_j, s_{j+1}), certified by
-    node doubling to relative accuracy 1e-12.
+def _interval_name(gaps, j):
+    return lambda i: f"interval ({j[i]}, {j[i] + 1}) of gap {gaps[j[i]]}"
+
+
+def interval_abs_integral(gaps, exps, j):
+    """Modulus integrals over real intervals (s_j, s_{j+1}) of the tuple
+    with gaps s_{m+1} - s_m, certified by node doubling to relative
+    accuracy 1e-12.
 
     ``j`` is one interval index or an array of them, ``exps`` one exponent
     row or an (R, M) stack of rows.  The integrand has constant argument
@@ -284,19 +311,18 @@ def interval_abs_integral(prev, exps, j):
     shape of ``j``, a scalar for one row and index; raises
     QuadratureFailure if a doubling test never passes.
     """
-    prev = np.asarray(prev, float)
+    gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
     j = np.asarray(j, int)
-    plan = IntervalPlan(prev, exps, j)
-    value = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0,
-                     lambda i: f"interval ({prev[j.flat[i]]}, {prev[j.flat[i] + 1]})")
+    plan = IntervalPlan(gaps, exps, j)
+    value = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0, _interval_name(gaps, j.ravel()))
     return np.abs(value).reshape(exps.shape[:-1] + j.shape)[()]
 
 
-def interval_jacobian(prev, exps, j):
-    """Complex integrals I_j over real intervals (s_j, s_{j+1}) and their
-    derivatives dI_j/ds_m with respect to every prevertex, from one kernel
-    call.
+def interval_jacobian(gaps, exps, j):
+    """Complex integrals I_j over real intervals (s_j, s_{j+1}) of the
+    tuple with gaps g_i = s_{i+1} - s_i and their derivatives
+    g_i dI_j/dg_i in the log of every gap, from one kernel call.
 
     ``j`` is an array of interval indices, ``exps`` one exponent row e or
     an (B, M) stack.  For a prevertex m that is not an end of the interval,
@@ -306,33 +332,34 @@ def interval_jacobian(prev, exps, j):
     the integral of the row e - delta_m on the interval's own panels, which
     shares the base row's Gauss-Jacobi rules (IntervalPlan with
     ``derivatives``); that row is masked out on the two intervals it would
-    make non-integrable.  The two end derivatives follow from translation,
-    sum_m dI/ds_m = 0, and scaling about s_j,
-    sum_m (s_m - s_j) dI/ds_m = (1 + sum e) I; centring the scaling at s_j
-    avoids the cancellation of sum_m s_m dI/ds_m on thin tuples.  Base rows
-    are certified to 1e-12 relative, derivative rows to 1e-10: at 1e-12
-    they reach the rounding floor on thin tuples.  Returns
-    (I, dI/ds) of shapes (B, n) and (B, M, n) for a stack, (n,) and (M, n)
-    for one row; raises QuadratureFailure if a doubling test never passes.
+    make non-integrable.  A gap g_i moves the prevertices above it, so by
+    translation invariance dI_j/dg_i = -sum_{m <= i} dI_j/ds_m below the
+    interval and sum_{m > i} dI_j/ds_m above it: neither sum holds an end,
+    so no end derivatives of size I/g cancel next to a tiny gap.  The
+    interval's own gap follows from homogeneity,
+    sum_i g_i dI/dg_i = (1 + sum e) I.  Every row is certified to 1e-12
+    relative.  Returns (I, g dI/dg) of shapes (B, n) and (B, M-1, n) for a
+    stack, (n,) and (M-1, n) for one row; raises QuadratureFailure if a
+    doubling test never passes.
     """
-    prev = np.asarray(prev, float)
+    gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
     base = np.atleast_2d(exps)
     j = np.asarray(j, int).ravel()
     b_count, m_count = base.shape
-    n, cols = j.size, np.arange(j.size)
-    plan = IntervalPlan(prev, base, j, derivatives=True)
-    tol = np.full((b_count, m_count + 1), 1e-10)
-    tol[:, 0] = _REL_TOL
-    value = _doubled(plan.integrate_abs, n, tol.reshape(-1, 1), 0.0,
-                     lambda i: f"interval ({prev[j[i]]}, {prev[j[i] + 1]})", plan.valid)
-    value = value.reshape(b_count, m_count + 1, n)
-    total, deriv = value[:, 0], -base[:, :, None] * value[:, 1:]
-    scaled = (1.0 + base.sum(axis=1))[:, None] * total
-    moment = np.einsum("mn,bmn->bn", prev[:, None] - prev[j], deriv)
-    deriv[:, j + 1, cols] = (scaled - moment) / (prev[j + 1] - prev[j])
-    deriv[:, j, cols] = -deriv.sum(axis=1)
-    return total.reshape(exps.shape[:-1] + (n,)), deriv.reshape(exps.shape[:-1] + (m_count, n))
+    cols = np.arange(j.size)
+    plan = IntervalPlan(gaps, base, j, derivatives=True)
+    value = _doubled(plan.integrate_abs, j.size, _REL_TOL, 0.0, _interval_name(gaps, j), plan.valid)
+    value = value.reshape(b_count, m_count + 1, j.size)
+    total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
+    below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
+    above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
+    i = np.arange(m_count - 1)[:, None]
+    dlog = gaps[:, None] * np.where(i < j, -below, above)
+    dlog[:, j, cols] = 0.0
+    dlog[:, j, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
+    shape = exps.shape[:-1]
+    return total.reshape(shape + (j.size,)), dlog.reshape(shape + (m_count - 1, j.size))
 
 
 def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
@@ -367,7 +394,13 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
         i = int(np.argmin(finite))
         raise DomainError(f"segment [{z0[i]}, {z1[i]}] has a non-finite endpoint")
 
-    panels = _SegmentPanels(prev, rows, z0, z1, i0, i1)
+    direction = z1 - z0
+    length = np.hypot(direction.real, direction.imag)
+    safe = np.where(length > 0.0, length, 1.0)  # per part: complex division rounds differently
+    unit = direction.real / safe + 1j * (direction.imag / safe)
+    point = _ends(z0, z1)
+    panels = _SegmentPanels(point.real[:, None] - prev, point.imag, unit, length,
+                            _ends(i0, i1), rows)
     value = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
                      lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]

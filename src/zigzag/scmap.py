@@ -18,18 +18,20 @@ accounts for this when matching the developed chain to build_vertices.
 
 The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
-solved by one Newton iteration, full steps until one fails to reduce
-max|F|, then a Nelder-Mead rescue, from the same seed: gaps proportional
-to the target sides.  Its Jacobian is exact: the prevertex derivatives of
-the side integrals are extra exponent rows on the panels of the sides, so
-each Newton point costs one kernel call.  The shared solve starts from
+solved by one plain Newton iteration to max|F| <= 1e-12, from the same
+seed: gaps proportional to the target sides.  Its Jacobian is exact: the
+prevertex derivatives of the side integrals are extra exponent rows on
+the panels of the sides, so each Newton point costs one kernel call.
+Every real-interval integral takes the tuple's gaps, not its absolute
+prevertices, so a gap far below the prevertices loses no digits and F
+has no rounding floor above the tolerance.  The shared solve starts from
 equal sides, with no nested parameter solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,9 +89,13 @@ class Prevertices:
     """Symmetric increasing prevertex tuple s_{-p}, ..., s_p.
 
     Normalization: s_0 = 0, s_1 = 1 (for p >= 1), s_{-j} = -s_j.
+    ``gaps`` holds the 2p gaps s_{m+1} - s_m that every real-interval
+    integral takes: exactly those it was built from by
+    ``from_positive_gaps``, np.diff(values) when built from values.
     """
 
     values: tuple[float, ...]
+    gaps: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -105,6 +111,7 @@ class Prevertices:
         if not np.allclose(v + v[::-1], 0.0, atol=1e-12):
             raise ValueError("prevertices must satisfy s_{-j} = -s_j")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
+        object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps or np.diff(v)))
 
     @property
     def genus(self) -> int:
@@ -116,9 +123,13 @@ class Prevertices:
 
     @staticmethod
     def from_positive_gaps(gaps) -> "Prevertices":
-        """Build the symmetric tuple from the p-1 gaps above s_1."""
-        pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps))) if len(gaps) else np.array([0.0, 1.0])
-        return Prevertices.from_positive(pos)
+        """Build the symmetric tuple from the p-1 gaps above s_1, keeping
+        them exact as its gaps."""
+        gaps = np.asarray(gaps, dtype=float)
+        pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
+        half = np.concatenate(([1.0], gaps))
+        return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))),
+                           tuple(np.concatenate((half[::-1], half))))
 
     @staticmethod
     def from_positive(pos) -> "Prevertices":
@@ -138,25 +149,25 @@ class PeriodVector:
 def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
     """Euclidean length of the image of (s_j, s_{j+1}), 0 <= j < p.
 
-    This is the raw modulus integral of the SC integrand; no chain
-    normalization is applied.  Relative accuracy 1e-10 or better, enforced
-    by node doubling (QuadratureFailure otherwise).
+    This is the raw modulus integral of the SC integrand over the tuple's
+    gaps; no chain normalization is applied.  Relative accuracy 1e-10 or
+    better, enforced by node doubling (QuadratureFailure otherwise).
     """
     p = prev.genus
     if not 0 <= j < p:
         raise ValueError(f"segment index {j} out of range for genus {p}")
-    return quad.interval_abs_integral(prev.values, pat.exponents, j + p)
+    return quad.interval_abs_integral(prev.gaps, pat.exponents, j + p)
 
 
-def positive_sides(prev_values, exponents) -> np.ndarray:
+def positive_sides(gaps, exponents) -> np.ndarray:
     """Raw SC side lengths of the p positive-side intervals (s_j, s_{j+1}),
-    j = 0..p-1, of the tuple s_{-p}..s_p under one exponent pattern, or
-    under each row of an (R, 2p+1) stack of patterns as an (R, p) array,
-    all from one call of the shared quadrature kernel.  The mirror interval
-    (s_{-j-1}, s_{-j}) has the same length, since prevertices and exponents
-    are symmetric."""
-    p = len(prev_values) // 2
-    return quad.interval_abs_integral(prev_values, exponents, np.arange(p, 2 * p))
+    j = 0..p-1, of the tuple s_{-p}..s_p with the 2p gaps s_{m+1} - s_m,
+    under one exponent pattern, or under each row of an (R, 2p+1) stack of
+    patterns as an (R, p) array, all from one call of the shared
+    quadrature kernel.  The mirror interval (s_{-j-1}, s_{-j}) has the same
+    length, since prevertices and exponents are symmetric."""
+    p = len(gaps) // 2
+    return quad.interval_abs_integral(gaps, exponents, np.arange(p, 2 * p))
 
 
 def _log_ratios(sides: np.ndarray) -> np.ndarray:
@@ -171,102 +182,60 @@ def _side_jacobian(u, exponents):
     row of the (R, 2p+1) stack ``exponents`` and their exact (R, p, p-1)
     Jacobian over u, from one kernel call.
 
-    It chains the prevertex derivatives of quadrature.interval_jacobian:
-    d|I| = Re(conj(I) dI) / |I|, and the gap g_i = e^{u_i} above s_{i+1}
-    moves s_{+-m} by +-g_i for every m >= i+2.
+    It chains the log-gap derivatives of quadrature.interval_jacobian:
+    d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
+    s_{i+1} and of its mirror below s_{-i-1}.
     """
     gaps = np.exp(u)
-    prev = Prevertices.from_positive_gaps(gaps).values
-    p = len(prev) // 2
-    total, deriv = quad.interval_jacobian(prev, exponents, np.arange(p, 2 * p))
-    ds_du = np.zeros((2 * p + 1, p - 1))
-    for i, g in enumerate(gaps):
-        ds_du[p + i + 2:, i], ds_du[:p - i - 1, i] = g, -g
+    p = gaps.size + 1
+    total, dlog = quad.interval_jacobian(Prevertices.from_positive_gaps(gaps).gaps, exponents,
+                                         np.arange(p, 2 * p))
+    i = np.arange(p - 1)
+    d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(0, 2, 1)
     sides = np.abs(total)
-    d_total = np.einsum("rmj,mi->rji", deriv, ds_du)
     return sides, np.real(np.conj(total)[:, :, None] * d_total) / sides[:, :, None]
 
 
-def _log_ratio_system(u, exponents, jacobian: bool):
+def _log_ratio_system(u, exponents):
     """Raw positive sides of the tuple with log-gaps u under each row of
-    the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row,
-    and, if asked, the (R, p-1, p-1) Jacobian of those over u (None
-    otherwise), all from one kernel call."""
-    if not jacobian:
-        sides = positive_sides(Prevertices.from_positive_gaps(np.exp(u)).values, exponents)
-        return sides, _log_ratios(sides), None
+    the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row
+    and the (R, p-1, p-1) Jacobian of those over u, all from one kernel
+    call."""
     sides, d_sides = _side_jacobian(u, exponents)
     d_log = d_sides / sides[:, :, None]
     return sides, _log_ratios(sides), d_log[:, 1:] - d_log[:, :1]
 
 
-_NEWTON_TOL = 1e-11  # sup norm of the log-ratio residual
+_NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
 
 
-class _Reached(Exception):
-    """Ends the Nelder-Mead rescue at a point within the Newton tolerance."""
+def _newton_solve(system, u0, label: str) -> np.ndarray:
+    """Log-gaps u with max|F(u)| <= _NEWTON_TOL by plain Newton.
 
-
-def _newton_solve(system, u0, label: str, tol: float = _NEWTON_TOL) -> np.ndarray:
-    """Log-gaps u with max|F(u)| <= tol.
-
-    ``system(u, jacobian)`` returns F(u) and, when ``jacobian`` is true,
-    its exact Jacobian (None otherwise), both from one kernel call.  Newton
-    takes full steps, each trial point evaluating F and J at once, so an
-    accepted step already holds its Jacobian; it stops when a step does not
-    reduce max|F| or the kernel fails at the trial point.  From that
-    iterate, Nelder-Mead on ||F||^2 (F alone), which ends at the first
-    point within the tolerance or once its simplex is 1e-13 wide in u,
-    then a second Newton polish.  On success the last evaluation is at the
-    returned u and holds J.  Raises NoConvergence carrying max|F| of every
-    Newton iteration.
+    ``system(u)`` returns F(u) and its exact Jacobian from one kernel call,
+    so an accepted step already holds its Jacobian, and on success the
+    last evaluation is at the returned u.  Newton takes full steps, at
+    most 60.  Raises NoConvergence carrying max|F| of every iteration when
+    a step does not reduce max|F|, J is singular or the kernel fails, the
+    LinAlgError or QuadratureFailure chained as its cause.
     """
     trace = []
-
-    def newton(u):
-        try:
-            r, J = system(u, True)
-        except QuadratureFailure:
-            return u, math.inf
+    u = np.asarray(u0, dtype=float)
+    try:
+        r, J = system(u)
         norm = float(np.max(np.abs(r)))
         for _ in range(60):
             trace.append(norm)
-            if norm <= tol:
-                break
-            try:
-                step = np.linalg.solve(J, -r)
-                r_new, J_new = system(u + step, True)
-            except (np.linalg.LinAlgError, QuadratureFailure):
-                break
+            if norm <= _NEWTON_TOL:
+                return u
+            step = np.linalg.solve(J, -r)
+            r_new, J_new = system(u + step)
             norm_new = float(np.max(np.abs(r_new)))
             if not norm_new < norm:
                 break
             u, r, J, norm = u + step, r_new, J_new, norm_new
-        return u, norm
-
-    u, norm = newton(np.asarray(u0, dtype=float))
-    if norm <= tol:
-        return u
-
-    # simplex rescue on ||F||^2, then a final Newton polish.  It stops on the
-    # simplex width alone: where F sits at its rounding floor, ||F||^2 jumps
-    # between adjacent points and an f-spread test never passes
-    from scipy.optimize import minimize as _nm
-
-    def objective(v):
-        r = system(v, False)[0]
-        if np.max(np.abs(r)) <= tol:
-            raise _Reached(np.array(v))
-        return float(np.sum(r ** 2))
-
-    try:
-        u = _nm(objective, u, method="Nelder-Mead",
-                options={"xatol": 1e-13, "fatol": np.inf, "maxiter": 4000}).x
-    except _Reached as reached:
-        u = reached.args[0]
-    u, norm = newton(u)
-    if norm <= tol:
-        return u
+    except (np.linalg.LinAlgError, QuadratureFailure) as exc:
+        raise NoConvergence(f"{label} stalled", trace) from exc
     raise NoConvergence(f"{label} stalled", trace)
 
 
@@ -287,9 +256,9 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     target = _log_ratios(np.asarray(z.side_lengths))
     exps = pat.exponents[None, :]
 
-    def system(u, jacobian):
-        _, ratios, J = _log_ratio_system(u, exps, jacobian)
-        return ratios[0] - target, None if J is None else J[0]
+    def system(u):
+        _, ratios, J = _log_ratio_system(u, exps)
+        return ratios[0] - target, J[0]
 
     u = _newton_solve(system, target, f"parameter problem for {z}")
     return Prevertices.from_positive_gaps(np.exp(u))
@@ -312,7 +281,7 @@ def _raw_chain(prev: Prevertices, pat: ExponentPattern):
     of the 2p intervals."""
     p = prev.genus
     exps = pat.exponents
-    pos = positive_sides(prev.values, exps)
+    pos = positive_sides(prev.gaps, exps)
     sides = np.concatenate((pos[::-1], pos))  # mirror intervals, equal lengths
     dirs = _segment_directions_from_exponents(exps)[:-1]  # per interval m = 0..2p-1
     steps = sides * dirs
@@ -386,8 +355,7 @@ def make_coalescing_family(base: Prevertices, j: int, deltas):
     p = base.genus
     if not 0 <= j <= p - 2:
         raise ValueError(f"need 0 <= j <= p-2 so the gap above s_{j + 1} exists")
-    pos = np.array([base.value(m) for m in range(p + 1)])
-    gaps = np.diff(pos)  # gaps[m] = s_{m+1} - s_m
+    gaps = np.array(base.gaps[p:])  # gaps[m] = s_{m+1} - s_m
     members = []
     for d in deltas:
         g = gaps.copy()
@@ -429,7 +397,7 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     y = np.empty(deltas.size)
     xlog = np.empty(deltas.size)
     for i, member in enumerate(members):  # |a_j| and |a_{j+1}| in one kernel call
-        y[i], nxt = quad.interval_abs_integral(member.values, pat.exponents, [j + p, j + p + 1])
+        y[i], nxt = quad.interval_abs_integral(member.gaps, pat.exponents, [j + p, j + p + 1])
         xlog[i] = math.log(deltas[i]) / math.pi * nxt
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)

@@ -177,11 +177,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("extra", [["--deltas", "1e-4,1e-6,9"], ["--j", "2"]],
                              ids=["grid", "j"])
-    def test_coalescence_bad_grid_or_j_usage_error(self, tmp_path, extra):
+    def test_coalescence_bad_grid_or_j_usage_error(self, tmp_path, monkeypatch, extra):
+        # bad arguments are refused before the base solve
+        solves = []
+        monkeypatch.setattr(sys.modules["zigzag.cli"], "continuation_solve",
+                            lambda *args: solves.append(args))
         out = tmp_path / "coal.csv"
         assert main(["sweep", "--kind", "coalescence", "--genus", "3",
                      "--out", str(out), *extra]) == 1
         assert not out.exists()
+        assert solves == []
 
     def test_coalescence_sign_contrast(self, tmp_path):
         out = tmp_path / "coal.csv"

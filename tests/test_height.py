@@ -180,9 +180,9 @@ class TestSharedPrevertexSolve:
 class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
         # deterministic work gate: kernel plans in the direct genus-5 solve,
-        # one per Newton point (residual and exact Jacobian together) and per
-        # rescue evaluation; cold parameter solves only for the two
-        # certificates of D, with no lower genus solved
+        # one per Newton point (residual and exact Jacobian together); cold
+        # parameter solves only for the two certificates of D, with no lower
+        # genus solved
         height_mod = sys.modules["zigzag.height"]
         solve = height_mod.solve_parameter_problem
         solves = []
@@ -209,8 +209,7 @@ class TestIsolationCertificate:
             rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
 
             def f(u):
-                ne, sw = positive_sides(zz.Prevertices.from_positive_gaps(np.exp(u)).values,
-                                        rows)
+                ne, sw = positive_sides(zz.Prevertices.from_positive_gaps(np.exp(u)).gaps, rows)
                 return np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0])
 
             u = np.log(np.diff(rec.prev_ne.values[p + 1:]))

@@ -49,7 +49,6 @@ from .elliptic import (
 )
 from .height import (
     SolutionRecord,
-    TraceRow,
     continuation_solve,
     height,
     height_parts,
@@ -81,7 +80,7 @@ __all__ = [
     "periods", "coalescence_log_fit", "make_coalescing_family",
     "EllipticData", "carlson_rf", "cross_ratio_lambda", "elliptic_periods",
     "extremal_length_quad", "extremal_lengths",
-    "TraceRow", "SolutionRecord", "height", "height_parts",
+    "SolutionRecord", "height", "height_parts",
     "minimize", "continuation_solve",
     "WeierstrassData", "SurfaceMesh", "SymmetryGenerator", "PeriodReport",
     "build_weierstrass", "verify_periods", "curvature_summary",

@@ -33,14 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="height certificate: the solve fails unless D < tol "
                               "(default 1e-10)")
     p_solve.add_argument("--out", default=None,
-                         help="solution file path (default zigzag_p<genus>_k<k>.json)")
-    p_solve.add_argument("--trace", default=None,
-                         help="optional CSV path for the solve trace "
-                              "(columns: step,height,grad_norm,stratum_distance); "
-                              "each row is one Newton point of the shared-prevertex "
-                              "solve (one kernel call for F and its exact Jacobian) "
-                              "with the running best ||F||^2, "
-                              "the last row holds the certified height D and max|F|")
+                         help="solution file path (default zigzag_p<genus>_k<k>.json); "
+                              "its trace_summary holds max|F| at every Newton point")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution file")
     p_verify.add_argument("path")
@@ -84,10 +78,6 @@ def cmd_solve(args) -> int:
     if record is None:
         return SOLVE_EXIT
     zio.save_solution(out, record)
-    if args.trace:
-        zio.write_csv(args.trace,
-                      ["step", "height", "grad_norm", "stratum_distance"],
-                      [tuple(row) for row in record.trace])
     print(f"genus {args.genus} (k={args.k}) solved: height {record.height:.3e}, "
           f"written to {out}")
     return 0
@@ -221,6 +211,8 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 1 on bad usage, unreadable input or an output
+    path that cannot be written, 2 on a failed solve, 3 on a failed check."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -232,7 +224,11 @@ def main(argv=None) -> int:
         "mesh": cmd_mesh,
         "sweep": cmd_sweep,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # every file a command writes
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -125,13 +125,19 @@ def extremal_lengths(prev) -> tuple[float, ...]:
     """Extremal-length vector E(1), ..., E(p-1) of a prevertex tuple.
 
     E(k) = 2 * extremal_length_quad(lambda(s_{k-1}, s_k, s_{k+1}, s_{k+2}))
-    with s_{p+1} = infinity.  Empty for genus <= 1.
+    with s_{p+1} = infinity.  Empty for genus <= 1.  Each cross-ratio is
+    formed from the tuple's gaps g_a, g_b, g_c between the four points,
+    lambda = -g_b (g_a + g_b + g_c) / (g_a g_c), or -g_b / g_a when the last
+    point is infinite, so a gap far below the prevertices keeps its digits.
     """
     p = prev.genus
     out = []
     for k in range(1, p):
-        xs = [prev.value(k - 1), prev.value(k), prev.value(k + 1)]
-        x4 = math.inf if k + 2 > p else prev.value(k + 2)
-        lam = cross_ratio_lambda(xs[0], xs[1], xs[2], x4)
+        g_a, g_b = prev.gaps[p + k - 1], prev.gaps[p + k]
+        if k + 2 > p:
+            lam = -g_b / g_a
+        else:
+            g_c = prev.gaps[p + k + 1]
+            lam = -g_b * (g_a + g_b + g_c) / (g_a * g_c)
         out.append(2.0 * extremal_length_quad(lam))
     return tuple(out)

@@ -20,8 +20,9 @@ class QuadratureFailure(ZigzagError):
 class NoConvergence(ZigzagError):
     """A Newton solve did not converge.
 
-    Carries the iteration trace in ``trace`` (list of residual norms); the
-    message ends with its length and last entry.
+    Carries max|F| at every Newton point reached in ``trace``, the history
+    a converged solve returns as its residuals; the message ends with its
+    length and last entry.
     """
 
     def __init__(self, message, trace=None):

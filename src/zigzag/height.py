@@ -16,38 +16,30 @@ solve and no lower genus: the paper's handle insertion from genus p-1 is
 its existence argument by continuation, not a step of the computation.
 D of the result, from two cold parameter solves, is the certificate, and
 the smallest singular value of the Jacobian at the solution certifies
-that the zero is isolated.
+that the zero is isolated.  The record keeps what Newton did: max|F| at
+every Newton point, one kernel call each, the last at the solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotReflexive
-from .geometry import ZigzagParams, canonicalize, stratum_distance
+from .geometry import ZigzagParams, canonicalize
 from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _newton_solve,
                     ne_pattern, solve_parameter_problem, sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
-    "TraceRow",
     "SolutionRecord",
     "height",
     "height_parts",
     "minimize",
     "continuation_solve",
 ]
-
-class TraceRow(NamedTuple):
-    step: int
-    height: float
-    grad_norm: float
-    stratum_distance: float
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -60,7 +52,10 @@ class SolutionRecord:
     ext_sw: tuple[float, ...]
     height: float
     converged: bool
-    trace: tuple[TraceRow, ...] = field(default=())
+    # max|F| at every Newton point of the shared-prevertex solve, strictly
+    # decreasing to at most 1e-12 (empty without unknowns, and when loaded
+    # from a file written before the history was stored)
+    residuals: tuple[float, ...] = ()
     # smallest singular value of the exact Jacobian of F at the shared
     # solution (NaN without unknowns): nonzero certifies an isolated zero
     sigma_min: float = math.nan
@@ -108,36 +103,32 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     solution is stored as the isolation certificate.  Genus 0 and 1 have
     no unknowns.  The zigzag is read off the normalized NE sides; two cold
     parameter solves then give D as an independent certificate, and the
-    record is converged iff D < tol.
-    Trace rows log the running best ||F||^2 per Newton point (gradient
-    column NaN); the final row holds D and max|F| at the solution.
+    record is converged iff D < tol.  The record keeps max|F| at every
+    Newton point, as the solver returns it: the last entry is max|F| at
+    the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
-    trace: list[TraceRow] = []
-    f_norm, sigma_min = 0.0, math.nan
+    residuals: tuple[float, ...] = ()
+    sigma_min = math.nan
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
-        ne = f = jac = None
+        ne = jac = None
 
         def system(u):  # both patterns share one kernel call
-            nonlocal ne, f, jac
+            nonlocal ne, jac
             sides, ratios, J = _log_ratio_system(u, rows)
-            ne, f, jac = sides[0], ratios[0] - ratios[1], J[0] - J[1]
-            best = min(float(f @ f), trace[-1].height if trace else math.inf)
-            trace.append(TraceRow(len(trace) + 1, best, math.nan,
-                                  stratum_distance(ZigzagParams(p, k, tuple(ne)))))
-            return f, jac
+            ne, jac = sides[0], J[0] - J[1]
+            return ratios[0] - ratios[1], jac
 
-        # on success the last evaluation, hence ne, f and jac, is at the solution
-        _newton_solve(system, _log_ratios(np.asarray(z.side_lengths)),
-                      f"shared-prevertex solve from {z}")
+        # on success the last evaluation, hence ne and jac, is at the solution
+        _, history = _newton_solve(system, _log_ratios(np.asarray(z.side_lengths)),
+                                   f"shared-prevertex solve from {z}")
+        residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
-        f_norm = float(np.max(np.abs(f)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
-    trace.append(TraceRow(len(trace) + 1, d, f_norm, stratum_distance(z)))
-    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, tuple(trace),
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, residuals,
                           sigma_min)
 
 

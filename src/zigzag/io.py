@@ -3,7 +3,11 @@
 Solution files are a single self-describing JSON text document with an
 explicit schema version.  All floats are rendered with 17 significant
 digits, which round-trips IEEE doubles exactly and keeps output
-byte-identical across runs with the same inputs.
+byte-identical across runs with the same inputs.  Their ``trace_summary``
+holds max|F| at every Newton point of the shared-prevertex solve
+(``newton_residuals``) and, with unknowns, the smallest singular value of
+its Jacobian at the solution (``jacobian_sigma_min``), so a file loaded
+and saved again is the same file byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ZigzagParams, build_vertices
-from .height import SolutionRecord, TraceRow
+from .height import SolutionRecord
 from .scmap import Prevertices
 from .weierstrass import SurfaceMesh, WeierstrassData, build_weierstrass
 
@@ -68,14 +72,7 @@ class SolutionFile:
 
 def record_to_solution(record: SolutionRecord,
                        wd: WeierstrassData | None = None) -> SolutionFile:
-    tr = record.trace
-    summary = {
-        "iterations": len(tr),
-        "final_height": tr[-1].height if tr else record.height,
-        "final_grad_norm": tr[-1].grad_norm if tr else math.nan,
-        "min_stratum_distance": min((row.stratum_distance for row in tr),
-                                    default=math.nan),
-    }
+    summary = {"newton_residuals": list(record.residuals)}
     if not math.isnan(record.sigma_min):  # only solves with unknowns have a Jacobian
         summary["jacobian_sigma_min"] = record.sigma_min
     data = {
@@ -116,13 +113,9 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         raise ValueError(f"unsupported schema version {d.get('schema_version')}")
     z = ZigzagParams(int(d["genus"]), int(d["turn_order"]),
                      tuple(d["side_lengths"]))
+    # files written before the Newton history was stored carry other
+    # summary keys, which are ignored: they load with no residuals
     summary = d.get("trace_summary", {})
-    row = TraceRow(
-        int(summary.get("iterations", 0)),
-        float(summary.get("final_height", d["height"])),
-        float(summary.get("final_grad_norm", math.nan)),
-        float(summary.get("min_stratum_distance", math.nan)),
-    )
     return SolutionRecord(
         z,
         _prevertices(d["prev_ne"], z.genus, "prev_ne"),
@@ -131,7 +124,7 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         tuple(d["ext_sw"]),
         float(d["height"]),
         bool(d["converged"]),
-        (row,),
+        tuple(float(x) for x in summary.get("newton_residuals", ())),
         float(summary.get("jacobian_sigma_min", math.nan)),
     )
 

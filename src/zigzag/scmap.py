@@ -209,25 +209,27 @@ def _log_ratio_system(u, exponents):
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
 
 
-def _newton_solve(system, u0, label: str) -> np.ndarray:
-    """Log-gaps u with max|F(u)| <= _NEWTON_TOL by plain Newton.
+def _newton_solve(system, u0, label: str) -> tuple[np.ndarray, list[float]]:
+    """(u, residuals): log-gaps u with max|F(u)| <= _NEWTON_TOL by plain
+    Newton, and max|F| at every Newton point, strictly decreasing.
 
     ``system(u)`` returns F(u) and its exact Jacobian from one kernel call,
     so an accepted step already holds its Jacobian, and on success the
-    last evaluation is at the returned u.  Newton takes full steps, at
-    most 60.  Raises NoConvergence carrying max|F| of every iteration when
-    a step does not reduce max|F|, J is singular or the kernel fails, the
-    LinAlgError or QuadratureFailure chained as its cause.
+    last evaluation is at the returned u: one call per residual.  Newton
+    takes full steps, at most 60.  Raises NoConvergence carrying the
+    residuals so far when a step does not reduce max|F|, J is singular or
+    the kernel fails, the LinAlgError or QuadratureFailure chained as its
+    cause.
     """
-    trace = []
+    residuals = []
     u = np.asarray(u0, dtype=float)
     try:
         r, J = system(u)
         norm = float(np.max(np.abs(r)))
         for _ in range(60):
-            trace.append(norm)
+            residuals.append(norm)
             if norm <= _NEWTON_TOL:
-                return u
+                return u, residuals
             step = np.linalg.solve(J, -r)
             r_new, J_new = system(u + step)
             norm_new = float(np.max(np.abs(r_new)))
@@ -235,8 +237,8 @@ def _newton_solve(system, u0, label: str) -> np.ndarray:
                 break
             u, r, J, norm = u + step, r_new, J_new, norm_new
     except (np.linalg.LinAlgError, QuadratureFailure) as exc:
-        raise NoConvergence(f"{label} stalled", trace) from exc
-    raise NoConvergence(f"{label} stalled", trace)
+        raise NoConvergence(f"{label} stalled", residuals) from exc
+    raise NoConvergence(f"{label} stalled", residuals)
 
 
 def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
@@ -260,7 +262,7 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
         _, ratios, J = _log_ratio_system(u, exps)
         return ratios[0] - target, J[0]
 
-    u = _newton_solve(system, target, f"parameter problem for {z}")
+    u, _ = _newton_solve(system, target, f"parameter problem for {z}")
     return Prevertices.from_positive_gaps(np.exp(u))
 
 

@@ -63,15 +63,6 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() and not (tmp_path / "p3.json.partial").exists()
 
-    def test_trace_written(self, tmp_path):
-        out = tmp_path / "p2.json"
-        trace = tmp_path / "trace.csv"
-        assert main(["solve", "--genus", "2", "--out", str(out),
-                     "--trace", str(trace)]) == 0
-        lines = trace.read_text().splitlines()
-        assert lines[0] == "step,height,grad_norm,stratum_distance"
-        assert len(lines) > 2
-
     def test_deterministic_bytes(self, tmp_path, solved_file):
         out2 = tmp_path / "again.json"
         assert main(["solve", "--genus", "2", "--out", str(out2)]) == 0
@@ -235,6 +226,19 @@ class TestSolveFailureExit:
         assert "solve failed at genus 2: NotReflexive" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        lambda sol: ["solve", "--genus", "0", "--out", "/nonexistent/x.json"],
+        lambda sol: ["mesh", str(sol), "--resolution", "8", "--out", "/nonexistent/m.obj"],
+        lambda sol: ["sweep", "--kind", "extlength", "--out", "/nonexistent/s.csv"],
+    ], ids=["solve", "mesh", "sweep"])
+    def test_usage_error_without_traceback(self, solved_file, capsys, argv):
+        assert main(argv(solved_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "/nonexistent/" in err
+        assert "Traceback" not in err
+
+
 class TestSolutionFileRoundTrip:
     def test_lossless(self, solved_file):
         sf = zio.load_solution(solved_file)
@@ -261,6 +265,29 @@ class TestSolutionFileRoundTrip:
         rec = zio.solution_to_record(zio.load_solution(data))
         assert math.isnan(rec.sigma_min)
         assert "jacobian_sigma_min" not in zio.record_to_solution(rec).data["trace_summary"]
+
+    def test_load_then_save_is_byte_identical(self, solved_file):
+        # the file holds the whole Newton history, so nothing is made up on load
+        sf = zio.load_solution(solved_file)
+        rec = zio.solution_to_record(sf)
+        assert len(rec.residuals) >= 2
+        assert rec.residuals == tuple(sf.data["trace_summary"]["newton_residuals"])
+        text = zio.record_to_solution(rec, zio.weierstrass_from_solution(sf)).dumps()
+        assert text == solved_file.read_text()
+
+    @pytest.mark.parametrize("name", ["p2_k3.json", "p3_k2.json", "p5_k2.json"])
+    def test_descent_era_summary_loads(self, name):
+        # committed files carry the summary keys of the deleted descent
+        # trace; they load with no residuals and are saved without them
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / name
+        sf = zio.load_solution(path)
+        assert "iterations" in sf.data["trace_summary"]
+        rec = zio.solution_to_record(sf)
+        assert rec.residuals == ()
+        assert rec.height == sf.data["height"]
+        summary = zio.record_to_solution(rec, zio.weierstrass_from_solution(sf)).data[
+            "trace_summary"]
+        assert summary == {"newton_residuals": []}
 
     def test_reverify_height(self, solved_file):
         sf = zio.load_solution(solved_file)

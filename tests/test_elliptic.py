@@ -155,6 +155,23 @@ class TestExtremalLengths:
         assert math.isclose(lam, 1.0 - s2, rel_tol=1e-14)
         assert math.isclose(e1, 2.0 * zz.extremal_length_quad(lam), rel_tol=1e-14)
 
+    def test_thin_gaps_keep_their_digits(self):
+        # gaps near 1e-9 of the prevertices: each cross-ratio is formed from
+        # the gaps, against mpmath from the same exact gaps (absolute
+        # prevertices lose about 4e-9 of E here)
+        gaps = [0.5, 27.0, 1.7e-8, 1.5e-8, 3.0]
+        prev = zz.Prevertices.from_positive_gaps(gaps)
+        g = [mp.mpf(1)] + [mp.mpf(x) for x in gaps]  # s_{j+1} - s_j for j >= 0
+        for k, ext in enumerate(zz.extremal_lengths(prev), start=1):
+            with mp.workdps(40):
+                if k + 1 < len(g):
+                    lam = -g[k] * (g[k - 1] + g[k] + g[k + 1]) / (g[k - 1] * g[k + 1])
+                else:
+                    lam = -g[k] / g[k - 1]
+                m = -lam / (1 - lam)
+                expected = 4 * mp.ellipk(m) / mp.ellipk(1 - m)
+                assert abs(ext - expected) / expected < 1e-13
+
     def test_entries_positive_finite(self, genus3):
         for prev in (genus3.prev_ne, genus3.prev_sw):
             vals = zz.extremal_lengths(prev)

@@ -107,12 +107,18 @@ class TestMinimize:
         assert genus2.height < 1e-10
         assert np.max(np.abs(np.subtract(genus2.ext_ne, genus2.ext_sw))) < math.sqrt(1e-10)
 
-    def test_trace_monotone(self, genus2):
-        heights = [row.height for row in genus2.trace]
-        assert all(b <= a + 1e-18 for a, b in zip(heights, heights[1:]))
-
-    def test_trace_has_stratum_column(self, genus2):
-        assert all(row.stratum_distance > 0 for row in genus2.trace)
+    def test_newton_residuals(self, monkeypatch):
+        # the record holds max|F| of every Newton point, one kernel call each
+        height_mod = sys.modules["zigzag.height"]
+        system = height_mod._log_ratio_system
+        calls = []
+        monkeypatch.setattr(height_mod, "_log_ratio_system",
+                            lambda u, rows: calls.append(u) or system(u, rows))
+        res = zz.minimize(zz.ZigzagParams(3, 2, (1.0, 1.0, 1.0))).residuals
+        assert len(res) == len(calls) >= 2
+        assert all(b < a for a, b in zip(res, res[1:]))
+        assert res[-1] <= 1e-12
+        assert zz.minimize(zz.ZigzagParams(1, 2, (1.0,))).residuals == ()
 
     def test_record_type_hints_resolve(self):
         assert typing.get_type_hints(zz.SolutionRecord)["prev_ne"] is zz.Prevertices

@@ -84,7 +84,7 @@ class TestBuildWeierstrass:
     def test_rejects_diverged_record(self, genus2):
         broken = zz.SolutionRecord(
             genus2.zigzag, genus2.prev_ne, genus2.prev_sw,
-            genus2.ext_ne, genus2.ext_sw, 1.0, False, genus2.trace,
+            genus2.ext_ne, genus2.ext_sw, 1.0, False, genus2.residuals,
         )
         with pytest.raises(NotReflexive):
             zz.build_weierstrass(broken)
@@ -95,7 +95,7 @@ class TestBuildWeierstrass:
         vals[0] -= 1e-3
         tampered = zz.SolutionRecord(
             genus2.zigzag, genus2.prev_ne, zz.Prevertices(tuple(vals)),
-            genus2.ext_ne, genus2.ext_sw, genus2.height, True, genus2.trace,
+            genus2.ext_ne, genus2.ext_sw, genus2.height, True, genus2.residuals,
         )
         with pytest.raises(NotReflexive):
             zz.build_weierstrass(tampered)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,9 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "genus; exit 2 and write nothing if it fails")
     p_solve.add_argument("--genus", type=int, required=True)
     p_solve.add_argument("--k", type=int, default=2, help="turn order (default 2)")
-    p_solve.add_argument("--tol", type=float, default=1e-10,
-                         help="height certificate: the solve fails unless D < tol "
-                              "(default 1e-10)")
     p_solve.add_argument("--out", default=None,
                          help="solution file path (default zigzag_p<genus>_k<k>.json); "
                               "its trace_summary holds max|F| at every Newton point")
@@ -70,11 +68,8 @@ def cmd_solve(args) -> int:
     if args.genus < 0 or args.k < 2:
         print("error: need --genus >= 0 and --k >= 2", file=sys.stderr)
         return USAGE_EXIT
-    if not 0.0 < args.tol < math.inf:
-        print("error: --tol must be finite and positive", file=sys.stderr)
-        return USAGE_EXIT
     out = args.out or f"zigzag_p{args.genus}_k{args.k}.json"
-    record = _solve(args.genus, args.k, args.tol)
+    record = _solve(args.genus, args.k)
     if record is None:
         return SOLVE_EXIT
     zio.save_solution(out, record)
@@ -83,11 +78,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _solve(p, k, tol=1e-10):
+def _solve(p, k):
     """The certified solution record, or None after reporting why the
     solve failed."""
     try:
-        return continuation_solve(p, k, tol)
+        return continuation_solve(p, k)
     except ZigzagError as exc:
         print(f"solve failed at genus {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None
@@ -137,9 +132,6 @@ def cmd_mesh(args) -> int:
     if loaded is None:
         return USAGE_EXIT
     record, wd = loaded
-    if args.resolution < 8:
-        print("error: --resolution must be >= 8", file=sys.stderr)
-        return USAGE_EXIT
     try:
         wd = wd or build_weierstrass(record)
         radius = args.radius
@@ -212,12 +204,21 @@ def cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command; exit 1 on bad usage, unreadable input or an output
-    path that cannot be written, 2 on a failed solve, 3 on a failed check."""
+    path that cannot be written, 2 on a failed solve, 3 on a failed check.
+
+    An ``--out`` whose directory does not exist is refused before the
+    command does any work.  Other write errors, such as a directory without
+    write permission, surface only when the file is opened, after the work.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
+    out_dir = os.path.dirname(getattr(args, "out", None) or "")
+    if out_dir and not os.path.isdir(out_dir):
+        print(f"error: cannot write {args.out}: no directory {out_dir}", file=sys.stderr)
+        return USAGE_EXIT
     handlers = {
         "solve": cmd_solve,
         "verify": cmd_verify,

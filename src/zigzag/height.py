@@ -41,6 +41,9 @@ __all__ = [
     "continuation_solve",
 ]
 
+_D_TOL = 1e-10  # the height certificate: a solve is converged iff D < _D_TOL
+
+
 @dataclass(frozen=True)
 class SolutionRecord:
     """A zigzag with both prevertex solutions and its height diagnostics."""
@@ -86,7 +89,7 @@ def height(z: ZigzagParams) -> float:
     return height_parts(z)[4]
 
 
-def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
+def minimize(z0: ZigzagParams) -> SolutionRecord:
     """Solve for the reflexive zigzag near z0 by one shared-prevertex solve.
 
     A zigzag is reflexive exactly when its NE and SW maps share one
@@ -103,9 +106,10 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
     solution is stored as the isolation certificate.  Genus 0 and 1 have
     no unknowns.  The zigzag is read off the normalized NE sides; two cold
     parameter solves then give D as an independent certificate, and the
-    record is converged iff D < tol.  The record keeps max|F| at every
-    Newton point, as the solver returns it: the last entry is max|F| at
-    the solution.
+    record is converged iff D < 1e-10, a bar some 16 orders above the D of
+    a solution; the record stores D for any stricter bar.  It keeps max|F|
+    at every Newton point, as the solver returns it: the last entry is
+    max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
@@ -128,11 +132,11 @@ def minimize(z0: ZigzagParams, tol: float = 1e-10) -> SolutionRecord:
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
-    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < tol, residuals,
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < _D_TOL, residuals,
                           sigma_min)
 
 
-def continuation_solve(p: int, k: int = 2, tol: float = 1e-10) -> SolutionRecord:
+def continuation_solve(p: int, k: int = 2) -> SolutionRecord:
     """The certified reflexive zigzag of genus p and turn order k.
 
     One shared-prevertex solve by minimize from equal sides.  The name is
@@ -140,11 +144,10 @@ def continuation_solve(p: int, k: int = 2, tol: float = 1e-10) -> SolutionRecord
     (geometry.add_handle) into the genus p-1 solution, which proves the
     zigzag exists; the equal-sides seed lands on the same zigzag without
     solving the lower genera.  Raises NotReflexive if the certificate D is
-    not below tol; solver errors propagate unchanged.
+    not below 1e-10, and ValueError (from ZigzagParams) for p < 0 or
+    k < 2; solver errors propagate unchanged.
     """
-    if p < 0 or k < 2:
-        raise ValueError("need genus >= 0 and turn order >= 2")
-    record = minimize(ZigzagParams(p, k, (1.0,) * p), tol)
+    record = minimize(ZigzagParams(p, k, (1.0,) * p))
     if not record.converged:
-        raise NotReflexive(f"height {record.height:.3e} not below {tol:.1e}")
+        raise NotReflexive(f"height {record.height:.3e} not below {_D_TOL:.1e}")
     return record

@@ -70,8 +70,9 @@ class SolutionFile:
         return _render(self.data) + "\n"
 
 
-def record_to_solution(record: SolutionRecord,
-                       wd: WeierstrassData | None = None) -> SolutionFile:
+def record_to_solution(record: SolutionRecord) -> SolutionFile:
+    """The solution file of a record; a converged record also gets the
+    Weierstrass block that build_weierstrass makes from it."""
     summary = {"newton_residuals": list(record.residuals)}
     if not math.isnan(record.sigma_min):  # only solves with unknowns have a Jacobian
         summary["jacobian_sigma_min"] = record.sigma_min
@@ -88,9 +89,8 @@ def record_to_solution(record: SolutionRecord,
         "converged": record.converged,
         "trace_summary": summary,
     }
-    if wd is None and record.converged:
+    if record.converged:
         wd = build_weierstrass(record)
-    if wd is not None:
         data["weierstrass"] = {
             "prevertices": list(wd.prevertices.values),
             "scale_ne": complex(wd.scale_ne),
@@ -151,9 +151,9 @@ def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
     )
 
 
-def save_solution(path, record: SolutionRecord, wd=None) -> None:
+def save_solution(path, record: SolutionRecord) -> None:
     with open(path, "w") as fh:
-        fh.write(record_to_solution(record, wd).dumps())
+        fh.write(record_to_solution(record).dumps())
 
 
 def load_solution(path) -> SolutionFile:

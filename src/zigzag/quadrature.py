@@ -21,9 +21,10 @@ panels are flattened into entries that each carry their rule and the
 exponent rows they feed; ``sums`` evaluates the nodes of all pending
 entries in blocks of about 2^14 node x prevertex entries, with one
 log(z - s_m) matrix per block serving every row.  ``segment_integral``
-returns the contour integrals; ``interval_abs_integral`` the moduli over
-real intervals (s_j, s_{j+1}), where the integrand has constant
-argument; ``interval_jacobian`` the interval integrals with their exact
+returns the contour integrals, itself giving an end on a prevertex its
+Jacobi panel; ``interval_abs_integral`` the moduli over real intervals
+(s_j, s_{j+1}), where the integrand has constant argument;
+``interval_jacobian`` the interval integrals with their exact
 derivatives in every log-gap, the derivative rows riding on the same
 panels.  Both interval routines take the tuple's gaps s_{m+1} - s_m, not
 its prevertices: every offset is a partial sum of gaps from the
@@ -362,20 +363,19 @@ def interval_jacobian(gaps, exps, j):
     return total.reshape(shape + (j.size,)), dlog.reshape(shape + (m_count - 1, j.size))
 
 
-def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
+def segment_integral(prev, exps, z0, z1):
     """Contour integrals of the product along straight segments [z0, z1]
     in the closed UHP, for one exponent row or a stack of them.
 
-    ``z0`` and ``z1`` broadcast against each other (and against
-    ``sing0``/``sing1``) to the segments; ``exps`` is one row of exponents
-    or an (R, M) stack of rows.  ``sing0``/``sing1`` name the prevertex
-    index sitting exactly at the respective endpoint of each segment, None
-    or a negative index where there is none; those ends get Gauss-Jacobi
-    panels, one rule per row, the rest Gauss-Legendre panels no longer than
-    their clearance to the nearest prevertex, shared by all rows.  Every
-    segment and row is certified by its own node-doubling test to 1e-11
-    relative plus 1e-15 absolute; a segment that never passes raises
-    QuadratureFailure naming it.
+    ``z0`` and ``z1`` broadcast against each other to the segments;
+    ``exps`` is one row of exponents or an (R, M) stack of rows.  An end
+    within 1e-15 of a prevertex s_m is taken to sit on it and gets the
+    Gauss-Jacobi panel of s_m, one rule per row; the rest of a segment is
+    covered by Gauss-Legendre panels no longer than their clearance to the
+    nearest prevertex, shared by all rows.  Every segment and row is
+    certified by its own node-doubling test to 1e-11 relative plus 1e-15
+    absolute; a segment that never passes raises QuadratureFailure naming
+    it.
 
     Returns the integrals with the broadcast segment shape, preceded by
     the row axis for a stack of rows; a scalar for one segment and row.
@@ -383,12 +383,9 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
     rows = np.atleast_2d(exps)
-    z0, z1, i0, i1 = np.broadcast_arrays(
-        np.asarray(z0, complex), np.asarray(z1, complex),
-        np.asarray(-1 if sing0 is None else sing0, int),
-        np.asarray(-1 if sing1 is None else sing1, int))
+    z0, z1 = np.broadcast_arrays(np.asarray(z0, complex), np.asarray(z1, complex))
     shape = z0.shape
-    z0, z1, i0, i1 = (a.ravel() for a in (z0, z1, i0, i1))
+    z0, z1 = z0.ravel(), z1.ravel()
     finite = np.isfinite(z0) & np.isfinite(z1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -399,8 +396,9 @@ def segment_integral(prev, exps, z0, z1, sing0=None, sing1=None):
     safe = np.where(length > 0.0, length, 1.0)  # per part: complex division rounds differently
     unit = direction.real / safe + 1j * (direction.imag / safe)
     point = _ends(z0, z1)
-    panels = _SegmentPanels(point.real[:, None] - prev, point.imag, unit, length,
-                            _ends(i0, i1), rows)
+    near = np.abs(point[:, None] - prev) < 1e-15
+    own = np.where(near.any(axis=1), np.argmax(near, axis=1), -1)  # the prevertex at each end
+    panels = _SegmentPanels(point.real[:, None] - prev, point.imag, unit, length, own, rows)
     value = _doubled(panels.sums, z0.size, 1e-11, 1e-15,
                      lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]

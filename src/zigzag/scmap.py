@@ -131,12 +131,6 @@ class Prevertices:
         return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))),
                            tuple(np.concatenate((half[::-1], half))))
 
-    @staticmethod
-    def from_positive(pos) -> "Prevertices":
-        """Build the symmetric tuple from (s_0, s_1, ..., s_p)."""
-        pos = np.asarray(pos, dtype=float)
-        return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))))
-
 
 @dataclass(frozen=True)
 class PeriodVector:
@@ -253,7 +247,7 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     z = canonicalize(z)
     p = z.genus
     if p <= 1:
-        return Prevertices.from_positive(np.arange(p + 1.0))
+        return Prevertices(tuple(np.arange(-p, p + 1.0)))
 
     target = _log_ratios(np.asarray(z.side_lengths))
     exps = pat.exponents[None, :]
@@ -319,25 +313,21 @@ def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
 
     The image chain coincides with build_vertices of the induced zigzag;
     prevertex s_j lands on P_j for the SW pattern and on the mirror vertex
-    P_{-j} for the NE pattern.  A prevertex is read off the chain; any
-    other t is reached by one call of the blocked segment kernel
-    quadrature.segment_integral, along the straight segment from the
-    nearest prevertex s_m with s_m < Re t (s_{-p} left of the tuple).  That
-    segment passes no other prevertex, and its panels shrink toward nearby
-    ones by the one-half rule.  Raises DomainError for t below the real
-    axis.
+    P_{-j} for the NE pattern.  Every t is reached by one call of the
+    blocked segment kernel quadrature.segment_integral, along the straight
+    segment from the nearest prevertex s_m with s_m < Re t (s_{-p} left of
+    the tuple); a t on a prevertex s_j ends the segment from s_{j-1} with
+    the Gauss-Jacobi panel of s_j.  That segment passes no other
+    prevertex, and its panels shrink toward nearby ones by the one-half
+    rule.  Raises DomainError for t below the real axis.
     """
     t = complex(t)
     if t.imag < 0.0:
         raise DomainError(f"t = {t} lies below the real axis")
     A, B, V, _, _ = _chain_normalization(prev, pat)
     s = np.asarray(prev.values)
-    if t.imag == 0.0:
-        hit = np.nonzero(np.isclose(s, t.real, rtol=0.0, atol=1e-15))[0]
-        if len(hit):
-            return A * V[hit[0]] + B
     m = max(int(np.searchsorted(s, t.real)) - 1, 0)
-    return A * (V[m] + quad.segment_integral(s, pat.exponents, s[m], t, sing0=m)) + B
+    return A * (V[m] + quad.segment_integral(s, pat.exponents, s[m], t)) + B
 
 
 def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
+from .height import _D_TOL
 from .scmap import (
     ExponentPattern,
     Prevertices,
@@ -131,14 +132,14 @@ class PeriodReport:
         return max(self.worst_alpha, self.worst_conjugacy, self.worst_dh)
 
 
-_REFLEXIVE_TOL = math.sqrt(1e-10)  # sqrt of the default height tolerance
+_REFLEXIVE_TOL = math.sqrt(_D_TOL)  # sqrt of the height certificate bar
 
 
 def build_weierstrass(sol) -> WeierstrassData:
     """Weierstrass data of a converged SolutionRecord.
 
     The NE and SW prevertex tuples must agree within 1e-5, the square root
-    of the default height tolerance, relative to the largest prevertex;
+    of the height certificate bar 1e-10, relative to the largest prevertex;
     they are averaged into the shared tuple.  Scale constants are fixed by
     developing each integrand onto the vertex chain.  The phases of A_ne
     and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw is positive real
@@ -206,8 +207,7 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
 
     # the 2p cycle intervals of both forms in one kernel call
     m = np.arange(2 * p)
-    seg_sw, seg_ne = quad.segment_integral(s, np.stack((e_sw, e_ne)), s[m], s[m + 1],
-                                           sing0=m, sing1=m + 1)
+    seg_sw, seg_ne = quad.segment_integral(s, np.stack((e_sw, e_ne)), s[m], s[m + 1])
     rho_sw, rho_ne = _cycle_factor(e_sw[m + 1]), _cycle_factor(e_ne[m + 1])
     alpha_comp = list(_PHASE * wd.scale_sw * rho_sw * (-seg_sw))
     beta_comp = list(_PHASE * wd.scale_ne * rho_ne * (-seg_ne))
@@ -264,11 +264,11 @@ def evaluate_surface(wd: WeierstrassData, t, base: complex = 0.5j) -> np.ndarray
 
     Integrates (1/2(alpha - beta), i/2(alpha + beta), dh) from ``base``
     along the straight segment to each t, with panels graded toward nearby
-    prevertices by the one-half rule of quadrature.segment_integral, all
-    points and both forms in one blocked kernel call; X(base) = 0.  A
-    segment meets the real axis at most at t, so every t must lie in the
-    closed and ``base`` in the open upper half-plane (DomainError
-    otherwise).  Returns shape (3,) for a scalar t and (n, 3) for n points.
+    prevertices by the one-half rule of quadrature.segment_integral, which
+    gives a t on a prevertex its Gauss-Jacobi end panel, all points and
+    both forms in one blocked kernel call; X(base) = 0.  A segment meets
+    the real axis at most at t, so every t must lie in the closed and
+    ``base`` in the open upper half-plane (DomainError otherwise).  Returns shape (3,) for a scalar t and (n, 3) for n points.
     """
     t = np.asarray(t, dtype=complex)
     base = complex(base)
@@ -288,13 +288,9 @@ def evaluate_surface(wd: WeierstrassData, t, base: complex = 0.5j) -> np.ndarray
 
 def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: complex):
     """Integrals of the two developing forms along the segments base -> t,
-    both rows in one kernel call; a t on a prevertex gets a Gauss-Jacobi
-    end panel."""
-    s = np.asarray(wd.prevertices.values)
-    near = np.abs(t[..., None] - s) < 1e-15
-    sing = np.where(near.any(axis=-1), np.argmax(near, axis=-1), -1)
+    both rows in one kernel call."""
     rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
-    tot_sw, tot_ne = quad.segment_integral(s, rows, base, t, sing1=sing)
+    tot_sw, tot_ne = quad.segment_integral(wd.prevertices.values, rows, base, t)
     return _PHASE * wd.scale_sw * tot_sw, _PHASE * wd.scale_ne * tot_ne
 
 

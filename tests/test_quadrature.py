@@ -217,7 +217,7 @@ class TestSegmentIntegral:
         prev = np.array([-1.0, 0.0, 1.0])
         exps = zz.ne_pattern(1).exponents
         mod = interval_abs_integral(np.diff(prev), exps, 1)
-        seg = segment_integral(prev, exps, 0.0, 1.0, sing0=1, sing1=2)
+        seg = segment_integral(prev, exps, 0.0, 1.0)
         assert math.isclose(abs(seg), mod, rel_tol=1e-10)
         # phase on (0, 1) is i for the NE genus-1 pattern
         assert abs(seg / abs(seg) - 1j) < 1e-10
@@ -241,18 +241,21 @@ class TestSegmentIntegral:
         rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents, flat))
         z0 = np.array([0.0, 0.5j, 1.0, 0.3 + 0.2j, 1.0])
         z1 = np.array([1.0, 2 + 1j, 1.000000001, 0.3 + 0.2j, -1 + 1e-3j])
-        sing0 = np.array([2, -1, 3, -1, 3])
-        sing1 = np.array([3, -1, -1, -1, -1])
-        batch = segment_integral(prev, rows, z0, z1, sing0=sing0, sing1=sing1)
+        batch = segment_integral(prev, rows, z0, z1)
         assert batch.shape == (3, 5)
         for r, exps in enumerate(rows):
             for i in range(5):
-                one = segment_integral(prev, exps, z0[i], z1[i],
-                                       sing0=None if sing0[i] < 0 else sing0[i],
-                                       sing1=None if sing1[i] < 0 else sing1[i])
+                one = segment_integral(prev, exps, z0[i], z1[i])
                 assert np.ndim(one) == 0
                 assert abs(batch[r, i] - one) <= 1e-14 * abs(one)
         assert np.all(batch[:, 3] == 0.0)
+
+    def test_end_within_ulps_of_a_prevertex_gets_its_jacobi_panel(self):
+        # an end 2 ulps past s_1 = 1 is taken to sit on s_1, as the exact end is
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        exps = zz.ne_pattern(2).exponents
+        exact = segment_integral(prev, exps, 0.5j, 1.0)
+        assert abs(segment_integral(prev, exps, 0.5j, 1 + 4.4e-16) - exact) <= 1e-14 * abs(exact)
 
     def test_failure_names_the_segment(self):
         # the straight path from s_0 passes 1e-300 above s_1 and s_2,
@@ -261,7 +264,7 @@ class TestSegmentIntegral:
         exps = zz.ne_pattern(2).exponents
         with pytest.raises(QuadratureFailure, match=r"\(5\+1e-300j\)\]"):
             segment_integral(prev, exps, np.array([0.5j, 0.0, 0.5j]),
-                             np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]), sing0=[-1, 2, -1])
+                             np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]))
 
     @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
                                      complex(0.5, math.inf)])

@@ -29,7 +29,7 @@ print()
 print("Periods of the developed sides turn by right angles for k = 2:")
 prev = zz.solve_parameter_problem(z, zz.sw_pattern(2))
 per = zz.periods(prev, zz.sw_pattern(2))
-for j, a in enumerate(per.values):
+for j, a in enumerate(per):
     print(f"  a_{j} = {a:+.6f}   |a_{j}| = {abs(a):.6f}")
 print()
 

@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .scmap import (
     ExponentPattern,
-    PeriodVector,
     Prevertices,
     coalescence_log_fit,
     forward_map,
@@ -75,7 +74,7 @@ __all__ = [
     "DomainError", "NotReflexive", "PeriodMismatch",
     "ZigzagParams", "VertexChain", "build_vertices", "canonicalize",
     "stratum_distance", "add_handle",
-    "ExponentPattern", "Prevertices", "PeriodVector", "ne_pattern",
+    "ExponentPattern", "Prevertices", "ne_pattern",
     "sw_pattern", "side_length", "solve_parameter_problem", "forward_map",
     "periods", "coalescence_log_fit", "make_coalescing_family",
     "EllipticData", "carlson_rf", "cross_ratio_lambda", "elliptic_periods",

@@ -161,7 +161,8 @@ def _parse_grid(grid: str):
 def cmd_sweep(args) -> int:
     from .elliptic import extremal_length_quad
     from .quadrature import interval_abs_integral
-    from .scmap import coalescence_log_fit, make_coalescing_family, ne_pattern, sw_pattern
+    from .scmap import (coalescence_deltas, coalescence_log_fit, make_coalescing_family,
+                        ne_pattern, sw_pattern)
 
     try:
         if args.kind == "extlength":
@@ -174,7 +175,7 @@ def cmd_sweep(args) -> int:
             print(f"extremal-length sweep ({len(rows)} rows) written to {args.out}")
             return 0
 
-        deltas = _parse_grid(args.deltas)
+        deltas = coalescence_deltas(_parse_grid(args.deltas))
         if args.genus < 3:
             print("error: coalescence sweep needs --genus >= 3", file=sys.stderr)
             return USAGE_EXIT

@@ -42,13 +42,13 @@ from . import quadrature as quad
 __all__ = [
     "ExponentPattern",
     "Prevertices",
-    "PeriodVector",
     "side_length",
     "positive_sides",
     "solve_parameter_problem",
     "forward_map",
     "periods",
     "coalescence_log_fit",
+    "coalescence_deltas",
     "make_coalescing_family",
 ]
 
@@ -132,20 +132,12 @@ class Prevertices:
                            tuple(np.concatenate((half[::-1], half))))
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    """Complex periods of the positive-side segments, normalized so that
-    the moduli match the vertex chain of the underlying zigzag."""
-
-    values: tuple[complex, ...]
-
-
 def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
     """Euclidean length of the image of (s_j, s_{j+1}), 0 <= j < p.
 
     This is the raw modulus integral of the SC integrand over the tuple's
     gaps; no chain normalization is applied.  Relative accuracy 1e-10 or
-    better, enforced by node doubling (QuadratureFailure otherwise).
+    better, certified by 24 against 48 nodes (QuadratureFailure otherwise).
     """
     p = prev.genus
     if not 0 <= j < p:
@@ -330,15 +322,16 @@ def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
     return A * (V[m] + quad.segment_integral(s, pat.exponents, s[m], t)) + B
 
 
-def periods(prev: Prevertices, pat: ExponentPattern) -> PeriodVector:
-    """Normalized complex periods a_j = F(s_{j+1}) - F(s_j), j = 0..p-1.
+def periods(prev: Prevertices, pat: ExponentPattern) -> tuple[complex, ...]:
+    """Normalized complex periods a_j = F(s_{j+1}) - F(s_j), j = 0..p-1,
+    of the positive-side segments.
 
     Moduli equal the side lengths of the normalized vertex chain; for turn
     order 2 consecutive periods differ in direction by a factor +-i.
     """
     p = prev.genus
     A, _, V, _, _ = _chain_normalization(prev, pat)
-    return PeriodVector(tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p)))
+    return tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p))
 
 
 def make_coalescing_family(base: Prevertices, j: int, deltas):
@@ -354,6 +347,17 @@ def make_coalescing_family(base: Prevertices, j: int, deltas):
         g[j + 1] = d
         members.append(Prevertices.from_positive_gaps(g[1:]))
     return members
+
+
+def coalescence_deltas(deltas):
+    """The gap samples of a coalescence fit as an array; ValueError unless
+    there are at least 6 spanning two decades, as the log fit needs."""
+    deltas = np.asarray(list(deltas), dtype=float)
+    if deltas.size < 6:
+        raise ValueError("need at least 6 gap samples")
+    if np.max(deltas) / np.min(deltas) < 99.0:
+        raise ValueError("gap samples must span at least two decades")
+    return deltas
 
 
 def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
@@ -377,12 +381,7 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     FitFailure when the residual exceeds 1e-3.  A family whose gap stays
     bounded away from zero passes with c1 ~ 0 (no logarithmic component).
     """
-    deltas = np.asarray(list(deltas), dtype=float)
-    if deltas.size < 6:
-        raise ValueError("need at least 6 gap samples")
-    span = np.max(deltas) / np.min(deltas)
-    if span < 99.0:
-        raise ValueError("gap samples must span at least two decades")
+    deltas = coalescence_deltas(deltas)
     p = pat.genus
     if not 0 <= j <= p - 2:
         raise ValueError(f"need 0 <= j <= p-2 for the periods a_j, a_(j+1); got j = {j}")

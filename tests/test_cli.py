@@ -157,8 +157,9 @@ class TestSweep:
         assert not out.exists()
         assert "solve failed at genus 3: NoConvergence" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--deltas", "1e-4,1e-6,9"], ["--j", "2"]],
-                             ids=["grid", "j"])
+    @pytest.mark.parametrize("extra", [["--deltas", "1e-4,1e-6,9"], ["--deltas", "1e-6,1e-4,5"],
+                                       ["--deltas", "1e-6,1e-5,9"], ["--j", "2"]],
+                             ids=["grid", "few_deltas", "one_decade", "j"])
     def test_coalescence_bad_grid_or_j_usage_error(self, tmp_path, monkeypatch, extra):
         # bad arguments are refused before the base solve
         solves = []

@@ -186,21 +186,29 @@ class TestSharedPrevertexSolve:
 class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
         # deterministic work gate: kernel plans in the direct genus-5 solve,
-        # one per Newton point (residual and exact Jacobian together); cold
-        # parameter solves only for the two certificates of D, with no lower
-        # genus solved
+        # one per Newton point (residual and exact Jacobian together), each
+        # summed exactly twice, at 24 and 48 nodes; cold parameter solves
+        # only for the two certificates of D, with no lower genus solved.
+        # integrate_abs is bound at class creation, so it is spied on there
         height_mod = sys.modules["zigzag.height"]
-        solve = height_mod.solve_parameter_problem
-        solves = []
+        quad = sys.modules["zigzag.quadrature"]
+        solve, integrate = height_mod.solve_parameter_problem, quad.IntervalPlan.integrate_abs
+        solves, nodes = [], []
 
         def counting_solve(*args):
             solves.append(args[0].genus)
             return solve(*args)
 
+        def counting_sums(self, n):
+            nodes.append(n)
+            return integrate(self, n)
+
         monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
+        monkeypatch.setattr(quad.IntervalPlan, "integrate_abs", counting_sums)
         assert zz.continuation_solve(5, 2).converged
         assert solves == [5, 5]
         assert 0 < len(kernel_plans) <= 16
+        assert nodes == [24, 48] * len(kernel_plans)
 
 
 class TestIsolationCertificate:

@@ -70,8 +70,8 @@ class TestSideLength:
         prev = (-1.7, -1.0, 0.0, 1.0, 1.7)
         rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents))
         plan = IntervalPlan(np.diff(prev), rows, np.arange(4))
-        accepted = np.abs(plan.integrate_abs(48, np.ones(4, bool)))
-        doubled = np.abs(plan.integrate_abs(96, np.ones(4, bool)))
+        accepted = np.abs(plan.integrate_abs(48))
+        doubled = np.abs(plan.integrate_abs(96))
         assert accepted.shape == (2, 4)
         assert np.all(np.abs(doubled - accepted) < 1e-12 * doubled)
 
@@ -130,7 +130,7 @@ class TestValidityMask:
         plan = IntervalPlan(np.diff(prev), base, j, derivatives=True)
         masked = np.array([[r % (m_count + 1) - 1 in (i, i + 1) for i in j] for r in range(len(rows))])
         assert np.array_equal(~plan.valid, masked)
-        value = quad._doubled(plan.integrate_abs, j.size, quad._REL_TOL, 0.0, str, plan.valid)
+        value = quad._doubled(plan.integrate_abs, plan.valid, quad._REL_TOL, 0.0, str)
         assert min(built) > -1.0 and plan.rules.min() > -1.0
         assert np.all(value[masked] == 0.0)
         for r, i in zip(*np.nonzero(~masked)):
@@ -257,14 +257,25 @@ class TestSegmentIntegral:
         exact = segment_integral(prev, exps, 0.5j, 1.0)
         assert abs(segment_integral(prev, exps, 0.5j, 1 + 4.4e-16) - exact) <= 1e-14 * abs(exact)
 
-    def test_failure_names_the_segment(self):
+    def test_failure_names_the_segment(self, monkeypatch):
         # the straight path from s_0 passes 1e-300 above s_1 and s_2,
-        # closer than the panel halvings resolve; its batch mates are fine
+        # closer than the panel halvings resolve; its batch mates are fine.
+        # One comparison, 24 against 48 nodes, rejects it: no more nodes
+        # are tried
+        quad = sys.modules["zigzag.quadrature"]
+        sums, nodes = quad._SegmentPanels.sums, []
+
+        def spy(self, n):
+            nodes.append(n)
+            return sums(self, n)
+
+        monkeypatch.setattr(quad._SegmentPanels, "sums", spy)
         prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
         exps = zz.ne_pattern(2).exponents
-        with pytest.raises(QuadratureFailure, match=r"\(5\+1e-300j\)\]"):
+        with pytest.raises(QuadratureFailure, match=r"\(5\+1e-300j\)\] .* with 48 nodes$"):
             segment_integral(prev, exps, np.array([0.5j, 0.0, 0.5j]),
                              np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]))
+        assert nodes == [24, 48]
 
     @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
                                      complex(0.5, math.inf)])

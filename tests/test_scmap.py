@@ -324,7 +324,7 @@ class TestPeriods:
         chain = zz.build_vertices(genus2.zigzag)
         for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
             per = zz.periods(prev, pat)
-            for j, a in enumerate(per.values):
+            for j, a in enumerate(per):
                 side = abs(chain.vertex(j + 1) - chain.vertex(j))
                 assert math.isclose(abs(a), side, rel_tol=1e-9)
 
@@ -332,14 +332,14 @@ class TestPeriods:
         prev = zz.Prevertices((-1.8, -1.0, 0.0, 1.0, 1.8))
         for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
             per = zz.periods(prev, pat)
-            ratio = per.values[1] / per.values[0]
+            ratio = per[1] / per[0]
             assert abs(abs(ratio.real)) < 1e-12
             assert math.isclose(abs(np.angle(ratio)), math.pi / 2, rel_tol=1e-12)
 
     def test_genus1_unit_period(self):
         prev = zz.Prevertices((-1.0, 0.0, 1.0))
         per = zz.periods(prev, zz.ne_pattern(1))
-        assert math.isclose(abs(per.values[0]), 1.0, rel_tol=1e-12)
+        assert math.isclose(abs(per[0]), 1.0, rel_tol=1e-12)
 
 
 class TestCoalescenceFit:

@@ -7,7 +7,11 @@ byte-identical across runs with the same inputs.  Their ``trace_summary``
 holds max|F| at every Newton point of the shared-prevertex solve
 (``newton_residuals``) and, with unknowns, the smallest singular value of
 its Jacobian at the solution (``jacobian_sigma_min``), so a file loaded
-and saved again is the same file byte for byte.
+and saved again is the same file byte for byte.  Each prevertex tuple is
+stored with its gaps s_{m+1} - s_m (``prev_ne_gaps``, ``prev_sw_gaps``,
+``weierstrass.prevertex_gaps``), which every real-interval integral takes:
+a gap 1e-8 of the prevertices read back as a difference of stored values
+would lose half its digits.  Files without gaps load with the differences.
 """
 
 from __future__ import annotations
@@ -82,7 +86,9 @@ def record_to_solution(record: SolutionRecord) -> SolutionFile:
         "turn_order": record.zigzag.turn_order,
         "side_lengths": list(record.zigzag.side_lengths),
         "prev_ne": list(record.prev_ne.values),
+        "prev_ne_gaps": list(record.prev_ne.gaps),
         "prev_sw": list(record.prev_sw.values),
+        "prev_sw_gaps": list(record.prev_sw.gaps),
         "ext_ne": list(record.ext_ne),
         "ext_sw": list(record.ext_sw),
         "height": record.height,
@@ -93,6 +99,7 @@ def record_to_solution(record: SolutionRecord) -> SolutionFile:
         wd = build_weierstrass(record)
         data["weierstrass"] = {
             "prevertices": list(wd.prevertices.values),
+            "prevertex_gaps": list(wd.prevertices.gaps),
             "scale_ne": complex(wd.scale_ne),
             "scale_sw": complex(wd.scale_sw),
             "dh_scale": complex(wd.dh_scale),
@@ -100,11 +107,20 @@ def record_to_solution(record: SolutionRecord) -> SolutionFile:
     return SolutionFile(data)
 
 
-def _prevertices(values, genus: int, name: str) -> Prevertices:
+def _prevertices(values, gaps, genus: int, name: str) -> Prevertices:
+    """The stored tuple with its stored gaps; np.diff(values) for a file
+    without them.  Gaps must be positive and match the values' differences
+    to 1e-12 of the largest prevertex."""
     if len(values) != 2 * genus + 1:
         raise ValueError(f"{name} has {len(values)} entries, need {2 * genus + 1} "
                          f"at genus {genus}")
-    return Prevertices(tuple(values))
+    if gaps is None:
+        return Prevertices(tuple(values))
+    gaps = np.asarray(gaps, float)
+    if (gaps.shape != (2 * genus,) or not np.all(gaps > 0.0)
+            or np.any(np.abs(gaps - np.diff(values)) > 1e-12 * np.max(np.abs(values)))):
+        raise ValueError(f"{name} gaps are not the positive differences of its values")
+    return Prevertices(tuple(values), tuple(gaps))
 
 
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
@@ -118,8 +134,8 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     summary = d.get("trace_summary", {})
     return SolutionRecord(
         z,
-        _prevertices(d["prev_ne"], z.genus, "prev_ne"),
-        _prevertices(d["prev_sw"], z.genus, "prev_sw"),
+        _prevertices(d["prev_ne"], d.get("prev_ne_gaps"), z.genus, "prev_ne"),
+        _prevertices(d["prev_sw"], d.get("prev_sw_gaps"), z.genus, "prev_sw"),
         tuple(d["ext_ne"]),
         tuple(d["ext_sw"]),
         float(d["height"]),
@@ -143,7 +159,8 @@ def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
     return WeierstrassData(
         int(d["genus"]),
         int(d["turn_order"]),
-        _prevertices(w["prevertices"], z.genus, "weierstrass.prevertices"),
+        _prevertices(w["prevertices"], w.get("prevertex_gaps"), z.genus,
+                     "weierstrass.prevertices"),
         as_complex(w["scale_ne"]),
         as_complex(w["scale_sw"]),
         as_complex(w["dh_scale"]),

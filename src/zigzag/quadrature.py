@@ -18,15 +18,18 @@ its offsets, its factors z - s_m and its Gauss-Jacobi end panel are all
 measured from that end, so a prevertex just beyond either end keeps its
 distance exact and every Jacobi rule has the one orientation (0, e).  The
 panels are flattened into entries that each carry their rule and the
-exponent rows they feed; ``sums`` evaluates the nodes of every entry in
+exponent rows they feed; the nodes of every entry are evaluated in
 blocks of about 2^14 node x prevertex entries, with one log(z - s_m)
 matrix per block serving every row.  ``segment_integral``
 returns the contour integrals, itself giving an end on a prevertex its
-Jacobi panel; ``interval_abs_integral`` the moduli over real intervals
-(s_j, s_{j+1}), where the integrand has constant argument;
-``interval_jacobian`` the interval integrals with their exact
-derivatives in every log-gap, the derivative rows riding on the same
-panels.  Both interval routines take the tuple's gaps s_{m+1} - s_m, not
+Jacobi panel, summed in complex arithmetic; ``interval_abs_integral``
+the moduli over real intervals (s_j, s_{j+1}), where every factor is
+real and keeps its sign, so the integrand has constant argument: an
+interval is summed in real arithmetic, log|t - s_m| with no arctan2,
+times one phase per panel and row; ``interval_jacobian`` the interval
+integrals with their exact derivatives in every log-gap, the derivative
+rows riding on the same panels.  Only intervals have derivative rows.
+Both interval routines take the tuple's gaps s_{m+1} - s_m, not
 its prevertices: every offset is a partial sum of gaps from the
 interval's end and every length a gap, so no digit of a gap 1e-8 of the
 prevertices is lost to their absolute size.  Segments keep absolute
@@ -182,25 +185,15 @@ class _SegmentPanels:
     (exponent 0 gives the Legendre rule).  Every factor is formed from the
     panel's own end, (a - s_m) + u * ray, so a prevertex near either end
     keeps its distance u exact, and every Jacobi panel starts at offset 0,
-    so its rule weights (1 + x) alone.
+    so its rule weights (1 + x) alone.  ``sums`` evaluates the factors in
+    complex arithmetic, as a segment off the real axis needs; real
+    intervals have their own real path, IntervalPlan.integrate_abs.  The
+    (R, S) boolean ``valid`` flags the pairs _doubled certifies at 24
+    against 48 nodes, else QuadratureFailure; here every pair."""
 
-    With ``derivatives`` each row e is followed by the M rows e - delta_m,
-    whose integrands are that of e over (z - s_m), on the same entries and
-    rules as e, so no rule is built for them.  Such a row is not integrable
-    on a segment with a Jacobi end at s_m: the (R (M+1), S) boolean
-    ``valid`` masks it there, its sums are meaningless and _doubled reads
-    it as 0.  _doubled certifies every other pair from ``sums`` at 24
-    against 48 nodes, else QuadratureFailure."""
-
-    def __init__(self, re, im, unit, length, own, rows, derivatives=False):
-        r_count, m_count = rows.shape
-        width = m_count + 1 if derivatives else 1
-        valid = np.ones((length.size, r_count, width), bool)
-        if derivatives:
-            at = np.flatnonzero(own >= 0)
-            valid[at // 2, :, 1 + own[at]] = False
-        self.valid = valid.reshape(length.size, r_count * width).T
-        self.derivatives = derivatives
+    def __init__(self, re, im, unit, length, own, rows):
+        r_count = rows.shape[0]
+        self.valid = np.ones((r_count, length.size), bool)
         self.rows = rows.T
         self.re, self.im, self.ray = re, im, _ends(unit, -unit)
         seg, end, lo, hi = _graded_panels(re, im, self.ray, length, own)
@@ -218,16 +211,16 @@ class _SegmentPanels:
         # dz runs along the segment whichever end the offsets start from
         self.factor = (self.h ** (1.0 + e) * np.exp(e * np.log(self.ray[self.origin] + 0.0))
                        * unit[self.seg])
-        mask = np.concatenate((np.ones((free.size, r_count), bool), row[:, None] == np.arange(r_count)))
-        self.mask = np.repeat(mask, width, axis=1)
+        self.mask = np.concatenate((np.ones((free.size, r_count), bool),
+                                    row[:, None] == np.arange(r_count)))
         self.rules, self.rule = np.unique(e, return_inverse=True)
 
-    def sums(self, n):
-        """(R, S) panel sums with n nodes per panel, R counting the
-        derivative rows.  Each block of entries takes one node array, one
-        log matrix, one matmul pair and one exp, plus, for the derivative
-        rows, one exp of the factor logs and one batched matmul."""
-        m_count, r_count = self.rows.shape
+    def _summed(self, n, block):
+        """(R, S) panel sums with n nodes per panel.  ``block(k, u, w)``
+        returns the (len(k), R) weighted node sums of the entries k, with
+        (len(k), n) node offsets u from each panel's end and weights w,
+        blocks of about _BLOCK node x prevertex entries."""
+        m_count = self.rows.shape[0]
         total = np.zeros(self.valid.shape[::-1], complex)
         if not self.seg.size:  # no panels: only segments of zero length
             return total.T
@@ -235,24 +228,27 @@ class _SegmentPanels:
         step = max(1, _BLOCK // (n * m_count))
         for b in range(0, self.seg.size, step):
             k = np.arange(b, min(b + step, self.seg.size))
-            o, rule = self.origin[k], self.rule[k]
+            rule = self.rule[k]
             u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
-            ray = self.ray[o, None]
-            mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
-                                    (self.im[o, None] + u * ray.imag)[..., None])
-            jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
-            mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
-            logs = (mag.reshape(-1, m_count) @ self.rows
-                    + 1j * (arg.reshape(-1, m_count) @ self.rows)).reshape(k.size, n, r_count)
-            values = np.exp(logs)
-            vals = np.einsum("pnr,pn->pr", values, w[rule])
-            if self.derivatives:  # rows e - delta_m: the integrand of e over (z - s_m)
-                weighted = (values * w[rule][..., None]).transpose(0, 2, 1)
-                vals = np.concatenate((vals[..., None], weighted @ np.exp(-mag - 1j * arg)),
-                                      axis=2).reshape(k.size, -1)
-            vals = self.factor[k, None] * vals
+            vals = self.factor[k, None] * block(k, u, w[rule])
             np.add.at(total, self.seg[k], np.where(self.mask[k], vals, 0.0))
         return total.T
+
+    def _complex_block(self, k, u, w):
+        """One log matrix, one matmul pair and one exp per block."""
+        m_count, r_count = self.rows.shape
+        o = self.origin[k]
+        ray = self.ray[o, None]
+        mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
+                                (self.im[o, None] + u * ray.imag)[..., None])
+        jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
+        mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
+        logs = mag.reshape(-1, m_count) @ self.rows + 1j * (arg.reshape(-1, m_count) @ self.rows)
+        return np.einsum("pnr,pn->pr", np.exp(logs).reshape(k.size, u.shape[1], r_count), w)
+
+    def sums(self, n):
+        """(R, S) panel sums with n nodes per panel, in complex arithmetic."""
+        return self._summed(n, self._complex_block)
 
 
 def _gap_offsets(gaps, ends):
@@ -270,20 +266,61 @@ def _gap_offsets(gaps, ends):
 class IntervalPlan(_SegmentPanels):
     """The shared panels of real intervals (s_j, s_{j+1}) of the tuple with
     gaps s_{m+1} - s_m: segments with Gauss-Jacobi panels at both ends, for
-    one exponent row or a stack, and with ``derivatives`` the rows
-    e - delta_m of _SegmentPanels.  Each end's offsets are partial sums of
+    one exponent row or a stack.  Each end's offsets are partial sums of
     gaps, the length is the gap itself and the direction exactly +1, so a
     gap far smaller than the prevertices keeps its full relative accuracy.
     Every point of an interval is nearer its ends than any other
-    prevertex, so its graded panels are never halved."""
+    prevertex, so its graded panels are never halved.
+
+    On an interval every factor t - s_m is real and keeps one sign, so
+    ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
+    arctan2, and one phase exp(i pi (neg @ rows)) per panel and row, where
+    neg marks the factors negative on the panel.  With ``derivatives``
+    each row e is followed by the M rows e - delta_m, whose integrands are
+    that of e over (t - s_m), on the same entries and rules as e, so no
+    rule is built for them; only intervals have such rows.  A row e -
+    delta_m is not integrable on an interval ending at s_m: the
+    (R (M+1), S) boolean ``valid`` masks it there, its sums are
+    meaningless and _doubled reads it as 0."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
         gaps, j = np.asarray(gaps, float), np.asarray(j, int).ravel()
         ends = _ends(j, j + 1)
+        rows = np.atleast_2d(np.asarray(exps, float))
         super().__init__(_gap_offsets(gaps, ends), np.zeros(ends.size), np.ones(j.size, complex),
-                         gaps[j], ends, np.atleast_2d(np.asarray(exps, float)), derivatives)
+                         gaps[j], ends, rows)
+        self.derivatives = derivatives
+        if derivatives:
+            width, i = rows.shape[1] + 1, np.arange(j.size)
+            valid = np.ones((j.size, rows.shape[0], width), bool)
+            valid[i, :, 1 + j] = valid[i, :, 2 + j] = False
+            self.valid = valid.reshape(j.size, -1).T
+            self.mask = np.repeat(self.mask, width, axis=1)
 
-    integrate_abs = _SegmentPanels.sums
+    def _real_block(self, k, u, w):
+        """One log|d| matrix, one real matmul and one exp per block, plus
+        for the derivative rows one exp and one real batched matmul."""
+        m_count, r_count = self.rows.shape
+        d = self.re[self.origin[k], None, :] + (u * self.ray[self.origin[k], None].real)[..., None]
+        mag = np.log(np.abs(d))
+        neg = d[:, 0, :] < 0.0
+        jac = np.flatnonzero(self.absorbed[k] >= 0)  # in the rule, its phase in self.factor
+        mag[jac, :, self.absorbed[k[jac]]] = 0.0
+        neg[jac, self.absorbed[k[jac]]] = False
+        phase = np.exp(1j * np.pi * (neg @ self.rows))
+        values = np.exp(mag.reshape(-1, m_count) @ self.rows).reshape(k.size, -1, r_count)
+        vals = np.einsum("pnr,pn->pr", values, w)
+        if not self.derivatives:
+            return phase * vals
+        # rows e - delta_m: the integrand of e times 1/d = sign(d) exp(-log|d|)
+        weighted = (values * w[..., None]).transpose(0, 2, 1)
+        vals = np.concatenate((vals[..., None], weighted @ np.copysign(np.exp(-mag), d)), axis=2)
+        return (phase[..., None] * vals).reshape(k.size, -1)
+
+    def integrate_abs(self, n):
+        """(R, S) interval sums with n nodes per panel, R counting the
+        derivative rows, in real arithmetic."""
+        return self._summed(n, self._real_block)
 
 
 def _interval_name(gaps, j):

@@ -29,6 +29,9 @@ def malformed_files(solved_file, tmp_path):
         "short_prevertices":
             lambda d: d["weierstrass"].update(prevertices=d["weierstrass"]["prevertices"][1:-1]),
         "short_prev_ne": lambda d: d.update(prev_ne=d["prev_ne"][1:-1]),
+        "short_gaps": lambda d: d.update(prev_sw_gaps=d["prev_sw_gaps"][1:]),
+        "negative_gap": lambda d: d["prev_ne_gaps"].__setitem__(0, -d["prev_ne_gaps"][0]),
+        "gap_not_a_difference": lambda d: d["prev_sw_gaps"].__setitem__(0, 1e-3),
     }
     paths = []
     for name, edit in edits.items():
@@ -74,9 +77,12 @@ class TestVerify:
             assert "error: cannot load" in capsys.readouterr().err
 
     def test_tampered_file(self, solved_file, tmp_path):
+        # the outermost prevertices moved out, and their gaps with them
         data = json.loads(solved_file.read_text())
         data["weierstrass"]["prevertices"][0] -= 1e-3
         data["weierstrass"]["prevertices"][-1] += 1e-3
+        data["weierstrass"]["prevertex_gaps"][0] += 1e-3
+        data["weierstrass"]["prevertex_gaps"][-1] += 1e-3
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(data))
         assert main(["verify", str(bad)]) == 3
@@ -250,6 +256,27 @@ class TestSolutionFileRoundTrip:
         assert rec2.zigzag == rec.zigzag
         assert rec2.prev_ne.values == rec.prev_ne.values
         assert rec2.height == rec.height
+
+    def test_thin_tuple_keeps_its_gaps(self, tmp_path):
+        # a gap 1.5e-8 above s_1: the differences of the stored values would
+        # move its sides by ~1e-8, the stored gaps leave them bit-equal
+        p, k = 4, 3
+        thin = zz.Prevertices.from_positive_gaps([1.5e-8, 0.9, 1.7])
+        rec = zz.SolutionRecord(zz.ZigzagParams(p, k, (1.0,) * p), thin, thin,
+                                (1.0,) * p, (1.0,) * p, 0.0, False)
+        path = tmp_path / "thin.json"
+        zio.save_solution(path, rec)
+        data = json.loads(path.read_text())
+        back = zio.solution_to_record(zio.load_solution(path))
+        assert back.prev_ne.gaps == back.prev_sw.gaps == thin.gaps
+        pats = (zz.ne_pattern(p, k), zz.sw_pattern(p, k))
+        sides = [[zz.side_length(thin, pat, j) for j in range(p)] for pat in pats]
+        assert [[zz.side_length(back.prev_sw, pat, j) for j in range(p)] for pat in pats] == sides
+        # without its gaps the same file still loads, with the differences
+        del data["prev_ne_gaps"]
+        path.write_text(json.dumps(data))
+        old = zio.solution_to_record(zio.load_solution(path))
+        assert old.prev_ne.gaps == tuple(np.diff(thin.values)) != thin.gaps
 
     def test_isolation_certificate(self, solved_file):
         # written by solve and carried through a load; files without it,

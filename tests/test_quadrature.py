@@ -8,8 +8,8 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (IntervalPlan, _ends, _graded_panels, arc_integral,
-                                interval_abs_integral, segment_integral)
+from zigzag.quadrature import (IntervalPlan, _ends, _graded_panels, _SegmentPanels, arc_integral,
+                                interval_abs_integral, interval_jacobian, segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -136,6 +136,44 @@ class TestValidityMask:
         for r, i in zip(*np.nonzero(~masked)):
             ref = interval_abs_integral(np.diff(prev), rows[r], j[i])
             assert abs(abs(value[r, i]) - ref) <= 1e-14 * ref
+
+
+THIN = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
+
+
+class TestRealIntervalPath:
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_real_sums_match_complex_path(self, k, n):
+        # every interval of a tuple with a 1e-9 gap, NE and SW rows stacked
+        # (exponents of both signs); the complex path of _SegmentPanels on
+        # the same plan is the reference
+        gaps, j = np.diff(THIN), np.arange(len(THIN) - 1)
+        base = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
+        assert (base > 0).any() and (base < 0).any()
+        plan = IntervalPlan(gaps, base, j)
+        real, ref = plan.integrate_abs(n), _SegmentPanels.sums(plan, n)
+        assert np.all(np.abs(real - ref) <= 1e-13 * np.abs(ref))
+        # the derivative row e - delta_m against a plan of that row on the
+        # intervals without an end at s_m: identical panels and end rules
+        m_count = base.shape[1]
+        value = IntervalPlan(gaps, base, j, derivatives=True).integrate_abs(n)
+        value = value.reshape(2, m_count + 1, j.size)
+        assert np.all(np.abs(value[:, 0] - ref) <= 1e-13 * np.abs(ref))
+        for m in range(m_count):
+            off = j[(j != m) & (j + 1 != m)]
+            row = IntervalPlan(gaps, base - np.eye(m_count)[m], off)
+            ref = _SegmentPanels.sums(row, n)
+            assert np.all(np.abs(value[:, 1 + m, off] - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian])
+    def test_certificate_can_fail(self, monkeypatch, routine):
+        # with 4 base nodes the 1e-9 gap (s_0, s_1) next to its far
+        # neighbours fails the 4-against-8-node comparison
+        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 4)
+        rows = np.stack((zz.ne_pattern(3, 2).exponents, zz.sw_pattern(3, 2).exponents))
+        with pytest.raises(QuadratureFailure, match=r"^interval \(0, 1\) "):
+            routine(np.diff(THIN), rows, np.arange(len(THIN) - 1))
 
 
 def scalar_panels(z0, z1, prev, sing0, sing1):

@@ -7,9 +7,11 @@ upper half-plane is covered by Gauss-Legendre panels no longer than their
 distance to the nearest foreign singularity (the one-half rule of compound
 Gauss-Jacobi SC quadrature, Driscoll & Trefethen, Schwarz-Christoffel
 Mapping, ch. 3), so every panel sees an analytic integrand with a uniformly
-fat Bernstein ellipse.  A segment between two points of the closed upper
-half-plane, not both real, meets the real axis at most at an endpoint, so
-no path needs a detour around a prevertex.
+fat Bernstein ellipse.  ``_rule`` builds each Gauss-Jacobi rule in numpy
+(Golub & Welsch 1969): Jacobi-matrix eigenvalues polished by Newton steps
+as nodes, weights from their closed form.  A segment between two points
+of the closed upper half-plane, not both real, meets the real axis at
+most at an endpoint, so no path needs a detour around a prevertex.
 
 One blocked kernel computes every integral.  ``_SegmentPanels`` grades the
 panels of all segments at once, as arrays, each half of a segment from
@@ -44,7 +46,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureFailure
 
@@ -52,10 +53,40 @@ _BASE_NODES = 24
 _REL_TOL = 1e-12
 
 
+def _jacobi(n, beta, x):
+    """P_n^(0, beta)(x) and its derivative by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), ((beta + 2) * x - beta) / 2
+    d0, d1 = np.zeros_like(x), np.full_like(x, (beta + 2) / 2)
+    for m in range(2, n + 1):
+        s = 2 * m + beta
+        a, b, c = 2 * m * (m + beta) * (s - 2), (s - 1) * s * (s - 2), 2 * (m - 1) * (m - 1 + beta) * s
+        q = b * x - (s - 1) * beta * beta
+        p0, p1, d0, d1 = p1, (q * p1 - c * p0) / a, d1, (q * d1 + b * p1 - c * d0) / a
+    return p1, d1
+
+
 @lru_cache(maxsize=512)
-def _rule(n: int, alpha: float, beta: float):
-    x, w = roots_jacobi(n, alpha, beta)
-    return x, w
+def _rule(n: int, beta: float):
+    """The n-node Gauss-Jacobi rule (nodes, weights) for the weight
+    (1 + x)^beta on [-1, 1], beta > -1.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix (eigvalsh
+    reads its lower triangle), polished by two Newton steps on the
+    recurrence; the weights are 2^(beta+1) / ((1 - x^2) P_n'(x)^2).  Both
+    steps run in long double: at n = 48, beta = -7/8 the first node lies
+    1.1e-4 from -1, and rounding it to a double first would move its
+    weight by 4e-13.  Where long double is plain double, that error stays."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1)).astype(np.longdouble)
+    beta = np.longdouble(beta)
+    for _ in range(2):
+        p, d = _jacobi(n, beta, x)
+        x -= p / d
+    d = _jacobi(n, beta, x)[1]
+    return x.astype(float), (2 ** (beta + 1) / ((1 - x) * (1 + x) * d * d)).astype(float)
 
 
 _BLOCK = 1 << 14  # node x prevertex log entries evaluated at once
@@ -87,27 +118,27 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _doubled(sums, valid, rel_tol, abs_tol: float, what):
+def _doubled(sums, rel_tol, abs_tol: float, what):
     """Certify panel sums by one comparison: 24 against 48 nodes per panel
     (_BASE_NODES and its double), else QuadratureFailure.
 
     ``sums(n)`` returns the (R, S) sums of every row and item at n nodes
-    per panel.  Every (row, item) pair flagged in the (R, S) boolean
-    ``valid`` must change by at most rel_tol * |fine| + abs_tol; a masked
-    pair is not tested and reads 0.  Returns the (R, S) 48-node values;
-    raises QuadratureFailure naming ``what(i)`` for the first item i with
-    a failing pair.
+    per panel.  Every (row, item) pair must change by at most
+    rel_tol * |fine| + abs_tol; a pair that no entry feeds is exactly 0 at
+    both counts and passes.  Returns the (R, S) 48-node values; raises
+    QuadratureFailure naming ``what(i)`` for the first item i with a
+    failing pair.
     """
     coarse = sums(_BASE_NODES)
     fine = sums(2 * _BASE_NODES)
     change = np.abs(fine - coarse)
-    failed = valid & ~(change <= rel_tol * np.abs(fine) + abs_tol)
+    failed = ~(change <= rel_tol * np.abs(fine) + abs_tol)
     if failed.any():
         i, r = np.argwhere(failed.T)[0]
         rel = change[r, i] / max(abs(fine[r, i]), 1e-300)
         raise QuadratureFailure(
             f"{what(i)} stuck at rel err {rel:.3e} with {2 * _BASE_NODES} nodes")
-    return np.where(valid, fine, 0.0)
+    return fine
 
 
 def _graded_panels(re, im, ray, length, own):
@@ -187,13 +218,11 @@ class _SegmentPanels:
     keeps its distance u exact, and every Jacobi panel starts at offset 0,
     so its rule weights (1 + x) alone.  ``sums`` evaluates the factors in
     complex arithmetic, as a segment off the real axis needs; real
-    intervals have their own real path, IntervalPlan.integrate_abs.  The
-    (R, S) boolean ``valid`` flags the pairs _doubled certifies at 24
-    against 48 nodes, else QuadratureFailure; here every pair."""
+    intervals have their own real path, IntervalPlan.integrate_abs."""
 
     def __init__(self, re, im, unit, length, own, rows):
         r_count = rows.shape[0]
-        self.valid = np.ones((r_count, length.size), bool)
+        self.s_count = length.size
         self.rows = rows.T
         self.re, self.im, self.ray = re, im, _ends(unit, -unit)
         seg, end, lo, hi = _graded_panels(re, im, self.ray, length, own)
@@ -221,10 +250,10 @@ class _SegmentPanels:
         (len(k), n) node offsets u from each panel's end and weights w,
         blocks of about _BLOCK node x prevertex entries."""
         m_count = self.rows.shape[0]
-        total = np.zeros(self.valid.shape[::-1], complex)
+        total = np.zeros((self.s_count, self.mask.shape[1]), complex)
         if not self.seg.size:  # no panels: only segments of zero length
             return total.T
-        x, w = (np.array(c) for c in zip(*(_rule(n, 0.0, e) for e in self.rules.tolist())))
+        x, w = (np.array(c) for c in zip(*(_rule(n, e) for e in self.rules.tolist())))
         step = max(1, _BLOCK // (n * m_count))
         for b in range(0, self.seg.size, step):
             k = np.arange(b, min(b + step, self.seg.size))
@@ -279,9 +308,9 @@ class IntervalPlan(_SegmentPanels):
     each row e is followed by the M rows e - delta_m, whose integrands are
     that of e over (t - s_m), on the same entries and rules as e, so no
     rule is built for them; only intervals have such rows.  A row e -
-    delta_m is not integrable on an interval ending at s_m: the
-    (R (M+1), S) boolean ``valid`` masks it there, its sums are
-    meaningless and _doubled reads it as 0."""
+    delta_m is not integrable on an interval ending at s_m: the entry row
+    mask drops it from every entry of that interval, so it sums to exactly
+    0 there at any node count."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
         gaps, j = np.asarray(gaps, float), np.asarray(j, int).ravel()
@@ -294,8 +323,7 @@ class IntervalPlan(_SegmentPanels):
             width, i = rows.shape[1] + 1, np.arange(j.size)
             valid = np.ones((j.size, rows.shape[0], width), bool)
             valid[i, :, 1 + j] = valid[i, :, 2 + j] = False
-            self.valid = valid.reshape(j.size, -1).T
-            self.mask = np.repeat(self.mask, width, axis=1)
+            self.mask = np.repeat(self.mask, width, axis=1) & valid.reshape(j.size, -1)[self.seg]
 
     def _real_block(self, k, u, w):
         """One log|d| matrix, one real matmul and one exp per block, plus
@@ -345,7 +373,7 @@ def interval_abs_integral(gaps, exps, j):
     exps = np.asarray(exps, float)
     j = np.asarray(j, int)
     plan = IntervalPlan(gaps, exps, j)
-    value = _doubled(plan.integrate_abs, plan.valid, _REL_TOL, 0.0, _interval_name(gaps, j.ravel()))
+    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j.ravel()))
     return np.abs(value).reshape(exps.shape[:-1] + j.shape)[()]
 
 
@@ -361,7 +389,7 @@ def interval_jacobian(gaps, exps, j):
 
     the integral of the row e - delta_m on the interval's own panels, which
     shares the base row's Gauss-Jacobi rules (IntervalPlan with
-    ``derivatives``); that row is masked out on the two intervals it would
+    ``derivatives``); that row reads exactly 0 on the two intervals it would
     make non-integrable.  A gap g_i moves the prevertices above it, so by
     translation invariance dI_j/dg_i = -sum_{m <= i} dI_j/ds_m below the
     interval and sum_{m > i} dI_j/ds_m above it: neither sum holds an end,
@@ -380,7 +408,7 @@ def interval_jacobian(gaps, exps, j):
     b_count, m_count = base.shape
     cols = np.arange(j.size)
     plan = IntervalPlan(gaps, base, j, derivatives=True)
-    value = _doubled(plan.integrate_abs, plan.valid, _REL_TOL, 0.0, _interval_name(gaps, j))
+    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j))
     value = value.reshape(b_count, m_count + 1, j.size)
     total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
     below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
@@ -428,7 +456,7 @@ def segment_integral(prev, exps, z0, z1):
     near = np.abs(point[:, None] - prev) < 1e-15
     own = np.where(near.any(axis=1), np.argmax(near, axis=1), -1)  # the prevertex at each end
     panels = _SegmentPanels(point.real[:, None] - prev, point.imag, unit, length, own, rows)
-    value = _doubled(panels.sums, panels.valid, 1e-11, 1e-15,
+    value = _doubled(panels.sums, 1e-11, 1e-15,
                      lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]
 
@@ -442,13 +470,13 @@ def arc_integral(prev, exps, center_idx, radius, th0, th1):
     c = prev[center_idx]
 
     def arc_sum(n):
-        x, w = _rule(n, 0.0, 0.0)
+        x, w = _rule(n, 0.0)
         th = th0 + (th1 - th0) * (x + 1.0) / 2.0
         zs = c + radius * np.exp(1j * th)
         vals = product_value(prev, exps, zs)
         dz = 1j * radius * np.exp(1j * th)
         return (th1 - th0) / 2.0 * (w @ (vals * dz))
 
-    value = _doubled(lambda n: np.array([[arc_sum(n)]]), np.ones((1, 1), bool), 1e-11, 1e-15,
+    value = _doubled(lambda n: np.array([[arc_sum(n)]]), 1e-11, 1e-15,
                      lambda i: f"arc around index {center_idx}")
     return complex(value[0, 0])

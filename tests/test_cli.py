@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,6 +63,24 @@ class TestSolve:
         out2 = tmp_path / "again.json"
         assert main(["solve", "--genus", "2", "--out", str(out2)]) == 0
         assert out2.read_bytes() == solved_file.read_bytes()
+
+    def test_runs_without_scipy(self, tmp_path, solved_file):
+        # numpy is the only runtime dependency: with scipy unimportable the
+        # CLI imports no scipy module and writes the same solution file
+        out = tmp_path / "p2.json"
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import zigzag.cli\n"
+                "loaded = [m for m, v in sys.modules.items() if m.startswith('scipy') and v is not None]\n"
+                "assert not loaded, loaded\n"
+                f"sys.exit(zigzag.cli.main(['solve', '--genus', '2', '--out', {str(out)!r}]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(zz.__file__).parents[1]),
+                                                           env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert out.read_bytes() == solved_file.read_bytes()
 
 
 class TestVerify:

@@ -8,8 +8,9 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (IntervalPlan, _ends, _graded_panels, _SegmentPanels, arc_integral,
-                                interval_abs_integral, interval_jacobian, segment_integral)
+from zigzag.quadrature import (IntervalPlan, _ends, _graded_panels, _rule, _SegmentPanels,
+                                arc_integral, interval_abs_integral, interval_jacobian,
+                                segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -105,6 +106,36 @@ class TestSideLength:
             assert math.isclose(val, ora, rel_tol=1e-10)
 
 
+class TestGaussJacobiRule:
+    @pytest.mark.parametrize("beta", [0.0] + [s * (k - 1) / k for k in range(2, 9) for s in (1, -1)])
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_against_mpmath(self, n, beta):
+        # every rule the kernel builds for turn orders k <= 8: 24 and 48
+        # nodes, exponents 0 and +-(k-1)/k.  The 40-digit reference takes
+        # Newton steps from each node on mp.jacobi (hypergeometric, not the
+        # recurrence), with P_n' = (n + beta + 1)/2 P_{n-1}^(1, beta+1)
+        x, w = _rule(n, beta)
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+
+            def slope(t):
+                return (n + b + 1) / 2 * mp.jacobi(n - 1, 1, b + 1, t)
+
+            ref_x, ref_w = [], []
+            for t in map(mp.mpf, x):
+                for _ in range(2):
+                    t -= mp.jacobi(n, 0, b, t) / slope(t)
+                ref_x.append(float(t))
+                ref_w.append(float(2 ** (b + 1) / ((1 - t) * (1 + t) * slope(t) ** 2)))
+        assert np.all(np.diff(ref_x) > 0)  # n distinct roots: every root of P_n
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        assert np.max(np.abs(w / ref_w - 1)) <= 1e-12
+        # the rule is polished in long double; where that is plain double, the
+        # weight of the node nearest -1 keeps its rounding (1.6e-13 of the sum)
+        moment_tol = 1e-14 if np.finfo(np.longdouble).eps < 1e-18 else 3e-13
+        assert abs(w.sum() / (2 ** (beta + 1) / (beta + 1)) - 1) <= moment_tol
+
+
 class TestValidityMask:
     def test_masked_pairs_are_never_built_and_read_zero(self, monkeypatch):
         # the derivative rows e - delta_m on every interval of a tuple with a
@@ -121,16 +152,16 @@ class TestValidityMask:
         built = []
         rule = quad._rule
 
-        def spy(n, alpha, beta):
-            assert alpha == 0.0  # every Jacobi panel starts at its own end
+        def spy(n, beta):  # every Jacobi panel starts at its own end: no alpha
             built.append(beta)
-            return rule(n, alpha, beta)
+            return rule(n, beta)
 
         monkeypatch.setattr(quad, "_rule", spy)
         plan = IntervalPlan(np.diff(prev), base, j, derivatives=True)
         masked = np.array([[r % (m_count + 1) - 1 in (i, i + 1) for i in j] for r in range(len(rows))])
-        assert np.array_equal(~plan.valid, masked)
-        value = quad._doubled(plan.integrate_abs, plan.valid, quad._REL_TOL, 0.0, str)
+        for n in (quad._BASE_NODES, 2 * quad._BASE_NODES):  # no entry feeds a masked pair
+            assert np.all(plan.integrate_abs(n)[masked] == 0.0)
+        value = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, str)
         assert min(built) > -1.0 and plan.rules.min() > -1.0
         assert np.all(value[masked] == 0.0)
         for r, i in zip(*np.nonzero(~masked)):

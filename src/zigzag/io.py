@@ -179,20 +179,25 @@ def load_solution(path) -> SolutionFile:
 
 
 def write_obj(path, mesh: SurfaceMesh) -> None:
-    """Wavefront OBJ with 1-based faces; symmetry generators in comments."""
+    """Wavefront OBJ with 1-based faces; symmetry generators in comments.
+
+    Each block is formatted by one %-call; %.17g renders a float as _fmt
+    does but for nan and inf, which are mapped back to NaN and Infinity.
+    """
     lines = []
     for gen in mesh.symmetries:
         entry = f"# sym {gen.name} {gen.description}"
         if gen.matrix is not None:
             flat = " ".join(_fmt(x) for row in gen.matrix for x in row)
             entry += f" | matrix {flat}"
-        lines.append(entry)
-    for v in mesh.vertices:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+        lines.append(entry + "\n")
+    vertices = np.asarray(mesh.vertices, dtype=float)
+    faces = np.asarray(mesh.triangles) + 1
+    lines.append((("v %.17g %.17g %.17g\n" * len(vertices)) % tuple(vertices.ravel().tolist()))
+                 .replace("nan", "NaN").replace("inf", "Infinity"))
+    lines.append(("f %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(lines))
 
 
 def write_csv(path, header: list[str], rows) -> None:

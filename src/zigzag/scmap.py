@@ -88,10 +88,13 @@ def sw_pattern(genus: int, turn_order: int = 2) -> ExponentPattern:
 class Prevertices:
     """Symmetric increasing prevertex tuple s_{-p}, ..., s_p.
 
-    Normalization: s_0 = 0, s_1 = 1 (for p >= 1), s_{-j} = -s_j.
+    Normalization: s_0 = 0, s_1 = 1 (for p >= 1), s_{-j} = -s_j.  A tuple
+    within 1e-12 of symmetric is stored as (v - v[::-1]) / 2, which is
+    exactly symmetric, and then checked against the normalization.
     ``gaps`` holds the 2p gaps s_{m+1} - s_m that every real-interval
     integral takes: exactly those it was built from by
-    ``from_positive_gaps``, np.diff(values) when built from values.
+    ``from_positive_gaps``, np.diff(values) when built from values; given
+    gaps are stored as (g + g[::-1]) / 2.
     """
 
     values: tuple[float, ...]
@@ -102,16 +105,21 @@ class Prevertices:
         if v.size % 2 != 1:
             raise ValueError("prevertex tuple must have odd length 2p+1")
         p = v.size // 2
+        if not np.allclose(v + v[::-1], 0.0, atol=1e-12):
+            raise ValueError("prevertices must satisfy s_{-j} = -s_j")
+        # exactly symmetric, so that t -> -conj(t) maps the integrands onto
+        # each other exactly; given gaps are symmetrized alike
+        v = (v - v[::-1]) / 2.0
+        gaps = np.diff(v) if not self.gaps else np.asarray(self.gaps, dtype=float)
+        gaps = (gaps + gaps[::-1]) / 2.0
         if np.any(np.diff(v) <= 0.0):
             raise ValueError(f"prevertices must be strictly increasing: {v}")
         if abs(v[p]) > 1e-14:
             raise ValueError(f"s_0 must be 0, got {v[p]}")
         if p >= 1 and abs(v[p + 1] - 1.0) > 1e-14:
             raise ValueError(f"s_1 must be 1, got {v[p + 1]}")
-        if not np.allclose(v + v[::-1], 0.0, atol=1e-12):
-            raise ValueError("prevertices must satisfy s_{-j} = -s_j")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
-        object.__setattr__(self, "gaps", tuple(float(g) for g in self.gaps or np.diff(v)))
+        object.__setattr__(self, "gaps", tuple(float(g) for g in gaps))
 
     @property
     def genus(self) -> int:

@@ -14,7 +14,11 @@ satisfy alpha * beta = dh^2 and define a minimal immersion
 
 on the half-plane sheet of the branched cover.  The sheet, the deck
 involution and the two reflections generate the full surface; the mesh
-generator emits the fundamental piece plus the symmetry generators.
+generator emits the fundamental piece plus the symmetry generators.  The
+parameter map t -> -conj(t) acts on the piece as a rotation by pi about a
+horizontal line, X(-conj t) = R X(t) (R = diag(1, -1, -1) for genus >= 1),
+so the mesh integrates only the quarter-disk Re t >= 0 and rotates it
+into the other half.
 """
 
 from __future__ import annotations
@@ -172,6 +176,13 @@ def build_weierstrass(sol) -> WeierstrassData:
     return WeierstrassData(p, k, shared, scale_ne, scale_sw, c, chain)
 
 
+def _dh_defects(wd: WeierstrassData) -> tuple[float, float]:
+    """|c^2 + i scale_ne scale_sw| / |c|^2 and |Im c| / |c| for c = dh_scale."""
+    c = wd.dh_scale
+    return (abs(c * c + 1j * wd.scale_ne * wd.scale_sw) / abs(c) ** 2,
+            abs(c.imag) / abs(c))
+
+
 def _cycle_factor(exponents: np.ndarray) -> np.ndarray:
     """1 - e^{2 pi i e}: period of the two-point cycle relative to the
     developed side; equals 2 for turn order 2."""
@@ -214,9 +225,7 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
     alpha_exp = [rho_sw[j + p] * _PHASE * (chain.vertex(j) - chain.vertex(j + 1))
                  for j in range(-p, p)]
 
-    c = wd.dh_scale
-    dh_per = (abs(c * c + 1j * wd.scale_ne * wd.scale_sw) / abs(c) ** 2,
-              abs(c.imag) / abs(c))
+    dh_per = _dh_defects(wd)
     worst_alpha = max((abs(a - b) for a, b in zip(alpha_comp, alpha_exp)), default=0.0)
     worst_conj = max(
         (abs(b - np.conj(a)) for a, b in zip(alpha_comp, beta_comp)), default=0.0
@@ -294,7 +303,30 @@ def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: complex):
     return _PHASE * wd.scale_sw * tot_sw, _PHASE * wd.scale_ne * tot_ne
 
 
-def _symmetry_generators(wd: WeierstrassData) -> tuple[SymmetryGenerator, ...]:
+def _diagonal_rotation(wd: WeierstrassData) -> np.ndarray:
+    """The matrix R with X(-conj t) = R X(t); see generate_mesh.
+
+    With lambda = i e^{i pi E_sw} scale_sw / conj(scale_sw), R maps
+    x1 + i x2 to conj(lambda) conj(x1 + i x2) and x3 to -x3.  Raises
+    ValueError unless the dh constant passes the defect bar of
+    verify_periods, on which the rotation rests.
+    """
+    defects = _dh_defects(wd)
+    if max(defects) > _DH_TOL:
+        raise ValueError(
+            "t -> -conj(t) is a rotation only for a real dh_scale c with "
+            f"c^2 = -i scale_ne scale_sw; defects {defects[0]:.3e}, {defects[1]:.3e}"
+        )
+    e_sw = float(np.sum(wd.pattern_sw.exponents))
+    lam = cmath.exp(1j * math.pi * (e_sw + 0.5)) * wd.scale_sw / wd.scale_sw.conjugate()
+    lam /= abs(lam)  # |lam| = 1 up to roundoff; keep R orthogonal
+    return np.array([[lam.real, -lam.imag, 0.0],
+                     [-lam.imag, -lam.real, 0.0],
+                     [0.0, 0.0, -1.0]])
+
+
+def _symmetry_generators(wd: WeierstrassData,
+                         rotation: np.ndarray) -> tuple[SymmetryGenerator, ...]:
     return (
         SymmetryGenerator(
             "deck_involution",
@@ -308,7 +340,9 @@ def _symmetry_generators(wd: WeierstrassData) -> tuple[SymmetryGenerator, ...]:
         SymmetryGenerator(
             "diagonal_reflection",
             "parameter map t -> -conj(t) fixing the prevertex symmetry; "
-            "reflection exchanging the two complementary domains",
+            "rotation by pi about the horizontal line through X(base) that is "
+            "the image of the imaginary axis",
+            tuple(tuple(row) for row in rotation.tolist()),
         ),
     )
 
@@ -318,11 +352,30 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
 
     Polar grid with angular nodes clustered toward the real axis (where
     the prevertices sit) and radial rings through the prevertex moduli;
-    nodes landing on a prevertex are nudged into the interior.  Vertices
-    are integrated from the base point 0.5i * radius by one
-    evaluate_surface call, so both forms of every vertex go through one
-    call of the blocked segment kernel.  Requires a finite radius > max
-    prevertex and resolution >= 8.
+    nodes landing on a prevertex are nudged into the interior.  Only the
+    centre and the columns 0 <= theta <= pi/2 of each ring are integrated,
+    from the base point 0.5i * radius by one evaluate_surface call, so
+    both forms of these vertices go through one call of the blocked
+    segment kernel.  Each column theta > pi/2 takes the parameter -conj(t)
+    of its mirror t, exactly, and the vertex R X(t).
+
+    Why R: s_{-j} = -s_j and e_{-j} = e_j give chi(-conj t) =
+    e^{i pi E} conj(chi(t)), E = sum of the exponents, and the segment
+    from the base b = -conj(b) to -conj(t) is the image of the one to t,
+    so each developing form obeys W(-conj t) = lambda conj(W(t)) with
+    lambda = i e^{i pi E} A / conj(A) for its scale A.  E_ne = -E_sw, so
+    lambda_ne lambda_sw = -A_ne A_sw / conj(A_ne A_sw) = c^2 / conj(c)^2
+    when c^2 = -i A_ne A_sw, which is 1 for a real c.  Then x1 + i x2 =
+    (conj(W_sw) - W_ne) / 2 maps to conj(lambda_sw) conj(x1 + i x2), and
+    x3 = Re(c (t - b)) to -x3: the rotation by pi about the horizontal
+    line at angle -arg(lambda_sw) / 2 to the x1-axis.  For genus >= 1 the
+    vertex chain obeys P_{-j} - P_0 = i conj(P_j - P_0); the side P_0 P_1
+    maps to P_0 P_{-1} as z -> i lambda_sw conj(z), so lambda_sw = 1 and
+    R = diag(1, -1, -1).  At genus 0 build_weierstrass sets scale_sw = 1,
+    so lambda_sw = i e^{i pi E_sw}, which is 1 only for turn order 2.
+    R is taken from the data by _diagonal_rotation, which raises
+    ValueError unless c is real with c^2 = -i A_ne A_sw.  Requires a
+    finite radius > max prevertex and resolution >= 8.
     """
     s = np.asarray(wd.prevertices.values)
     if resolution < 8:
@@ -332,26 +385,28 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     if radius <= float(np.max(np.abs(s))):
         raise ValueError("radius must exceed the largest prevertex")
     base = 0.5j * radius
+    rotation = _diagonal_rotation(wd)
 
-    n_r, n_th = resolution, 2 * resolution
-    rows = [np.array([0.0 + 1e-3j * radius / resolution])]
-    radii = _graded_radii(radius, n_r, s)
-    theta = math.pi * (1.0 - np.cos(np.linspace(0.0, math.pi, n_th + 1))) / 2.0
+    n = resolution  # column n is the imaginary axis, column 2n the negative real axis
+    centre = np.array([0.0 + 1e-3j * radius / resolution])
+    radii = _graded_radii(radius, n, s)
+    theta = math.pi * (1.0 - np.cos(np.linspace(0.0, math.pi, 2 * n + 1))) / 2.0
+    right = radii[:, None] * np.exp(1j * theta[: n + 1])
     nudge = 1e-3 * radius / resolution
-    for r in radii:
-        ring = r * np.exp(1j * theta)
-        ring.imag = np.maximum(ring.imag, 0.0)
-        close = np.min(np.abs(ring[:, None] - s[None, :]), axis=1) < nudge
-        ring = np.where(close, ring + 1j * nudge, ring)
-        rows.append(ring)
+    close = np.min(np.abs(right[..., None] - s), axis=-1) < nudge
+    right = np.where(close, right + 1j * nudge, right)
 
-    params = np.concatenate(rows)
-    triangles = _fan_and_strip_triangles(len(rows[0]), len(radii), n_th + 1)
+    X = evaluate_surface(wd, np.concatenate((centre, right.ravel())), base)
+    right_X = X[1:].reshape(len(radii), n + 1, 3)
+    rings = np.concatenate((right, -np.conj(right[:, n - 1:: -1])), axis=1)
+    ring_X = np.concatenate((right_X, right_X[:, n - 1:: -1] @ rotation.T), axis=1)
 
-    vertices = evaluate_surface(wd, params, base)
+    params = np.concatenate((centre, rings.ravel()))
+    vertices = np.concatenate((X[:1], ring_X.reshape(-1, 3)))
+    triangles = _fan_and_strip_triangles(len(centre), len(radii), 2 * n + 1)
     factor = wd.metric_factor(params)
     return SurfaceMesh(vertices, triangles, np.asarray(factor), params,
-                       _symmetry_generators(wd))
+                       _symmetry_generators(wd, rotation))
 
 
 def _graded_radii(radius: float, n_r: int, s: np.ndarray) -> np.ndarray:

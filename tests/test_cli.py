@@ -153,6 +153,25 @@ class TestMesh:
         assert not (tmp_path / "bad.obj").exists()
 
 
+class TestWriteObj:
+    def test_bytes_match_the_line_by_line_writer(self, tmp_path):
+        vertices = np.array([[-0.0, 5e-324, 1e300],
+                             [math.nan, math.inf, -math.inf],
+                             [0.1, -2.5e-17, 123456789.123]])
+        triangles = np.array([[0, 1, 2], [2, 1, 0]])
+        sym = (zz.SymmetryGenerator("deck_involution", "a rotation",
+                                    ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))),
+               zz.SymmetryGenerator("boundary_reflection", "no matrix"))
+        mesh = zz.SurfaceMesh(vertices, triangles, np.ones(3), np.zeros(3, complex), sym)
+        lines = ["# sym deck_involution a rotation | matrix -1 0 0 0 -1 0 0 0 1",
+                 "# sym boundary_reflection no matrix"]
+        lines += ["v " + " ".join(zio._fmt(x) for x in v) for v in vertices]
+        lines += ["f " + " ".join(str(i + 1) for i in t) for t in triangles]
+        zio.write_obj(tmp_path / "m.obj", mesh)
+        assert (tmp_path / "m.obj").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert "v NaN Infinity -Infinity\n" in (tmp_path / "m.obj").read_text()
+
+
 class TestSweep:
     def test_extlength_csv(self, tmp_path):
         out = tmp_path / "ext.csv"

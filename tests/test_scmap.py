@@ -40,6 +40,31 @@ class TestExponentPattern:
         assert np.max(np.abs(ne * sw - 1.0)) < 1e-12
 
 
+class TestPrevertices:
+    def test_near_symmetric_tuple_is_stored_symmetric(self):
+        prev = zz.Prevertices((-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-13))
+        v = np.array(prev.values)
+        assert np.array_equal(v, -v[::-1])
+        assert v[-1] == 1.9 + 5e-14
+        assert prev.gaps == tuple(np.diff(v))
+
+    def test_given_gaps_are_stored_symmetric(self):
+        values = (-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-13)
+        prev = zz.Prevertices(values, tuple(np.diff(values)))
+        g = np.array(prev.gaps)
+        assert np.array_equal(g, g[::-1])
+        assert np.max(np.abs(g - np.diff(prev.values))) < 1e-15
+
+    def test_symmetrized_tuple_is_checked_against_s1(self):
+        # s_1 becomes 1 + 5e-14 once symmetrized, off the normalization
+        with pytest.raises(ValueError, match="s_1"):
+            zz.Prevertices((-1.9, -1.0 - 1e-13, 0.0, 1.0, 1.9))
+
+    def test_asymmetric_tuple_raises(self):
+        with pytest.raises(ValueError):
+            zz.Prevertices((-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-3))
+
+
 class TestParameterProblem:
     def test_genus1_trivial(self):
         prev = zz.solve_parameter_problem(

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -282,10 +283,13 @@ class TestMesh:
 
     def test_one_kernel_call_per_mesh(self, wd_by_genus, monkeypatch):
         calls = {"surface": 0, "segment": 0}
+        ends = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "segment":
+                    ends.append(np.size(args[3]))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -293,8 +297,34 @@ class TestMesh:
                             counted("surface", weierstrass.evaluate_surface))
         monkeypatch.setattr(quadrature, "segment_integral",
                             counted("segment", quadrature.segment_integral))
-        zz.generate_mesh(wd_by_genus[2], 3.0, 8)
+        resolution = 8
+        mesh = zz.generate_mesh(wd_by_genus[2], 3.0, resolution)
         assert calls == {"surface": 1, "segment": 1}
+        # the centre and the columns 0 <= theta <= pi/2 of every ring
+        n_rings = (len(mesh.parameters) - 1) // (2 * resolution + 1)
+        assert ends == [1 + n_rings * (resolution + 1)]
+
+    @pytest.mark.parametrize("key", [(2, 2), (5, 2), (0, 5), "spun"])
+    def test_left_half_is_the_rotated_right_half(self, wd_by_pk, key):
+        wd, resolution = wd_by_pk[key], 12
+        radius = 1.5 * max(1.0, max(wd.prevertices.values))
+        mesh = zz.generate_mesh(wd, radius, resolution)
+        n = resolution
+        rings = mesh.parameters[1:].reshape(-1, 2 * n + 1)
+        src, mirror = rings[:, n - 1:: -1], rings[:, n + 1:]
+        # the parameters mirror bit for bit, so both ring ends sit on the
+        # real axis unless nudged off a prevertex, and then equally high
+        assert np.array_equal((-np.conj(src)).view(np.uint64), mirror.view(np.uint64))
+        r = np.abs(rings[:, 0].real)
+        s = np.asarray(wd.prevertices.values)
+        nudged = np.min(np.abs(r[:, None] - s), axis=1) < 1e-3 * radius / resolution
+        assert np.all(rings[~nudged, 0].imag == 0.0)
+        assert np.all(rings[~nudged, -1].imag == 0.0)
+        assert np.array_equal(rings[:, 0].imag, rings[:, -1].imag)
+        # the rotated vertices are the integrated ones
+        direct = zz.evaluate_surface(wd, mirror.ravel(), 0.5j * radius)
+        rotated = mesh.vertices[1:].reshape(*rings.shape, 3)[:, n + 1:].reshape(-1, 3)
+        assert np.max(np.abs(rotated - direct)) < 1e-13 * np.max(np.abs(mesh.vertices))
 
     def test_traced_memory_of_a_genus5_mesh(self, wd_by_genus):
         # the segment kernel evaluates its node x prevertex logs in blocks
@@ -309,6 +339,82 @@ class TestMesh:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def _spun(wd, phi):
+    """The data turned about the vertical axis: scale_sw e^{i phi} and
+    scale_ne e^{-i phi} keep dh_scale^2 = -i scale_ne scale_sw."""
+    return dataclasses.replace(wd, scale_sw=wd.scale_sw * cmath.exp(1j * phi),
+                               scale_ne=wd.scale_ne * cmath.exp(-1j * phi))
+
+
+@pytest.fixture(scope="module")
+def wd_by_pk(wd_by_genus):
+    wd = {(p, 2): wd_by_genus[p] for p in (0, 1, 2, 3, 5)}
+    for p, k in ((0, 3), (0, 5), (2, 4), (4, 3)):
+        wd[p, k] = zz.build_weierstrass(zz.continuation_solve(p, k))
+    wd["spun"] = _spun(wd[2, 4], 0.3)
+    return wd
+
+
+def _expected_rotation(p, k):
+    """Rotation by pi about the horizontal line at angle phi to the
+    x1-axis: phi = 0 for genus >= 1, and -pi (1/2 - (k-1)/k) / 2 at
+    genus 0, where scale_sw = 1 and E_sw = -(k-1)/k."""
+    phi = 0.0 if p >= 1 else -math.pi * (0.5 - (k - 1) / k) / 2.0
+    c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, -1.0]])
+
+
+def _rotation_defect(wd, R, seed):
+    """max |X(-conj t) - R X(t)| / max |X| over random t in the closed
+    upper half-plane, a quarter of them on the real axis."""
+    rng = np.random.default_rng(seed)
+    smax = max(1.0, max(wd.prevertices.values))
+    t = rng.uniform(-3.0, 3.0, 40) * smax + 1j * rng.uniform(0.0, 2.0, 40) * smax
+    t[::4] = t[::4].real
+    base = 1.7j
+    X = zz.evaluate_surface(wd, t, base)
+    X_mirror = zz.evaluate_surface(wd, -np.conj(t), base)
+    return np.max(np.abs(X_mirror - X @ R.T)) / np.max(np.abs(X))
+
+
+_PK = [(0, 2), (0, 3), (0, 5), (1, 2), (2, 4), (3, 2), (4, 3)]
+
+
+class TestDiagonalRotation:
+    """t -> -conj(t) is a rotation by pi about a horizontal line, the
+    x1-axis for genus >= 1."""
+
+    @pytest.mark.parametrize("pk", _PK)
+    def test_rotation_identity(self, wd_by_pk, pk):
+        R = _expected_rotation(*pk)
+        assert _rotation_defect(wd_by_pk[pk], R, seed=pk[0] + 10 * pk[1]) < 1e-13
+
+    @pytest.mark.parametrize("pk", _PK)
+    def test_generator_matrix(self, wd_by_pk, pk):
+        wd = wd_by_pk[pk]
+        mesh = zz.generate_mesh(wd, 1.5 * max(1.0, max(wd.prevertices.values)), 8)
+        gens = {g.name: g for g in mesh.symmetries}
+        matrix = np.array(gens["diagonal_reflection"].matrix)
+        assert np.max(np.abs(matrix - _expected_rotation(*pk))) < 1e-15
+
+    @pytest.mark.parametrize("pk", [(0, 5), (2, 4)])
+    def test_matrix_follows_the_scale_phases(self, wd_by_pk, pk):
+        # data whose phases differ from build_weierstrass's convention
+        spun = _spun(wd_by_pk[pk], 0.3)
+        R = weierstrass._diagonal_rotation(spun)
+        assert np.max(np.abs(R - _expected_rotation(*pk))) > 0.4
+        assert _rotation_defect(spun, R, seed=3) < 1e-13
+
+    @pytest.mark.parametrize("pk", [(0, 3), (1, 2), (4, 3)])
+    def test_turned_scale_breaks_it(self, wd_by_pk, pk):
+        wd = wd_by_pk[pk]
+        turned = dataclasses.replace(wd, scale_sw=wd.scale_sw * cmath.exp(1e-3j))
+        assert _rotation_defect(turned, _expected_rotation(*pk), seed=1) > 1e-6
+        # dh_scale^2 = -i scale_ne scale_sw fails too, so no mesh is made
+        with pytest.raises(ValueError, match="dh_scale"):
+            zz.generate_mesh(turned, 1.5 * max(1.0, max(wd.prevertices.values)), 8)
 
 
 def _cot_laplacian_norm(mesh, exclude_r=0.3, boundary_r=1.9):

@@ -36,20 +36,21 @@ its prevertices: every offset is a partial sum of gaps from the
 interval's end and every length a gap, so no digit of a gap 1e-8 of the
 prevertices is lost to their absolute size.  Segments keep absolute
 coordinates.  One routine, ``_doubled``, certifies each item and row:
-24 against 48 nodes, else QuadratureFailure.  A fixed node count set by
+12 against 24 nodes, else QuadratureFailure.  A fixed node count set by
 the tolerance, as in Driscoll & Trefethen's SC Toolbox, serves every
 integrand here, with no adaptive doubling past it.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 
-_BASE_NODES = 24
+_BASE_NODES = 12
 _REL_TOL = 1e-12
 
 
@@ -119,13 +120,13 @@ def product_value(prev, exps, z):
 
 
 def _doubled(sums, rel_tol, abs_tol: float, what):
-    """Certify panel sums by one comparison: 24 against 48 nodes per panel
+    """Certify panel sums by one comparison: 12 against 24 nodes per panel
     (_BASE_NODES and its double), else QuadratureFailure.
 
     ``sums(n)`` returns the (R, S) sums of every row and item at n nodes
     per panel.  Every (row, item) pair must change by at most
     rel_tol * |fine| + abs_tol; a pair that no entry feeds is exactly 0 at
-    both counts and passes.  Returns the (R, S) 48-node values; raises
+    both counts and passes.  Returns the (R, S) 24-node values; raises
     QuadratureFailure naming ``what(i)`` for the first item i with a
     failing pair.
     """
@@ -357,8 +358,8 @@ def _interval_name(gaps, j):
 
 def interval_abs_integral(gaps, exps, j):
     """Modulus integrals over real intervals (s_j, s_{j+1}) of the tuple
-    with gaps s_{m+1} - s_m, certified to relative accuracy 1e-12 by 24
-    against 48 nodes.
+    with gaps s_{m+1} - s_m, certified to relative accuracy 1e-12 by 12
+    against 24 nodes.
 
     ``j`` is one interval index or an array of them, ``exps`` one exponent
     row or an (R, M) stack of rows.  The integrand has constant argument
@@ -367,7 +368,7 @@ def interval_abs_integral(gaps, exps, j):
     half.  Returns the values with the row axis of a stack followed by the
     shape of ``j``, a scalar for one row and index; raises
     QuadratureFailure if an interval and row change by more than that
-    from 24 to 48 nodes.
+    from 12 to 24 nodes.
     """
     gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
@@ -396,10 +397,10 @@ def interval_jacobian(gaps, exps, j):
     so no end derivatives of size I/g cancel next to a tiny gap.  The
     interval's own gap follows from homogeneity,
     sum_i g_i dI/dg_i = (1 + sum e) I.  Every row is certified to 1e-12
-    relative by 24 against 48 nodes.  Returns (I, g dI/dg) of shapes
+    relative by 12 against 24 nodes.  Returns (I, g dI/dg) of shapes
     (B, n) and (B, M-1, n) for a stack, (n,) and (M-1, n) for one row;
-    raises QuadratureFailure if a row changes by more than that from 24
-    to 48 nodes.
+    raises QuadratureFailure if a row changes by more than that from 12
+    to 24 nodes.
     """
     gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
@@ -431,7 +432,7 @@ def segment_integral(prev, exps, z0, z1):
     Gauss-Jacobi panel of s_m, one rule per row; the rest of a segment is
     covered by Gauss-Legendre panels no longer than their clearance to the
     nearest prevertex, shared by all rows.  Every segment and row is
-    certified to 1e-11 relative plus 1e-15 absolute by 24 against 48
+    certified to 1e-11 relative plus 1e-15 absolute by 12 against 24
     nodes, else QuadratureFailure names the segment.
 
     Returns the integrals with the broadcast segment shape, preceded by
@@ -463,20 +464,34 @@ def segment_integral(prev, exps, z0, z1):
 
 def arc_integral(prev, exps, center_idx, radius, th0, th1):
     """Integral along the circular arc z = s_c + radius * e^{i theta},
-    certified like segment_integral.  No library path uses arcs; the
+    certified like segment_integral: the arc is cut into equal sub-arcs of
+    at most pi/2 and no longer than the arc's distance to any other
+    prevertex (the one-half rule), at most 1024 of them, each one item of
+    the comparison, and their sums added.  No library path uses arcs; the
     benchmark tracer (perfbench/tracer.py) still looks this name up."""
     prev = np.asarray(prev, float)
     exps = np.asarray(exps, float)
     c = prev[center_idx]
+    others = np.delete(prev, center_idx)
+    # the circle comes nearest a real s_m at angle 0 or pi; off the arc, an end does
+    nearest = np.where(others > c, 0.0, np.pi)
+    on_arc = (min(th0, th1) <= nearest) & (nearest <= max(th0, th1))
+    ends = c + radius * np.exp(1j * np.array([th0, th1]))
+    clear = np.where(on_arc, np.abs(np.abs(others - c) - radius),
+                     np.min(np.abs(ends[:, None] - others), axis=0)).min(initial=np.inf)
+    span = abs(th1 - th0)
+    with np.errstate(divide="ignore"):  # a prevertex on the arc: the most pieces
+        need = max(span / (math.pi / 2), radius * span / clear)
+    pieces = max(1, math.ceil(min(need, 1024.0)))
+    starts = th0 + (th1 - th0) * np.arange(pieces)[:, None] / pieces
+    half = (th1 - th0) / (2 * pieces)
 
-    def arc_sum(n):
+    def arc_sums(n):
         x, w = _rule(n, 0.0)
-        th = th0 + (th1 - th0) * (x + 1.0) / 2.0
-        zs = c + radius * np.exp(1j * th)
-        vals = product_value(prev, exps, zs)
-        dz = 1j * radius * np.exp(1j * th)
-        return (th1 - th0) / 2.0 * (w @ (vals * dz))
+        offset = radius * np.exp(1j * (starts + half * (x + 1.0)))
+        vals = product_value(prev, exps, (c + offset).ravel()).reshape(offset.shape)
+        return half * ((vals * 1j * offset) @ w)[None, :]
 
-    value = _doubled(lambda n: np.array([[arc_sum(n)]]), 1e-11, 1e-15,
-                     lambda i: f"arc around index {center_idx}")
-    return complex(value[0, 0])
+    value = _doubled(arc_sums, 1e-11, 1e-15,
+                     lambda i: f"sub-arc {i} of the arc around index {center_idx}")
+    return complex(value.sum())

@@ -145,7 +145,7 @@ def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
 
     This is the raw modulus integral of the SC integrand over the tuple's
     gaps; no chain normalization is applied.  Relative accuracy 1e-10 or
-    better, certified by 24 against 48 nodes (QuadratureFailure otherwise).
+    better, certified by 12 against 24 nodes (QuadratureFailure otherwise).
     """
     p = prev.genus
     if not 0 <= j < p:

@@ -418,14 +418,12 @@ def _graded_radii(radius: float, n_r: int, s: np.ndarray) -> np.ndarray:
 
 
 def _fan_and_strip_triangles(n_center: int, n_rings: int, ring_size: int) -> np.ndarray:
-    tris = []
-    first_ring = n_center
-    for j in range(ring_size - 1):
-        tris.append((0, first_ring + j, first_ring + j + 1))
-    for i in range(n_rings - 1):
-        a = first_ring + i * ring_size
-        b = a + ring_size
-        for j in range(ring_size - 1):
-            tris.append((a + j, b + j, b + j + 1))
-            tris.append((a + j, b + j + 1, a + j + 1))
-    return np.asarray(tris, dtype=int)
+    """Triangles of the mesh: a fan from vertex 0 to the first ring, then
+    between rings i and i + 1 the pair (a, b, b + 1), (a, b + 1, a + 1) at
+    each column, ring by ring and column by column."""
+    j = np.arange(ring_size - 1)
+    fan = np.stack((np.zeros_like(j), n_center + j, n_center + j + 1), axis=1)
+    a = (n_center + ring_size * np.arange(n_rings - 1))[:, None] + j
+    b = a + ring_size
+    strip = np.stack((a, b, b + 1, a, b + 1, a + 1), axis=-1).reshape(-1, 3)
+    return np.concatenate((fan, strip))

@@ -187,8 +187,9 @@ class TestWorkCounter:
     def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
         # deterministic work gate: kernel plans in the direct genus-5 solve,
         # one per Newton point (residual and exact Jacobian together), each
-        # summed exactly twice, at 24 and 48 nodes; cold parameter solves
-        # only for the two certificates of D, with no lower genus solved.
+        # summed exactly twice, at _BASE_NODES and twice that; cold
+        # parameter solves only for the two certificates of D, with no
+        # lower genus solved.
         # integrate_abs is bound at class creation, so it is spied on there
         height_mod = sys.modules["zigzag.height"]
         quad = sys.modules["zigzag.quadrature"]
@@ -208,7 +209,7 @@ class TestWorkCounter:
         assert zz.continuation_solve(5, 2).converged
         assert solves == [5, 5]
         assert 0 < len(kernel_plans) <= 16
-        assert nodes == [24, 48] * len(kernel_plans)
+        assert nodes == [quad._BASE_NODES, 2 * quad._BASE_NODES] * len(kernel_plans)
 
 
 class TestIsolationCertificate:

@@ -8,9 +8,9 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (IntervalPlan, _ends, _graded_panels, _rule, _SegmentPanels,
-                                arc_integral, interval_abs_integral, interval_jacobian,
-                                segment_integral)
+from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _graded_panels, _rule,
+                                _SegmentPanels, arc_integral, interval_abs_integral,
+                                interval_jacobian, segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -71,8 +71,8 @@ class TestSideLength:
         prev = (-1.7, -1.0, 0.0, 1.0, 1.7)
         rows = np.stack((zz.ne_pattern(2).exponents, zz.sw_pattern(2).exponents))
         plan = IntervalPlan(np.diff(prev), rows, np.arange(4))
-        accepted = np.abs(plan.integrate_abs(48))
-        doubled = np.abs(plan.integrate_abs(96))
+        accepted = np.abs(plan.integrate_abs(2 * _BASE_NODES))
+        doubled = np.abs(plan.integrate_abs(4 * _BASE_NODES))
         assert accepted.shape == (2, 4)
         assert np.all(np.abs(doubled - accepted) < 1e-12 * doubled)
 
@@ -108,12 +108,13 @@ class TestSideLength:
 
 class TestGaussJacobiRule:
     @pytest.mark.parametrize("beta", [0.0] + [s * (k - 1) / k for k in range(2, 9) for s in (1, -1)])
-    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("n", [12, 24, 48])
     def test_against_mpmath(self, n, beta):
-        # every rule the kernel builds for turn orders k <= 8: 24 and 48
-        # nodes, exponents 0 and +-(k-1)/k.  The 40-digit reference takes
-        # Newton steps from each node on mp.jacobi (hypergeometric, not the
-        # recurrence), with P_n' = (n + beta + 1)/2 P_{n-1}^(1, beta+1)
+        # every rule the kernel builds for turn orders k <= 8 (12 and 24
+        # nodes) and 48 nodes, exponents 0 and +-(k-1)/k.  The 40-digit
+        # reference takes Newton steps from each node on mp.jacobi
+        # (hypergeometric, not the recurrence), with
+        # P_n' = (n + beta + 1)/2 P_{n-1}^(1, beta+1)
         x, w = _rule(n, beta)
         with mp.workdps(40):
             b = mp.mpf(beta)
@@ -173,7 +174,7 @@ THIN = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
 
 
 class TestRealIntervalPath:
-    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("n", [_BASE_NODES, 2 * _BASE_NODES, 4 * _BASE_NODES])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_real_sums_match_complex_path(self, k, n):
         # every interval of a tuple with a 1e-9 gap, NE and SW rows stacked
@@ -205,6 +206,43 @@ class TestRealIntervalPath:
         rows = np.stack((zz.ne_pattern(3, 2).exponents, zz.sw_pattern(3, 2).exponents))
         with pytest.raises(QuadratureFailure, match=r"^interval \(0, 1\) "):
             routine(np.diff(THIN), rows, np.arange(len(THIN) - 1))
+
+
+class TestCertifiedAgainstFineSums:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_kernel_values_match_96_node_sums(self, monkeypatch, k):
+        # every kernel routine on the tuple with 1e-9 end gaps, NE and SW rows
+        # stacked, against the same routine on the same plan summed at 96
+        # nodes (48 against 96): intervals, the interval Jacobian and
+        # segments from 1.5i to random points of the upper half-plane, to
+        # points 1e-6 above each prevertex and to each prevertex
+        quad = sys.modules["zigzag.quadrature"]
+        gaps, j, prev = np.diff(THIN), np.arange(len(THIN) - 1), np.array(THIN)
+        rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
+        rng = np.random.default_rng(k)
+        ends = np.concatenate((rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.0, 2.0, 12),
+                               prev + 1e-6j, prev + 0j))
+        value = interval_abs_integral(gaps, rows, j)
+        total, dlog = interval_jacobian(gaps, rows, j)
+        seg = segment_integral(prev, rows, 1.5j, ends)
+        plan = IntervalPlan(gaps, rows, j, derivatives=True)
+        certified = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, str)
+        monkeypatch.setattr(quad, "_BASE_NODES", 48)
+        fine_value = interval_abs_integral(gaps, rows, j)
+        fine_total, fine_dlog = interval_jacobian(gaps, rows, j)
+        fine_seg = segment_integral(prev, rows, 1.5j, ends)
+        fine = plan.integrate_abs(96)
+        assert np.all(np.abs(value - fine_value) <= 1e-14 * fine_value)
+        assert np.all(np.abs(total - fine_total) <= 1e-14 * np.abs(fine_total))
+        # every row interval_jacobian certifies; a row masked on an interval
+        # is exactly 0 at both counts
+        assert np.all(np.abs(certified - fine) <= 1e-14 * np.abs(fine))
+        # log-gap derivatives against the largest of their interval: those
+        # summed from rows that nearly cancel are small, and their own
+        # relative error measures that cancellation
+        scale = np.max(np.abs(fine_dlog), axis=-2, keepdims=True)
+        assert np.all(np.abs(dlog - fine_dlog) <= 1e-14 * scale)
+        assert np.all(np.abs(seg - fine_seg) <= 1e-14 * np.abs(fine_seg))
 
 
 def scalar_panels(z0, z1, prev, sing0, sing1):
@@ -329,8 +367,8 @@ class TestSegmentIntegral:
     def test_failure_names_the_segment(self, monkeypatch):
         # the straight path from s_0 passes 1e-300 above s_1 and s_2,
         # closer than the panel halvings resolve; its batch mates are fine.
-        # One comparison, 24 against 48 nodes, rejects it: no more nodes
-        # are tried
+        # One comparison, _BASE_NODES against twice as many, rejects it:
+        # no more nodes are tried
         quad = sys.modules["zigzag.quadrature"]
         sums, nodes = quad._SegmentPanels.sums, []
 
@@ -341,10 +379,11 @@ class TestSegmentIntegral:
         monkeypatch.setattr(quad._SegmentPanels, "sums", spy)
         prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
         exps = zz.ne_pattern(2).exponents
-        with pytest.raises(QuadratureFailure, match=r"\(5\+1e-300j\)\] .* with 48 nodes$"):
+        with pytest.raises(QuadratureFailure,
+                           match=rf"\(5\+1e-300j\)\] .* with {2 * _BASE_NODES} nodes$"):
             segment_integral(prev, exps, np.array([0.5j, 0.0, 0.5j]),
                              np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]))
-        assert nodes == [24, 48]
+        assert nodes == [_BASE_NODES, 2 * _BASE_NODES]
 
     @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
                                      complex(0.5, math.inf)])
@@ -370,3 +409,17 @@ class TestArcIntegral:
                                      r * cmath.exp(1j * th1))
             assert abs(arc - chord) < 1e-13
             assert abs(arc) > 0.1
+
+    @pytest.mark.parametrize("center, r", [(2, 0.9), (3, 1.0)])
+    def test_arc_ending_near_another_prevertex(self, center, r):
+        # each arc ends about 0.14 from a neighbouring prevertex (1 for the
+        # arc around 0; 0, which lies on its circle, for the arc around 1),
+        # so its sub-arcs are no longer than that; no prevertex lies between
+        # arc and chord
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        th0, th1 = 0.1, 3.0
+        for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
+            arc = arc_integral(prev, pat.exponents, center, r, th0, th1)
+            chord = segment_integral(prev, pat.exponents, prev[center] + r * cmath.exp(1j * th0),
+                                     prev[center] + r * cmath.exp(1j * th1))
+            assert abs(arc - chord) < 1e-13

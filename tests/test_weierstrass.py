@@ -283,7 +283,12 @@ class TestMesh:
 
     def test_one_kernel_call_per_mesh(self, wd_by_genus, monkeypatch):
         calls = {"surface": 0, "segment": 0}
-        ends = []
+        ends, nodes = [], []
+        sums = quadrature._SegmentPanels.sums
+
+        def counting_sums(self, n):
+            nodes.append(n)
+            return sums(self, n)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -297,12 +302,30 @@ class TestMesh:
                             counted("surface", weierstrass.evaluate_surface))
         monkeypatch.setattr(quadrature, "segment_integral",
                             counted("segment", quadrature.segment_integral))
+        monkeypatch.setattr(quadrature._SegmentPanels, "sums", counting_sums)
         resolution = 8
         mesh = zz.generate_mesh(wd_by_genus[2], 3.0, resolution)
         assert calls == {"surface": 1, "segment": 1}
+        # one certificate: a single pair of sums
+        assert nodes == [quadrature._BASE_NODES, 2 * quadrature._BASE_NODES]
         # the centre and the columns 0 <= theta <= pi/2 of every ring
         n_rings = (len(mesh.parameters) - 1) // (2 * resolution + 1)
         assert ends == [1 + n_rings * (resolution + 1)]
+
+    @pytest.mark.parametrize("size", [(1, 27, 49), (1, 25, 49), (1, 8, 17)])
+    def test_triangles_match_the_loop(self, size):
+        # the array construction against the loop it replaced: same
+        # triangles in the same order, so OBJ face blocks are unchanged
+        n_center, n_rings, ring_size = size
+        tris = [(0, n_center + j, n_center + j + 1) for j in range(ring_size - 1)]
+        for i in range(n_rings - 1):
+            a = n_center + i * ring_size
+            b = a + ring_size
+            for j in range(ring_size - 1):
+                tris.append((a + j, b + j, b + j + 1))
+                tris.append((a + j, b + j + 1, a + j + 1))
+        got, want = weierstrass._fan_and_strip_triangles(*size), np.asarray(tris, dtype=int)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("key", [(2, 2), (5, 2), (0, 5), "spun"])
     def test_left_half_is_the_rotated_right_half(self, wd_by_pk, key):

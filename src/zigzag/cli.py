@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -19,7 +20,10 @@ SOLVE_EXIT = 2
 VERIFY_EXIT = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="zigzag",
         description="Reflexive symmetric zigzags and their minimal surfaces.",
@@ -191,8 +195,10 @@ def cmd_sweep(args) -> int:
         _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
         _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
         both = np.stack((pat_ne.exponents, pat_sw.exponents))
-        rows = [(float(d), *interval_abs_integral(m.gaps, both, j + args.genus),
-                 c1_ne.real, c1_sw.real) for d, m in zip(deltas, members)]
+        gaps = np.array([m.gaps for m in members])
+        abs_a, abs_b = interval_abs_integral(gaps, both, np.full(len(members), j + args.genus))
+        rows = [(float(d), a, b, c1_ne.real, c1_sw.real)
+                for d, a, b in zip(deltas, abs_a, abs_b)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "
               f"c1_ne={c1_ne.real:+.4f} (residual {res_ne:.2e}), "

@@ -285,8 +285,9 @@ def _gap_offsets(gaps, ends):
     """(len(ends), M) offsets s_a - s_m of each end a from every prevertex
     of the tuple with gaps s_{m+1} - s_m: partial sums of gaps taken
     outward from a, nearest gap first, so each is exact to its own
-    rounding however far the tuple extends."""
-    i, a = np.arange(gaps.size), ends[:, None]
+    rounding however far the tuple extends.  ``gaps`` is one tuple's
+    (M-1,) gaps or (len(ends), M-1), a row of gaps for each end."""
+    i, a = np.arange(gaps.shape[-1]), ends[:, None]
     up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
     down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
     zero = np.zeros((ends.size, 1))
@@ -300,7 +301,11 @@ class IntervalPlan(_SegmentPanels):
     gaps, the length is the gap itself and the direction exactly +1, so a
     gap far smaller than the prevertices keeps its full relative accuracy.
     Every point of an interval is nearer its ends than any other
-    prevertex, so its graded panels are never halved.
+    prevertex, so its graded panels are never halved.  ``gaps`` may also
+    be a (T, M-1) stack of tuples, one per row, with ``j`` of shape
+    (T, ...): the intervals j[t] are those of tuple t, whose own gaps give
+    their offsets and lengths, so every interval is built exactly as from
+    its tuple alone.
 
     On an interval every factor t - s_m is real and keeps one sign, so
     ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
@@ -314,11 +319,17 @@ class IntervalPlan(_SegmentPanels):
     0 there at any node count."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
-        gaps, j = np.asarray(gaps, float), np.asarray(j, int).ravel()
+        gaps, j = np.asarray(gaps, float), np.asarray(j, int)
+        if gaps.ndim == 2:  # each end and each length take their own tuple's row
+            tup = _tuples(gaps, j)
+            own, length = gaps[_ends(tup, tup)], gaps[tup, j.ravel()]
+        else:
+            own, length = gaps, gaps[j.ravel()]
+        j = j.ravel()
         ends = _ends(j, j + 1)
         rows = np.atleast_2d(np.asarray(exps, float))
-        super().__init__(_gap_offsets(gaps, ends), np.zeros(ends.size), np.ones(j.size, complex),
-                         gaps[j], ends, rows)
+        super().__init__(_gap_offsets(own, ends), np.zeros(ends.size), np.ones(j.size, complex),
+                         length, ends, rows)
         self.derivatives = derivatives
         if derivatives:
             width, i = rows.shape[1] + 1, np.arange(j.size)
@@ -352,7 +363,23 @@ class IntervalPlan(_SegmentPanels):
         return self._summed(n, self._real_block)
 
 
+def _tuples(gaps, j):
+    """The row of the (T, M-1) gap stack that owns each interval of ``j``,
+    ravelled; ValueError unless j has shape (T, ...)."""
+    if j.ndim == 0 or j.shape[0] != gaps.shape[0]:
+        raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs intervals of shape "
+                         f"({gaps.shape[0]}, ...), got {j.shape}")
+    return np.indices(j.shape)[0].ravel()
+
+
 def _interval_name(gaps, j):
+    """Names the i-th of the intervals ``j``, ravelled, with its gap, and
+    for a stack of tuples the tuple row that owns it."""
+    if gaps.ndim == 2:
+        tup, j = _tuples(gaps, j), j.ravel()
+        return lambda i: (f"interval ({j[i]}, {j[i] + 1}) of tuple {tup[i]}, "
+                          f"gap {gaps[tup[i], j[i]]}")
+    j = j.ravel()
     return lambda i: f"interval ({j[i]}, {j[i] + 1}) of gap {gaps[j[i]]}"
 
 
@@ -362,19 +389,23 @@ def interval_abs_integral(gaps, exps, j):
     against 24 nodes.
 
     ``j`` is one interval index or an array of them, ``exps`` one exponent
-    row or an (R, M) stack of rows.  The integrand has constant argument
-    on an interval, so each value is the modulus of one contour integral
-    of the shared kernel along it, measured from its own end on either
-    half.  Returns the values with the row axis of a stack followed by the
-    shape of ``j``, a scalar for one row and index; raises
-    QuadratureFailure if an interval and row change by more than that
-    from 12 to 24 nodes.
+    row or an (R, M) stack of rows.  ``gaps`` may also be a (T, M-1)
+    stack of tuples, a family in one call, with ``j`` of shape (T, ...):
+    row t of ``j`` indexes intervals of tuple t, and each value equals,
+    bit for bit, that of the call on tuple t alone.  The integrand has
+    constant argument on an interval, so each value is the modulus of one
+    contour integral of the shared kernel along it, measured from its own
+    end on either half.  Returns the values with the row axis of a stack
+    followed by the shape of ``j``, a scalar for one row and index; raises
+    QuadratureFailure, naming the interval, its gap and for a stack its
+    tuple row, if an interval and row change by more than that from 12
+    to 24 nodes.
     """
     gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
     j = np.asarray(j, int)
     plan = IntervalPlan(gaps, exps, j)
-    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j.ravel()))
+    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j))
     return np.abs(value).reshape(exps.shape[:-1] + j.shape)[()]
 
 

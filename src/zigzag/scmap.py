@@ -383,6 +383,8 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     opposite ways at the shared vertex).  A plain c0 + c1*log(delta) model
     leaves an order-one relative misfit and cannot be certified.
 
+    |a_j| and |a_{j+1}| of every member come from one kernel call, the
+    members' gaps stacked as the tuples of quadrature.interval_abs_integral.
     Returns (c0, c1, residual) where residual is the rms misfit relative to
     the rms variation of a_j over the family, so certification demands that
     the model explain essentially all of the observed variation.  Raises
@@ -393,11 +395,10 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     p = pat.genus
     if not 0 <= j <= p - 2:
         raise ValueError(f"need 0 <= j <= p-2 for the periods a_j, a_(j+1); got j = {j}")
-    y = np.empty(deltas.size)
-    xlog = np.empty(deltas.size)
-    for i, member in enumerate(members):  # |a_j| and |a_{j+1}| in one kernel call
-        y[i], nxt = quad.interval_abs_integral(member.gaps, pat.exponents, [j + p, j + p + 1])
-        xlog[i] = math.log(deltas[i]) / math.pi * nxt
+    gaps = np.array([m.gaps for m in members])
+    y, nxt = quad.interval_abs_integral(gaps, pat.exponents,
+                                        np.tile([j + p, j + p + 1], (len(members), 1))).T
+    xlog = np.array([math.log(d) / math.pi for d in deltas]) * nxt
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)
     coef, *_ = np.linalg.lstsq(A / scale, y, rcond=None)

@@ -268,21 +268,25 @@ def lattice_ratio(wd: WeierstrassData):
     return elliptic_periods(lam).lattice_ratio
 
 
-def evaluate_surface(wd: WeierstrassData, t, base: complex = 0.5j) -> np.ndarray:
-    """Points of the minimal immersion at half-plane parameters t.
+def evaluate_surface(wd: WeierstrassData, t, base=0.5j) -> np.ndarray:
+    """Differences X(t) - X(base) of the minimal immersion.
 
     Integrates (1/2(alpha - beta), i/2(alpha + beta), dh) from ``base``
     along the straight segment to each t, with panels graded toward nearby
     prevertices by the one-half rule of quadrature.segment_integral, which
-    gives a t on a prevertex its Gauss-Jacobi end panel, all points and
-    both forms in one blocked kernel call; X(base) = 0.  A segment meets
-    the real axis at most at t, so every t must lie in the closed and
-    ``base`` in the open upper half-plane (DomainError otherwise).  Returns shape (3,) for a scalar t and (n, 3) for n points.
+    gives a t on a prevertex its Gauss-Jacobi end panel, all segments and
+    both forms in one blocked kernel call.  ``base`` is one point, so that
+    X(base) = 0 and the result is X(t), or an array broadcasting against
+    ``t``, one base per segment.  A segment meets the real axis at most at
+    t, so every t must lie in the closed and every base in the open upper
+    half-plane (DomainError otherwise).  Returns the broadcast shape of t
+    and base followed by the 3 coordinates: (3,) for scalars.
     """
     t = np.asarray(t, dtype=complex)
-    base = complex(base)
-    if base.imag <= 0.0:
-        raise DomainError(f"need Im base > 0, got base = {base}")
+    base = np.asarray(base, dtype=complex)
+    off = base.imag <= 0.0
+    if off.any():
+        raise DomainError(f"need Im base > 0, got base = {base[off][0]}")
     below = t.imag < 0.0
     if below.any():
         raise DomainError(f"need Im t >= 0, got t = {t[below][0]}")
@@ -295,7 +299,7 @@ def evaluate_surface(wd: WeierstrassData, t, base: complex = 0.5j) -> np.ndarray
     ], axis=-1)
 
 
-def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: complex):
+def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: np.ndarray):
     """Integrals of the two developing forms along the segments base -> t,
     both rows in one kernel call."""
     rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
@@ -354,10 +358,17 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     the prevertices sit) and radial rings through the prevertex moduli;
     nodes landing on a prevertex are nudged into the interior.  Only the
     centre and the columns 0 <= theta <= pi/2 of each ring are integrated,
-    from the base point 0.5i * radius by one evaluate_surface call, so
-    both forms of these vertices go through one call of the blocked
-    segment kernel.  Each column theta > pi/2 takes the parameter -conj(t)
-    of its mirror t, exactly, and the vertex R X(t).
+    by one evaluate_surface call, so both forms of these vertices go
+    through one call of the blocked segment kernel.  Its segments run from
+    the base point 0.5i * radius to the centre and to the theta = pi/2
+    vertex of each ring, and on each ring along the chord from column
+    j + 1 to column j; a ring's vertices are the cumulative sums of its
+    chords from the imaginary axis toward theta = 0.  A short chord needs
+    few panels where a segment from the base is graded again toward each
+    vertex near the real axis.  Every chord is certified, so a vertex's
+    error bound is the sum of its chords' bounds.  Each column
+    theta > pi/2 takes the parameter -conj(t) of its mirror t, exactly,
+    and the vertex R X(t).
 
     Why R: s_{-j} = -s_j and e_{-j} = e_j give chi(-conj t) =
     e^{i pi E} conj(chi(t)), E = sum of the exponents, and the segment
@@ -396,8 +407,12 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     close = np.min(np.abs(right[..., None] - s), axis=-1) < nudge
     right = np.where(close, right + 1j * nudge, right)
 
-    X = evaluate_surface(wd, np.concatenate((centre, right.ravel())), base)
-    right_X = X[1:].reshape(len(radii), n + 1, 3)
+    n_r = len(radii)
+    X = evaluate_surface(wd, np.concatenate((centre, right[:, n], right[:, :n].ravel())),
+                         np.concatenate((np.full(1 + n_r, base), right[:, 1:].ravel())))
+    chords = X[1 + n_r:].reshape(n_r, n, 3)  # X(column j) - X(column j + 1)
+    right_X = np.cumsum(np.concatenate((X[1:1 + n_r, None], chords[:, ::-1]), axis=1),
+                        axis=1)[:, ::-1]
     rings = np.concatenate((right, -np.conj(right[:, n - 1:: -1])), axis=1)
     ring_X = np.concatenate((right_X, right_X[:, n - 1:: -1] @ rotation.T), axis=1)
 

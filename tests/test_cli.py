@@ -227,6 +227,31 @@ class TestSweep:
         assert c1_ne * c1_sw < 0
 
 
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, solved_file, tmp_path, capsys,
+                                                        monkeypatch):
+        # main builds its parser once per process; a bad usage between two
+        # commands must leave it as a fresh process finds it
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(zz.__file__).parents[1]),
+                                                           env.get("PYTHONPATH")]))
+        calls = [["verify", str(solved_file)],
+                 ["mesh", str(solved_file), "--resolution", "eight"],
+                 ["sweep", "--kind", "extlength", "--lambdas", "1e-6,1e-3,6",
+                  "--out", str(tmp_path / "ext.csv")]]
+        codes = []
+        for argv in calls:
+            codes.append(code := main(argv))
+            here = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c", f"import sys, zigzag.cli; sys.exit(zigzag.cli.main({argv!r}))"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [0, 1, 0]
+        assert sys.modules["zigzag.cli"]._build_parser.cache_info().currsize == 1
+
+
 class TestSolveFailureExit:
     def test_solver_error_exits_without_file(self, tmp_path, monkeypatch, capsys):
         from zigzag.errors import NoConvergence

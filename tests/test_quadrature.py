@@ -208,6 +208,45 @@ class TestRealIntervalPath:
             routine(np.diff(THIN), rows, np.arange(len(THIN) - 1))
 
 
+class TestStackedTuples:
+    def test_stack_equals_per_tuple_calls(self):
+        # a coalescing family with gaps 1e-10 .. 1e-2, NE and SW rows
+        # stacked: each interval is built from its own tuple's gaps, so the
+        # stacked call reproduces every per-tuple call bit for bit
+        base = zz.Prevertices((-2.6, -1.6, -1.0, 0.0, 1.0, 1.6, 2.6))
+        members = zz.make_coalescing_family(base, 1, np.geomspace(1e-10, 1e-2, 12))
+        gaps = np.array([m.gaps for m in members])
+        rows = np.stack((zz.ne_pattern(3).exponents, zz.sw_pattern(3).exponents))
+        j = np.tile(np.arange(6), (len(members), 1))
+        stacked = interval_abs_integral(gaps, rows, j)
+        single = np.stack([interval_abs_integral(m.gaps, rows, np.arange(6)) for m in members],
+                          axis=1)
+        assert stacked.shape == single.shape == (2, len(members), 6)
+        assert np.all(stacked == single)
+        # one interval per tuple, one row
+        one = interval_abs_integral(gaps, rows[0], np.full(len(members), 5))
+        assert np.all(one == [interval_abs_integral(m.gaps, rows[0], 5) for m in members])
+
+    def test_intervals_must_have_a_row_per_tuple(self):
+        with pytest.raises(ValueError, match="stack of 2 gap tuples"):
+            interval_abs_integral(np.ones((2, 2)), [0.5, 0.0, 0.0], [1, 1, 1])
+
+    def test_failure_names_the_member(self, monkeypatch):
+        # at 2 against 4 nodes only the tuple with the wide interval (1, 2),
+        # at distance 1 from the singular factor at s_0, fails
+        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 2)
+        gaps, exps = np.array([[1.0, 1e-6], [1.0, 1e-3], [1.0, 1.0]]), [0.5, 0.0, 0.0]
+        failing = []
+        for t, row in enumerate(gaps):
+            try:
+                interval_abs_integral(row, exps, 1)
+            except QuadratureFailure:
+                failing.append(t)
+        assert failing == [2]
+        with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 2, gap 1\.0 "):
+            interval_abs_integral(gaps, exps, [1, 1, 1])
+
+
 class TestCertifiedAgainstFineSums:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_kernel_values_match_96_node_sums(self, monkeypatch, k):

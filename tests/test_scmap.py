@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -384,6 +385,22 @@ class TestCoalescenceFit:
         assert res_ne < 1e-3 and res_sw < 1e-3
         assert abs(abs(c1_ne) - 1.0) < 0.02 and abs(abs(c1_sw) - 1.0) < 0.02
         assert c1_ne.real * c1_sw.real < 0
+
+    def test_one_kernel_call_per_fit(self, monkeypatch, kernel_plans):
+        # |a_j| and |a_(j+1)| of all members come from one stacked call
+        quad = sys.modules["zigzag.quadrature"]
+        calls = []
+        inner = quad.interval_abs_integral
+
+        def spy(gaps, exps, j):
+            calls.append(np.shape(gaps))
+            return inner(gaps, exps, j)
+
+        monkeypatch.setattr(quad, "interval_abs_integral", spy)
+        members = zz.make_coalescing_family(self.base, 1, self.deltas)
+        zz.coalescence_log_fit(self.deltas, members, zz.ne_pattern(3), 1)
+        assert calls == [(len(members), 6)]
+        assert len(kernel_plans) == 1
 
     def test_slope_nonzero_when_neighbour_period_nonzero(self):
         j = 1

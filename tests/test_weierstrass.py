@@ -349,6 +349,39 @@ class TestMesh:
         rotated = mesh.vertices[1:].reshape(*rings.shape, 3)[:, n + 1:].reshape(-1, 3)
         assert np.max(np.abs(rotated - direct)) < 1e-13 * np.max(np.abs(mesh.vertices))
 
+    @pytest.mark.parametrize("key", [(2, 2), (5, 2), (0, 5), (4, 3)])
+    def test_chords_match_segments_from_the_base(self, wd_by_pk, key):
+        # the vertices summed from ring chords against the path they
+        # replaced, one segment from the base point to each vertex
+        wd, resolution = wd_by_pk[key], 24
+        radius = 1.5 * max(1.0, max(wd.prevertices.values))
+        mesh = zz.generate_mesh(wd, radius, resolution)
+        ring = 2 * resolution + 1
+        n_rings = (len(mesh.parameters) - 1) // ring
+        # the centre and the columns 0 <= theta <= pi/2 of every ring
+        cols = 1 + ring * np.arange(n_rings)[:, None] + np.arange(resolution + 1)
+        right = np.concatenate(([0], cols.ravel()))
+        oracle = zz.evaluate_surface(wd, mesh.parameters[right], 0.5j * radius)
+        bound = 1e-14 * np.max(np.abs(mesh.vertices))
+        assert np.max(np.abs(mesh.vertices[right] - oracle)) <= bound
+
+    def test_panel_entries_per_segment_of_a_genus5_mesh(self, wd_by_genus, monkeypatch):
+        # a chord between neighbouring columns takes the 2-entry floor of
+        # the grading; a segment from the base point to every vertex took
+        # about 3.6 entries each on this mesh
+        built = []
+        init = quadrature._SegmentPanels.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            built.append((self.seg.size, self.s_count))
+
+        monkeypatch.setattr(quadrature._SegmentPanels, "__init__", counting_init)
+        wd = wd_by_genus[5]
+        zz.generate_mesh(wd, 1.5 * max(wd.prevertices.values), 24)
+        [(entries, segments)] = built
+        assert entries <= 2.2 * segments
+
     def test_traced_memory_of_a_genus5_mesh(self, wd_by_genus):
         # the segment kernel evaluates its node x prevertex logs in blocks
         # of about 2^14 entries: 1.8 MB traced peak for this mesh, against

@@ -165,8 +165,7 @@ def _parse_grid(grid: str):
 def cmd_sweep(args) -> int:
     from .elliptic import extremal_length_quad
     from .quadrature import interval_abs_integral
-    from .scmap import (coalescence_deltas, coalescence_log_fit, make_coalescing_family,
-                        ne_pattern, sw_pattern)
+    from .scmap import _log_fit, coalescence_deltas, make_coalescing_family, ne_pattern, sw_pattern
 
     try:
         if args.kind == "extlength":
@@ -191,14 +190,15 @@ def cmd_sweep(args) -> int:
         if record is None:
             return SOLVE_EXIT
         members = make_coalescing_family(record.prev_ne, j, deltas)
-        pat_ne, pat_sw = ne_pattern(args.genus), sw_pattern(args.genus)
-        _, c1_ne, res_ne = coalescence_log_fit(deltas, members, pat_ne, j)
-        _, c1_sw, res_sw = coalescence_log_fit(deltas, members, pat_sw, j)
-        both = np.stack((pat_ne.exponents, pat_sw.exponents))
+        p = args.genus
+        both = np.stack((ne_pattern(p).exponents, sw_pattern(p).exponents))
         gaps = np.array([m.gaps for m in members])
-        abs_a, abs_b = interval_abs_integral(gaps, both, np.full(len(members), j + args.genus))
-        rows = [(float(d), a, b, c1_ne.real, c1_sw.real)
-                for d, a, b in zip(deltas, abs_a, abs_b)]
+        # |a_j| and |a_(j+1)| of every member under both patterns, one kernel call
+        (a_ne, b_ne), (a_sw, b_sw) = interval_abs_integral(
+            gaps, both, np.tile([j + p, j + p + 1], (len(members), 1))).transpose(0, 2, 1)
+        _, c1_ne, res_ne = _log_fit(deltas, a_ne, b_ne)
+        _, c1_sw, res_sw = _log_fit(deltas, a_sw, b_sw)
+        rows = [(float(d), a, b, c1_ne.real, c1_sw.real) for d, a, b in zip(deltas, a_ne, a_sw)]
         zio.write_csv(args.out, ["delta", "abs_a", "abs_b", "c1_ne", "c1_sw"], rows)
         print(f"coalescence sweep written to {args.out}: "
               f"c1_ne={c1_ne.real:+.4f} (residual {res_ne:.2e}), "

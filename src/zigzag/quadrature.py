@@ -34,16 +34,17 @@ rows riding on the same panels.  Only intervals have derivative rows.
 Both interval routines take the tuple's gaps s_{m+1} - s_m, not
 its prevertices: every offset is a partial sum of gaps from the
 interval's end and every length a gap, so no digit of a gap 1e-8 of the
-prevertices is lost to their absolute size.  Segments keep absolute
-coordinates.  One routine, ``_doubled``, certifies each item and row:
-12 against 24 nodes, else QuadratureFailure.  A fixed node count set by
-the tolerance, as in Driscoll & Trefethen's SC Toolbox, serves every
-integrand here, with no adaptive doubling past it.
+prevertices is lost to their absolute size.  ``IntervalPlan`` rejects a
+gap that is not positive or a partial sum that is not finite
+(DomainError).  Segments keep absolute coordinates; ``arc_integral`` sums
+the two through its arc's apex.  One routine, ``_doubled``, certifies
+each item and row: 12 against 24 nodes, else QuadratureFailure.  A fixed
+node count set by the tolerance, as in Driscoll & Trefethen's SC
+Toolbox, serves every integrand here, with no adaptive doubling past it.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -300,12 +301,15 @@ class IntervalPlan(_SegmentPanels):
     one exponent row or a stack.  Each end's offsets are partial sums of
     gaps, the length is the gap itself and the direction exactly +1, so a
     gap far smaller than the prevertices keeps its full relative accuracy.
-    Every point of an interval is nearer its ends than any other
-    prevertex, so its graded panels are never halved.  ``gaps`` may also
-    be a (T, M-1) stack of tuples, one per row, with ``j`` of shape
-    (T, ...): the intervals j[t] are those of tuple t, whose own gaps give
-    their offsets and lengths, so every interval is built exactly as from
-    its tuple alone.
+    ``gaps`` may also be a (T, M-1) stack of tuples, one per row, with
+    ``j`` of shape (T, ...): the intervals j[t] are those of tuple t, whose
+    own gaps give their offsets and lengths, so every interval is built
+    exactly as from its tuple alone.  It raises ValueError for an interval
+    index outside 0..M-2 and DomainError unless every gap is positive and
+    every offset finite.  Only that check makes every point of an interval
+    nearer its ends than any other prevertex, so that its graded panels
+    are never halved: a zero, negative or infinite gap can grade them until
+    memory runs out, and a NaN gap integrates to 0.
 
     On an interval every factor t - s_m is real and keeps one sign, so
     ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
@@ -320,16 +324,20 @@ class IntervalPlan(_SegmentPanels):
 
     def __init__(self, gaps, exps, j, derivatives=False):
         gaps, j = np.asarray(gaps, float), np.asarray(j, int)
-        if gaps.ndim == 2:  # each end and each length take their own tuple's row
-            tup = _tuples(gaps, j)
-            own, length = gaps[_ends(tup, tup)], gaps[tup, j.ravel()]
-        else:
-            own, length = gaps, gaps[j.ravel()]
+        tup = _tuples(gaps, j) if gaps.ndim == 2 else None
         j = j.ravel()
+        outside = (j < 0) | (j >= gaps.shape[-1])
+        if outside.any():
+            raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[-1] - 1}")
         ends = _ends(j, j + 1)
+        # each end and each length take their own tuple's row of a stack
+        offsets = _gap_offsets(gaps if tup is None else gaps[_ends(tup, tup)], ends)
+        if not ((gaps > 0.0).all() and np.isfinite(offsets).all()):
+            raise DomainError(f"interval gaps must be positive with finite partial sums: {gaps}")
+        length = gaps[j] if tup is None else gaps[tup, j]
         rows = np.atleast_2d(np.asarray(exps, float))
-        super().__init__(_gap_offsets(own, ends), np.zeros(ends.size), np.ones(j.size, complex),
-                         length, ends, rows)
+        super().__init__(offsets, np.zeros(ends.size), np.ones(j.size, complex), length, ends,
+                         rows)
         self.derivatives = derivatives
         if derivatives:
             width, i = rows.shape[1] + 1, np.arange(j.size)
@@ -399,7 +407,8 @@ def interval_abs_integral(gaps, exps, j):
     followed by the shape of ``j``, a scalar for one row and index; raises
     QuadratureFailure, naming the interval, its gap and for a stack its
     tuple row, if an interval and row change by more than that from 12
-    to 24 nodes.
+    to 24 nodes, and DomainError or ValueError for the gaps or indices
+    IntervalPlan rejects.
     """
     gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
@@ -431,7 +440,8 @@ def interval_jacobian(gaps, exps, j):
     relative by 12 against 24 nodes.  Returns (I, g dI/dg) of shapes
     (B, n) and (B, M-1, n) for a stack, (n,) and (M-1, n) for one row;
     raises QuadratureFailure if a row changes by more than that from 12
-    to 24 nodes.
+    to 24 nodes, and DomainError or ValueError for the gaps or indices
+    IntervalPlan rejects.
     """
     gaps = np.asarray(gaps, float)
     exps = np.asarray(exps, float)
@@ -494,35 +504,16 @@ def segment_integral(prev, exps, z0, z1):
 
 
 def arc_integral(prev, exps, center_idx, radius, th0, th1):
-    """Integral along the circular arc z = s_c + radius * e^{i theta},
-    certified like segment_integral: the arc is cut into equal sub-arcs of
-    at most pi/2 and no longer than the arc's distance to any other
-    prevertex (the one-half rule), at most 1024 of them, each one item of
-    the comparison, and their sums added.  No library path uses arcs; the
-    benchmark tracer (perfbench/tracer.py) still looks this name up."""
-    prev = np.asarray(prev, float)
-    exps = np.asarray(exps, float)
-    c = prev[center_idx]
-    others = np.delete(prev, center_idx)
-    # the circle comes nearest a real s_m at angle 0 or pi; off the arc, an end does
-    nearest = np.where(others > c, 0.0, np.pi)
-    on_arc = (min(th0, th1) <= nearest) & (nearest <= max(th0, th1))
-    ends = c + radius * np.exp(1j * np.array([th0, th1]))
-    clear = np.where(on_arc, np.abs(np.abs(others - c) - radius),
-                     np.min(np.abs(ends[:, None] - others), axis=0)).min(initial=np.inf)
-    span = abs(th1 - th0)
-    with np.errstate(divide="ignore"):  # a prevertex on the arc: the most pieces
-        need = max(span / (math.pi / 2), radius * span / clear)
-    pieces = max(1, math.ceil(min(need, 1024.0)))
-    starts = th0 + (th1 - th0) * np.arange(pieces)[:, None] / pieces
-    half = (th1 - th0) / (2 * pieces)
-
-    def arc_sums(n):
-        x, w = _rule(n, 0.0)
-        offset = radius * np.exp(1j * (starts + half * (x + 1.0)))
-        vals = product_value(prev, exps, (c + offset).ravel()).reshape(offset.shape)
-        return half * ((vals * 1j * offset) @ w)[None, :]
-
-    value = _doubled(arc_sums, 1e-11, 1e-15,
-                     lambda i: f"sub-arc {i} of the arc around index {center_idx}")
-    return complex(value.sum())
+    """Integral of one exponent row along the circular arc
+    z = s_c + radius * e^{i theta}, theta from th0 to th1 in [0, pi].  By
+    Cauchy's theorem it is the sum of the segment integrals from the arc's
+    end z0 to its apex s_c + i radius and on to its end z1: the region
+    between a chord of the upper half-circle and its arc holds no real
+    point, so no prevertex.  segment_integral certifies both segments and
+    gives an end on a prevertex its Gauss-Jacobi panel.  No library path
+    uses arcs; the benchmark tracer (perfbench/tracer.py) still looks this
+    name up."""
+    c = float(np.asarray(prev, float)[center_idx])
+    z0, z1 = c + radius * np.exp(1j * np.array([th0, th1]))
+    apex = complex(c, radius)
+    return complex(segment_integral(prev, exps, [z0, apex], [apex, z1]).sum())

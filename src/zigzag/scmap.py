@@ -135,9 +135,14 @@ class Prevertices:
         them exact as its gaps."""
         gaps = np.asarray(gaps, dtype=float)
         pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
-        half = np.concatenate(([1.0], gaps))
-        return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))),
-                           tuple(np.concatenate((half[::-1], half))))
+        return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))), tuple(_symmetric_gaps(gaps)))
+
+
+def _symmetric_gaps(gaps) -> np.ndarray:
+    """The 2p gaps s_{m+1} - s_m, each exactly as given, of the symmetric
+    tuple with the p-1 gaps above s_1 and the unit gaps next to s_0."""
+    half = np.concatenate(([1.0], gaps))
+    return np.concatenate((half[::-1], half))
 
 
 def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
@@ -180,10 +185,8 @@ def _side_jacobian(u, exponents):
     d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
     s_{i+1} and of its mirror below s_{-i-1}.
     """
-    gaps = np.exp(u)
-    p = gaps.size + 1
-    total, dlog = quad.interval_jacobian(Prevertices.from_positive_gaps(gaps).gaps, exponents,
-                                         np.arange(p, 2 * p))
+    p = u.size + 1
+    total, dlog = quad.interval_jacobian(_symmetric_gaps(np.exp(u)), exponents, np.arange(p, 2 * p))
     i = np.arange(p - 1)
     d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(0, 2, 1)
     sides = np.abs(total)
@@ -212,8 +215,9 @@ def _newton_solve(system, u0, label: str) -> tuple[np.ndarray, list[float]]:
     last evaluation is at the returned u: one call per residual.  Newton
     takes full steps, at most 60.  Raises NoConvergence carrying the
     residuals so far when a step does not reduce max|F|, J is singular or
-    the kernel fails, the LinAlgError or QuadratureFailure chained as its
-    cause.
+    the kernel fails or rejects the point (a step so long that a gap
+    leaves the floating-point range), the LinAlgError, QuadratureFailure
+    or DomainError chained as its cause.
     """
     residuals = []
     u = np.asarray(u0, dtype=float)
@@ -230,7 +234,7 @@ def _newton_solve(system, u0, label: str) -> tuple[np.ndarray, list[float]]:
             if not norm_new < norm:
                 break
             u, r, J, norm = u + step, r_new, J_new, norm_new
-    except (np.linalg.LinAlgError, QuadratureFailure) as exc:
+    except (np.linalg.LinAlgError, QuadratureFailure, DomainError) as exc:
         raise NoConvergence(f"{label} stalled", residuals) from exc
     raise NoConvergence(f"{label} stalled", residuals)
 
@@ -398,6 +402,12 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     gaps = np.array([m.gaps for m in members])
     y, nxt = quad.interval_abs_integral(gaps, pat.exponents,
                                         np.tile([j + p, j + p + 1], (len(members), 1))).T
+    return _log_fit(deltas, y, nxt)
+
+
+def _log_fit(deltas, y, nxt):
+    """(c0, c1, residual) of coalescence_log_fit from the sampled |a_j|
+    ``y`` and |a_{j+1}| ``nxt`` at the gaps ``deltas``."""
     xlog = np.array([math.log(d) / math.pi for d in deltas]) * nxt
     A = np.column_stack((np.ones_like(deltas), deltas, xlog))
     scale = np.max(np.abs(A), axis=0)
@@ -409,7 +419,5 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     residual = rms / variation if variation > 0.0 else 0.0
     c0, c1 = complex(coef[0]), complex(coef[2])
     if residual > 1e-3:
-        raise FitFailure(
-            f"log model rejected: relative residual {residual:.3e} > 1e-3"
-        )
+        raise FitFailure(f"log model rejected: relative residual {residual:.3e} > 1e-3")
     return c0, c1, residual

@@ -226,6 +226,17 @@ class TestSweep:
         c1_ne, c1_sw = float(first[3]), float(first[4])
         assert c1_ne * c1_sw < 0
 
+    def test_coalescence_one_kernel_call(self, tmp_path, monkeypatch):
+        # both fits and the CSV columns come from one stacked call: NE and SW
+        # rows on the intervals of a_j and a_(j+1) of every member
+        quad = sys.modules["zigzag.quadrature"]
+        inner, calls = quad.interval_abs_integral, []
+        monkeypatch.setattr(quad, "interval_abs_integral",
+                            lambda *args: calls.append(args) or inner(*args))
+        assert main(["sweep", "--kind", "coalescence", "--genus", "3",
+                     "--out", str(tmp_path / "coal.csv")]) == 0
+        assert len(calls) == 1
+
 
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_processes(self, solved_file, tmp_path, capsys,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import ZigzagError
+from zigzag.errors import NoConvergence, ZigzagError
 from zigzag.scmap import positive_sides
 
 
@@ -120,6 +120,34 @@ class TestMinimize:
         assert res[-1] <= 1e-12
         assert zz.minimize(zz.ZigzagParams(1, 2, (1.0,))).residuals == ()
 
+    def test_random_seeds_end_in_a_solution_or_no_convergence(self):
+        # log-uniform sides in [1e-3, 1]: a full Newton step may take the
+        # log-gaps far out, even past the floating-point range, and the
+        # kernel refuses such gaps with DomainError; NoConvergence is the
+        # only failure that leaves minimize
+        rng = np.random.default_rng(0)
+        other = []
+        for p, k in [(3, 2), (5, 2), (8, 2), (12, 2), (5, 3), (8, 4)]:
+            for i in range(40):
+                sides = tuple(np.exp(rng.uniform(math.log(1e-3), 0.0, p)))
+                try:
+                    zz.minimize(zz.ZigzagParams(p, k, sides))
+                except NoConvergence:
+                    pass
+                except Exception as exc:  # collected, so that all are reported
+                    other.append((p, k, i, repr(exc)))
+        assert other == []
+
+    def test_step_to_huge_gaps_stalls(self):
+        # sample 5 of (5, 2) above: the first full step takes the outer gaps
+        # to about 1e25, where max|F| does not decrease; building a tuple of
+        # such prevertices raised ValueError
+        sides = (0.5368795786727685, 0.0013464823523303172, 0.2938453621776212,
+                 0.017625932885228995, 0.30861139369028356)
+        with pytest.raises(NoConvergence) as err:
+            zz.minimize(zz.ZigzagParams(5, 2, sides))
+        assert len(err.value.trace) == 1
+
     def test_record_type_hints_resolve(self):
         assert typing.get_type_hints(zz.SolutionRecord)["prev_ne"] is zz.Prevertices
 
@@ -194,7 +222,8 @@ class TestWorkCounter:
         height_mod = sys.modules["zigzag.height"]
         quad = sys.modules["zigzag.quadrature"]
         solve, integrate = height_mod.solve_parameter_problem, quad.IntervalPlan.integrate_abs
-        solves, nodes = [], []
+        post_init = zz.Prevertices.__post_init__
+        solves, nodes, tuples = [], [], []
 
         def counting_solve(*args):
             solves.append(args[0].genus)
@@ -206,8 +235,11 @@ class TestWorkCounter:
 
         monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
         monkeypatch.setattr(quad.IntervalPlan, "integrate_abs", counting_sums)
+        monkeypatch.setattr(zz.Prevertices, "__post_init__",
+                            lambda self: tuples.append(1) or post_init(self))
         assert zz.continuation_solve(5, 2).converged
         assert solves == [5, 5]
+        assert len(tuples) <= 2  # Newton points take gaps, not Prevertices
         assert 0 < len(kernel_plans) <= 16
         assert nodes == [quad._BASE_NODES, 2 * quad._BASE_NODES] * len(kernel_plans)
 

@@ -1,6 +1,10 @@
 import cmath
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -206,6 +210,68 @@ class TestRealIntervalPath:
         rows = np.stack((zz.ne_pattern(3, 2).exponents, zz.sw_pattern(3, 2).exponents))
         with pytest.raises(QuadratureFailure, match=r"^interval \(0, 1\) "):
             routine(np.diff(THIN), rows, np.arange(len(THIN) - 1))
+
+
+class TestKernelInput:
+    """IntervalPlan refuses what neither interval routine can integrate:
+    gaps that are not positive or whose partial sums are not finite
+    (DomainError), and interval indices outside the tuple (ValueError).
+    interval_abs_integral is checked on one tuple and on a stack,
+    interval_jacobian, which takes one tuple, on one tuple."""
+
+    EXPS = [0.5, -0.5, 0.5, -0.5, 0.5]
+
+    # Without the check an infinite, zero or negative gap grades panels
+    # until memory runs out, so the bad gaps run in a child process capped
+    # at 1 GiB of address space, where such a regression fails fast.
+    CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from zigzag.quadrature import interval_abs_integral, interval_jacobian
+outcomes = {}
+for name, bad in [("inf", [np.inf]), ("nan", [np.nan]), ("zero", [0.0]),
+                  ("negative", [-0.5]), ("overflowing sum", [1e308, 1e308])]:
+    gaps = np.ones(4)
+    gaps[1:1 + len(bad)] = bad
+    one = gaps, np.arange(4)
+    stack = np.stack((np.ones(4), gaps)), np.tile(np.arange(4), (2, 1))  # row 1 is bad
+    for routine, form, (g, j) in [(interval_abs_integral, "tuple", one),
+                                  (interval_abs_integral, "stack", stack),
+                                  (interval_jacobian, "tuple", one)]:
+        start = time.perf_counter()
+        try:
+            routine(g, [0.5, -0.5, 0.5, -0.5, 0.5], j)
+            outcome = "returned"
+        except Exception as exc:
+            outcome = type(exc).__name__
+        outcomes[f"{name} {routine.__name__} {form}"] = [outcome, time.perf_counter() - start]
+print(json.dumps(outcomes))
+"""
+
+    def test_bad_gaps_raise_domain_error_at_once(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(zz.__file__).parents[1]),
+                                                           env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
+                             capture_output=True, text=True, timeout=30)
+        assert run.returncode == 0, run.stderr
+        outcomes = json.loads(run.stdout)
+        assert len(outcomes) == 15
+        assert {case: o for case, (o, _) in outcomes.items() if o != "DomainError"} == {}
+        assert max(seconds for _, seconds in outcomes.values()) < 1.0
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    @pytest.mark.parametrize("routine, stacked", [(interval_abs_integral, False),
+                                                  (interval_abs_integral, True),
+                                                  (interval_jacobian, False)],
+                             ids=["abs-tuple", "abs-stack", "jacobian-tuple"])
+    def test_interval_index_outside_the_tuple(self, routine, stacked, j):
+        gaps, idx = np.ones(4), np.array([0, j])
+        if stacked:
+            gaps, idx = np.stack((gaps, gaps)), np.stack((idx, idx))
+        with pytest.raises(ValueError, match=rf"^interval index {j} outside 0\.\.3$"):
+            routine(gaps, self.EXPS, idx)
 
 
 class TestStackedTuples:
@@ -448,6 +514,25 @@ class TestArcIntegral:
                                      r * cmath.exp(1j * th1))
             assert abs(arc - chord) < 1e-13
             assert abs(arc) > 0.1
+
+    def test_arc_between_two_prevertices(self):
+        # the upper unit half-circle from s_1 to s_(-1) around s_0 ends on a
+        # singular factor at both ends; against mpmath's tanh-sinh along it
+        prev = np.array([-2.3, -1.0, 0.0, 1.0, 2.3])
+        for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
+            exps = pat.exponents
+
+            def f(th):
+                z = mp.expj(th)
+                value = 1j * z  # dz/dtheta
+                for s, e in zip(prev.tolist(), exps.tolist()):
+                    value *= mp.power(z - s, e)
+                return value
+
+            with mp.workdps(30):
+                ref = complex(mp.quad(f, [0, mp.pi / 2, mp.pi]))
+            arc = arc_integral(prev, exps, 2, 1.0, 0.0, math.pi)
+            assert abs(arc - ref) < 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("center, r", [(2, 0.9), (3, 1.0)])
     def test_arc_ending_near_another_prevertex(self, center, r):

@@ -164,8 +164,8 @@ def _parse_grid(grid: str):
 
 def cmd_sweep(args) -> int:
     from .elliptic import extremal_length_quad
-    from .quadrature import interval_abs_integral
-    from .scmap import _log_fit, coalescence_deltas, make_coalescing_family, ne_pattern, sw_pattern
+    from .scmap import (_coalescence_periods, _log_fit, coalescence_deltas,
+                        make_coalescing_family, ne_pattern, sw_pattern)
 
     try:
         if args.kind == "extlength":
@@ -190,12 +190,8 @@ def cmd_sweep(args) -> int:
         if record is None:
             return SOLVE_EXIT
         members = make_coalescing_family(record.prev_ne, j, deltas)
-        p = args.genus
-        both = np.stack((ne_pattern(p).exponents, sw_pattern(p).exponents))
-        gaps = np.array([m.gaps for m in members])
-        # |a_j| and |a_(j+1)| of every member under both patterns, one kernel call
-        (a_ne, b_ne), (a_sw, b_sw) = interval_abs_integral(
-            gaps, both, np.tile([j + p, j + p + 1], (len(members), 1))).transpose(0, 2, 1)
+        both = np.stack((ne_pattern(args.genus).exponents, sw_pattern(args.genus).exponents))
+        (a_ne, b_ne), (a_sw, b_sw) = _coalescence_periods(members, both, j)  # one kernel call
         _, c1_ne, res_ne = _log_fit(deltas, a_ne, b_ne)
         _, c1_sw, res_sw = _log_fit(deltas, a_sw, b_sw)
         rows = [(float(d), a, b, c1_ne.real, c1_sw.real) for d, a, b in zip(deltas, a_ne, a_sw)]

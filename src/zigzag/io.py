@@ -123,12 +123,20 @@ def _prevertices(values, gaps, genus: int, name: str) -> Prevertices:
     return Prevertices(tuple(values), tuple(gaps))
 
 
+def _zigzag(d) -> ZigzagParams:
+    """The stored zigzag; a genus or turn order that is not an integer is
+    refused (ValueError), not truncated."""
+    for key in ("genus", "turn_order"):
+        if type(d[key]) is not int:  # bool and float included
+            raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+    return ZigzagParams(d["genus"], d["turn_order"], tuple(d["side_lengths"]))
+
+
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     d = sf.data
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('schema_version')}")
-    z = ZigzagParams(int(d["genus"]), int(d["turn_order"]),
-                     tuple(d["side_lengths"]))
+    z = _zigzag(d)
     # files written before the Newton history was stored carry other
     # summary keys, which are ignored: they load with no residuals
     summary = d.get("trace_summary", {})
@@ -155,10 +163,10 @@ def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
     def as_complex(v):
         return complex(v[0], v[1])
 
-    z = ZigzagParams(int(d["genus"]), int(d["turn_order"]), tuple(d["side_lengths"]))
+    z = _zigzag(d)
     return WeierstrassData(
-        int(d["genus"]),
-        int(d["turn_order"]),
+        z.genus,
+        z.turn_order,
         _prevertices(w["prevertices"], w.get("prevertex_gaps"), z.genus,
                      "weierstrass.prevertices"),
         as_complex(w["scale_ne"]),

@@ -13,34 +13,35 @@ as nodes, weights from their closed form.  A segment between two points
 of the closed upper half-plane, not both real, meets the real axis at
 most at an endpoint, so no path needs a detour around a prevertex.
 
-One blocked kernel computes every integral.  ``_SegmentPanels`` grades the
-panels of all segments at once, as arrays, each half of a segment from
-its own end, as SCPACK integrates each half of a path (Trefethen 1980):
-its offsets, its factors z - s_m and its Gauss-Jacobi end panel are all
-measured from that end, so a prevertex just beyond either end keeps its
-distance exact and every Jacobi rule has the one orientation (0, e).  The
-panels are flattened into entries that each carry their rule and the
-exponent rows they feed; the nodes of every entry are evaluated in
-blocks of about 2^14 node x prevertex entries, with one log(z - s_m)
-matrix per block serving every row.  ``segment_integral``
+One blocked kernel computes every integral.  ``_SegmentPanels`` grades
+the panels of all segments at once, as arrays, each half of a segment
+from its own end, as SCPACK integrates each half of a path (Trefethen
+1980): its offsets, its factors z - s_m and its Gauss-Jacobi end panel
+are all measured from that end, so a prevertex just beyond either end
+keeps its distance exact and every Jacobi rule has the one orientation
+(0, e).  The panels are flattened into entries that each carry their
+rule and the exponent rows they feed; the nodes of every entry are
+evaluated in blocks of about 2^14 node x prevertex entries, with one
+log(z - s_m) matrix per block serving every row.  ``segment_integral``
 returns the contour integrals, itself giving an end on a prevertex its
-Jacobi panel, summed in complex arithmetic; ``interval_abs_integral``
-the moduli over real intervals (s_j, s_{j+1}), where every factor is
-real and keeps its sign, so the integrand has constant argument: an
-interval is summed in real arithmetic, log|t - s_m| with no arctan2,
-times one phase per panel and row; ``interval_jacobian`` the interval
-integrals with their exact derivatives in every log-gap, the derivative
-rows riding on the same panels.  Only intervals have derivative rows.
-Both interval routines take the tuple's gaps s_{m+1} - s_m, not
-its prevertices: every offset is a partial sum of gaps from the
-interval's end and every length a gap, so no digit of a gap 1e-8 of the
+Jacobi panel, summed in complex arithmetic.  On a real interval
+(s_j, s_{j+1}) every factor is real and keeps its sign, so the integrand has
+constant argument and is summed in real arithmetic, log|t - s_m| with no
+arctan2, times one phase per panel and row: ``interval_integral``
+returns the contour integrals, ``interval_abs_integral`` their moduli
+and ``interval_jacobian`` the integrals with their exact derivatives in
+every log-gap, on the same panels.  All three take a stack of tuples,
+one tuple being a stack of one, by their gaps s_{m+1} - s_m, not their
+prevertices: every offset is a partial sum of gaps of the interval's own
+tuple and every length a gap, so no digit of a gap 1e-8 of the
 prevertices is lost to their absolute size.  ``IntervalPlan`` rejects a
 gap that is not positive or a partial sum that is not finite
-(DomainError).  Segments keep absolute coordinates; ``arc_integral`` sums
-the two through its arc's apex.  One routine, ``_doubled``, certifies
-each item and row: 12 against 24 nodes, else QuadratureFailure.  A fixed
-node count set by the tolerance, as in Driscoll & Trefethen's SC
-Toolbox, serves every integrand here, with no adaptive doubling past it.
+(DomainError).  Segments keep absolute coordinates; ``arc_integral``
+sums two segments through its arc's apex.  One routine, ``_doubled``,
+certifies each item and row: 12 against 24 nodes, else
+QuadratureFailure.  A fixed node count set by the tolerance, as in
+Driscoll & Trefethen's SC Toolbox, serves every integrand here, with no
+adaptive doubling past it.
 """
 
 from __future__ import annotations
@@ -284,10 +285,10 @@ class _SegmentPanels:
 
 def _gap_offsets(gaps, ends):
     """(len(ends), M) offsets s_a - s_m of each end a from every prevertex
-    of the tuple with gaps s_{m+1} - s_m: partial sums of gaps taken
-    outward from a, nearest gap first, so each is exact to its own
-    rounding however far the tuple extends.  ``gaps`` is one tuple's
-    (M-1,) gaps or (len(ends), M-1), a row of gaps for each end."""
+    of its tuple, whose gaps s_{m+1} - s_m are the matching row of the
+    (len(ends), M-1) ``gaps``: partial sums of gaps taken outward from a,
+    nearest gap first, so each is exact to its own rounding however far
+    the tuple extends."""
     i, a = np.arange(gaps.shape[-1]), ends[:, None]
     up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
     down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
@@ -296,20 +297,20 @@ def _gap_offsets(gaps, ends):
 
 
 class IntervalPlan(_SegmentPanels):
-    """The shared panels of real intervals (s_j, s_{j+1}) of the tuple with
-    gaps s_{m+1} - s_m: segments with Gauss-Jacobi panels at both ends, for
-    one exponent row or a stack.  Each end's offsets are partial sums of
-    gaps, the length is the gap itself and the direction exactly +1, so a
-    gap far smaller than the prevertices keeps its full relative accuracy.
-    ``gaps`` may also be a (T, M-1) stack of tuples, one per row, with
-    ``j`` of shape (T, ...): the intervals j[t] are those of tuple t, whose
-    own gaps give their offsets and lengths, so every interval is built
-    exactly as from its tuple alone.  It raises ValueError for an interval
-    index outside 0..M-2 and DomainError unless every gap is positive and
-    every offset finite.  Only that check makes every point of an interval
-    nearer its ends than any other prevertex, so that its graded panels
-    are never halved: a zero, negative or infinite gap can grade them until
-    memory runs out, and a NaN gap integrates to 0.
+    """The shared panels of real intervals (s_j, s_{j+1}) of a (T, M-1)
+    stack of tuples with gaps s_{m+1} - s_m: segments with Gauss-Jacobi
+    panels at both ends, for one exponent row or a stack.  ``j`` has shape
+    (T, ...), row t indexing intervals of tuple t; one (M-1,) tuple is a
+    stack of one.  Each end's offsets are partial sums of its own tuple's
+    gaps, the length is the gap itself and the direction exactly +1, so
+    every interval is built exactly as from its tuple alone and a gap far
+    smaller than the prevertices keeps its full relative accuracy.  It
+    raises ValueError for an interval index outside 0..M-2 and DomainError
+    unless every gap is positive and every offset finite.  Only that check
+    makes every point of an interval nearer its ends than any other
+    prevertex, so that its graded panels are never halved: a zero,
+    negative or infinite gap can grade them until memory runs out, and a
+    NaN gap integrates to 0.
 
     On an interval every factor t - s_m is real and keeps one sign, so
     ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
@@ -324,26 +325,34 @@ class IntervalPlan(_SegmentPanels):
 
     def __init__(self, gaps, exps, j, derivatives=False):
         gaps, j = np.asarray(gaps, float), np.asarray(j, int)
-        tup = _tuples(gaps, j) if gaps.ndim == 2 else None
-        j = j.ravel()
-        outside = (j < 0) | (j >= gaps.shape[-1])
+        if gaps.ndim == 1:  # one tuple is a stack of one
+            gaps, j = gaps[None], j[None]
+        if j.ndim == 0 or j.shape[0] != gaps.shape[0]:
+            raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs intervals of shape "
+                             f"({gaps.shape[0]}, ...), got {j.shape}")
+        self.tup, j = np.indices(j.shape)[0].ravel(), j.ravel()  # tuple row of each interval
+        outside = (j < 0) | (j >= gaps.shape[1])
         if outside.any():
-            raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[-1] - 1}")
+            raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[1] - 1}")
         ends = _ends(j, j + 1)
-        # each end and each length take their own tuple's row of a stack
-        offsets = _gap_offsets(gaps if tup is None else gaps[_ends(tup, tup)], ends)
+        offsets = _gap_offsets(gaps[_ends(self.tup, self.tup)], ends)
         if not ((gaps > 0.0).all() and np.isfinite(offsets).all()):
             raise DomainError(f"interval gaps must be positive with finite partial sums: {gaps}")
-        length = gaps[j] if tup is None else gaps[tup, j]
+        self.gaps, self.j = gaps, j
         rows = np.atleast_2d(np.asarray(exps, float))
-        super().__init__(offsets, np.zeros(ends.size), np.ones(j.size, complex), length, ends,
-                         rows)
+        super().__init__(offsets, np.zeros(ends.size), np.ones(j.size, complex),
+                         gaps[self.tup, j], ends, rows)
         self.derivatives = derivatives
         if derivatives:
             width, i = rows.shape[1] + 1, np.arange(j.size)
             valid = np.ones((j.size, rows.shape[0], width), bool)
             valid[i, :, 1 + j] = valid[i, :, 2 + j] = False
             self.mask = np.repeat(self.mask, width, axis=1) & valid.reshape(j.size, -1)[self.seg]
+
+    def name(self, i):
+        """The i-th interval, with its tuple row and its gap."""
+        t, j = self.tup[i], self.j[i]
+        return f"interval ({j}, {j + 1}) of tuple {t}, gap {self.gaps[t, j]}"
 
     def _real_block(self, k, u, w):
         """One log|d| matrix, one real matmul and one exp per block, plus
@@ -371,60 +380,44 @@ class IntervalPlan(_SegmentPanels):
         return self._summed(n, self._real_block)
 
 
-def _tuples(gaps, j):
-    """The row of the (T, M-1) gap stack that owns each interval of ``j``,
-    ravelled; ValueError unless j has shape (T, ...)."""
-    if j.ndim == 0 or j.shape[0] != gaps.shape[0]:
-        raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs intervals of shape "
-                         f"({gaps.shape[0]}, ...), got {j.shape}")
-    return np.indices(j.shape)[0].ravel()
+def interval_integral(gaps, exps, j):
+    """Contour integrals over real intervals (s_j, s_{j+1}), principal
+    branches from the upper half-plane, as segment_integral gives them
+    along the same intervals, certified to relative accuracy 1e-12 by 12
+    against 24 nodes.
 
-
-def _interval_name(gaps, j):
-    """Names the i-th of the intervals ``j``, ravelled, with its gap, and
-    for a stack of tuples the tuple row that owns it."""
-    if gaps.ndim == 2:
-        tup, j = _tuples(gaps, j), j.ravel()
-        return lambda i: (f"interval ({j[i]}, {j[i] + 1}) of tuple {tup[i]}, "
-                          f"gap {gaps[tup[i], j[i]]}")
-    j = j.ravel()
-    return lambda i: f"interval ({j[i]}, {j[i] + 1}) of gap {gaps[j[i]]}"
+    ``gaps`` holds the gaps s_{m+1} - s_m of one tuple or of a (T, M-1)
+    stack of tuples, a family in one call; ``j`` is one interval index or
+    an array of them, of shape (T, ...) for a stack, whose row t indexes
+    intervals of tuple t, each value equal, bit for bit, to that of the
+    call on tuple t alone; ``exps`` is one exponent row or an (R, M) stack.
+    Returns the row axis of a stack followed by the shape of ``j``, a
+    scalar for one row and index; raises QuadratureFailure naming the
+    interval, its tuple row and its gap if an interval and row change by
+    more than that from 12 to 24 nodes, and DomainError or ValueError for
+    the gaps or indices IntervalPlan rejects.
+    """
+    exps, j = np.asarray(exps, float), np.asarray(j, int)
+    plan = IntervalPlan(gaps, exps, j)
+    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
+    return value.reshape(exps.shape[:-1] + j.shape)[()]
 
 
 def interval_abs_integral(gaps, exps, j):
-    """Modulus integrals over real intervals (s_j, s_{j+1}) of the tuple
-    with gaps s_{m+1} - s_m, certified to relative accuracy 1e-12 by 12
-    against 24 nodes.
-
-    ``j`` is one interval index or an array of them, ``exps`` one exponent
-    row or an (R, M) stack of rows.  ``gaps`` may also be a (T, M-1)
-    stack of tuples, a family in one call, with ``j`` of shape (T, ...):
-    row t of ``j`` indexes intervals of tuple t, and each value equals,
-    bit for bit, that of the call on tuple t alone.  The integrand has
-    constant argument on an interval, so each value is the modulus of one
-    contour integral of the shared kernel along it, measured from its own
-    end on either half.  Returns the values with the row axis of a stack
-    followed by the shape of ``j``, a scalar for one row and index; raises
-    QuadratureFailure, naming the interval, its gap and for a stack its
-    tuple row, if an interval and row change by more than that from 12
-    to 24 nodes, and DomainError or ValueError for the gaps or indices
-    IntervalPlan rejects.
-    """
-    gaps = np.asarray(gaps, float)
-    exps = np.asarray(exps, float)
-    j = np.asarray(j, int)
-    plan = IntervalPlan(gaps, exps, j)
-    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j))
-    return np.abs(value).reshape(exps.shape[:-1] + j.shape)[()]
+    """Moduli of interval_integral, with its arguments, shapes, certificate
+    and errors: the integrand has constant argument on an interval, so each
+    is the length of the interval's image."""
+    return np.abs(interval_integral(gaps, exps, j))
 
 
 def interval_jacobian(gaps, exps, j):
-    """Complex integrals I_j over real intervals (s_j, s_{j+1}) of the
-    tuple with gaps g_i = s_{i+1} - s_i and their derivatives
-    g_i dI_j/dg_i in the log of every gap, from one kernel call.
+    """Complex integrals I_j over real intervals (s_j, s_{j+1}) of a tuple
+    with gaps g_i = s_{i+1} - s_i, or of a stack of tuples, and their
+    derivatives g_i dI_j/dg_i in the log of every gap of the interval's own
+    tuple, from one kernel call.
 
-    ``j`` is an array of interval indices, ``exps`` one exponent row e or
-    an (B, M) stack.  For a prevertex m that is not an end of the interval,
+    ``gaps``, ``exps`` and ``j`` are as for interval_integral.  For a
+    prevertex m that is not an end of the interval,
 
         dI_j/ds_m = -e_m * integral of (t - s_m)^(e_m - 1) prod_{i != m} (t - s_i)^e_i,
 
@@ -437,30 +430,29 @@ def interval_jacobian(gaps, exps, j):
     so no end derivatives of size I/g cancel next to a tiny gap.  The
     interval's own gap follows from homogeneity,
     sum_i g_i dI/dg_i = (1 + sum e) I.  Every row is certified to 1e-12
-    relative by 12 against 24 nodes.  Returns (I, g dI/dg) of shapes
-    (B, n) and (B, M-1, n) for a stack, (n,) and (M-1, n) for one row;
-    raises QuadratureFailure if a row changes by more than that from 12
-    to 24 nodes, and DomainError or ValueError for the gaps or indices
+    relative by 12 against 24 nodes.  Returns (I, g dI/dg): I with the row
+    axis of a stack of rows followed by the shape of ``j``, g dI/dg with
+    the gap axis i of length M-1 inserted before the shape of ``j``;
+    raises QuadratureFailure if a row changes by more than that from 12 to
+    24 nodes, and DomainError or ValueError for the gaps or indices
     IntervalPlan rejects.
     """
-    gaps = np.asarray(gaps, float)
-    exps = np.asarray(exps, float)
+    exps, j = np.asarray(exps, float), np.asarray(j, int)
     base = np.atleast_2d(exps)
-    j = np.asarray(j, int).ravel()
     b_count, m_count = base.shape
-    cols = np.arange(j.size)
     plan = IntervalPlan(gaps, base, j, derivatives=True)
-    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, _interval_name(gaps, j))
-    value = value.reshape(b_count, m_count + 1, j.size)
+    flat, cols = plan.j, np.arange(plan.j.size)
+    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
+    value = value.reshape(b_count, m_count + 1, flat.size)
     total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
     below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
     above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
     i = np.arange(m_count - 1)[:, None]
-    dlog = gaps[:, None] * np.where(i < j, -below, above)
-    dlog[:, j, cols] = 0.0
-    dlog[:, j, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
+    dlog = plan.gaps[plan.tup].T * np.where(i < flat, -below, above)
+    dlog[:, flat, cols] = 0.0
+    dlog[:, flat, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
     shape = exps.shape[:-1]
-    return total.reshape(shape + (j.size,)), dlog.reshape(shape + (m_count - 1, j.size))
+    return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
 
 
 def segment_integral(prev, exps, z0, z1):

@@ -216,20 +216,28 @@ def _newton_solve(system, u0, label: str) -> tuple[np.ndarray, list[float]]:
     takes full steps, at most 60.  Raises NoConvergence carrying the
     residuals so far when a step does not reduce max|F|, J is singular or
     the kernel fails or rejects the point (a step so long that a gap
-    leaves the floating-point range), the LinAlgError, QuadratureFailure
-    or DomainError chained as its cause.
+    leaves the floating-point range), or F or J is not finite there, the
+    LinAlgError, QuadratureFailure or DomainError chained as its cause.
     """
     residuals = []
     u = np.asarray(u0, dtype=float)
+
+    def evaluate(u):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
+            r, J = system(u)
+        if not (np.isfinite(r).all() and np.isfinite(J).all()):
+            raise DomainError("F or its Jacobian is not finite")
+        return r, J
+
     try:
-        r, J = system(u)
+        r, J = evaluate(u)
         norm = float(np.max(np.abs(r)))
         for _ in range(60):
             residuals.append(norm)
             if norm <= _NEWTON_TOL:
                 return u, residuals
             step = np.linalg.solve(J, -r)
-            r_new, J_new = system(u + step)
+            r_new, J_new = evaluate(u + step)
             norm_new = float(np.max(np.abs(r_new)))
             if not norm_new < norm:
                 break
@@ -387,22 +395,26 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     opposite ways at the shared vertex).  A plain c0 + c1*log(delta) model
     leaves an order-one relative misfit and cannot be certified.
 
-    |a_j| and |a_{j+1}| of every member come from one kernel call, the
-    members' gaps stacked as the tuples of quadrature.interval_abs_integral.
-    Returns (c0, c1, residual) where residual is the rms misfit relative to
-    the rms variation of a_j over the family, so certification demands that
+    Both periods of every member come from one kernel call.  Returns
+    (c0, c1, residual) where residual is the rms misfit relative to the
+    rms variation of a_j over the family, so certification demands that
     the model explain essentially all of the observed variation.  Raises
     FitFailure when the residual exceeds 1e-3.  A family whose gap stays
     bounded away from zero passes with c1 ~ 0 (no logarithmic component).
     """
-    deltas = coalescence_deltas(deltas)
-    p = pat.genus
+    return _log_fit(coalescence_deltas(deltas), *_coalescence_periods(members, pat.exponents, j))
+
+
+def _coalescence_periods(members, exponents, j: int) -> np.ndarray:
+    """|a_j| and |a_{j+1}|, the intervals j+p and j+p+1, of the T members
+    of a coalescing family, shape (2, T) under one exponent row or
+    (R, 2, T) under an (R, 2p+1) stack, from one kernel call."""
+    p = (np.shape(exponents)[-1] - 1) // 2
     if not 0 <= j <= p - 2:
         raise ValueError(f"need 0 <= j <= p-2 for the periods a_j, a_(j+1); got j = {j}")
     gaps = np.array([m.gaps for m in members])
-    y, nxt = quad.interval_abs_integral(gaps, pat.exponents,
-                                        np.tile([j + p, j + p + 1], (len(members), 1))).T
-    return _log_fit(deltas, y, nxt)
+    pair = np.tile([j + p, j + p + 1], (len(gaps), 1))
+    return np.swapaxes(quad.interval_abs_integral(gaps, exponents, pair), -1, -2)
 
 
 def _log_fit(deltas, y, nxt):

@@ -205,31 +205,23 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
           c^2 = -i scale_ne scale_sw and c positive real.  ``dh_periods``
           holds the two relative defects |c^2 + i scale_ne scale_sw| / |c|^2
           and |Im c| / |c|.
-    The alpha and conjugacy checks pass within 1e-8 absolute, the dh
-    defects within 1e-10.  Raises PeriodMismatch with the report attached
-    if any check fails.
+    The cycle integrals come from the 2p real intervals (s_m, s_{m+1}) of
+    the stored gaps, both forms in one quadrature.interval_integral call
+    certified to 1e-12 relative, times 1 - e^{2 pi i e_{m+1}}.  The alpha
+    and conjugacy checks pass within 1e-8 absolute, the dh defects within
+    1e-10.  Raises PeriodMismatch with the report attached if any check
+    fails.
     """
-    chain = wd.chain
-    p = wd.genus
-    prev = wd.prevertices
-    s = np.asarray(prev.values)
-    e_sw = wd.pattern_sw.exponents
-    e_ne = wd.pattern_ne.exponents
-
-    # the 2p cycle intervals of both forms in one kernel call
-    m = np.arange(2 * p)
-    seg_sw, seg_ne = quad.segment_integral(s, np.stack((e_sw, e_ne)), s[m], s[m + 1])
-    rho_sw, rho_ne = _cycle_factor(e_sw[m + 1]), _cycle_factor(e_ne[m + 1])
-    alpha_comp = list(_PHASE * wd.scale_sw * rho_sw * (-seg_sw))
-    beta_comp = list(_PHASE * wd.scale_ne * rho_ne * (-seg_ne))
-    alpha_exp = [rho_sw[j + p] * _PHASE * (chain.vertex(j) - chain.vertex(j + 1))
-                 for j in range(-p, p)]
-
+    rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
+    m = np.arange(2 * wd.genus)
+    rho = _cycle_factor(rows[:, m + 1])  # SW and NE
+    scale = _PHASE * np.array([[wd.scale_sw], [wd.scale_ne]])
+    alpha_comp, beta_comp = scale * rho * -quad.interval_integral(wd.prevertices.gaps, rows, m)
+    v = np.asarray(wd.chain.vertices, dtype=complex)
+    alpha_exp = rho[0] * _PHASE * (v[:-1] - v[1:])
     dh_per = _dh_defects(wd)
-    worst_alpha = max((abs(a - b) for a, b in zip(alpha_comp, alpha_exp)), default=0.0)
-    worst_conj = max(
-        (abs(b - np.conj(a)) for a, b in zip(alpha_comp, beta_comp)), default=0.0
-    )
+    worst_alpha = np.max(np.abs(alpha_comp - alpha_exp), initial=0.0)
+    worst_conj = np.max(np.abs(beta_comp - np.conj(alpha_comp)), initial=0.0)
     worst_dh = max(dh_per)
     report = PeriodReport(
         tuple(alpha_comp), tuple(alpha_exp), tuple(beta_comp), tuple(dh_per),

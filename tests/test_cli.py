@@ -34,6 +34,7 @@ def malformed_files(solved_file, tmp_path):
         "short_gaps": lambda d: d.update(prev_sw_gaps=d["prev_sw_gaps"][1:]),
         "negative_gap": lambda d: d["prev_ne_gaps"].__setitem__(0, -d["prev_ne_gaps"][0]),
         "gap_not_a_difference": lambda d: d["prev_sw_gaps"].__setitem__(0, 1e-3),
+        "non_integer_genus": lambda d: d.update(genus=2.7, turn_order=2.9),
     }
     paths = []
     for name, edit in edits.items():

@@ -2,13 +2,14 @@ import json
 import math
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import NoConvergence, ZigzagError
+from zigzag.errors import DomainError, NoConvergence, ZigzagError
 from zigzag.scmap import positive_sides
 
 
@@ -147,6 +148,26 @@ class TestMinimize:
         with pytest.raises(NoConvergence) as err:
             zz.minimize(zz.ZigzagParams(5, 2, sides))
         assert len(err.value.trace) == 1
+
+    @pytest.mark.parametrize("p, sides", [
+        # sample 10 of (8, 2) above: the second step takes a log-gap past
+        # 709, so exp(u) overflows to an infinite gap
+        (8, (0.004041143588593788, 0.6512014005218734, 0.00192455370687037,
+             0.001034423182483406, 0.00930598634606576, 0.9380676402569461,
+             0.006224226455459344, 0.3105151516757057)),
+        # sample 39 of (12, 2): the gaps stay finite, but conj(I) dI overflows
+        (12, (0.002751062569953813, 0.0014402907490359644, 0.31021082561994445,
+              0.015543487306589087, 0.39484371388737277, 0.17064532865985751,
+              0.0040076712583489065, 0.0017965275752332963, 0.003266417977932632,
+              0.030460743065867678, 0.011837075528668538, 0.31328970912912835)),
+    ], ids=["exp", "multiply"])
+    def test_overflowing_step_stalls_without_a_warning(self, p, sides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence) as err:
+                zz.minimize(zz.ZigzagParams(p, 2, sides))
+        assert len(err.value.trace) == 2
+        assert isinstance(err.value.__cause__, DomainError)
 
     def test_record_type_hints_resolve(self):
         assert typing.get_type_hints(zz.SolutionRecord)["prev_ne"] is zz.Prevertices

@@ -14,7 +14,7 @@ import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _graded_panels, _rule,
                                 _SegmentPanels, arc_integral, interval_abs_integral,
-                                interval_jacobian, segment_integral)
+                                interval_integral, interval_jacobian, segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -208,7 +208,7 @@ class TestRealIntervalPath:
         # neighbours fails the 4-against-8-node comparison
         monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 4)
         rows = np.stack((zz.ne_pattern(3, 2).exponents, zz.sw_pattern(3, 2).exponents))
-        with pytest.raises(QuadratureFailure, match=r"^interval \(0, 1\) "):
+        with pytest.raises(QuadratureFailure, match=r"^interval \(0, 1\) of tuple 0, gap "):
             routine(np.diff(THIN), rows, np.arange(len(THIN) - 1))
 
 
@@ -216,8 +216,8 @@ class TestKernelInput:
     """IntervalPlan refuses what neither interval routine can integrate:
     gaps that are not positive or whose partial sums are not finite
     (DomainError), and interval indices outside the tuple (ValueError).
-    interval_abs_integral is checked on one tuple and on a stack,
-    interval_jacobian, which takes one tuple, on one tuple."""
+    interval_abs_integral and interval_jacobian are each checked on one
+    tuple and on a stack."""
 
     EXPS = [0.5, -0.5, 0.5, -0.5, 0.5]
 
@@ -238,7 +238,8 @@ for name, bad in [("inf", [np.inf]), ("nan", [np.nan]), ("zero", [0.0]),
     stack = np.stack((np.ones(4), gaps)), np.tile(np.arange(4), (2, 1))  # row 1 is bad
     for routine, form, (g, j) in [(interval_abs_integral, "tuple", one),
                                   (interval_abs_integral, "stack", stack),
-                                  (interval_jacobian, "tuple", one)]:
+                                  (interval_jacobian, "tuple", one),
+                                  (interval_jacobian, "stack", stack)]:
         start = time.perf_counter()
         try:
             routine(g, [0.5, -0.5, 0.5, -0.5, 0.5], j)
@@ -257,15 +258,16 @@ print(json.dumps(outcomes))
                              capture_output=True, text=True, timeout=30)
         assert run.returncode == 0, run.stderr
         outcomes = json.loads(run.stdout)
-        assert len(outcomes) == 15
+        assert len(outcomes) == 20
         assert {case: o for case, (o, _) in outcomes.items() if o != "DomainError"} == {}
         assert max(seconds for _, seconds in outcomes.values()) < 1.0
 
     @pytest.mark.parametrize("j", [-1, 4])
     @pytest.mark.parametrize("routine, stacked", [(interval_abs_integral, False),
                                                   (interval_abs_integral, True),
-                                                  (interval_jacobian, False)],
-                             ids=["abs-tuple", "abs-stack", "jacobian-tuple"])
+                                                  (interval_jacobian, False),
+                                                  (interval_jacobian, True)],
+                             ids=["abs-tuple", "abs-stack", "jacobian-tuple", "jacobian-stack"])
     def test_interval_index_outside_the_tuple(self, routine, stacked, j):
         gaps, idx = np.ones(4), np.array([0, j])
         if stacked:
@@ -292,10 +294,18 @@ class TestStackedTuples:
         # one interval per tuple, one row
         one = interval_abs_integral(gaps, rows[0], np.full(len(members), 5))
         assert np.all(one == [interval_abs_integral(m.gaps, rows[0], 5) for m in members])
+        # interval_jacobian: every value and every log-gap derivative is
+        # taken on its own tuple, the gap axis before the tuple axis
+        total, dlog = interval_jacobian(gaps, rows, j)
+        single = [interval_jacobian(m.gaps, rows, np.arange(6)) for m in members]
+        assert total.shape == (2, len(members), 6) and dlog.shape == (2, 6, len(members), 6)
+        assert np.all(total == np.stack([t for t, _ in single], axis=1))
+        assert np.all(dlog == np.stack([d for _, d in single], axis=2))
 
     def test_intervals_must_have_a_row_per_tuple(self):
-        with pytest.raises(ValueError, match="stack of 2 gap tuples"):
-            interval_abs_integral(np.ones((2, 2)), [0.5, 0.0, 0.0], [1, 1, 1])
+        for routine in (interval_abs_integral, interval_jacobian):
+            with pytest.raises(ValueError, match="stack of 2 gap tuples"):
+                routine(np.ones((2, 2)), [0.5, 0.0, 0.0], [1, 1, 1])
 
     def test_failure_names_the_member(self, monkeypatch):
         # at 2 against 4 nodes only the tuple with the wide interval (1, 2),
@@ -433,6 +443,17 @@ class TestSegmentIntegral:
         assert math.isclose(abs(seg), mod, rel_tol=1e-10)
         # phase on (0, 1) is i for the NE genus-1 pattern
         assert abs(seg / abs(seg) - 1j) < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_interval_front_end_matches_segments(self, k):
+        # whole intervals of a tuple with a 1e-9 gap, NE and SW rows, phase
+        # included; the moduli are interval_abs_integral's, bit for bit
+        prev, j = np.array(THIN), np.arange(len(THIN) - 1)
+        rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
+        value = interval_integral(np.diff(prev), rows, j)
+        seg = segment_integral(prev, rows, prev[j], prev[j + 1])
+        assert np.all(np.abs(value - seg) <= 1e-13 * np.abs(seg))
+        assert np.all(np.abs(value) == interval_abs_integral(np.diff(prev), rows, j))
 
     def test_path_independence(self):
         prev = np.array([-1.0, 0.0, 1.0])

@@ -119,6 +119,19 @@ class TestVerifyPeriods:
             expected = 2.0 * phase * (chain.vertex(j) - chain.vertex(j + 1))
             assert abs(row - expected) < 1e-8
 
+    def test_one_interval_plan_and_no_segment(self, wd_by_genus, monkeypatch):
+        # the 2p cycle intervals of both forms come from the stored gaps in
+        # one interval kernel call; the complex segment path is not taken
+        plans, segments = [], []
+        init = quadrature.IntervalPlan.__init__
+        monkeypatch.setattr(quadrature.IntervalPlan, "__init__",
+                            lambda self, *args, **kw: plans.append(args) or init(self, *args, **kw))
+        monkeypatch.setattr(quadrature, "segment_integral", lambda *args: segments.append(args))
+        wd = wd_by_genus[2]
+        zz.verify_periods(wd)
+        assert len(plans) == 1 and segments == []
+        assert np.array_equal(plans[0][0], wd.prevertices.gaps)
+
     def test_genus0_vacuous(self, wd_by_genus):
         report = zz.verify_periods(wd_by_genus[0])
         assert report.alpha_computed == ()

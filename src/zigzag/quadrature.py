@@ -14,15 +14,18 @@ of the closed upper half-plane, not both real, meets the real axis at
 most at an endpoint, so no path needs a detour around a prevertex.
 
 One blocked kernel computes every integral.  ``_SegmentPanels`` grades
-the panels of all segments at once, as arrays, each half of a segment
-from its own end, as SCPACK integrates each half of a path (Trefethen
-1980): its offsets, its factors z - s_m and its Gauss-Jacobi end panel
-are all measured from that end, so a prevertex just beyond either end
-keeps its distance exact and every Jacobi rule has the one orientation
-(0, e).  The panels are flattened into entries that each carry their
-rule and the exponent rows they feed; the nodes of every entry are
-evaluated in blocks of about 2^14 node x prevertex entries, with one
-log(z - s_m) matrix per block serving every row.  ``segment_integral``
+the panels of all segments at once, as arrays, from each end up to that
+end's reach.  Each half of a segment is graded from its own end, as
+SCPACK integrates each half of a path (Trefethen 1980): its offsets, its
+factors z - s_m and its Gauss-Jacobi end panel are all measured from that
+end, so a prevertex just beyond either end keeps its distance exact and
+every Jacobi rule has the one orientation (0, e).  A segment with no
+prevertex at either end that is no longer than its clearance at the
+midpoint, as a short mesh chord is, meets the one-half rule whole: it is
+one Gauss-Legendre panel from z0.  The panels are flattened into entries
+that each carry their rule and the exponent rows they feed; the nodes of
+every entry are evaluated in blocks of about 2^14 node x prevertex
+entries, with one log(z - s_m) matrix per block serving every row.  ``segment_integral``
 returns the contour integrals, itself giving an end on a prevertex its
 Jacobi panel, summed in complex arithmetic.  On a real interval
 (s_j, s_{j+1}) every factor is real and keeps its sign, so the integrand has
@@ -144,38 +147,39 @@ def _doubled(sums, rel_tol, abs_tol: float, what):
     return fine
 
 
-def _graded_panels(re, im, ray, length, own):
-    """Panels (segment, end, lo, hi) of every segment of positive length,
-    each half graded from its own end: lo and hi are offsets along ``ray``
-    from that end.  The ends are origins 2i (z0) and 2i + 1 (z1) of
-    segment i; ``re`` (2S, M) and ``im`` (2S,) hold the offsets z - s_m
-    from every origin, ``ray`` its direction into the segment and ``own``
-    the prevertex at it (-1 for none).  Ordered by segment, end and offset.
+def _graded_panels(re, im, ray, reach, own):
+    """Panels (segment, end, lo, hi) graded from every segment end of
+    positive reach: lo and hi are offsets along ``ray`` from that end, up
+    to its reach.  The ends are origins 2i (z0) and 2i + 1 (z1) of segment
+    i; ``re`` (2S, M) and ``im`` (2S,) hold the offsets z - s_m from every
+    origin, ``ray`` its direction into the segment, ``reach`` (2S,) how far
+    along it that end's panels run and ``own`` the prevertex at it (-1 for
+    none).  The reaches of a segment's two ends add up to its length; an
+    end of reach 0 makes no panel.  Ordered by segment, end and offset.
 
     From an end at a prevertex the breaks are graded dyadically: the first
-    panel is half the clearance to the nearest other prevertex (at most a
-    quarter of the segment), each next one as long as the distance back to
-    that end, up to the midpoint; an end without a prevertex gives one
-    panel up to the midpoint.  Free panels are then halved while longer
-    than the clearance at their midpoint, at most 40 times: a straight path
-    may graze a prevertex, and 40 halvings resolve a closest approach of
+    panel is half the clearance to the nearest other prevertex (at most
+    half the reach), each next one as long as the distance back to that
+    end, up to the reach; an end without a prevertex gives one panel up to
+    its reach.  Free panels are then halved while longer than the
+    clearance at their midpoint, at most 40 times: a straight path may
+    graze a prevertex, and 40 halvings resolve a closest approach of
     1e-12 * length while panels still span ~1e4 ulps."""
-    seg = np.flatnonzero(length)
-    seg, end = np.tile(seg, 2), np.repeat((0, 1), seg.size)  # one row per half
-    o = 2 * seg + end
-    half = length[seg] / 2.0
+    o = np.flatnonzero(reach)  # one row per end that makes panels
+    seg, end = o // 2, o % 2
+    reach = reach[o]
     d = np.hypot(re[o], im[o, None])
     at = np.flatnonzero(own[o] >= 0)
     d[at, own[o[at]]] = np.inf
-    b = np.where(own[o] >= 0, np.minimum(half, d.min(axis=1, initial=np.inf)) / 2.0, half)
+    b = np.where(own[o] >= 0, np.minimum(reach, d.min(axis=1, initial=np.inf)) / 2.0, reach)
     cols = [np.zeros_like(b), b]
-    while (b < half).any():
-        b = np.minimum(half, b + b)
+    while (b < reach).any():
+        b = np.minimum(reach, b + b)
         cols.append(b)
     offs = np.stack(cols, axis=1)
     lo, hi = offs[:, :-1], offs[:, 1:]
     keep = hi > lo  # rows are non-decreasing; equal breaks give no panel
-    r = np.broadcast_to(np.arange(seg.size)[:, None], lo.shape)[keep]  # half of each panel
+    r = np.broadcast_to(np.arange(seg.size)[:, None], lo.shape)[keep]  # end row of each panel
     lo, hi = lo[keep], hi[keep]
     fixed = (lo == 0.0) & (own[o[r]] >= 0)
     done = [(r[fixed], lo[fixed], hi[fixed])]
@@ -210,9 +214,11 @@ class _SegmentPanels:
     A segment i has origins 2i at z0, with ray +unit, and 2i + 1 at z1,
     with ray -unit.  ``re`` (2S, M) and ``im`` (2S,) are the offsets
     a - s_m of every origin a from every prevertex, ``own`` (2S,) the
-    prevertex at each origin (-1 for none), ``length`` (S,) the segment
-    lengths.  The panels of all segments are graded at once by
-    ``_graded_panels`` from that same table, each half from its own end,
+    prevertex at each origin (-1 for none), ``reach`` (2S,) how far each
+    origin's panels run along its ray: half the length from each end, or
+    the whole length from z0 and 0 from z1 for a segment that fits the
+    one-half rule whole.  The panels of all segments are graded at once by
+    ``_graded_panels`` from that same table, each end up to its reach,
     and flattened into entries, each with its rule index and a row mask: a
     Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
     panel one entry per row, with the rule of that row's absorbed exponent
@@ -223,12 +229,12 @@ class _SegmentPanels:
     complex arithmetic, as a segment off the real axis needs; real
     intervals have their own real path, IntervalPlan.integrate_abs."""
 
-    def __init__(self, re, im, unit, length, own, rows):
+    def __init__(self, re, im, unit, reach, own, rows):
         r_count = rows.shape[0]
-        self.s_count = length.size
+        self.s_count = unit.size
         self.rows = rows.T
         self.re, self.im, self.ray = re, im, _ends(unit, -unit)
-        seg, end, lo, hi = _graded_panels(re, im, self.ray, length, own)
+        seg, end, lo, hi = _graded_panels(re, im, self.ray, reach, own)
         origin = 2 * seg + end
         own = own[origin]  # prevertex at the panel's end
         jacobi = (lo == 0.0) & (own >= 0)
@@ -302,10 +308,11 @@ class IntervalPlan(_SegmentPanels):
     panels at both ends, for one exponent row or a stack.  ``j`` has shape
     (T, ...), row t indexing intervals of tuple t; one (M-1,) tuple is a
     stack of one.  Each end's offsets are partial sums of its own tuple's
-    gaps, the length is the gap itself and the direction exactly +1, so
-    every interval is built exactly as from its tuple alone and a gap far
-    smaller than the prevertices keeps its full relative accuracy.  It
-    raises ValueError for an interval index outside 0..M-2 and DomainError
+    gaps, each end reaches half the gap and the direction is exactly +1,
+    so every interval is built exactly as from its tuple alone and a gap
+    far smaller than the prevertices keeps its full relative accuracy.  It
+    raises ValueError for an interval index outside 0..M-2 and DomainError,
+    naming the first bad tuple and its first bad gap or partial sum,
     unless every gap is positive and every offset finite.  Only that check
     makes every point of an interval nearer its ends than any other
     prevertex, so that its graded panels are never halved: a zero,
@@ -334,14 +341,27 @@ class IntervalPlan(_SegmentPanels):
         outside = (j < 0) | (j >= gaps.shape[1])
         if outside.any():
             raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[1] - 1}")
-        ends = _ends(j, j + 1)
-        offsets = _gap_offsets(gaps[_ends(self.tup, self.tup)], ends)
+        ends, owner = _ends(j, j + 1), _ends(self.tup, self.tup)
+        offsets = _gap_offsets(gaps[owner], ends)
         if not ((gaps > 0.0).all() and np.isfinite(offsets).all()):
-            raise DomainError(f"interval gaps must be positive with finite partial sums: {gaps}")
+            # name the first bad tuple and its first bad gap or partial sum
+            bad_gap, bad_sum = ~(gaps > 0.0), ~np.isfinite(offsets)
+            bad = bad_gap.any(axis=1)
+            bad[owner[bad_sum.any(axis=1)]] = True
+            t = np.argmax(bad)
+            if bad_gap[t].any():
+                i = np.argmax(bad_gap[t])
+                what = f"gap {i} is {gaps[t, i]}"
+            else:
+                e, m = np.argwhere(bad_sum & (owner == t)[:, None])[0]
+                what = f"partial sum s_{ends[e]} - s_{m} is {offsets[e, m]}"
+            raise DomainError("interval gaps must be positive with finite partial sums: "
+                              f"tuple {t}, {what}")
         self.gaps, self.j = gaps, j
         rows = np.atleast_2d(np.asarray(exps, float))
+        half = gaps[self.tup, j] / 2.0
         super().__init__(offsets, np.zeros(ends.size), np.ones(j.size, complex),
-                         gaps[self.tup, j], ends, rows)
+                         _ends(half, half), ends, rows)
         self.derivatives = derivatives
         if derivatives:
             width, i = rows.shape[1] + 1, np.arange(j.size)
@@ -455,6 +475,18 @@ def interval_jacobian(gaps, exps, j):
     return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
 
 
+def _segment_reach(re, im, unit, length, own):
+    """(2S,) reach of each segment end for _graded_panels: (L, 0) for a
+    segment with no prevertex at either end whose length L is at most its
+    clearance at the midpoint, so one Gauss-Legendre panel from z0 meets
+    the one-half rule, else (L/2, L/2).  The clearance is taken in offset
+    coordinates from z0, as _graded_panels halves a panel."""
+    mid = 0.5 * length
+    near = np.hypot(re[::2] + (mid * unit.real)[:, None], (im[::2] + mid * unit.imag)[:, None])
+    whole = (own[::2] < 0) & (own[1::2] < 0) & (length <= near.min(axis=1, initial=np.inf))
+    return _ends(np.where(whole, length, mid), np.where(whole, 0.0, mid))
+
+
 def segment_integral(prev, exps, z0, z1):
     """Contour integrals of the product along straight segments [z0, z1]
     in the closed UHP, for one exponent row or a stack of them.
@@ -464,7 +496,10 @@ def segment_integral(prev, exps, z0, z1):
     within 1e-15 of a prevertex s_m is taken to sit on it and gets the
     Gauss-Jacobi panel of s_m, one rule per row; the rest of a segment is
     covered by Gauss-Legendre panels no longer than their clearance to the
-    nearest prevertex, shared by all rows.  Every segment and row is
+    nearest prevertex, shared by all rows.  A segment with no prevertex at
+    either end that fits that rule whole is one panel from z0 (reach
+    (L, 0)); every other segment is graded each half from its own end
+    (reach (L/2, L/2)), as an interval is.  Every segment and row is
     certified to 1e-11 relative plus 1e-15 absolute by 12 against 24
     nodes, else QuadratureFailure names the segment.
 
@@ -489,7 +524,8 @@ def segment_integral(prev, exps, z0, z1):
     point = _ends(z0, z1)
     near = np.abs(point[:, None] - prev) < 1e-15
     own = np.where(near.any(axis=1), np.argmax(near, axis=1), -1)  # the prevertex at each end
-    panels = _SegmentPanels(point.real[:, None] - prev, point.imag, unit, length, own, rows)
+    re, im = point.real[:, None] - prev, point.imag
+    panels = _SegmentPanels(re, im, unit, _segment_reach(re, im, unit, length, own), own, rows)
     value = _doubled(panels.sums, 1e-11, 1e-15,
                      lambda i: f"segment [{z0[i]}, {z1[i]}]")
     return value.reshape(exps.shape[:-1] + shape)[()]

@@ -355,10 +355,11 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     the base point 0.5i * radius to the centre and to the theta = pi/2
     vertex of each ring, and on each ring along the chord from column
     j + 1 to column j; a ring's vertices are the cumulative sums of its
-    chords from the imaginary axis toward theta = 0.  A short chord needs
-    few panels where a segment from the base is graded again toward each
-    vertex near the real axis.  Every chord is certified, so a vertex's
-    error bound is the sum of its chords' bounds.  Each column
+    chords from the imaginary axis toward theta = 0.  A short chord, no
+    longer than its clearance to the prevertices at its midpoint, is one
+    Gauss-Legendre panel, where a segment from the base is graded again
+    toward each vertex near the real axis.  Every chord is certified, so
+    a vertex's error bound is the sum of its chords' bounds.  Each column
     theta > pi/2 takes the parameter -conj(t) of its mirror t, exactly,
     and the vertex R X(t).
 

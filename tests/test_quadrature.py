@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ import pytest
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _graded_panels, _rule,
-                                _SegmentPanels, arc_integral, interval_abs_integral,
-                                interval_integral, interval_jacobian, segment_integral)
+                                _segment_reach, _SegmentPanels, arc_integral,
+                                interval_abs_integral, interval_integral, interval_jacobian,
+                                segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -174,6 +176,21 @@ class TestValidityMask:
             assert abs(abs(value[r, i]) - ref) <= 1e-14 * ref
 
 
+def mp_segment(prev, exps, z0, z1, dps=20):
+    """Independent oracle: Gauss-Legendre quadrature of the product along
+    the segment [z0, z1], principal branches, with mpmath choosing the
+    degree."""
+    with mp.workdps(dps):
+        a, step = mp.mpc(z0), mp.mpc(z1) - mp.mpc(z0)
+        factors = list(zip(map(float, prev), map(float, exps)))
+
+        def f(u):
+            z = a + u * step
+            return mp.fprod(mp.power(z - s, e) for s, e in factors)
+
+        return complex(step * mp.quad(f, [0, 1], method="gauss-legendre"))
+
+
 THIN = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
 
 
@@ -275,6 +292,21 @@ print(json.dumps(outcomes))
         with pytest.raises(ValueError, match=rf"^interval index {j} outside 0\.\.3$"):
             routine(gaps, self.EXPS, idx)
 
+    @pytest.mark.parametrize("bad, what", [(-0.5, r"gap 2 is -0\.5"), (0.0, r"gap 2 is 0\.0"),
+                                           (math.nan, r"gap 2 is nan"),
+                                           (math.inf, r"partial sum s_0 - s_3 is -inf")],
+                             ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian])
+    def test_message_names_the_bad_tuple_of_a_stack(self, routine, bad, what):
+        # one bad row in a stack of 8: the message names that row and its
+        # first bad gap or partial sum, on one line, not the whole stack
+        gaps = np.ones((8, 4))
+        gaps[5, 2] = bad
+        with pytest.raises(DomainError) as info:
+            routine(gaps, self.EXPS, np.tile(np.arange(4), (8, 1)))
+        assert re.fullmatch(r"interval gaps must be positive with finite partial sums: "
+                            rf"tuple 5, {what}", str(info.value))
+
 
 class TestStackedTuples:
     def test_stack_equals_per_tuple_calls(self):
@@ -361,18 +393,24 @@ class TestCertifiedAgainstFineSums:
 
 
 def scalar_panels(z0, z1, prev, sing0, sing1):
-    """Reference loop for the panel grading of one segment, each half from
-    its own end: dyadic breaks from a singular end, then recursive halving
-    of free panels longer than their midpoint clearance (in offset
-    coordinates from that end, (z - s_m) + u * ray), at most 40 levels
-    deep.  Returns (end, lo, hi) with offsets from z0 for end 0 and from z1
-    for end 1."""
+    """Reference loop for the panel grading of one segment.  A segment
+    with no prevertex at either end that is no longer than its clearance
+    at the midpoint (in offset coordinates from z0) is one panel [0, L]
+    from z0.  Any other segment is graded each half from its own end:
+    dyadic breaks from a singular end, then recursive halving of free
+    panels longer than their midpoint clearance (in offset coordinates
+    from that end, (z - s_m) + u * ray), at most 40 levels deep.  Returns
+    (end, lo, hi) with offsets from z0 for end 0 and from z1 for end 1."""
     length = abs(z1 - z0)
     unit = (z1 - z0) / length
 
     def clearance(zc, own=None):
         d = [abs(s - zc) for m, s in enumerate(prev) if m != own]
         return min(d) if d else length
+
+    if sing0 is None and sing1 is None and length <= min(abs((z0 - s) + 0.5 * length * unit)
+                                                         for s in prev):
+        return [(0, 0.0, length)]
 
     def graded(own, z):
         if own is None:
@@ -406,8 +444,11 @@ def scalar_panels(z0, z1, prev, sing0, sing1):
 class TestPanelGrading:
     def test_array_grading_matches_scalar_loop(self):
         # one batch of intervals, segments leaving or reaching a prevertex
-        # (some grazing the axis) and free segments, on tuples with gaps
-        # down to 1e-10; the breaks must be identical
+        # (some grazing the axis), free segments, short free chords off the
+        # axis as a mesh has them, and two free segments ending 1e-6 above
+        # a prevertex, on tuples with gaps down to 1e-10; the per-end reach
+        # of segment_integral and the array grading must give the breaks of
+        # the scalar loop exactly
         rng = np.random.default_rng(5)
         prev = [-5.0, -4.1, -4.1 + 1e-10, -2.0, -1.0, 0.0, 1.0, 2.0, 4.1 - 1e-10, 4.1, 5.0]
         cases = []
@@ -419,19 +460,69 @@ class TestPanelGrading:
             cases.append((complex(prev[m]), far, m, None))
             cases.append((far, complex(prev[m]), None, m))
             cases.append((far, complex(rng.uniform(-7, 7), rng.uniform(0, 3)), None, None))
+            near = complex(rng.uniform(-7, 7), rng.uniform(0.2, 3))
+            cases.append((near, near + 0.4 * cmath.exp(2j * math.pi * rng.uniform()), None, None))
+        cases.append((1.5j, prev[5] + 1e-6j, None, None))
+        cases.append((prev[3] + 1e-6j, -2.5 + 0.5j, None, None))
         z0, z1 = (np.array([c[i] for c in cases]) for i in (0, 1))
         i0, i1 = (np.array([-1 if c[i] is None else c[i] for c in cases]) for i in (2, 3))
         length = np.array([abs(b - a) for a, b, _, _ in cases])
         unit = np.array([(b - a) / abs(b - a) for a, b, _, _ in cases])
-        point = _ends(z0, z1)
-        seg, end, lo, hi = _graded_panels(point.real[:, None] - np.array(prev), point.imag,
-                                          _ends(unit, -unit), length, _ends(i0, i1))
+        point, own = _ends(z0, z1), _ends(i0, i1)
+        re_, im_ = point.real[:, None] - np.array(prev), point.imag
+        seg, end, lo, hi = _graded_panels(re_, im_, _ends(unit, -unit),
+                                          _segment_reach(re_, im_, unit, length, own), own)
+        whole = 0
         for i, case in enumerate(cases):
             got = list(zip(end[seg == i].tolist(), lo[seg == i].tolist(), hi[seg == i].tolist()))
             assert got == scalar_panels(case[0], case[1], prev, case[2], case[3])
+            whole += got == [(0, 0.0, length[i])]
+        assert whole >= 50  # most short chords fit the one-half rule whole
+        for i in (len(cases) - 2, len(cases) - 1):  # 1e-6 above a prevertex: both halves
+            assert set(end[seg == i].tolist()) == {0, 1}
         # one path leaves s_{-3} = -4.1 + 1e-10 and passes 2e-22 above s_{-4};
         # with the clearance in absolute coordinates it took 4,194,372 panels
         assert np.bincount(seg).max() < 1000
+
+
+class TestWholePanels:
+    @pytest.mark.parametrize("solve", ["genus 2, k = 3", "genus 5, k = 2"])
+    def test_whole_panels_at_the_edge_of_the_rule_against_mpmath(self, monkeypatch, solve,
+                                                                 karcher_k3, ladder5):
+        # the 8 mesh segments (resolution 24) that are one whole panel and
+        # nearest the one-half rule's edge, length/clearance -> 1, both
+        # rows against mpmath along each segment
+        record = karcher_k3[2] if solve == "genus 2, k = 3" else ladder5[5]
+        wd = zz.build_weierstrass(record)
+        quad = sys.modules["zigzag.quadrature"]
+        calls, segment = [], quad.segment_integral
+
+        def spy(prev, exps, z0, z1):
+            calls.append((np.asarray(prev), exps, *np.broadcast_arrays(z0, z1)))
+            return segment(prev, exps, z0, z1)
+
+        monkeypatch.setattr(quad, "segment_integral", spy)
+        zz.generate_mesh(wd, 1.5 * max(wd.prevertices.values), 24)
+        monkeypatch.setattr(quad, "segment_integral", segment)
+        [(prev, rows, z0, z1)] = calls
+        clearance = np.abs((z0 + z1)[:, None] / 2 - prev).min(axis=1)
+        free = np.abs(np.stack((z0, z1))[..., None] - prev).min(axis=(0, 2)) > 1e-15
+        ratio = np.where(free, np.abs(z1 - z0) / clearance, np.inf)
+        pick = np.argsort(np.where(ratio <= 1.0, -ratio, np.inf))[:8]
+        assert ratio[pick].max() > 0.8
+        built, init = [], quad._SegmentPanels.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            built.append(self.seg.size)
+
+        monkeypatch.setattr(quad._SegmentPanels, "__init__", counting_init)
+        value = segment_integral(prev, rows, z0[pick], z1[pick])
+        assert built == [8]  # one panel, one entry, per segment
+        for i, (a, b) in enumerate(zip(z0[pick], z1[pick])):
+            for r, exps in enumerate(rows):
+                ref = mp_segment(prev, exps, a, b)
+                assert abs(value[r, i] - ref) <= 1e-13 * abs(ref)
 
 
 class TestSegmentIntegral:

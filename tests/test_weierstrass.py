@@ -379,9 +379,11 @@ class TestMesh:
         assert np.max(np.abs(mesh.vertices[right] - oracle)) <= bound
 
     def test_panel_entries_per_segment_of_a_genus5_mesh(self, wd_by_genus, monkeypatch):
-        # a chord between neighbouring columns takes the 2-entry floor of
-        # the grading; a segment from the base point to every vertex took
-        # about 3.6 entries each on this mesh
+        # a chord between neighbouring columns fits the one-half rule whole
+        # and takes one entry, where grading each half from its own end took
+        # two; the segments that do not fit (from the base point, or ending
+        # near a prevertex) keep that grading.  1.066 entries per segment
+        # here, 2.044 with every segment cut at its midpoint
         built = []
         init = quadrature._SegmentPanels.__init__
 
@@ -393,7 +395,7 @@ class TestMesh:
         wd = wd_by_genus[5]
         zz.generate_mesh(wd, 1.5 * max(wd.prevertices.values), 24)
         [(entries, segments)] = built
-        assert entries <= 2.2 * segments
+        assert entries <= 1.15 * segments
 
     def test_traced_memory_of_a_genus5_mesh(self, wd_by_genus):
         # the segment kernel evaluates its node x prevertex logs in blocks

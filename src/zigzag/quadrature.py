@@ -342,7 +342,8 @@ class IntervalPlan(_SegmentPanels):
         if outside.any():
             raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[1] - 1}")
         ends, owner = _ends(j, j + 1), _ends(self.tup, self.tup)
-        offsets = _gap_offsets(gaps[owner], ends)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            offsets = _gap_offsets(gaps[owner], ends)
         if not ((gaps > 0.0).all() and np.isfinite(offsets).all()):
             # name the first bad tuple and its first bad gap or partial sum
             bad_gap, bad_sum = ~(gaps > 0.0), ~np.isfinite(offsets)

@@ -13,8 +13,10 @@ the usual labelling, the NE pattern starts and ends with +(k-1)/k
 Developed along the real axis, the NE integrand traces the vertex chain in
 reversed order (s_j lands on the mirror vertex P_{-j}) and the SW integrand
 traces P_{-p}, ..., P_p directly; a complex-linear normalization cannot
-swap the two since the raw images are mirror congruent.  ``forward_map``
-accounts for this when matching the developed chain to build_vertices.
+swap the two since the raw images are mirror congruent.  ``_development``
+matches each developed chain to build_vertices in its own order.  A
+solution's Weierstrass data is checked against one chain, build_vertices
+of the solved zigzag, whether built fresh or loaded from its file.
 
 The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
@@ -90,7 +92,7 @@ class Prevertices:
 
     Normalization: s_0 = 0, s_1 = 1 (for p >= 1), s_{-j} = -s_j.  A tuple
     within 1e-12 of symmetric is stored as (v - v[::-1]) / 2, which is
-    exactly symmetric, and then checked against the normalization.
+    exactly symmetric with s_0 exactly 0, and then checked for s_1 = 1.
     ``gaps`` holds the 2p gaps s_{m+1} - s_m that every real-interval
     integral takes: exactly those it was built from by
     ``from_positive_gaps``, np.diff(values) when built from values; given
@@ -114,8 +116,6 @@ class Prevertices:
         gaps = (gaps + gaps[::-1]) / 2.0
         if np.any(np.diff(v) <= 0.0):
             raise ValueError(f"prevertices must be strictly increasing: {v}")
-        if abs(v[p]) > 1e-14:
-            raise ValueError(f"s_0 must be 0, got {v[p]}")
         if p >= 1 and abs(v[p + 1] - 1.0) > 1e-14:
             raise ValueError(f"s_1 must be 1, got {v[p + 1]}")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
@@ -272,86 +272,62 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     return Prevertices.from_positive_gaps(np.exp(u))
 
 
-def _segment_directions_from_exponents(exps: np.ndarray) -> np.ndarray:
-    """Directions of the raw developed image of the intervals between
-    consecutive prevertices, terminal ray last.
+def _development(prev: Prevertices, pat: ExponentPattern):
+    """(A, steps, targets): the development of one SC integrand along the
+    real axis and its normalization onto the induced zigzag's vertex chain.
 
-    On an interval the integrand has constant argument pi times the sum of
-    the exponents of the prevertices to its right (principal branches from
-    the upper half-plane)."""
-    tail = np.cumsum(exps[::-1])[::-1]  # tail[m] = sum of e_i for i >= m
-    args = np.concatenate((tail[1:], [0.0])) * math.pi
-    return np.exp(1j * args)
-
-
-def _raw_chain(prev: Prevertices, pat: ExponentPattern):
-    """Raw developed vertices V_{-p..p} (V at s_0 = 0) and the raw lengths
-    of the 2p intervals."""
+    steps[m] is the raw image of the interval (s_m, s_{m+1}), m = 0..2p-1:
+    its length from positive_sides (mirror intervals have equal lengths)
+    times its direction, which is pi times the sum of the exponents of the
+    prevertices to its right (principal branches from the upper
+    half-plane).  targets is build_vertices of the zigzag with these
+    sides, in the order the integrand develops it: P_{-p}, ..., P_p for
+    SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] - targets[p]) /
+    steps[p] turns and scales the raw image of (s_0, s_1) onto its side,
+    so s_m develops onto targets[m] and (s_m, s_{m+1}) onto A * steps[m].
+    """
     p = prev.genus
     exps = pat.exponents
     pos = positive_sides(prev.gaps, exps)
-    sides = np.concatenate((pos[::-1], pos))  # mirror intervals, equal lengths
-    dirs = _segment_directions_from_exponents(exps)[:-1]  # per interval m = 0..2p-1
-    steps = sides * dirs
-    V = np.zeros(2 * p + 1, dtype=complex)
-    V[p + 1:] = np.cumsum(steps[p:])
-    V[:p] = -np.cumsum(steps[:p][::-1])[::-1]
-    return V, sides
-
-
-def _chain_normalization(prev: Prevertices, pat: ExponentPattern):
-    """Affine map A*raw + B sending the raw developed chain onto the
-    normalized vertex chain of the induced zigzag.
-
-    The NE integrand develops the chain in reversed vertex order, so its
-    raw vertices are matched against P_p, ..., P_{-p}; the SW integrand is
-    matched against P_{-p}, ..., P_p.
-    """
-    p = prev.genus
-    V, sides = _raw_chain(prev, pat)
-    pos_sides = sides[p:]
-    lengths = tuple(pos_sides / np.sum(pos_sides))
-    chain = build_vertices(ZigzagParams(p, pat.turn_order, lengths))
-    targets = np.asarray(chain.vertices)
-    if pat.orientation == "NE":
-        targets = targets[::-1]
-    A = (targets[p + 1] - targets[p]) / (V[p + 1] - V[p])
-    B = targets[p] - A * V[p]
-    return A, B, V, targets, chain
+    tail = np.cumsum(exps[::-1])[::-1]  # tail[m] = sum of e_i for i >= m
+    steps = np.concatenate((pos[::-1], pos)) * np.exp(1j * (tail[1:] * math.pi))
+    chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos)))).vertices
+    targets = np.asarray(chain[::-1] if pat.orientation == "NE" else chain)
+    return (targets[p + 1] - targets[p]) / steps[p], steps, targets
 
 
 def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
     """Normalized SC image of a point t in the closed upper half-plane.
 
-    The image chain coincides with build_vertices of the induced zigzag;
-    prevertex s_j lands on P_j for the SW pattern and on the mirror vertex
-    P_{-j} for the NE pattern.  Every t is reached by one call of the
-    blocked segment kernel quadrature.segment_integral, along the straight
-    segment from the nearest prevertex s_m with s_m < Re t (s_{-p} left of
-    the tuple); a t on a prevertex s_j ends the segment from s_{j-1} with
-    the Gauss-Jacobi panel of s_j.  That segment passes no other
-    prevertex, and its panels shrink toward nearby ones by the one-half
-    rule.  Raises DomainError for t below the real axis.
+    The image chain is the targets of _development: build_vertices of the
+    induced zigzag, with prevertex s_j on P_j for the SW pattern and on
+    the mirror vertex P_{-j} for the NE pattern.  Every t is reached by
+    one call of the blocked segment kernel quadrature.segment_integral,
+    along the straight segment from the nearest prevertex s_m with
+    s_m < Re t (s_{-p} left of the tuple), and maps to targets[m] + A
+    times that integral; a t on a prevertex s_j ends the segment from
+    s_{j-1} with the Gauss-Jacobi panel of s_j.  That segment passes no
+    other prevertex, and its panels shrink toward nearby ones by the
+    one-half rule.  Raises DomainError for t below the real axis.
     """
     t = complex(t)
     if t.imag < 0.0:
         raise DomainError(f"t = {t} lies below the real axis")
-    A, B, V, _, _ = _chain_normalization(prev, pat)
+    A, _, targets = _development(prev, pat)
     s = np.asarray(prev.values)
     m = max(int(np.searchsorted(s, t.real)) - 1, 0)
-    return A * (V[m] + quad.segment_integral(s, pat.exponents, s[m], t)) + B
+    return targets[m] + A * quad.segment_integral(s, pat.exponents, s[m], t)
 
 
 def periods(prev: Prevertices, pat: ExponentPattern) -> tuple[complex, ...]:
     """Normalized complex periods a_j = F(s_{j+1}) - F(s_j), j = 0..p-1,
-    of the positive-side segments.
+    of the positive-side segments: A * steps[p + j] of _development.
 
     Moduli equal the side lengths of the normalized vertex chain; for turn
     order 2 consecutive periods differ in direction by a factor +-i.
     """
-    p = prev.genus
-    A, _, V, _, _ = _chain_normalization(prev, pat)
-    return tuple(complex(A * (V[p + j + 1] - V[p + j])) for j in range(p))
+    A, steps, _ = _development(prev, pat)
+    return tuple(complex(a) for a in A * steps[prev.genus:])
 
 
 def make_coalescing_family(base: Prevertices, j: int, deltas):

@@ -32,13 +32,7 @@ import numpy as np
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
 from .height import _D_TOL
-from .scmap import (
-    ExponentPattern,
-    Prevertices,
-    _chain_normalization,
-    ne_pattern,
-    sw_pattern,
-)
+from .scmap import Prevertices, _development, ne_pattern, sw_pattern
 from . import quadrature as quad
 
 __all__ = [
@@ -64,7 +58,9 @@ class WeierstrassData:
     ``scale_sw`` multiplies the SW integrand (the alpha form, which
     develops the vertex chain in direct order), ``scale_ne`` the NE
     integrand (the beta form, reversed order), ``dh_scale`` the height
-    differential; dh_scale^2 = -i * scale_ne * scale_sw.
+    differential; dh_scale^2 = -i * scale_ne * scale_sw.  ``chain`` is
+    build_vertices of the solved zigzag, fresh or loaded from a file, and
+    the alpha periods are checked against it.
     """
 
     genus: int
@@ -76,22 +72,20 @@ class WeierstrassData:
     chain: VertexChain
 
     @property
-    def pattern_ne(self) -> ExponentPattern:
-        return ne_pattern(self.genus, self.turn_order)
-
-    @property
-    def pattern_sw(self) -> ExponentPattern:
-        return sw_pattern(self.genus, self.turn_order)
+    def rows(self) -> np.ndarray:
+        """(2, 2p+1) exponents of the SW (alpha) and NE (beta) integrands."""
+        return np.stack((sw_pattern(self.genus, self.turn_order).exponents,
+                         ne_pattern(self.genus, self.turn_order).exponents))
 
     def alpha_coefficient(self, t) -> np.ndarray:
         """Pointwise coefficient of alpha against dt."""
         return _PHASE * self.scale_sw * quad.product_value(
-            self.prevertices.values, self.pattern_sw.exponents, t
+            self.prevertices.values, self.rows[0], t
         )
 
     def beta_coefficient(self, t) -> np.ndarray:
         return _PHASE * self.scale_ne * quad.product_value(
-            self.prevertices.values, self.pattern_ne.exponents, t
+            self.prevertices.values, self.rows[1], t
         )
 
     def gauss_map(self, t) -> np.ndarray:
@@ -144,11 +138,14 @@ def build_weierstrass(sol) -> WeierstrassData:
 
     The NE and SW prevertex tuples must agree within 1e-5, the square root
     of the height certificate bar 1e-10, relative to the largest prevertex;
-    they are averaged into the shared tuple.  Scale constants are fixed by
-    developing each integrand onto the vertex chain.  The phases of A_ne
-    and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw is positive real
-    for every tuple, and the principal root c is positive real: the image
-    of (s_0, s_1) under dh.
+    they are averaged into the shared tuple.  The chain is build_vertices
+    of the solved zigzag, as weierstrass_from_solution takes it from a
+    file, so a record and its file are checked alike, and verify_periods
+    fails a zigzag its tuple does not develop.  Only the scales come from
+    _development of each integrand on the shared tuple: the phases of
+    A_ne and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw is
+    positive real for every tuple, and the principal root c is positive
+    real: the image of (s_0, s_1) under dh.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
@@ -163,14 +160,12 @@ def build_weierstrass(sol) -> WeierstrassData:
         )
     shared = Prevertices(tuple(0.5 * (v_ne + v_sw)))
     p, k = sol.zigzag.genus, sol.zigzag.turn_order
-
+    chain = build_vertices(sol.zigzag)
     if p == 0:
-        chain = build_vertices(sol.zigzag)
         scale_sw, scale_ne = 1.0 + 0j, 1j
     else:
-        A_sw, _, _, _, chain = _chain_normalization(shared, sw_pattern(p, k))
-        A_ne, _, _, _, _ = _chain_normalization(shared, ne_pattern(p, k))
-        scale_sw, scale_ne = complex(A_sw), complex(A_ne)
+        scale_sw = complex(_development(shared, sw_pattern(p, k))[0])
+        scale_ne = complex(_development(shared, ne_pattern(p, k))[0])
 
     c = cmath.sqrt(-1j * scale_ne * scale_sw)
     return WeierstrassData(p, k, shared, scale_ne, scale_sw, c, chain)
@@ -212,8 +207,7 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
     1e-10.  Raises PeriodMismatch with the report attached if any check
     fails.
     """
-    rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
-    m = np.arange(2 * wd.genus)
+    rows, m = wd.rows, np.arange(2 * wd.genus)
     rho = _cycle_factor(rows[:, m + 1])  # SW and NE
     scale = _PHASE * np.array([[wd.scale_sw], [wd.scale_ne]])
     alpha_comp, beta_comp = scale * rho * -quad.interval_integral(wd.prevertices.gaps, rows, m)
@@ -282,21 +276,14 @@ def evaluate_surface(wd: WeierstrassData, t, base=0.5j) -> np.ndarray:
     below = t.imag < 0.0
     if below.any():
         raise DomainError(f"need Im t >= 0, got t = {t[below][0]}")
-    w1, w2 = _form_integrals(wd, t, base)
+    sw, ne = quad.segment_integral(wd.prevertices.values, wd.rows, base, t)
+    w1, w2 = _PHASE * wd.scale_sw * sw, _PHASE * wd.scale_ne * ne
     wh = wd.dh_scale * (t - base)
     return np.stack([
         (0.5 * (w1 - w2)).real,
         (0.5j * (w1 + w2)).real,
         wh.real,
     ], axis=-1)
-
-
-def _form_integrals(wd: WeierstrassData, t: np.ndarray, base: np.ndarray):
-    """Integrals of the two developing forms along the segments base -> t,
-    both rows in one kernel call."""
-    rows = np.stack((wd.pattern_sw.exponents, wd.pattern_ne.exponents))
-    tot_sw, tot_ne = quad.segment_integral(wd.prevertices.values, rows, base, t)
-    return _PHASE * wd.scale_sw * tot_sw, _PHASE * wd.scale_ne * tot_ne
 
 
 def _diagonal_rotation(wd: WeierstrassData) -> np.ndarray:
@@ -313,7 +300,7 @@ def _diagonal_rotation(wd: WeierstrassData) -> np.ndarray:
             "t -> -conj(t) is a rotation only for a real dh_scale c with "
             f"c^2 = -i scale_ne scale_sw; defects {defects[0]:.3e}, {defects[1]:.3e}"
         )
-    e_sw = float(np.sum(wd.pattern_sw.exponents))
+    e_sw = float(np.sum(wd.rows[0]))
     lam = cmath.exp(1j * math.pi * (e_sw + 0.5)) * wd.scale_sw / wd.scale_sw.conjugate()
     lam /= abs(lam)  # |lam| = 1 up to roundoff; keep R orthogonal
     return np.array([[lam.real, -lam.imag, 0.0],

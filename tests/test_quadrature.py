@@ -234,7 +234,8 @@ class TestKernelInput:
     gaps that are not positive or whose partial sums are not finite
     (DomainError), and interval indices outside the tuple (ValueError).
     interval_abs_integral and interval_jacobian are each checked on one
-    tuple and on a stack."""
+    tuple and on a stack, and an overflowing partial sum through
+    interval_integral too, in process."""
 
     EXPS = [0.5, -0.5, 0.5, -0.5, 0.5]
 
@@ -306,6 +307,21 @@ print(json.dumps(outcomes))
             routine(gaps, self.EXPS, np.tile(np.arange(4), (8, 1)))
         assert re.fullmatch(r"interval gaps must be positive with finite partial sums: "
                             rf"tuple 5, {what}", str(info.value))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["tuple", "stack"])
+    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian,
+                                         interval_integral])
+    def test_overflowing_partial_sum_raises_without_a_warning(self, routine, stacked):
+        # finite gaps whose partial sums overflow: the DomainError alone,
+        # with no overflow warning first (an error under the suite's
+        # filterwarnings), in process
+        gaps, idx = np.array([1.0, 1e308, 1e308, 1.0]), np.arange(4)
+        if stacked:  # row 1 is bad
+            gaps, idx = np.stack((np.ones(4), gaps)), np.stack((idx, idx))
+        with pytest.raises(DomainError, match=rf"^interval gaps must be positive with finite "
+                                              rf"partial sums: tuple {int(stacked)}, "
+                                              r"partial sum s_0 - s_3 is -inf$"):
+            routine(gaps, self.EXPS, idx)
 
 
 class TestStackedTuples:

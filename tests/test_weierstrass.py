@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
-from zigzag import quadrature, weierstrass
+from zigzag import io as zio, quadrature, weierstrass
 from zigzag.errors import DomainError, NotReflexive, PeriodMismatch
-from zigzag.scmap import _chain_normalization
+from zigzag.scmap import _development
 
 
 def enneper_closed_form(z):
@@ -68,8 +69,8 @@ class TestBuildWeierstrass:
         # c^2 = -i A_ne A_sw is positive real on every tuple, reflexive or not
         p, k, u = problem
         prev = zz.Prevertices.from_positive_gaps(np.exp(u))
-        a_ne = _chain_normalization(prev, zz.ne_pattern(p, k))[0]
-        a_sw = _chain_normalization(prev, zz.sw_pattern(p, k))[0]
+        a_ne = _development(prev, zz.ne_pattern(p, k))[0]
+        a_sw = _development(prev, zz.sw_pattern(p, k))[0]
         assert abs(cmath.phase(-1j * a_ne * a_sw)) <= 1e-12
 
     def test_genus0_is_enneper_data(self, wd_by_genus):
@@ -100,6 +101,30 @@ class TestBuildWeierstrass:
         )
         with pytest.raises(NotReflexive):
             zz.build_weierstrass(tampered)
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (5, 2), (4, 3)])
+    def test_rejects_zigzag_its_tuple_does_not_develop(self, ladder5, p, k):
+        # side 0 scaled by 1 + 1e-6 moves the chain, which is the record's
+        # zigzag, about 1e-7 off the periods of the unchanged tuple
+        rec = ladder5[p] if k == 2 else zz.continuation_solve(p, k)
+        sides = np.array(rec.zigzag.side_lengths)
+        sides[0] *= 1.0 + 1e-6
+        tampered = dataclasses.replace(
+            rec, zigzag=zz.canonicalize(zz.ZigzagParams(p, k, tuple(sides))))
+        with pytest.raises(PeriodMismatch):
+            zz.verify_periods(zz.build_weierstrass(tampered))
+
+    @pytest.mark.parametrize("p, k", [(0, 3), (1, 2), (2, 2), (5, 2), (2, 3), (4, 3), (12, 3),
+                                      (40, 2)])
+    def test_fresh_data_equals_its_file(self, p, k):
+        # one chain per solution: a record and the file written from it
+        # give the same data and the same period report
+        rec = zz.continuation_solve(p, k)
+        fresh = zz.build_weierstrass(rec)
+        text = zio.record_to_solution(rec).dumps()
+        loaded = zio.weierstrass_from_solution(zio.SolutionFile(json.loads(text)))
+        assert fresh == loaded and fresh.prevertices.gaps == loaded.prevertices.gaps
+        assert zz.verify_periods(fresh) == zz.verify_periods(loaded)
 
 
 class TestVerifyPeriods:

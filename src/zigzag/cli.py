@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="period index to fit (default p-2)")
     p_sweep.add_argument("--deltas", default="1e-6,1e-4,9",
                          help="min,max,count of collapsing gaps (log spaced); "
-                              "columns: delta,abs_a,abs_b,c1_ne,c1_sw")
+                              "columns: delta,abs_a,abs_b,c1_ne,c1_sw, the fitted "
+                              "c1 to 17 digits of which about 12 are meaningful")
     p_sweep.add_argument("--lambdas", default="1e-8,1e-3,12",
                          help="min,max,count of |lambda| (log spaced); "
                               "columns: lambda,ext,ext_times_log")

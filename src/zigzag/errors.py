@@ -21,8 +21,10 @@ class NoConvergence(ZigzagError):
     """A Newton solve did not converge.
 
     Carries max|F| at every Newton point reached in ``trace``, the history
-    a converged solve returns as its residuals; the message ends with its
-    length and last entry.
+    a converged solve returns as its residuals: each from one 12-node sum,
+    or the certified value where a point that looked converged was
+    certified and found not to be.  A point whose certification fails is
+    not in it.  The message ends with its length and last entry.
     """
 
     def __init__(self, message, trace=None):

@@ -10,14 +10,18 @@ coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
 solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
 one plain Newton iteration with an exact Jacobian, to the tolerance that
 also ends the parameter solves in ``scmap``.  Each Newton point takes the
-residual and its Jacobian for both patterns from one kernel call.  The
-top genus is solved directly from equal sides, with no nested parameter
-solve and no lower genus: the paper's handle insertion from genus p-1 is
-its existence argument by continuation, not a step of the computation.
+residual and its Jacobian for both patterns from one kernel plan and one
+12-node sum; the point the solve returns is certified by 12 against 24
+nodes on that plan, as are the points the two cold solves below
+return.  The top genus is solved directly from equal sides, with no
+nested parameter solve and no lower genus: the paper's handle insertion
+from genus p-1 is its existence argument by continuation, not a step of
+the computation.
 D of the result, from two cold parameter solves, is the certificate, and
 the smallest singular value of the Jacobian at the solution certifies
 that the zero is isolated.  The record keeps what Newton did: max|F| at
-every Newton point, one kernel call each, the last at the solution.
+every Newton point, one kernel plan each, from its 12-node sum but for
+the last, which is the certified max|F| at the solution.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import NotReflexive
 from .geometry import ZigzagParams, canonicalize
-from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _newton_solve,
+from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_solve,
                     ne_pattern, solve_parameter_problem, sw_pattern)
 from .elliptic import extremal_lengths
 
@@ -56,8 +60,9 @@ class SolutionRecord:
     height: float
     converged: bool
     # max|F| at every Newton point of the shared-prevertex solve, strictly
-    # decreasing to at most 1e-12 (empty without unknowns, and when loaded
-    # from a file written before the history was stored)
+    # decreasing to at most 1e-12: each from one 12-node sum but the last,
+    # the certified max|F| at the solution (empty without unknowns, and
+    # when loaded from a file written before the history was stored)
     residuals: tuple[float, ...] = ()
     # smallest singular value of the exact Jacobian of F at the shared
     # solution (NaN without unknowns): nonzero certifies an isolated zero
@@ -101,15 +106,18 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     solved to max|F| <= 1e-12 by the plain Newton iteration that solves the
     parameter problem, from the same seed: gaps proportional to the sides
     of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Each
-    Newton point takes F and its exact Jacobian from one kernel call for
-    both patterns; the smallest singular value of that Jacobian at the
-    solution is stored as the isolation certificate.  Genus 0 and 1 have
-    no unknowns.  The zigzag is read off the normalized NE sides; two cold
-    parameter solves then give D as an independent certificate, and the
-    record is converged iff D < 1e-10, a bar some 16 orders above the D of
-    a solution; the record stores D for any stricter bar.  It keeps max|F|
-    at every Newton point, as the solver returns it: the last entry is
-    max|F| at the solution.
+    Newton point takes F and its exact Jacobian for both patterns from one
+    kernel plan and one 12-node sum, uncompared; the point Newton returns
+    is certified by 12 against 24 nodes on its plan, and the NE sides,
+    the Jacobian and its smallest singular value, stored as the isolation
+    certificate, are taken from those certified values.  Genus 0 and 1
+    have no unknowns.  The zigzag is read off the normalized NE sides;
+    two cold parameter solves then give D as an independent certificate,
+    and the record is converged iff D < 1e-10, a bar some 16 orders above
+    the D of a solution; the record stores D for any stricter bar.  It keeps max|F|
+    at every Newton point, as the solver returns it: each entry but the
+    last from one 12-node sum, and the last the certified max|F| at the
+    solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
@@ -117,17 +125,13 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     sigma_min = math.nan
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
-        ne = jac = None
 
-        def system(u):  # both patterns share one kernel call
-            nonlocal ne, jac
-            sides, ratios, J = _log_ratio_system(u, rows)
-            ne, jac = sides[0], J[0] - J[1]
-            return ratios[0] - ratios[1], jac
+        def shared(sides, ratios, J):  # both patterns share one kernel plan
+            return ratios[0] - ratios[1], J[0] - J[1], sides[0]
 
-        # on success the last evaluation, hence ne and jac, is at the solution
-        _, history = _newton_solve(system, _log_ratios(np.asarray(z.side_lengths)),
-                                   f"shared-prevertex solve from {z}")
+        _, history, (_, jac, ne) = _newton_solve(
+            lambda u: _mapped(_log_ratio_system(u, rows), shared),
+            _log_ratios(np.asarray(z.side_lengths)), f"shared-prevertex solve from {z}")
         residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])

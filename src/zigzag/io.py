@@ -5,9 +5,11 @@ explicit schema version.  All floats are rendered with 17 significant
 digits, which round-trips IEEE doubles exactly and keeps output
 byte-identical across runs with the same inputs.  Their ``trace_summary``
 holds max|F| at every Newton point of the shared-prevertex solve
-(``newton_residuals``) and, with unknowns, the smallest singular value of
-its Jacobian at the solution (``jacobian_sigma_min``), so a file loaded
-and saved again is the same file byte for byte.  Each prevertex tuple is
+(``newton_residuals``), each from one 12-node sum but the last, the
+certified max|F| at the solution, and, with unknowns, the smallest
+singular value of its certified Jacobian at the solution
+(``jacobian_sigma_min``), so a file loaded and saved again is the same
+file byte for byte.  Each prevertex tuple is
 stored with its gaps s_{m+1} - s_m (``prev_ne_gaps``, ``prev_sw_gaps``,
 ``weierstrass.prevertex_gaps``), which every real-interval integral takes:
 a gap 1e-8 of the prevertices read back as a difference of stored values

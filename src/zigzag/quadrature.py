@@ -40,11 +40,17 @@ tuple and every length a gap, so no digit of a gap 1e-8 of the
 prevertices is lost to their absolute size.  ``IntervalPlan`` rejects a
 gap that is not positive or a partial sum that is not finite
 (DomainError).  Segments keep absolute coordinates; ``arc_integral``
-sums two segments through its arc's apex.  One routine, ``_doubled``,
-certifies each item and row: 12 against 24 nodes, else
-QuadratureFailure.  A fixed node count set by the tolerance, as in
-Driscoll & Trefethen's SC Toolbox, serves every integrand here, with no
-adaptive doubling past it.
+sums two segments through its arc's apex.  One routine, ``_certified``,
+compares the sums of each item and row at 12 and at 24 nodes, else
+QuadratureFailure, and every certified value passes it: each call of
+``interval_integral``, ``interval_abs_integral``, ``interval_jacobian``
+and ``segment_integral`` takes both sums.  A Newton iterate needs an
+accurate F, not a certified one: ``interval_jacobian_point`` returns
+``interval_jacobian`` from the 12-node sum alone, with a function that
+certifies that same point later, summing the same plan at 24 nodes, so
+a solve pays the comparison only at the point it returns.  A fixed node
+count set by the tolerance, as in Driscoll & Trefethen's SC Toolbox,
+serves every integrand here, with no adaptive doubling past it.
 """
 
 from __future__ import annotations
@@ -124,19 +130,16 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _doubled(sums, rel_tol, abs_tol: float, what):
-    """Certify panel sums by one comparison: 12 against 24 nodes per panel
+def _certified(coarse, fine, rel_tol, abs_tol: float, what):
+    """Certify panel sums by one comparison: ``coarse`` and ``fine``, the
+    (R, S) sums of every row and item at 12 and at 24 nodes per panel
     (_BASE_NODES and its double), else QuadratureFailure.
 
-    ``sums(n)`` returns the (R, S) sums of every row and item at n nodes
-    per panel.  Every (row, item) pair must change by at most
-    rel_tol * |fine| + abs_tol; a pair that no entry feeds is exactly 0 at
-    both counts and passes.  Returns the (R, S) 24-node values; raises
-    QuadratureFailure naming ``what(i)`` for the first item i with a
-    failing pair.
+    Every (row, item) pair must change by at most rel_tol * |fine| +
+    abs_tol; a pair that no entry feeds is exactly 0 at both counts and
+    passes.  Returns ``fine``; raises QuadratureFailure naming ``what(i)``
+    for the first item i with a failing pair.
     """
-    coarse = sums(_BASE_NODES)
-    fine = sums(2 * _BASE_NODES)
     change = np.abs(fine - coarse)
     failed = ~(change <= rel_tol * np.abs(fine) + abs_tol)
     if failed.any():
@@ -145,6 +148,12 @@ def _doubled(sums, rel_tol, abs_tol: float, what):
         raise QuadratureFailure(
             f"{what(i)} stuck at rel err {rel:.3e} with {2 * _BASE_NODES} nodes")
     return fine
+
+
+def _doubled(sums, rel_tol, abs_tol: float, what):
+    """The (R, S) sums ``sums(n)`` at n = _BASE_NODES and its double,
+    certified by _certified: the 24-node values, else QuadratureFailure."""
+    return _certified(sums(_BASE_NODES), sums(2 * _BASE_NODES), rel_tol, abs_tol, what)
 
 
 def _graded_panels(re, im, ray, reach, own):
@@ -451,29 +460,50 @@ def interval_jacobian(gaps, exps, j):
     so no end derivatives of size I/g cancel next to a tiny gap.  The
     interval's own gap follows from homogeneity,
     sum_i g_i dI/dg_i = (1 + sum e) I.  Every row is certified to 1e-12
-    relative by 12 against 24 nodes.  Returns (I, g dI/dg): I with the row
-    axis of a stack of rows followed by the shape of ``j``, g dI/dg with
-    the gap axis i of length M-1 inserted before the shape of ``j``;
-    raises QuadratureFailure if a row changes by more than that from 12 to
-    24 nodes, and DomainError or ValueError for the gaps or indices
-    IntervalPlan rejects.
+    relative by 12 against 24 nodes; a Newton iterate takes the 12-node
+    sum alone from interval_jacobian_point.  Returns (I, g dI/dg): I with
+    the row axis of a stack of rows followed by the shape of ``j``,
+    g dI/dg with the gap axis i of length M-1 inserted before the shape of
+    ``j``; raises QuadratureFailure if a row changes by more than that
+    from 12 to 24 nodes, and DomainError or ValueError for the gaps or
+    indices IntervalPlan rejects.
+    """
+    return interval_jacobian_point(gaps, exps, j)[1]()
+
+
+def interval_jacobian_point(gaps, exps, j):
+    """(values, certify): interval_jacobian at one point of a Newton
+    iteration, with its arguments and shapes.
+
+    ``values`` is (I, g dI/dg) from one sum at _BASE_NODES (12) nodes per
+    panel, with no comparison.  ``certify()`` sums the same plan at twice
+    that, compares the two as interval_jacobian does and returns the
+    certified (I, g dI/dg), equal bit for bit to interval_jacobian's, or
+    raises QuadratureFailure; so a solve certifies the point it returns
+    without building its plan again.  Raises DomainError or ValueError for
+    the gaps or indices IntervalPlan rejects.
     """
     exps, j = np.asarray(exps, float), np.asarray(j, int)
     base = np.atleast_2d(exps)
     b_count, m_count = base.shape
     plan = IntervalPlan(gaps, base, j, derivatives=True)
     flat, cols = plan.j, np.arange(plan.j.size)
-    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
-    value = value.reshape(b_count, m_count + 1, flat.size)
-    total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
-    below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
-    above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
     i = np.arange(m_count - 1)[:, None]
-    dlog = plan.gaps[plan.tup].T * np.where(i < flat, -below, above)
-    dlog[:, flat, cols] = 0.0
-    dlog[:, flat, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
     shape = exps.shape[:-1]
-    return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
+
+    def unpack(value):
+        value = value.reshape(b_count, m_count + 1, flat.size)
+        total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
+        below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
+        above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
+        dlog = plan.gaps[plan.tup].T * np.where(i < flat, -below, above)
+        dlog[:, flat, cols] = 0.0
+        dlog[:, flat, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
+        return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
+
+    coarse = plan.integrate_abs(_BASE_NODES)
+    return unpack(coarse), lambda: unpack(
+        _certified(coarse, plan.integrate_abs(2 * _BASE_NODES), _REL_TOL, 0.0, plan.name))
 
 
 def _segment_reach(re, im, unit, length, own):

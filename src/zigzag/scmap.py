@@ -23,8 +23,10 @@ The parameter problem here and the shared-prevertex solve of
 solved by one plain Newton iteration to max|F| <= 1e-12, from the same
 seed: gaps proportional to the target sides.  Its Jacobian is exact: the
 prevertex derivatives of the side integrals are extra exponent rows on
-the panels of the sides, so each Newton point costs one kernel call.
-Every real-interval integral takes the tuple's gaps, not its absolute
+the panels of the sides, so each Newton point costs one kernel plan and
+one 12-node sum, uncompared.  Only the point a solve returns pays the
+12-against-24 certificate, one more sum on the same plan.  Every
+real-interval integral takes the tuple's gaps, not its absolute
 prevertices, so a gap far below the prevertices loses no digits and F
 has no rounding floor above the tolerance.  The shared solve starts from
 equal sides, with no nested parameter solve.
@@ -176,72 +178,104 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
     return np.log(sides[..., 1:] / sides[..., :1])
 
 
+def _mapped(point, f):
+    """A Newton point (values, certify) with ``f`` applied to its values
+    and to the certified values that ``certify()`` returns."""
+    values, certify = point
+    return f(*values), lambda: f(*certify())
+
+
 def _side_jacobian(u, exponents):
     """Raw positive sides (R, p) of the tuple with log-gaps u under each
     row of the (R, 2p+1) stack ``exponents`` and their exact (R, p, p-1)
-    Jacobian over u, from one kernel call.
+    Jacobian over u, as a Newton point (values, certify) from one kernel
+    plan: ``values`` is (sides, Jacobian) from one 12-node sum with no
+    comparison, and ``certify()`` returns them certified at the same u,
+    the sides then equal to positive_sides, or raises QuadratureFailure
+    (quadrature.interval_jacobian_point).
 
-    It chains the log-gap derivatives of quadrature.interval_jacobian:
+    It chains the log-gap derivatives of the interval integrals:
     d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
     s_{i+1} and of its mirror below s_{-i-1}.
     """
     p = u.size + 1
-    total, dlog = quad.interval_jacobian(_symmetric_gaps(np.exp(u)), exponents, np.arange(p, 2 * p))
     i = np.arange(p - 1)
-    d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(0, 2, 1)
-    sides = np.abs(total)
-    return sides, np.real(np.conj(total)[:, :, None] * d_total) / sides[:, :, None]
+
+    def chained(total, dlog):
+        d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(0, 2, 1)
+        sides = np.abs(total)
+        return sides, np.real(np.conj(total)[:, :, None] * d_total) / sides[:, :, None]
+
+    gaps = _symmetric_gaps(np.exp(u))
+    return _mapped(quad.interval_jacobian_point(gaps, exponents, np.arange(p, 2 * p)), chained)
 
 
 def _log_ratio_system(u, exponents):
     """Raw positive sides of the tuple with log-gaps u under each row of
     the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row
-    and the (R, p-1, p-1) Jacobian of those over u, all from one kernel
-    call."""
-    sides, d_sides = _side_jacobian(u, exponents)
-    d_log = d_sides / sides[:, :, None]
-    return sides, _log_ratios(sides), d_log[:, 1:] - d_log[:, :1]
+    and the (R, p-1, p-1) Jacobian of those over u, as the Newton point
+    (values, certify) of _side_jacobian."""
+
+    def ratios(sides, d_sides):
+        d_log = d_sides / sides[:, :, None]
+        return sides, _log_ratios(sides), d_log[:, 1:] - d_log[:, :1]
+
+    return _mapped(_side_jacobian(u, exponents), ratios)
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
 
 
-def _newton_solve(system, u0, label: str) -> tuple[np.ndarray, list[float]]:
-    """(u, residuals): log-gaps u with max|F(u)| <= _NEWTON_TOL by plain
-    Newton, and max|F| at every Newton point, strictly decreasing.
+def _newton_solve(system, u0, label: str):
+    """(u, residuals, values): log-gaps u with a certified max|F(u)| <=
+    _NEWTON_TOL by plain Newton, max|F| at every Newton point, strictly
+    decreasing, and the certified values of ``system`` at u.
 
-    ``system(u)`` returns F(u) and its exact Jacobian from one kernel call,
-    so an accepted step already holds its Jacobian, and on success the
-    last evaluation is at the returned u: one call per residual.  Newton
-    takes full steps, at most 60.  Raises NoConvergence carrying the
-    residuals so far when a step does not reduce max|F|, J is singular or
-    the kernel fails or rejects the point (a step so long that a gap
-    leaves the floating-point range), or F or J is not finite there, the
-    LinAlgError, QuadratureFailure or DomainError chained as its cause.
+    ``system(u)`` returns the Newton point (values, certify) from one
+    kernel plan: values = (F, J, ...), F(u) and its exact Jacobian first,
+    from one 12-node sum with no comparison, and ``certify()`` the same
+    tuple at the same u, certified by 12 against 24 nodes on that plan.
+    An accepted step already holds its Jacobian: one kernel plan per
+    Newton point.  When max|F| <= _NEWTON_TOL, Newton certifies the point;
+    it returns it if the certified max|F| is still <= _NEWTON_TOL, and
+    otherwise goes on from the certified F and J.  So every entry of
+    residuals but the last is max|F| from one 12-node sum (a certified one
+    where a point that looked converged was not), and the last is the
+    certified max|F| at the returned u.  Newton takes full steps, at most
+    60.  Raises NoConvergence carrying the residuals so far when a step
+    does not reduce max|F|, J is singular, the kernel fails to certify a
+    point or rejects it (a step so long that a gap leaves the
+    floating-point range), or F or J is not finite there, the LinAlgError,
+    QuadratureFailure or DomainError chained as its cause.
     """
     residuals = []
     u = np.asarray(u0, dtype=float)
 
-    def evaluate(u):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
-            r, J = system(u)
+    def finite(values):
+        r, J = values[0], values[1]
         if not (np.isfinite(r).all() and np.isfinite(J).all()):
             raise DomainError("F or its Jacobian is not finite")
-        return r, J
+        return values, float(np.max(np.abs(r)))
+
+    def evaluate(u):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
+            values, certify = system(u)
+            values, norm = finite(values)
+            if norm <= _NEWTON_TOL:
+                values, norm = finite(certify())
+        return values, norm
 
     try:
-        r, J = evaluate(u)
-        norm = float(np.max(np.abs(r)))
+        values, norm = evaluate(u)
         for _ in range(60):
             residuals.append(norm)
-            if norm <= _NEWTON_TOL:
-                return u, residuals
-            step = np.linalg.solve(J, -r)
-            r_new, J_new = evaluate(u + step)
-            norm_new = float(np.max(np.abs(r_new)))
+            if norm <= _NEWTON_TOL:  # certified
+                return u, residuals, values
+            step = np.linalg.solve(values[1], -values[0])
+            values_new, norm_new = evaluate(u + step)
             if not norm_new < norm:
                 break
-            u, r, J, norm = u + step, r_new, J_new, norm_new
+            u, values, norm = u + step, values_new, norm_new
     except (np.linalg.LinAlgError, QuadratureFailure, DomainError) as exc:
         raise NoConvergence(f"{label} stalled", residuals) from exc
     raise NoConvergence(f"{label} stalled", residuals)
@@ -253,8 +287,9 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
     coordinates, which keeps the ordering constraint implicit, starting
     from gaps proportional to the target sides, by the Newton iteration
-    of _newton_solve with the exact Jacobian.  Genus 0 and 1 have no
-    unknowns.
+    of _newton_solve with the exact Jacobian: 12-node sums at its
+    iterates, the 12-against-24 certificate at the point it returns.
+    Genus 0 and 1 have no unknowns.
     """
     z = canonicalize(z)
     p = z.genus
@@ -264,11 +299,11 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     target = _log_ratios(np.asarray(z.side_lengths))
     exps = pat.exponents[None, :]
 
-    def system(u):
-        _, ratios, J = _log_ratio_system(u, exps)
+    def residual(sides, ratios, J):
         return ratios[0] - target, J[0]
 
-    u, _ = _newton_solve(system, target, f"parameter problem for {z}")
+    u, _, _ = _newton_solve(lambda u: _mapped(_log_ratio_system(u, exps), residual), target,
+                            f"parameter problem for {z}")
     return Prevertices.from_positive_gaps(np.exp(u))
 
 
@@ -377,6 +412,11 @@ def coalescence_log_fit(deltas, members, pat: ExponentPattern, j: int):
     the model explain essentially all of the observed variation.  Raises
     FitFailure when the residual exceeds 1e-3.  A family whose gap stays
     bounded away from zero passes with c1 ~ 0 (no logarithmic component).
+
+    The fit magnifies rounding in the sampled periods: about 2.7e4 times
+    on the default ``sweep --kind coalescence`` grid (9 gaps, 1e-6 to
+    1e-4), so c1 holds about 12 meaningful digits, though the sweep's CSV
+    writes it to 17 (io._fmt).
     """
     return _log_fit(coalescence_deltas(deltas), *_coalescence_periods(members, pat.exponents, j))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zigzag as zz
-from zigzag.errors import DomainError, NoConvergence, ZigzagError
+from zigzag.errors import DomainError, NoConvergence, QuadratureFailure, ZigzagError
 from zigzag.scmap import positive_sides
 
 
@@ -233,36 +233,86 @@ class TestSharedPrevertexSolve:
 
 
 class TestWorkCounter:
-    def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
-        # deterministic work gate: kernel plans in the direct genus-5 solve,
-        # one per Newton point (residual and exact Jacobian together), each
-        # summed exactly twice, at _BASE_NODES and twice that; cold
-        # parameter solves only for the two certificates of D, with no
-        # lower genus solved.
+    """Deterministic node-work gate: every kernel plan of a direct solve is
+    summed once at _BASE_NODES, and the 12-against-24 certificate sums at
+    twice that only the plan of the point each solve returns: the shared
+    solve and the two cold parameter solves of D, whatever the genus."""
+
+    @staticmethod
+    def counted_solve(monkeypatch, p, k):
+        """(record, sums, solves): continuation_solve(p, k), every
+        integrate_abs sum as (plan, nodes) in call order and the genus of
+        every cold parameter solve."""
         # integrate_abs is bound at class creation, so it is spied on there
         height_mod = sys.modules["zigzag.height"]
         quad = sys.modules["zigzag.quadrature"]
         solve, integrate = height_mod.solve_parameter_problem, quad.IntervalPlan.integrate_abs
-        post_init = zz.Prevertices.__post_init__
-        solves, nodes, tuples = [], [], []
+        solves, sums = [], []
 
         def counting_solve(*args):
             solves.append(args[0].genus)
             return solve(*args)
 
         def counting_sums(self, n):
-            nodes.append(n)
+            sums.append((self, n))
             return integrate(self, n)
 
         monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
         monkeypatch.setattr(quad.IntervalPlan, "integrate_abs", counting_sums)
+        return zz.continuation_solve(p, k), sums, solves
+
+    @staticmethod
+    def check_certified_once(record, sums, plan_count):
+        base = sys.modules["zigzag.quadrature"]._BASE_NODES
+        coarse = [plan for plan, n in sums if n == base]
+        fine = [i for i, (_, n) in enumerate(sums) if n == 2 * base]
+        assert record.converged
+        assert len(coarse) == len({id(plan) for plan in coarse}) == plan_count
+        assert len(fine) == 3 and len(sums) == plan_count + 3
+        # each certificate sums the plan of the point just evaluated, the
+        # one its solve returns: the shared NE/SW solve, then the cold NE
+        # and SW solves, whose returned gaps are the record's
+        assert all(sums[i][0] is sums[i - 1][0] for i in fine)
+        shared, ne, sw = (sums[i][0] for i in fine)
+        assert [plan.rows.shape[1] for plan in (shared, ne, sw)] == [2, 1, 1]
+        assert np.array_equal(ne.gaps[0], record.prev_ne.gaps)
+        assert np.array_equal(sw.gaps[0], record.prev_sw.gaps)
+
+    def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
+        # kernel plans in the direct genus-5 solve, one per Newton point
+        # (residual and exact Jacobian together); cold parameter solves only
+        # for the two certificates of D, with no lower genus solved
+        post_init = zz.Prevertices.__post_init__
+        tuples = []
         monkeypatch.setattr(zz.Prevertices, "__post_init__",
                             lambda self: tuples.append(1) or post_init(self))
-        assert zz.continuation_solve(5, 2).converged
+        record, sums, solves = self.counted_solve(monkeypatch, 5, 2)
         assert solves == [5, 5]
         assert len(tuples) <= 2  # Newton points take gaps, not Prevertices
         assert 0 < len(kernel_plans) <= 16
-        assert nodes == [quad._BASE_NODES, 2 * quad._BASE_NODES] * len(kernel_plans)
+        self.check_certified_once(record, sums, len(kernel_plans))
+
+    def test_certified_sums_do_not_depend_on_genus(self, monkeypatch, kernel_plans):
+        record, sums, solves = self.counted_solve(monkeypatch, 12, 3)
+        assert solves == [12, 12]
+        self.check_certified_once(record, sums, len(kernel_plans))
+
+
+class TestFinalCertificate:
+    @pytest.mark.parametrize("nodes", [2, 3, 4])
+    def test_too_few_nodes_fail_the_returned_point(self, monkeypatch, nodes):
+        # Newton iterates take one rule of _BASE_NODES nodes, uncompared; at
+        # 2-4 nodes Newton converges on that rule's inaccurate F, and only
+        # the certificate of the point a solve returns (here nodes against
+        # twice as many) refuses it, so no record or tuple comes back
+        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", nodes)
+        z = zz.ZigzagParams(5, 2, (1.0, 0.8, 1.2, 0.9, 1.1))
+        for solve in (lambda: zz.continuation_solve(5, 2),
+                      lambda: zz.solve_parameter_problem(z, zz.sw_pattern(5, 2))):
+            with pytest.raises(NoConvergence) as err:
+                solve()
+            assert isinstance(err.value.__cause__, QuadratureFailure)
+            assert err.value.trace and all(r > 1e-12 for r in err.value.trace)
 
 
 class TestIsolationCertificate:

@@ -16,7 +16,7 @@ from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _graded_panels, _rule,
                                 _segment_reach, _SegmentPanels, arc_integral,
                                 interval_abs_integral, interval_integral, interval_jacobian,
-                                segment_integral)
+                                interval_jacobian_point, segment_integral)
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -369,6 +369,36 @@ class TestStackedTuples:
         assert failing == [2]
         with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 2, gap 1\.0 "):
             interval_abs_integral(gaps, exps, [1, 1, 1])
+
+
+class TestJacobianPoint:
+    """interval_jacobian_point, what a Newton iterate takes: one 12-node
+    sum, uncompared, and a certificate of the same point on the same plan."""
+
+    def test_certify_reuses_the_plan_and_equals_interval_jacobian(self, kernel_plans):
+        # a stacked coalescing family down to a 1e-9 gap, NE and SW rows
+        base = zz.Prevertices((-2.6, -1.6, -1.0, 0.0, 1.0, 1.6, 2.6))
+        gaps = np.array([m.gaps for m in zz.make_coalescing_family(base, 1, [1e-9, 1e-4, 0.1])])
+        rows = np.stack((zz.ne_pattern(3).exponents, zz.sw_pattern(3).exponents))
+        j = np.tile(np.arange(6), (3, 1))
+        (total, dlog), certify = interval_jacobian_point(gaps, rows, j)
+        fine_total, fine_dlog = certify()
+        assert len(kernel_plans) == 1
+        ref_total, ref_dlog = interval_jacobian(gaps, rows, j)
+        assert np.array_equal(fine_total, ref_total) and np.array_equal(fine_dlog, ref_dlog)
+        # the 12-node values are the coarse half of that certificate
+        assert np.all(np.abs(total - fine_total) <= 1e-12 * np.abs(fine_total))
+        scale = np.max(np.abs(fine_dlog), axis=-2, keepdims=True)
+        assert np.all(np.abs(dlog - fine_dlog) <= 1e-12 * scale)
+
+    def test_values_are_uncompared_and_certify_can_fail(self, monkeypatch):
+        # at 2 against 4 nodes the interval (1, 2), at distance 1 from the
+        # singular factor at s_0, fails its certificate; the values do not
+        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 2)
+        (total, dlog), certify = interval_jacobian_point([1.0, 1.0], [0.5, 0.0, 0.0], 1)
+        assert np.isfinite(total) and np.isfinite(dlog).all()
+        with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 0, gap 1\.0 "):
+            certify()
 
 
 class TestCertifiedAgainstFineSums:

@@ -229,12 +229,17 @@ class TestExactJacobian:
         def sides_at(v):
             return positive_sides(zz.Prevertices.from_positive_gaps(np.exp(v)).gaps, rows)
 
-        sides, jac = _side_jacobian(u, rows)
+        # the 12-node values of a Newton iterate and the certified values of
+        # the same point, which are the certified sides
+        (rough, rough_jac), certify = _side_jacobian(u, rows)
+        sides, jac = certify()
         assert np.array_equal(sides, sides_at(u))
+        assert np.all(np.abs(rough - sides) <= 1e-12 * sides)
         h = 1e-5
         fd = np.stack([(sides_at(u + h * e) - sides_at(u - h * e)) / (2.0 * h)
                        for e in np.eye(p - 1)], axis=-1)
-        assert np.all(np.abs(jac - fd) <= 1e-9 * sides[..., None])
+        for d in (rough_jac, jac):
+            assert np.all(np.abs(d - fd) <= 1e-9 * sides[..., None])
 
 
 class TestNewtonFallback:
@@ -264,6 +269,12 @@ class TestNewtonFallback:
         assert err.value.trace and err.value.trace[-1] > 1e-11
         assert len(kernel_plans) <= 61
 
+    @staticmethod
+    def exact(r, J):
+        """A Newton point (values, certify) of an exact test system, whose
+        certified values are its values."""
+        return (r, J), lambda: (r, J)
+
     def test_kernel_failure_at_a_trial_point_ends_newton(self):
         # the kernel fails to certify the point, or rejects its gaps
         for error in (QuadratureFailure, DomainError):
@@ -273,7 +284,7 @@ class TestNewtonFallback:
                 calls.append(u.copy())
                 if len(calls) == 2:
                     raise error("injected at the first trial point")
-                return u - 1.0, np.eye(u.size)
+                return self.exact(u - 1.0, np.eye(u.size))
 
             with pytest.raises(NoConvergence) as err:
                 _newton_solve(system, np.zeros(2), "linear test system")
@@ -281,10 +292,48 @@ class TestNewtonFallback:
             assert err.value.trace == [1.0]  # max|F| at the seed
             assert isinstance(err.value.__cause__, error)
 
+    def test_certification_failure_at_a_converged_point_ends_newton(self):
+        # F(u) = u - 1 is solved by the first step; the 12-node sums there
+        # read max|F| = 0, and certifying them fails
+        certified = []
+
+        def system(u):
+            def certify():
+                certified.append(u.copy())
+                raise QuadratureFailure("injected at certification")
+
+            return (u - 1.0, np.eye(u.size)), certify
+
+        with pytest.raises(NoConvergence) as err:
+            _newton_solve(system, np.zeros(2), "linear test system")
+        assert len(certified) == 1 and np.array_equal(certified[0], np.ones(2))
+        assert err.value.trace == [1.0]  # the seed's; the uncertified 0 is not kept
+        assert isinstance(err.value.__cause__, QuadratureFailure)
+
+    def test_certified_residual_above_tolerance_continues_newton(self):
+        # the 12-node F is u - 1 left of u = 1, off by 1e-9 from the
+        # certified F, u - (1 + 1e-9): its zero u = 1 looks converged, the
+        # certificate reads max|F| = 1e-9 there, and Newton goes on from the
+        # certified values to the certified zero
+        root = 1.0 + 1e-9
+        certified = []
+
+        def system(u):
+            def certify():
+                certified.append(float(u[0]))
+                return u - root, np.eye(1)
+
+            return (u - (1.0 if u[0] <= 1.0 else root), np.eye(1)), certify
+
+        u, residuals, (r, _) = _newton_solve(system, np.zeros(1), "offset test system")
+        assert certified == [1.0, root] and u[0] == root and r[0] == 0.0
+        assert residuals == [1.0, pytest.approx(1e-9, rel=1e-6), 0.0]
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
     def test_singular_jacobian_ends_newton(self):
         # F(u) = u^2 + 1 has no real zero, and J = 2u is singular at the seed
         def system(u):
-            return u ** 2 + 1.0, np.diag(2.0 * u)
+            return self.exact(u ** 2 + 1.0, np.diag(2.0 * u))
 
         with pytest.raises(NoConvergence) as err:
             _newton_solve(system, np.zeros(1), "rootless test system")

@@ -22,23 +22,29 @@ end, so a prevertex just beyond either end keeps its distance exact and
 every Jacobi rule has the one orientation (0, e).  A segment with no
 prevertex at either end that is no longer than its clearance at the
 midpoint, as a short mesh chord is, meets the one-half rule whole: it is
-one Gauss-Legendre panel from z0.  The panels are flattened into entries
-that each carry their rule and the exponent rows they feed; the nodes of
-every entry are evaluated in blocks of about 2^14 node x prevertex
-entries, with one log(z - s_m) matrix per block serving every row.  ``segment_integral``
-returns the contour integrals, itself giving an end on a prevertex its
-Jacobi panel, summed in complex arithmetic.  On a real interval
-(s_j, s_{j+1}) every factor is real and keeps its sign, so the integrand has
-constant argument and is summed in real arithmetic, log|t - s_m| with no
-arctan2, times one phase per panel and row: ``interval_integral``
-returns the contour integrals, ``interval_abs_integral`` their moduli
-and ``interval_jacobian`` the integrals with their exact derivatives in
-every log-gap, on the same panels.  All three take a stack of tuples,
+one Gauss-Legendre panel from z0.  A segment off the axis may graze a
+prevertex, so its free panels are halved while longer than their
+midpoint clearance.  A real interval cannot: ``IntervalPlan`` places its
+breaks in closed form from two gaps per end, the same breaks the grader
+gives it, with no clearance test and no halving loop.  The panels are
+flattened into entries that each carry their rule and the exponent rows
+they feed; the nodes of every entry are evaluated in blocks of about
+2^14 node x prevertex entries, with one log(z - s_m) matrix per block
+serving every row.  ``segment_integral`` returns the contour integrals,
+itself giving an end on a prevertex its Jacobi panel, summed in complex
+arithmetic.  On a real interval (s_j, s_{j+1}) every factor is real and
+keeps its sign, so the integrand has constant argument and is summed in
+real arithmetic, log|t - s_m| with no arctan2, times one phase per panel
+and row: ``interval_integral`` returns the contour integrals,
+``interval_abs_integral`` their moduli and ``interval_jacobian`` the
+integrals with their exact derivatives in every log-gap, on the same
+panels.  All three take a stack of tuples,
 one tuple being a stack of one, by their gaps s_{m+1} - s_m, not their
 prevertices: every offset is a partial sum of gaps of the interval's own
 tuple and every length a gap, so no digit of a gap 1e-8 of the
 prevertices is lost to their absolute size.  ``IntervalPlan`` rejects a
-gap that is not positive or a partial sum that is not finite
+gap below the least normal float (np.finfo(float).tiny), including every
+gap that is not positive, or a partial sum that is not finite
 (DomainError).  Segments keep absolute coordinates; ``arc_integral``
 sums two segments through its arc's apex.  One routine, ``_certified``,
 compares the sums of each item and row at 12 and at 24 nodes, else
@@ -63,6 +69,7 @@ from .errors import DomainError, QuadratureFailure
 
 _BASE_NODES = 12
 _REL_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # the least normal gap IntervalPlan takes
 
 
 def _jacobi(n, beta, x):
@@ -173,7 +180,9 @@ def _graded_panels(re, im, ray, reach, own):
     its reach.  Free panels are then halved while longer than the
     clearance at their midpoint, at most 40 times: a straight path may
     graze a prevertex, and 40 halvings resolve a closest approach of
-    1e-12 * length while panels still span ~1e4 ulps."""
+    1e-12 * length while panels still span ~1e4 ulps.  Only the segments
+    of segment_integral are graded here; on a real interval no panel is
+    ever halved, and IntervalPlan places the same breaks in closed form."""
     o = np.flatnonzero(reach)  # one row per end that makes panels
     seg, end = o // 2, o % 2
     reach = reach[o]
@@ -227,11 +236,12 @@ class _SegmentPanels:
     origin's panels run along its ray: half the length from each end, or
     the whole length from z0 and 0 from z1 for a segment that fits the
     one-half rule whole.  The panels of all segments are graded at once by
-    ``_graded_panels`` from that same table, each end up to its reach,
-    and flattened into entries, each with its rule index and a row mask: a
-    Gauss-Legendre panel is one entry feeding every row, a Gauss-Jacobi end
-    panel one entry per row, with the rule of that row's absorbed exponent
-    (exponent 0 gives the Legendre rule).  Every factor is formed from the
+    ``_graded_panels`` from that same table, each end up to its reach (an
+    IntervalPlan places its breaks in closed form instead and keeps the
+    rest), and flattened into entries, each with its rule index and a row
+    mask: a Gauss-Legendre panel is one entry feeding every row, a
+    Gauss-Jacobi end panel one entry per row, with the rule of that row's
+    absorbed exponent (exponent 0 gives the Legendre rule).  Every factor is formed from the
     panel's own end, (a - s_m) + u * ray, so a prevertex near either end
     keeps its distance u exact, and every Jacobi panel starts at offset 0,
     so its rule weights (1 + x) alone.  ``sums`` evaluates the factors in
@@ -239,21 +249,30 @@ class _SegmentPanels:
     intervals have their own real path, IntervalPlan.integrate_abs."""
 
     def __init__(self, re, im, unit, reach, own, rows):
-        r_count = rows.shape[0]
         self.s_count = unit.size
         self.rows = rows.T
         self.re, self.im, self.ray = re, im, _ends(unit, -unit)
         seg, end, lo, hi = _graded_panels(re, im, self.ray, reach, own)
         origin = 2 * seg + end
-        own = own[origin]  # prevertex at the panel's end
-        jacobi = (lo == 0.0) & (own >= 0)
-        free, each = np.flatnonzero(~jacobi), np.repeat(np.flatnonzero(jacobi), r_count)
-        row = np.tile(np.arange(r_count), each.size // r_count)
-        take = np.concatenate((free, each))
-        self.seg, self.origin, self.lo = seg[take], origin[take], lo[take]
-        self.h = (hi[take] - lo[take]) / 2.0
-        self.absorbed = np.concatenate((np.full(free.size, -1), own[each]))
-        e = np.concatenate((np.zeros(free.size), rows[row, own[each]]))
+        jacobi = (lo == 0.0) & (own[origin] >= 0)
+        self._flatten(origin[~jacobi], lo[~jacobi], hi[~jacobi], origin[jacobi], hi[jacobi],
+                      own, rows, unit)
+
+    def _flatten(self, free, lo, hi, jac, top, own, rows, unit):
+        """Set the entries: the free panels [lo, hi] from origins ``free``,
+        in order, then each Gauss-Jacobi panel [0, top] at origin ``jac``
+        once per row of ``rows``, with the rule of that row's exponent at
+        the origin's prevertex ``own``; ``unit`` is the direction of each
+        segment."""
+        r_count = rows.shape[0]
+        row = np.arange(jac.size * r_count) % r_count
+        each = own[jac].repeat(r_count)  # the absorbed prevertex of each Jacobi entry
+        self.origin = np.concatenate((free, jac.repeat(r_count)))
+        self.seg = self.origin >> 1
+        self.lo = np.concatenate((lo, np.zeros(each.size)))
+        self.h = np.concatenate((hi - lo, top.repeat(r_count))) / 2.0
+        self.absorbed = np.concatenate((np.full(free.size, -1), each))
+        e = np.concatenate((np.zeros(free.size), rows[row, each]))
         # (z - s_own)^e = (u * ray)^e along the ray out of the absorbed end;
         # dz runs along the segment whichever end the offsets start from
         self.factor = (self.h ** (1.0 + e) * np.exp(e * np.log(self.ray[self.origin] + 0.0))
@@ -319,14 +338,25 @@ class IntervalPlan(_SegmentPanels):
     stack of one.  Each end's offsets are partial sums of its own tuple's
     gaps, each end reaches half the gap and the direction is exactly +1,
     so every interval is built exactly as from its tuple alone and a gap
-    far smaller than the prevertices keeps its full relative accuracy.  It
-    raises ValueError for an interval index outside 0..M-2 and DomainError,
-    naming the first bad tuple and its first bad gap or partial sum,
-    unless every gap is positive and every offset finite.  Only that check
-    makes every point of an interval nearer its ends than any other
-    prevertex, so that its graded panels are never halved: a zero,
-    negative or infinite gap can grade them until memory runs out, and a
-    NaN gap integrates to 0.
+    far smaller than the prevertices keeps its full relative accuracy.
+
+    The breaks follow in closed form from two gaps per end, with no
+    clearance test: partial sums of positive gaps round monotonically, so
+    the nearest other prevertex to an end of an interval with gap g is
+    one gap away, its far end or its outer neighbour (gap g_{j-1} below
+    s_j, g_{j+1} above s_{j+1}, none at the ends of the tuple).  Its
+    Jacobi panel is [0, b], b = min(g/2, neighbour)/2, and its free panels
+    are [b 2^i, min(g/2, b 2^(i+1))] for i < n, the least n with
+    b 2^n >= g/2, read off the binary exponents of g/2 and b.  These are
+    the breaks _graded_panels gives the interval, bit for bit; its halving
+    never fires on one.  It raises ValueError for an interval index
+    outside 0..M-2 and DomainError, naming the first bad tuple and its
+    first bad gap or partial sum, unless every gap is at least the least
+    normal float, np.finfo(float).tiny, and every offset finite.  Only
+    then is b positive and every point of an interval nearer its ends than
+    any other prevertex: a subnormal gap can round b to 0, a zero,
+    negative or infinite gap puts no prevertex where the breaks assume it,
+    and a NaN gap integrates to 0.
 
     On an interval every factor t - s_m is real and keeps one sign, so
     ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
@@ -346,16 +376,17 @@ class IntervalPlan(_SegmentPanels):
         if j.ndim == 0 or j.shape[0] != gaps.shape[0]:
             raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs intervals of shape "
                              f"({gaps.shape[0]}, ...), got {j.shape}")
-        self.tup, j = np.indices(j.shape)[0].ravel(), j.ravel()  # tuple row of each interval
+        self.tup = np.arange(j.shape[0]).repeat(j[0].size if j.size else 0)  # tuple row
+        j = j.ravel()
         outside = (j < 0) | (j >= gaps.shape[1])
         if outside.any():
             raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[1] - 1}")
-        ends, owner = _ends(j, j + 1), _ends(self.tup, self.tup)
+        ends, owner = (j[:, None] + (0, 1)).ravel(), self.tup.repeat(2)  # s_j, s_{j+1}
         with np.errstate(over="ignore"):  # an overflowing sum is refused below
             offsets = _gap_offsets(gaps[owner], ends)
-        if not ((gaps > 0.0).all() and np.isfinite(offsets).all()):
+        if not ((gaps >= _TINY).all() and np.isfinite(offsets).all()):
             # name the first bad tuple and its first bad gap or partial sum
-            bad_gap, bad_sum = ~(gaps > 0.0), ~np.isfinite(offsets)
+            bad_gap, bad_sum = ~(gaps >= _TINY), ~np.isfinite(offsets)
             bad = bad_gap.any(axis=1)
             bad[owner[bad_sum.any(axis=1)]] = True
             t = np.argmax(bad)
@@ -365,19 +396,31 @@ class IntervalPlan(_SegmentPanels):
             else:
                 e, m = np.argwhere(bad_sum & (owner == t)[:, None])[0]
                 what = f"partial sum s_{ends[e]} - s_{m} is {offsets[e, m]}"
-            raise DomainError("interval gaps must be positive with finite partial sums: "
-                              f"tuple {t}, {what}")
-        self.gaps, self.j = gaps, j
+            raise DomainError("interval gaps must be positive normal floats with finite "
+                              f"partial sums: tuple {t}, {what}")
+        self.gaps, self.j, self.derivatives = gaps, j, derivatives
         rows = np.atleast_2d(np.asarray(exps, float))
-        half = gaps[self.tup, j] / 2.0
-        super().__init__(offsets, np.zeros(ends.size), np.ones(j.size, complex),
-                         _ends(half, half), ends, rows)
-        self.derivatives = derivatives
+        r_count, m_count = rows.shape
+        self.s_count, self.rows = j.size, rows.T
+        self.re, self.im = offsets, np.zeros(ends.size)
+        self.ray = np.ones(ends.size, complex)
+        self.ray[1::2] = -1.0
+        padded = np.full((gaps.shape[0], gaps.shape[1] + 2), np.inf)  # no outer neighbour
+        padded[:, 1:-1] = gaps
+        reach = (gaps[self.tup, j] / 2.0).repeat(2)
+        b = np.minimum(reach, padded[owner, (j[:, None] + (0, 2)).ravel()]) / 2.0
+        (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
+        count = e_r - e_b + (m_b < m_r)  # free panels of each end
+        free = np.arange(ends.size).repeat(count)
+        lo = np.ldexp(b[free], np.arange(free.size) - (count.cumsum() - count).repeat(count))
+        self._flatten(free, lo, np.minimum(reach[free], lo + lo), np.arange(ends.size), b, ends,
+                      rows, np.ones(j.size, complex))
         if derivatives:
-            width, i = rows.shape[1] + 1, np.arange(j.size)
-            valid = np.ones((j.size, rows.shape[0], width), bool)
+            width, i = m_count + 1, np.arange(j.size)
+            valid = np.ones((j.size, r_count, width), bool)
             valid[i, :, 1 + j] = valid[i, :, 2 + j] = False
-            self.mask = np.repeat(self.mask, width, axis=1) & valid.reshape(j.size, -1)[self.seg]
+            valid = valid.reshape(j.size, r_count * width)
+            self.mask = np.repeat(self.mask, width, axis=1) & valid[self.seg]
 
     def name(self, i):
         """The i-th interval, with its tuple row and its gap."""

@@ -13,8 +13,8 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _graded_panels, _rule,
-                                _segment_reach, _SegmentPanels, arc_integral,
+from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _gap_offsets, _graded_panels,
+                                _rule, _segment_reach, _SegmentPanels, arc_integral,
                                 interval_abs_integral, interval_integral, interval_jacobian,
                                 interval_jacobian_point, segment_integral)
 
@@ -231,17 +231,20 @@ class TestRealIntervalPath:
 
 class TestKernelInput:
     """IntervalPlan refuses what neither interval routine can integrate:
-    gaps that are not positive or whose partial sums are not finite
-    (DomainError), and interval indices outside the tuple (ValueError).
+    gaps below the least normal float, which takes in every gap that is
+    not positive, or whose partial sums are not finite (DomainError), and
+    interval indices outside the tuple (ValueError).
     interval_abs_integral and interval_jacobian are each checked on one
     tuple and on a stack, and an overflowing partial sum through
     interval_integral too, in process."""
 
     EXPS = [0.5, -0.5, 0.5, -0.5, 0.5]
 
-    # Without the check an infinite, zero or negative gap grades panels
-    # until memory runs out, so the bad gaps run in a child process capped
-    # at 1 GiB of address space, where such a regression fails fast.
+    # Without the check an infinite, zero or negative gap can grade panels
+    # until memory runs out, and a subnormal one can round the first break
+    # to 0, so the bad gaps run in a child process capped at 1 GiB of
+    # address space, where such a regression fails fast.  A gap of 5e-324
+    # is what a Newton step to a log-gap of about -745 asks for.
     CHILD = """
 import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -249,7 +252,8 @@ import numpy as np
 from zigzag.quadrature import interval_abs_integral, interval_jacobian
 outcomes = {}
 for name, bad in [("inf", [np.inf]), ("nan", [np.nan]), ("zero", [0.0]),
-                  ("negative", [-0.5]), ("overflowing sum", [1e308, 1e308])]:
+                  ("negative", [-0.5]), ("overflowing sum", [1e308, 1e308]),
+                  ("subnormal 5e-324", [5e-324]), ("subnormal 1e-310", [1e-310])]:
     gaps = np.ones(4)
     gaps[1:1 + len(bad)] = bad
     one = gaps, np.arange(4)
@@ -276,7 +280,7 @@ print(json.dumps(outcomes))
                              capture_output=True, text=True, timeout=30)
         assert run.returncode == 0, run.stderr
         outcomes = json.loads(run.stdout)
-        assert len(outcomes) == 20
+        assert len(outcomes) == 28
         assert {case: o for case, (o, _) in outcomes.items() if o != "DomainError"} == {}
         assert max(seconds for _, seconds in outcomes.values()) < 1.0
 
@@ -295,8 +299,9 @@ print(json.dumps(outcomes))
 
     @pytest.mark.parametrize("bad, what", [(-0.5, r"gap 2 is -0\.5"), (0.0, r"gap 2 is 0\.0"),
                                            (math.nan, r"gap 2 is nan"),
+                                           (1e-310, r"gap 2 is 1e-310"),
                                            (math.inf, r"partial sum s_0 - s_3 is -inf")],
-                             ids=["negative", "zero", "nan", "inf"])
+                             ids=["negative", "zero", "nan", "subnormal", "inf"])
     @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian])
     def test_message_names_the_bad_tuple_of_a_stack(self, routine, bad, what):
         # one bad row in a stack of 8: the message names that row and its
@@ -305,8 +310,8 @@ print(json.dumps(outcomes))
         gaps[5, 2] = bad
         with pytest.raises(DomainError) as info:
             routine(gaps, self.EXPS, np.tile(np.arange(4), (8, 1)))
-        assert re.fullmatch(r"interval gaps must be positive with finite partial sums: "
-                            rf"tuple 5, {what}", str(info.value))
+        assert re.fullmatch(r"interval gaps must be positive normal floats with finite "
+                            rf"partial sums: tuple 5, {what}", str(info.value))
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["tuple", "stack"])
     @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian,
@@ -318,10 +323,22 @@ print(json.dumps(outcomes))
         gaps, idx = np.array([1.0, 1e308, 1e308, 1.0]), np.arange(4)
         if stacked:  # row 1 is bad
             gaps, idx = np.stack((np.ones(4), gaps)), np.stack((idx, idx))
-        with pytest.raises(DomainError, match=rf"^interval gaps must be positive with finite "
-                                              rf"partial sums: tuple {int(stacked)}, "
+        with pytest.raises(DomainError, match=r"^interval gaps must be positive normal floats "
+                                              rf"with finite partial sums: tuple {int(stacked)}, "
                                               r"partial sum s_0 - s_3 is -inf$"):
             routine(gaps, self.EXPS, idx)
+
+    def test_no_intervals_give_empty_arrays(self):
+        # no interval index, for one tuple and for a stack of one: the
+        # routines return empty arrays of the documented shapes
+        rows = np.stack((self.EXPS, self.EXPS))
+        assert interval_abs_integral(np.ones(4), self.EXPS, []).shape == (0,)
+        none = np.zeros((1, 0), int)
+        assert interval_abs_integral(np.ones((1, 4)), rows, none).shape == (2, 1, 0)
+        total, dlog = interval_jacobian(np.ones(4), self.EXPS, [])
+        assert (total.shape, dlog.shape) == ((0,), (4, 0))
+        total, dlog = interval_jacobian(np.ones((1, 4)), rows, none)
+        assert (total.shape, dlog.shape) == ((2, 1, 0), (2, 4, 1, 0))
 
 
 class TestStackedTuples:
@@ -529,6 +546,85 @@ class TestPanelGrading:
         # one path leaves s_{-3} = -4.1 + 1e-10 and passes 2e-22 above s_{-4};
         # with the clearance in absolute coordinates it took 4,194,372 panels
         assert np.bincount(seg).max() < 1000
+
+    def test_interval_plan_matches_scalar_loop(self):
+        # the closed-form breaks of IntervalPlan on every interval of the
+        # same tuple: its entries of one row, as (end, lo, hi), are the
+        # panels of the scalar loop on that interval
+        prev = [-5.0, -4.1, -4.1 + 1e-10, -2.0, -1.0, 0.0, 1.0, 2.0, 4.1 - 1e-10, 4.1, 5.0]
+        j = np.arange(len(prev) - 1)
+        plan = IntervalPlan(np.diff(prev), np.full(len(prev), 0.5), j)
+        end, lo, hi = plan.origin % 2, plan.lo, plan.lo + 2.0 * plan.h
+        for i in j:
+            got = zip(end[plan.seg == i].tolist(), lo[plan.seg == i].tolist(),
+                      hi[plan.seg == i].tolist())
+            assert sorted(got) == sorted(scalar_panels(complex(prev[i]), complex(prev[i + 1]),
+                                                       prev, i, i + 1))
+
+
+def graded_plan(gaps, rows, j, derivatives):
+    """Reference construction of an interval plan: _SegmentPanels grading
+    each interval of a (T, M-1) stack from both ends, each up to half its
+    gap, over the offsets _gap_offsets takes from the tuple's gaps, with
+    the derivative rows' mask formed apart: a row e - delta_m is dropped
+    from every entry of an interval ending at s_m."""
+    tup, flat = np.indices(j.shape)[0].ravel(), j.ravel()
+    ends, owner = _ends(flat, flat + 1), _ends(tup, tup)
+    half = gaps[tup, flat] / 2.0
+    plan = IntervalPlan.__new__(IntervalPlan)  # for integrate_abs on the graded entries
+    _SegmentPanels.__init__(plan, _gap_offsets(gaps[owner], ends), np.zeros(ends.size),
+                            np.ones(flat.size, complex), _ends(half, half), ends, rows)
+    plan.derivatives = derivatives
+    if derivatives:
+        col = np.arange(rows.shape[1] + 1) - 1 - flat[plan.seg][:, None]  # from 1 + j
+        keep = (col != 0) & (col != 1)
+        plan.mask = (plan.mask[:, :, None] & keep[:, None, :]).reshape(plan.seg.size, -1)
+    return plan
+
+
+class TestClosedFormIntervalPlan:
+    FIELDS = ("seg", "origin", "lo", "h", "absorbed", "factor", "mask", "rules", "rule",
+              "re", "im", "ray", "rows")
+
+    def test_plan_arrays_equal_the_graded_construction(self):
+        # seeded random stacks: T = 1..3 tuples of 1..11 gaps, log-uniform
+        # gaps from e^-30 to e^5, exact powers of two, and moderate gaps
+        # among 1e-10, e^-23 and gaps down to the least normal float; k =
+        # 2..8 exponent rows; any subset of interval indices, repeated or
+        # none; one tuple given as a stack or alone; with and without
+        # derivative rows.  Every plan array equals the graded one, and so
+        # do its 12- and 24-node sums on every tenth plan (overflowing
+        # where tiny gaps meet negative exponents, alike on both)
+        rng = np.random.default_rng(26)
+        small = [1e-10, math.exp(-23), 1e-300, 2.0 ** -1000, 3e-308, np.finfo(float).tiny]
+        for case in range(500):
+            k, t, m = (int(v) for v in rng.integers((2, 1, 1), (9, 4, 12)))
+            kind = case % 3
+            if kind == 0:
+                gaps = np.exp(rng.uniform(-30.0, 5.0, (t, m)))
+            elif kind == 1:
+                gaps = 2.0 ** rng.integers(-60, 10, (t, m)).astype(float)
+            else:
+                gaps = rng.uniform(0.1, 3.0, (t, m))
+                pick = rng.random((t, m)) < 0.3
+                gaps[pick] = rng.choice(small, pick.sum())
+            rows = rng.choice([-(k - 1) / k, -1 / k, 0.0, 1 / k, 0.5, (k - 1) / k],
+                              (int(rng.integers(1, 4)), m + 1))
+            j = rng.integers(0, m, (t, int(rng.integers(0, 2 * m + 1))))
+            derivatives = bool(case % 2) and j.size > 0
+            ref = graded_plan(gaps, rows, j, derivatives)
+            if t == 1 and case % 4 < 2:  # one tuple alone
+                gaps, j = gaps[0], j[0]
+            plan = IntervalPlan(gaps, rows, j, derivatives)
+            assert plan.s_count == ref.s_count
+            for field in self.FIELDS:
+                got, want = getattr(plan, field), getattr(ref, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (case, field)
+            if case % 10 == 0 and j.size:
+                with np.errstate(over="ignore", invalid="ignore"):  # 1e-300 gaps overflow
+                    for n in (_BASE_NODES, 2 * _BASE_NODES):
+                        assert np.array_equal(plan.integrate_abs(n), ref.integrate_abs(n),
+                                              equal_nan=True)
 
 
 class TestWholePanels:

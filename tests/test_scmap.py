@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import zigzag as zz
 from zigzag.errors import DomainError, NoConvergence, QuadratureFailure
 from zigzag.quadrature import interval_abs_integral
-from zigzag.scmap import _development, _newton_solve, _side_jacobian, positive_sides
+from zigzag.scmap import (_development, _log_ratio_system, _mapped, _newton_solve,
+                          _side_jacobian, positive_sides)
 
 
 class TestExponentPattern:
@@ -291,6 +292,22 @@ class TestNewtonFallback:
             assert len(calls) == 2
             assert err.value.trace == [1.0]  # max|F| at the seed
             assert isinstance(err.value.__cause__, error)
+
+    def test_step_to_a_subnormal_gap_ends_newton(self):
+        # the seed steps to the log-gaps (0, -745), whose second gap
+        # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
+        exps = zz.ne_pattern(3, 2).exponents[None, :]
+
+        def system(u):
+            if u[1] == 0.0:  # the seed
+                return self.exact(np.array([0.0, 745.0]), np.eye(2))
+            return _mapped(_log_ratio_system(u, exps), lambda sides, r, J: (r[0], J[0]))
+
+        with pytest.raises(NoConvergence) as err:
+            _newton_solve(system, np.zeros(2), "subnormal step test system")
+        assert err.value.trace == [745.0]
+        assert isinstance(err.value.__cause__, DomainError)
+        assert str(err.value.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
 
     def test_certification_failure_at_a_converged_point_ends_newton(self):
         # F(u) = u - 1 is solved by the first step; the 12-node sums there

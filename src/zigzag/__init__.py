@@ -36,6 +36,7 @@ from .scmap import (
     periods,
     side_length,
     solve_parameter_problem,
+    solve_parameter_problems,
     sw_pattern,
 )
 from .elliptic import (
@@ -75,7 +76,8 @@ __all__ = [
     "ZigzagParams", "VertexChain", "build_vertices", "canonicalize",
     "stratum_distance", "add_handle",
     "ExponentPattern", "Prevertices", "ne_pattern",
-    "sw_pattern", "side_length", "solve_parameter_problem", "forward_map",
+    "sw_pattern", "side_length", "solve_parameter_problem", "solve_parameter_problems",
+    "forward_map",
     "periods", "coalescence_log_fit", "make_coalescing_family",
     "EllipticData", "carlson_rf", "cross_ratio_lambda", "elliptic_periods",
     "extremal_length_quad", "extremal_lengths",

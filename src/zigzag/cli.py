@@ -154,11 +154,13 @@ def cmd_mesh(args) -> int:
 
 
 def _parse_grid(grid: str):
+    """The log-spaced grid of ``min,max,count``; ValueError ("bad grid")
+    unless 0 < min < max, both finite, and count > 0."""
     parts = grid.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected min,max,count: {grid}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n <= 0 or lo <= 0 or hi <= lo:
+    if n <= 0 or not (0 < lo < hi < math.inf):
         raise ValueError(f"bad grid {grid}")
     return np.geomspace(lo, hi, n)
 

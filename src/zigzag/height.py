@@ -12,16 +12,18 @@ one plain Newton iteration with an exact Jacobian, to the tolerance that
 also ends the parameter solves in ``scmap``.  Each Newton point takes the
 residual and its Jacobian for both patterns from one kernel plan and one
 12-node sum; the point the solve returns is certified by 12 against 24
-nodes on that plan, as are the points the two cold solves below
-return.  The top genus is solved directly from equal sides, with no
-nested parameter solve and no lower genus: the paper's handle insertion
-from genus p-1 is its existence argument by continuation, not a step of
-the computation.
-D of the result, from two cold parameter solves, is the certificate, and
-the smallest singular value of the Jacobian at the solution certifies
-that the zero is isolated.  The record keeps what Newton did: max|F| at
-every Newton point, one kernel plan each, from its 12-node sum but for
-the last, which is the certified max|F| at the solution.
+nodes on that plan.  The top genus is solved directly from equal sides,
+with no nested parameter solve and no lower genus: the paper's handle
+insertion from genus p-1 is its existence argument by continuation, not
+a step of the computation.  D of the result is the certificate, and the
+smallest singular value of the Jacobian at the solution certifies that
+the zero is isolated.  D takes the NE and SW parameter problems cold, as
+one stacked Newton solve with one kernel plan per step, each member on
+its own exponent row and certified on its own items at the point it
+returns, its tuple bit for bit that of its solve alone
+(scmap.solve_parameter_problems).  The record keeps what Newton did:
+max|F| at every Newton point, one kernel plan each, from its 12-node sum
+but for the last, which is the certified max|F| at the solution.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import NotReflexive
 from .geometry import ZigzagParams, canonicalize
 from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_solve,
-                    ne_pattern, solve_parameter_problem, sw_pattern)
+                    ne_pattern, solve_parameter_problems, sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
@@ -78,12 +80,13 @@ def _height_from_ext(ext_ne, ext_sw) -> float:
 
 
 def height_parts(z: ZigzagParams):
-    """Solve both parameter problems cold and return
+    """Solve both parameter problems cold, as one stacked Newton solve
+    with the NE and SW patterns as its members, and return
     (prev_ne, prev_sw, ext_ne, ext_sw, D)."""
     z = canonicalize(z)
     p = z.genus
-    prev_ne = solve_parameter_problem(z, ne_pattern(p, z.turn_order))
-    prev_sw = solve_parameter_problem(z, sw_pattern(p, z.turn_order))
+    prev_ne, prev_sw = solve_parameter_problems(z, (ne_pattern(p, z.turn_order),
+                                                    sw_pattern(p, z.turn_order)))
     ext_ne = extremal_lengths(prev_ne)
     ext_sw = extremal_lengths(prev_sw)
     return prev_ne, prev_sw, ext_ne, ext_sw, _height_from_ext(ext_ne, ext_sw)
@@ -112,12 +115,12 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     the Jacobian and its smallest singular value, stored as the isolation
     certificate, are taken from those certified values.  Genus 0 and 1
     have no unknowns.  The zigzag is read off the normalized NE sides;
-    two cold parameter solves then give D as an independent certificate,
-    and the record is converged iff D < 1e-10, a bar some 16 orders above
-    the D of a solution; the record stores D for any stricter bar.  It keeps max|F|
-    at every Newton point, as the solver returns it: each entry but the
-    last from one 12-node sum, and the last the certified max|F| at the
-    solution.
+    the stacked cold NE and SW parameter solves of height_parts then give
+    D as an independent certificate, and the record is converged iff
+    D < 1e-10, a bar some 16 orders above the D of a solution; the record
+    stores D for any stricter bar.  It keeps max|F| at every Newton point,
+    as the solver returns it: each entry but the last from one 12-node
+    sum, and the last the certified max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order

@@ -38,25 +38,31 @@ real arithmetic, log|t - s_m| with no arctan2, times one phase per panel
 and row: ``interval_integral`` returns the contour integrals,
 ``interval_abs_integral`` their moduli and ``interval_jacobian`` the
 integrals with their exact derivatives in every log-gap, on the same
-panels.  All three take a stack of tuples,
-one tuple being a stack of one, by their gaps s_{m+1} - s_m, not their
-prevertices: every offset is a partial sum of gaps of the interval's own
-tuple and every length a gap, so no digit of a gap 1e-8 of the
-prevertices is lost to their absolute size.  ``IntervalPlan`` rejects a
-gap below the least normal float (np.finfo(float).tiny), including every
-gap that is not positive, or a partial sum that is not finite
-(DomainError).  Segments keep absolute coordinates; ``arc_integral``
-sums two segments through its arc's apex.  One routine, ``_certified``,
-compares the sums of each item and row at 12 and at 24 nodes, else
-QuadratureFailure, and every certified value passes it: each call of
-``interval_integral``, ``interval_abs_integral``, ``interval_jacobian``
-and ``segment_integral`` takes both sums.  A Newton iterate needs an
+panels.  All three take a stack of tuples, one tuple being a stack of
+one, by their gaps s_{m+1} - s_m, not their prevertices: every offset is
+a partial sum of gaps of the interval's own tuple and every length a
+gap, so no digit of a gap 1e-8 of the prevertices is lost to their
+absolute size.  Their exponent rows are one stack shared by every tuple,
+or rows per tuple, as a stacked solve gives each member its own row:
+each tuple's entries are then gathered apart and cut into the blocks a
+call on that tuple alone would take, and a block of several small tuples
+takes one matmul per tuple, so every value equals, bit for bit, that of
+the call on its tuple alone.  ``IntervalPlan`` rejects a gap below the
+least normal float (np.finfo(float).tiny), including every gap that is
+not positive, or a partial sum that is not finite (DomainError).
+Segments keep absolute coordinates; ``arc_integral`` sums two segments
+through its arc's apex.  One routine, ``_certified``, compares the sums
+of each item and row at 12 and at 24 nodes, else QuadratureFailure, and
+every certified value passes it: each call of ``interval_integral``,
+``interval_abs_integral``, ``interval_jacobian`` and
+``segment_integral`` takes both sums.  A Newton iterate needs an
 accurate F, not a certified one: ``interval_jacobian_point`` returns
 ``interval_jacobian`` from the 12-node sum alone, with a function that
-certifies that same point later, summing the same plan at 24 nodes, so
-a solve pays the comparison only at the point it returns.  A fixed node
-count set by the tolerance, as in Driscoll & Trefethen's SC Toolbox,
-serves every integrand here, with no adaptive doubling past it.
+certifies that same point later, summing the same plan at 24 nodes, so a
+solve pays the comparison only at the point it returns, and a member of
+a stacked solve compares only its own items.  A fixed node count set by
+the tolerance, as in Driscoll & Trefethen's SC Toolbox, serves every
+integrand here, with no adaptive doubling past it.
 """
 
 from __future__ import annotations
@@ -111,15 +117,16 @@ def _rule(n: int, beta: float):
 _BLOCK = 1 << 14  # node x prevertex log entries evaluated at once
 
 
-def _factor_logs(re, im):
+def _factor_logs(re, im, out=(None, None)):
     """log|d| and arg d of the factors d = re + i im = z - s_m, principal
     branches; ``im`` may broadcast against ``re``.  A signed-zero ``im`` is
     cleared first, so a point on the real axis takes the upper half-plane
-    branch."""
+    branch.  ``out`` may give two arrays of the shape of ``re`` to hold
+    arg d and log|d|."""
     im = im + 0.0
-    arg = np.arctan2(im, re)
+    arg = np.arctan2(im, re, out=out[0])
     with np.errstate(over="ignore"):
-        sq = re * re
+        sq = np.multiply(re, re, out=out[1])
         sq += im * im
     if sq.min(initial=np.inf) > 1e-300 and sq.max(initial=0.0) < 1e300:
         mag = np.log(sq, out=sq)
@@ -137,18 +144,22 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _certified(coarse, fine, rel_tol, abs_tol: float, what):
+def _certified(coarse, fine, rel_tol, abs_tol: float, what, items=None):
     """Certify panel sums by one comparison: ``coarse`` and ``fine``, the
     (R, S) sums of every row and item at 12 and at 24 nodes per panel
     (_BASE_NODES and its double), else QuadratureFailure.
 
     Every (row, item) pair must change by at most rel_tol * |fine| +
     abs_tol; a pair that no entry feeds is exactly 0 at both counts and
-    passes.  Returns ``fine``; raises QuadratureFailure naming ``what(i)``
-    for the first item i with a failing pair.
+    passes.  ``items``, an (S,) mask, restricts the comparison to those
+    items; the others are returned uncompared.  Returns ``fine``; raises
+    QuadratureFailure naming ``what(i)`` for the first compared item i
+    with a failing pair.
     """
     change = np.abs(fine - coarse)
     failed = ~(change <= rel_tol * np.abs(fine) + abs_tol)
+    if items is not None:
+        failed &= items
     if failed.any():
         i, r = np.argwhere(failed.T)[0]
         rel = change[r, i] / max(abs(fine[r, i]), 1e-300)
@@ -246,75 +257,128 @@ class _SegmentPanels:
     keeps its distance u exact, and every Jacobi panel starts at offset 0,
     so its rule weights (1 + x) alone.  ``sums`` evaluates the factors in
     complex arithmetic, as a segment off the real axis needs; real
-    intervals have their own real path, IntervalPlan.integrate_abs."""
+    intervals have their own real path, IntervalPlan.integrate_abs.
+
+    ``rows`` is one (R, M) stack of exponent rows for every segment; an
+    IntervalPlan may instead give each tuple its own rows.  ``self.rows``
+    holds them as a (G, M, R) stack and segment i takes rows[group[i]]."""
 
     def __init__(self, re, im, unit, reach, own, rows):
         self.s_count = unit.size
-        self.rows = rows.T
         self.re, self.im, self.ray = re, im, _ends(unit, -unit)
         seg, end, lo, hi = _graded_panels(re, im, self.ray, reach, own)
         origin = 2 * seg + end
         jacobi = (lo == 0.0) & (own[origin] >= 0)
         self._flatten(origin[~jacobi], lo[~jacobi], hi[~jacobi], origin[jacobi], hi[jacobi],
-                      own, rows, unit)
+                      own, rows[None], np.zeros(unit.size, int), unit)
 
-    def _flatten(self, free, lo, hi, jac, top, own, rows, unit):
-        """Set the entries: the free panels [lo, hi] from origins ``free``,
-        in order, then each Gauss-Jacobi panel [0, top] at origin ``jac``
-        once per row of ``rows``, with the rule of that row's exponent at
-        the origin's prevertex ``own``; ``unit`` is the direction of each
-        segment."""
-        r_count = rows.shape[0]
+    def _flatten(self, free, lo, hi, jac, top, own, rows, group, unit):
+        """Set the entries: the free panels [lo, hi] from origins
+        ``free``, in order, then each Gauss-Jacobi panel [0, top] at origin
+        ``jac`` once per row, with the rule of that row's exponent at the
+        origin's prevertex ``own``.  ``rows`` is a (G, R, M) stack of
+        exponent rows, ``group`` the index into it of each segment and
+        ``unit`` the direction of each segment.  The entries of each group
+        are then gathered in that order (a stable sort): with one group
+        nothing moves, and a group's entries are those of a call on its
+        segments alone, in the same order."""
+        self.rows, self.group = rows.transpose(0, 2, 1), group
+        r_count = rows.shape[1]
         row = np.arange(jac.size * r_count) % r_count
-        each = own[jac].repeat(r_count)  # the absorbed prevertex of each Jacobi entry
-        self.origin = np.concatenate((free, jac.repeat(r_count)))
+        jac = jac.repeat(r_count)
+        each = own[jac]  # the absorbed prevertex of each Jacobi entry
+        origin = np.concatenate((free, jac))
+        order = np.argsort(group[origin >> 1], kind="stable") if rows.shape[0] > 1 else slice(None)
+        self.origin = origin[order]
         self.seg = self.origin >> 1
-        self.lo = np.concatenate((lo, np.zeros(each.size)))
-        self.h = np.concatenate((hi - lo, top.repeat(r_count))) / 2.0
-        self.absorbed = np.concatenate((np.full(free.size, -1), each))
-        e = np.concatenate((np.zeros(free.size), rows[row, each]))
+        self.lo = np.concatenate((lo, np.zeros(each.size)))[order]
+        self.h = (np.concatenate((hi - lo, top.repeat(r_count))) / 2.0)[order]
+        self.absorbed = np.concatenate((np.full(free.size, -1), each))[order]
+        e = np.concatenate((np.zeros(free.size), rows[group[jac >> 1], row, each]))[order]
         # (z - s_own)^e = (u * ray)^e along the ray out of the absorbed end;
         # dz runs along the segment whichever end the offsets start from
         self.factor = (self.h ** (1.0 + e) * np.exp(e * np.log(self.ray[self.origin] + 0.0))
                        * unit[self.seg])
         self.mask = np.concatenate((np.ones((free.size, r_count), bool),
-                                    row[:, None] == np.arange(r_count)))
-        self.rules, self.rule = np.unique(e, return_inverse=True)
+                                    row[:, None] == np.arange(r_count)))[order]
+        self.rules = np.unique(e)
+        self.rule = np.searchsorted(self.rules, e)
+
+    def _blocks(self, step):
+        """The entries in blocks of at most ``step``, each a list of pieces
+        (start, stop, g): runs of entries that share the rows of group g.
+        Each group's entries are cut into pieces of ``step`` from its
+        first, the blocks a call on its segments alone would take; a block
+        holds consecutive pieces while they fit, so a stack of small groups
+        is one block and still one matmul per piece."""
+        edges = [0, self.seg.size]
+        if len(self.rows) > 1:  # each group's entries are one run (_flatten)
+            group = self.group[self.seg]
+            edges[1:1] = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        blocks = []
+        for start, stop in zip(edges, edges[1:]):
+            g = int(self.group[self.seg[start]])
+            for b in range(start, stop, step):
+                piece = (b, min(b + step, stop), g)
+                if blocks and piece[1] - blocks[-1][0][0] <= step:
+                    blocks[-1].append(piece)
+                else:
+                    blocks.append([piece])
+        return blocks
 
     def _summed(self, n, block):
-        """(R, S) panel sums with n nodes per panel.  ``block(k, u, w)``
-        returns the (len(k), R) weighted node sums of the entries k, with
-        (len(k), n) node offsets u from each panel's end and weights w,
-        blocks of about _BLOCK node x prevertex entries."""
-        m_count = self.rows.shape[0]
+        """(R, S) panel sums with n nodes per panel.  ``block(k, u, w,
+        pieces, work)`` returns the (len(k), R) weighted node sums of the
+        entries k, with (len(k), n) node offsets u from each panel's end
+        and weights w; ``pieces`` lists (start, stop, rows), the entries
+        k[start:stop] that take the (M, R) exponent rows ``rows``, for
+        _by_piece, and ``work`` three (len(k), n, M) arrays it may write.
+        Blocks of about _BLOCK node x prevertex entries."""
+        m_count = self.rows.shape[1]
         total = np.zeros((self.s_count, self.mask.shape[1]), complex)
         if not self.seg.size:  # no panels: only segments of zero length
             return total.T
         x, w = (np.array(c) for c in zip(*(_rule(n, e) for e in self.rules.tolist())))
         step = max(1, _BLOCK // (n * m_count))
-        for b in range(0, self.seg.size, step):
-            k = np.arange(b, min(b + step, self.seg.size))
+        # the (entries, n, M) temporaries of every block live in these, so
+        # blocks do not free and fault in their memory one after another
+        work = [np.empty((min(step, self.seg.size), n, m_count)) for _ in range(3)]
+        for pieces in self._blocks(step):
+            first = pieces[0][0]
+            k = np.arange(first, pieces[-1][1])
             rule = self.rule[k]
             u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
-            vals = self.factor[k, None] * block(k, u, w[rule])
+            local = [(b - first, stop - first, self.rows[g]) for b, stop, g in pieces]
+            vals = self.factor[k, None] * block(k, u, w[rule], local, [a[:k.size] for a in work])
             np.add.at(total, self.seg[k], np.where(self.mask[k], vals, 0.0))
         return total.T
 
-    def _complex_block(self, k, u, w):
+    def _complex_block(self, k, u, w, pieces, work):
         """One log matrix, one matmul pair and one exp per block."""
-        m_count, r_count = self.rows.shape
+        r_count = pieces[0][2].shape[1]
         o = self.origin[k]
         ray = self.ray[o, None]
-        mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
-                                (self.im[o, None] + u * ray.imag)[..., None])
+        re = np.add(self.re[o, None, :], (u * ray.real)[..., None], out=work[0])
+        mag, arg = _factor_logs(re, (self.im[o, None] + u * ray.imag)[..., None], work[1:])
         jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
         mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
-        logs = mag.reshape(-1, m_count) @ self.rows + 1j * (arg.reshape(-1, m_count) @ self.rows)
+        logs = _by_piece(mag, pieces) + 1j * _by_piece(arg, pieces)
         return np.einsum("pnr,pn->pr", np.exp(logs).reshape(k.size, u.shape[1], r_count), w)
 
     def sums(self, n):
         """(R, S) panel sums with n nodes per panel, in complex arithmetic."""
         return self._summed(n, self._complex_block)
+
+
+def _by_piece(a, pieces):
+    """The products a[start:stop] @ rows of the entries of each piece
+    (start, stop, rows), as rows of one array, the entries' trailing axes
+    before the last flattened: one matmul per piece, so each piece's
+    product is the one its entries would give as a block alone."""
+    m_count = a.shape[-1]
+    if len(pieces) == 1:  # no copy for a block of one group
+        return a.reshape(-1, m_count) @ pieces[0][2]
+    return np.concatenate([a[b:e].reshape(-1, m_count) @ rows for b, e, rows in pieces])
 
 
 def _gap_offsets(gaps, ends):
@@ -326,8 +390,10 @@ def _gap_offsets(gaps, ends):
     i, a = np.arange(gaps.shape[-1]), ends[:, None]
     up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
     down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
-    zero = np.zeros((ends.size, 1))
-    return np.hstack((down, zero)) - np.hstack((zero, up))
+    offsets = np.zeros((ends.size, gaps.shape[-1] + 1))
+    offsets[:, :-1] = down
+    offsets[:, 1:] -= up
+    return offsets
 
 
 class IntervalPlan(_SegmentPanels):
@@ -335,10 +401,14 @@ class IntervalPlan(_SegmentPanels):
     stack of tuples with gaps s_{m+1} - s_m: segments with Gauss-Jacobi
     panels at both ends, for one exponent row or a stack.  ``j`` has shape
     (T, ...), row t indexing intervals of tuple t; one (M-1,) tuple is a
-    stack of one.  Each end's offsets are partial sums of its own tuple's
-    gaps, each end reaches half the gap and the direction is exactly +1,
-    so every interval is built exactly as from its tuple alone and a gap
-    far smaller than the prevertices keeps its full relative accuracy.
+    stack of one.  ``exps`` is one row or an (R, M) stack shared by every
+    tuple, or a (T, R, M) stack that gives tuple t its own rows exps[t]:
+    then each tuple is summed against its own R rows alone, where a shared
+    stack of all T R rows would sum every row on every tuple.  Each end's
+    offsets are partial sums of its own tuple's gaps, each end reaches
+    half the gap and the direction is exactly +1, so every interval is
+    built exactly as from its tuple alone and a gap far smaller than the
+    prevertices keeps its full relative accuracy.
 
     The breaks follow in closed form from two gaps per end, with no
     clearance test: partial sums of positive gaps round monotonically, so
@@ -399,9 +469,16 @@ class IntervalPlan(_SegmentPanels):
             raise DomainError("interval gaps must be positive normal floats with finite "
                               f"partial sums: tuple {t}, {what}")
         self.gaps, self.j, self.derivatives = gaps, j, derivatives
-        rows = np.atleast_2d(np.asarray(exps, float))
-        r_count, m_count = rows.shape
-        self.s_count, self.rows = j.size, rows.T
+        rows = np.asarray(exps, float)
+        if rows.ndim == 3:  # rows per tuple
+            if rows.shape[0] != gaps.shape[0]:
+                raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs exponent rows of "
+                                 f"shape ({gaps.shape[0]}, R, M) or (R, M), got {rows.shape}")
+            group = self.tup
+        else:  # one stack of rows shared by every tuple
+            rows, group = np.atleast_2d(rows)[None], np.zeros(j.size, int)
+        r_count, m_count = rows.shape[1:]
+        self.s_count = j.size
         self.re, self.im = offsets, np.zeros(ends.size)
         self.ray = np.ones(ends.size, complex)
         self.ray[1::2] = -1.0
@@ -414,7 +491,7 @@ class IntervalPlan(_SegmentPanels):
         free = np.arange(ends.size).repeat(count)
         lo = np.ldexp(b[free], np.arange(free.size) - (count.cumsum() - count).repeat(count))
         self._flatten(free, lo, np.minimum(reach[free], lo + lo), np.arange(ends.size), b, ends,
-                      rows, np.ones(j.size, complex))
+                      rows, group, np.ones(j.size, complex))
         if derivatives:
             width, i = m_count + 1, np.arange(j.size)
             valid = np.ones((j.size, r_count, width), bool)
@@ -427,24 +504,28 @@ class IntervalPlan(_SegmentPanels):
         t, j = self.tup[i], self.j[i]
         return f"interval ({j}, {j + 1}) of tuple {t}, gap {self.gaps[t, j]}"
 
-    def _real_block(self, k, u, w):
-        """One log|d| matrix, one real matmul and one exp per block, plus
-        for the derivative rows one exp and one real batched matmul."""
-        m_count, r_count = self.rows.shape
-        d = self.re[self.origin[k], None, :] + (u * self.ray[self.origin[k], None].real)[..., None]
-        mag = np.log(np.abs(d))
+    def _real_block(self, k, u, w, pieces, work):
+        """One log|d| matrix, one real matmul per piece and one exp per
+        block, plus for the derivative rows one exp and one real batched
+        matmul."""
+        r_count = pieces[0][2].shape[1]
+        o = self.origin[k]
+        d = np.add(self.re[o, None, :], (u * self.ray[o, None].real)[..., None], out=work[0])
+        mag = np.log(np.abs(d, out=work[1]), out=work[1])
         neg = d[:, 0, :] < 0.0
         jac = np.flatnonzero(self.absorbed[k] >= 0)  # in the rule, its phase in self.factor
         mag[jac, :, self.absorbed[k[jac]]] = 0.0
         neg[jac, self.absorbed[k[jac]]] = False
-        phase = np.exp(1j * np.pi * (neg @ self.rows))
-        values = np.exp(mag.reshape(-1, m_count) @ self.rows).reshape(k.size, -1, r_count)
+        phase = np.exp(1j * np.pi * _by_piece(neg, pieces))
+        values = np.exp(_by_piece(mag, pieces)).reshape(k.size, -1, r_count)
         vals = np.einsum("pnr,pn->pr", values, w)
         if not self.derivatives:
             return phase * vals
         # rows e - delta_m: the integrand of e times 1/d = sign(d) exp(-log|d|)
         weighted = (values * w[..., None]).transpose(0, 2, 1)
-        vals = np.concatenate((vals[..., None], weighted @ np.copysign(np.exp(-mag), d)), axis=2)
+        inverse = np.negative(mag, out=work[2])
+        inverse = np.copysign(np.exp(inverse, out=inverse), d, out=inverse)
+        vals = np.concatenate((vals[..., None], weighted @ inverse), axis=2)
         return (phase[..., None] * vals).reshape(k.size, -1)
 
     def integrate_abs(self, n):
@@ -463,8 +544,10 @@ def interval_integral(gaps, exps, j):
     stack of tuples, a family in one call; ``j`` is one interval index or
     an array of them, of shape (T, ...) for a stack, whose row t indexes
     intervals of tuple t, each value equal, bit for bit, to that of the
-    call on tuple t alone; ``exps`` is one exponent row or an (R, M) stack.
-    Returns the row axis of a stack followed by the shape of ``j``, a
+    call on tuple t alone; ``exps`` is one exponent row, an (R, M) stack
+    shared by every tuple or a (T, R, M) stack of R rows per tuple, each
+    tuple's values then bit for bit those of its call alone with exps[t].
+    Returns the row axis R of a stack followed by the shape of ``j``, a
     scalar for one row and index; raises QuadratureFailure naming the
     interval, its tuple row and its gap if an interval and row change by
     more than that from 12 to 24 nodes, and DomainError or ValueError for
@@ -473,7 +556,13 @@ def interval_integral(gaps, exps, j):
     exps, j = np.asarray(exps, float), np.asarray(j, int)
     plan = IntervalPlan(gaps, exps, j)
     value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
-    return value.reshape(exps.shape[:-1] + j.shape)[()]
+    return value.reshape(_row_shape(exps) + j.shape)[()]
+
+
+def _row_shape(exps):
+    """The row axes of an exponent array: () for one row, (R,) for an
+    (R, M) stack shared by every tuple or a (T, R, M) stack per tuple."""
+    return exps.shape[1:-1] if exps.ndim == 3 else exps.shape[:-1]
 
 
 def interval_abs_integral(gaps, exps, j):
@@ -520,33 +609,46 @@ def interval_jacobian_point(gaps, exps, j):
 
     ``values`` is (I, g dI/dg) from one sum at _BASE_NODES (12) nodes per
     panel, with no comparison.  ``certify()`` sums the same plan at twice
-    that, compares the two as interval_jacobian does and returns the
-    certified (I, g dI/dg), equal bit for bit to interval_jacobian's, or
-    raises QuadratureFailure; so a solve certifies the point it returns
-    without building its plan again.  Raises DomainError or ValueError for
-    the gaps or indices IntervalPlan rejects.
+    that, once however often it is called, compares the two as
+    interval_jacobian does and returns the certified (I, g dI/dg), equal
+    bit for bit to interval_jacobian's, or raises QuadratureFailure; so a
+    solve certifies the point it returns without building its plan again.
+    ``certify(tuples)`` compares the intervals of those tuple rows alone,
+    so a member of a stacked solve is certified on its own items: the
+    values of the other tuples are returned uncompared, and their failures
+    cannot fail it.  Raises DomainError or ValueError for the gaps or
+    indices IntervalPlan rejects.
     """
     exps, j = np.asarray(exps, float), np.asarray(j, int)
-    base = np.atleast_2d(exps)
-    b_count, m_count = base.shape
-    plan = IntervalPlan(gaps, base, j, derivatives=True)
+    plan = IntervalPlan(gaps, exps, j, derivatives=True)
+    base = plan.rows.transpose(0, 2, 1)  # (G, R, M)
+    b_count, m_count = base.shape[1:]
     flat, cols = plan.j, np.arange(plan.j.size)
     i = np.arange(m_count - 1)[:, None]
-    shape = exps.shape[:-1]
+    # the rows e of each interval, (R, M, S), and 1 + sum e, (R, S)
+    e, growth = base[plan.group].transpose(1, 2, 0), (1.0 + base.sum(axis=-1))[plan.group].T
+    shape = _row_shape(exps)
 
     def unpack(value):
         value = value.reshape(b_count, m_count + 1, flat.size)
-        total, ds = value[:, 0], -base[:, :, None] * value[:, 1:]  # dI/ds_m, 0 at the ends
+        total, ds = value[:, 0], -e * value[:, 1:]  # dI/ds_m, 0 at the ends
         below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
         above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
         dlog = plan.gaps[plan.tup].T * np.where(i < flat, -below, above)
         dlog[:, flat, cols] = 0.0
-        dlog[:, flat, cols] = (1.0 + base.sum(axis=1))[:, None] * total - dlog.sum(axis=1)
+        dlog[:, flat, cols] = growth * total - dlog.sum(axis=1)
         return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
 
     coarse = plan.integrate_abs(_BASE_NODES)
-    return unpack(coarse), lambda: unpack(
-        _certified(coarse, plan.integrate_abs(2 * _BASE_NODES), _REL_TOL, 0.0, plan.name))
+    fine = []
+
+    def certify(tuples=None):
+        if not fine:
+            fine.append(plan.integrate_abs(2 * _BASE_NODES))
+        items = None if tuples is None else np.isin(plan.tup, tuples)
+        return unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name, items))
+
+    return unpack(coarse), certify
 
 
 def _segment_reach(re, im, unit, length, own):

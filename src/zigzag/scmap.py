@@ -13,7 +13,7 @@ the usual labelling, the NE pattern starts and ends with +(k-1)/k
 Developed along the real axis, the NE integrand traces the vertex chain in
 reversed order (s_j lands on the mirror vertex P_{-j}) and the SW integrand
 traces P_{-p}, ..., P_p directly; a complex-linear normalization cannot
-swap the two since the raw images are mirror congruent.  ``_development``
+swap the two since the raw images are mirror congruent.  ``_developments``
 matches each developed chain to build_vertices in its own order.  A
 solution's Weierstrass data is checked against one chain, build_vertices
 of the solved zigzag, whether built fresh or loaded from its file.
@@ -30,6 +30,16 @@ real-interval integral takes the tuple's gaps, not its absolute
 prevertices, so a gap far below the prevertices loses no digits and F
 has no rounding floor above the tolerance.  The shared solve starts from
 equal sides, with no nested parameter solve.
+
+The parameter problems of several patterns on one zigzag are one stacked
+Newton solve (``solve_parameter_problems``, ``_newton_batch``), as the
+height D takes its NE and SW solves: every Newton step of the members
+still iterating is one kernel plan, each member summed against its own
+exponent row, and each keeps its own history, stopping test, certificate
+and failure.  The kernel gives each member's values bit for bit as its
+call alone, so each member's tuple and history are those of its solve
+alone.  ``_developments`` takes the sides of several patterns on one
+tuple from one kernel call the same way.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ __all__ = [
     "side_length",
     "positive_sides",
     "solve_parameter_problem",
+    "solve_parameter_problems",
     "forward_map",
     "periods",
     "coalescence_log_fit",
@@ -165,10 +176,14 @@ def positive_sides(gaps, exponents) -> np.ndarray:
     j = 0..p-1, of the tuple s_{-p}..s_p with the 2p gaps s_{m+1} - s_m,
     under one exponent pattern, or under each row of an (R, 2p+1) stack of
     patterns as an (R, p) array, all from one call of the shared
-    quadrature kernel.  The mirror interval (s_{-j-1}, s_{-j}) has the same
-    length, since prevertices and exponents are symmetric."""
-    p = len(gaps) // 2
-    return quad.interval_abs_integral(gaps, exponents, np.arange(p, 2 * p))
+    quadrature kernel.  A (T, 2p) stack of tuples takes a (T, R, 2p+1)
+    stack of patterns, R rows per tuple, and gives (R, T, p).  The mirror
+    interval (s_{-j-1}, s_{-j}) has the same length, since prevertices and
+    exponents are symmetric."""
+    gaps = np.asarray(gaps, dtype=float)
+    p = gaps.shape[-1] // 2
+    j = np.broadcast_to(np.arange(p, 2 * p), gaps.shape[:-1] + (p,))
+    return quad.interval_abs_integral(gaps, exponents, j)
 
 
 def _log_ratios(sides: np.ndarray) -> np.ndarray:
@@ -180,9 +195,9 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
 
 def _mapped(point, f):
     """A Newton point (values, certify) with ``f`` applied to its values
-    and to the certified values that ``certify()`` returns."""
+    and to the certified values that ``certify(...)`` returns."""
     values, certify = point
-    return f(*values), lambda: f(*certify())
+    return f(*values), lambda *members: f(*certify(*members))
 
 
 def _side_jacobian(u, exponents):
@@ -192,124 +207,242 @@ def _side_jacobian(u, exponents):
     plan: ``values`` is (sides, Jacobian) from one 12-node sum with no
     comparison, and ``certify()`` returns them certified at the same u,
     the sides then equal to positive_sides, or raises QuadratureFailure
-    (quadrature.interval_jacobian_point).
+    (quadrature.interval_jacobian_point).  A (T, p-1) stack of log-gaps
+    takes a (T, R, 2p+1) stack of rows, R for each tuple, and gives
+    (T, R, p) sides and a (T, R, p, p-1) Jacobian from the one plan, each
+    tuple's equal bit for bit to its call alone; ``certify(members)``
+    compares the items of the tuples ``members`` alone.
 
     It chains the log-gap derivatives of the interval integrals:
     d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
     s_{i+1} and of its mirror below s_{-i-1}.
     """
-    p = u.size + 1
+    stack = np.atleast_2d(u)
+    p = stack.shape[1] + 1
     i = np.arange(p - 1)
 
-    def chained(total, dlog):
-        d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(0, 2, 1)
+    def chained(total, dlog):  # (R, T, p) and (R, 2p, T, p), to (T, R, ...)
+        d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(2, 0, 3, 1)
+        total = total.swapaxes(0, 1)
         sides = np.abs(total)
-        return sides, np.real(np.conj(total)[:, :, None] * d_total) / sides[:, :, None]
+        jac = np.real(np.conj(total)[..., None] * d_total) / sides[..., None]
+        return (sides, jac) if np.ndim(u) == 2 else (sides[0], jac[0])
 
-    gaps = _symmetric_gaps(np.exp(u))
-    return _mapped(quad.interval_jacobian_point(gaps, exponents, np.arange(p, 2 * p)), chained)
+    gaps = [_symmetric_gaps(g) for g in np.exp(stack)]
+    j = np.arange(p, 2 * p)[None].repeat(len(gaps), axis=0)
+    return _mapped(quad.interval_jacobian_point(gaps, exponents, j), chained)
 
 
 def _log_ratio_system(u, exponents):
     """Raw positive sides of the tuple with log-gaps u under each row of
     the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row
     and the (R, p-1, p-1) Jacobian of those over u, as the Newton point
-    (values, certify) of _side_jacobian."""
+    (values, certify) of _side_jacobian, stacked over tuples as it
+    stacks them."""
 
     def ratios(sides, d_sides):
-        d_log = d_sides / sides[:, :, None]
-        return sides, _log_ratios(sides), d_log[:, 1:] - d_log[:, :1]
+        d_log = d_sides / sides[..., None]
+        return sides, _log_ratios(sides), d_log[..., 1:, :] - d_log[..., :1, :]
 
     return _mapped(_side_jacobian(u, exponents), ratios)
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
+_NEWTON_FAILURES = (np.linalg.LinAlgError, QuadratureFailure, DomainError)
+
+
+def _attempt(f, *args):
+    """f(*args), or the exception of _NEWTON_FAILURES that it raised."""
+    try:
+        return f(*args)
+    except _NEWTON_FAILURES as exc:
+        return exc
+
+
+def _member(values, i):
+    """(values, max|F|) of member i of stacked Newton values (F, J, ...);
+    DomainError if its F or J is not finite."""
+    values = tuple(v[i] for v in values)
+    r, J = values[0], values[1]
+    if not (np.isfinite(r).all() and np.isfinite(J).all()):
+        raise DomainError("F or its Jacobian is not finite")
+    return values, float(np.max(np.abs(r)))
+
+
+def _newton_points(system, u, members):
+    """One Newton point per member of a stack: (values, max|F|), certified
+    where max|F| <= _NEWTON_TOL, or the failure that ends the member.
+
+    The members share one call of ``system`` and so one kernel plan.  A
+    call that fails (a plan that refuses one member's gaps) is repeated
+    member by member, so each member meets only its own failure.  One
+    certificate compares the items of the members that need it, and if it
+    fails, each of them alone on the same sums: no member fails on
+    another's items."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
+        point = _attempt(system, u, members)
+        if isinstance(point, Exception):
+            if len(members) == 1:
+                return [point]
+            return [out for i in range(len(members))
+                    for out in _newton_points(system, u[i:i + 1], members[i:i + 1])]
+        values, certify = point
+        out = [_attempt(_member, values, i) for i in range(len(members))]
+        need = [i for i, o in enumerate(out)
+                if not isinstance(o, Exception) and o[1] <= _NEWTON_TOL]
+        certified = _attempt(certify, need) if need else None
+        for i in need:
+            mine = certified
+            if isinstance(certified, Exception) and len(need) > 1:
+                mine = _attempt(certify, [i])
+            out[i] = mine if isinstance(mine, Exception) else _attempt(_member, mine, i)
+    return out
+
+
+def _newton_batch(system, u0, labels):
+    """Plain Newton on a stack of T independent systems, one kernel call
+    per step: for each member, (u, residuals, values), log-gaps u with a
+    certified max|F(u)| <= _NEWTON_TOL, max|F| at every Newton point,
+    strictly decreasing, and its certified values at u; or the
+    NoConvergence that ended it.
+
+    ``system(u, members)`` takes the (len(members), n) log-gaps of the
+    members still iterating, indices into the stack, and returns their
+    Newton point (values, certify) from one kernel plan: values = (F, J,
+    ...) stacked over those members, F(u) and its exact Jacobian first,
+    from one 12-node sum with no comparison, and ``certify(i)`` the same
+    at the same u, certified by 12 against 24 nodes on that plan for the
+    members at the positions i of the call alone (_newton_points).  An
+    accepted step already holds its Jacobian: one kernel plan per Newton
+    point.  Each member is the solve of its system alone: its own history,
+    stopping test, certificate and failure, its u and residuals equal bit
+    for bit, as long as the kernel gives each member's values bit for bit
+    as its call alone.  When max|F| <= _NEWTON_TOL, Newton certifies the
+    point; a member returns it if the certified max|F| is still <=
+    _NEWTON_TOL, and otherwise goes on from the certified F and J.  So
+    every entry of residuals but the last is max|F| from one 12-node sum
+    (a certified one where a point that looked converged was not), and
+    the last is the certified max|F| at the returned u.  Newton takes full
+    steps, at most 60.  A member ends in NoConvergence ``"<label> stalled"``
+    carrying its residuals so far when a step does not reduce its max|F|,
+    its J is singular, the kernel fails to certify its point or rejects
+    it (a step so long that a gap leaves the floating-point range), or
+    its F or J is not finite there, the LinAlgError, QuadratureFailure or
+    DomainError chained as its cause.
+    """
+    u = np.array(u0, dtype=float)
+    residuals = [[] for _ in labels]
+    results = [None] * len(labels)
+
+    def end(m, cause=None):
+        results[m] = NoConvergence(f"{labels[m]} stalled", residuals[m])
+        results[m].__cause__ = cause
+
+    live = list(range(len(labels)))
+    points = _newton_points(system, u, np.array(live))
+    for _ in range(60):
+        stepping = []
+        for m, point in zip(live, points):
+            if isinstance(point, Exception):
+                end(m, point)
+                continue
+            values, norm = point
+            residuals[m].append(norm)
+            if norm <= _NEWTON_TOL:  # certified
+                results[m] = (u[m].copy(), residuals[m], values)
+                continue
+            step = _attempt(np.linalg.solve, values[1], -values[0])
+            if isinstance(step, Exception):
+                end(m, step)
+            else:
+                stepping.append((m, u[m] + step, norm))
+        if not stepping:
+            break
+        trial = _newton_points(system, np.array([t for _, t, _ in stepping]),
+                               np.array([m for m, _, _ in stepping]))
+        live, points = [], []
+        for (m, t, norm), point in zip(stepping, trial):
+            if isinstance(point, Exception) or not point[1] < norm:
+                end(m, point if isinstance(point, Exception) else None)
+            else:
+                u[m] = t
+                live.append(m)
+                points.append(point)
+    for m, result in enumerate(results):
+        if result is None:
+            end(m)
+    return results
 
 
 def _newton_solve(system, u0, label: str):
-    """(u, residuals, values): log-gaps u with a certified max|F(u)| <=
-    _NEWTON_TOL by plain Newton, max|F| at every Newton point, strictly
-    decreasing, and the certified values of ``system`` at u.
+    """(u, residuals, values) of one system by _newton_batch, a batch of
+    one, or its NoConvergence raised.  ``system(u)`` takes the (n,)
+    log-gaps u and returns (values, certify), ``certify()`` taking no
+    arguments."""
 
-    ``system(u)`` returns the Newton point (values, certify) from one
-    kernel plan: values = (F, J, ...), F(u) and its exact Jacobian first,
-    from one 12-node sum with no comparison, and ``certify()`` the same
-    tuple at the same u, certified by 12 against 24 nodes on that plan.
-    An accepted step already holds its Jacobian: one kernel plan per
-    Newton point.  When max|F| <= _NEWTON_TOL, Newton certifies the point;
-    it returns it if the certified max|F| is still <= _NEWTON_TOL, and
-    otherwise goes on from the certified F and J.  So every entry of
-    residuals but the last is max|F| from one 12-node sum (a certified one
-    where a point that looked converged was not), and the last is the
-    certified max|F| at the returned u.  Newton takes full steps, at most
-    60.  Raises NoConvergence carrying the residuals so far when a step
-    does not reduce max|F|, J is singular, the kernel fails to certify a
-    point or rejects it (a step so long that a gap leaves the
-    floating-point range), or F or J is not finite there, the LinAlgError,
-    QuadratureFailure or DomainError chained as its cause.
-    """
-    residuals = []
-    u = np.asarray(u0, dtype=float)
+    def stacked(values):
+        return tuple(np.asarray(v)[None] for v in values)
 
-    def finite(values):
-        r, J = values[0], values[1]
-        if not (np.isfinite(r).all() and np.isfinite(J).all()):
-            raise DomainError("F or its Jacobian is not finite")
-        return values, float(np.max(np.abs(r)))
+    def one(u, members):
+        values, certify = system(u[0])
+        return stacked(values), lambda which: stacked(certify())
 
-    def evaluate(u):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
-            values, certify = system(u)
-            values, norm = finite(values)
-            if norm <= _NEWTON_TOL:
-                values, norm = finite(certify())
-        return values, norm
-
-    try:
-        values, norm = evaluate(u)
-        for _ in range(60):
-            residuals.append(norm)
-            if norm <= _NEWTON_TOL:  # certified
-                return u, residuals, values
-            step = np.linalg.solve(values[1], -values[0])
-            values_new, norm_new = evaluate(u + step)
-            if not norm_new < norm:
-                break
-            u, values, norm = u + step, values_new, norm_new
-    except (np.linalg.LinAlgError, QuadratureFailure, DomainError) as exc:
-        raise NoConvergence(f"{label} stalled", residuals) from exc
-    raise NoConvergence(f"{label} stalled", residuals)
+    [result] = _newton_batch(one, np.asarray(u0, dtype=float)[None], [label])
+    if isinstance(result, NoConvergence):
+        raise result
+    return result
 
 
-def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
-    """Prevertices whose SC side-length ratios match the zigzag's.
+def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ...]:
+    """Prevertices whose SC side-length ratios match the zigzag's, under
+    each of ``patterns``.
 
     Solves for the p-1 gaps g_j = s_{j+1} - s_j (j >= 1) in logarithmic
     coordinates, which keeps the ordering constraint implicit, starting
     from gaps proportional to the target sides, by the Newton iteration
-    of _newton_solve with the exact Jacobian: 12-node sums at its
-    iterates, the 12-against-24 certificate at the point it returns.
-    Genus 0 and 1 have no unknowns.
+    of _newton_batch with the exact Jacobian: 12-node sums at its
+    iterates, the 12-against-24 certificate at the point it returns.  The
+    patterns are one stacked solve, each member on its own exponent row:
+    a Newton step of all members still iterating is one kernel plan, and
+    each member's tuple is bit for bit that of its solve alone.  Genus 0
+    and 1 have no unknowns.  Raises the NoConvergence of the first
+    pattern whose solve fails.
     """
     z = canonicalize(z)
     p = z.genus
     if p <= 1:
-        return Prevertices(tuple(np.arange(-p, p + 1.0)))
+        return tuple(Prevertices(tuple(np.arange(-p, p + 1.0))) for _ in patterns)
 
     target = _log_ratios(np.asarray(z.side_lengths))
-    exps = pat.exponents[None, :]
+    exps = np.stack([pat.exponents for pat in patterns])[:, None, :]  # one row per member
 
     def residual(sides, ratios, J):
-        return ratios[0] - target, J[0]
+        return ratios[:, 0] - target, J[:, 0]
 
-    u, _, _ = _newton_solve(lambda u: _mapped(_log_ratio_system(u, exps), residual), target,
-                            f"parameter problem for {z}")
-    return Prevertices.from_positive_gaps(np.exp(u))
+    results = _newton_batch(
+        lambda u, members: _mapped(_log_ratio_system(u, exps[members]), residual),
+        np.tile(target, (len(exps), 1)), [f"parameter problem for {z}"] * len(exps))
+    for result in results:
+        if isinstance(result, NoConvergence):
+            raise result
+    return tuple(Prevertices.from_positive_gaps(np.exp(u)) for u, _, _ in results)
+
+
+def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
+    """Prevertices whose SC side-length ratios match the zigzag's under
+    one pattern: solve_parameter_problems of that pattern alone."""
+    return solve_parameter_problems(z, (pat,))[0]
 
 
 def _development(prev: Prevertices, pat: ExponentPattern):
-    """(A, steps, targets): the development of one SC integrand along the
-    real axis and its normalization onto the induced zigzag's vertex chain.
+    """(A, steps, targets) of _developments for one pattern."""
+    return _developments(prev, (pat,))[0]
+
+
+def _developments(prev: Prevertices, patterns):
+    """[(A, steps, targets)]: for each of ``patterns``, the development of
+    its SC integrand along the real axis and its normalization onto the
+    induced zigzag's vertex chain.
 
     steps[m] is the raw image of the interval (s_m, s_{m+1}), m = 0..2p-1:
     its length from positive_sides (mirror intervals have equal lengths)
@@ -320,15 +453,21 @@ def _development(prev: Prevertices, pat: ExponentPattern):
     SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] - targets[p]) /
     steps[p] turns and scales the raw image of (s_0, s_1) onto its side,
     so s_m develops onto targets[m] and (s_m, s_{m+1}) onto A * steps[m].
+    The sides of every pattern come from one kernel call, the tuple
+    stacked once per pattern with that pattern's row, each bit for bit
+    as its call alone.
     """
     p = prev.genus
-    exps = pat.exponents
-    pos = positive_sides(prev.gaps, exps)
-    tail = np.cumsum(exps[::-1])[::-1]  # tail[m] = sum of e_i for i >= m
-    steps = np.concatenate((pos[::-1], pos)) * np.exp(1j * (tail[1:] * math.pi))
-    chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos)))).vertices
-    targets = np.asarray(chain[::-1] if pat.orientation == "NE" else chain)
-    return (targets[p + 1] - targets[p]) / steps[p], steps, targets
+    exps = np.stack([pat.exponents for pat in patterns])
+    sides = positive_sides(np.tile(prev.gaps, (len(exps), 1)), exps[:, None])[0]
+    out = []
+    for pat, e, pos in zip(patterns, exps, sides):
+        tail = np.cumsum(e[::-1])[::-1]  # tail[m] = sum of e_i for i >= m
+        steps = np.concatenate((pos[::-1], pos)) * np.exp(1j * (tail[1:] * math.pi))
+        chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos)))).vertices
+        targets = np.asarray(chain[::-1] if pat.orientation == "NE" else chain)
+        out.append(((targets[p + 1] - targets[p]) / steps[p], steps, targets))
+    return out
 
 
 def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:

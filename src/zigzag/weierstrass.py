@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
 from .height import _D_TOL
-from .scmap import Prevertices, _development, ne_pattern, sw_pattern
+from .scmap import Prevertices, _developments, ne_pattern, sw_pattern
 from . import quadrature as quad
 
 __all__ = [
@@ -142,10 +142,12 @@ def build_weierstrass(sol) -> WeierstrassData:
     of the solved zigzag, as weierstrass_from_solution takes it from a
     file, so a record and its file are checked alike, and verify_periods
     fails a zigzag its tuple does not develop.  Only the scales come from
-    _development of each integrand on the shared tuple: the phases of
-    A_ne and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw is
-    positive real for every tuple, and the principal root c is positive
-    real: the image of (s_0, s_1) under dh.
+    the developments of both integrands on the shared tuple, from one
+    kernel call with the tuple stacked twice, rows SW and NE, each scale
+    bit for bit that of its integrand alone (scmap._developments): the
+    phases of A_ne and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw
+    is positive real for every tuple, and the principal root c is
+    positive real: the image of (s_0, s_1) under dh.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
@@ -164,8 +166,8 @@ def build_weierstrass(sol) -> WeierstrassData:
     if p == 0:
         scale_sw, scale_ne = 1.0 + 0j, 1j
     else:
-        scale_sw = complex(_development(shared, sw_pattern(p, k))[0])
-        scale_ne = complex(_development(shared, ne_pattern(p, k))[0])
+        (a_sw, _, _), (a_ne, _, _) = _developments(shared, (sw_pattern(p, k), ne_pattern(p, k)))
+        scale_sw, scale_ne = complex(a_sw), complex(a_ne)
 
     c = cmath.sqrt(-1j * scale_ne * scale_sw)
     return WeierstrassData(p, k, shared, scale_ne, scale_sw, c, chain)

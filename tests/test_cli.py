@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,22 @@ class TestSweep:
                      "--lambdas", "1e-6,1e-3,0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("grid", ["1e-8,inf,3", "1e-8,nan,3", "nan,1e-3,3", "inf,inf,3"])
+    @pytest.mark.parametrize("kind", ["extlength", "coalescence"])
+    def test_non_finite_grid_bound_usage_error(self, tmp_path, monkeypatch, capsys, grid, kind):
+        # refused as a bad grid before any work: no numpy warning, no R_F
+        # error and no base solve
+        solves = []
+        monkeypatch.setattr(sys.modules["zigzag.cli"], "continuation_solve",
+                            lambda *args: solves.append(args))
+        out = tmp_path / "x.csv"
+        option = "--lambdas" if kind == "extlength" else "--deltas"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--kind", kind, option, grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: bad grid {grid}\n"
+        assert not out.exists() and solves == []
+
     def test_coalescence_solver_error_exits_2(self, tmp_path, monkeypatch, capsys):
         from zigzag import cli as zcli
         from zigzag.errors import NoConvergence
@@ -269,14 +286,14 @@ class TestSolveFailureExit:
         from zigzag.errors import NoConvergence
 
         height_mod = sys.modules["zigzag.height"]
-        original = height_mod.solve_parameter_problem
+        original = height_mod.solve_parameter_problems
 
-        def failing_at_genus3(z, pat, **kwargs):
+        def failing_at_genus3(z, patterns):
             if z.genus == 3:
                 raise NoConvergence("injected", [1.0])
-            return original(z, pat, **kwargs)
+            return original(z, patterns)
 
-        monkeypatch.setattr(height_mod, "solve_parameter_problem", failing_at_genus3)
+        monkeypatch.setattr(height_mod, "solve_parameter_problems", failing_at_genus3)
         with pytest.raises(NoConvergence):  # the library error, unwrapped
             zz.continuation_solve(3, 2)
         out = tmp_path / "p3.json"

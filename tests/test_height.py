@@ -236,28 +236,28 @@ class TestWorkCounter:
     """Deterministic node-work gate: every kernel plan of a direct solve is
     summed once at _BASE_NODES, and the 12-against-24 certificate sums at
     twice that only the plan of the point each solve returns: the shared
-    solve and the two cold parameter solves of D, whatever the genus."""
+    solve and the stacked NE and SW cold solves of D, whatever the genus."""
 
     @staticmethod
     def counted_solve(monkeypatch, p, k):
         """(record, sums, solves): continuation_solve(p, k), every
         integrate_abs sum as (plan, nodes) in call order and the genus of
-        every cold parameter solve."""
+        every member of the stacked cold parameter solves."""
         # integrate_abs is bound at class creation, so it is spied on there
         height_mod = sys.modules["zigzag.height"]
         quad = sys.modules["zigzag.quadrature"]
-        solve, integrate = height_mod.solve_parameter_problem, quad.IntervalPlan.integrate_abs
+        solve, integrate = height_mod.solve_parameter_problems, quad.IntervalPlan.integrate_abs
         solves, sums = [], []
 
-        def counting_solve(*args):
-            solves.append(args[0].genus)
-            return solve(*args)
+        def counting_solve(z, patterns):
+            solves.extend(z.genus for _ in patterns)
+            return solve(z, patterns)
 
         def counting_sums(self, n):
             sums.append((self, n))
             return integrate(self, n)
 
-        monkeypatch.setattr(height_mod, "solve_parameter_problem", counting_solve)
+        monkeypatch.setattr(height_mod, "solve_parameter_problems", counting_solve)
         monkeypatch.setattr(quad.IntervalPlan, "integrate_abs", counting_sums)
         return zz.continuation_solve(p, k), sums, solves
 
@@ -268,20 +268,24 @@ class TestWorkCounter:
         fine = [i for i, (_, n) in enumerate(sums) if n == 2 * base]
         assert record.converged
         assert len(coarse) == len({id(plan) for plan in coarse}) == plan_count
-        assert len(fine) == 3 and len(sums) == plan_count + 3
+        assert len(fine) == 2 and len(sums) == plan_count + 2
         # each certificate sums the plan of the point just evaluated, the
-        # one its solve returns: the shared NE/SW solve, then the cold NE
-        # and SW solves, whose returned gaps are the record's
+        # one its solve returns: the shared NE/SW solve, then the stacked
+        # cold solves, whose returned gaps are the record's, the NE member
+        # on its own row first and the SW member on its own
         assert all(sums[i][0] is sums[i - 1][0] for i in fine)
-        shared, ne, sw = (sums[i][0] for i in fine)
-        assert [plan.rows.shape[1] for plan in (shared, ne, sw)] == [2, 1, 1]
-        assert np.array_equal(ne.gaps[0], record.prev_ne.gaps)
-        assert np.array_equal(sw.gaps[0], record.prev_sw.gaps)
+        shared, cold = (sums[i][0] for i in fine)
+        p, k = record.zigzag.genus, record.zigzag.turn_order
+        assert shared.rows.shape == (1, 2 * p + 1, 2) and cold.rows.shape == (2, 2 * p + 1, 1)
+        assert np.array_equal(cold.rows[:, :, 0], [zz.ne_pattern(p, k).exponents,
+                                                   zz.sw_pattern(p, k).exponents])
+        assert np.array_equal(cold.gaps, [record.prev_ne.gaps, record.prev_sw.gaps])
 
     def test_genus5_ladder_residual_evaluations(self, monkeypatch, kernel_plans):
         # kernel plans in the direct genus-5 solve, one per Newton point
-        # (residual and exact Jacobian together); cold parameter solves only
-        # for the two certificates of D, with no lower genus solved
+        # (residual and exact Jacobian together): 5 of the shared solve and
+        # 4 of the stacked cold solves of D, whose NE and SW members converge
+        # at the same point, with no lower genus solved
         post_init = zz.Prevertices.__post_init__
         tuples = []
         monkeypatch.setattr(zz.Prevertices, "__post_init__",
@@ -289,7 +293,7 @@ class TestWorkCounter:
         record, sums, solves = self.counted_solve(monkeypatch, 5, 2)
         assert solves == [5, 5]
         assert len(tuples) <= 2  # Newton points take gaps, not Prevertices
-        assert 0 < len(kernel_plans) <= 16
+        assert len(record.residuals) == 5 and len(kernel_plans) == 9
         self.check_certified_once(record, sums, len(kernel_plans))
 
     def test_certified_sums_do_not_depend_on_genus(self, monkeypatch, kernel_plans):

@@ -388,6 +388,89 @@ class TestStackedTuples:
             interval_abs_integral(gaps, exps, [1, 1, 1])
 
 
+class TestRowsPerTuple:
+    """A (T, R, M) stack gives tuple t its own rows: each tuple's values
+    equal, bit for bit, those of its call alone with rows[t], and those of
+    a shared (R, M) stack, however the blocks fall."""
+
+    @staticmethod
+    def stack():
+        # three tuples with gaps down to 1e-9, a row of each sign pattern per
+        # tuple and a third of different exponents
+        rng = np.random.default_rng(11)
+        gaps = np.exp(rng.uniform(-3.0, 1.0, (3, 6)))
+        gaps[1, 2] = 1e-9
+        ne, sw = zz.ne_pattern(3, 3).exponents, zz.sw_pattern(3, 3).exponents
+        rows = np.stack([(ne, sw), (sw, ne), (0.5 * ne, 0.25 * sw)])
+        j = np.stack([[0, 3, 5], [2, 2, 4], [5, 1, 0]])
+        return gaps, rows, j
+
+    @pytest.mark.parametrize("block", [None, 64, 2000], ids=["default", "64", "2000"])
+    def test_per_tuple_rows_equal_solo_calls(self, monkeypatch, block):
+        # _BLOCK 64 makes blocks of one entry, and 2000 blocks of 23 entries
+        # at 12 nodes and 11 at 24, which end inside tuples; no block
+        # straddles two
+        quad = sys.modules["zigzag.quadrature"]
+        if block is not None:
+            monkeypatch.setattr(quad, "_BLOCK", block)
+        gaps, rows, j = self.stack()
+        total = interval_integral(gaps, rows, j)
+        (rough, rough_dlog), certify = interval_jacobian_point(gaps, rows, j)
+        fine, fine_dlog = certify()
+        assert total.shape == (2, 3, 3) and rough_dlog.shape == (2, 6, 3, 3)
+        for t in range(3):
+            assert np.array_equal(total[:, t], interval_integral(gaps[t], rows[t], j[t]))
+            assert np.array_equal(total[:, t], interval_integral(gaps, rows[t], j)[:, t])
+            (solo, solo_dlog), solo_certify = interval_jacobian_point(gaps[t], rows[t], j[t])
+            assert np.array_equal(rough[:, t], solo) and np.array_equal(rough_dlog[:, :, t], solo_dlog)
+            solo, solo_dlog = solo_certify()
+            assert np.array_equal(fine[:, t], solo) and np.array_equal(fine_dlog[:, :, t], solo_dlog)
+        # one row per tuple, as a stacked Newton solve takes them
+        one = interval_abs_integral(gaps, rows[:, :1], j)
+        assert one.shape == (1, 3, 3)
+        for t in range(3):
+            assert np.array_equal(one[0, t], interval_abs_integral(gaps[t], rows[t, 0], j[t]))
+
+    def test_pieces_never_straddle_tuples(self):
+        # each tuple's entries are cut into pieces of 7 from its first, as a
+        # call on that tuple alone cuts them; a block of at most that many
+        # entries takes consecutive pieces, one matmul each
+        gaps, rows, j = self.stack()
+        plan = IntervalPlan(gaps, rows, j)
+        assert np.all(np.diff(plan.tup[plan.seg]) >= 0)  # entries gathered by tuple
+        blocks = plan._blocks(7)
+        pieces = [piece for block in blocks for piece in block]
+        for t in range(3):
+            alone = IntervalPlan(gaps[t], rows[t], j[t])
+            start = np.flatnonzero(plan.tup[plan.seg] == t)[0]
+            mine = [(b - start, stop - start) for b, stop, g in pieces if g == t]
+            assert mine == [(b, stop) for [(b, stop, _)] in alone._blocks(7)]
+            assert all(np.all(plan.tup[plan.seg[b:stop]] == t) for b, stop, g in pieces if g == t)
+        assert all(block[-1][1] - block[0][0] <= 7 for block in blocks)
+        # tuples of 22, 18 and 20 entries: whole tuples share a block of 40
+        assert [[g for _, _, g in block] for block in plan._blocks(40)] == [[0, 1], [2]]
+
+    def test_rows_must_have_a_stack_per_tuple(self):
+        gaps, rows, j = self.stack()
+        with pytest.raises(ValueError, match=r"exponent rows of shape \(3, R, M\)"):
+            interval_integral(gaps, rows[:2], j)
+
+    def test_certificate_compares_the_given_tuples_alone(self, monkeypatch):
+        # at 2 against 4 nodes tuple 2, with the wide interval (1, 2) at
+        # distance 1 from the singular factor at s_0, fails its certificate:
+        # the other tuples pass theirs, on the same sums, with their solo values
+        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 2)
+        gaps = np.array([[1.0, 1e-6], [1.0, 1e-3], [1.0, 1.0]])
+        rows = np.array([[[0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]]])
+        _, certify = interval_jacobian_point(gaps, rows, [[1], [1], [1]])
+        total, _ = certify([0, 1])
+        for t in (0, 1):
+            assert np.array_equal(total[:, t], interval_jacobian(gaps[t], rows[t], [1])[0])
+        for tuples in ([2], [1, 2], None):
+            with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 2, gap 1\.0 "):
+                certify(*(() if tuples is None else (tuples,)))
+
+
 class TestJacobianPoint:
     """interval_jacobian_point, what a Newton iterate takes: one 12-node
     sum, uncompared, and a certificate of the same point on the same plan."""

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import zigzag as zz
 from zigzag.errors import DomainError, NoConvergence, QuadratureFailure
 from zigzag.quadrature import interval_abs_integral
-from zigzag.scmap import (_development, _log_ratio_system, _mapped, _newton_solve,
-                          _side_jacobian, positive_sides)
+from zigzag.scmap import (_development, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
+                          _newton_solve, _side_jacobian, positive_sides)
 
 
 class TestExponentPattern:
@@ -355,6 +355,126 @@ class TestNewtonFallback:
         with pytest.raises(NoConvergence) as err:
             _newton_solve(system, np.zeros(1), "rootless test system")
         assert err.value.trace == [1.0]
+
+
+def stacked_problems(z, patterns):
+    """(system, seeds) of the parameter problems of z under ``patterns`` as
+    one stack for _newton_batch, each member on its own exponent row."""
+    target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
+    exps = np.stack([pat.exponents for pat in patterns])[:, None, :]
+
+    def system(u, members):
+        return _mapped(_log_ratio_system(u, exps[members]),
+                       lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
+
+    return system, np.tile(target, (len(patterns), 1))
+
+
+def solo_problem(z, pat):
+    """(u, residuals, values) of one parameter problem solved alone, on
+    the shared-row path of one tuple."""
+    target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
+    return _newton_solve(lambda u: _mapped(_log_ratio_system(u, pat.exponents[None]),
+                                           lambda sides, r, J: (r[0] - target, J[0])),
+                         target, "solo")
+
+
+class TestStackedNewton:
+    """_newton_batch iterates a stack of systems with one kernel plan per
+    step; each member keeps its own history, stopping test, certificate
+    and failure, bit for bit its solve alone."""
+
+    CASES = [
+        (5, 2, (1.0, 0.8, 1.2, 0.9, 1.1)),
+        (6, 3, (0.3, 1.0, 0.6, 0.9, 0.2, 0.5)),
+        (9, 4, (1.0,) * 9),
+        (4, 2, (0.007894788333827259, 0.012422950638328267, 0.9784753070938964,
+                0.00037870005830786916)),
+    ]
+
+    @pytest.mark.parametrize("p,k,sides", CASES)
+    def test_members_equal_their_solo_solves(self, kernel_plans, p, k, sides):
+        z = zz.ZigzagParams(p, k, sides)
+        patterns = (zz.ne_pattern(p, k), zz.sw_pattern(p, k))
+        system, seeds = stacked_problems(z, patterns)
+        results = _newton_batch(system, seeds, ["NE", "SW"])
+        stacked_plans = len(kernel_plans)
+        for pat, (u, history, values) in zip(patterns, results):
+            solo_u, solo_history, solo_values = solo_problem(z, pat)
+            assert np.array_equal(u, solo_u) and history == solo_history
+            assert all(np.array_equal(a, b) for a, b in zip(values, solo_values))
+        # one plan per Newton step of the stack, not one per member
+        assert stacked_plans == max(len(h) for _, h, _ in results)
+        prevs = zz.solve_parameter_problems(z, patterns)
+        for pat, prev in zip(patterns, prevs):
+            assert prev.gaps == zz.solve_parameter_problem(z, pat).gaps
+
+    def test_failing_member_leaves_the_other_unchanged(self):
+        # member 0's seed steps to the log-gaps (0, -745), whose gap
+        # exp(-745) = 5e-324 the kernel refuses: the stacked trial point is
+        # repeated member by member, member 0 ends in its own NoConvergence
+        # and member 1 solves on, bit for bit as alone
+        z = zz.ZigzagParams(3, 2, (1.0, 0.7, 1.3))
+        patterns = (zz.ne_pattern(3), zz.sw_pattern(3))
+        system, seeds = stacked_problems(z, patterns)
+
+        def rigged(u, members):
+            (F, J), certify = system(u, members)
+            at_seed = (members == 0) & (u == seeds[0]).all(axis=1)
+            F[at_seed], J[at_seed] = [0.0, 745.0], np.eye(2)
+            return (F, J), certify
+
+        failed, solved = _newton_batch(rigged, seeds, ["NE", "SW"])
+        assert isinstance(failed, NoConvergence) and failed.trace == [745.0]
+        assert str(failed).startswith("NE stalled")
+        assert str(failed.__cause__).endswith("tuple 0, gap 0 is 5e-324")
+        u, history, _ = solved
+        solo_u, solo_history, _ = solo_problem(z, patterns[1])
+        assert np.array_equal(u, solo_u) and history == solo_history
+
+    def test_certificate_failure_ends_its_member_alone(self):
+        # F(u) = u - 1 for both members, solved by the first step; member 0
+        # fails its certificate there, member 1 passes its own on the same
+        # certify of the stack
+        calls = []
+
+        def system(u, members):
+            F, J = u - 1.0, np.stack([np.eye(2)] * len(u))
+
+            def certify(which):
+                calls.append(list(members[which]))
+                if 0 in members[which]:
+                    raise QuadratureFailure("injected for member 0")
+                return F, J
+
+            return (F, J), certify
+
+        failed, (u, history, _) = _newton_batch(system, np.zeros((2, 2)), ["a", "b"])
+        assert calls == [[0, 1], [0], [1]]
+        assert isinstance(failed, NoConvergence) and failed.trace == [1.0]
+        assert isinstance(failed.__cause__, QuadratureFailure)
+        assert np.array_equal(u, np.ones(2)) and history == [1.0, 0.0]
+
+    @pytest.mark.parametrize("p,k,sides", TestNewtonFallback.STALLED)
+    def test_failing_member_is_raised_as_alone(self, monkeypatch, p, k, sides):
+        # with gaps rounded through absolute prevertices (TestNewtonFallback)
+        # the SW solve of these zigzags stalls and the NE solve converges:
+        # the stack raises the SW failure, history and message as alone
+        def rounded(gaps):
+            pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
+            return np.diff(np.concatenate((-pos[:0:-1], pos)))
+
+        monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded)
+        z = zz.ZigzagParams(p, k, sides)
+        ne, sw = zz.ne_pattern(p, k), zz.sw_pattern(p, k)
+        with pytest.raises(NoConvergence) as alone:
+            zz.solve_parameter_problem(z, sw)
+        for patterns in ((ne, sw), (sw, ne)):
+            with pytest.raises(NoConvergence) as stacked:
+                zz.solve_parameter_problems(z, patterns)
+            assert stacked.value.trace == alone.value.trace
+            assert str(stacked.value) == str(alone.value)
+        assert zz.solve_parameter_problems(z, (ne,))[0].gaps == zz.solve_parameter_problem(z, ne).gaps
 
 
 class TestForwardMap:

@@ -73,6 +73,17 @@ class TestBuildWeierstrass:
         a_sw = _development(prev, zz.sw_pattern(p, k))[0]
         assert abs(cmath.phase(-1j * a_ne * a_sw)) <= 1e-12
 
+    @pytest.mark.parametrize("p, k", [(5, 2), (12, 3)])
+    def test_both_scales_from_one_kernel_plan(self, kernel_plans, p, k):
+        # the shared tuple stacked twice, rows SW and NE: one plan, and each
+        # scale bit for bit that of its integrand developed alone
+        record = zz.continuation_solve(p, k)
+        kernel_plans.clear()
+        wd = zz.build_weierstrass(record)
+        assert len(kernel_plans) == 1
+        assert wd.scale_sw == complex(_development(wd.prevertices, zz.sw_pattern(p, k))[0])
+        assert wd.scale_ne == complex(_development(wd.prevertices, zz.ne_pattern(p, k))[0])
+
     def test_genus0_is_enneper_data(self, wd_by_genus):
         wd = wd_by_genus[0]
         # gauss map has a single pole: g ~ t^(-1/2), so deg g = 1 on the cover

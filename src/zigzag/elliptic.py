@@ -57,8 +57,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     if min(x, y, z) < 0.0 or sorted((x, y, z))[1] == 0.0:
         raise DomainError(f"R_F needs nonnegative arguments, at most one zero: {(x, y, z)}")
     for _ in range(200):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
+        lam = math.sqrt(x) * math.sqrt(y) + math.sqrt(y) * math.sqrt(z) + math.sqrt(z) * math.sqrt(x)
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         mu = (x + y + z) / 3.0
         if max(abs(x - mu), abs(y - mu), abs(z - mu)) <= _RF_TOL * mu:
@@ -122,41 +121,6 @@ def extremal_length_quad(lam: float) -> float:
     return float(2.0 * abs(data.omega1) ** 2 / det)
 
 
-# Fewer lanes than this run faster as scalar chains: numpy's cost per call
-# outweighs the lanes' (genus 14, 26 lanes, broke even at about 0.38 ms on
-# a 2-CPU x86-64 VM).
-_MIN_LANES = 26
-
-
-def _carlson_rf_lanes(x, y, z) -> np.ndarray:
-    """carlson_rf over arrays of arguments, lane by lane, bit for bit: every
-    lane takes the same duplication steps in the same order and stops at
-    the iteration where it alone meets the stopping test.  The arguments
-    must lie in carlson_rf's domain; they are not checked here."""
-    v = np.array(np.broadcast_arrays(x, y, z), dtype=float)  # rows x, y, z
-    stop = np.empty((3, v.shape[1]))  # x, y and mu where each lane stopped
-    live = np.arange(v.shape[1])
-    for i in range(200):
-        root = np.sqrt(v)
-        pair = root * root[[1, 2, 0]]  # sqrt(x) sqrt(y), sqrt(y) sqrt(z), sqrt(z) sqrt(x)
-        v += pair[0] + pair[1] + pair[2]
-        v *= 0.25
-        mu = (v[0] + v[1] + v[2]) / 3.0
-        done = (np.abs(v - mu) <= _RF_TOL * mu).all(axis=0) | (i == 199)
-        if done.any():
-            stop[:, live[done]] = v[0, done], v[1, done], mu[done]
-            live, v = live[~done], v[:, ~done]
-            if not live.size:
-                break
-    x, y, mu = stop
-    X, Y = 1.0 - x / mu, 1.0 - y / mu
-    Z = -X - Y
-    e2 = X * Y - Z * Z
-    e3 = X * Y * Z
-    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return series / np.sqrt(mu)
-
-
 def extremal_lengths(prev) -> tuple[float, ...]:
     """Extremal-length vector E(1), ..., E(p-1) of a prevertex tuple.
 
@@ -165,28 +129,15 @@ def extremal_lengths(prev) -> tuple[float, ...]:
     formed from the tuple's gaps g_a, g_b, g_c between the four points,
     lambda = -g_b (g_a + g_b + g_c) / (g_a g_c), or -g_b / g_a when the last
     point is infinite, so a gap far below the prevertices keeps its digits.
-    From genus 14 on, the 2(p-1) Carlson chains run as lanes of one array
-    iteration (_carlson_rf_lanes), each value bit for bit that of
-    extremal_length_quad; below that, and for a cross-ratio that is not
-    finite and negative, each takes the scalar chain, which raises the
-    DomainError of a bad one.
     """
     p = prev.genus
-    if p < 2:
-        return ()
-    g = np.asarray(prev.gaps[p:])  # g[m] = s_{m+1} - s_m
-    g_a, g_b = g[:-1], g[1:]
-    with np.errstate(all="ignore"):  # a cross-ratio out of range takes the scalar chain
-        lam = -g_b / g_a  # the last k, whose s_{k+2} is infinite
-        lam[:-1] = -g_b[:-1] * (g_a[:-1] + g_b[:-1] + g[2:]) / (g_a[:-1] * g[2:])
-    if 2 * lam.size < _MIN_LANES or not (np.isfinite(lam) & (lam < 0.0)).all():
-        return tuple(2.0 * extremal_length_quad(v) for v in lam.tolist())
-    # elliptic_periods and extremal_length_quad, lane by lane
-    eps = -lam
-    scale = 2.0 / np.sqrt(1.0 + eps)
-    rf = _carlson_rf_lanes(0.0, np.concatenate((1.0 / (1.0 + eps), eps / (1.0 + eps))), 1.0)
-    omega1, omega2 = 2.0 * scale * rf[:p - 1], 2.0 * scale * rf[p - 1:]
-    # Python's float power, as extremal_length_quad squares: it is not
-    # always omega1 * omega1
-    square = np.array([w ** 2 for w in omega1.tolist()])
-    return tuple((2.0 * (2.0 * square / (omega1 * omega2))).tolist())
+    out = []
+    for k in range(1, p):
+        g_a, g_b = prev.gaps[p + k - 1], prev.gaps[p + k]
+        if k + 2 > p:
+            lam = -g_b / g_a
+        else:
+            g_c = prev.gaps[p + k + 1]
+            lam = -g_b * (g_a + g_b + g_c) / (g_a * g_c)
+        out.append(2.0 * extremal_length_quad(lam))
+    return tuple(out)

@@ -117,16 +117,15 @@ def _rule(n: int, beta: float):
 _BLOCK = 1 << 14  # node x prevertex log entries evaluated at once
 
 
-def _factor_logs(re, im, out=(None, None)):
+def _factor_logs(re, im):
     """log|d| and arg d of the factors d = re + i im = z - s_m, principal
     branches; ``im`` may broadcast against ``re``.  A signed-zero ``im`` is
     cleared first, so a point on the real axis takes the upper half-plane
-    branch.  ``out`` may give two arrays of the shape of ``re`` to hold
-    arg d and log|d|."""
+    branch."""
     im = im + 0.0
-    arg = np.arctan2(im, re, out=out[0])
+    arg = np.arctan2(im, re)
     with np.errstate(over="ignore"):
-        sq = np.multiply(re, re, out=out[1])
+        sq = re * re
         sq += im * im
     if sq.min(initial=np.inf) > 1e-300 and sq.max(initial=0.0) < 1e300:
         mag = np.log(sq, out=sq)
@@ -301,8 +300,7 @@ class _SegmentPanels:
                        * unit[self.seg])
         self.mask = np.concatenate((np.ones((free.size, r_count), bool),
                                     row[:, None] == np.arange(r_count)))[order]
-        self.rules = np.unique(e)
-        self.rule = np.searchsorted(self.rules, e)
+        self.rules, self.rule = np.unique(e, return_inverse=True)
 
     def _blocks(self, step):
         """The entries in blocks of at most ``step``, each a list of pieces
@@ -328,38 +326,34 @@ class _SegmentPanels:
 
     def _summed(self, n, block):
         """(R, S) panel sums with n nodes per panel.  ``block(k, u, w,
-        pieces, work)`` returns the (len(k), R) weighted node sums of the
-        entries k, with (len(k), n) node offsets u from each panel's end
-        and weights w; ``pieces`` lists (start, stop, rows), the entries
+        pieces)`` returns the (len(k), R) weighted node sums of the entries
+        k, with (len(k), n) node offsets u from each panel's end and
+        weights w; ``pieces`` lists (start, stop, rows), the entries
         k[start:stop] that take the (M, R) exponent rows ``rows``, for
-        _by_piece, and ``work`` three (len(k), n, M) arrays it may write.
-        Blocks of about _BLOCK node x prevertex entries."""
+        _by_piece.  Blocks of about _BLOCK node x prevertex entries."""
         m_count = self.rows.shape[1]
         total = np.zeros((self.s_count, self.mask.shape[1]), complex)
         if not self.seg.size:  # no panels: only segments of zero length
             return total.T
         x, w = (np.array(c) for c in zip(*(_rule(n, e) for e in self.rules.tolist())))
         step = max(1, _BLOCK // (n * m_count))
-        # the (entries, n, M) temporaries of every block live in these, so
-        # blocks do not free and fault in their memory one after another
-        work = [np.empty((min(step, self.seg.size), n, m_count)) for _ in range(3)]
         for pieces in self._blocks(step):
             first = pieces[0][0]
             k = np.arange(first, pieces[-1][1])
             rule = self.rule[k]
             u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
             local = [(b - first, stop - first, self.rows[g]) for b, stop, g in pieces]
-            vals = self.factor[k, None] * block(k, u, w[rule], local, [a[:k.size] for a in work])
+            vals = self.factor[k, None] * block(k, u, w[rule], local)
             np.add.at(total, self.seg[k], np.where(self.mask[k], vals, 0.0))
         return total.T
 
-    def _complex_block(self, k, u, w, pieces, work):
+    def _complex_block(self, k, u, w, pieces):
         """One log matrix, one matmul pair and one exp per block."""
         r_count = pieces[0][2].shape[1]
         o = self.origin[k]
         ray = self.ray[o, None]
-        re = np.add(self.re[o, None, :], (u * ray.real)[..., None], out=work[0])
-        mag, arg = _factor_logs(re, (self.im[o, None] + u * ray.imag)[..., None], work[1:])
+        mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
+                                (self.im[o, None] + u * ray.imag)[..., None])
         jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
         mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
         logs = _by_piece(mag, pieces) + 1j * _by_piece(arg, pieces)
@@ -390,10 +384,8 @@ def _gap_offsets(gaps, ends):
     i, a = np.arange(gaps.shape[-1]), ends[:, None]
     up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
     down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
-    offsets = np.zeros((ends.size, gaps.shape[-1] + 1))
-    offsets[:, :-1] = down
-    offsets[:, 1:] -= up
-    return offsets
+    zero = np.zeros((ends.size, 1))
+    return np.hstack((down, zero)) - np.hstack((zero, up))
 
 
 class IntervalPlan(_SegmentPanels):
@@ -504,14 +496,14 @@ class IntervalPlan(_SegmentPanels):
         t, j = self.tup[i], self.j[i]
         return f"interval ({j}, {j + 1}) of tuple {t}, gap {self.gaps[t, j]}"
 
-    def _real_block(self, k, u, w, pieces, work):
+    def _real_block(self, k, u, w, pieces):
         """One log|d| matrix, one real matmul per piece and one exp per
         block, plus for the derivative rows one exp and one real batched
         matmul."""
         r_count = pieces[0][2].shape[1]
         o = self.origin[k]
-        d = np.add(self.re[o, None, :], (u * self.ray[o, None].real)[..., None], out=work[0])
-        mag = np.log(np.abs(d, out=work[1]), out=work[1])
+        d = self.re[o, None, :] + (u * self.ray[o, None].real)[..., None]
+        mag = np.log(np.abs(d))
         neg = d[:, 0, :] < 0.0
         jac = np.flatnonzero(self.absorbed[k] >= 0)  # in the rule, its phase in self.factor
         mag[jac, :, self.absorbed[k[jac]]] = 0.0
@@ -523,9 +515,7 @@ class IntervalPlan(_SegmentPanels):
             return phase * vals
         # rows e - delta_m: the integrand of e times 1/d = sign(d) exp(-log|d|)
         weighted = (values * w[..., None]).transpose(0, 2, 1)
-        inverse = np.negative(mag, out=work[2])
-        inverse = np.copysign(np.exp(inverse, out=inverse), d, out=inverse)
-        vals = np.concatenate((vals[..., None], weighted @ inverse), axis=2)
+        vals = np.concatenate((vals[..., None], weighted @ np.copysign(np.exp(-mag), d)), axis=2)
         return (phase[..., None] * vals).reshape(k.size, -1)
 
     def integrate_abs(self, n):

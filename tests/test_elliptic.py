@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -178,46 +177,3 @@ class TestExtremalLengths:
             vals = zz.extremal_lengths(prev)
             assert len(vals) == 2
             assert all(math.isfinite(v) and v > 0 for v in vals)
-
-
-class TestCarlsonLanes:
-    """extremal_lengths runs its Carlson chains as lanes of one array
-    iteration from genus 14 on; every lane must be the scalar chain bit for
-    bit, stopping at its own iteration."""
-
-    @staticmethod
-    def scalar(prev):
-        p, g = prev.genus, prev.gaps
-        out = []
-        for k in range(1, p):
-            g_a, g_b = g[p + k - 1], g[p + k]
-            if k + 2 > p:
-                lam = -g_b / g_a
-            else:
-                lam = -g_b * (g_a + g_b + g[p + k + 1]) / (g_a * g[p + k + 1])
-            out.append(2.0 * zz.extremal_length_quad(lam))
-        return tuple(out)
-
-    def test_lanes_equal_scalar_chains(self):
-        # arguments from 1e-300 to 1: the lanes stop from 3 to about 30
-        # iterations apart, each at its own
-        ell = sys.modules["zigzag.elliptic"]
-        rng = np.random.default_rng(7)
-        y = np.concatenate((10.0 ** rng.uniform(-300, 0, 200), [1.0, 0.5, np.finfo(float).tiny]))
-        xyz = rng.uniform(0.0, 5.0, (3, 200))
-        for args in ((0.0, y, 1.0), tuple(xyz)):
-            got = ell._carlson_rf_lanes(*args)
-            want = [zz.carlson_rf(*map(float, a)) for a in zip(*np.broadcast_arrays(*args))]
-            assert got.tolist() == want
-
-    @pytest.mark.parametrize("lanes", [0, None], ids=["forced", "default"])
-    def test_extremal_lengths_equal_scalar_chains(self, monkeypatch, lanes):
-        # random tuples of genus 2 to 40 with gaps from e^-6 to e^6, through
-        # the lanes at every genus when forced, and at genus >= 14 by default
-        if lanes is not None:
-            monkeypatch.setattr(sys.modules["zigzag.elliptic"], "_MIN_LANES", lanes)
-        rng = np.random.default_rng(8)
-        for _ in range(60):
-            p = int(rng.integers(2, 41))
-            prev = zz.Prevertices.from_positive_gaps(np.exp(rng.uniform(-6.0, 6.0, p - 1)))
-            assert zz.extremal_lengths(prev) == self.scalar(prev)

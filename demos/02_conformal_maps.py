@@ -36,7 +36,7 @@ print()
 print("forward_map sends prevertices to the normalized vertex chain.")
 print("The minus pattern follows the chain in vertex order, the plus")
 print("pattern traverses it backwards (mirror congruence):")
-prev1 = zz.Prevertices((-1.0, 0.0, 1.0))
+prev1 = zz.Prevertices(1, ())  # genus 1 has no free gap: s = (-1, 0, 1)
 for pat in (zz.sw_pattern(1), zz.ne_pattern(1)):
-    images = [zz.forward_map(prev1, pat, s) for s in (-1.0, 0.0, 1.0)]
+    images = [zz.forward_map(prev1, pat, s) for s in prev1.values]
     print(f"  {pat.orientation}: {np.round(images, 6)}")

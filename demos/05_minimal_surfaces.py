@@ -30,7 +30,7 @@ for p in (0, 1, 2):
     print(f"  Gauss map degree  {deg}")
     print(f"  total curvature   {total / math.pi:.0f} pi")
     print(f"  winding order     {winding}")
-    radius = 1.5 * max((abs(v) for v in wd.prevertices.values), default=1.0) + 0.5
+    radius = 1.5 * wd.prevertices.values[-1] + 0.5  # the largest prevertex is s_p
     mesh = zz.generate_mesh(wd, radius, 24)
     path = f"out/surface_p{p}.obj"
     write_obj(path, mesh)

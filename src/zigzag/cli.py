@@ -141,7 +141,7 @@ def cmd_mesh(args) -> int:
         wd = wd or build_weierstrass(record)
         radius = args.radius
         if radius is None:
-            top = max(abs(v) for v in wd.prevertices.values)
+            top = wd.prevertices.values[-1]
             radius = 1.5 * top if top > 0 else 2.0
         mesh = generate_mesh(wd, radius, args.resolution)
     except (ZigzagError, ValueError) as exc:

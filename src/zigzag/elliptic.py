@@ -130,14 +130,14 @@ def extremal_lengths(prev) -> tuple[float, ...]:
     lambda = -g_b (g_a + g_b + g_c) / (g_a g_c), or -g_b / g_a when the last
     point is infinite, so a gap far below the prevertices keeps its digits.
     """
-    p = prev.genus
+    p, g = prev.genus, (1.0, *prev.free)  # g[j] = s_{j+1} - s_j
     out = []
     for k in range(1, p):
-        g_a, g_b = prev.gaps[p + k - 1], prev.gaps[p + k]
+        g_a, g_b = g[k - 1], g[k]
         if k + 2 > p:
             lam = -g_b / g_a
         else:
-            g_c = prev.gaps[p + k + 1]
+            g_c = g[k + 1]
             lam = -g_b * (g_a + g_b + g_c) / (g_a * g_c)
         out.append(2.0 * extremal_length_quad(lam))
     return tuple(out)

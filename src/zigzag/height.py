@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotReflexive
+from .errors import NoConvergence, NotReflexive
 from .geometry import ZigzagParams, canonicalize
-from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_solve,
+from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
                     ne_pattern, solve_parameter_problems, sw_pattern)
 from .elliptic import extremal_lengths
 
@@ -130,11 +130,14 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
 
         def shared(sides, ratios, J):  # both patterns share one kernel plan
-            return ratios[0] - ratios[1], J[0] - J[1], sides[0]
+            return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides[:, 0]
 
-        _, history, (_, jac, ne) = _newton_solve(
-            lambda u: _mapped(_log_ratio_system(u, rows), shared),
-            _log_ratios(np.asarray(z.side_lengths)), f"shared-prevertex solve from {z}")
+        [result] = _newton_batch(lambda u, members: _mapped(_log_ratio_system(u, rows), shared),
+                                 _log_ratios(np.asarray(z.side_lengths))[None],
+                                 [f"shared-prevertex solve from {z}"])
+        if isinstance(result, NoConvergence):
+            raise result
+        _, history, (_, jac, ne) = result
         residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])

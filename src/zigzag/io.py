@@ -2,18 +2,15 @@
 
 Solution files are a single self-describing JSON text document with an
 explicit schema version.  All floats are rendered with 17 significant
-digits, which round-trips IEEE doubles exactly and keeps output
-byte-identical across runs with the same inputs.  Their ``trace_summary``
-holds max|F| at every Newton point of the shared-prevertex solve
-(``newton_residuals``), each from one 12-node sum but the last, the
-certified max|F| at the solution, and, with unknowns, the smallest
-singular value of its certified Jacobian at the solution
-(``jacobian_sigma_min``), so a file loaded and saved again is the same
-file byte for byte.  Each prevertex tuple is
-stored with its gaps s_{m+1} - s_m (``prev_ne_gaps``, ``prev_sw_gaps``,
-``weierstrass.prevertex_gaps``), which every real-interval integral takes:
-a gap 1e-8 of the prevertices read back as a difference of stored values
-would lose half its digits.  Files without gaps load with the differences.
+digits, which round-trips IEEE doubles exactly, so identical inputs give
+byte-identical files and a file loaded and saved again is the same file.
+Their ``trace_summary`` holds max|F| at every Newton point of the
+shared-prevertex solve (``newton_residuals``) and, with unknowns, the
+smallest singular value of its certified Jacobian (``jacobian_sigma_min``).
+Each prevertex tuple is stored as its values and its gaps s_{m+1} - s_m
+(``prev_ne_gaps``, ``prev_sw_gaps``, ``weierstrass.prevertex_gaps``), and
+loads from its p-1 free gaps above s_1 (``_prevertices``): the stored
+gaps, or the differences of the values in a file without them.
 """
 
 from __future__ import annotations
@@ -110,28 +107,30 @@ def record_to_solution(record: SolutionRecord) -> SolutionFile:
 
 
 def _prevertices(values, gaps, genus: int, name: str) -> Prevertices:
-    """The stored tuple with its stored gaps; np.diff(values) for a file
-    without them.  Gaps must be positive and match the values' differences
-    to 1e-12 of the largest prevertex."""
-    if len(values) != 2 * genus + 1:
-        raise ValueError(f"{name} has {len(values)} entries, need {2 * genus + 1} "
-                         f"at genus {genus}")
-    if gaps is None:
-        return Prevertices(tuple(values))
-    gaps = np.asarray(gaps, float)
-    if (gaps.shape != (2 * genus,) or not np.all(gaps > 0.0)
-            or np.any(np.abs(gaps - np.diff(values)) > 1e-12 * np.max(np.abs(values)))):
-        raise ValueError(f"{name} gaps are not the positive differences of its values")
-    return Prevertices(tuple(values), tuple(gaps))
+    """The tuple of the stored gaps, or of np.diff(values) for a file
+    without them; refused unless the stored values and gaps are its own to
+    1e-12 of its largest prevertex: symmetric, with s_0 = 0 and s_1 = 1."""
+    values = np.asarray(values, float)
+    stored = np.diff(values) if gaps is None else np.asarray(gaps, float)
+    prev = Prevertices(genus, stored[genus + 1:])
+    tol = 1e-12 * prev.values[-1]
+    if not (values.shape == (2 * genus + 1,) and np.all(np.abs(values - prev.values) <= tol)
+            and np.all(np.abs(stored - prev.gaps) <= tol)):
+        raise ValueError(f"{name} is not the tuple s_0 = 0, s_1 = 1 of its {2 * genus} gaps")
+    return prev
 
 
 def _zigzag(d) -> ZigzagParams:
-    """The stored zigzag; a genus or turn order that is not an integer is
-    refused (ValueError), not truncated."""
-    for key in ("genus", "turn_order"):
-        if type(d[key]) is not int:  # bool and float included
-            raise ValueError(f"{key} must be an integer, got {d[key]!r}")
-    return ZigzagParams(d["genus"], d["turn_order"], tuple(d["side_lengths"]))
+    """The stored zigzag.  A genus or turn order that is not an integer, a
+    converged flag that is not a bool, and side lengths whose sum is not
+    finite are refused (ValueError), not truncated or cast."""
+    for key, kind in (("genus", int), ("turn_order", int), ("converged", bool)):
+        if type(d[key]) is not kind:  # bool is no int, nor a string a bool
+            raise ValueError(f"{key} must be {kind.__name__}, got {d[key]!r}")
+    sides = tuple(float(x) for x in d["side_lengths"])
+    if not math.isfinite(sum(sides)):
+        raise ValueError(f"side lengths must have a finite sum, got {sides}")
+    return ZigzagParams(d["genus"], d["turn_order"], sides)
 
 
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
@@ -149,7 +148,7 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         tuple(d["ext_ne"]),
         tuple(d["ext_sw"]),
         float(d["height"]),
-        bool(d["converged"]),
+        d["converged"],
         tuple(float(x) for x in summary.get("newton_residuals", ())),
         float(summary.get("jacobian_sigma_min", math.nan)),
     )

@@ -6,6 +6,9 @@ upper half-plane under maps with integrand
     prod_{m=-p}^{p} (t - s_m)^{e_m},     e_m = +-(k-1)/k alternating,
 
 over a symmetric prevertex tuple s_{-p} < ... < s_0 = 0 < s_1 = 1 < ... .
+Symmetry and the normalization leave p-1 free moduli, the gaps above s_1,
+and a ``Prevertices`` is those gaps: its values and its 2p gaps derive
+from them, so it is symmetric and normalized by construction.
 The two complementary domains use negated exponent patterns.  Following
 the usual labelling, the NE pattern starts and ends with +(k-1)/k
 (p+1 positive entries) and the SW pattern is its negation.
@@ -101,54 +104,37 @@ def sw_pattern(genus: int, turn_order: int = 2) -> ExponentPattern:
 
 @dataclass(frozen=True)
 class Prevertices:
-    """Symmetric increasing prevertex tuple s_{-p}, ..., s_p.
+    """Symmetric increasing prevertex tuple s_{-p}, ..., s_p with s_0 = 0,
+    s_1 = 1 (for p >= 1) and s_{-j} = -s_j, held as its p-1 free gaps
+    s_{j+1} - s_j above s_1.
 
-    Normalization: s_0 = 0, s_1 = 1 (for p >= 1), s_{-j} = -s_j.  A tuple
-    within 1e-12 of symmetric is stored as (v - v[::-1]) / 2, which is
-    exactly symmetric with s_0 exactly 0, and then checked for s_1 = 1.
-    ``gaps`` holds the 2p gaps s_{m+1} - s_m that every real-interval
-    integral takes: exactly those it was built from by
-    ``from_positive_gaps``, np.diff(values) when built from values; given
-    gaps are stored as (g + g[::-1]) / 2.
+    ``values`` (s_{-p}, ..., s_p, the positive side 1 + cumsum(free)) and
+    ``gaps`` (the 2p gaps s_{m+1} - s_m, the free ones exactly as given,
+    which every real-interval integral takes) are derived once, here.
+    Raises ValueError unless there are max(p-1, 0) free gaps, each
+    positive, and the tuple's span s_p - s_{-p} is a finite float.
     """
 
-    values: tuple[float, ...]
-    gaps: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    genus: int
+    free: tuple[float, ...]
+    values: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    gaps: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size % 2 != 1:
-            raise ValueError("prevertex tuple must have odd length 2p+1")
-        p = v.size // 2
-        if not np.allclose(v + v[::-1], 0.0, atol=1e-12):
-            raise ValueError("prevertices must satisfy s_{-j} = -s_j")
-        # exactly symmetric, so that t -> -conj(t) maps the integrands onto
-        # each other exactly; given gaps are symmetrized alike
-        v = (v - v[::-1]) / 2.0
-        gaps = np.diff(v) if not self.gaps else np.asarray(self.gaps, dtype=float)
-        gaps = (gaps + gaps[::-1]) / 2.0
-        if np.any(np.diff(v) <= 0.0):
-            raise ValueError(f"prevertices must be strictly increasing: {v}")
-        if p >= 1 and abs(v[p + 1] - 1.0) > 1e-14:
-            raise ValueError(f"s_1 must be 1, got {v[p + 1]}")
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
-        object.__setattr__(self, "gaps", tuple(float(g) for g in gaps))
-
-    @property
-    def genus(self) -> int:
-        return len(self.values) // 2
+        p, free = self.genus, np.asarray(self.free, dtype=float)
+        with np.errstate(over="ignore"):  # a span 2 s_p that overflows is refused
+            pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(free)))[:p + 1]
+            finite = np.isfinite(2.0 * pos).all()
+        if not (p >= 0 and free.shape == (max(p - 1, 0),) and finite and (free > 0.0).all()):
+            raise ValueError(f"genus {p} needs {max(p - 1, 0)} positive free gaps with a "
+                             f"finite span, got {free.tolist()}")
+        object.__setattr__(self, "free", tuple(free.tolist()))
+        object.__setattr__(self, "values", tuple(np.concatenate((-pos[:0:-1], pos)).tolist()))
+        object.__setattr__(self, "gaps", tuple(_symmetric_gaps(free).tolist()) if p else ())
 
     def value(self, j: int) -> float:
         """s_j for a signed index."""
         return self.values[j + self.genus]
-
-    @staticmethod
-    def from_positive_gaps(gaps) -> "Prevertices":
-        """Build the symmetric tuple from the p-1 gaps above s_1, keeping
-        them exact as its gaps."""
-        gaps = np.asarray(gaps, dtype=float)
-        pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
-        return Prevertices(tuple(np.concatenate((-pos[:0:-1], pos))), tuple(_symmetric_gaps(gaps)))
 
 
 def _symmetric_gaps(gaps) -> np.ndarray:
@@ -374,25 +360,6 @@ def _newton_batch(system, u0, labels):
     return results
 
 
-def _newton_solve(system, u0, label: str):
-    """(u, residuals, values) of one system by _newton_batch, a batch of
-    one, or its NoConvergence raised.  ``system(u)`` takes the (n,)
-    log-gaps u and returns (values, certify), ``certify()`` taking no
-    arguments."""
-
-    def stacked(values):
-        return tuple(np.asarray(v)[None] for v in values)
-
-    def one(u, members):
-        values, certify = system(u[0])
-        return stacked(values), lambda which: stacked(certify())
-
-    [result] = _newton_batch(one, np.asarray(u0, dtype=float)[None], [label])
-    if isinstance(result, NoConvergence):
-        raise result
-    return result
-
-
 def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ...]:
     """Prevertices whose SC side-length ratios match the zigzag's, under
     each of ``patterns``.
@@ -411,7 +378,7 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     z = canonicalize(z)
     p = z.genus
     if p <= 1:
-        return tuple(Prevertices(tuple(np.arange(-p, p + 1.0))) for _ in patterns)
+        return tuple(Prevertices(p, ()) for _ in patterns)
 
     target = _log_ratios(np.asarray(z.side_lengths))
     exps = np.stack([pat.exponents for pat in patterns])[:, None, :]  # one row per member
@@ -425,7 +392,7 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     for result in results:
         if isinstance(result, NoConvergence):
             raise result
-    return tuple(Prevertices.from_positive_gaps(np.exp(u)) for u, _, _ in results)
+    return tuple(Prevertices(p, np.exp(u)) for u, _, _ in results)
 
 
 def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
@@ -510,12 +477,11 @@ def make_coalescing_family(base: Prevertices, j: int, deltas):
     p = base.genus
     if not 0 <= j <= p - 2:
         raise ValueError(f"need 0 <= j <= p-2 so the gap above s_{j + 1} exists")
-    gaps = np.array(base.gaps[p:])  # gaps[m] = s_{m+1} - s_m
     members = []
     for d in deltas:
-        g = gaps.copy()
-        g[j + 1] = d
-        members.append(Prevertices.from_positive_gaps(g[1:]))
+        free = list(base.free)
+        free[j] = d
+        members.append(Prevertices(p, free))
     return members
 
 

@@ -1,8 +1,10 @@
 """Weierstrass data and surface meshes from a reflexive zigzag.
 
 At a reflexive zigzag the two prevertex tuples coincide, so both SC
-integrands live on a common half-plane sheet.  With chi_sw and chi_ne the
-two (mutually reciprocal) integrands, the three forms
+integrands live on a common half-plane sheet, over the shared tuple
+whose free gaps above s_1 are the means of those of the NE and SW
+solutions (scmap.Prevertices).  With chi_sw and chi_ne the two
+(mutually reciprocal) integrands, the three forms
 
     alpha = e^{-i pi/4} * A * chi_sw(t) dt      (periods 2 e^{-i pi/4}(P_j - P_{j+1}))
     beta  = e^{-i pi/4} * B * chi_ne(t) dt      (conjugate periods)
@@ -138,30 +140,29 @@ def build_weierstrass(sol) -> WeierstrassData:
 
     The NE and SW prevertex tuples must agree within 1e-5, the square root
     of the height certificate bar 1e-10, relative to the largest prevertex;
-    they are averaged into the shared tuple.  The chain is build_vertices
-    of the solved zigzag, as weierstrass_from_solution takes it from a
-    file, so a record and its file are checked alike, and verify_periods
-    fails a zigzag its tuple does not develop.  Only the scales come from
-    the developments of both integrands on the shared tuple, from one
-    kernel call with the tuple stacked twice, rows SW and NE, each scale
-    bit for bit that of its integrand alone (scmap._developments): the
-    phases of A_ne and A_sw are fixed by (p, k) so that c^2 = -i A_ne A_sw
-    is positive real for every tuple, and the principal root c is
-    positive real: the image of (s_0, s_1) under dh.
+    their free gaps are averaged into the shared tuple.  The chain is
+    build_vertices of the solved zigzag, as weierstrass_from_solution takes
+    it from a file, so a record and its file are checked alike, and
+    verify_periods fails a zigzag its tuple does not develop.  Only the
+    scales come from the developments of both integrands on the shared
+    tuple, from one kernel call with the tuple stacked twice, rows SW and
+    NE, each scale bit for bit that of its integrand alone
+    (scmap._developments): the phases of A_ne and A_sw are fixed by (p, k)
+    so that c^2 = -i A_ne A_sw is positive real for every tuple, and the
+    principal root c is positive real: the image of (s_0, s_1) under dh.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
-    v_ne = np.asarray(sol.prev_ne.values)
-    v_sw = np.asarray(sol.prev_sw.values)
-    spread = float(np.max(np.abs(v_ne - v_sw)))
-    scale = max(1.0, float(np.max(np.abs(v_ne))))
+    ne, sw = sol.prev_ne, sol.prev_sw
+    spread = float(np.max(np.abs(np.subtract(ne.values, sw.values))))
+    scale = max(1.0, ne.values[-1])
     if spread > _REFLEXIVE_TOL * scale:
         raise NotReflexive(
             f"prevertex tuples differ by {spread:.3e} "
             f"(tolerance {_REFLEXIVE_TOL * scale:.3e})"
         )
-    shared = Prevertices(tuple(0.5 * (v_ne + v_sw)))
     p, k = sol.zigzag.genus, sol.zigzag.turn_order
+    shared = Prevertices(p, 0.5 * np.add(ne.free, sw.free))
     chain = build_vertices(sol.zigzag)
     if p == 0:
         scale_sw, scale_ne = 1.0 + 0j, 1j
@@ -174,8 +175,11 @@ def build_weierstrass(sol) -> WeierstrassData:
 
 
 def _dh_defects(wd: WeierstrassData) -> tuple[float, float]:
-    """|c^2 + i scale_ne scale_sw| / |c|^2 and |Im c| / |c| for c = dh_scale."""
+    """|c^2 + i scale_ne scale_sw| / |c|^2 and |Im c| / |c| for c = dh_scale,
+    both infinite for c = 0."""
     c = wd.dh_scale
+    if c == 0:
+        return math.inf, math.inf
     return (abs(c * c + 1j * wd.scale_ne * wd.scale_sw) / abs(c) ** 2,
             abs(c.imag) / abs(c))
 

@@ -24,6 +24,14 @@ def solved_file(tmp_path_factory):
 
 def malformed_files(solved_file, tmp_path):
     """Edited copies of a genus-2 solution file that cannot be loaded."""
+    huge = [-1e308, -1.0, 0.0, 1.0, 1e308]
+
+    def moved(entries):
+        entries[-1] += 1e-3
+
+    def scaled(entries):
+        entries[:] = [x * (1.0 + 1e-9) for x in entries]
+
     edits = {
         "empty_weierstrass": lambda d: d.update(weierstrass={}),
         "scale_not_complex": lambda d: d["weierstrass"].update(scale_ne="x"),
@@ -36,6 +44,19 @@ def malformed_files(solved_file, tmp_path):
         "negative_gap": lambda d: d["prev_ne_gaps"].__setitem__(0, -d["prev_ne_gaps"][0]),
         "gap_not_a_difference": lambda d: d["prev_sw_gaps"].__setitem__(0, 1e-3),
         "non_integer_genus": lambda d: d.update(genus=2.7, turn_order=2.9),
+        "converged_not_bool": lambda d: d.update(converged="no"),
+        "overflowing_side_sum": lambda d: d.update(side_lengths=[1e308, 1e308]),
+        # a tuple whose span s_2 - s_-2 overflows
+        "huge_prevertices": lambda d: d["weierstrass"].update(
+            prevertices=huge, prevertex_gaps=[1e308, 1.0, 1.0, 1e308]),
+        "huge_prevertices_without_gaps": lambda d: d["weierstrass"].update(
+            prevertices=huge) or d["weierstrass"].pop("prevertex_gaps"),
+        # s_2 moved 1e-3 off the mirror of s_-2, with its gap and without
+        "asymmetric_by_1e-3": lambda d: moved(d["prev_ne"]) or moved(d["prev_ne_gaps"]),
+        "asymmetric_by_1e-3_without_gaps": lambda d: moved(d["prev_ne"]) or d.pop("prev_ne_gaps"),
+        # values and gaps scaled together, so that s_1 = 1 + 1e-9
+        "unnormalized": lambda d: scaled(d["prev_sw"]) or scaled(d["prev_sw_gaps"]),
+        "unnormalized_without_gaps": lambda d: scaled(d["prev_sw"]) or d.pop("prev_sw_gaps"),
     }
     paths = []
     for name, edit in edits.items():
@@ -95,7 +116,9 @@ class TestVerify:
     def test_missing_file(self, solved_file, tmp_path, capsys):
         assert main(["verify", "/nonexistent/sol.json"]) == 1
         for bad in malformed_files(solved_file, tmp_path):
-            assert main(["verify", str(bad)]) == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["verify", str(bad)]) == 1, bad.name
             assert "error: cannot load" in capsys.readouterr().err
 
     def test_tampered_file(self, solved_file, tmp_path):
@@ -114,6 +137,18 @@ class TestVerify:
         bad_dh = tmp_path / "tampered_dh.json"
         bad_dh.write_text(json.dumps(data))
         assert main(["verify", str(bad_dh)]) == 3
+
+    def test_zero_dh_scale_fails_verification(self, solved_file, tmp_path, capsys):
+        # c = 0 has infinite dh defects: a period mismatch, not a traceback
+        data = json.loads(solved_file.read_text())
+        data["weierstrass"]["dh_scale"] = [0, 0]
+        bad = tmp_path / "zero_dh.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad)]) == 3
+        assert "dh inf" in capsys.readouterr().err
+        assert main(["mesh", str(bad), "--out", str(tmp_path / "zero_dh.obj")]) == 1
+        assert "rotation" in capsys.readouterr().err
+        assert not (tmp_path / "zero_dh.obj").exists()
 
 
 class TestMesh:
@@ -354,7 +389,7 @@ class TestSolutionFileRoundTrip:
         # a gap 1.5e-8 above s_1: the differences of the stored values would
         # move its sides by ~1e-8, the stored gaps leave them bit-equal
         p, k = 4, 3
-        thin = zz.Prevertices.from_positive_gaps([1.5e-8, 0.9, 1.7])
+        thin = zz.Prevertices(4, (1.5e-8, 0.9, 1.7))
         rec = zz.SolutionRecord(zz.ZigzagParams(p, k, (1.0,) * p), thin, thin,
                                 (1.0,) * p, (1.0,) * p, 0.0, False)
         path = tmp_path / "thin.json"

@@ -145,11 +145,11 @@ class TestExtremalLength:
 
 class TestExtremalLengths:
     def test_genus1_empty(self):
-        assert zz.extremal_lengths(zz.Prevertices((-1.0, 0.0, 1.0))) == ()
+        assert zz.extremal_lengths(zz.Prevertices(1, ())) == ()
 
     def test_genus2_moebius_formula(self):
-        s2 = 1.9
-        prev = zz.Prevertices((-s2, -1.0, 0.0, 1.0, s2))
+        prev = zz.Prevertices(2, (0.9,))
+        s2 = prev.value(2)
         (e1,) = zz.extremal_lengths(prev)
         lam = zz.cross_ratio_lambda(0.0, 1.0, s2, math.inf)
         assert math.isclose(lam, 1.0 - s2, rel_tol=1e-14)
@@ -160,7 +160,7 @@ class TestExtremalLengths:
         # the gaps, against mpmath from the same exact gaps (absolute
         # prevertices lose about 4e-9 of E here)
         gaps = [0.5, 27.0, 1.7e-8, 1.5e-8, 3.0]
-        prev = zz.Prevertices.from_positive_gaps(gaps)
+        prev = zz.Prevertices(6, gaps)
         g = [mp.mpf(1)] + [mp.mpf(x) for x in gaps]  # s_{j+1} - s_j for j >= 0
         for k, ext in enumerate(zz.extremal_lengths(prev), start=1):
             with mp.workdps(40):

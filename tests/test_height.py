@@ -331,10 +331,10 @@ class TestIsolationCertificate:
             rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
 
             def f(u):
-                ne, sw = positive_sides(zz.Prevertices.from_positive_gaps(np.exp(u)).gaps, rows)
+                ne, sw = positive_sides(zz.Prevertices(p, np.exp(u)).gaps, rows)
                 return np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0])
 
-            u = np.log(np.diff(rec.prev_ne.values[p + 1:]))
+            u = np.log(rec.prev_ne.free)
             h = 1e-5
             fd = np.column_stack([(f(u + h * e) - f(u - h * e)) / (2.0 * h)
                                   for e in np.eye(p - 1)])

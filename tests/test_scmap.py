@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ import zigzag as zz
 from zigzag.errors import DomainError, NoConvergence, QuadratureFailure
 from zigzag.quadrature import interval_abs_integral
 from zigzag.scmap import (_development, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
-                          _newton_solve, _side_jacobian, positive_sides)
+                          _side_jacobian, _symmetric_gaps, positive_sides)
 
 
 class TestExponentPattern:
@@ -33,7 +34,7 @@ class TestExponentPattern:
 
     def test_integrand_product_is_one(self):
         # NE and SW integrands are pointwise reciprocal
-        prev = zz.Prevertices((-1.9, -1.0, 0.0, 1.0, 1.9))
+        prev = zz.Prevertices(2, (0.9,))
         from zigzag.quadrature import product_value
 
         zs = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.5 + 2.5j, 0.5 + 1e-3j])
@@ -43,28 +44,40 @@ class TestExponentPattern:
 
 
 class TestPrevertices:
-    def test_near_symmetric_tuple_is_stored_symmetric(self):
-        prev = zz.Prevertices((-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-13))
-        v = np.array(prev.values)
-        assert np.array_equal(v, -v[::-1])
-        assert v[-1] == 1.9 + 5e-14
-        assert prev.gaps == tuple(np.diff(v))
+    """A tuple is its genus and its p-1 free gaps above s_1; its values and
+    gaps are derived from them, symmetric with s_0 = 0 and s_1 = 1."""
 
-    def test_given_gaps_are_stored_symmetric(self):
-        values = (-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-13)
-        prev = zz.Prevertices(values, tuple(np.diff(values)))
-        g = np.array(prev.gaps)
-        assert np.array_equal(g, g[::-1])
-        assert np.max(np.abs(g - np.diff(prev.values))) < 1e-15
+    @pytest.mark.parametrize("p", range(2, 41))
+    def test_values_and_gaps_bit_equal_the_cumsum_construction(self, p):
+        rng = np.random.default_rng(p)
+        for free in (np.exp(rng.uniform(math.log(1e-9), math.log(10.0), p - 1)),
+                     np.full(p - 1, 1e-9), np.full(p - 1, 10.0)):
+            prev = zz.Prevertices(p, free)
+            pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(free)))
+            assert prev.values == tuple(np.concatenate((-pos[:0:-1], pos)))
+            assert prev.gaps == tuple(_symmetric_gaps(free))
+            assert prev.free == tuple(free) and prev.genus == p
+            assert prev.value(0) == 0.0 and prev.value(1) == 1.0
 
-    def test_symmetrized_tuple_is_checked_against_s1(self):
-        # s_1 becomes 1 + 5e-14 once symmetrized, off the normalization
-        with pytest.raises(ValueError, match="s_1"):
-            zz.Prevertices((-1.9, -1.0 - 1e-13, 0.0, 1.0, 1.9))
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_genus0_and_1_have_no_free_gap(self, p):
+        prev = zz.Prevertices(p, ())
+        assert prev.values == tuple(np.arange(-p, p + 1.0)) and prev.gaps == (1.0,) * (2 * p)
 
-    def test_asymmetric_tuple_raises(self):
+    @pytest.mark.parametrize("p, free", [
+        (3, (0.5, 0.0)), (3, (0.5, -1.0)), (3, (math.nan, 1.0)), (3, (math.inf, 1.0)),
+        (2, (1e308,)), (3, (1e308, 1e308)),  # a span s_p - s_-p that overflows
+        (3, (0.5,)), (3, (0.5, 1.0, 2.0)), (1, (0.5,)), (0, (1.0,)),
+    ])
+    def test_refuses_bad_free_gaps(self, p, free):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive free gaps"):
+                zz.Prevertices(p, free)
+
+    def test_coalescing_family_refuses_a_zero_delta(self):
         with pytest.raises(ValueError):
-            zz.Prevertices((-1.9, -1.0, 0.0, 1.0, 1.9 + 1e-3))
+            zz.make_coalescing_family(zz.Prevertices(3, (0.6, 1.0)), 1, [1e-3, 0.0])
 
 
 class TestParameterProblem:
@@ -153,7 +166,7 @@ class TestParameterProblemProperty:
     def test_solve_recovers_the_tuple(self, problem):
         # the zigzag a tuple induces must be solved back to that tuple
         pat, u = problem
-        prev = zz.Prevertices.from_positive_gaps(np.exp(u))
+        prev = zz.Prevertices(pat.genus, np.exp(u))
         sides = positive_sides(prev.gaps, pat.exponents)
         z = zz.ZigzagParams(pat.genus, pat.turn_order, tuple(sides))
         got = zz.solve_parameter_problem(z, pat)
@@ -228,7 +241,7 @@ class TestExactJacobian:
         rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
 
         def sides_at(v):
-            return positive_sides(zz.Prevertices.from_positive_gaps(np.exp(v)).gaps, rows)
+            return positive_sides(zz.Prevertices(p, np.exp(v)).gaps, rows)
 
         # the 12-node values of a Newton iterate and the certified values of
         # the same point, which are the certified sides
@@ -272,60 +285,60 @@ class TestNewtonFallback:
 
     @staticmethod
     def exact(r, J):
-        """A Newton point (values, certify) of an exact test system, whose
-        certified values are its values."""
-        return (r, J), lambda: (r, J)
+        """A Newton point (values, certify) of an exact test system, stacked
+        over one member, whose certified values are its values."""
+        return (r, J), lambda which: (r, J)
 
     def test_kernel_failure_at_a_trial_point_ends_newton(self):
         # the kernel fails to certify the point, or rejects its gaps
         for error in (QuadratureFailure, DomainError):
             calls = []
 
-            def system(u):
+            def system(u, members):
                 calls.append(u.copy())
                 if len(calls) == 2:
                     raise error("injected at the first trial point")
-                return self.exact(u - 1.0, np.eye(u.size))
+                return self.exact(u - 1.0, np.eye(u.shape[1])[None])
 
-            with pytest.raises(NoConvergence) as err:
-                _newton_solve(system, np.zeros(2), "linear test system")
+            [err] = _newton_batch(system, np.zeros((1, 2)), ["linear test system"])
+            assert isinstance(err, NoConvergence)
             assert len(calls) == 2
-            assert err.value.trace == [1.0]  # max|F| at the seed
-            assert isinstance(err.value.__cause__, error)
+            assert err.trace == [1.0]  # max|F| at the seed
+            assert isinstance(err.__cause__, error)
 
     def test_step_to_a_subnormal_gap_ends_newton(self):
         # the seed steps to the log-gaps (0, -745), whose second gap
         # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
         exps = zz.ne_pattern(3, 2).exponents[None, :]
 
-        def system(u):
-            if u[1] == 0.0:  # the seed
-                return self.exact(np.array([0.0, 745.0]), np.eye(2))
-            return _mapped(_log_ratio_system(u, exps), lambda sides, r, J: (r[0], J[0]))
+        def system(u, members):
+            if u[0, 1] == 0.0:  # the seed
+                return self.exact(np.array([[0.0, 745.0]]), np.eye(2)[None])
+            return _mapped(_log_ratio_system(u, exps), lambda sides, r, J: (r[:, 0], J[:, 0]))
 
-        with pytest.raises(NoConvergence) as err:
-            _newton_solve(system, np.zeros(2), "subnormal step test system")
-        assert err.value.trace == [745.0]
-        assert isinstance(err.value.__cause__, DomainError)
-        assert str(err.value.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
+        [err] = _newton_batch(system, np.zeros((1, 2)), ["subnormal step test system"])
+        assert isinstance(err, NoConvergence)
+        assert err.trace == [745.0]
+        assert isinstance(err.__cause__, DomainError)
+        assert str(err.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
 
     def test_certification_failure_at_a_converged_point_ends_newton(self):
         # F(u) = u - 1 is solved by the first step; the 12-node sums there
         # read max|F| = 0, and certifying them fails
         certified = []
 
-        def system(u):
-            def certify():
-                certified.append(u.copy())
+        def system(u, members):
+            def certify(which):
+                certified.append(u[0].copy())
                 raise QuadratureFailure("injected at certification")
 
-            return (u - 1.0, np.eye(u.size)), certify
+            return (u - 1.0, np.eye(u.shape[1])[None]), certify
 
-        with pytest.raises(NoConvergence) as err:
-            _newton_solve(system, np.zeros(2), "linear test system")
+        [err] = _newton_batch(system, np.zeros((1, 2)), ["linear test system"])
+        assert isinstance(err, NoConvergence)
         assert len(certified) == 1 and np.array_equal(certified[0], np.ones(2))
-        assert err.value.trace == [1.0]  # the seed's; the uncertified 0 is not kept
-        assert isinstance(err.value.__cause__, QuadratureFailure)
+        assert err.trace == [1.0]  # the seed's; the uncertified 0 is not kept
+        assert isinstance(err.__cause__, QuadratureFailure)
 
     def test_certified_residual_above_tolerance_continues_newton(self):
         # the 12-node F is u - 1 left of u = 1, off by 1e-9 from the
@@ -335,26 +348,26 @@ class TestNewtonFallback:
         root = 1.0 + 1e-9
         certified = []
 
-        def system(u):
-            def certify():
-                certified.append(float(u[0]))
-                return u - root, np.eye(1)
+        def system(u, members):
+            def certify(which):
+                certified.append(float(u[0, 0]))
+                return u - root, np.eye(1)[None]
 
-            return (u - (1.0 if u[0] <= 1.0 else root), np.eye(1)), certify
+            return (u - (1.0 if u[0, 0] <= 1.0 else root), np.eye(1)[None]), certify
 
-        u, residuals, (r, _) = _newton_solve(system, np.zeros(1), "offset test system")
+        [(u, residuals, (r, _))] = _newton_batch(system, np.zeros((1, 1)), ["offset test system"])
         assert certified == [1.0, root] and u[0] == root and r[0] == 0.0
         assert residuals == [1.0, pytest.approx(1e-9, rel=1e-6), 0.0]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
     def test_singular_jacobian_ends_newton(self):
         # F(u) = u^2 + 1 has no real zero, and J = 2u is singular at the seed
-        def system(u):
-            return self.exact(u ** 2 + 1.0, np.diag(2.0 * u))
+        def system(u, members):
+            return self.exact(u ** 2 + 1.0, 2.0 * u[:, None] * np.eye(1))
 
-        with pytest.raises(NoConvergence) as err:
-            _newton_solve(system, np.zeros(1), "rootless test system")
-        assert err.value.trace == [1.0]
+        [err] = _newton_batch(system, np.zeros((1, 1)), ["rootless test system"])
+        assert isinstance(err, NoConvergence)
+        assert err.trace == [1.0]
 
 
 def stacked_problems(z, patterns):
@@ -371,12 +384,16 @@ def stacked_problems(z, patterns):
 
 
 def solo_problem(z, pat):
-    """(u, residuals, values) of one parameter problem solved alone, on
-    the shared-row path of one tuple."""
+    """(u, residuals, values) of one parameter problem solved alone, a
+    stack of one member on the shared-row path of one tuple."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    return _newton_solve(lambda u: _mapped(_log_ratio_system(u, pat.exponents[None]),
-                                           lambda sides, r, J: (r[0] - target, J[0])),
-                         target, "solo")
+
+    def system(u, members):
+        return _mapped(_log_ratio_system(u, pat.exponents[None]),
+                       lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
+
+    [result] = _newton_batch(system, target[None], ["solo"])
+    return result
 
 
 class TestStackedNewton:
@@ -479,7 +496,7 @@ class TestStackedNewton:
 
 class TestForwardMap:
     def test_genus1_vertex_images(self):
-        prev = zz.Prevertices((-1.0, 0.0, 1.0))
+        prev = zz.Prevertices(1, ())
         chain = zz.build_vertices(zz.ZigzagParams(1, 2, (1.0,)))
         # SW pattern develops the chain in vertex order, NE reversed
         for j in (-1, 0, 1):
@@ -497,7 +514,7 @@ class TestForwardMap:
         assert np.max(np.abs(A * V + targets[2] - targets)) < 1e-8
 
     def test_interior_points_against_mpmath_oracle(self):
-        prev = zz.Prevertices((-2.3, -1.0, 0.0, 1.0, 2.3))
+        prev = zz.Prevertices(2, (1.3,))
         # 1 + 1e-12j and 1.6 + 1e-12j end 1e-12 above the axis near s_1;
         # 5 + 1e-300j lies 1e-300 above the axis beyond s_2, and the real
         # point 1.000000001 ends 1e-9 past s_1
@@ -511,7 +528,7 @@ class TestForwardMap:
                 assert abs(zz.forward_map(prev, pat, t) - (A * raw + targets[2])) < 1e-10, t
 
     def test_rejects_point_below_axis(self):
-        prev = zz.Prevertices((-1.0, 0.0, 1.0))
+        prev = zz.Prevertices(1, ())
         with pytest.raises(DomainError):
             zz.forward_map(prev, zz.sw_pattern(1), 0.5 - 1e-9j)
 
@@ -548,7 +565,7 @@ class TestPeriods:
                 assert math.isclose(abs(a), side, rel_tol=1e-9)
 
     def test_right_angle_turns_k2(self):
-        prev = zz.Prevertices((-1.8, -1.0, 0.0, 1.0, 1.8))
+        prev = zz.Prevertices(2, (0.8,))
         for pat in (zz.ne_pattern(2), zz.sw_pattern(2)):
             per = zz.periods(prev, pat)
             ratio = per[1] / per[0]
@@ -556,14 +573,14 @@ class TestPeriods:
             assert math.isclose(abs(np.angle(ratio)), math.pi / 2, rel_tol=1e-12)
 
     def test_genus1_unit_period(self):
-        prev = zz.Prevertices((-1.0, 0.0, 1.0))
+        prev = zz.Prevertices(1, ())
         per = zz.periods(prev, zz.ne_pattern(1))
         assert math.isclose(abs(per[0]), 1.0, rel_tol=1e-12)
 
 
 class TestCoalescenceFit:
     def setup_method(self):
-        self.base = zz.Prevertices((-2.6, -1.6, -1.0, 0.0, 1.0, 1.6, 2.6))
+        self.base = zz.Prevertices(3, (0.6, 1.0))
         self.deltas = np.geomspace(1e-6, 1e-4, 9)
 
     def test_sign_contrast(self):
@@ -609,7 +626,7 @@ class TestCoalescenceFit:
         for d in self.deltas:
             g = gaps0.copy()
             g[j + 1] = 0.5 + d
-            members.append(zz.Prevertices.from_positive_gaps(g[1:]))
+            members.append(zz.Prevertices(3, g[1:]))
         _, c1, res = zz.coalescence_log_fit(self.deltas, members, zz.ne_pattern(3), j)
         assert res < 1e-3
         assert abs(c1) < 1e-4

@@ -68,7 +68,7 @@ class TestBuildWeierstrass:
         # the phases of A_ne and A_sw are fixed by (p, k) alone, so
         # c^2 = -i A_ne A_sw is positive real on every tuple, reflexive or not
         p, k, u = problem
-        prev = zz.Prevertices.from_positive_gaps(np.exp(u))
+        prev = zz.Prevertices(p, np.exp(u))
         a_ne = _development(prev, zz.ne_pattern(p, k))[0]
         a_sw = _development(prev, zz.sw_pattern(p, k))[0]
         assert abs(cmath.phase(-1j * a_ne * a_sw)) <= 1e-12
@@ -103,11 +103,10 @@ class TestBuildWeierstrass:
             zz.build_weierstrass(broken)
 
     def test_rejects_mismatched_tuples(self, genus2):
-        vals = list(genus2.prev_sw.values)
-        vals[-1] += 1e-3
-        vals[0] -= 1e-3
+        # s_2 moved out by 1e-3, and s_-2 with it
+        moved = zz.Prevertices(2, np.add(genus2.prev_sw.free, 1e-3))
         tampered = zz.SolutionRecord(
-            genus2.zigzag, genus2.prev_ne, zz.Prevertices(tuple(vals)),
+            genus2.zigzag, genus2.prev_ne, moved,
             genus2.ext_ne, genus2.ext_sw, genus2.height, True, genus2.residuals,
         )
         with pytest.raises(NotReflexive):
@@ -174,10 +173,9 @@ class TestVerifyPeriods:
 
     def test_perturbed_prevertices_fail(self, wd_by_genus):
         wd = wd_by_genus[2]
-        vals = np.asarray(wd.prevertices.values)
-        vals = vals + np.array([-1e-3, 0, 0, 0, 1e-3])
+        moved = zz.Prevertices(2, np.add(wd.prevertices.free, 1e-3))  # s_2 and s_-2
         tampered = zz.WeierstrassData(
-            wd.genus, wd.turn_order, zz.Prevertices(tuple(vals)),
+            wd.genus, wd.turn_order, moved,
             wd.scale_ne, wd.scale_sw, wd.dh_scale, wd.chain,
         )
         with pytest.raises(PeriodMismatch):

@@ -10,20 +10,21 @@ coincide.  Genus 0 and 1 are single points with D = 0.  Higher genus is
 solved for a prevertex tuple shared by both Schwarz-Christoffel maps by
 one plain Newton iteration with an exact Jacobian, to the tolerance that
 also ends the parameter solves in ``scmap``.  Each Newton point takes the
-residual and its Jacobian for both patterns from one kernel plan and one
-12-node sum; the point the solve returns is certified by 12 against 24
-nodes on that plan.  The top genus is solved directly from equal sides,
-with no nested parameter solve and no lower genus: the paper's handle
-insertion from genus p-1 is its existence argument by continuation, not
-a step of the computation.  D of the result is the certificate, and the
-smallest singular value of the Jacobian at the solution certifies that
-the zero is isolated.  D takes the NE and SW parameter problems cold, as
-one stacked Newton solve with one kernel plan per step, each member on
-its own exponent row and certified on its own items at the point it
-returns, its tuple bit for bit that of its solve alone
-(scmap.solve_parameter_problems).  The record keeps what Newton did:
-max|F| at every Newton point, one kernel plan each, from its 12-node sum
-but for the last, which is the certified max|F| at the solution.
+residual and its Jacobian for both patterns from one fill of the solve's
+interval layout and one 12-node sum; the point the solve returns is
+certified by 12 against 24 nodes on that plan.  The top genus is solved
+directly from equal sides, with no nested parameter solve and no lower
+genus: the paper's handle insertion from genus p-1 is its existence
+argument by continuation, not a step of the computation.  D of the
+result is the certificate, and the smallest singular value of the
+Jacobian at the solution certifies that the zero is isolated.  D takes
+the NE and SW parameter problems cold, as one stacked Newton solve with
+one fill of its layout per step, each member on its own exponent row and
+certified on its own items at the point it returns, its tuple bit for
+bit that of its solve alone (scmap.solve_parameter_problems).  The
+record keeps what Newton did: max|F| at every Newton point, one fill
+each, from its 12-node sum but for the last, which is the certified
+max|F| at the solution.
 """
 
 from __future__ import annotations
@@ -110,13 +111,13 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     parameter problem, from the same seed: gaps proportional to the sides
     of z0, u = log(l[1:]/l[0]), with no nested parameter solve.  Each
     Newton point takes F and its exact Jacobian for both patterns from one
-    kernel plan and one 12-node sum, uncompared; the point Newton returns
-    is certified by 12 against 24 nodes on its plan, and the NE sides,
-    the Jacobian and its smallest singular value, stored as the isolation
-    certificate, are taken from those certified values.  Genus 0 and 1
-    have no unknowns.  The zigzag is read off the normalized NE sides;
-    the stacked cold NE and SW parameter solves of height_parts then give
-    D as an independent certificate, and the record is converged iff
+    fill of the solve's layout and one 12-node sum, uncompared; the point
+    Newton returns is certified by 12 against 24 nodes on its plan, and
+    the NE sides, the Jacobian and its smallest singular value, stored as
+    the isolation certificate, are taken from those certified values.
+    Genus 0 and 1 have no unknowns.  The zigzag is read off the normalized
+    NE sides; the stacked cold NE and SW parameter solves of height_parts
+    then give D as an independent certificate, and the record is converged iff
     D < 1e-10, a bar some 16 orders above the D of a solution; the record
     stores D for any stricter bar.  It keeps max|F| at every Newton point,
     as the solver returns it: each entry but the last from one 12-node
@@ -132,7 +133,8 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         def shared(sides, ratios, J):  # both patterns share one kernel plan
             return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides[:, 0]
 
-        [result] = _newton_batch(lambda u, members: _mapped(_log_ratio_system(u, rows), shared),
+        log_ratios = _log_ratio_system(rows)
+        [result] = _newton_batch(lambda u, members: _mapped(log_ratios(u, members), shared),
                                  _log_ratios(np.asarray(z.side_lengths))[None],
                                  [f"shared-prevertex solve from {z}"])
         if isinstance(result, NoConvergence):

@@ -109,9 +109,10 @@ def record_to_solution(record: SolutionRecord) -> SolutionFile:
 def _prevertices(values, gaps, genus: int, name: str) -> Prevertices:
     """The tuple of the stored gaps, or of np.diff(values) for a file
     without them; refused unless the stored values and gaps are its own to
-    1e-12 of its largest prevertex: symmetric, with s_0 = 0 and s_1 = 1."""
-    values = np.asarray(values, float)
-    stored = np.diff(values) if gaps is None else np.asarray(gaps, float)
+    1e-12 of its largest prevertex: symmetric, with s_0 = 0 and s_1 = 1.
+    Values and gaps must be lists of JSON numbers (_numbers)."""
+    values = np.asarray(_numbers(values, name), float)
+    stored = np.diff(values) if gaps is None else np.asarray(_numbers(gaps, f"{name} gaps"), float)
     prev = Prevertices(genus, stored[genus + 1:])
     tol = 1e-12 * prev.values[-1]
     if not (values.shape == (2 * genus + 1,) and np.all(np.abs(values - prev.values) <= tol)
@@ -120,20 +121,51 @@ def _prevertices(values, gaps, genus: int, name: str) -> Prevertices:
     return prev
 
 
+def _number(v, what: str) -> float:
+    """A JSON number as a float: an int or a float, not a bool or a string,
+    else ValueError."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} is an integer beyond the float range") from None
+
+
+def _numbers(v, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats, else ValueError."""
+    if type(v) is not list:
+        raise ValueError(f"{what} must be a list of numbers, got {v!r}")
+    return tuple(_number(x, f"{what} entry") for x in v)
+
+
+def _complex(v, what: str) -> complex:
+    """A complex stored as exactly two JSON numbers, else ValueError."""
+    parts = _numbers(v, what)
+    if len(parts) != 2:
+        raise ValueError(f"{what} must be [real, imag], got {v!r}")
+    return complex(*parts)
+
+
 def _zigzag(d) -> ZigzagParams:
     """The stored zigzag.  A genus or turn order that is not an integer, a
-    converged flag that is not a bool, and side lengths whose sum is not
-    finite are refused (ValueError), not truncated or cast."""
+    converged flag that is not a bool, and side lengths that are not a list
+    of numbers with a finite sum are refused (ValueError), not truncated or
+    cast."""
     for key, kind in (("genus", int), ("turn_order", int), ("converged", bool)):
         if type(d[key]) is not kind:  # bool is no int, nor a string a bool
             raise ValueError(f"{key} must be {kind.__name__}, got {d[key]!r}")
-    sides = tuple(float(x) for x in d["side_lengths"])
+    sides = _numbers(d["side_lengths"], "side_lengths")
     if not math.isfinite(sum(sides)):
         raise ValueError(f"side lengths must have a finite sum, got {sides}")
     return ZigzagParams(d["genus"], d["turn_order"], sides)
 
 
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
+    """The record of a solution file.  Every stored number must be a JSON
+    number and every vector a list of them (ValueError otherwise), so a
+    string is never cast: the extremal lengths, the height, the Newton
+    residuals and sigma_min as much as the zigzag and its tuples."""
     d = sf.data
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('schema_version')}")
@@ -145,34 +177,31 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         z,
         _prevertices(d["prev_ne"], d.get("prev_ne_gaps"), z.genus, "prev_ne"),
         _prevertices(d["prev_sw"], d.get("prev_sw_gaps"), z.genus, "prev_sw"),
-        tuple(d["ext_ne"]),
-        tuple(d["ext_sw"]),
-        float(d["height"]),
+        _numbers(d["ext_ne"], "ext_ne"),
+        _numbers(d["ext_sw"], "ext_sw"),
+        _number(d["height"], "height"),
         d["converged"],
-        tuple(float(x) for x in summary.get("newton_residuals", ())),
-        float(summary.get("jacobian_sigma_min", math.nan)),
+        _numbers(summary.get("newton_residuals", []), "newton_residuals"),
+        _number(summary.get("jacobian_sigma_min", math.nan), "jacobian_sigma_min"),
     )
 
 
 def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
-    """Rebuild WeierstrassData from the stored constants (no re-solve)."""
+    """Rebuild WeierstrassData from the stored constants (no re-solve); each
+    complex constant must be exactly two JSON numbers (ValueError)."""
     d = sf.data
     w = d.get("weierstrass")
     if w is None:
         raise ValueError("solution file carries no weierstrass block")
-
-    def as_complex(v):
-        return complex(v[0], v[1])
-
     z = _zigzag(d)
     return WeierstrassData(
         z.genus,
         z.turn_order,
         _prevertices(w["prevertices"], w.get("prevertex_gaps"), z.genus,
                      "weierstrass.prevertices"),
-        as_complex(w["scale_ne"]),
-        as_complex(w["scale_sw"]),
-        as_complex(w["dh_scale"]),
+        _complex(w["scale_ne"], "weierstrass.scale_ne"),
+        _complex(w["scale_sw"], "weierstrass.scale_sw"),
+        _complex(w["dh_scale"], "weierstrass.dh_scale"),
         build_vertices(z),
     )
 

@@ -60,7 +60,14 @@ accurate F, not a certified one: ``interval_jacobian_point`` returns
 ``interval_jacobian`` from the 12-node sum alone, with a function that
 certifies that same point later, summing the same plan at 24 nodes, so a
 solve pays the comparison only at the point it returns, and a member of
-a stacked solve compares only its own items.  A fixed node count set by
+a stacked solve compares only its own items.  A Newton point is one
+fill of the solve's ``IntervalLayout``: what a plan takes from
+everything but the gaps (ends, neighbours, Jacobi entries and their
+rules, rows, masks, the unpacking of the Jacobian) is built once per
+solve, and the entries and blocks of each vector of panel counts once,
+at its first fill; a fill computes the offsets, breaks and factors
+alone, bit for bit those of a fresh IntervalPlan, which is itself the
+one-shot fill of a layout.  A fixed node count set by
 the tolerance, as in Driscoll & Trefethen's SC Toolbox, serves every
 integrand here, with no adaptive doubling past it.
 """
@@ -235,6 +242,61 @@ def _ends(a, b):
     return np.column_stack((a, b)).ravel()
 
 
+def _jacobi_entries(jac, own, rows, group, ray):
+    """The Gauss-Jacobi entries of panels at origins ``jac``, whatever the
+    panels' lengths: each panel once per row, with the rule of that row's
+    exponent at the origin's prevertex ``own``.  ``rows`` is a (G, R, M)
+    stack of exponent rows, ``group`` the index into it of each segment and
+    ``ray`` the direction out of each origin.
+
+    Returns a dict of their origin, absorbed prevertex, row mask, the power
+    1 + e and phase ray^e of the absorbed factor (z - s_own)^e = (u ray)^e,
+    and rule among ``rules``, the distinct exponents with the 0 of the
+    free panels' Gauss-Legendre rule (``zero`` its index); ``stacked`` if
+    there are rows per group, for _entries."""
+    r_count = rows.shape[1]
+    row = np.arange(jac.size * r_count) % r_count
+    jac = jac.repeat(r_count)
+    each = own[jac]
+    e = rows[group[jac >> 1], row, each]
+    rules = np.sort(np.concatenate(((0.0,), e)))
+    rules = rules[np.concatenate(((True,), rules[1:] != rules[:-1]))]
+    return {"origin": jac, "absorbed": each, "mask": row[:, None] == np.arange(r_count),
+            "power": 1.0 + e, "phase": np.exp(e * np.log(ray[jac] + 0.0)),
+            "rules": rules, "rule": np.searchsorted(rules, e), "zero": np.searchsorted(rules, 0.0),
+            "stacked": rows.shape[0] > 1}
+
+
+def _entries(free, jacobi, group, free_mask):
+    """The entries of a batch of panels, as far as they do not depend on
+    where the panels' breaks fall: the free panels from origins ``free``,
+    in order, with the row mask ``free_mask``, then the Gauss-Jacobi
+    entries ``jacobi`` (_jacobi_entries).  ``group`` is the index of each
+    segment into the stack of rows.  With rows per group, the entries of
+    each group are gathered in that order (a stable sort), so a group's
+    entries are those of a call on its segments alone, in the same order;
+    with one group nothing moves.
+
+    Returns (order, power, phase, entries): the gather from panels to
+    entries, to apply to (the free panels' values, those of each Jacobi
+    entry); the power and phase of each entry's absorbed factor (1 on a
+    free entry), for its factor; and the plan attributes of the entries as
+    a dict: origin, seg, absorbed (-1 for a free entry), the row mask,
+    rules and rule."""
+    origin = np.concatenate((free, jacobi["origin"]))
+    order = np.argsort(group[origin >> 1], kind="stable") if jacobi["stacked"] else slice(None)
+    origin, f = origin[order], free.size
+    power = np.concatenate((np.ones(f), jacobi["power"]))[order]
+    phase = np.concatenate((np.ones(f, complex), jacobi["phase"]))[order]
+    return order, power, phase, {
+        "origin": origin, "seg": origin >> 1,
+        "absorbed": np.concatenate((np.full(f, -1), jacobi["absorbed"]))[order],
+        "mask": np.concatenate((free_mask, jacobi["mask"]))[order],
+        "rules": jacobi["rules"] if origin.size else jacobi["rules"][:0],
+        "rule": np.concatenate((np.full(f, jacobi["zero"]), jacobi["rule"]))[order],
+    }
+
+
 class _SegmentPanels:
     """Panels of a batch of segments, built once and evaluated at any node
     count for every exponent row.
@@ -248,15 +310,16 @@ class _SegmentPanels:
     one-half rule whole.  The panels of all segments are graded at once by
     ``_graded_panels`` from that same table, each end up to its reach (an
     IntervalPlan places its breaks in closed form instead and keeps the
-    rest), and flattened into entries, each with its rule index and a row
-    mask: a Gauss-Legendre panel is one entry feeding every row, a
-    Gauss-Jacobi end panel one entry per row, with the rule of that row's
-    absorbed exponent (exponent 0 gives the Legendre rule).  Every factor is formed from the
-    panel's own end, (a - s_m) + u * ray, so a prevertex near either end
-    keeps its distance u exact, and every Jacobi panel starts at offset 0,
-    so its rule weights (1 + x) alone.  ``sums`` evaluates the factors in
-    complex arithmetic, as a segment off the real axis needs; real
-    intervals have their own real path, IntervalPlan.integrate_abs.
+    rest), and flattened into entries (_entries), each with its rule index
+    and a row mask: a Gauss-Legendre panel is one entry feeding every row,
+    a Gauss-Jacobi end panel one entry per row, with the rule of that row's
+    absorbed exponent (exponent 0 gives the Legendre rule).  Every factor
+    is formed from the panel's own end, (a - s_m) + u * ray, so a
+    prevertex near either end keeps its distance u exact, and every Jacobi
+    panel starts at offset 0, so its rule weights (1 + x) alone.  ``sums``
+    evaluates the factors in complex arithmetic, as a segment off the real
+    axis needs; real intervals have their own real path,
+    IntervalPlan.integrate_abs.
 
     ``rows`` is one (R, M) stack of exponent rows for every segment; an
     IntervalPlan may instead give each tuple its own rows.  ``self.rows``
@@ -268,39 +331,16 @@ class _SegmentPanels:
         seg, end, lo, hi = _graded_panels(re, im, self.ray, reach, own)
         origin = 2 * seg + end
         jacobi = (lo == 0.0) & (own[origin] >= 0)
-        self._flatten(origin[~jacobi], lo[~jacobi], hi[~jacobi], origin[jacobi], hi[jacobi],
-                      own, rows[None], np.zeros(unit.size, int), unit)
-
-    def _flatten(self, free, lo, hi, jac, top, own, rows, group, unit):
-        """Set the entries: the free panels [lo, hi] from origins
-        ``free``, in order, then each Gauss-Jacobi panel [0, top] at origin
-        ``jac`` once per row, with the rule of that row's exponent at the
-        origin's prevertex ``own``.  ``rows`` is a (G, R, M) stack of
-        exponent rows, ``group`` the index into it of each segment and
-        ``unit`` the direction of each segment.  The entries of each group
-        are then gathered in that order (a stable sort): with one group
-        nothing moves, and a group's entries are those of a call on its
-        segments alone, in the same order."""
-        self.rows, self.group = rows.transpose(0, 2, 1), group
-        r_count = rows.shape[1]
-        row = np.arange(jac.size * r_count) % r_count
-        jac = jac.repeat(r_count)
-        each = own[jac]  # the absorbed prevertex of each Jacobi entry
-        origin = np.concatenate((free, jac))
-        order = np.argsort(group[origin >> 1], kind="stable") if rows.shape[0] > 1 else slice(None)
-        self.origin = origin[order]
-        self.seg = self.origin >> 1
-        self.lo = np.concatenate((lo, np.zeros(each.size)))[order]
-        self.h = (np.concatenate((hi - lo, top.repeat(r_count))) / 2.0)[order]
-        self.absorbed = np.concatenate((np.full(free.size, -1), each))[order]
-        e = np.concatenate((np.zeros(free.size), rows[group[jac >> 1], row, each]))[order]
-        # (z - s_own)^e = (u * ray)^e along the ray out of the absorbed end;
-        # dz runs along the segment whichever end the offsets start from
-        self.factor = (self.h ** (1.0 + e) * np.exp(e * np.log(self.ray[self.origin] + 0.0))
-                       * unit[self.seg])
-        self.mask = np.concatenate((np.ones((free.size, r_count), bool),
-                                    row[:, None] == np.arange(r_count)))[order]
-        self.rules, self.rule = np.unique(e, return_inverse=True)
+        free = ~jacobi
+        self.rows, self.group = rows[None].transpose(0, 2, 1), np.zeros(unit.size, int)
+        order, power, phase, entries = _entries(origin[free], _jacobi_entries(
+            origin[jacobi], own, rows[None], self.group, self.ray), self.group,
+            np.ones((free.sum(), rows.shape[0]), bool))
+        self.__dict__.update(entries)
+        top = hi[jacobi].repeat(rows.shape[0])
+        self.lo = np.concatenate((lo[free], np.zeros(top.size)))[order]
+        self.h = (np.concatenate((hi[free] - lo[free], top)) / 2.0)[order]
+        self.factor = self.h ** power * phase * unit[self.seg]
 
     def _blocks(self, step):
         """The entries in blocks of at most ``step``, each a list of pieces
@@ -310,7 +350,7 @@ class _SegmentPanels:
         holds consecutive pieces while they fit, so a stack of small groups
         is one block and still one matmul per piece."""
         edges = [0, self.seg.size]
-        if len(self.rows) > 1:  # each group's entries are one run (_flatten)
+        if len(self.rows) > 1:  # each group's entries are one run (_entries)
             group = self.group[self.seg]
             edges[1:1] = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
         blocks = []
@@ -324,40 +364,63 @@ class _SegmentPanels:
                     blocks.append([piece])
         return blocks
 
-    def _summed(self, n, block):
-        """(R, S) panel sums with n nodes per panel.  ``block(k, u, w,
-        pieces)`` returns the (len(k), R) weighted node sums of the entries
-        k, with (len(k), n) node offsets u from each panel's end and
-        weights w; ``pieces`` lists (start, stop, rows), the entries
-        k[start:stop] that take the (M, R) exponent rows ``rows``, for
-        _by_piece.  Blocks of about _BLOCK node x prevertex entries."""
-        m_count = self.rows.shape[1]
-        total = np.zeros((self.s_count, self.mask.shape[1]), complex)
+    _batches = None  # each sum builds its blocks as it takes them
+
+    def _batches_at(self, n):
+        """The blocks of a sum with n nodes per panel, of about _BLOCK node
+        x prevertex entries each: (k, x1, seg, mask, block) for the entries
+        k, a slice, with the (K, n) nodes x + 1 of each entry's rule, their
+        seg and row mask, and what the block routine reads of them, block =
+        (pieces, w, origin, ray, jac, absorbed): the pieces (start, stop,
+        rows) of _by_piece, counted from the block's first entry, the (K, n)
+        weights of each entry's rule, the entries' origin and ray, and the
+        Jacobi entries jac among them with the prevertex each absorbed.
+        Segment panels build them as the sum takes them; the plans of one
+        interval layout share a ``_batches`` memo wherever their panel
+        counts agree (IntervalLayout), and build them at the first such
+        sum."""
+        step = max(1, _BLOCK // (n * self.rows.shape[1]))
+        if self._batches is None:
+            return self._built(n, step)
+        batches = self._batches.get((n, step))
+        if batches is None:
+            batches = self._batches[(n, step)] = list(self._built(n, step))
+        return batches
+
+    def _built(self, n, step):
+        """The blocks of _batches_at, one at a time."""
         if not self.seg.size:  # no panels: only segments of zero length
-            return total.T
+            return
         x, w = (np.array(c) for c in zip(*(_rule(n, e) for e in self.rules.tolist())))
-        step = max(1, _BLOCK // (n * m_count))
         for pieces in self._blocks(step):
             first = pieces[0][0]
-            k = np.arange(first, pieces[-1][1])
-            rule = self.rule[k]
-            u = self.lo[k, None] + self.h[k, None] * (x[rule] + 1.0)
+            k = slice(first, pieces[-1][1])
+            rule, origin, absorbed = self.rule[k], self.origin[k], self.absorbed[k]
+            jac = np.flatnonzero(absorbed >= 0)  # the absorbed factor is in the rule
             local = [(b - first, stop - first, self.rows[g]) for b, stop, g in pieces]
-            vals = self.factor[k, None] * block(k, u, w[rule], local)
-            np.add.at(total, self.seg[k], np.where(self.mask[k], vals, 0.0))
+            yield k, x[rule] + 1.0, self.seg[k], self.mask[k], (
+                local, w[rule], origin, self.ray[origin, None], jac, absorbed[jac])
+
+    def _summed(self, n, routine):
+        """(R, S) panel sums with n nodes per panel.  ``routine(block, u)``
+        returns the (K, R) weighted node sums of the K entries of a block
+        (_batches_at), with (K, n) node offsets u from each panel's end."""
+        total = np.zeros((self.s_count, self.mask.shape[1]), complex)
+        for k, x1, seg, mask, block in self._batches_at(n):
+            u = self.lo[k, None] + self.h[k, None] * x1
+            vals = self.factor[k, None] * routine(block, u)
+            np.add.at(total, seg, np.where(mask, vals, 0.0))
         return total.T
 
-    def _complex_block(self, k, u, w, pieces):
+    def _complex_block(self, block, u):
         """One log matrix, one matmul pair and one exp per block."""
+        pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
-        o = self.origin[k]
-        ray = self.ray[o, None]
-        mag, arg = _factor_logs(self.re[o, None, :] + (u * ray.real)[..., None],
-                                (self.im[o, None] + u * ray.imag)[..., None])
-        jac = np.flatnonzero(self.absorbed[k] >= 0)  # the absorbed factor is in the rule
-        mag[jac, :, self.absorbed[k[jac]]] = arg[jac, :, self.absorbed[k[jac]]] = 0.0
+        mag, arg = _factor_logs(self.re[origin, None, :] + (u * ray.real)[..., None],
+                                (self.im[origin, None] + u * ray.imag)[..., None])
+        mag[jac, :, absorbed] = arg[jac, :, absorbed] = 0.0
         logs = _by_piece(mag, pieces) + 1j * _by_piece(arg, pieces)
-        return np.einsum("pnr,pn->pr", np.exp(logs).reshape(k.size, u.shape[1], r_count), w)
+        return np.einsum("pnr,pn->pr", np.exp(logs).reshape(u.shape[0], u.shape[1], r_count), w)
 
     def sums(self, n):
         """(R, S) panel sums with n nodes per panel, in complex arithmetic."""
@@ -375,17 +438,186 @@ def _by_piece(a, pieces):
     return np.concatenate([a[b:e].reshape(-1, m_count) @ rows for b, e, rows in pieces])
 
 
-def _gap_offsets(gaps, ends):
-    """(len(ends), M) offsets s_a - s_m of each end a from every prevertex
-    of its tuple, whose gaps s_{m+1} - s_m are the matching row of the
-    (len(ends), M-1) ``gaps``: partial sums of gaps taken outward from a,
-    nearest gap first, so each is exact to its own rounding however far
-    the tuple extends."""
-    i, a = np.arange(gaps.shape[-1]), ends[:, None]
-    up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
-    down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
-    zero = np.zeros((ends.size, 1))
-    return np.hstack((down, zero)) - np.hstack((zero, up))
+class IntervalLayout:
+    """What the interval plans of one stack of tuples share whatever their
+    gaps: IntervalPlan(gaps, exps, j, derivatives) is ``IntervalLayout(
+    gaps.shape, exps, j, derivatives)`` filled once, and a Newton solve
+    builds one layout and fills it at each of its points.
+
+    ``shape`` is that of the gaps, (M-1,) for one tuple or (T, M-1) for a
+    stack; ``exps``, ``j`` and ``derivatives`` are as for IntervalPlan.
+    The layout holds the interval ends, their tuples and outer neighbours,
+    the masks that take each end's offsets as partial sums of its tuple's
+    gaps, the exponent rows, the Jacobi entries with their exponents,
+    phases and rules (_jacobi_entries), the derivative rows' mask, and for
+    ``point`` the maps that unpack interval_jacobian.  The panel counts of
+    the ends are all that the entries of a plan take from its gaps (the
+    free entries, their order among the Jacobi ones, the mask and the
+    blocks of its sums): these are built once per vector of counts, at
+    its first fill, and shared by every plan of the layout with those
+    counts, of which a solve meets one to three.  A fill then computes
+    only what moves with the gaps: the offsets, each end's reach, first
+    break and panel count, and the entries' offsets, half-lengths and
+    factors, bit for bit those of a fresh IntervalPlan.  A layout lives
+    as long as its holder, a Newton system; none is kept from one solve to
+    the next.
+
+    Raises ValueError for intervals of the wrong shape or outside 0..M-2,
+    or rows per tuple that do not match the stack; a fill raises
+    DomainError for the gaps IntervalPlan rejects."""
+
+    def __init__(self, shape, exps, j, derivatives=False):
+        exps, j, self._shape = np.asarray(exps, float), np.asarray(j, int), tuple(shape)
+        self._row_shape, self._j_shape = _row_shape(exps), j.shape
+        t_count, m1 = self._stack = self._shape if len(self._shape) == 2 else (1,) + self._shape
+        if len(self._shape) == 1:  # one tuple is a stack of one
+            j = j[None]
+        if j.ndim == 0 or j.shape[0] != t_count:
+            raise ValueError(f"a stack of {t_count} gap tuples needs intervals of shape "
+                             f"({t_count}, ...), got {j.shape}")
+        tup = np.arange(j.shape[0]).repeat(j[0].size if j.size else 0)  # tuple row
+        j = j.ravel()
+        if j.min(initial=0) < 0 or j.max(initial=-1) >= m1:
+            raise ValueError(f"interval index {j[(j < 0) | (j >= m1)][0]} outside 0..{m1 - 1}")
+        if exps.ndim == 3:  # rows per tuple
+            if exps.shape[0] != t_count:
+                raise ValueError(f"a stack of {t_count} gap tuples needs exponent rows of "
+                                 f"shape ({t_count}, R, M) or (R, M), got {exps.shape}")
+            rows, group = exps, tup
+        else:  # one stack of rows shared by every tuple
+            rows, group = np.atleast_2d(exps)[None], np.zeros(j.size, int)
+        r_count, m_count = rows.shape[1:]
+        self._ends, self._owner = (j[:, None] + (0, 1)).ravel(), tup.repeat(2)  # s_j, s_{j+1}
+        ray = np.ones(self._ends.size, complex)
+        ray[1::2] = -1.0
+        self._rows, self._plan = rows, {
+            "rows": rows.transpose(0, 2, 1), "group": group, "tup": tup, "j": j,
+            "derivatives": derivatives, "s_count": j.size, "im": np.zeros(self._ends.size),
+            "ray": ray}
+        # A fill pads each tuple's gaps by inf on both sides, none past its
+        # ends.  Each end's offsets s_a - s_m are partial sums of its own
+        # tuple's gaps taken outward from a, nearest gap first, from a 0 in
+        # place of a pad: upward over the gaps above a, then downward over
+        # those below it, reversed, in the two halves of _outward.  Each end
+        # reaches half its interval's gap; its outer neighbour is the next
+        # gap out, or a pad: indices into the padded gaps, flattened.
+        a = self._ends[:, None]
+        self._outward = np.concatenate((np.arange(-1, m1) >= a, np.arange(m1, -1, -1) < a))
+        at = tup * (m1 + 2) + j
+        self._reach, self._outer = (at + 1).repeat(2), (at[:, None] + (0, 2)).ravel()
+        self._none = np.full((t_count, 1), np.inf)
+        self._by_count, self._zeros = {}, np.zeros(self._ends.size * r_count)
+        self._jacobi = _jacobi_entries(np.arange(self._ends.size), self._ends, rows, group, ray)
+        if derivatives:
+            width, s = m_count + 1, np.arange(j.size)
+            valid = np.ones((j.size, r_count, width), bool)
+            valid[s, :, 1 + j] = valid[s, :, 2 + j] = False
+            self._valid = valid.reshape(j.size, r_count * width)
+            self._jacobi["mask"] = (np.repeat(self._jacobi["mask"], width, axis=1)
+                                    & self._valid[self._jacobi["origin"] >> 1])
+            # point: the rows e of each interval, (R, M, S), and 1 + sum e, (R, S)
+            self._neg_e = -rows[group].transpose(1, 2, 0)
+            self._growth = (1.0 + rows.sum(axis=-1))[group].T
+            self._lower = np.arange(m_count - 1)[:, None] < j  # gaps below each interval
+            self._cols = np.arange(j.size)
+
+    def _structure(self, count):
+        """(free, steps, order, power, phase, entries) of the panel counts
+        ``count`` of the ends, built at the first fill with them: the end of
+        each free panel and its index among that end's panels, and what
+        _entries returns, with the derivative rows' mask."""
+        key = count.tobytes()
+        found = self._by_count.get(key)
+        if found is None:
+            free = np.arange(count.size).repeat(count)
+            mask = (self._valid[free >> 1] if self._plan["derivatives"]
+                    else np.ones((free.size, self._rows.shape[1]), bool))
+            order, power, phase, entries = _entries(free, self._jacobi, self._plan["group"], mask)
+            entries["_batches"] = {}  # the blocks of its sums, shared by its fills
+            steps = np.arange(free.size) - (count.cumsum() - count).repeat(count)
+            found = self._by_count[key] = free, steps, order, power, phase, entries
+        return found
+
+    def fill(self, gaps):
+        """The IntervalPlan of this layout at ``gaps``, of its shape."""
+        plan = IntervalPlan.__new__(IntervalPlan)
+        self._fill(plan, gaps)
+        return plan
+
+    def _fill(self, plan, gaps):
+        gaps = np.asarray(gaps, float)
+        if gaps.shape != self._shape:
+            raise ValueError(f"the layout takes gaps of shape {self._shape}, got {gaps.shape}")
+        gaps = gaps.reshape(self._stack)
+        padded = np.concatenate((self._none, gaps, self._none), axis=1)
+        near = padded[self._owner]
+        near = np.where(self._outward, np.concatenate((near[:, :-1], near[:, :0:-1])), 0.0)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            sums = np.cumsum(near, axis=1)
+        offsets = sums[self._owner.size:, ::-1] - sums[:self._owner.size]
+        # with every gap at least tiny the sums only grow, so the largest
+        # is finite if all are
+        if not (gaps.min(initial=np.inf) >= _TINY and sums.max(initial=0.0) < np.inf):
+            self._refuse(gaps, offsets)
+        padded = padded.ravel()
+        reach = padded[self._reach] / 2.0
+        b = np.minimum(reach, padded[self._outer]) / 2.0
+        (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
+        free, steps, order, power, phase, entries = self._structure(e_r - e_b + (m_b < m_r))
+        lo = np.ldexp(b[free], steps)
+        hi = np.minimum(reach[free], lo + lo)
+        plan.__dict__.update(self._plan, **entries)
+        plan.gaps, plan.re = gaps, offsets
+        plan.lo = np.concatenate((lo, self._zeros))[order]
+        plan.h = (np.concatenate((hi - lo, b.repeat(self._rows.shape[1]))) / 2.0)[order]
+        plan.factor = plan.h ** power * phase
+
+    def _refuse(self, gaps, offsets):
+        """DomainError naming the first bad tuple and its first bad gap or
+        partial sum."""
+        bad_gap, bad_sum = ~(gaps >= _TINY), ~np.isfinite(offsets)
+        bad = bad_gap.any(axis=1)
+        bad[self._owner[bad_sum.any(axis=1)]] = True
+        t = np.argmax(bad)
+        if bad_gap[t].any():
+            i = np.argmax(bad_gap[t])
+            what = f"gap {i} is {gaps[t, i]}"
+        else:
+            e, m = np.argwhere(bad_sum & (self._owner == t)[:, None])[0]
+            what = f"partial sum s_{self._ends[e]} - s_{m} is {offsets[e, m]}"
+        raise DomainError("interval gaps must be positive normal floats with finite "
+                          f"partial sums: tuple {t}, {what}")
+
+    def point(self, gaps):
+        """interval_jacobian_point at ``gaps``, from one fill of this
+        layout, which must have derivative rows."""
+        plan = self.fill(gaps)
+        scale = plan.gaps[plan.tup].T  # the gaps of each interval's tuple, (M-1, S)
+        coarse = plan.integrate_abs(_BASE_NODES)
+        fine = []
+
+        def certify(tuples=None):
+            if not fine:
+                fine.append(plan.integrate_abs(2 * _BASE_NODES))
+            items = None if tuples is None else np.isin(plan.tup, tuples)
+            return self._unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name, items), scale)
+
+        return self._unpack(coarse, scale), certify
+
+    def _unpack(self, value, scale):
+        """(I, g dI/dg) of interval_jacobian from the (R(M+1), S) sums
+        ``value`` of a fill whose tuples have the gaps ``scale``."""
+        b_count, m_count, s_count = self._neg_e.shape
+        j, cols = self._plan["j"], self._cols
+        value = value.reshape(b_count, m_count + 1, s_count)
+        total, ds = value[:, 0], self._neg_e * value[:, 1:]  # dI/ds_m, 0 at the ends
+        below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
+        above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
+        dlog = scale * np.where(self._lower, -below, above)
+        dlog[:, j, cols] = 0.0
+        dlog[:, j, cols] = self._growth * total - dlog.sum(axis=1)
+        return (total.reshape(self._row_shape + self._j_shape),
+                dlog.reshape(self._row_shape + (m_count - 1,) + self._j_shape))
 
 
 class IntervalPlan(_SegmentPanels):
@@ -400,7 +632,9 @@ class IntervalPlan(_SegmentPanels):
     offsets are partial sums of its own tuple's gaps, each end reaches
     half the gap and the direction is exactly +1, so every interval is
     built exactly as from its tuple alone and a gap far smaller than the
-    prevertices keeps its full relative accuracy.
+    prevertices keeps its full relative accuracy.  A plan is one fill of
+    an IntervalLayout: this constructor builds the layout and fills it
+    once, a Newton solve fills one layout at each of its points.
 
     The breaks follow in closed form from two gaps per end, with no
     clearance test: partial sums of positive gaps round monotonically, so
@@ -432,91 +666,33 @@ class IntervalPlan(_SegmentPanels):
     0 there at any node count."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
-        gaps, j = np.asarray(gaps, float), np.asarray(j, int)
-        if gaps.ndim == 1:  # one tuple is a stack of one
-            gaps, j = gaps[None], j[None]
-        if j.ndim == 0 or j.shape[0] != gaps.shape[0]:
-            raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs intervals of shape "
-                             f"({gaps.shape[0]}, ...), got {j.shape}")
-        self.tup = np.arange(j.shape[0]).repeat(j[0].size if j.size else 0)  # tuple row
-        j = j.ravel()
-        outside = (j < 0) | (j >= gaps.shape[1])
-        if outside.any():
-            raise ValueError(f"interval index {j[outside][0]} outside 0..{gaps.shape[1] - 1}")
-        ends, owner = (j[:, None] + (0, 1)).ravel(), self.tup.repeat(2)  # s_j, s_{j+1}
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            offsets = _gap_offsets(gaps[owner], ends)
-        if not ((gaps >= _TINY).all() and np.isfinite(offsets).all()):
-            # name the first bad tuple and its first bad gap or partial sum
-            bad_gap, bad_sum = ~(gaps >= _TINY), ~np.isfinite(offsets)
-            bad = bad_gap.any(axis=1)
-            bad[owner[bad_sum.any(axis=1)]] = True
-            t = np.argmax(bad)
-            if bad_gap[t].any():
-                i = np.argmax(bad_gap[t])
-                what = f"gap {i} is {gaps[t, i]}"
-            else:
-                e, m = np.argwhere(bad_sum & (owner == t)[:, None])[0]
-                what = f"partial sum s_{ends[e]} - s_{m} is {offsets[e, m]}"
-            raise DomainError("interval gaps must be positive normal floats with finite "
-                              f"partial sums: tuple {t}, {what}")
-        self.gaps, self.j, self.derivatives = gaps, j, derivatives
-        rows = np.asarray(exps, float)
-        if rows.ndim == 3:  # rows per tuple
-            if rows.shape[0] != gaps.shape[0]:
-                raise ValueError(f"a stack of {gaps.shape[0]} gap tuples needs exponent rows of "
-                                 f"shape ({gaps.shape[0]}, R, M) or (R, M), got {rows.shape}")
-            group = self.tup
-        else:  # one stack of rows shared by every tuple
-            rows, group = np.atleast_2d(rows)[None], np.zeros(j.size, int)
-        r_count, m_count = rows.shape[1:]
-        self.s_count = j.size
-        self.re, self.im = offsets, np.zeros(ends.size)
-        self.ray = np.ones(ends.size, complex)
-        self.ray[1::2] = -1.0
-        padded = np.full((gaps.shape[0], gaps.shape[1] + 2), np.inf)  # no outer neighbour
-        padded[:, 1:-1] = gaps
-        reach = (gaps[self.tup, j] / 2.0).repeat(2)
-        b = np.minimum(reach, padded[owner, (j[:, None] + (0, 2)).ravel()]) / 2.0
-        (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
-        count = e_r - e_b + (m_b < m_r)  # free panels of each end
-        free = np.arange(ends.size).repeat(count)
-        lo = np.ldexp(b[free], np.arange(free.size) - (count.cumsum() - count).repeat(count))
-        self._flatten(free, lo, np.minimum(reach[free], lo + lo), np.arange(ends.size), b, ends,
-                      rows, group, np.ones(j.size, complex))
-        if derivatives:
-            width, i = m_count + 1, np.arange(j.size)
-            valid = np.ones((j.size, r_count, width), bool)
-            valid[i, :, 1 + j] = valid[i, :, 2 + j] = False
-            valid = valid.reshape(j.size, r_count * width)
-            self.mask = np.repeat(self.mask, width, axis=1) & valid[self.seg]
+        IntervalLayout(np.shape(gaps), exps, j, derivatives)._fill(self, gaps)
 
     def name(self, i):
         """The i-th interval, with its tuple row and its gap."""
         t, j = self.tup[i], self.j[i]
         return f"interval ({j}, {j + 1}) of tuple {t}, gap {self.gaps[t, j]}"
 
-    def _real_block(self, k, u, w, pieces):
+    def _real_block(self, block, u):
         """One log|d| matrix, one real matmul per piece and one exp per
         block, plus for the derivative rows one exp and one real batched
         matmul."""
+        pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
-        o = self.origin[k]
-        d = self.re[o, None, :] + (u * self.ray[o, None].real)[..., None]
+        d = self.re[origin, None, :] + (u * ray.real)[..., None]
         mag = np.log(np.abs(d))
         neg = d[:, 0, :] < 0.0
-        jac = np.flatnonzero(self.absorbed[k] >= 0)  # in the rule, its phase in self.factor
-        mag[jac, :, self.absorbed[k[jac]]] = 0.0
-        neg[jac, self.absorbed[k[jac]]] = False
+        mag[jac, :, absorbed] = 0.0  # in the rule, its phase in self.factor
+        neg[jac, absorbed] = False
         phase = np.exp(1j * np.pi * _by_piece(neg, pieces))
-        values = np.exp(_by_piece(mag, pieces)).reshape(k.size, -1, r_count)
+        values = np.exp(_by_piece(mag, pieces)).reshape(u.shape[0], -1, r_count)
         vals = np.einsum("pnr,pn->pr", values, w)
         if not self.derivatives:
             return phase * vals
         # rows e - delta_m: the integrand of e times 1/d = sign(d) exp(-log|d|)
         weighted = (values * w[..., None]).transpose(0, 2, 1)
         vals = np.concatenate((vals[..., None], weighted @ np.copysign(np.exp(-mag), d)), axis=2)
-        return (phase[..., None] * vals).reshape(k.size, -1)
+        return (phase[..., None] * vals).reshape(u.shape[0], -1)
 
     def integrate_abs(self, n):
         """(R, S) interval sums with n nodes per panel, R counting the
@@ -609,36 +785,7 @@ def interval_jacobian_point(gaps, exps, j):
     cannot fail it.  Raises DomainError or ValueError for the gaps or
     indices IntervalPlan rejects.
     """
-    exps, j = np.asarray(exps, float), np.asarray(j, int)
-    plan = IntervalPlan(gaps, exps, j, derivatives=True)
-    base = plan.rows.transpose(0, 2, 1)  # (G, R, M)
-    b_count, m_count = base.shape[1:]
-    flat, cols = plan.j, np.arange(plan.j.size)
-    i = np.arange(m_count - 1)[:, None]
-    # the rows e of each interval, (R, M, S), and 1 + sum e, (R, S)
-    e, growth = base[plan.group].transpose(1, 2, 0), (1.0 + base.sum(axis=-1))[plan.group].T
-    shape = _row_shape(exps)
-
-    def unpack(value):
-        value = value.reshape(b_count, m_count + 1, flat.size)
-        total, ds = value[:, 0], -e * value[:, 1:]  # dI/ds_m, 0 at the ends
-        below = np.cumsum(ds, axis=1)[:, :-1]  # sum over m <= i, for gap i
-        above = np.cumsum(ds[:, ::-1], axis=1)[:, -2::-1]  # sum over m > i
-        dlog = plan.gaps[plan.tup].T * np.where(i < flat, -below, above)
-        dlog[:, flat, cols] = 0.0
-        dlog[:, flat, cols] = growth * total - dlog.sum(axis=1)
-        return total.reshape(shape + j.shape), dlog.reshape(shape + (m_count - 1,) + j.shape)
-
-    coarse = plan.integrate_abs(_BASE_NODES)
-    fine = []
-
-    def certify(tuples=None):
-        if not fine:
-            fine.append(plan.integrate_abs(2 * _BASE_NODES))
-        items = None if tuples is None else np.isin(plan.tup, tuples)
-        return unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name, items))
-
-    return unpack(coarse), certify
+    return IntervalLayout(np.shape(gaps), exps, j, derivatives=True).point(gaps)
 
 
 def _segment_reach(re, im, unit, length, own):

@@ -26,20 +26,22 @@ The parameter problem here and the shared-prevertex solve of
 solved by one plain Newton iteration to max|F| <= 1e-12, from the same
 seed: gaps proportional to the target sides.  Its Jacobian is exact: the
 prevertex derivatives of the side integrals are extra exponent rows on
-the panels of the sides, so each Newton point costs one kernel plan and
-one 12-node sum, uncompared.  Only the point a solve returns pays the
-12-against-24 certificate, one more sum on the same plan.  Every
-real-interval integral takes the tuple's gaps, not its absolute
-prevertices, so a gap far below the prevertices loses no digits and F
-has no rounding floor above the tolerance.  The shared solve starts from
-equal sides, with no nested parameter solve.
+the panels of the sides, so each Newton point costs one fill of the
+solve's layout and one 12-node sum, uncompared: the Newton system builds
+one interval layout per member set it meets and fills it at each point
+(``_log_ratio_system``, quadrature.IntervalLayout).  Only the point a
+solve returns pays the 12-against-24 certificate, one more sum on the
+same plan.  Every real-interval integral takes the tuple's gaps, not its
+absolute prevertices, so a gap far below the prevertices loses no digits
+and F has no rounding floor above the tolerance.  The shared solve
+starts from equal sides, with no nested parameter solve.
 
 The parameter problems of several patterns on one zigzag are one stacked
 Newton solve (``solve_parameter_problems``, ``_newton_batch``), as the
 height D takes its NE and SW solves: every Newton step of the members
-still iterating is one kernel plan, each member summed against its own
-exponent row, and each keeps its own history, stopping test, certificate
-and failure.  The kernel gives each member's values bit for bit as its
+still iterating is one fill, each member summed against its own exponent
+row, and each keeps its own history, stopping test, certificate and
+failure.  The kernel gives each member's values bit for bit as its
 call alone, so each member's tuple and history are those of its solve
 alone.  ``_developments`` takes the sides of several patterns on one
 tuple from one kernel call the same way.
@@ -186,51 +188,69 @@ def _mapped(point, f):
     return f(*values), lambda *members: f(*certify(*members))
 
 
-def _side_jacobian(u, exponents):
-    """Raw positive sides (R, p) of the tuple with log-gaps u under each
-    row of the (R, 2p+1) stack ``exponents`` and their exact (R, p, p-1)
-    Jacobian over u, as a Newton point (values, certify) from one kernel
-    plan: ``values`` is (sides, Jacobian) from one 12-node sum with no
-    comparison, and ``certify()`` returns them certified at the same u,
-    the sides then equal to positive_sides, or raises QuadratureFailure
-    (quadrature.interval_jacobian_point).  A (T, p-1) stack of log-gaps
-    takes a (T, R, 2p+1) stack of rows, R for each tuple, and gives
-    (T, R, p) sides and a (T, R, p, p-1) Jacobian from the one plan, each
-    tuple's equal bit for bit to its call alone; ``certify(members)``
-    compares the items of the tuples ``members`` alone.
+def _side_jacobian(exponents, count):
+    """The Newton points of the raw positive sides of ``count`` tuples, as
+    a function of their (count, p-1) stack of log-gaps u, from one
+    interval layout built here: each call is one fill of it.
+
+    ``exponents`` is an (R, 2p+1) stack of rows shared by every tuple or a
+    (count, R, 2p+1) stack, R rows for each tuple.  A call returns the
+    (T, R, p) sides and their exact (T, R, p, p-1) Jacobian over u as a
+    Newton point (values, certify): ``values`` from one 12-node sum with
+    no comparison, and ``certify()`` the same certified at the same u, the
+    sides then equal to positive_sides, or QuadratureFailure
+    (quadrature.IntervalLayout.point); each tuple's equal bit for bit to
+    its call alone, and ``certify(members)`` compares the items of the
+    tuples ``members`` alone.
 
     It chains the log-gap derivatives of the interval integrals:
     d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
     s_{i+1} and of its mirror below s_{-i-1}.
     """
-    stack = np.atleast_2d(u)
-    p = stack.shape[1] + 1
-    i = np.arange(p - 1)
+    p = (np.shape(exponents)[-1] - 1) // 2
+    layout = quad.IntervalLayout((count, 2 * p), exponents,
+                                 np.tile(np.arange(p, 2 * p), (count, 1)), derivatives=True)
+    above, below = np.arange(p + 1, 2 * p), np.arange(p - 2, -1, -1)
 
     def chained(total, dlog):  # (R, T, p) and (R, 2p, T, p), to (T, R, ...)
-        d_total = (dlog[:, p + 1 + i] + dlog[:, p - 2 - i]).transpose(2, 0, 3, 1)
+        d_total = (dlog[:, above] + dlog[:, below]).transpose(2, 0, 3, 1)
         total = total.swapaxes(0, 1)
         sides = np.abs(total)
-        jac = np.real(np.conj(total)[..., None] * d_total) / sides[..., None]
-        return (sides, jac) if np.ndim(u) == 2 else (sides[0], jac[0])
+        return sides, np.real(np.conj(total)[..., None] * d_total) / sides[..., None]
 
-    gaps = [_symmetric_gaps(g) for g in np.exp(stack)]
-    j = np.arange(p, 2 * p)[None].repeat(len(gaps), axis=0)
-    return _mapped(quad.interval_jacobian_point(gaps, exponents, j), chained)
+    def point(u):
+        return _mapped(layout.point([_symmetric_gaps(g) for g in np.exp(u)]), chained)
+
+    return point
 
 
-def _log_ratio_system(u, exponents):
-    """Raw positive sides of the tuple with log-gaps u under each row of
-    the (R, 2p+1) stack ``exponents``, their log ratios _log_ratios per row
-    and the (R, p-1, p-1) Jacobian of those over u, as the Newton point
-    (values, certify) of _side_jacobian, stacked over tuples as it
-    stacks them."""
+def _log_ratio_system(exponents):
+    """The Newton system ``system(u, members)`` of the raw positive sides
+    of the members' tuples with log-gaps u, their log ratios _log_ratios
+    per row and the (T, R, p-1, p-1) Jacobian of those over u, as the
+    Newton point (values, certify) of _side_jacobian.
+
+    ``exponents`` is an (R, 2p+1) stack of rows shared by every member or
+    a stack with R rows per member, member m taking exponents[m].  The
+    members of a call share one fill of one interval layout, built at the
+    first call on that member set and kept by the system: a Newton solve
+    builds one per member set it meets (all its members, those still
+    iterating, each member retried alone by _newton_points), and none
+    outlives the system."""
+    shared, points = np.ndim(exponents) == 2, {}
 
     def ratios(sides, d_sides):
         d_log = d_sides / sides[..., None]
         return sides, _log_ratios(sides), d_log[..., 1:, :] - d_log[..., :1, :]
 
-    return _mapped(_side_jacobian(u, exponents), ratios)
+    def system(u, members):
+        point = points.get(tuple(members))
+        if point is None:
+            rows = exponents if shared else exponents[members]
+            point = points[tuple(members)] = _side_jacobian(rows, len(members))
+        return _mapped(point(u), ratios)
+
+    return system
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
@@ -294,10 +314,11 @@ def _newton_batch(system, u0, labels):
 
     ``system(u, members)`` takes the (len(members), n) log-gaps of the
     members still iterating, indices into the stack, and returns their
-    Newton point (values, certify) from one kernel plan: values = (F, J,
-    ...) stacked over those members, F(u) and its exact Jacobian first,
-    from one 12-node sum with no comparison, and ``certify(i)`` the same
-    at the same u, certified by 12 against 24 nodes on that plan for the
+    Newton point (values, certify) from one kernel plan, a fill of the
+    system's layout (_log_ratio_system): values = (F, J, ...) stacked
+    over those members, F(u) and its exact Jacobian first, from one
+    12-node sum with no comparison, and ``certify(i)`` the same at the
+    same u, certified by 12 against 24 nodes on that plan for the
     members at the positions i of the call alone (_newton_points).  An
     accepted step already holds its Jacobian: one kernel plan per Newton
     point.  Each member is the solve of its system alone: its own history,
@@ -370,10 +391,10 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     of _newton_batch with the exact Jacobian: 12-node sums at its
     iterates, the 12-against-24 certificate at the point it returns.  The
     patterns are one stacked solve, each member on its own exponent row:
-    a Newton step of all members still iterating is one kernel plan, and
-    each member's tuple is bit for bit that of its solve alone.  Genus 0
-    and 1 have no unknowns.  Raises the NoConvergence of the first
-    pattern whose solve fails.
+    a Newton step of all members still iterating is one fill of the
+    layout of those members, and each member's tuple is bit for bit that
+    of its solve alone.  Genus 0 and 1 have no unknowns.  Raises the
+    NoConvergence of the first pattern whose solve fails.
     """
     z = canonicalize(z)
     p = z.genus
@@ -386,8 +407,9 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     def residual(sides, ratios, J):
         return ratios[:, 0] - target, J[:, 0]
 
+    log_ratios = _log_ratio_system(exps)
     results = _newton_batch(
-        lambda u, members: _mapped(_log_ratio_system(u, exps[members]), residual),
+        lambda u, members: _mapped(log_ratios(u, members), residual),
         np.tile(target, (len(exps), 1)), [f"parameter problem for {z}"] * len(exps))
     for result in results:
         if isinstance(result, NoConvergence):

@@ -1,6 +1,8 @@
 import sys
 import time
+import weakref
 
+import numpy as np
 import pytest
 
 import zigzag as zz
@@ -53,15 +55,29 @@ def karcher_k3_elapsed(karcher_k3):
 
 @pytest.fixture
 def kernel_plans(monkeypatch):
-    """Kernel plans (quadrature.IntervalPlan constructions) built during the
-    test, one per side vector or Newton point."""
+    """Kernel plans built during the test, one per side vector or Newton
+    point: fills of a quadrature.IntervalLayout, each one-shot
+    IntervalPlan among them."""
     quad = sys.modules["zigzag.quadrature"]
     plans = []
-
-    class Counting(quad.IntervalPlan):
-        def __init__(self, *args, **kwargs):
-            plans.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(quad, "IntervalPlan", Counting)
+    fill = quad.IntervalLayout._fill
+    monkeypatch.setattr(quad.IntervalLayout, "_fill",
+                        lambda self, plan, gaps: plans.append(1) or fill(self, plan, gaps))
     return plans
+
+
+@pytest.fixture
+def interval_layouts(monkeypatch):
+    """The quadrature.IntervalLayouts built during the test, in order, as
+    (weak reference, gap shape, exponent shape, derivatives): a layout
+    that outlives its solve shows as a live reference."""
+    quad = sys.modules["zigzag.quadrature"]
+    layouts = []
+    init = quad.IntervalLayout.__init__
+
+    def recording(self, shape, exps, j, derivatives=False):
+        layouts.append((weakref.ref(self), tuple(shape), np.shape(exps), derivatives))
+        init(self, shape, exps, j, derivatives)
+
+    monkeypatch.setattr(quad.IntervalLayout, "__init__", recording)
+    return layouts

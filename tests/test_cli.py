@@ -57,6 +57,21 @@ def malformed_files(solved_file, tmp_path):
         # values and gaps scaled together, so that s_1 = 1 + 1e-9
         "unnormalized": lambda d: scaled(d["prev_sw"]) or scaled(d["prev_sw_gaps"]),
         "unnormalized_without_gaps": lambda d: scaled(d["prev_sw"]) or d.pop("prev_sw_gaps"),
+        # numbers stored as strings or bools, and vectors that are not lists
+        # of numbers, are refused rather than cast
+        "height_a_string": lambda d: d.update(height="0"),
+        "ext_a_string": lambda d: d.update(ext_ne="a"),
+        "ext_entry_a_string": lambda d: d["ext_sw"].__setitem__(0, "1.5"),
+        "sides_entry_a_string": lambda d: d["side_lengths"].__setitem__(0, "0.5"),
+        "prevertex_a_string": lambda d: d["prev_ne"].__setitem__(0, str(d["prev_ne"][0])),
+        "gap_a_string": lambda d: d["weierstrass"]["prevertex_gaps"].__setitem__(
+            0, str(d["weierstrass"]["prevertex_gaps"][0])),
+        "complex_of_three": lambda d: d["weierstrass"]["scale_ne"].append(0.0),
+        "complex_of_bools": lambda d: d["weierstrass"].update(dh_scale=[True, False]),
+        "residuals_a_string": lambda d: d["trace_summary"].update(newton_residuals="12"),
+        "residual_a_string": lambda d: d["trace_summary"]["newton_residuals"].append("1e-13"),
+        "sigma_min_a_bool": lambda d: d["trace_summary"].update(jacobian_sigma_min=True),
+        "height_integer_beyond_floats": lambda d: d.update(height=10 ** 400),
     }
     paths = []
     for name, edit in edits.items():

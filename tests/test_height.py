@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import sys
@@ -111,10 +112,14 @@ class TestMinimize:
     def test_newton_residuals(self, monkeypatch):
         # the record holds max|F| of every Newton point, one kernel call each
         height_mod = sys.modules["zigzag.height"]
-        system = height_mod._log_ratio_system
+        log_ratio_system = height_mod._log_ratio_system
         calls = []
-        monkeypatch.setattr(height_mod, "_log_ratio_system",
-                            lambda u, rows: calls.append(u) or system(u, rows))
+
+        def counted(rows):
+            system = log_ratio_system(rows)
+            return lambda u, members: calls.append(u) or system(u, members)
+
+        monkeypatch.setattr(height_mod, "_log_ratio_system", counted)
         res = zz.minimize(zz.ZigzagParams(3, 2, (1.0, 1.0, 1.0))).residuals
         assert len(res) == len(calls) >= 2
         assert all(b < a for a, b in zip(res, res[1:]))
@@ -295,6 +300,29 @@ class TestWorkCounter:
         assert len(tuples) <= 2  # Newton points take gaps, not Prevertices
         assert len(record.residuals) == 5 and len(kernel_plans) == 9
         self.check_certified_once(record, sums, len(kernel_plans))
+
+    def test_genus5_layouts(self, interval_layouts, kernel_plans):
+        # one interval layout per Newton solve, filled at each of its
+        # points: the shared solve (one tuple, both patterns' rows), the
+        # stacked cold solves of D (two tuples, a row each) and the
+        # one-shot side lengths of build_weierstrass (no derivative rows);
+        # the fills are the Newton points' kernel plans and the scales' one
+        record = zz.continuation_solve(5, 2)
+        zz.build_weierstrass(record)
+        assert [layout[1:] for layout in interval_layouts] == [
+            ((1, 10), (2, 11), True), ((2, 10), (2, 1, 11), True), ((2, 10), (2, 1, 11), False)]
+        assert len(kernel_plans) == 9 + 1
+
+    def test_no_layout_outlives_its_solve(self, interval_layouts):
+        # a layout lives as long as its Newton system: none is kept in a
+        # cache once continuation_solve returns, garbage collector or not
+        gc.disable()
+        try:
+            record = zz.continuation_solve(5, 2)
+            assert record.converged and len(interval_layouts) == 2
+            assert all(ref() is None for ref, *_ in interval_layouts)
+        finally:
+            gc.enable()
 
     def test_certified_sums_do_not_depend_on_genus(self, monkeypatch, kernel_plans):
         record, sums, solves = self.counted_solve(monkeypatch, 12, 3)

@@ -13,7 +13,7 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (_BASE_NODES, IntervalPlan, _ends, _gap_offsets, _graded_panels,
+from zigzag.quadrature import (_BASE_NODES, IntervalLayout, IntervalPlan, _ends, _graded_panels,
                                 _rule, _segment_reach, _SegmentPanels, arc_integral,
                                 interval_abs_integral, interval_integral, interval_jacobian,
                                 interval_jacobian_point, segment_integral)
@@ -645,6 +645,18 @@ class TestPanelGrading:
                                                        prev, i, i + 1))
 
 
+def _gap_offsets(gaps, ends):
+    """(len(ends), M) offsets s_a - s_m of each end a from every prevertex
+    of its tuple, whose gaps s_{m+1} - s_m are the matching row of the
+    (len(ends), M-1) ``gaps``: partial sums of gaps taken outward from a,
+    nearest gap first, one masked row per end."""
+    i, a = np.arange(gaps.shape[-1]), ends[:, None]
+    up = np.cumsum(np.where(i >= a, gaps, 0.0), axis=1)  # s_{i+1} - s_a for i >= a
+    down = np.cumsum(np.where(i < a, gaps, 0.0)[:, ::-1], axis=1)[:, ::-1]  # s_a - s_i for i < a
+    zero = np.zeros((ends.size, 1))
+    return np.hstack((down, zero)) - np.hstack((zero, up))
+
+
 def graded_plan(gaps, rows, j, derivatives):
     """Reference construction of an interval plan: _SegmentPanels grading
     each interval of a (T, M-1) stack from both ends, each up to half its
@@ -708,6 +720,102 @@ class TestClosedFormIntervalPlan:
                     for n in (_BASE_NODES, 2 * _BASE_NODES):
                         assert np.array_equal(plan.integrate_abs(n), ref.integrate_abs(n),
                                               equal_nan=True)
+
+
+class TestIntervalLayout:
+    """A Newton solve builds one IntervalLayout and fills it at each point:
+    every fill equals a fresh IntervalPlan of the same gaps, bit for bit,
+    whether its panel counts are new to the layout or met before."""
+
+    FIELDS = ("re", "lo", "h", "factor", "origin", "seg", "absorbed", "mask", "rules", "rule",
+              "gaps", "tup", "j", "rows", "group", "im", "ray")
+
+    @staticmethod
+    def problem(form, rng):
+        """(shape, exps, j) of a random stack of 1-3 tuples of 4-9 gaps, on
+        one tuple alone, a stack with shared rows or rows per tuple."""
+        t = 1 if form == "tuple" else int(rng.integers(2, 4))
+        m, k = int(rng.integers(4, 10)), int(rng.integers(2, 6))
+        ne = np.where(np.arange(m + 1) % 2 == 0, (k - 1) / k, -(k - 1) / k)
+        j = rng.integers(0, m, (t, int(rng.integers(1, 2 * m))))
+        if form == "per tuple":
+            exps = np.stack([rng.permutation(np.stack((ne, -ne, 0.5 * ne)))[:2] for _ in range(t)])
+        else:
+            exps = np.stack((ne, -ne))
+        return ((m,), exps, j[0]) if form == "tuple" else ((t, m), exps, j)
+
+    @pytest.mark.parametrize("block", [None, 64], ids=["default", "64"])
+    @pytest.mark.parametrize("derivatives", [False, True], ids=["values", "derivatives"])
+    @pytest.mark.parametrize("form", ["tuple", "shared", "per tuple"])
+    def test_fills_equal_fresh_plans(self, monkeypatch, form, derivatives, block):
+        # four random gap stacks, log-uniform from e^-12 to e^2, filled in
+        # turn twice, the second time moved by 1e-6 relative: the panel
+        # counts change between fills, and a count met before reuses the
+        # layout's entries and blocks; at _BLOCK 64 every block is one entry
+        if block is not None:
+            monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BLOCK", block)
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            shape, exps, j = self.problem(form, rng)
+            layout = IntervalLayout(shape, exps, j, derivatives)
+            stacks = [np.exp(rng.uniform(-12.0, 2.0, shape)) for _ in range(4)]
+            fills = 0
+            for turn in range(2):
+                for base in stacks:
+                    gaps = base * (1.0 + 1e-6 * turn * rng.random(shape))
+                    plan, fresh = layout.fill(gaps), IntervalPlan(gaps, exps, j, derivatives)
+                    fills += 1
+                    for field in self.FIELDS:
+                        got, want = getattr(plan, field), getattr(fresh, field)
+                        assert got.dtype == want.dtype and np.array_equal(got, want), field
+                    assert plan.s_count == fresh.s_count and plan.derivatives == derivatives
+                    for n in (_BASE_NODES, 2 * _BASE_NODES):
+                        assert np.array_equal(plan.integrate_abs(n), fresh.integrate_abs(n))
+                    if derivatives:
+                        (total, dlog), certify = layout.point(gaps)
+                        (ref_total, ref_dlog), ref_certify = interval_jacobian_point(gaps, exps, j)
+                        assert np.array_equal(total, ref_total) and np.array_equal(dlog, ref_dlog)
+                        assert all(np.array_equal(a, b) for a, b in zip(certify(), ref_certify()))
+            assert 1 < len(layout._by_count) < fills
+
+    BAD = [(-0.5, r"gap 2 is -0\.5"), (0.0, r"gap 2 is 0\.0"), (math.nan, r"gap 2 is nan"),
+           (1e-310, r"gap 2 is 1e-310"), (5e-324, r"gap 2 is 5e-324"),
+           (math.inf, r"partial sum s_0 - s_3 is -inf"),
+           ([1.0, 1e308, 1e308, 1.0], r"partial sum s_0 - s_3 is -inf")]
+
+    @pytest.mark.parametrize("derivatives", [False, True], ids=["values", "derivatives"])
+    def test_fill_refuses_what_a_fresh_plan_refuses(self, derivatives):
+        # one bad row in a stack of 8: the fill raises the DomainError of a
+        # fresh plan, with no warning, and the layout fills on after it
+        exps, j = TestKernelInput.EXPS, np.tile(np.arange(4), (8, 1))
+        layout, good = IntervalLayout((8, 4), exps, j, derivatives), np.ones((8, 4))
+        layout.fill(good)
+        for bad, what in self.BAD:
+            gaps = good.copy()
+            if np.ndim(bad):
+                gaps[5] = bad
+            else:
+                gaps[5, 2] = bad
+            with pytest.raises(DomainError) as fill:
+                layout.fill(gaps)
+            with pytest.raises(DomainError) as fresh:
+                IntervalPlan(gaps, exps, j, derivatives)
+            assert str(fill.value) == str(fresh.value)
+            assert re.fullmatch(r"interval gaps must be positive normal floats with finite "
+                                rf"partial sums: tuple 5, {what}", str(fill.value))
+        assert np.array_equal(layout.fill(good).integrate_abs(_BASE_NODES),
+                              IntervalPlan(good, exps, j, derivatives).integrate_abs(_BASE_NODES))
+        # a layout takes the gaps of its own shape alone, and refuses the
+        # intervals a fresh plan refuses, with its message
+        with pytest.raises(ValueError, match=r"^the layout takes gaps of shape \(8, 4\), got "):
+            layout.fill(np.ones((7, 4)))
+        for idx, outside in (([0, 4], 4), ([-1, 0], -1)):
+            with pytest.raises(ValueError) as built:
+                IntervalLayout((4,), exps, idx, derivatives)
+            with pytest.raises(ValueError) as fresh:
+                IntervalPlan(np.ones(4), exps, idx, derivatives)
+            assert str(built.value) == str(fresh.value)
+            assert str(built.value) == f"interval index {outside} outside 0..3"
 
 
 class TestWholePanels:

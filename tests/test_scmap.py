@@ -245,7 +245,8 @@ class TestExactJacobian:
 
         # the 12-node values of a Newton iterate and the certified values of
         # the same point, which are the certified sides
-        (rough, rough_jac), certify = _side_jacobian(u, rows)
+        (rough, rough_jac), certify = _mapped(_side_jacobian(rows, 1)(u[None]),
+                                              lambda sides, jac: (sides[0], jac[0]))
         sides, jac = certify()
         assert np.array_equal(sides, sides_at(u))
         assert np.all(np.abs(rough - sides) <= 1e-12 * sides)
@@ -309,12 +310,12 @@ class TestNewtonFallback:
     def test_step_to_a_subnormal_gap_ends_newton(self):
         # the seed steps to the log-gaps (0, -745), whose second gap
         # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
-        exps = zz.ne_pattern(3, 2).exponents[None, :]
+        log_ratios = _log_ratio_system(zz.ne_pattern(3, 2).exponents[None, :])
 
         def system(u, members):
             if u[0, 1] == 0.0:  # the seed
                 return self.exact(np.array([[0.0, 745.0]]), np.eye(2)[None])
-            return _mapped(_log_ratio_system(u, exps), lambda sides, r, J: (r[:, 0], J[:, 0]))
+            return _mapped(log_ratios(u, members), lambda sides, r, J: (r[:, 0], J[:, 0]))
 
         [err] = _newton_batch(system, np.zeros((1, 2)), ["subnormal step test system"])
         assert isinstance(err, NoConvergence)
@@ -374,10 +375,10 @@ def stacked_problems(z, patterns):
     """(system, seeds) of the parameter problems of z under ``patterns`` as
     one stack for _newton_batch, each member on its own exponent row."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    exps = np.stack([pat.exponents for pat in patterns])[:, None, :]
+    log_ratios = _log_ratio_system(np.stack([pat.exponents for pat in patterns])[:, None, :])
 
     def system(u, members):
-        return _mapped(_log_ratio_system(u, exps[members]),
+        return _mapped(log_ratios(u, members),
                        lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
 
     return system, np.tile(target, (len(patterns), 1))
@@ -387,9 +388,10 @@ def solo_problem(z, pat):
     """(u, residuals, values) of one parameter problem solved alone, a
     stack of one member on the shared-row path of one tuple."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
+    log_ratios = _log_ratio_system(pat.exponents[None])
 
     def system(u, members):
-        return _mapped(_log_ratio_system(u, pat.exponents[None]),
+        return _mapped(log_ratios(u, members),
                        lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
 
     [result] = _newton_batch(system, target[None], ["solo"])
@@ -426,11 +428,12 @@ class TestStackedNewton:
         for pat, prev in zip(patterns, prevs):
             assert prev.gaps == zz.solve_parameter_problem(z, pat).gaps
 
-    def test_failing_member_leaves_the_other_unchanged(self):
+    def test_failing_member_leaves_the_other_unchanged(self, interval_layouts, kernel_plans):
         # member 0's seed steps to the log-gaps (0, -745), whose gap
         # exp(-745) = 5e-324 the kernel refuses: the stacked trial point is
-        # repeated member by member, member 0 ends in its own NoConvergence
-        # and member 1 solves on, bit for bit as alone
+        # repeated member by member, each on a layout of its own, member 0
+        # ends in its own NoConvergence and member 1 solves on, bit for bit
+        # as alone, filling its singleton layout at every later point
         z = zz.ZigzagParams(3, 2, (1.0, 0.7, 1.3))
         patterns = (zz.ne_pattern(3), zz.sw_pattern(3))
         system, seeds = stacked_problems(z, patterns)
@@ -446,6 +449,13 @@ class TestStackedNewton:
         assert str(failed).startswith("NE stalled")
         assert str(failed.__cause__).endswith("tuple 0, gap 0 is 5e-324")
         u, history, _ = solved
+        stacked_fills = len(kernel_plans)
+        assert [layout[1:] for layout in interval_layouts] == [((2, 6), (2, 1, 7), True),
+                                                                ((1, 6), (1, 1, 7), True),
+                                                                ((1, 6), (1, 1, 7), True)]
+        # the stacked seed and trial point, the trial point member by member
+        # (member 0's refused), then member 1's later points alone
+        assert stacked_fills == 4 + len(history) - 2
         solo_u, solo_history, _ = solo_problem(z, patterns[1])
         assert np.array_equal(u, solo_u) and history == solo_history
 

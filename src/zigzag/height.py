@@ -19,9 +19,10 @@ argument by continuation, not a step of the computation.  D of the
 result is the certificate, and the smallest singular value of the
 Jacobian at the solution certifies that the zero is isolated.  D takes
 the NE and SW parameter problems cold, as one stacked Newton solve with
-one fill of its layout per step, each member on its own exponent row and
-certified on its own items at the point it returns, its tuple bit for
-bit that of its solve alone (scmap.solve_parameter_problems).  The
+one layout, filled once per Newton point for both members, each on its
+own exponent row, and one certificate once neither steps; the first
+failure of either ends it, and each tuple is bit for bit that of its
+solve alone (scmap.solve_parameter_problems).  The
 record keeps what Newton did: max|F| at every Newton point, one fill
 each, from its 12-node sum but for the last, which is the certified
 max|F| at the solution.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotReflexive
+from .errors import NotReflexive
 from .geometry import ZigzagParams, canonicalize
 from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
                     ne_pattern, solve_parameter_problems, sw_pattern)
@@ -133,13 +134,10 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         def shared(sides, ratios, J):  # both patterns share one kernel plan
             return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides[:, 0]
 
-        log_ratios = _log_ratio_system(rows)
-        [result] = _newton_batch(lambda u, members: _mapped(log_ratios(u, members), shared),
-                                 _log_ratios(np.asarray(z.side_lengths))[None],
-                                 [f"shared-prevertex solve from {z}"])
-        if isinstance(result, NoConvergence):
-            raise result
-        _, history, (_, jac, ne) = result
+        log_ratios = _log_ratio_system(rows, 1)
+        [(_, history, (_, jac, ne))] = _newton_batch(lambda u: _mapped(log_ratios(u), shared),
+                                                     _log_ratios(np.asarray(z.side_lengths))[None],
+                                                     f"shared-prevertex solve from {z}")
         residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(ne)))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])

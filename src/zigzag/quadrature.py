@@ -36,7 +36,7 @@ arithmetic.  On a real interval (s_j, s_{j+1}) every factor is real and
 keeps its sign, so the integrand has constant argument and is summed in
 real arithmetic, log|t - s_m| with no arctan2, times one phase per panel
 and row: ``interval_integral`` returns the contour integrals,
-``interval_abs_integral`` their moduli and ``interval_jacobian`` the
+``interval_abs_integral`` their moduli and ``IntervalLayout.point`` the
 integrals with their exact derivatives in every log-gap, on the same
 panels.  All three take a stack of tuples, one tuple being a stack of
 one, by their gaps s_{m+1} - s_m, not their prevertices: every offset is
@@ -54,14 +54,13 @@ Segments keep absolute coordinates; ``arc_integral`` sums two segments
 through its arc's apex.  One routine, ``_certified``, compares the sums
 of each item and row at 12 and at 24 nodes, else QuadratureFailure, and
 every certified value passes it: each call of ``interval_integral``,
-``interval_abs_integral``, ``interval_jacobian`` and
-``segment_integral`` takes both sums.  A Newton iterate needs an
-accurate F, not a certified one: ``interval_jacobian_point`` returns
-``interval_jacobian`` from the 12-node sum alone, with a function that
-certifies that same point later, summing the same plan at 24 nodes, so a
-solve pays the comparison only at the point it returns, and a member of
-a stacked solve compares only its own items.  A Newton point is one
-fill of the solve's ``IntervalLayout``: what a plan takes from
+``interval_abs_integral`` and ``segment_integral`` takes both sums.  A
+Newton iterate needs an accurate F, not a certified one:
+``IntervalLayout.point`` returns the integrals and their derivatives
+from the 12-node sum alone, with a function that certifies that same
+point later, summing the same plan at 24 nodes and comparing every item,
+so a solve pays the comparison only at the point it returns.  A Newton
+point is one fill of the solve's ``IntervalLayout``: what a plan takes from
 everything but the gaps (ends, neighbours, Jacobi entries and their
 rules, rows, masks, the unpacking of the Jacobian) is built once per
 solve, and the entries and blocks of each vector of panel counts once,
@@ -150,22 +149,18 @@ def product_value(prev, exps, z):
     return np.exp(mag @ exps + 1j * (arg @ exps))
 
 
-def _certified(coarse, fine, rel_tol, abs_tol: float, what, items=None):
+def _certified(coarse, fine, rel_tol, abs_tol: float, what):
     """Certify panel sums by one comparison: ``coarse`` and ``fine``, the
     (R, S) sums of every row and item at 12 and at 24 nodes per panel
     (_BASE_NODES and its double), else QuadratureFailure.
 
     Every (row, item) pair must change by at most rel_tol * |fine| +
     abs_tol; a pair that no entry feeds is exactly 0 at both counts and
-    passes.  ``items``, an (S,) mask, restricts the comparison to those
-    items; the others are returned uncompared.  Returns ``fine``; raises
-    QuadratureFailure naming ``what(i)`` for the first compared item i
-    with a failing pair.
+    passes.  Returns ``fine``; raises QuadratureFailure naming ``what(i)``
+    for the first item i with a failing pair.
     """
     change = np.abs(fine - coarse)
     failed = ~(change <= rel_tol * np.abs(fine) + abs_tol)
-    if items is not None:
-        failed &= items
     if failed.any():
         i, r = np.argwhere(failed.T)[0]
         rel = change[r, i] / max(abs(fine[r, i]), 1e-300)
@@ -194,7 +189,9 @@ def _graded_panels(re, im, ray, reach, own):
     panel is half the clearance to the nearest other prevertex (at most
     half the reach), each next one as long as the distance back to that
     end, up to the reach; an end without a prevertex gives one panel up to
-    its reach.  Free panels are then halved while longer than the
+    its reach.  A first panel that rounds to 0, at a prevertex end whose
+    reach is a few subnormals, would double forever and raises
+    DomainError.  Free panels are then halved while longer than the
     clearance at their midpoint, at most 40 times: a straight path may
     graze a prevertex, and 40 halvings resolve a closest approach of
     1e-12 * length while panels still span ~1e4 ulps.  Only the segments
@@ -207,6 +204,10 @@ def _graded_panels(re, im, ray, reach, own):
     at = np.flatnonzero(own[o] >= 0)
     d[at, own[o[at]]] = np.inf
     b = np.where(own[o] >= 0, np.minimum(reach, d.min(axis=1, initial=np.inf)) / 2.0, reach)
+    if not (b > 0.0).all():  # a first break of 0 would double forever
+        i = seg[np.argmin(b > 0.0)]
+        raise DomainError(f"segment {i} is too short to grade from the prevertex at its end: "
+                          "its first panel rounds to 0")
     cols = [np.zeros_like(b), b]
     while (b < reach).any():
         b = np.minimum(reach, b + b)
@@ -450,7 +451,7 @@ class IntervalLayout:
     the masks that take each end's offsets as partial sums of its tuple's
     gaps, the exponent rows, the Jacobi entries with their exponents,
     phases and rules (_jacobi_entries), the derivative rows' mask, and for
-    ``point`` the maps that unpack interval_jacobian.  The panel counts of
+    ``point`` the maps that unpack its Jacobian.  The panel counts of
     the ends are all that the entries of a plan take from its gaps (the
     free entries, their order among the Jacobi ones, the mask and the
     blocks of its sums): these are built once per vector of counts, at
@@ -589,24 +590,51 @@ class IntervalLayout:
                           f"partial sums: tuple {t}, {what}")
 
     def point(self, gaps):
-        """interval_jacobian_point at ``gaps``, from one fill of this
-        layout, which must have derivative rows."""
+        """One point of a Newton iteration at ``gaps``, from one fill of
+        this layout, which must have derivative rows: (values, certify).
+
+        ``values`` is (I, g dI/dg), the complex integrals I_j over the
+        layout's intervals (s_j, s_{j+1}) and their derivatives g_i dI_j/dg_i
+        in the log of every gap of the interval's own tuple (_unpack), from
+        one sum at _BASE_NODES (12) nodes per panel, with no comparison.
+        ``certify()`` sums the same plan at twice that, once however often
+        it is called, compares the two on every interval and row, to 1e-12
+        relative, and returns the certified (I, g dI/dg), or raises
+        QuadratureFailure naming the first failing interval; so a solve
+        certifies the point it returns without building its plan again.
+        I has the row axis of a stack of rows followed by the shape of
+        ``j``, g dI/dg the gap axis i of length M-1 inserted before the
+        shape of ``j``.  The fill raises DomainError for the gaps
+        IntervalPlan rejects."""
         plan = self.fill(gaps)
         scale = plan.gaps[plan.tup].T  # the gaps of each interval's tuple, (M-1, S)
         coarse = plan.integrate_abs(_BASE_NODES)
         fine = []
 
-        def certify(tuples=None):
+        def certify():
             if not fine:
                 fine.append(plan.integrate_abs(2 * _BASE_NODES))
-            items = None if tuples is None else np.isin(plan.tup, tuples)
-            return self._unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name, items), scale)
+            return self._unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name), scale)
 
         return self._unpack(coarse, scale), certify
 
     def _unpack(self, value, scale):
-        """(I, g dI/dg) of interval_jacobian from the (R(M+1), S) sums
-        ``value`` of a fill whose tuples have the gaps ``scale``."""
+        """(I, g dI/dg) of ``point`` from the (R(M+1), S) sums ``value`` of
+        a fill whose tuples have the gaps ``scale``.
+
+        For a prevertex m that is not an end of the interval,
+
+            dI_j/ds_m = -e_m * integral of (t - s_m)^(e_m - 1) prod_{i != m} (t - s_i)^e_i,
+
+        the integral of the row e - delta_m on the interval's own panels,
+        which shares the base row's Gauss-Jacobi rules (IntervalPlan with
+        ``derivatives``); that row reads exactly 0 on the two intervals it
+        would make non-integrable.  A gap g_i moves the prevertices above
+        it, so by translation invariance dI_j/dg_i = -sum_{m <= i} dI_j/ds_m
+        below the interval and sum_{m > i} dI_j/ds_m above it: neither sum
+        holds an end, so no end derivatives of size I/g cancel next to a
+        tiny gap.  The interval's own gap follows from homogeneity,
+        sum_i g_i dI/dg_i = (1 + sum e) I."""
         b_count, m_count, s_count = self._neg_e.shape
         j, cols = self._plan["j"], self._cols
         value = value.reshape(b_count, m_count + 1, s_count)
@@ -738,56 +766,6 @@ def interval_abs_integral(gaps, exps, j):
     return np.abs(interval_integral(gaps, exps, j))
 
 
-def interval_jacobian(gaps, exps, j):
-    """Complex integrals I_j over real intervals (s_j, s_{j+1}) of a tuple
-    with gaps g_i = s_{i+1} - s_i, or of a stack of tuples, and their
-    derivatives g_i dI_j/dg_i in the log of every gap of the interval's own
-    tuple, from one kernel call.
-
-    ``gaps``, ``exps`` and ``j`` are as for interval_integral.  For a
-    prevertex m that is not an end of the interval,
-
-        dI_j/ds_m = -e_m * integral of (t - s_m)^(e_m - 1) prod_{i != m} (t - s_i)^e_i,
-
-    the integral of the row e - delta_m on the interval's own panels, which
-    shares the base row's Gauss-Jacobi rules (IntervalPlan with
-    ``derivatives``); that row reads exactly 0 on the two intervals it would
-    make non-integrable.  A gap g_i moves the prevertices above it, so by
-    translation invariance dI_j/dg_i = -sum_{m <= i} dI_j/ds_m below the
-    interval and sum_{m > i} dI_j/ds_m above it: neither sum holds an end,
-    so no end derivatives of size I/g cancel next to a tiny gap.  The
-    interval's own gap follows from homogeneity,
-    sum_i g_i dI/dg_i = (1 + sum e) I.  Every row is certified to 1e-12
-    relative by 12 against 24 nodes; a Newton iterate takes the 12-node
-    sum alone from interval_jacobian_point.  Returns (I, g dI/dg): I with
-    the row axis of a stack of rows followed by the shape of ``j``,
-    g dI/dg with the gap axis i of length M-1 inserted before the shape of
-    ``j``; raises QuadratureFailure if a row changes by more than that
-    from 12 to 24 nodes, and DomainError or ValueError for the gaps or
-    indices IntervalPlan rejects.
-    """
-    return interval_jacobian_point(gaps, exps, j)[1]()
-
-
-def interval_jacobian_point(gaps, exps, j):
-    """(values, certify): interval_jacobian at one point of a Newton
-    iteration, with its arguments and shapes.
-
-    ``values`` is (I, g dI/dg) from one sum at _BASE_NODES (12) nodes per
-    panel, with no comparison.  ``certify()`` sums the same plan at twice
-    that, once however often it is called, compares the two as
-    interval_jacobian does and returns the certified (I, g dI/dg), equal
-    bit for bit to interval_jacobian's, or raises QuadratureFailure; so a
-    solve certifies the point it returns without building its plan again.
-    ``certify(tuples)`` compares the intervals of those tuple rows alone,
-    so a member of a stacked solve is certified on its own items: the
-    values of the other tuples are returned uncompared, and their failures
-    cannot fail it.  Raises DomainError or ValueError for the gaps or
-    indices IntervalPlan rejects.
-    """
-    return IntervalLayout(np.shape(gaps), exps, j, derivatives=True).point(gaps)
-
-
 def _segment_reach(re, im, unit, length, own):
     """(2S,) reach of each segment end for _graded_panels: (L, 0) for a
     segment with no prevertex at either end whose length L is at most its
@@ -814,7 +792,9 @@ def segment_integral(prev, exps, z0, z1):
     (L, 0)); every other segment is graded each half from its own end
     (reach (L/2, L/2)), as an interval is.  Every segment and row is
     certified to 1e-11 relative plus 1e-15 absolute by 12 against 24
-    nodes, else QuadratureFailure names the segment.
+    nodes, else QuadratureFailure names the segment.  A non-finite end,
+    or a segment from a prevertex so short that its first panel rounds to
+    0, raises DomainError.
 
     Returns the integrals with the broadcast segment shape, preceded by
     the row axis for a stack of rows; a scalar for one segment and row.

@@ -27,8 +27,7 @@ solved by one plain Newton iteration to max|F| <= 1e-12, from the same
 seed: gaps proportional to the target sides.  Its Jacobian is exact: the
 prevertex derivatives of the side integrals are extra exponent rows on
 the panels of the sides, so each Newton point costs one fill of the
-solve's layout and one 12-node sum, uncompared: the Newton system builds
-one interval layout per member set it meets and fills it at each point
+solve's one interval layout and one 12-node sum, uncompared
 (``_log_ratio_system``, quadrature.IntervalLayout).  Only the point a
 solve returns pays the 12-against-24 certificate, one more sum on the
 same plan.  Every real-interval integral takes the tuple's gaps, not its
@@ -38,13 +37,15 @@ starts from equal sides, with no nested parameter solve.
 
 The parameter problems of several patterns on one zigzag are one stacked
 Newton solve (``solve_parameter_problems``, ``_newton_batch``), as the
-height D takes its NE and SW solves: every Newton step of the members
-still iterating is one fill, each member summed against its own exponent
-row, and each keeps its own history, stopping test, certificate and
-failure.  The kernel gives each member's values bit for bit as its
-call alone, so each member's tuple and history are those of its solve
-alone.  ``_developments`` takes the sides of several patterns on one
-tuple from one kernel call the same way.
+height D takes its NE and SW solves: every Newton point is one fill of
+the layout of the whole stack, each member summed against its own
+exponent row.  A member that has converged rides along at its point
+until no member steps; then one certificate compares the whole plan.
+The first failure of any member ends the stack.  The kernel gives each
+member's values bit for bit as its call alone, so each member's tuple
+and history are those of its solve alone.  ``_developments`` takes the
+sides of several patterns on one tuple from one kernel call the same
+way.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
 
 def _mapped(point, f):
     """A Newton point (values, certify) with ``f`` applied to its values
-    and to the certified values that ``certify(...)`` returns."""
+    and to the certified values that ``certify()`` returns."""
     values, certify = point
-    return f(*values), lambda *members: f(*certify(*members))
+    return f(*values), lambda: f(*certify())
 
 
 def _side_jacobian(exponents, count):
@@ -200,8 +201,7 @@ def _side_jacobian(exponents, count):
     no comparison, and ``certify()`` the same certified at the same u, the
     sides then equal to positive_sides, or QuadratureFailure
     (quadrature.IntervalLayout.point); each tuple's equal bit for bit to
-    its call alone, and ``certify(members)`` compares the items of the
-    tuples ``members`` alone.
+    its call alone.
 
     It chains the log-gap derivatives of the interval integrals:
     d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
@@ -224,160 +224,113 @@ def _side_jacobian(exponents, count):
     return point
 
 
-def _log_ratio_system(exponents):
-    """The Newton system ``system(u, members)`` of the raw positive sides
-    of the members' tuples with log-gaps u, their log ratios _log_ratios
-    per row and the (T, R, p-1, p-1) Jacobian of those over u, as the
-    Newton point (values, certify) of _side_jacobian.
+def _log_ratio_system(exponents, count):
+    """The Newton system ``system(u)`` of the raw positive sides of a stack
+    of ``count`` tuples with log-gaps u, their log ratios _log_ratios per
+    row and the (T, R, p-1, p-1) Jacobian of those over u, as the Newton
+    point (values, certify) of _side_jacobian.
 
-    ``exponents`` is an (R, 2p+1) stack of rows shared by every member or
-    a stack with R rows per member, member m taking exponents[m].  The
-    members of a call share one fill of one interval layout, built at the
-    first call on that member set and kept by the system: a Newton solve
-    builds one per member set it meets (all its members, those still
-    iterating, each member retried alone by _newton_points), and none
-    outlives the system."""
-    shared, points = np.ndim(exponents) == 2, {}
+    ``exponents`` is an (R, 2p+1) stack of rows shared by every tuple or a
+    (count, R, 2p+1) stack, tuple m taking exponents[m].  The system
+    builds one interval layout and fills it once per call, and the layout
+    lives as long as the system."""
+    point = _side_jacobian(exponents, count)
 
     def ratios(sides, d_sides):
         d_log = d_sides / sides[..., None]
         return sides, _log_ratios(sides), d_log[..., 1:, :] - d_log[..., :1, :]
 
-    def system(u, members):
-        point = points.get(tuple(members))
-        if point is None:
-            rows = exponents if shared else exponents[members]
-            point = points[tuple(members)] = _side_jacobian(rows, len(members))
-        return _mapped(point(u), ratios)
-
-    return system
+    return lambda u: _mapped(point(u), ratios)
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
 _NEWTON_FAILURES = (np.linalg.LinAlgError, QuadratureFailure, DomainError)
 
 
-def _attempt(f, *args):
-    """f(*args), or the exception of _NEWTON_FAILURES that it raised."""
-    try:
-        return f(*args)
-    except _NEWTON_FAILURES as exc:
-        return exc
-
-
-def _member(values, i):
-    """(values, max|F|) of member i of stacked Newton values (F, J, ...);
-    DomainError if its F or J is not finite."""
-    values = tuple(v[i] for v in values)
-    r, J = values[0], values[1]
-    if not (np.isfinite(r).all() and np.isfinite(J).all()):
-        raise DomainError("F or its Jacobian is not finite")
-    return values, float(np.max(np.abs(r)))
-
-
-def _newton_points(system, u, members):
-    """One Newton point per member of a stack: (values, max|F|), certified
-    where max|F| <= _NEWTON_TOL, or the failure that ends the member.
-
-    The members share one call of ``system`` and so one kernel plan.  A
-    call that fails (a plan that refuses one member's gaps) is repeated
-    member by member, so each member meets only its own failure.  One
-    certificate compares the items of the members that need it, and if it
-    fails, each of them alone on the same sums: no member fails on
-    another's items."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
-        point = _attempt(system, u, members)
-        if isinstance(point, Exception):
-            if len(members) == 1:
-                return [point]
-            return [out for i in range(len(members))
-                    for out in _newton_points(system, u[i:i + 1], members[i:i + 1])]
-        values, certify = point
-        out = [_attempt(_member, values, i) for i in range(len(members))]
-        need = [i for i, o in enumerate(out)
-                if not isinstance(o, Exception) and o[1] <= _NEWTON_TOL]
-        certified = _attempt(certify, need) if need else None
-        for i in need:
-            mine = certified
-            if isinstance(certified, Exception) and len(need) > 1:
-                mine = _attempt(certify, [i])
-            out[i] = mine if isinstance(mine, Exception) else _attempt(_member, mine, i)
-    return out
-
-
-def _newton_batch(system, u0, labels):
+def _newton_batch(system, u0, label):
     """Plain Newton on a stack of T independent systems, one kernel call
-    per step: for each member, (u, residuals, values), log-gaps u with a
-    certified max|F(u)| <= _NEWTON_TOL, max|F| at every Newton point,
-    strictly decreasing, and its certified values at u; or the
-    NoConvergence that ended it.
+    per Newton point: for each member, (u, residuals, values), log-gaps u
+    with a certified max|F(u)| <= _NEWTON_TOL, max|F| at every Newton
+    point, strictly decreasing, and its certified values at u.
 
-    ``system(u, members)`` takes the (len(members), n) log-gaps of the
-    members still iterating, indices into the stack, and returns their
-    Newton point (values, certify) from one kernel plan, a fill of the
-    system's layout (_log_ratio_system): values = (F, J, ...) stacked
-    over those members, F(u) and its exact Jacobian first, from one
-    12-node sum with no comparison, and ``certify(i)`` the same at the
-    same u, certified by 12 against 24 nodes on that plan for the
-    members at the positions i of the call alone (_newton_points).  An
-    accepted step already holds its Jacobian: one kernel plan per Newton
-    point.  Each member is the solve of its system alone: its own history,
-    stopping test, certificate and failure, its u and residuals equal bit
-    for bit, as long as the kernel gives each member's values bit for bit
-    as its call alone.  When max|F| <= _NEWTON_TOL, Newton certifies the
-    point; a member returns it if the certified max|F| is still <=
-    _NEWTON_TOL, and otherwise goes on from the certified F and J.  So
-    every entry of residuals but the last is max|F| from one 12-node sum
-    (a certified one where a point that looked converged was not), and
-    the last is the certified max|F| at the returned u.  Newton takes full
-    steps, at most 60.  A member ends in NoConvergence ``"<label> stalled"``
-    carrying its residuals so far when a step does not reduce its max|F|,
-    its J is singular, the kernel fails to certify its point or rejects
-    it (a step so long that a gap leaves the floating-point range), or
-    its F or J is not finite there, the LinAlgError, QuadratureFailure or
-    DomainError chained as its cause.
+    ``system(u)`` takes the (T, n) log-gaps of the whole stack and returns
+    its Newton point (values, certify) from one fill of one layout
+    (_log_ratio_system): values = (F, J, ...) stacked over the members,
+    F(u) and its exact Jacobian first, from one 12-node sum with no
+    comparison, and ``certify()`` the same at the same u, certified by 12
+    against 24 nodes on that plan.  An accepted step already holds its
+    Jacobian: one kernel plan per Newton point.  A member whose 12-node
+    max|F| is <= _NEWTON_TOL stops stepping and rides along at its u while
+    the others step.  Once no member steps, one certificate compares the
+    whole plan; a member returns its point if the certified max|F| is
+    still <= _NEWTON_TOL, and otherwise steps on from the certified F and
+    J.  So every entry of residuals but the last is max|F| from one 12-node
+    sum (a certified one where a point that looked converged was not), and
+    the last is the certified max|F| at the returned u.  The kernel gives
+    each member's values bit for bit as its call alone, so a member that
+    rides along or waits for the certificate keeps the u and residuals of
+    its solve alone.
+
+    Newton takes full steps, at most 60 Newton points per member.  The
+    first failure ends the stack: NoConvergence ``"<label> stalled"``
+    carrying the residuals so far of the member it ends, when a step does
+    not reduce that member's max|F|, its J is singular, its F or J is not
+    finite (DomainError), or its 60th point has not converged.  A point
+    the kernel rejects (a step so long that a gap leaves the
+    floating-point range) ends the first member still stepping, and a
+    failed certificate the first member waiting for it, the LinAlgError,
+    QuadratureFailure or DomainError chained as the cause.
     """
     u = np.array(u0, dtype=float)
-    residuals = [[] for _ in labels]
-    results = [None] * len(labels)
+    residuals = [[] for _ in u]
+    results = [None] * len(u)
 
-    def end(m, cause=None):
-        results[m] = NoConvergence(f"{labels[m]} stalled", residuals[m])
-        results[m].__cause__ = cause
+    def stalled(m, cause=None):
+        err = NoConvergence(f"{label} stalled", residuals[m])
+        err.__cause__ = cause
+        return err
 
-    live = list(range(len(labels)))
-    points = _newton_points(system, u, np.array(live))
-    for _ in range(60):
-        stepping = []
-        for m, point in zip(live, points):
-            if isinstance(point, Exception):
-                end(m, point)
-                continue
-            values, norm = point
-            residuals[m].append(norm)
-            if norm <= _NEWTON_TOL:  # certified
-                results[m] = (u[m].copy(), residuals[m], values)
-                continue
-            step = _attempt(np.linalg.solve, values[1], -values[0])
-            if isinstance(step, Exception):
-                end(m, step)
-            else:
-                stepping.append((m, u[m] + step, norm))
-        if not stepping:
-            break
-        trial = _newton_points(system, np.array([t for _, t, _ in stepping]),
-                               np.array([m for m, _, _ in stepping]))
-        live, points = [], []
-        for (m, t, norm), point in zip(stepping, trial):
-            if isinstance(point, Exception) or not point[1] < norm:
-                end(m, point if isinstance(point, Exception) else None)
-            else:
-                u[m] = t
-                live.append(m)
-                points.append(point)
-    for m, result in enumerate(results):
-        if result is None:
-            end(m)
+    def ending(f, m):  # f(), or the NoConvergence of member m for its failure
+        try:
+            return f()
+        except _NEWTON_FAILURES as exc:
+            raise stalled(m, exc)
+
+    def max_f(m, values):  # max|F| of member m in the stacked values
+        r, J = values[0][m], values[1][m]
+        if not (np.isfinite(r).all() and np.isfinite(J).all()):
+            raise stalled(m, DomainError("F or its Jacobian is not finite"))
+        return float(np.max(np.abs(r)))
+
+    def accept(m, f, values):  # record max|F| = f of member m, then step it
+        if residuals[m] and not f < residuals[m][-1]:
+            raise stalled(m)
+        residuals[m].append(f)
+        if f <= _NEWTON_TOL:  # certified
+            results[m] = (u[m].copy(), residuals[m], tuple(v[m] for v in values))
+            return
+        if len(residuals[m]) == 60:
+            raise stalled(m)
+        u[m] += ending(lambda: np.linalg.solve(values[1][m], -values[0][m]), m)
+        stepping.append(m)
+
+    stepping, waiting = list(range(len(u))), []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
+        while stepping or waiting:
+            if stepping:
+                values, certify = ending(lambda: system(u), stepping[0])
+                moved, stepping = stepping, []
+                for m in moved:
+                    f = max_f(m, values)
+                    if f <= _NEWTON_TOL:  # rides along until no member steps
+                        waiting.append(m)
+                    else:
+                        accept(m, f, values)
+            else:  # one certificate of the whole plan
+                moved, waiting = sorted(waiting), []
+                certified = ending(certify, moved[0])
+                for m in moved:
+                    accept(m, max_f(m, certified), certified)
     return results
 
 
@@ -391,10 +344,9 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     of _newton_batch with the exact Jacobian: 12-node sums at its
     iterates, the 12-against-24 certificate at the point it returns.  The
     patterns are one stacked solve, each member on its own exponent row:
-    a Newton step of all members still iterating is one fill of the
-    layout of those members, and each member's tuple is bit for bit that
-    of its solve alone.  Genus 0 and 1 have no unknowns.  Raises the
-    NoConvergence of the first pattern whose solve fails.
+    every Newton point is one fill of one layout of all members, and each
+    member's tuple is bit for bit that of its solve alone.  Genus 0 and 1
+    have no unknowns.  Raises the NoConvergence that ends the stack.
     """
     z = canonicalize(z)
     p = z.genus
@@ -407,13 +359,9 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     def residual(sides, ratios, J):
         return ratios[:, 0] - target, J[:, 0]
 
-    log_ratios = _log_ratio_system(exps)
-    results = _newton_batch(
-        lambda u, members: _mapped(log_ratios(u, members), residual),
-        np.tile(target, (len(exps), 1)), [f"parameter problem for {z}"] * len(exps))
-    for result in results:
-        if isinstance(result, NoConvergence):
-            raise result
+    log_ratios = _log_ratio_system(exps, len(exps))
+    results = _newton_batch(lambda u: _mapped(log_ratios(u), residual),
+                            np.tile(target, (len(exps), 1)), f"parameter problem for {z}")
     return tuple(Prevertices(p, np.exp(u)) for u, _, _ in results)
 
 

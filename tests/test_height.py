@@ -115,9 +115,9 @@ class TestMinimize:
         log_ratio_system = height_mod._log_ratio_system
         calls = []
 
-        def counted(rows):
-            system = log_ratio_system(rows)
-            return lambda u, members: calls.append(u) or system(u, members)
+        def counted(rows, count):
+            system = log_ratio_system(rows, count)
+            return lambda u: calls.append(u) or system(u)
 
         monkeypatch.setattr(height_mod, "_log_ratio_system", counted)
         res = zz.minimize(zz.ZigzagParams(3, 2, (1.0, 1.0, 1.0))).residuals

@@ -15,8 +15,20 @@ import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (_BASE_NODES, IntervalLayout, IntervalPlan, _ends, _graded_panels,
                                 _rule, _segment_reach, _SegmentPanels, arc_integral,
-                                interval_abs_integral, interval_integral, interval_jacobian,
-                                interval_jacobian_point, segment_integral)
+                                interval_abs_integral, interval_integral, segment_integral)
+
+
+def jacobian_point(gaps, exps, j):
+    """(values, certify) of a Newton point at ``gaps``: IntervalLayout.point
+    of a fresh layout with derivative rows, the integrals (I, g dI/dg) from
+    the 12-node sum and their certificate."""
+    return IntervalLayout(np.shape(gaps), exps, j, derivatives=True).point(gaps)
+
+
+def certified_jacobian(gaps, exps, j):
+    """The certified (I, g dI/dg) of jacobian_point."""
+    return jacobian_point(gaps, exps, j)[1]()
+
 
 # int_0^1 (t+1)^(1/2) t^(-1/2) (1-t)^(1/2) dt, mpmath tanh-sinh at 30 digits
 L_STAR = 1.7480383695280798595
@@ -219,7 +231,7 @@ class TestRealIntervalPath:
             ref = _SegmentPanels.sums(row, n)
             assert np.all(np.abs(value[:, 1 + m, off] - ref) <= 1e-13 * np.abs(ref))
 
-    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian])
+    @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian])
     def test_certificate_can_fail(self, monkeypatch, routine):
         # with 4 base nodes the 1e-9 gap (s_0, s_1) next to its far
         # neighbours fails the 4-against-8-node comparison
@@ -234,7 +246,7 @@ class TestKernelInput:
     gaps below the least normal float, which takes in every gap that is
     not positive, or whose partial sums are not finite (DomainError), and
     interval indices outside the tuple (ValueError).
-    interval_abs_integral and interval_jacobian are each checked on one
+    interval_abs_integral and certified_jacobian are each checked on one
     tuple and on a stack, and an overflowing partial sum through
     interval_integral too, in process."""
 
@@ -249,7 +261,9 @@ class TestKernelInput:
 import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import numpy as np
-from zigzag.quadrature import interval_abs_integral, interval_jacobian
+from zigzag.quadrature import IntervalLayout, interval_abs_integral
+def certified_jacobian(gaps, exps, j):
+    return IntervalLayout(np.shape(gaps), exps, j, derivatives=True).point(gaps)[1]()
 outcomes = {}
 for name, bad in [("inf", [np.inf]), ("nan", [np.nan]), ("zero", [0.0]),
                   ("negative", [-0.5]), ("overflowing sum", [1e308, 1e308]),
@@ -260,8 +274,8 @@ for name, bad in [("inf", [np.inf]), ("nan", [np.nan]), ("zero", [0.0]),
     stack = np.stack((np.ones(4), gaps)), np.tile(np.arange(4), (2, 1))  # row 1 is bad
     for routine, form, (g, j) in [(interval_abs_integral, "tuple", one),
                                   (interval_abs_integral, "stack", stack),
-                                  (interval_jacobian, "tuple", one),
-                                  (interval_jacobian, "stack", stack)]:
+                                  (certified_jacobian, "tuple", one),
+                                  (certified_jacobian, "stack", stack)]:
         start = time.perf_counter()
         try:
             routine(g, [0.5, -0.5, 0.5, -0.5, 0.5], j)
@@ -287,8 +301,8 @@ print(json.dumps(outcomes))
     @pytest.mark.parametrize("j", [-1, 4])
     @pytest.mark.parametrize("routine, stacked", [(interval_abs_integral, False),
                                                   (interval_abs_integral, True),
-                                                  (interval_jacobian, False),
-                                                  (interval_jacobian, True)],
+                                                  (certified_jacobian, False),
+                                                  (certified_jacobian, True)],
                              ids=["abs-tuple", "abs-stack", "jacobian-tuple", "jacobian-stack"])
     def test_interval_index_outside_the_tuple(self, routine, stacked, j):
         gaps, idx = np.ones(4), np.array([0, j])
@@ -302,7 +316,7 @@ print(json.dumps(outcomes))
                                            (1e-310, r"gap 2 is 1e-310"),
                                            (math.inf, r"partial sum s_0 - s_3 is -inf")],
                              ids=["negative", "zero", "nan", "subnormal", "inf"])
-    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian])
+    @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian])
     def test_message_names_the_bad_tuple_of_a_stack(self, routine, bad, what):
         # one bad row in a stack of 8: the message names that row and its
         # first bad gap or partial sum, on one line, not the whole stack
@@ -314,7 +328,7 @@ print(json.dumps(outcomes))
                             rf"partial sums: tuple 5, {what}", str(info.value))
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["tuple", "stack"])
-    @pytest.mark.parametrize("routine", [interval_abs_integral, interval_jacobian,
+    @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian,
                                          interval_integral])
     def test_overflowing_partial_sum_raises_without_a_warning(self, routine, stacked):
         # finite gaps whose partial sums overflow: the DomainError alone,
@@ -335,9 +349,9 @@ print(json.dumps(outcomes))
         assert interval_abs_integral(np.ones(4), self.EXPS, []).shape == (0,)
         none = np.zeros((1, 0), int)
         assert interval_abs_integral(np.ones((1, 4)), rows, none).shape == (2, 1, 0)
-        total, dlog = interval_jacobian(np.ones(4), self.EXPS, [])
+        total, dlog = certified_jacobian(np.ones(4), self.EXPS, [])
         assert (total.shape, dlog.shape) == ((0,), (4, 0))
-        total, dlog = interval_jacobian(np.ones((1, 4)), rows, none)
+        total, dlog = certified_jacobian(np.ones((1, 4)), rows, none)
         assert (total.shape, dlog.shape) == ((2, 1, 0), (2, 4, 1, 0))
 
 
@@ -359,16 +373,16 @@ class TestStackedTuples:
         # one interval per tuple, one row
         one = interval_abs_integral(gaps, rows[0], np.full(len(members), 5))
         assert np.all(one == [interval_abs_integral(m.gaps, rows[0], 5) for m in members])
-        # interval_jacobian: every value and every log-gap derivative is
+        # certified_jacobian: every value and every log-gap derivative is
         # taken on its own tuple, the gap axis before the tuple axis
-        total, dlog = interval_jacobian(gaps, rows, j)
-        single = [interval_jacobian(m.gaps, rows, np.arange(6)) for m in members]
+        total, dlog = certified_jacobian(gaps, rows, j)
+        single = [certified_jacobian(m.gaps, rows, np.arange(6)) for m in members]
         assert total.shape == (2, len(members), 6) and dlog.shape == (2, 6, len(members), 6)
         assert np.all(total == np.stack([t for t, _ in single], axis=1))
         assert np.all(dlog == np.stack([d for _, d in single], axis=2))
 
     def test_intervals_must_have_a_row_per_tuple(self):
-        for routine in (interval_abs_integral, interval_jacobian):
+        for routine in (interval_abs_integral, certified_jacobian):
             with pytest.raises(ValueError, match="stack of 2 gap tuples"):
                 routine(np.ones((2, 2)), [0.5, 0.0, 0.0], [1, 1, 1])
 
@@ -415,13 +429,13 @@ class TestRowsPerTuple:
             monkeypatch.setattr(quad, "_BLOCK", block)
         gaps, rows, j = self.stack()
         total = interval_integral(gaps, rows, j)
-        (rough, rough_dlog), certify = interval_jacobian_point(gaps, rows, j)
+        (rough, rough_dlog), certify = jacobian_point(gaps, rows, j)
         fine, fine_dlog = certify()
         assert total.shape == (2, 3, 3) and rough_dlog.shape == (2, 6, 3, 3)
         for t in range(3):
             assert np.array_equal(total[:, t], interval_integral(gaps[t], rows[t], j[t]))
             assert np.array_equal(total[:, t], interval_integral(gaps, rows[t], j)[:, t])
-            (solo, solo_dlog), solo_certify = interval_jacobian_point(gaps[t], rows[t], j[t])
+            (solo, solo_dlog), solo_certify = jacobian_point(gaps[t], rows[t], j[t])
             assert np.array_equal(rough[:, t], solo) and np.array_equal(rough_dlog[:, :, t], solo_dlog)
             solo, solo_dlog = solo_certify()
             assert np.array_equal(fine[:, t], solo) and np.array_equal(fine_dlog[:, :, t], solo_dlog)
@@ -455,36 +469,21 @@ class TestRowsPerTuple:
         with pytest.raises(ValueError, match=r"exponent rows of shape \(3, R, M\)"):
             interval_integral(gaps, rows[:2], j)
 
-    def test_certificate_compares_the_given_tuples_alone(self, monkeypatch):
-        # at 2 against 4 nodes tuple 2, with the wide interval (1, 2) at
-        # distance 1 from the singular factor at s_0, fails its certificate:
-        # the other tuples pass theirs, on the same sums, with their solo values
-        monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 2)
-        gaps = np.array([[1.0, 1e-6], [1.0, 1e-3], [1.0, 1.0]])
-        rows = np.array([[[0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]]])
-        _, certify = interval_jacobian_point(gaps, rows, [[1], [1], [1]])
-        total, _ = certify([0, 1])
-        for t in (0, 1):
-            assert np.array_equal(total[:, t], interval_jacobian(gaps[t], rows[t], [1])[0])
-        for tuples in ([2], [1, 2], None):
-            with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 2, gap 1\.0 "):
-                certify(*(() if tuples is None else (tuples,)))
-
 
 class TestJacobianPoint:
-    """interval_jacobian_point, what a Newton iterate takes: one 12-node
-    sum, uncompared, and a certificate of the same point on the same plan."""
+    """IntervalLayout.point, what a Newton iterate takes: one 12-node sum,
+    uncompared, and a certificate of the same point on the same plan."""
 
-    def test_certify_reuses_the_plan_and_equals_interval_jacobian(self, kernel_plans):
+    def test_certify_reuses_the_plan_and_equals_certified_jacobian(self, kernel_plans):
         # a stacked coalescing family down to a 1e-9 gap, NE and SW rows
         base = zz.Prevertices(3, (0.6, 1.0))
         gaps = np.array([m.gaps for m in zz.make_coalescing_family(base, 1, [1e-9, 1e-4, 0.1])])
         rows = np.stack((zz.ne_pattern(3).exponents, zz.sw_pattern(3).exponents))
         j = np.tile(np.arange(6), (3, 1))
-        (total, dlog), certify = interval_jacobian_point(gaps, rows, j)
+        (total, dlog), certify = jacobian_point(gaps, rows, j)
         fine_total, fine_dlog = certify()
         assert len(kernel_plans) == 1
-        ref_total, ref_dlog = interval_jacobian(gaps, rows, j)
+        ref_total, ref_dlog = certified_jacobian(gaps, rows, j)
         assert np.array_equal(fine_total, ref_total) and np.array_equal(fine_dlog, ref_dlog)
         # the 12-node values are the coarse half of that certificate
         assert np.all(np.abs(total - fine_total) <= 1e-12 * np.abs(fine_total))
@@ -495,7 +494,7 @@ class TestJacobianPoint:
         # at 2 against 4 nodes the interval (1, 2), at distance 1 from the
         # singular factor at s_0, fails its certificate; the values do not
         monkeypatch.setattr(sys.modules["zigzag.quadrature"], "_BASE_NODES", 2)
-        (total, dlog), certify = interval_jacobian_point([1.0, 1.0], [0.5, 0.0, 0.0], 1)
+        (total, dlog), certify = jacobian_point([1.0, 1.0], [0.5, 0.0, 0.0], 1)
         assert np.isfinite(total) and np.isfinite(dlog).all()
         with pytest.raises(QuadratureFailure, match=r"^interval \(1, 2\) of tuple 0, gap 1\.0 "):
             certify()
@@ -516,18 +515,18 @@ class TestCertifiedAgainstFineSums:
         ends = np.concatenate((rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.0, 2.0, 12),
                                prev + 1e-6j, prev + 0j))
         value = interval_abs_integral(gaps, rows, j)
-        total, dlog = interval_jacobian(gaps, rows, j)
+        total, dlog = certified_jacobian(gaps, rows, j)
         seg = segment_integral(prev, rows, 1.5j, ends)
         plan = IntervalPlan(gaps, rows, j, derivatives=True)
         certified = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, str)
         monkeypatch.setattr(quad, "_BASE_NODES", 48)
         fine_value = interval_abs_integral(gaps, rows, j)
-        fine_total, fine_dlog = interval_jacobian(gaps, rows, j)
+        fine_total, fine_dlog = certified_jacobian(gaps, rows, j)
         fine_seg = segment_integral(prev, rows, 1.5j, ends)
         fine = plan.integrate_abs(96)
         assert np.all(np.abs(value - fine_value) <= 1e-14 * fine_value)
         assert np.all(np.abs(total - fine_total) <= 1e-14 * np.abs(fine_total))
-        # every row interval_jacobian certifies; a row masked on an interval
+        # every row certified_jacobian certifies; a row masked on an interval
         # is exactly 0 at both counts
         assert np.all(np.abs(certified - fine) <= 1e-14 * np.abs(fine))
         # log-gap derivatives against the largest of their interval: those
@@ -773,7 +772,7 @@ class TestIntervalLayout:
                         assert np.array_equal(plan.integrate_abs(n), fresh.integrate_abs(n))
                     if derivatives:
                         (total, dlog), certify = layout.point(gaps)
-                        (ref_total, ref_dlog), ref_certify = interval_jacobian_point(gaps, exps, j)
+                        (ref_total, ref_dlog), ref_certify = jacobian_point(gaps, exps, j)
                         assert np.array_equal(total, ref_total) and np.array_equal(dlog, ref_dlog)
                         assert all(np.array_equal(a, b) for a, b in zip(certify(), ref_certify()))
             assert 1 < len(layout._by_count) < fills
@@ -944,6 +943,39 @@ class TestSegmentIntegral:
             segment_integral(prev, exps, 0.5j, end)
         with pytest.raises(DomainError):
             segment_integral(prev, exps, end, 0.5j)
+
+    # A segment a few subnormals long from a prevertex: at 1e-323 the first
+    # break rounds to 0 and would double forever, so the calls run in a
+    # child process with a timeout, where such a regression fails instead
+    # of hanging the suite.  At 1e-300 and 1e-310 the first break is
+    # positive and the segment integrates as before.
+    SHORT = """
+import json
+import numpy as np
+from zigzag.errors import DomainError
+from zigzag.quadrature import segment_integral
+out = {}
+for z1 in (1e-300j, 1e-310j, 1e-323j):
+    try:
+        value = segment_integral([-1.0, 0.0, 1.0], [0.5, -0.5, 0.5], 0.0, z1)
+        out[repr(z1)] = [value.real, value.imag]
+    except DomainError as exc:
+        out[repr(z1)] = str(exc)
+print(json.dumps(out))
+"""
+
+    def test_subnormal_segment_from_a_prevertex_raises_at_once(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(zz.__file__).parents[1]),
+                                                           env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", self.SHORT], env=env,
+                             capture_output=True, text=True, timeout=30)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["1e-300j"] == [-1.931851652578136e-150, 5.176380902050414e-151]
+        assert out["1e-310j"] == [-1.9318516525784284e-155, 5.176380902051609e-156]
+        assert out["1e-323j"] == ("segment 0 is too short to grade from the prevertex at its "
+                                  "end: its first panel rounds to 0")
 
 
 class TestArcIntegral:

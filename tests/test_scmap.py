@@ -288,58 +288,58 @@ class TestNewtonFallback:
     def exact(r, J):
         """A Newton point (values, certify) of an exact test system, stacked
         over one member, whose certified values are its values."""
-        return (r, J), lambda which: (r, J)
+        return (r, J), lambda: (r, J)
 
     def test_kernel_failure_at_a_trial_point_ends_newton(self):
         # the kernel fails to certify the point, or rejects its gaps
         for error in (QuadratureFailure, DomainError):
             calls = []
 
-            def system(u, members):
+            def system(u):
                 calls.append(u.copy())
                 if len(calls) == 2:
                     raise error("injected at the first trial point")
                 return self.exact(u - 1.0, np.eye(u.shape[1])[None])
 
-            [err] = _newton_batch(system, np.zeros((1, 2)), ["linear test system"])
-            assert isinstance(err, NoConvergence)
+            with pytest.raises(NoConvergence) as err:
+                _newton_batch(system, np.zeros((1, 2)), "linear test system")
             assert len(calls) == 2
-            assert err.trace == [1.0]  # max|F| at the seed
-            assert isinstance(err.__cause__, error)
+            assert err.value.trace == [1.0]  # max|F| at the seed
+            assert isinstance(err.value.__cause__, error)
 
     def test_step_to_a_subnormal_gap_ends_newton(self):
         # the seed steps to the log-gaps (0, -745), whose second gap
         # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
-        log_ratios = _log_ratio_system(zz.ne_pattern(3, 2).exponents[None, :])
+        log_ratios = _log_ratio_system(zz.ne_pattern(3, 2).exponents[None, :], 1)
 
-        def system(u, members):
+        def system(u):
             if u[0, 1] == 0.0:  # the seed
                 return self.exact(np.array([[0.0, 745.0]]), np.eye(2)[None])
-            return _mapped(log_ratios(u, members), lambda sides, r, J: (r[:, 0], J[:, 0]))
+            return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0], J[:, 0]))
 
-        [err] = _newton_batch(system, np.zeros((1, 2)), ["subnormal step test system"])
-        assert isinstance(err, NoConvergence)
-        assert err.trace == [745.0]
-        assert isinstance(err.__cause__, DomainError)
-        assert str(err.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((1, 2)), "subnormal step test system")
+        assert err.value.trace == [745.0]
+        assert isinstance(err.value.__cause__, DomainError)
+        assert str(err.value.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
 
     def test_certification_failure_at_a_converged_point_ends_newton(self):
         # F(u) = u - 1 is solved by the first step; the 12-node sums there
         # read max|F| = 0, and certifying them fails
         certified = []
 
-        def system(u, members):
-            def certify(which):
+        def system(u):
+            def certify():
                 certified.append(u[0].copy())
                 raise QuadratureFailure("injected at certification")
 
             return (u - 1.0, np.eye(u.shape[1])[None]), certify
 
-        [err] = _newton_batch(system, np.zeros((1, 2)), ["linear test system"])
-        assert isinstance(err, NoConvergence)
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((1, 2)), "linear test system")
         assert len(certified) == 1 and np.array_equal(certified[0], np.ones(2))
-        assert err.trace == [1.0]  # the seed's; the uncertified 0 is not kept
-        assert isinstance(err.__cause__, QuadratureFailure)
+        assert err.value.trace == [1.0]  # the seed's; the uncertified 0 is not kept
+        assert isinstance(err.value.__cause__, QuadratureFailure)
 
     def test_certified_residual_above_tolerance_continues_newton(self):
         # the 12-node F is u - 1 left of u = 1, off by 1e-9 from the
@@ -349,37 +349,37 @@ class TestNewtonFallback:
         root = 1.0 + 1e-9
         certified = []
 
-        def system(u, members):
-            def certify(which):
+        def system(u):
+            def certify():
                 certified.append(float(u[0, 0]))
                 return u - root, np.eye(1)[None]
 
             return (u - (1.0 if u[0, 0] <= 1.0 else root), np.eye(1)[None]), certify
 
-        [(u, residuals, (r, _))] = _newton_batch(system, np.zeros((1, 1)), ["offset test system"])
+        [(u, residuals, (r, _))] = _newton_batch(system, np.zeros((1, 1)), "offset test system")
         assert certified == [1.0, root] and u[0] == root and r[0] == 0.0
         assert residuals == [1.0, pytest.approx(1e-9, rel=1e-6), 0.0]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
     def test_singular_jacobian_ends_newton(self):
         # F(u) = u^2 + 1 has no real zero, and J = 2u is singular at the seed
-        def system(u, members):
+        def system(u):
             return self.exact(u ** 2 + 1.0, 2.0 * u[:, None] * np.eye(1))
 
-        [err] = _newton_batch(system, np.zeros((1, 1)), ["rootless test system"])
-        assert isinstance(err, NoConvergence)
-        assert err.trace == [1.0]
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((1, 1)), "rootless test system")
+        assert err.value.trace == [1.0]
 
 
 def stacked_problems(z, patterns):
     """(system, seeds) of the parameter problems of z under ``patterns`` as
     one stack for _newton_batch, each member on its own exponent row."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    log_ratios = _log_ratio_system(np.stack([pat.exponents for pat in patterns])[:, None, :])
+    log_ratios = _log_ratio_system(np.stack([pat.exponents for pat in patterns])[:, None, :],
+                                   len(patterns))
 
-    def system(u, members):
-        return _mapped(log_ratios(u, members),
-                       lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
+    def system(u):
+        return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
 
     return system, np.tile(target, (len(patterns), 1))
 
@@ -388,20 +388,21 @@ def solo_problem(z, pat):
     """(u, residuals, values) of one parameter problem solved alone, a
     stack of one member on the shared-row path of one tuple."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    log_ratios = _log_ratio_system(pat.exponents[None])
+    log_ratios = _log_ratio_system(pat.exponents[None], 1)
 
-    def system(u, members):
-        return _mapped(log_ratios(u, members),
-                       lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
+    def system(u):
+        return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
 
-    [result] = _newton_batch(system, target[None], ["solo"])
+    [result] = _newton_batch(system, target[None], "solo")
     return result
 
 
 class TestStackedNewton:
-    """_newton_batch iterates a stack of systems with one kernel plan per
-    step; each member keeps its own history, stopping test, certificate
-    and failure, bit for bit its solve alone."""
+    """_newton_batch iterates a stack of systems on one layout, one kernel
+    plan per Newton point: a converged member rides along at its point,
+    one certificate compares the whole plan once no member steps, and the
+    first failure ends the stack; each member's u and history are bit for
+    bit those of its solve alone."""
 
     CASES = [
         (5, 2, (1.0, 0.8, 1.2, 0.9, 1.1)),
@@ -412,75 +413,70 @@ class TestStackedNewton:
     ]
 
     @pytest.mark.parametrize("p,k,sides", CASES)
-    def test_members_equal_their_solo_solves(self, kernel_plans, p, k, sides):
+    def test_members_equal_their_solo_solves(self, interval_layouts, kernel_plans, p, k, sides):
+        # at (9, 4) and (4, 2) the members converge one Newton point apart,
+        # and the first to converge rides along to the other's point
         z = zz.ZigzagParams(p, k, sides)
         patterns = (zz.ne_pattern(p, k), zz.sw_pattern(p, k))
         system, seeds = stacked_problems(z, patterns)
-        results = _newton_batch(system, seeds, ["NE", "SW"])
+        results = _newton_batch(system, seeds, "NE and SW")
         stacked_plans = len(kernel_plans)
+        assert [layout[1:] for layout in interval_layouts] == [((2, 2 * p), (2, 1, 2 * p + 1),
+                                                                True)]
         for pat, (u, history, values) in zip(patterns, results):
             solo_u, solo_history, solo_values = solo_problem(z, pat)
             assert np.array_equal(u, solo_u) and history == solo_history
             assert all(np.array_equal(a, b) for a, b in zip(values, solo_values))
-        # one plan per Newton step of the stack, not one per member
+        # one plan per Newton point of the stack, not one per member
         assert stacked_plans == max(len(h) for _, h, _ in results)
+        if (p, k) in ((9, 4), (4, 2)):
+            assert [len(h) for _, h, _ in results] == [4, 5]
         prevs = zz.solve_parameter_problems(z, patterns)
         for pat, prev in zip(patterns, prevs):
             assert prev.gaps == zz.solve_parameter_problem(z, pat).gaps
 
-    def test_failing_member_leaves_the_other_unchanged(self, interval_layouts, kernel_plans):
+    def test_refused_trial_point_ends_the_stack(self, interval_layouts, kernel_plans):
         # member 0's seed steps to the log-gaps (0, -745), whose gap
-        # exp(-745) = 5e-324 the kernel refuses: the stacked trial point is
-        # repeated member by member, each on a layout of its own, member 0
-        # ends in its own NoConvergence and member 1 solves on, bit for bit
-        # as alone, filling its singleton layout at every later point
+        # exp(-745) = 5e-324 the kernel refuses: the stacked trial point
+        # ends the stack with member 0's NoConvergence, on one layout
         z = zz.ZigzagParams(3, 2, (1.0, 0.7, 1.3))
         patterns = (zz.ne_pattern(3), zz.sw_pattern(3))
         system, seeds = stacked_problems(z, patterns)
 
-        def rigged(u, members):
-            (F, J), certify = system(u, members)
-            at_seed = (members == 0) & (u == seeds[0]).all(axis=1)
-            F[at_seed], J[at_seed] = [0.0, 745.0], np.eye(2)
+        def rigged(u):
+            (F, J), certify = system(u)
+            if (u[0] == seeds[0]).all():
+                F[0], J[0] = [0.0, 745.0], np.eye(2)
             return (F, J), certify
 
-        failed, solved = _newton_batch(rigged, seeds, ["NE", "SW"])
-        assert isinstance(failed, NoConvergence) and failed.trace == [745.0]
-        assert str(failed).startswith("NE stalled")
-        assert str(failed.__cause__).endswith("tuple 0, gap 0 is 5e-324")
-        u, history, _ = solved
-        stacked_fills = len(kernel_plans)
-        assert [layout[1:] for layout in interval_layouts] == [((2, 6), (2, 1, 7), True),
-                                                                ((1, 6), (1, 1, 7), True),
-                                                                ((1, 6), (1, 1, 7), True)]
-        # the stacked seed and trial point, the trial point member by member
-        # (member 0's refused), then member 1's later points alone
-        assert stacked_fills == 4 + len(history) - 2
-        solo_u, solo_history, _ = solo_problem(z, patterns[1])
-        assert np.array_equal(u, solo_u) and history == solo_history
+        with pytest.raises(NoConvergence) as failed:
+            _newton_batch(rigged, seeds, "NE and SW")
+        assert failed.value.trace == [745.0]
+        assert str(failed.value).startswith("NE and SW stalled")
+        assert str(failed.value.__cause__).endswith("tuple 0, gap 0 is 5e-324")
+        assert [layout[1:] for layout in interval_layouts] == [((2, 6), (2, 1, 7), True)]
+        assert len(kernel_plans) == 2  # the seed and the refused trial point
 
-    def test_certificate_failure_ends_its_member_alone(self):
-        # F(u) = u - 1 for both members, solved by the first step; member 0
-        # fails its certificate there, member 1 passes its own on the same
-        # certify of the stack
+    def test_certificate_failure_ends_the_stack(self):
+        # F(u) = u - 1 for both members, solved by the first step; the one
+        # certificate of the stack fails there and ends the solve, with the
+        # history of the first member waiting for it
         calls = []
 
-        def system(u, members):
+        def system(u):
             F, J = u - 1.0, np.stack([np.eye(2)] * len(u))
 
-            def certify(which):
-                calls.append(list(members[which]))
-                if 0 in members[which]:
-                    raise QuadratureFailure("injected for member 0")
-                return F, J
+            def certify():
+                calls.append(u.copy())
+                raise QuadratureFailure("injected at the certificate")
 
             return (F, J), certify
 
-        failed, (u, history, _) = _newton_batch(system, np.zeros((2, 2)), ["a", "b"])
-        assert calls == [[0, 1], [0], [1]]
-        assert isinstance(failed, NoConvergence) and failed.trace == [1.0]
-        assert isinstance(failed.__cause__, QuadratureFailure)
-        assert np.array_equal(u, np.ones(2)) and history == [1.0, 0.0]
+        with pytest.raises(NoConvergence) as failed:
+            _newton_batch(system, np.zeros((2, 2)), "a and b")
+        assert len(calls) == 1 and np.array_equal(calls[0], np.ones((2, 2)))
+        assert failed.value.trace == [1.0]
+        assert isinstance(failed.value.__cause__, QuadratureFailure)
 
     @pytest.mark.parametrize("p,k,sides", TestNewtonFallback.STALLED)
     def test_failing_member_is_raised_as_alone(self, monkeypatch, p, k, sides):

@@ -32,20 +32,24 @@ they feed; the nodes of every entry are evaluated in blocks of about
 2^14 node x prevertex entries, with one log(z - s_m) matrix per block
 serving every row.  ``segment_integral`` returns the contour integrals,
 itself giving an end on a prevertex its Jacobi panel, summed in complex
-arithmetic.  On a real interval (s_j, s_{j+1}) every factor is real and
-keeps its sign, so the integrand has constant argument and is summed in
-real arithmetic, log|t - s_m| with no arctan2, times one phase per panel
-and row: ``interval_integral`` returns the contour integrals,
-``interval_abs_integral`` their moduli and ``IntervalLayout.point`` the
-integrals with their exact derivatives in every log-gap, on the same
-panels.  All three take a stack of tuples, one tuple being a stack of
-one, by their gaps s_{m+1} - s_m, not their prevertices: every offset is
-a partial sum of gaps of the interval's own tuple and every length a
-gap, so no digit of a gap 1e-8 of the prevertices is lost to their
-absolute size.  Their exponent rows are one stack shared by every tuple,
-or rows per tuple, as a stacked solve gives each member its own row:
-each tuple's entries are then gathered apart and cut into the blocks a
-call on that tuple alone would take, and a block of several small tuples
+arithmetic.  On a real interval (s_j, s_{j+1}) every factor t - s_m is
+real and keeps its sign, negative exactly for m > j (the Jacobi panel at
+s_{j+1} absorbs (u * -1)^e_{j+1}), so the integrand has the constant
+argument pi * sum_{m>j} e_m and is summed in real arithmetic: log|t - s_m|
+with no arctan2, a real factor h^(1+e) per entry, and one phase per
+interval and row, exp(i pi sum_{m>j} e_m), built once per layout and
+applied once per call.  ``interval_integral`` returns the certified real
+sums times that phase, the contour integrals; ``interval_abs_integral``
+their moduli; and ``IntervalLayout.point`` the real sums with their exact
+signed derivatives in every log-gap, on the same panels, with no complex
+number at a Newton point.  All three take a stack of tuples, one tuple
+being a stack of one, by their gaps s_{m+1} - s_m, not their prevertices:
+every offset is a partial sum of gaps of the interval's own tuple and every
+length a gap, so no digit of a gap 1e-8 of the prevertices is lost to their
+absolute size.  Their exponent rows are one stack shared by every tuple, or
+rows per tuple, as a stacked solve gives each member its own row: each
+tuple's entries are then gathered apart and cut into the blocks a call on
+that tuple alone would take, and a block of several small tuples
 takes one matmul per tuple, so every value equals, bit for bit, that of
 the call on its tuple alone.  ``IntervalPlan`` rejects a gap below the
 least normal float (np.finfo(float).tiny), including every gap that is
@@ -243,18 +247,17 @@ def _ends(a, b):
     return np.column_stack((a, b)).ravel()
 
 
-def _jacobi_entries(jac, own, rows, group, ray):
+def _jacobi_entries(jac, own, rows, group):
     """The Gauss-Jacobi entries of panels at origins ``jac``, whatever the
     panels' lengths: each panel once per row, with the rule of that row's
     exponent at the origin's prevertex ``own``.  ``rows`` is a (G, R, M)
-    stack of exponent rows, ``group`` the index into it of each segment and
-    ``ray`` the direction out of each origin.
+    stack of exponent rows and ``group`` the index into it of each segment.
 
-    Returns a dict of their origin, absorbed prevertex, row mask, the power
-    1 + e and phase ray^e of the absorbed factor (z - s_own)^e = (u ray)^e,
-    and rule among ``rules``, the distinct exponents with the 0 of the
-    free panels' Gauss-Legendre rule (``zero`` its index); ``stacked`` if
-    there are rows per group, for _entries."""
+    Returns a dict of their origin, absorbed prevertex, row mask, the
+    exponent e and power 1 + e of the absorbed factor (z - s_own)^e =
+    (u ray)^e, and rule among ``rules``, the distinct exponents with the 0
+    of the free panels' Gauss-Legendre rule (``zero`` its index);
+    ``stacked`` if there are rows per group, for _entries."""
     r_count = rows.shape[1]
     row = np.arange(jac.size * r_count) % r_count
     jac = jac.repeat(r_count)
@@ -263,9 +266,8 @@ def _jacobi_entries(jac, own, rows, group, ray):
     rules = np.sort(np.concatenate(((0.0,), e)))
     rules = rules[np.concatenate(((True,), rules[1:] != rules[:-1]))]
     return {"origin": jac, "absorbed": each, "mask": row[:, None] == np.arange(r_count),
-            "power": 1.0 + e, "phase": np.exp(e * np.log(ray[jac] + 0.0)),
-            "rules": rules, "rule": np.searchsorted(rules, e), "zero": np.searchsorted(rules, 0.0),
-            "stacked": rows.shape[0] > 1}
+            "exponent": e, "power": 1.0 + e, "rules": rules, "rule": np.searchsorted(rules, e),
+            "zero": np.searchsorted(rules, 0.0), "stacked": rows.shape[0] > 1}
 
 
 def _entries(free, jacobi, group, free_mask):
@@ -278,18 +280,16 @@ def _entries(free, jacobi, group, free_mask):
     entries are those of a call on its segments alone, in the same order;
     with one group nothing moves.
 
-    Returns (order, power, phase, entries): the gather from panels to
-    entries, to apply to (the free panels' values, those of each Jacobi
-    entry); the power and phase of each entry's absorbed factor (1 on a
-    free entry), for its factor; and the plan attributes of the entries as
-    a dict: origin, seg, absorbed (-1 for a free entry), the row mask,
-    rules and rule."""
+    Returns (order, power, entries): the gather from panels to entries, to
+    apply to (the free panels' values, those of each Jacobi entry); the
+    power of each entry's absorbed factor (1 on a free entry), for its
+    factor; and the plan attributes of the entries as a dict: origin, seg,
+    absorbed (-1 for a free entry), the row mask, rules and rule."""
     origin = np.concatenate((free, jacobi["origin"]))
     order = np.argsort(group[origin >> 1], kind="stable") if jacobi["stacked"] else slice(None)
     origin, f = origin[order], free.size
     power = np.concatenate((np.ones(f), jacobi["power"]))[order]
-    phase = np.concatenate((np.ones(f, complex), jacobi["phase"]))[order]
-    return order, power, phase, {
+    return order, power, {
         "origin": origin, "seg": origin >> 1,
         "absorbed": np.concatenate((np.full(f, -1), jacobi["absorbed"]))[order],
         "mask": np.concatenate((free_mask, jacobi["mask"]))[order],
@@ -334,13 +334,16 @@ class _SegmentPanels:
         jacobi = (lo == 0.0) & (own[origin] >= 0)
         free = ~jacobi
         self.rows, self.group = rows[None].transpose(0, 2, 1), np.zeros(unit.size, int)
-        order, power, phase, entries = _entries(origin[free], _jacobi_entries(
-            origin[jacobi], own, rows[None], self.group, self.ray), self.group,
-            np.ones((free.sum(), rows.shape[0]), bool))
+        jac = _jacobi_entries(origin[jacobi], own, rows[None], self.group)
+        order, power, entries = _entries(origin[free], jac, self.group,
+                                         np.ones((free.sum(), rows.shape[0]), bool))
         self.__dict__.update(entries)
         top = hi[jacobi].repeat(rows.shape[0])
         self.lo = np.concatenate((lo[free], np.zeros(top.size)))[order]
         self.h = (np.concatenate((hi[free] - lo[free], top)) / 2.0)[order]
+        # the phase ray^e of each Jacobi entry's absorbed factor (u ray)^e
+        phase = np.exp(jac["exponent"] * np.log(self.ray[jac["origin"]] + 0.0))
+        phase = np.concatenate((np.ones(free.sum(), complex), phase))[order]
         self.factor = self.h ** power * phase * unit[self.seg]
 
     def _blocks(self, step):
@@ -405,8 +408,10 @@ class _SegmentPanels:
     def _summed(self, n, routine):
         """(R, S) panel sums with n nodes per panel.  ``routine(block, u)``
         returns the (K, R) weighted node sums of the K entries of a block
-        (_batches_at), with (K, n) node offsets u from each panel's end."""
-        total = np.zeros((self.s_count, self.mask.shape[1]), complex)
+        (_batches_at), with (K, n) node offsets u from each panel's end.
+        They are summed in the dtype of the entries' factors: complex on
+        segments, real on intervals."""
+        total = np.zeros((self.s_count, self.mask.shape[1]), self.factor.dtype)
         for k, x1, seg, mask, block in self._batches_at(n):
             u = self.lo[k, None] + self.h[k, None] * x1
             vals = self.factor[k, None] * routine(block, u)
@@ -449,9 +454,10 @@ class IntervalLayout:
     stack; ``exps``, ``j`` and ``derivatives`` are as for IntervalPlan.
     The layout holds the interval ends, their tuples and outer neighbours,
     the masks that take each end's offsets as partial sums of its tuple's
-    gaps, the exponent rows, the Jacobi entries with their exponents,
-    phases and rules (_jacobi_entries), the derivative rows' mask, and for
-    ``point`` the maps that unpack its Jacobian.  The panel counts of
+    gaps, the exponent rows, the phase of each interval and row, the
+    Jacobi entries with their exponents and rules (_jacobi_entries), the
+    derivative rows' mask, and for ``point`` the maps that unpack its
+    Jacobian.  The panel counts of
     the ends are all that the entries of a plan take from its gaps (the
     free entries, their order among the Jacobi ones, the mask and the
     blocks of its sums): these are built once per vector of counts, at
@@ -489,12 +495,17 @@ class IntervalLayout:
             rows, group = np.atleast_2d(exps)[None], np.zeros(j.size, int)
         r_count, m_count = rows.shape[1:]
         self._ends, self._owner = (j[:, None] + (0, 1)).ravel(), tup.repeat(2)  # s_j, s_{j+1}
-        ray = np.ones(self._ends.size, complex)
+        ray = np.ones(self._ends.size)
         ray[1::2] = -1.0
+        # t - s_m < 0 on (s_j, s_{j+1}) exactly for m > j, the absorbed
+        # (u ray)^e_{j+1} included: one phase per interval and base row,
+        # shared by its derivative rows, whose 1/(t - s_m) is real and signed
+        tail = np.cumsum(rows[..., ::-1], axis=-1)[..., ::-1]  # sum of e_m over m >= i
+        phase = np.exp(1j * np.pi * tail[group, :, j + 1]).T
         self._rows, self._plan = rows, {
             "rows": rows.transpose(0, 2, 1), "group": group, "tup": tup, "j": j,
             "derivatives": derivatives, "s_count": j.size, "im": np.zeros(self._ends.size),
-            "ray": ray}
+            "ray": ray, "phase": phase.repeat(m_count + 1 if derivatives else 1, axis=0)}
         # A fill pads each tuple's gaps by inf on both sides, none past its
         # ends.  Each end's offsets s_a - s_m are partial sums of its own
         # tuple's gaps taken outward from a, nearest gap first, from a 0 in
@@ -508,7 +519,7 @@ class IntervalLayout:
         self._reach, self._outer = (at + 1).repeat(2), (at[:, None] + (0, 2)).ravel()
         self._none = np.full((t_count, 1), np.inf)
         self._by_count, self._zeros = {}, np.zeros(self._ends.size * r_count)
-        self._jacobi = _jacobi_entries(np.arange(self._ends.size), self._ends, rows, group, ray)
+        self._jacobi = _jacobi_entries(np.arange(self._ends.size), self._ends, rows, group)
         if derivatives:
             width, s = m_count + 1, np.arange(j.size)
             valid = np.ones((j.size, r_count, width), bool)
@@ -523,7 +534,7 @@ class IntervalLayout:
             self._cols = np.arange(j.size)
 
     def _structure(self, count):
-        """(free, steps, order, power, phase, entries) of the panel counts
+        """(free, steps, order, power, entries) of the panel counts
         ``count`` of the ends, built at the first fill with them: the end of
         each free panel and its index among that end's panels, and what
         _entries returns, with the derivative rows' mask."""
@@ -533,10 +544,10 @@ class IntervalLayout:
             free = np.arange(count.size).repeat(count)
             mask = (self._valid[free >> 1] if self._plan["derivatives"]
                     else np.ones((free.size, self._rows.shape[1]), bool))
-            order, power, phase, entries = _entries(free, self._jacobi, self._plan["group"], mask)
+            order, power, entries = _entries(free, self._jacobi, self._plan["group"], mask)
             entries["_batches"] = {}  # the blocks of its sums, shared by its fills
             steps = np.arange(free.size) - (count.cumsum() - count).repeat(count)
-            found = self._by_count[key] = free, steps, order, power, phase, entries
+            found = self._by_count[key] = free, steps, order, power, entries
         return found
 
     def fill(self, gaps):
@@ -564,14 +575,14 @@ class IntervalLayout:
         reach = padded[self._reach] / 2.0
         b = np.minimum(reach, padded[self._outer]) / 2.0
         (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
-        free, steps, order, power, phase, entries = self._structure(e_r - e_b + (m_b < m_r))
+        free, steps, order, power, entries = self._structure(e_r - e_b + (m_b < m_r))
         lo = np.ldexp(b[free], steps)
         hi = np.minimum(reach[free], lo + lo)
         plan.__dict__.update(self._plan, **entries)
         plan.gaps, plan.re = gaps, offsets
         plan.lo = np.concatenate((lo, self._zeros))[order]
         plan.h = (np.concatenate((hi - lo, b.repeat(self._rows.shape[1]))) / 2.0)[order]
-        plan.factor = plan.h ** power * phase
+        plan.factor = plan.h ** power
 
     def _refuse(self, gaps, offsets):
         """DomainError naming the first bad tuple and its first bad gap or
@@ -593,10 +604,13 @@ class IntervalLayout:
         """One point of a Newton iteration at ``gaps``, from one fill of
         this layout, which must have derivative rows: (values, certify).
 
-        ``values`` is (I, g dI/dg), the complex integrals I_j over the
-        layout's intervals (s_j, s_{j+1}) and their derivatives g_i dI_j/dg_i
-        in the log of every gap of the interval's own tuple (_unpack), from
-        one sum at _BASE_NODES (12) nodes per panel, with no comparison.
+        ``values`` is (I, g dI/dg), the real integrals I_j of the moduli of
+        the integrands over the layout's intervals (s_j, s_{j+1}) and their
+        signed derivatives g_i dI_j/dg_i in the log of every gap of the
+        interval's own tuple (_unpack), from one sum at _BASE_NODES (12)
+        nodes per panel, with no comparison.  The contour integrals and
+        their derivatives are these times the fill's ``phase``, one value
+        per interval and row.
         ``certify()`` sums the same plan at twice that, once however often
         it is called, compares the two on every interval and row, to 1e-12
         relative, and returns the certified (I, g dI/dg), or raises
@@ -619,22 +633,23 @@ class IntervalLayout:
         return self._unpack(coarse, scale), certify
 
     def _unpack(self, value, scale):
-        """(I, g dI/dg) of ``point`` from the (R(M+1), S) sums ``value`` of
-        a fill whose tuples have the gaps ``scale``.
+        """The real (I, g dI/dg) of ``point`` from the (R(M+1), S) real sums
+        ``value`` of a fill whose tuples have the gaps ``scale``.
 
-        For a prevertex m that is not an end of the interval,
+        For a prevertex m that is not an end of the interval, I_j being the
+        integral of prod_i |t - s_i|^e_i,
 
-            dI_j/ds_m = -e_m * integral of (t - s_m)^(e_m - 1) prod_{i != m} (t - s_i)^e_i,
+            dI_j/ds_m = -e_m * integral of prod_i |t - s_i|^e_i / (t - s_m),
 
-        the integral of the row e - delta_m on the interval's own panels,
-        which shares the base row's Gauss-Jacobi rules (IntervalPlan with
-        ``derivatives``); that row reads exactly 0 on the two intervals it
-        would make non-integrable.  A gap g_i moves the prevertices above
-        it, so by translation invariance dI_j/dg_i = -sum_{m <= i} dI_j/ds_m
-        below the interval and sum_{m > i} dI_j/ds_m above it: neither sum
-        holds an end, so no end derivatives of size I/g cancel next to a
-        tiny gap.  The interval's own gap follows from homogeneity,
-        sum_i g_i dI/dg_i = (1 + sum e) I."""
+        the sum of the row e - delta_m on the interval's own panels, signed
+        by its real 1/(t - s_m) and sharing the base row's Gauss-Jacobi
+        rules (IntervalPlan with ``derivatives``); that row reads exactly 0
+        on the two intervals it would make non-integrable.  A gap g_i moves
+        the prevertices above it, so by translation invariance dI_j/dg_i =
+        -sum_{m <= i} dI_j/ds_m below the interval and sum_{m > i} dI_j/ds_m
+        above it: neither sum holds an end, so no end derivatives of size
+        I/g cancel next to a tiny gap.  The interval's own gap follows from
+        homogeneity, sum_i g_i dI/dg_i = (1 + sum e) I."""
         b_count, m_count, s_count = self._neg_e.shape
         j, cols = self._plan["j"], self._cols
         value = value.reshape(b_count, m_count + 1, s_count)
@@ -682,16 +697,19 @@ class IntervalPlan(_SegmentPanels):
     negative or infinite gap puts no prevertex where the breaks assume it,
     and a NaN gap integrates to 0.
 
-    On an interval every factor t - s_m is real and keeps one sign, so
-    ``integrate_abs`` sums in real arithmetic: log|t - s_m| and no
-    arctan2, and one phase exp(i pi (neg @ rows)) per panel and row, where
-    neg marks the factors negative on the panel.  With ``derivatives``
-    each row e is followed by the M rows e - delta_m, whose integrands are
-    that of e over (t - s_m), on the same entries and rules as e, so no
-    rule is built for them; only intervals have such rows.  A row e -
-    delta_m is not integrable on an interval ending at s_m: the entry row
-    mask drops it from every entry of that interval, so it sums to exactly
-    0 there at any node count."""
+    On an interval every factor t - s_m is real and keeps one sign, negative
+    exactly for m > j, the factor (u * -1)^e_{j+1} that the Jacobi panel at
+    s_{j+1} absorbs included.  So ``integrate_abs`` sums in real arithmetic
+    the integral of prod |t - s_m|^e_m, from log|t - s_m| with no arctan2
+    and the real factor h^(1+e) of each entry, and the plan's ``phase``,
+    exp(i pi sum_{m>j} e_m) for each interval and row, turns those sums into
+    the contour integrals.  With ``derivatives`` each row e is followed by
+    the M rows e - delta_m, whose integrands are that of e times the real,
+    signed 1/(t - s_m), on the same entries and rules as e, so no rule is
+    built for them and they share their base row's phase; only intervals
+    have such rows.  A row e - delta_m is not integrable on an interval
+    ending at s_m: the entry row mask drops it from every entry of that
+    interval, so it sums to exactly 0 there at any node count."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
         IntervalLayout(np.shape(gaps), exps, j, derivatives)._fill(self, gaps)
@@ -703,28 +721,27 @@ class IntervalPlan(_SegmentPanels):
 
     def _real_block(self, block, u):
         """One log|d| matrix, one real matmul per piece and one exp per
-        block, plus for the derivative rows one exp and one real batched
-        matmul."""
+        block, plus for the derivative rows one reciprocal and one real
+        batched matmul: the (K, R) real sums of the moduli, signed by 1/d
+        on the derivative rows, with no phase."""
         pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
-        d = self.re[origin, None, :] + (u * ray.real)[..., None]
+        d = self.re[origin, None, :] + (u * ray)[..., None]
+        d[jac, :, absorbed] = 1.0  # in the rule: log|d| = 0
         mag = np.log(np.abs(d))
-        neg = d[:, 0, :] < 0.0
-        mag[jac, :, absorbed] = 0.0  # in the rule, its phase in self.factor
-        neg[jac, absorbed] = False
-        phase = np.exp(1j * np.pi * _by_piece(neg, pieces))
         values = np.exp(_by_piece(mag, pieces)).reshape(u.shape[0], -1, r_count)
         vals = np.einsum("pnr,pn->pr", values, w)
         if not self.derivatives:
-            return phase * vals
-        # rows e - delta_m: the integrand of e times 1/d = sign(d) exp(-log|d|)
+            return vals
+        # rows e - delta_m: the integrand of e times the real, signed 1/d
         weighted = (values * w[..., None]).transpose(0, 2, 1)
-        vals = np.concatenate((vals[..., None], weighted @ np.copysign(np.exp(-mag), d)), axis=2)
-        return (phase[..., None] * vals).reshape(u.shape[0], -1)
+        vals = np.concatenate((vals[..., None], weighted @ (1.0 / d)), axis=2)
+        return vals.reshape(u.shape[0], -1)
 
     def integrate_abs(self, n):
-        """(R, S) interval sums with n nodes per panel, R counting the
-        derivative rows, in real arithmetic."""
+        """(R, S) real interval sums with n nodes per panel, R counting the
+        derivative rows: the integrals of the moduli of the integrands, so
+        that ``phase`` times them is the contour integrals."""
         return self._summed(n, self._real_block)
 
 
@@ -747,10 +764,17 @@ def interval_integral(gaps, exps, j):
     more than that from 12 to 24 nodes, and DomainError or ValueError for
     the gaps or indices IntervalPlan rejects.
     """
+    phase, sums = _interval_sums(gaps, exps, j)
+    return (phase * sums)[()]
+
+
+def _interval_sums(gaps, exps, j):
+    """The phase and the certified real sums of interval_integral's plan,
+    each with the row axes of ``exps`` followed by the shape of ``j``."""
     exps, j = np.asarray(exps, float), np.asarray(j, int)
-    plan = IntervalPlan(gaps, exps, j)
-    value = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
-    return value.reshape(_row_shape(exps) + j.shape)[()]
+    plan, shape = IntervalPlan(gaps, exps, j), _row_shape(exps) + j.shape
+    sums = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
+    return plan.phase.reshape(shape), sums.reshape(shape)
 
 
 def _row_shape(exps):
@@ -762,8 +786,9 @@ def _row_shape(exps):
 def interval_abs_integral(gaps, exps, j):
     """Moduli of interval_integral, with its arguments, shapes, certificate
     and errors: the integrand has constant argument on an interval, so each
-    is the length of the interval's image."""
-    return np.abs(interval_integral(gaps, exps, j))
+    is the length of the interval's image, the modulus of its certified
+    real sum."""
+    return np.abs(_interval_sums(gaps, exps, j)[1])[()]
 
 
 def _segment_reach(re, im, unit, length, own):

@@ -142,9 +142,11 @@ class Prevertices:
 
 def _symmetric_gaps(gaps) -> np.ndarray:
     """The 2p gaps s_{m+1} - s_m, each exactly as given, of the symmetric
-    tuple with the p-1 gaps above s_1 and the unit gaps next to s_0."""
-    half = np.concatenate(([1.0], gaps))
-    return np.concatenate((half[::-1], half))
+    tuple with the p-1 gaps above s_1 and the unit gaps next to s_0, along
+    the last axis: one tuple or a stack of them."""
+    gaps = np.asarray(gaps, dtype=float)
+    half = np.concatenate((np.ones(gaps.shape[:-1] + (1,)), gaps), axis=-1)
+    return np.concatenate((half[..., ::-1], half), axis=-1)
 
 
 def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
@@ -203,9 +205,10 @@ def _side_jacobian(exponents, count):
     (quadrature.IntervalLayout.point); each tuple's equal bit for bit to
     its call alone.
 
-    It chains the log-gap derivatives of the interval integrals:
-    d|I| = Re(conj(I) dI) / |I|, and u_i is the log of the gap above
-    s_{i+1} and of its mirror below s_{-i-1}.
+    It chains the log-gap derivatives of the real interval sums, the
+    integrals I of the moduli of the integrands: a side is |I| and its
+    derivative sign(I) dI, and u_i is the log of the gap above s_{i+1} and
+    of its mirror below s_{-i-1}.
     """
     p = (np.shape(exponents)[-1] - 1) // 2
     layout = quad.IntervalLayout((count, 2 * p), exponents,
@@ -215,11 +218,10 @@ def _side_jacobian(exponents, count):
     def chained(total, dlog):  # (R, T, p) and (R, 2p, T, p), to (T, R, ...)
         d_total = (dlog[:, above] + dlog[:, below]).transpose(2, 0, 3, 1)
         total = total.swapaxes(0, 1)
-        sides = np.abs(total)
-        return sides, np.real(np.conj(total)[..., None] * d_total) / sides[..., None]
+        return np.abs(total), np.sign(total)[..., None] * d_total
 
     def point(u):
-        return _mapped(layout.point([_symmetric_gaps(g) for g in np.exp(u)]), chained)
+        return _mapped(layout.point(_symmetric_gaps(np.exp(u))), chained)
 
     return point
 

@@ -63,6 +63,28 @@ class TestCrossRatio:
             assert zz.cross_ratio_lambda(*x) < 0
 
 
+class TestCarlsonRF:
+    def test_against_mpmath(self):
+        # K(m) = R_F(0, y, 1) for y = 1 - m from 1e-300 to 1 - 1e-16, and
+        # general (x, y, z) over twenty decades, a fifth of them with x = 0
+        ys = np.concatenate((np.geomspace(1e-300, 1.0, 200)[:-1],
+                             1.0 - np.geomspace(1e-16, 0.5, 40)))
+        rng = np.random.default_rng(7)
+        general = 10.0 ** rng.uniform(-10.0, 10.0, (400, 3))
+        general[::5, 0] = 0.0
+        with mp.workdps(40):
+            for x, y, z in [(0.0, y, 1.0) for y in ys] + general.tolist():
+                value, ref = zz.carlson_rf(x, y, z), mp.elliprf(x, y, z)
+                assert abs(value - ref) <= 1e-15 * ref, (x, y, z)
+
+    @pytest.mark.parametrize("args", [(-1.0, 1.0, 1.0), (1.0, 1.0, -1e-300), (0.0, 0.0, 1.0),
+                                      (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_domain_error(self, args):
+        # a negative argument or more than one zero
+        with pytest.raises(DomainError, match="^R_F needs nonnegative arguments"):
+            zz.carlson_rf(*args)
+
+
 class TestEllipticPeriods:
     def test_square_point(self):
         d = zz.elliptic_periods(-1.0)

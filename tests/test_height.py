@@ -154,25 +154,31 @@ class TestMinimize:
             zz.minimize(zz.ZigzagParams(5, 2, sides))
         assert len(err.value.trace) == 1
 
-    @pytest.mark.parametrize("p, sides", [
+    @pytest.mark.parametrize("p, sides, cause", [
         # sample 10 of (8, 2) above: the second step takes a log-gap past
         # 709, so exp(u) overflows to an infinite gap
         (8, (0.004041143588593788, 0.6512014005218734, 0.00192455370687037,
              0.001034423182483406, 0.00930598634606576, 0.9380676402569461,
-             0.006224226455459344, 0.3105151516757057)),
-        # sample 39 of (12, 2): the gaps stay finite, but conj(I) dI overflows
+             0.006224226455459344, 0.3105151516757057), DomainError),
+        # sample 39 of (12, 2): the gaps stay finite and the sides reach
+        # 1.3e192, where the product conj(I) dI of a complex chain overflowed;
+        # the real chain sign(I) dI stays finite, and the point stalls
+        # because it does not reduce max|F|
         (12, (0.002751062569953813, 0.0014402907490359644, 0.31021082561994445,
               0.015543487306589087, 0.39484371388737277, 0.17064532865985751,
               0.0040076712583489065, 0.0017965275752332963, 0.003266417977932632,
-              0.030460743065867678, 0.011837075528668538, 0.31328970912912835)),
+              0.030460743065867678, 0.011837075528668538, 0.31328970912912835), None),
     ], ids=["exp", "multiply"])
-    def test_overflowing_step_stalls_without_a_warning(self, p, sides):
+    def test_overflowing_step_stalls_without_a_warning(self, p, sides, cause):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoConvergence) as err:
                 zz.minimize(zz.ZigzagParams(p, 2, sides))
         assert len(err.value.trace) == 2
-        assert isinstance(err.value.__cause__, DomainError)
+        if cause is None:
+            assert err.value.__cause__ is None
+        else:
+            assert isinstance(err.value.__cause__, cause)
 
     def test_record_type_hints_resolve(self):
         assert typing.get_type_hints(zz.SolutionRecord)["prev_ne"] is zz.Prevertices

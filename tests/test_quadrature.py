@@ -1,4 +1,5 @@
 import cmath
+import copy
 import json
 import math
 import os
@@ -206,29 +207,43 @@ def mp_segment(prev, exps, z0, z1, dps=20):
 THIN = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
 
 
+def complex_sums(plan, n):
+    """The complex path of _SegmentPanels on an interval plan without
+    derivative rows: its sums with n nodes per panel, each Jacobi entry's
+    factor given back the phase ray^e of its absorbed factor (u ray)^e,
+    as segment panels hold it and the plan's real factor h^(1 + e) does
+    not."""
+    ref = copy.copy(plan)
+    row = np.argmax(plan.mask, axis=1)  # the one row of a Jacobi entry
+    e = plan.rows[plan.group[plan.seg], plan.absorbed, row]
+    ray = np.exp(e * np.log(plan.ray[plan.origin] + 0j))
+    ref.factor = plan.factor * np.where(plan.absorbed >= 0, ray, 1.0)
+    return _SegmentPanels.sums(ref, n)
+
+
 class TestRealIntervalPath:
     @pytest.mark.parametrize("n", [_BASE_NODES, 2 * _BASE_NODES, 4 * _BASE_NODES])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_real_sums_match_complex_path(self, k, n):
         # every interval of a tuple with a 1e-9 gap, NE and SW rows stacked
-        # (exponents of both signs); the complex path of _SegmentPanels on
-        # the same plan is the reference
+        # (exponents of both signs): the real sums times the plan's phase
+        # against the complex path of _SegmentPanels on the same panels
         gaps, j = np.diff(THIN), np.arange(len(THIN) - 1)
         base = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
         assert (base > 0).any() and (base < 0).any()
         plan = IntervalPlan(gaps, base, j)
-        real, ref = plan.integrate_abs(n), _SegmentPanels.sums(plan, n)
-        assert np.all(np.abs(real - ref) <= 1e-13 * np.abs(ref))
+        real, ref = plan.integrate_abs(n), complex_sums(plan, n)
+        assert real.dtype == np.float64
+        assert np.all(np.abs(plan.phase * real - ref) <= 1e-13 * np.abs(ref))
         # the derivative row e - delta_m against a plan of that row on the
         # intervals without an end at s_m: identical panels and end rules
         m_count = base.shape[1]
-        value = IntervalPlan(gaps, base, j, derivatives=True).integrate_abs(n)
-        value = value.reshape(2, m_count + 1, j.size)
+        plan = IntervalPlan(gaps, base, j, derivatives=True)
+        value = (plan.phase * plan.integrate_abs(n)).reshape(2, m_count + 1, j.size)
         assert np.all(np.abs(value[:, 0] - ref) <= 1e-13 * np.abs(ref))
         for m in range(m_count):
             off = j[(j != m) & (j + 1 != m)]
-            row = IntervalPlan(gaps, base - np.eye(m_count)[m], off)
-            ref = _SegmentPanels.sums(row, n)
+            ref = complex_sums(IntervalPlan(gaps, base - np.eye(m_count)[m], off), n)
             assert np.all(np.abs(value[:, 1 + m, off] - ref) <= 1e-13 * np.abs(ref))
 
     @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian])
@@ -661,13 +676,25 @@ def graded_plan(gaps, rows, j, derivatives):
     each interval of a (T, M-1) stack from both ends, each up to half its
     gap, over the offsets _gap_offsets takes from the tuple's gaps, with
     the derivative rows' mask formed apart: a row e - delta_m is dropped
-    from every entry of an interval ending at s_m."""
+    from every entry of an interval ending at s_m.  Its factor is the real
+    h^(1 + e), its ray the real +-1, and its phase per interval and base
+    row exp(i pi sum e_m) over the factors t - s_m negative at the
+    midpoint of its entries, the absorbed one (u ray)^e included, which
+    must be the same set on every entry of the interval."""
     tup, flat = np.indices(j.shape)[0].ravel(), j.ravel()
     ends, owner = _ends(flat, flat + 1), _ends(tup, tup)
     half = gaps[tup, flat] / 2.0
     plan = IntervalPlan.__new__(IntervalPlan)  # for integrate_abs on the graded entries
     _SegmentPanels.__init__(plan, _gap_offsets(gaps[owner], ends), np.zeros(ends.size),
                             np.ones(flat.size, complex), _ends(half, half), ends, rows)
+    plan.ray, jac = plan.ray.real, plan.absorbed >= 0
+    power = np.where(jac, 1.0 + rows[np.argmax(plan.mask, axis=1), plan.absorbed], 1.0)
+    plan.factor = plan.h ** power
+    neg = plan.re[plan.origin] + ((plan.lo + plan.h) * plan.ray[plan.origin])[:, None] < 0.0
+    first = np.searchsorted(plan.seg, np.arange(flat.size))  # entries are ordered by seg
+    assert np.array_equal(neg, neg[first][plan.seg])
+    tail = np.cumsum(np.where(neg[first][:, None, ::-1], rows[:, ::-1], 0.0), axis=-1)[..., -1]
+    plan.phase = np.exp(1j * np.pi * tail.T).repeat(rows.shape[1] + 1 if derivatives else 1, axis=0)
     plan.derivatives = derivatives
     if derivatives:
         col = np.arange(rows.shape[1] + 1) - 1 - flat[plan.seg][:, None]  # from 1 + j
@@ -678,7 +705,7 @@ def graded_plan(gaps, rows, j, derivatives):
 
 class TestClosedFormIntervalPlan:
     FIELDS = ("seg", "origin", "lo", "h", "absorbed", "factor", "mask", "rules", "rule",
-              "re", "im", "ray", "rows")
+              "re", "im", "ray", "rows", "phase")
 
     def test_plan_arrays_equal_the_graded_construction(self):
         # seeded random stacks: T = 1..3 tuples of 1..11 gaps, log-uniform
@@ -721,13 +748,66 @@ class TestClosedFormIntervalPlan:
                                               equal_nan=True)
 
 
+class TestStructuralPhase:
+    """On (s_j, s_{j+1}) every factor t - s_m is negative exactly for m > j,
+    at every node of every entry, free or Gauss-Jacobi, so one phase per
+    interval and row carries the integrand's argument and every interval
+    sum is real."""
+
+    def test_factor_signs_are_fixed_by_the_interval(self):
+        # seeded random stacks as in TestClosedFormIntervalPlan: T = 1..3
+        # tuples of 1..11 gaps, log-uniform from e^-30 to e^5, exact powers
+        # of two, and moderate gaps among gaps down to the least normal
+        # float; k = 2..8 exponent rows, shared or one stack per tuple.  The
+        # absorbed factor (u ray)^e of a Jacobi entry is in its rule, and its
+        # sign is that of its ray
+        rng = np.random.default_rng(31)
+        small = [1e-10, math.exp(-23), 1e-300, 2.0 ** -1000, 3e-308, np.finfo(float).tiny]
+        for case in range(300):
+            k, t, m = (int(v) for v in rng.integers((2, 1, 1), (9, 4, 12)))
+            kind = case % 3
+            if kind == 0:
+                gaps = np.exp(rng.uniform(-30.0, 5.0, (t, m)))
+            elif kind == 1:
+                gaps = 2.0 ** rng.integers(-60, 10, (t, m)).astype(float)
+            else:
+                gaps = rng.uniform(0.1, 3.0, (t, m))
+                pick = rng.random((t, m)) < 0.3
+                gaps[pick] = rng.choice(small, pick.sum())
+            shape = (int(rng.integers(1, 4)), m + 1)  # shared rows, or rows per tuple
+            rows = rng.choice([-(k - 1) / k, -1 / k, 0.0, 1 / k, 0.5, (k - 1) / k],
+                              shape if case % 2 else (t,) + shape)
+            j = rng.integers(0, m, (t, int(rng.integers(1, 2 * m + 1))))
+            plan = IntervalPlan(gaps, rows, j, derivatives=bool(case % 4 < 2))
+            above = np.arange(m + 1) > plan.j[plan.seg][:, None]  # (K, M): m > j
+            for n in (_BASE_NODES, 2 * _BASE_NODES):
+                nodes = np.array([_rule(n, beta)[0] for beta in plan.rules.tolist()])
+                u = plan.lo[:, None] + plan.h[:, None] * (nodes[plan.rule] + 1.0)
+                d = plan.re[plan.origin, None, :] + (u * plan.ray[plan.origin, None])[..., None]
+                signs = np.where(above, -1.0, 1.0)[:, None, :].repeat(n, axis=1)
+                assert np.array_equal(np.sign(d), signs), case
+                with np.errstate(over="ignore", invalid="ignore"):  # 1e-300 gaps overflow
+                    assert plan.integrate_abs(n).dtype == np.float64
+
+    @pytest.mark.parametrize("form", ["tuple", "shared", "per tuple"])
+    def test_newton_points_are_real(self, form):
+        # IntervalLayout.point and its certificate return float64 arrays
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            shape, exps, j = TestIntervalLayout.problem(form, rng)
+            gaps = np.exp(rng.uniform(-12.0, 2.0, shape))
+            (total, dlog), certify = IntervalLayout(shape, exps, j, derivatives=True).point(gaps)
+            assert total.dtype == dlog.dtype == np.float64
+            assert all(value.dtype == np.float64 for value in certify())
+
+
 class TestIntervalLayout:
     """A Newton solve builds one IntervalLayout and fills it at each point:
     every fill equals a fresh IntervalPlan of the same gaps, bit for bit,
     whether its panel counts are new to the layout or met before."""
 
     FIELDS = ("re", "lo", "h", "factor", "origin", "seg", "absorbed", "mask", "rules", "rule",
-              "gaps", "tup", "j", "rows", "group", "im", "ray")
+              "gaps", "tup", "j", "rows", "group", "im", "ray", "phase")
 
     @staticmethod
     def problem(form, rng):
@@ -870,13 +950,19 @@ class TestSegmentIntegral:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_interval_front_end_matches_segments(self, k):
         # whole intervals of a tuple with a 1e-9 gap, NE and SW rows, phase
-        # included; the moduli are interval_abs_integral's, bit for bit
+        # included
         prev, j = np.array(THIN), np.arange(len(THIN) - 1)
         rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
         value = interval_integral(np.diff(prev), rows, j)
         seg = segment_integral(prev, rows, prev[j], prev[j + 1])
         assert np.all(np.abs(value - seg) <= 1e-13 * np.abs(seg))
-        assert np.all(np.abs(value) == interval_abs_integral(np.diff(prev), rows, j))
+        # both front ends take the one certified real sum of the same plan
+        quad = sys.modules["zigzag.quadrature"]
+        plan = IntervalPlan(np.diff(prev), rows, j)
+        sums = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, plan.name)
+        assert sums.dtype == np.float64
+        assert np.array_equal(value, plan.phase * sums)
+        assert np.array_equal(interval_abs_integral(np.diff(prev), rows, j), np.abs(sums))
 
     def test_path_independence(self):
         prev = np.array([-1.0, 0.0, 1.0])

@@ -14,6 +14,14 @@ from zigzag.scmap import (_development, _log_ratio_system, _log_ratios, _mapped,
                           _side_jacobian, _symmetric_gaps, positive_sides)
 
 
+def rounded_gaps(gaps):
+    """_symmetric_gaps of one tuple or a stack, along the last axis, with
+    every gap rounded through the absolute prevertices s_m."""
+    one = np.ones(np.shape(gaps)[:-1] + (1,))
+    pos = np.concatenate((0.0 * one, one, 1.0 + np.cumsum(gaps, axis=-1)), axis=-1)
+    return np.diff(np.concatenate((-pos[..., :0:-1], pos), axis=-1), axis=-1)
+
+
 class TestExponentPattern:
     def test_ne_structure(self):
         for p in range(0, 6):
@@ -274,11 +282,7 @@ class TestNewtonFallback:
         # gaps rounded through absolute prevertices, as integrals once took
         # them, put a floor under max|F| above the tolerance: Newton stops
         # at the first step that does not reduce it and raises
-        def rounded(gaps):
-            pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
-            return np.diff(np.concatenate((-pos[:0:-1], pos)))
-
-        monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded)
+        monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded_gaps)
         with pytest.raises(NoConvergence) as err:
             zz.solve_parameter_problem(zz.ZigzagParams(p, k, sides), zz.sw_pattern(p, k))
         assert err.value.trace and err.value.trace[-1] > 1e-11
@@ -483,11 +487,7 @@ class TestStackedNewton:
         # with gaps rounded through absolute prevertices (TestNewtonFallback)
         # the SW solve of these zigzags stalls and the NE solve converges:
         # the stack raises the SW failure, history and message as alone
-        def rounded(gaps):
-            pos = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(gaps)))
-            return np.diff(np.concatenate((-pos[:0:-1], pos)))
-
-        monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded)
+        monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded_gaps)
         z = zz.ZigzagParams(p, k, sides)
         ne, sw = zz.ne_pattern(p, k), zz.sw_pattern(p, k)
         with pytest.raises(NoConvergence) as alone:

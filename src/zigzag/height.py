@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import NotReflexive
 from .geometry import ZigzagParams, canonicalize
-from .scmap import (Prevertices, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
-                    ne_pattern, solve_parameter_problems, sw_pattern)
+from .scmap import (Prevertices, _log_ratios, _newton_batch, _side_system, ne_pattern,
+                    solve_parameter_problems, sw_pattern)
 from .elliptic import extremal_lengths
 
 __all__ = [
@@ -134,8 +134,7 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         def shared(sides, ratios, J):  # both patterns share one kernel plan
             return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides[:, 0]
 
-        log_ratios = _log_ratio_system(rows, 1)
-        [(_, history, (_, jac, ne))] = _newton_batch(lambda u: _mapped(log_ratios(u), shared),
+        [(_, history, (_, jac, ne))] = _newton_batch(_side_system(rows, 1, shared),
                                                      _log_ratios(np.asarray(z.side_lengths))[None],
                                                      f"shared-prevertex solve from {z}")
         residuals = tuple(history)

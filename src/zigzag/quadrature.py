@@ -33,17 +33,16 @@ they feed; the nodes of every entry are evaluated in blocks of about
 serving every row.  ``segment_integral`` returns the contour integrals,
 itself giving an end on a prevertex its Jacobi panel, summed in complex
 arithmetic.  On a real interval (s_j, s_{j+1}) every factor t - s_m is
-real and keeps its sign, negative exactly for m > j (the Jacobi panel at
-s_{j+1} absorbs (u * -1)^e_{j+1}), so the integrand has the constant
-argument pi * sum_{m>j} e_m and is summed in real arithmetic: log|t - s_m|
-with no arctan2, a real factor h^(1+e) per entry, and one phase per
-interval and row, exp(i pi sum_{m>j} e_m), built once per layout and
-applied once per call.  ``interval_integral`` returns the certified real
-sums times that phase, the contour integrals; ``interval_abs_integral``
-their moduli; and ``IntervalLayout.point`` the real sums with their exact
-signed derivatives in every log-gap, on the same panels, with no complex
-number at a Newton point.  All three take a stack of tuples, one tuple
-being a stack of one, by their gaps s_{m+1} - s_m, not their prevertices:
+real and keeps its sign, so the integrand has a constant argument, which
+scmap gives the interval's image, and the kernel sums its modulus in real
+arithmetic: log|t - s_m| with no arctan2 and a real factor h^(1+e) per
+entry.  Each such sum adds positive weights times an exp, so it is never
+negative.  ``interval_abs_integral`` returns the certified sums, the
+lengths of the intervals' images, and ``IntervalLayout.point`` the same
+sums with their exact signed derivatives in every log-gap, on the same
+panels, with no complex number at a Newton point.  Both take a stack of
+tuples, one tuple being a stack of one, by their gaps s_{m+1} - s_m, not
+their prevertices:
 every offset is a partial sum of gaps of the interval's own tuple and every
 length a gap, so no digit of a gap 1e-8 of the prevertices is lost to their
 absolute size.  Their exponent rows are one stack shared by every tuple, or
@@ -57,8 +56,8 @@ not positive, or a partial sum that is not finite (DomainError).
 Segments keep absolute coordinates; ``arc_integral`` sums two segments
 through its arc's apex.  One routine, ``_certified``, compares the sums
 of each item and row at 12 and at 24 nodes, else QuadratureFailure, and
-every certified value passes it: each call of ``interval_integral``,
-``interval_abs_integral`` and ``segment_integral`` takes both sums.  A
+every certified value passes it: each call of ``interval_abs_integral``
+and ``segment_integral`` takes both sums.  A
 Newton iterate needs an accurate F, not a certified one:
 ``IntervalLayout.point`` returns the integrals and their derivatives
 from the 12-node sum alone, with a function that certifies that same
@@ -454,11 +453,10 @@ class IntervalLayout:
     stack; ``exps``, ``j`` and ``derivatives`` are as for IntervalPlan.
     The layout holds the interval ends, their tuples and outer neighbours,
     the masks that take each end's offsets as partial sums of its tuple's
-    gaps, the exponent rows, the phase of each interval and row, the
-    Jacobi entries with their exponents and rules (_jacobi_entries), the
-    derivative rows' mask, and for ``point`` the maps that unpack its
-    Jacobian.  The panel counts of
-    the ends are all that the entries of a plan take from its gaps (the
+    gaps, the exponent rows, the Jacobi entries with their exponents and
+    rules (_jacobi_entries), the derivative rows' mask, and for ``point``
+    the maps that unpack its Jacobian.  The panel counts of the ends are
+    all that the entries of a plan take from its gaps (the
     free entries, their order among the Jacobi ones, the mask and the
     blocks of its sums): these are built once per vector of counts, at
     its first fill, and shared by every plan of the layout with those
@@ -497,15 +495,10 @@ class IntervalLayout:
         self._ends, self._owner = (j[:, None] + (0, 1)).ravel(), tup.repeat(2)  # s_j, s_{j+1}
         ray = np.ones(self._ends.size)
         ray[1::2] = -1.0
-        # t - s_m < 0 on (s_j, s_{j+1}) exactly for m > j, the absorbed
-        # (u ray)^e_{j+1} included: one phase per interval and base row,
-        # shared by its derivative rows, whose 1/(t - s_m) is real and signed
-        tail = np.cumsum(rows[..., ::-1], axis=-1)[..., ::-1]  # sum of e_m over m >= i
-        phase = np.exp(1j * np.pi * tail[group, :, j + 1]).T
         self._rows, self._plan = rows, {
             "rows": rows.transpose(0, 2, 1), "group": group, "tup": tup, "j": j,
             "derivatives": derivatives, "s_count": j.size, "im": np.zeros(self._ends.size),
-            "ray": ray, "phase": phase.repeat(m_count + 1 if derivatives else 1, axis=0)}
+            "ray": ray}
         # A fill pads each tuple's gaps by inf on both sides, none past its
         # ends.  Each end's offsets s_a - s_m are partial sums of its own
         # tuple's gaps taken outward from a, nearest gap first, from a 0 in
@@ -608,9 +601,7 @@ class IntervalLayout:
         the integrands over the layout's intervals (s_j, s_{j+1}) and their
         signed derivatives g_i dI_j/dg_i in the log of every gap of the
         interval's own tuple (_unpack), from one sum at _BASE_NODES (12)
-        nodes per panel, with no comparison.  The contour integrals and
-        their derivatives are these times the fill's ``phase``, one value
-        per interval and row.
+        nodes per panel, with no comparison.
         ``certify()`` sums the same plan at twice that, once however often
         it is called, compares the two on every interval and row, to 1e-12
         relative, and returns the certified (I, g dI/dg), or raises
@@ -701,15 +692,13 @@ class IntervalPlan(_SegmentPanels):
     exactly for m > j, the factor (u * -1)^e_{j+1} that the Jacobi panel at
     s_{j+1} absorbs included.  So ``integrate_abs`` sums in real arithmetic
     the integral of prod |t - s_m|^e_m, from log|t - s_m| with no arctan2
-    and the real factor h^(1+e) of each entry, and the plan's ``phase``,
-    exp(i pi sum_{m>j} e_m) for each interval and row, turns those sums into
-    the contour integrals.  With ``derivatives`` each row e is followed by
-    the M rows e - delta_m, whose integrands are that of e times the real,
-    signed 1/(t - s_m), on the same entries and rules as e, so no rule is
-    built for them and they share their base row's phase; only intervals
-    have such rows.  A row e - delta_m is not integrable on an interval
-    ending at s_m: the entry row mask drops it from every entry of that
-    interval, so it sums to exactly 0 there at any node count."""
+    and the real factor h^(1+e) of each entry.  With ``derivatives`` each
+    row e is followed by the M rows e - delta_m, whose integrands are that
+    of e times the real, signed 1/(t - s_m), on the same entries and rules
+    as e, so no rule is built for them; only intervals have such rows.  A
+    row e - delta_m is not integrable on an interval ending at s_m: the
+    entry row mask drops it from every entry of that interval, so it sums
+    to exactly 0 there at any node count."""
 
     def __init__(self, gaps, exps, j, derivatives=False):
         IntervalLayout(np.shape(gaps), exps, j, derivatives)._fill(self, gaps)
@@ -723,7 +712,7 @@ class IntervalPlan(_SegmentPanels):
         """One log|d| matrix, one real matmul per piece and one exp per
         block, plus for the derivative rows one reciprocal and one real
         batched matmul: the (K, R) real sums of the moduli, signed by 1/d
-        on the derivative rows, with no phase."""
+        on the derivative rows."""
         pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
         d = self.re[origin, None, :] + (u * ray)[..., None]
@@ -740,16 +729,21 @@ class IntervalPlan(_SegmentPanels):
 
     def integrate_abs(self, n):
         """(R, S) real interval sums with n nodes per panel, R counting the
-        derivative rows: the integrals of the moduli of the integrands, so
-        that ``phase`` times them is the contour integrals."""
+        derivative rows: the integrals of the moduli of the integrands,
+        never negative on a base row."""
         return self._summed(n, self._real_block)
 
 
-def interval_integral(gaps, exps, j):
-    """Contour integrals over real intervals (s_j, s_{j+1}), principal
-    branches from the upper half-plane, as segment_integral gives them
-    along the same intervals, certified to relative accuracy 1e-12 by 12
-    against 24 nodes.
+def _row_shape(exps):
+    """The row axes of an exponent array: () for one row, (R,) for an
+    (R, M) stack shared by every tuple or a (T, R, M) stack per tuple."""
+    return exps.shape[1:-1] if exps.ndim == 3 else exps.shape[:-1]
+
+
+def interval_abs_integral(gaps, exps, j):
+    """Lengths of the images of real intervals (s_j, s_{j+1}), the
+    integrals of the moduli of the integrands, certified to relative
+    accuracy 1e-12 by 12 against 24 nodes.
 
     ``gaps`` holds the gaps s_{m+1} - s_m of one tuple or of a (T, M-1)
     stack of tuples, a family in one call; ``j`` is one interval index or
@@ -764,31 +758,10 @@ def interval_integral(gaps, exps, j):
     more than that from 12 to 24 nodes, and DomainError or ValueError for
     the gaps or indices IntervalPlan rejects.
     """
-    phase, sums = _interval_sums(gaps, exps, j)
-    return (phase * sums)[()]
-
-
-def _interval_sums(gaps, exps, j):
-    """The phase and the certified real sums of interval_integral's plan,
-    each with the row axes of ``exps`` followed by the shape of ``j``."""
     exps, j = np.asarray(exps, float), np.asarray(j, int)
-    plan, shape = IntervalPlan(gaps, exps, j), _row_shape(exps) + j.shape
+    plan = IntervalPlan(gaps, exps, j)
     sums = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
-    return plan.phase.reshape(shape), sums.reshape(shape)
-
-
-def _row_shape(exps):
-    """The row axes of an exponent array: () for one row, (R,) for an
-    (R, M) stack shared by every tuple or a (T, R, M) stack per tuple."""
-    return exps.shape[1:-1] if exps.ndim == 3 else exps.shape[:-1]
-
-
-def interval_abs_integral(gaps, exps, j):
-    """Moduli of interval_integral, with its arguments, shapes, certificate
-    and errors: the integrand has constant argument on an interval, so each
-    is the length of the interval's image, the modulus of its certified
-    real sum."""
-    return np.abs(_interval_sums(gaps, exps, j)[1])[()]
+    return sums.reshape(_row_shape(exps) + j.shape)[()]
 
 
 def _segment_reach(re, im, unit, length, own):

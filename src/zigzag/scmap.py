@@ -28,7 +28,7 @@ seed: gaps proportional to the target sides.  Its Jacobian is exact: the
 prevertex derivatives of the side integrals are extra exponent rows on
 the panels of the sides, so each Newton point costs one fill of the
 solve's one interval layout and one 12-node sum, uncompared
-(``_log_ratio_system``, quadrature.IntervalLayout).  Only the point a
+(``_side_system``, quadrature.IntervalLayout).  Only the point a
 solve returns pays the 12-against-24 certificate, one more sum on the
 same plan.  Every real-interval integral takes the tuple's gaps, not its
 absolute prevertices, so a gap far below the prevertices loses no digits
@@ -153,8 +153,8 @@ def side_length(prev: Prevertices, pat: ExponentPattern, j: int) -> float:
     """Euclidean length of the image of (s_j, s_{j+1}), 0 <= j < p.
 
     This is the raw modulus integral of the SC integrand over the tuple's
-    gaps; no chain normalization is applied.  Relative accuracy 1e-10 or
-    better, certified by 12 against 24 nodes (QuadratureFailure otherwise).
+    gaps; no chain normalization is applied.  Certified to 1e-12 relative
+    by 12 against 24 nodes (QuadratureFailure otherwise).
     """
     p = prev.genus
     if not 0 <= j < p:
@@ -184,31 +184,21 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
     return np.log(sides[..., 1:] / sides[..., :1])
 
 
-def _mapped(point, f):
-    """A Newton point (values, certify) with ``f`` applied to its values
-    and to the certified values that ``certify()`` returns."""
-    values, certify = point
-    return f(*values), lambda: f(*certify())
-
-
-def _side_jacobian(exponents, count):
-    """The Newton points of the raw positive sides of ``count`` tuples, as
-    a function of their (count, p-1) stack of log-gaps u, from one
-    interval layout built here: each call is one fill of it.
+def _side_system(exponents, count, residual):
+    """The Newton system ``system(u)`` of the raw positive sides of a stack
+    of ``count`` tuples with (count, p-1) log-gaps u, from one interval
+    layout built here, filled once per call and kept as long as the system.
 
     ``exponents`` is an (R, 2p+1) stack of rows shared by every tuple or a
     (count, R, 2p+1) stack, R rows for each tuple.  A call returns the
-    (T, R, p) sides and their exact (T, R, p, p-1) Jacobian over u as a
-    Newton point (values, certify): ``values`` from one 12-node sum with
-    no comparison, and ``certify()`` the same certified at the same u, the
+    Newton point (residual(sides, ratios, J), certify): the (T, R, p)
+    sides, their _log_ratios and the exact (T, R, p-1, p-1) Jacobian of
+    those over u, from one 12-node sum with no comparison, and
+    ``certify()`` the same from the certified sums at the same u, the
     sides then equal to positive_sides, or QuadratureFailure
     (quadrature.IntervalLayout.point); each tuple's equal bit for bit to
-    its call alone.
-
-    It chains the log-gap derivatives of the real interval sums, the
-    integrals I of the moduli of the integrands: a side is |I| and its
-    derivative sign(I) dI, and u_i is the log of the gap above s_{i+1} and
-    of its mirror below s_{-i-1}.
+    its call alone.  u_i is the log of the gap above s_{i+1} and of its
+    mirror below s_{-i-1}, so d log I = (g dI/dg of both gaps) / I.
     """
     p = (np.shape(exponents)[-1] - 1) // 2
     layout = quad.IntervalLayout((count, 2 * p), exponents,
@@ -216,33 +206,15 @@ def _side_jacobian(exponents, count):
     above, below = np.arange(p + 1, 2 * p), np.arange(p - 2, -1, -1)
 
     def chained(total, dlog):  # (R, T, p) and (R, 2p, T, p), to (T, R, ...)
-        d_total = (dlog[:, above] + dlog[:, below]).transpose(2, 0, 3, 1)
-        total = total.swapaxes(0, 1)
-        return np.abs(total), np.sign(total)[..., None] * d_total
+        sides = total.swapaxes(0, 1)
+        d_log = (dlog[:, above] + dlog[:, below]).transpose(2, 0, 3, 1) / sides[..., None]
+        return residual(sides, _log_ratios(sides), d_log[..., 1:, :] - d_log[..., :1, :])
 
-    def point(u):
-        return _mapped(layout.point(_symmetric_gaps(np.exp(u))), chained)
+    def system(u):
+        values, certify = layout.point(_symmetric_gaps(np.exp(u)))
+        return chained(*values), lambda: chained(*certify())
 
-    return point
-
-
-def _log_ratio_system(exponents, count):
-    """The Newton system ``system(u)`` of the raw positive sides of a stack
-    of ``count`` tuples with log-gaps u, their log ratios _log_ratios per
-    row and the (T, R, p-1, p-1) Jacobian of those over u, as the Newton
-    point (values, certify) of _side_jacobian.
-
-    ``exponents`` is an (R, 2p+1) stack of rows shared by every tuple or a
-    (count, R, 2p+1) stack, tuple m taking exponents[m].  The system
-    builds one interval layout and fills it once per call, and the layout
-    lives as long as the system."""
-    point = _side_jacobian(exponents, count)
-
-    def ratios(sides, d_sides):
-        d_log = d_sides / sides[..., None]
-        return sides, _log_ratios(sides), d_log[..., 1:, :] - d_log[..., :1, :]
-
-    return lambda u: _mapped(point(u), ratios)
+    return system
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
@@ -257,7 +229,7 @@ def _newton_batch(system, u0, label):
 
     ``system(u)`` takes the (T, n) log-gaps of the whole stack and returns
     its Newton point (values, certify) from one fill of one layout
-    (_log_ratio_system): values = (F, J, ...) stacked over the members,
+    (_side_system): values = (F, J, ...) stacked over the members,
     F(u) and its exact Jacobian first, from one 12-node sum with no
     comparison, and ``certify()`` the same at the same u, certified by 12
     against 24 nodes on that plan.  An accepted step already holds its
@@ -361,8 +333,7 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
     def residual(sides, ratios, J):
         return ratios[:, 0] - target, J[:, 0]
 
-    log_ratios = _log_ratio_system(exps, len(exps))
-    results = _newton_batch(lambda u: _mapped(log_ratios(u), residual),
+    results = _newton_batch(_side_system(exps, len(exps), residual),
                             np.tile(target, (len(exps), 1)), f"parameter problem for {z}")
     return tuple(Prevertices(p, np.exp(u)) for u, _, _ in results)
 
@@ -371,6 +342,15 @@ def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertice
     """Prevertices whose SC side-length ratios match the zigzag's under
     one pattern: solve_parameter_problems of that pattern alone."""
     return solve_parameter_problems(z, (pat,))[0]
+
+
+def _directions(exps) -> np.ndarray:
+    """exp(i pi sum_{i>m} e_i), m = 0..2p-1, along the last axis of one
+    exponent row or a stack: the direction of the image of (s_m, s_{m+1}),
+    on which t - s_i is negative exactly for i > m (principal branches
+    from the upper half-plane)."""
+    tail = np.cumsum(np.asarray(exps, float)[..., ::-1], axis=-1)[..., -2::-1]
+    return np.exp(1j * np.pi * tail)
 
 
 def _development(prev: Prevertices, pat: ExponentPattern):
@@ -385,11 +365,9 @@ def _developments(prev: Prevertices, patterns):
 
     steps[m] is the raw image of the interval (s_m, s_{m+1}), m = 0..2p-1:
     its length from positive_sides (mirror intervals have equal lengths)
-    times its direction, which is pi times the sum of the exponents of the
-    prevertices to its right (principal branches from the upper
-    half-plane).  targets is build_vertices of the zigzag with these
-    sides, in the order the integrand develops it: P_{-p}, ..., P_p for
-    SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] - targets[p]) /
+    times its _directions.  targets is build_vertices of the zigzag with
+    these sides, in the order the integrand develops it: P_{-p}, ..., P_p
+    for SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] - targets[p]) /
     steps[p] turns and scales the raw image of (s_0, s_1) onto its side,
     so s_m develops onto targets[m] and (s_m, s_{m+1}) onto A * steps[m].
     The sides of every pattern come from one kernel call, the tuple
@@ -400,9 +378,8 @@ def _developments(prev: Prevertices, patterns):
     exps = np.stack([pat.exponents for pat in patterns])
     sides = positive_sides(np.tile(prev.gaps, (len(exps), 1)), exps[:, None])[0]
     out = []
-    for pat, e, pos in zip(patterns, exps, sides):
-        tail = np.cumsum(e[::-1])[::-1]  # tail[m] = sum of e_i for i >= m
-        steps = np.concatenate((pos[::-1], pos)) * np.exp(1j * (tail[1:] * math.pi))
+    for pat, pos, direction in zip(patterns, sides, _directions(exps)):
+        steps = np.concatenate((pos[::-1], pos)) * direction
         chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos)))).vertices
         targets = np.asarray(chain[::-1] if pat.orientation == "NE" else chain)
         out.append(((targets[p + 1] - targets[p]) / steps[p], steps, targets))

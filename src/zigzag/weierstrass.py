@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
 from .height import _D_TOL
-from .scmap import Prevertices, _developments, ne_pattern, sw_pattern
+from .scmap import Prevertices, _developments, _directions, ne_pattern, sw_pattern
 from . import quadrature as quad
 
 __all__ = [
@@ -207,8 +207,9 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
           holds the two relative defects |c^2 + i scale_ne scale_sw| / |c|^2
           and |Im c| / |c|.
     The cycle integrals come from the 2p real intervals (s_m, s_{m+1}) of
-    the stored gaps, both forms in one quadrature.interval_integral call
-    certified to 1e-12 relative, times 1 - e^{2 pi i e_{m+1}}.  The alpha
+    the stored gaps: their lengths, both forms in one
+    quadrature.interval_abs_integral call certified to 1e-12 relative,
+    times their scmap._directions and 1 - e^{2 pi i e_{m+1}}.  The alpha
     and conjugacy checks pass within 1e-8 absolute, the dh defects within
     1e-10.  Raises PeriodMismatch with the report attached if any check
     fails.
@@ -216,7 +217,8 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
     rows, m = wd.rows, np.arange(2 * wd.genus)
     rho = _cycle_factor(rows[:, m + 1])  # SW and NE
     scale = _PHASE * np.array([[wd.scale_sw], [wd.scale_ne]])
-    alpha_comp, beta_comp = scale * rho * -quad.interval_integral(wd.prevertices.gaps, rows, m)
+    steps = quad.interval_abs_integral(wd.prevertices.gaps, rows, m) * _directions(rows)
+    alpha_comp, beta_comp = scale * rho * -steps
     v = np.asarray(wd.chain.vertices, dtype=complex)
     alpha_exp = rho[0] * _PHASE * (v[:-1] - v[1:])
     dh_per = _dh_defects(wd)

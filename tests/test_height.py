@@ -112,14 +112,14 @@ class TestMinimize:
     def test_newton_residuals(self, monkeypatch):
         # the record holds max|F| of every Newton point, one kernel call each
         height_mod = sys.modules["zigzag.height"]
-        log_ratio_system = height_mod._log_ratio_system
+        side_system = height_mod._side_system
         calls = []
 
-        def counted(rows, count):
-            system = log_ratio_system(rows, count)
+        def counted(rows, count, residual):
+            system = side_system(rows, count, residual)
             return lambda u: calls.append(u) or system(u)
 
-        monkeypatch.setattr(height_mod, "_log_ratio_system", counted)
+        monkeypatch.setattr(height_mod, "_side_system", counted)
         res = zz.minimize(zz.ZigzagParams(3, 2, (1.0, 1.0, 1.0))).residuals
         assert len(res) == len(calls) >= 2
         assert all(b < a for a, b in zip(res, res[1:]))

@@ -16,7 +16,8 @@ import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
 from zigzag.quadrature import (_BASE_NODES, IntervalLayout, IntervalPlan, _ends, _graded_panels,
                                 _rule, _segment_reach, _SegmentPanels, arc_integral,
-                                interval_abs_integral, interval_integral, segment_integral)
+                                interval_abs_integral, segment_integral)
+from zigzag.scmap import _directions
 
 
 def jacobian_point(gaps, exps, j):
@@ -226,20 +227,22 @@ class TestRealIntervalPath:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_real_sums_match_complex_path(self, k, n):
         # every interval of a tuple with a 1e-9 gap, NE and SW rows stacked
-        # (exponents of both signs): the real sums times the plan's phase
-        # against the complex path of _SegmentPanels on the same panels
+        # (exponents of both signs): the real sums times the directions of
+        # scmap against the complex path of _SegmentPanels on the same panels
         gaps, j = np.diff(THIN), np.arange(len(THIN) - 1)
         base = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
         assert (base > 0).any() and (base < 0).any()
+        direction = _directions(base)[:, j]
         plan = IntervalPlan(gaps, base, j)
         real, ref = plan.integrate_abs(n), complex_sums(plan, n)
         assert real.dtype == np.float64
-        assert np.all(np.abs(plan.phase * real - ref) <= 1e-13 * np.abs(ref))
+        assert np.all(np.abs(real * direction - ref) <= 1e-13 * np.abs(ref))
         # the derivative row e - delta_m against a plan of that row on the
-        # intervals without an end at s_m: identical panels and end rules
+        # intervals without an end at s_m: identical panels and end rules,
+        # the sign of 1/(t - s_m) turning the direction of e into its own
         m_count = base.shape[1]
         plan = IntervalPlan(gaps, base, j, derivatives=True)
-        value = (plan.phase * plan.integrate_abs(n)).reshape(2, m_count + 1, j.size)
+        value = plan.integrate_abs(n).reshape(2, m_count + 1, j.size) * direction[:, None]
         assert np.all(np.abs(value[:, 0] - ref) <= 1e-13 * np.abs(ref))
         for m in range(m_count):
             off = j[(j != m) & (j + 1 != m)]
@@ -262,8 +265,7 @@ class TestKernelInput:
     not positive, or whose partial sums are not finite (DomainError), and
     interval indices outside the tuple (ValueError).
     interval_abs_integral and certified_jacobian are each checked on one
-    tuple and on a stack, and an overflowing partial sum through
-    interval_integral too, in process."""
+    tuple and on a stack, and an overflowing partial sum in process too."""
 
     EXPS = [0.5, -0.5, 0.5, -0.5, 0.5]
 
@@ -343,8 +345,7 @@ print(json.dumps(outcomes))
                             rf"partial sums: tuple 5, {what}", str(info.value))
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["tuple", "stack"])
-    @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian,
-                                         interval_integral])
+    @pytest.mark.parametrize("routine", [interval_abs_integral, certified_jacobian])
     def test_overflowing_partial_sum_raises_without_a_warning(self, routine, stacked):
         # finite gaps whose partial sums overflow: the DomainError alone,
         # with no overflow warning first (an error under the suite's
@@ -443,13 +444,13 @@ class TestRowsPerTuple:
         if block is not None:
             monkeypatch.setattr(quad, "_BLOCK", block)
         gaps, rows, j = self.stack()
-        total = interval_integral(gaps, rows, j)
+        total = interval_abs_integral(gaps, rows, j)
         (rough, rough_dlog), certify = jacobian_point(gaps, rows, j)
         fine, fine_dlog = certify()
         assert total.shape == (2, 3, 3) and rough_dlog.shape == (2, 6, 3, 3)
         for t in range(3):
-            assert np.array_equal(total[:, t], interval_integral(gaps[t], rows[t], j[t]))
-            assert np.array_equal(total[:, t], interval_integral(gaps, rows[t], j)[:, t])
+            assert np.array_equal(total[:, t], interval_abs_integral(gaps[t], rows[t], j[t]))
+            assert np.array_equal(total[:, t], interval_abs_integral(gaps, rows[t], j)[:, t])
             (solo, solo_dlog), solo_certify = jacobian_point(gaps[t], rows[t], j[t])
             assert np.array_equal(rough[:, t], solo) and np.array_equal(rough_dlog[:, :, t], solo_dlog)
             solo, solo_dlog = solo_certify()
@@ -482,7 +483,7 @@ class TestRowsPerTuple:
     def test_rows_must_have_a_stack_per_tuple(self):
         gaps, rows, j = self.stack()
         with pytest.raises(ValueError, match=r"exponent rows of shape \(3, R, M\)"):
-            interval_integral(gaps, rows[:2], j)
+            interval_abs_integral(gaps, rows[:2], j)
 
 
 class TestJacobianPoint:
@@ -677,10 +678,10 @@ def graded_plan(gaps, rows, j, derivatives):
     gap, over the offsets _gap_offsets takes from the tuple's gaps, with
     the derivative rows' mask formed apart: a row e - delta_m is dropped
     from every entry of an interval ending at s_m.  Its factor is the real
-    h^(1 + e), its ray the real +-1, and its phase per interval and base
-    row exp(i pi sum e_m) over the factors t - s_m negative at the
-    midpoint of its entries, the absorbed one (u ray)^e included, which
-    must be the same set on every entry of the interval."""
+    h^(1 + e) and its ray the real +-1.  Its ``phase``, (R, S), holds per
+    base row and interval exp(i pi sum e_m) over the factors t - s_m
+    negative at the midpoint of its entries, the absorbed one (u ray)^e
+    included, which must be the same set on every entry of the interval."""
     tup, flat = np.indices(j.shape)[0].ravel(), j.ravel()
     ends, owner = _ends(flat, flat + 1), _ends(tup, tup)
     half = gaps[tup, flat] / 2.0
@@ -694,7 +695,7 @@ def graded_plan(gaps, rows, j, derivatives):
     first = np.searchsorted(plan.seg, np.arange(flat.size))  # entries are ordered by seg
     assert np.array_equal(neg, neg[first][plan.seg])
     tail = np.cumsum(np.where(neg[first][:, None, ::-1], rows[:, ::-1], 0.0), axis=-1)[..., -1]
-    plan.phase = np.exp(1j * np.pi * tail.T).repeat(rows.shape[1] + 1 if derivatives else 1, axis=0)
+    plan.phase = np.exp(1j * np.pi * tail.T)
     plan.derivatives = derivatives
     if derivatives:
         col = np.arange(rows.shape[1] + 1) - 1 - flat[plan.seg][:, None]  # from 1 + j
@@ -703,9 +704,24 @@ def graded_plan(gaps, rows, j, derivatives):
     return plan
 
 
+def random_gaps(rng, kind, shape):
+    """Seeded random gaps of one of three kinds: log-uniform from e^-30 to
+    e^5 (kind 0), exact powers of two (1), or moderate gaps among 1e-10,
+    e^-23 and gaps down to the least normal float (2)."""
+    if kind == 0:
+        return np.exp(rng.uniform(-30.0, 5.0, shape))
+    if kind == 1:
+        return 2.0 ** rng.integers(-60, 10, shape).astype(float)
+    gaps = rng.uniform(0.1, 3.0, shape)
+    pick = rng.random(shape) < 0.3
+    small = [1e-10, math.exp(-23), 1e-300, 2.0 ** -1000, 3e-308, np.finfo(float).tiny]
+    gaps[pick] = rng.choice(small, pick.sum())
+    return gaps
+
+
 class TestClosedFormIntervalPlan:
     FIELDS = ("seg", "origin", "lo", "h", "absorbed", "factor", "mask", "rules", "rule",
-              "re", "im", "ray", "rows", "phase")
+              "re", "im", "ray", "rows")
 
     def test_plan_arrays_equal_the_graded_construction(self):
         # seeded random stacks: T = 1..3 tuples of 1..11 gaps, log-uniform
@@ -713,27 +729,20 @@ class TestClosedFormIntervalPlan:
         # among 1e-10, e^-23 and gaps down to the least normal float; k =
         # 2..8 exponent rows; any subset of interval indices, repeated or
         # none; one tuple given as a stack or alone; with and without
-        # derivative rows.  Every plan array equals the graded one, and so
+        # derivative rows.  Every plan array equals the graded one, the
+        # directions of scmap the phases of the factors' signs, and so
         # do its 12- and 24-node sums on every tenth plan (overflowing
         # where tiny gaps meet negative exponents, alike on both)
         rng = np.random.default_rng(26)
-        small = [1e-10, math.exp(-23), 1e-300, 2.0 ** -1000, 3e-308, np.finfo(float).tiny]
         for case in range(500):
             k, t, m = (int(v) for v in rng.integers((2, 1, 1), (9, 4, 12)))
-            kind = case % 3
-            if kind == 0:
-                gaps = np.exp(rng.uniform(-30.0, 5.0, (t, m)))
-            elif kind == 1:
-                gaps = 2.0 ** rng.integers(-60, 10, (t, m)).astype(float)
-            else:
-                gaps = rng.uniform(0.1, 3.0, (t, m))
-                pick = rng.random((t, m)) < 0.3
-                gaps[pick] = rng.choice(small, pick.sum())
+            gaps = random_gaps(rng, case % 3, (t, m))
             rows = rng.choice([-(k - 1) / k, -1 / k, 0.0, 1 / k, 0.5, (k - 1) / k],
                               (int(rng.integers(1, 4)), m + 1))
             j = rng.integers(0, m, (t, int(rng.integers(0, 2 * m + 1))))
             derivatives = bool(case % 2) and j.size > 0
             ref = graded_plan(gaps, rows, j, derivatives)
+            assert np.array_equal(ref.phase, _directions(rows)[:, j.ravel()]), case
             if t == 1 and case % 4 < 2:  # one tuple alone
                 gaps, j = gaps[0], j[0]
             plan = IntervalPlan(gaps, rows, j, derivatives)
@@ -750,9 +759,9 @@ class TestClosedFormIntervalPlan:
 
 class TestStructuralPhase:
     """On (s_j, s_{j+1}) every factor t - s_m is negative exactly for m > j,
-    at every node of every entry, free or Gauss-Jacobi, so one phase per
-    interval and row carries the integrand's argument and every interval
-    sum is real."""
+    at every node of every entry, free or Gauss-Jacobi, so one direction
+    per interval and row (scmap._directions) carries the integrand's
+    argument and every interval sum is real."""
 
     def test_factor_signs_are_fixed_by_the_interval(self):
         # seeded random stacks as in TestClosedFormIntervalPlan: T = 1..3
@@ -762,18 +771,9 @@ class TestStructuralPhase:
         # absorbed factor (u ray)^e of a Jacobi entry is in its rule, and its
         # sign is that of its ray
         rng = np.random.default_rng(31)
-        small = [1e-10, math.exp(-23), 1e-300, 2.0 ** -1000, 3e-308, np.finfo(float).tiny]
         for case in range(300):
             k, t, m = (int(v) for v in rng.integers((2, 1, 1), (9, 4, 12)))
-            kind = case % 3
-            if kind == 0:
-                gaps = np.exp(rng.uniform(-30.0, 5.0, (t, m)))
-            elif kind == 1:
-                gaps = 2.0 ** rng.integers(-60, 10, (t, m)).astype(float)
-            else:
-                gaps = rng.uniform(0.1, 3.0, (t, m))
-                pick = rng.random((t, m)) < 0.3
-                gaps[pick] = rng.choice(small, pick.sum())
+            gaps = random_gaps(rng, case % 3, (t, m))
             shape = (int(rng.integers(1, 4)), m + 1)  # shared rows, or rows per tuple
             rows = rng.choice([-(k - 1) / k, -1 / k, 0.0, 1 / k, 0.5, (k - 1) / k],
                               shape if case % 2 else (t,) + shape)
@@ -801,13 +801,60 @@ class TestStructuralPhase:
             assert all(value.dtype == np.float64 for value in certify())
 
 
+class TestUnsignedSums:
+    """A base-row sum of an interval plan adds positive Gauss weights times
+    positive factors h^(1+e) times an exp, so it never carries a sign: the
+    lengths interval_abs_integral returns are the certified sums
+    themselves, and scmap divides by them with no sign or modulus."""
+
+    def test_base_rows_never_carry_a_sign(self):
+        # seeded random stacks as in TestClosedFormIntervalPlan: T = 1..3
+        # tuples of 1..11 gaps, log-uniform, exact powers of two, and
+        # moderate gaps among gaps down to the least normal float; k = 2..8
+        # exponent rows, shared or one stack per tuple; with and without
+        # derivative rows.  A sum that overflows reads +inf, and fails its
+        # certificate in both routines alike.  Where a Jacobi factor h^(1+e)
+        # of a panel a few subnormals long underflows to 0 and its integrand
+        # overflows, the entry reads 0 * inf, a NaN whose sign bit x86 sets;
+        # a NaN fails the certificate, so no routine returns it
+        quad = sys.modules["zigzag.quadrature"]
+        rng = np.random.default_rng(32)
+        certified = 0
+        for case in range(240):
+            k, t, m = (int(v) for v in rng.integers((2, 1, 1), (9, 4, 12)))
+            gaps = random_gaps(rng, case % 3, (t, m))
+            shape = (int(rng.integers(1, 4)), m + 1)  # shared rows, or rows per tuple
+            rows = rng.choice([-(k - 1) / k, -1 / k, 0.0, 1 / k, 0.5, (k - 1) / k],
+                              shape if case % 2 else (t,) + shape)
+            j = rng.integers(0, m, (t, int(rng.integers(1, 2 * m + 1))))
+            derivatives = case % 4 < 2
+            plan = IntervalPlan(gaps, rows, j, derivatives)
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e-300 gaps overflow
+                for n in (_BASE_NODES, 2 * _BASE_NODES):
+                    base = plan.integrate_abs(n)[::m + 2 if derivatives else 1]
+                    assert base.shape == (shape[0], j.size), case
+                    assert not (np.signbit(base) & ~np.isnan(base)).any(), case
+                if derivatives:
+                    continue
+                try:
+                    sums = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, plan.name)
+                except QuadratureFailure:
+                    with pytest.raises(QuadratureFailure):
+                        interval_abs_integral(gaps, rows, j)
+                    continue
+                value = interval_abs_integral(gaps, rows, j)
+            assert np.array_equal(value, sums.reshape(value.shape)), case
+            certified += 1
+        assert certified >= 100
+
+
 class TestIntervalLayout:
     """A Newton solve builds one IntervalLayout and fills it at each point:
     every fill equals a fresh IntervalPlan of the same gaps, bit for bit,
     whether its panel counts are new to the layout or met before."""
 
     FIELDS = ("re", "lo", "h", "factor", "origin", "seg", "absorbed", "mask", "rules", "rule",
-              "gaps", "tup", "j", "rows", "group", "im", "ray", "phase")
+              "gaps", "tup", "j", "rows", "group", "im", "ray")
 
     @staticmethod
     def problem(form, rng):
@@ -949,20 +996,19 @@ class TestSegmentIntegral:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_interval_front_end_matches_segments(self, k):
-        # whole intervals of a tuple with a 1e-9 gap, NE and SW rows, phase
-        # included
+        # whole intervals of a tuple with a 1e-9 gap, NE and SW rows: the
+        # lengths times the directions of scmap are the contour integrals
         prev, j = np.array(THIN), np.arange(len(THIN) - 1)
         rows = np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
-        value = interval_integral(np.diff(prev), rows, j)
+        value = interval_abs_integral(np.diff(prev), rows, j)
         seg = segment_integral(prev, rows, prev[j], prev[j + 1])
-        assert np.all(np.abs(value - seg) <= 1e-13 * np.abs(seg))
-        # both front ends take the one certified real sum of the same plan
+        assert np.all(np.abs(value * _directions(rows)[:, j] - seg) <= 1e-13 * np.abs(seg))
+        # the lengths are the certified real sums of the plan themselves
         quad = sys.modules["zigzag.quadrature"]
         plan = IntervalPlan(np.diff(prev), rows, j)
         sums = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, plan.name)
         assert sums.dtype == np.float64
-        assert np.array_equal(value, plan.phase * sums)
-        assert np.array_equal(interval_abs_integral(np.diff(prev), rows, j), np.abs(sums))
+        assert np.array_equal(value, sums)
 
     def test_path_independence(self):
         prev = np.array([-1.0, 0.0, 1.0])

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import zigzag as zz
 from zigzag.errors import DomainError, NoConvergence, QuadratureFailure
-from zigzag.quadrature import interval_abs_integral
-from zigzag.scmap import (_development, _log_ratio_system, _log_ratios, _mapped, _newton_batch,
-                          _side_jacobian, _symmetric_gaps, positive_sides)
+from zigzag.quadrature import IntervalLayout, interval_abs_integral
+from zigzag.scmap import (_development, _log_ratios, _newton_batch, _side_system,
+                          _symmetric_gaps, positive_sides)
 
 
 def rounded_gaps(gaps):
@@ -240,28 +240,41 @@ class TestExactJacobian:
     @example((5, 3, np.log([10.211878668305674, 25.282076647072344,
                             4.2640006576183904e-08, 1.0107448802573465e-07])))
     def test_matches_central_differences(self, problem):
-        # d(sides)/du of both patterns at once against central differences
-        # at h = 1e-5, the sides taken through the same gaps.  Differences
-        # of a side carry its rounding, about 1e-16 |side| / h, and a side
-        # next to tiny gaps moves 1e-5 as fast as it is long, so each row is
-        # held to 1e-9 of its own side: d(log side)/du to 1e-9
+        # the Jacobian of the log ratios of both patterns at once against
+        # central differences at h = 1e-5, the sides taken through the same
+        # gaps.  Differences of a side carry its rounding, about 1e-16
+        # |side| / h, and a side next to tiny gaps moves 1e-5 as fast as it
+        # is long, so d(log side)/du is held to 1e-9, and so is each log
+        # ratio's derivative
         p, k, u = problem
         rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
 
         def sides_at(v):
             return positive_sides(zz.Prevertices(p, np.exp(v)).gaps, rows)
 
+        def central(f):
+            h = 1e-5
+            return np.stack([(f(u + h * e) - f(u - h * e)) / (2.0 * h) for e in np.eye(p - 1)],
+                            axis=-1)
+
         # the 12-node values of a Newton iterate and the certified values of
-        # the same point, which are the certified sides
-        (rough, rough_jac), certify = _mapped(_side_jacobian(rows, 1)(u[None]),
-                                              lambda sides, jac: (sides[0], jac[0]))
+        # the same point, whose sides are the certified sides
+        system = _side_system(rows, 1, lambda sides, ratios, J: (sides[0], J[0]))
+        (rough, rough_jac), certify = system(u[None])
         sides, jac = certify()
         assert np.array_equal(sides, sides_at(u))
         assert np.all(np.abs(rough - sides) <= 1e-12 * sides)
-        h = 1e-5
-        fd = np.stack([(sides_at(u + h * e) - sides_at(u - h * e)) / (2.0 * h)
-                       for e in np.eye(p - 1)], axis=-1)
+        fd = central(lambda v: _log_ratios(sides_at(v)))
         for d in (rough_jac, jac):
+            assert np.all(np.abs(d - fd) <= 1e-9)
+        # each side's own derivative, which the log ratios do not see if
+        # every side's d(log side)/du is off by the same amount: u_i is the
+        # log of the gap above s_(i+1) and of its mirror below s_(-i-1)
+        layout = IntervalLayout((2 * p,), rows, np.arange(p, 2 * p), derivatives=True)
+        (_, rough_dlog), certify = layout.point(_symmetric_gaps(np.exp(u)))
+        fd = central(sides_at)
+        for dlog in (rough_dlog, certify()[1]):
+            d = (dlog[:, p + 1:] + dlog[:, p - 2::-1]).swapaxes(1, 2)
             assert np.all(np.abs(d - fd) <= 1e-9 * sides[..., None])
 
 
@@ -314,12 +327,13 @@ class TestNewtonFallback:
     def test_step_to_a_subnormal_gap_ends_newton(self):
         # the seed steps to the log-gaps (0, -745), whose second gap
         # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
-        log_ratios = _log_ratio_system(zz.ne_pattern(3, 2).exponents[None, :], 1)
+        log_ratios = _side_system(zz.ne_pattern(3, 2).exponents[None, :], 1,
+                                  lambda sides, r, J: (r[:, 0], J[:, 0]))
 
         def system(u):
             if u[0, 1] == 0.0:  # the seed
                 return self.exact(np.array([[0.0, 745.0]]), np.eye(2)[None])
-            return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0], J[:, 0]))
+            return log_ratios(u)
 
         with pytest.raises(NoConvergence) as err:
             _newton_batch(system, np.zeros((1, 2)), "subnormal step test system")
@@ -379,12 +393,8 @@ def stacked_problems(z, patterns):
     """(system, seeds) of the parameter problems of z under ``patterns`` as
     one stack for _newton_batch, each member on its own exponent row."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    log_ratios = _log_ratio_system(np.stack([pat.exponents for pat in patterns])[:, None, :],
-                                   len(patterns))
-
-    def system(u):
-        return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
-
+    system = _side_system(np.stack([pat.exponents for pat in patterns])[:, None, :],
+                          len(patterns), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
     return system, np.tile(target, (len(patterns), 1))
 
 
@@ -392,11 +402,7 @@ def solo_problem(z, pat):
     """(u, residuals, values) of one parameter problem solved alone, a
     stack of one member on the shared-row path of one tuple."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    log_ratios = _log_ratio_system(pat.exponents[None], 1)
-
-    def system(u):
-        return _mapped(log_ratios(u), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
-
+    system = _side_system(pat.exponents[None], 1, lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
     [result] = _newton_batch(system, target[None], "solo")
     return result
 

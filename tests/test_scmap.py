@@ -341,6 +341,34 @@ class TestNewtonFallback:
         assert isinstance(err.value.__cause__, DomainError)
         assert str(err.value.__cause__).endswith("tuple 0, gap 0 is 5e-324")  # and its mirror 5
 
+    @pytest.mark.parametrize("count", [1, 2], ids=["tuple", "stack"])
+    def test_step_to_overflowing_partial_sums_ends_newton(self, count):
+        # the seed steps the last member to the log-gaps (709, 709): both
+        # gaps are finite, 8.2e307, but the partial sums over them overflow.
+        # The kernel refuses that tuple at once (DomainError), with no
+        # overflow warning first (an error under the suite's filterwarnings);
+        # in a stack the first member is converged at the seed and rides along
+        log_ratios = _side_system(zz.ne_pattern(3, 2).exponents[None, :], count,
+                                  lambda sides, r, J: (r[:, 0], J[:, 0]))
+        seed = np.zeros((count, 2))
+        seed[-1] = -709.0
+        visited = []
+
+        def system(u):
+            visited.append(u.copy())
+            if not u.any():  # the seed
+                return self.exact(seed, np.tile(np.eye(2), (count, 1, 1)))
+            return log_ratios(u)
+
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((count, 2)), "overflow step test system")
+        assert err.value.trace == [709.0]
+        assert np.array_equal(visited[-1], -seed)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert str(err.value.__cause__) == (
+            "interval gaps must be positive normal floats with finite partial sums: "
+            f"tuple {count - 1}, partial sum s_5 - s_0 is inf")
+
     def test_certification_failure_at_a_converged_point_ends_newton(self):
         # F(u) = u - 1 is solved by the first step; the 12-node sums there
         # read max|F| = 0, and certifying them fails

@@ -353,8 +353,10 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     chords from the imaginary axis toward theta = 0.  A short chord, no
     longer than its clearance to the prevertices at its midpoint, is one
     Gauss-Legendre panel, where a segment from the base is graded again
-    toward each vertex near the real axis.  Every chord is certified, so
-    a vertex's error bound is the sum of its chords' bounds.  Each column
+    toward each vertex near the real axis.  Every segment is certified
+    by segment_integral, almost all by an a priori bound on their 12-node
+    sums and the rest by 12 against 24 nodes, so a vertex's error bound is
+    the sum of its segments' bounds, proven where each of them is.  Each column
     theta > pi/2 takes the parameter -conj(t) of its mirror t, exactly,
     and the vertex R X(t).
 

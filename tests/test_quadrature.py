@@ -14,9 +14,10 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (_BASE_NODES, IntervalLayout, IntervalPlan, _ends, _graded_panels,
-                                _rule, _segment_reach, _SegmentPanels, arc_integral,
-                                interval_abs_integral, segment_integral)
+from zigzag.quadrature import (_BASE_NODES, _SEGMENT_TOL, IntervalLayout, IntervalPlan, _ends,
+                                _graded_panels, _rule, _segment_panels, _segment_reach,
+                                _SegmentPanels, arc_integral, interval_abs_integral,
+                                segment_integral)
 from zigzag.scmap import _directions
 
 
@@ -205,6 +206,51 @@ def mp_segment(prev, exps, z0, z1, dps=20):
         return complex(step * mp.quad(f, [0, 1], method="gauss-legendre"))
 
 
+def mp_path(prev, rows, z0, z1, dps=17, m=5):
+    """Independent oracle for every row along the segment [z0, z1]:
+    mpmath quadrature in w with z = E + w^m (O - E), from the end E nearer
+    a prevertex to the other end O, or from each end to the midpoint when
+    both lie within 1e-2 of one.  The factor of a prevertex at E is
+    (w^m (O - E))^e, formed from w, so an end on a prevertex loses no
+    digits, and w^m flattens a near one.  A piece from within 1e-2 of a
+    prevertex takes tanh-sinh, any other Gauss-Legendre; each must
+    estimate its error below 1e-16 relative."""
+    near = [np.abs(complex(z) - np.asarray(prev)).min() for z in (z0, z1)]
+    with mp.workdps(dps):
+        a, b = mp.mpc(z0), mp.mpc(z1)
+        if max(near) < 1e-2:
+            pieces = ((a, (a + b) / 2, 1, near[0]), (b, (a + b) / 2, -1, near[1]))
+        else:
+            pieces = ((a, b, 1, near[0]),) if near[0] <= near[1] else ((b, a, -1, near[1]),)
+        ps = [mp.mpf(float(s)) for s in prev]
+        total = np.zeros(len(rows), complex)
+        for end, other, sign, gap in pieces:
+            step = other - end
+            if step == 0:
+                continue
+            cache = {}
+
+            def log_factors(w):
+                if w not in cache:
+                    cache[w] = [m * mp.log(w) + mp.log(step) if s == end
+                                else mp.log((end - s) + w ** m * step) for s in ps]
+                return cache[w]
+
+            method = "tanh-sinh" if gap < 1e-2 else "gauss-legendre"
+            for r, exps in enumerate(rows):
+                es = [mp.mpf(float(e)) for e in exps]
+
+                def f(w):
+                    logs = log_factors(w)
+                    return w ** (m - 1) * mp.exp(mp.fsum(e * g for e, g in zip(es, logs)))
+
+                v, err = mp.quad(f, [0, mp.mpf(1) / 100, mp.mpf(1) / 10, 1], error=True,
+                                 method=method)
+                assert err <= 1e-16 * abs(v)
+                total[r] += complex(sign * m * step * v)
+        return total
+
+
 THIN = [-2.3 - 1e-9, -2.3, -1.0, 0.0, 1.0, 2.3, 2.3 + 1e-9]
 
 
@@ -213,13 +259,13 @@ def complex_sums(plan, n):
     derivative rows: its sums with n nodes per panel, each Jacobi entry's
     factor given back the phase ray^e of its absorbed factor (u ray)^e,
     as segment panels hold it and the plan's real factor h^(1 + e) does
-    not."""
+    not; the sums alone, without their moduli."""
     ref = copy.copy(plan)
     row = np.argmax(plan.mask, axis=1)  # the one row of a Jacobi entry
     e = plan.rows[plan.group[plan.seg], plan.absorbed, row]
     ray = np.exp(e * np.log(plan.ray[plan.origin] + 0j))
     ref.factor = plan.factor * np.where(plan.absorbed >= 0, ray, 1.0)
-    return _SegmentPanels.sums(ref, n)
+    return _SegmentPanels.sums(ref, n)[0]
 
 
 class TestRealIntervalPath:
@@ -978,10 +1024,74 @@ class TestWholePanels:
         monkeypatch.setattr(quad._SegmentPanels, "__init__", counting_init)
         value = segment_integral(prev, rows, z0[pick], z1[pick])
         assert built == [8]  # one panel, one entry, per segment
+        panels = _segment_panels(prev, rows, z0[pick], z1[pick])
+        bounds = [panels.bound(n, panels.sums(n)[1]) for n in (4, 8, _BASE_NODES)]
         for i, (a, b) in enumerate(zip(z0[pick], z1[pick])):
             for r, exps in enumerate(rows):
                 ref = mp_segment(prev, exps, a, b)
                 assert abs(value[r, i] - ref) <= 1e-13 * abs(ref)
+                # the bound at 4, 8 and 12 nodes covers the error
+                for n, bound in zip((4, 8, _BASE_NODES), bounds):
+                    assert abs(panels.sums(n)[0][r, i] - ref) <= bound[r, i]
+
+
+class TestSegmentBound:
+    """_SegmentPanels.bound, the a priori truncation bound plus the
+    rounding term, against mpmath: at 4 and 8 nodes the truncation bound
+    carries it, at 12 the rounding term."""
+
+    @staticmethod
+    def check(prev, rows, z0, z1):
+        ref = np.stack([mp_path(prev, rows, a, b) for a, b in zip(z0, z1)], axis=1)
+        panels = _segment_panels(prev, rows, z0, z1)
+        for n in (4, 8, _BASE_NODES):
+            value, moduli = panels.sums(n)
+            assert np.all(np.abs(value - ref) <= panels.bound(n, moduli))
+
+    @staticmethod
+    def rows(k):
+        return np.stack((zz.ne_pattern(3, k).exponents, zz.sw_pattern(3, k).exponents))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_thin_tuple_segments_against_mpmath(self, k):
+        # the segments of TestCertifiedAgainstFineSums on the tuple with
+        # 1e-9 end gaps: from 1.5i to random points, to points 1e-6 above
+        # each prevertex and to each prevertex, rows +-1/2, +-2/3, +-4/5
+        prev = np.array(THIN)
+        rng = np.random.default_rng(k)
+        ends = np.concatenate((rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.0, 2.0, 12),
+                               prev + 1e-6j, prev + 0j))
+        self.check(prev, self.rows(k), np.full(ends.size, 1.5j), ends)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_segments_from_a_prevertex_against_mpmath(self, k):
+        # as forward_map integrates, from a prevertex s_m to a point t with
+        # Re t >= s_m: to s_{m+1} (Jacobi panels at both ends), above the
+        # middle of the gap, and far up; the 1e-9 gaps included
+        prev = np.array(THIN)
+        s, g = prev[:-1], np.diff(prev)
+        ends = np.concatenate((prev[1:] + 0j, s + 0.5 * g + 0.5j * g, s + 0.25 * g + 2j))
+        self.check(prev, self.rows(k), np.tile(s + 0j, 3), ends)
+
+    def test_bound_can_fail_at_4_nodes(self, ladder5, monkeypatch):
+        # on the chords of a genus-5 mesh, which fit the tolerance at 12
+        # nodes, the 4-node bound exceeds it on most
+        quad = sys.modules["zigzag.quadrature"]
+        calls, segment = [], quad.segment_integral
+        monkeypatch.setattr(quad, "segment_integral",
+                            lambda *args: calls.append(args) or segment(*args))
+        wd = zz.build_weierstrass(ladder5[5])
+        zz.generate_mesh(wd, 1.5 * max(wd.prevertices.values), 24)
+        [(prev, rows, base, t)] = calls
+        z0, z1 = np.broadcast_arrays(base, t)
+        chord = z0 != z0[0]  # not from the base point
+        panels = _segment_panels(prev, rows, z0[chord], z1[chord])
+        rel_tol, abs_tol = _SEGMENT_TOL
+        fits = {}
+        for n in (4, _BASE_NODES):
+            value, moduli = panels.sums(n)
+            fits[n] = (panels.bound(n, moduli) <= rel_tol * np.abs(value) + abs_tol).all(axis=0)
+        assert fits[4].mean() < 0.25 and fits[_BASE_NODES].mean() > 0.99
 
 
 class TestSegmentIntegral:
@@ -1048,13 +1158,15 @@ class TestSegmentIntegral:
     def test_failure_names_the_segment(self, monkeypatch):
         # the straight path from s_0 passes 1e-300 above s_1 and s_2,
         # closer than the panel halvings resolve; its batch mates are fine.
-        # One comparison, _BASE_NODES against twice as many, rejects it:
-        # no more nodes are tried
+        # Its bound misses, so it alone is summed again, and one
+        # comparison, _BASE_NODES against twice as many, rejects it: no
+        # more nodes are tried
         quad = sys.modules["zigzag.quadrature"]
-        sums, nodes = quad._SegmentPanels.sums, []
+        sums, nodes, segments = quad._SegmentPanels.sums, [], []
 
         def spy(self, n):
             nodes.append(n)
+            segments.append(self.s_count)
             return sums(self, n)
 
         monkeypatch.setattr(quad._SegmentPanels, "sums", spy)
@@ -1065,6 +1177,7 @@ class TestSegmentIntegral:
             segment_integral(prev, exps, np.array([0.5j, 0.0, 0.5j]),
                              np.array([1 + 1j, 5 + 1e-300j, 2 + 1j]))
         assert nodes == [_BASE_NODES, 2 * _BASE_NODES]
+        assert segments == [3, 1]
 
     @pytest.mark.parametrize("end", [complex(math.nan, 1.0), complex(math.inf, 0.0),
                                      complex(0.5, math.inf)])
@@ -1080,7 +1193,8 @@ class TestSegmentIntegral:
     # break rounds to 0 and would double forever, so the calls run in a
     # child process with a timeout, where such a regression fails instead
     # of hanging the suite.  At 1e-300 and 1e-310 the first break is
-    # positive and the segment integrates as before.
+    # positive and the segment integrates, its 12-node sums certified by
+    # their bound (the 24-node values moved by at most 2.6e-15 relative).
     SHORT = """
 import json
 import numpy as np
@@ -1104,8 +1218,8 @@ print(json.dumps(out))
                              capture_output=True, text=True, timeout=30)
         assert run.returncode == 0, run.stderr
         out = json.loads(run.stdout)
-        assert out["1e-300j"] == [-1.931851652578136e-150, 5.176380902050414e-151]
-        assert out["1e-310j"] == [-1.9318516525784284e-155, 5.176380902051609e-156]
+        assert out["1e-300j"] == [-1.9318516525781348e-150, 5.176380902050402e-151]
+        assert out["1e-310j"] == [-1.9318516525784296e-155, 5.176380902051623e-156]
         assert out["1e-323j"] == ("segment 0 is too short to grade from the prevertex at its "
                                   "end: its first panel rounds to 0")
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,12 +331,12 @@ class TestMesh:
 
     def test_one_kernel_call_per_mesh(self, wd_by_genus, monkeypatch):
         calls = {"surface": 0, "segment": 0}
-        ends, nodes = [], []
-        sums = quadrature._SegmentPanels.sums
+        ends, sums = [], []
+        summed = quadrature._SegmentPanels.sums
 
         def counting_sums(self, n):
-            nodes.append(n)
-            return sums(self, n)
+            sums.append((self, n))
+            return summed(self, n)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -350,14 +351,44 @@ class TestMesh:
         monkeypatch.setattr(quadrature, "segment_integral",
                             counted("segment", quadrature.segment_integral))
         monkeypatch.setattr(quadrature._SegmentPanels, "sums", counting_sums)
-        resolution = 8
+        resolution = 12
         mesh = zz.generate_mesh(wd_by_genus[2], 3.0, resolution)
         assert calls == {"surface": 1, "segment": 1}
-        # one certificate: a single pair of sums
-        assert nodes == [quadrature._BASE_NODES, 2 * quadrature._BASE_NODES]
         # the centre and the columns 0 <= theta <= pi/2 of every ring
         n_rings = (len(mesh.parameters) - 1) // (2 * resolution + 1)
         assert ends == [1 + n_rings * (resolution + 1)]
+        # the node work: one 12-node sum over every entry, then one 24-node
+        # sum over exactly the entries of the segments whose bound missed
+        [(panels, coarse), (fine_panels, fine)] = sums
+        assert (coarse, fine) == (quadrature._BASE_NODES, 2 * quadrature._BASE_NODES)
+        assert panels.s_count == ends[0]
+        value, moduli = summed(panels, coarse)
+        rel_tol, abs_tol = quadrature._SEGMENT_TOL
+        missed = ~(panels.bound(coarse, moduli) <= rel_tol * np.abs(value) + abs_tol).all(axis=0)
+        assert panels.seg.size == 198
+        assert fine_panels.s_count == missed.sum() == 1
+        assert fine_panels.seg.size == missed[panels.seg].sum() == 1
+
+    @pytest.mark.parametrize("name, entries, fallback",
+                             [("p3_k2", 692, 1), ("p5_k2", 747, 11), ("p2_k3", 656, 6)])
+    def test_node_work_of_the_benchmark_meshes(self, monkeypatch, name, entries, fallback):
+        # deterministic work counters of `zigzag mesh --resolution 24` on the
+        # benchmark's solution files: the entries summed at 12 nodes, every
+        # entry once, and at 24 nodes, those of the segments whose bound
+        # missed, at most 5 % of them (each was 12 and 24 before the bound)
+        counts, summed = [], quadrature._SegmentPanels.sums
+
+        def counting_sums(self, n):
+            counts.append((n, self.seg.size))
+            return summed(self, n)
+
+        monkeypatch.setattr(quadrature._SegmentPanels, "sums", counting_sums)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"{name}.json"
+        wd = zio.weierstrass_from_solution(zio.load_solution(path))
+        zz.generate_mesh(wd, 1.5 * wd.prevertices.values[-1], 24)
+        base = quadrature._BASE_NODES
+        assert counts == [(base, entries), (2 * base, fallback)]
+        assert fallback <= 0.05 * entries
 
     @pytest.mark.parametrize("size", [(1, 27, 49), (1, 25, 49), (1, 8, 17)])
     def test_triangles_match_the_loop(self, size):

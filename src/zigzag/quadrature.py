@@ -24,21 +24,25 @@ prevertex at either end that is no longer than its clearance at the
 midpoint, as a short mesh chord is, meets the one-half rule whole: it is
 one Gauss-Legendre panel from z0.  A segment off the axis may graze a
 prevertex, so its free panels are halved while longer than their
-midpoint clearance.  A real interval cannot: ``IntervalPlan`` places its
-breaks in closed form from two gaps per end, the same breaks the grader
-gives it, with no clearance test and no halving loop.  The panels are
-flattened into entries that each carry their rule and the exponent rows
-they feed; the nodes of every entry are evaluated in blocks of about
-2^14 node x prevertex entries, with one log(z - s_m) matrix per block
-serving every row.  ``segment_integral`` returns the contour integrals,
-itself giving an end on a prevertex its Jacobi panel, summed in complex
-arithmetic.  On a real interval (s_j, s_{j+1}) every factor t - s_m is
-real and keeps its sign, so the integrand has a constant argument, which
-scmap gives the interval's image, and the kernel sums its modulus in real
-arithmetic: log|t - s_m| with no arctan2 and a real factor h^(1+e) per
-entry.  Each such sum adds positive weights times an exp, so it is never
-negative.  ``interval_abs_integral`` returns the certified sums, the
-lengths of the intervals' images, and ``IntervalLayout.point`` the same
+midpoint clearance.  A real interval cannot, so ``IntervalPlan`` takes
+its first break from two gaps per end and skips the clearance test and
+the halving.  One dyadic grader serves both kernels: ``_doublings``
+reads the number of breaks b 2^i up to an end's reach off the binary
+exponents of b and the reach, and ``_dyadic`` places them.  The panels
+are flattened into entries that each carry their rule and the exponent
+rows they feed; the nodes of every entry are evaluated in blocks of
+about 2^14 node x prevertex entries, with one log(z - s_m) matrix per
+block serving every row, and one block loop, ``_summed``, adds the
+blocks of both kernels to their segments.  ``segment_integral`` returns
+the contour integrals, itself giving an end on a prevertex its Jacobi
+panel, summed in complex arithmetic.  On a real interval (s_j, s_{j+1})
+every factor t - s_m is real and keeps its sign, so the integrand has a
+constant argument, which scmap gives the interval's image, and the
+kernel sums its modulus in real arithmetic: log|t - s_m| with no arctan2
+and a real factor h^(1+e) per entry.  Each such sum adds positive
+weights times an exp, so it is never negative.
+``interval_abs_integral`` returns the certified sums, the lengths of
+the intervals' images, and ``IntervalLayout.point`` the same
 sums with their exact signed derivatives in every log-gap, on the same
 panels, with no complex number at a Newton point.  Both take a stack of
 tuples, one tuple being a stack of one, by their gaps s_{m+1} - s_m, not
@@ -52,7 +56,9 @@ that tuple alone would take, and a block of several small tuples
 takes one matmul per tuple, so every value equals, bit for bit, that of
 the call on its tuple alone.  ``IntervalPlan`` rejects a gap below the
 least normal float (np.finfo(float).tiny), including every gap that is
-not positive, or a partial sum that is not finite (DomainError).
+not positive, or a partial sum that is not finite (DomainError); where
+gaps it accepts overflow a sum, the certificate refuses them
+(QuadratureFailure).
 Segments keep absolute coordinates; ``arc_integral`` sums two segments
 through its arc's apex.  A segment is proven at 12 nodes:
 ``_SegmentPanels.bound`` bounds the error of every entry a priori, from
@@ -63,8 +69,7 @@ tolerance.  The few that miss are summed again at 24 nodes on the same
 panels, and they and every interval pass one routine, ``_certified``,
 which compares the sums of each item and row at 12 and at 24 nodes,
 else QuadratureFailure: each call of ``interval_abs_integral`` takes
-both sums.  A
-Newton iterate needs an accurate F, not a certified one:
+both sums.  A Newton iterate needs an accurate F, not a certified one:
 ``IntervalLayout.point`` returns the integrals and their derivatives
 from the 12-node sum alone, with a function that certifies that same
 point later, summing the same plan at 24 nodes and comparing every item,
@@ -182,10 +187,25 @@ def _certified(coarse, fine, rel_tol, abs_tol: float, what):
     return fine
 
 
-def _doubled(sums, rel_tol, abs_tol: float, what):
-    """The (R, S) sums ``sums(n)`` at n = _BASE_NODES and its double,
-    certified by _certified: the 24-node values, else QuadratureFailure."""
-    return _certified(sums(_BASE_NODES), sums(2 * _BASE_NODES), rel_tol, abs_tol, what)
+def _doublings(b, reach):
+    """The number n of free panels [b 2^i, min(reach, b 2^(i+1))], i < n,
+    of ends with first break b > 0 and reach >= b: the least n >= 0 with
+    b 2^n >= reach, read off the binary exponents of b and reach."""
+    (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
+    return e_r - e_b + (m_b < m_r)
+
+
+def _steps(count):
+    """(end, i) of every free panel of ends with ``count`` of them, in order."""
+    end = np.arange(count.size).repeat(count)
+    return end, np.arange(end.size) - (count.cumsum() - count).repeat(count)
+
+
+def _dyadic(b, reach, end, i):
+    """(lo, hi) of the free panels (end, i): [b 2^i, min(reach, b 2^(i+1))],
+    lo placed exactly by np.ldexp."""
+    lo = np.ldexp(b[end], i)
+    return lo, np.minimum(reach[end], lo + lo)
 
 
 def _graded_panels(re, im, ray, reach, own):
@@ -201,19 +221,20 @@ def _graded_panels(re, im, ray, reach, own):
     From an end at a prevertex the breaks are graded dyadically: the first
     panel is half the clearance to the nearest other prevertex (at most
     half the reach), each next one as long as the distance back to that
-    end, up to the reach; an end without a prevertex gives one panel up to
-    its reach.  A first panel that rounds to 0, at a prevertex end whose
-    reach is a few subnormals, would double forever and raises
-    DomainError.  Free panels are then halved while longer than the
-    clearance at their midpoint, at most 40 times: a straight path may
-    graze a prevertex, and 40 halvings resolve a closest approach of
-    1e-12 * length while panels still span ~1e4 ulps.  A whole segment,
+    end, up to the reach (_doublings and _dyadic, as for an interval); an
+    end without a prevertex gives one panel up to its reach.  A first
+    panel that rounds to 0, at a prevertex end whose reach is a few
+    subnormals, would give a negative count and raises DomainError.  Free
+    panels are then halved while longer than the clearance at their
+    midpoint, at most 40 times: a straight path may graze a prevertex,
+    and 40 halvings resolve a closest approach of 1e-12 * length while
+    panels still span ~1e4 ulps.  A whole segment,
     an end of reach L whose other end has reach 0, is one panel [0, L]
     built directly: _segment_reach has already found it no longer than
     its midpoint clearance, the test the halving would repeat.  Only the
     segments of segment_integral are graded here; on a real interval no
-    panel is ever halved, and IntervalPlan places the same breaks in
-    closed form."""
+    panel is ever halved, and IntervalPlan places the same dyadic breaks
+    with no clearance test."""
     o = np.flatnonzero(reach)  # one row per end that makes panels
     seg, end = o // 2, o % 2
     whole = reach[o ^ 1] == 0.0  # a whole segment: one panel [0, L], checked by _segment_reach
@@ -223,19 +244,14 @@ def _graded_panels(re, im, ray, reach, own):
     d[np.arange(at.size), own[o[at]]] = np.inf
     b = reach.copy()
     b[at] = np.minimum(reach[at], d.min(axis=1, initial=np.inf)) / 2.0
-    if not (b > 0.0).all():  # a first break of 0 would double forever
+    if not (b > 0.0).all():  # a first break of 0 would give a negative count
         i = seg[np.argmin(b > 0.0)]
         raise DomainError(f"segment {i} is too short to grade from the prevertex at its end: "
                           "its first panel rounds to 0")
-    cols = [np.zeros_like(b), b]
-    while (b < reach).any():
-        b = np.minimum(reach, b + b)
-        cols.append(b)
-    offs = np.stack(cols, axis=1)
-    lo, hi = offs[:, :-1], offs[:, 1:]
-    keep = hi > lo  # rows are non-decreasing; equal breaks give no panel
-    r = np.broadcast_to(np.arange(seg.size)[:, None], lo.shape)[keep]  # end row of each panel
-    lo, hi = lo[keep], hi[keep]
+    r, i = _steps(_doublings(b, reach))  # the end row of each free panel
+    lo, hi = _dyadic(b, reach, r, i)
+    r = np.concatenate((np.arange(b.size), r))  # each end's first panel [0, b] first
+    lo, hi = np.concatenate((np.zeros_like(b), lo)), np.concatenate((b, hi))
     fixed = ((lo == 0.0) & (own[o[r]] >= 0)) | whole[r]
     done = [(r[fixed], lo[fixed], hi[fixed])]
     r, lo, hi = r[~fixed], lo[~fixed], hi[~fixed]
@@ -325,17 +341,18 @@ class _SegmentPanels:
     the whole length from z0 and 0 from z1 for a segment that fits the
     one-half rule whole.  The panels of all segments are graded at once by
     ``_graded_panels`` from that same table, each end up to its reach (an
-    IntervalPlan places its breaks in closed form instead and keeps the
-    rest), and flattened into entries (_entries), each with its rule index
-    and a row mask: a Gauss-Legendre panel is one entry feeding every row,
-    a Gauss-Jacobi end panel one entry per row, with the rule of that row's
-    absorbed exponent (exponent 0 gives the Legendre rule).  Every factor
-    is formed from the panel's own end, (a - s_m) + u * ray, so a
-    prevertex near either end keeps its distance u exact, and every Jacobi
-    panel starts at offset 0, so its rule weights (1 + x) alone.  ``sums``
+    IntervalPlan places the same dyadic breaks with no clearance test and
+    keeps the rest), and flattened into entries (_entries), each with its
+    rule index and a row mask: a Gauss-Legendre panel is one entry feeding
+    every row, a Gauss-Jacobi end panel one entry per row, with the rule of
+    that row's absorbed exponent (exponent 0 gives the Legendre rule).
+    Every factor is formed from the panel's own end, (a - s_m) + u * ray,
+    so a prevertex near either end keeps its distance u exact, and every
+    Jacobi panel starts at offset 0, so its rule weights (1 + x) alone.
+    ``sums``
     evaluates the factors in complex arithmetic, as a segment off the real
-    axis needs; real intervals have their own real path,
-    IntervalPlan.integrate_abs.
+    axis needs; IntervalPlan.integrate_abs evaluates an interval's in real
+    arithmetic, and both run the one block loop ``_summed``.
 
     ``rows`` is one (R, M) stack of exponent rows for every segment; an
     IntervalPlan may instead give each tuple its own rows.  ``self.rows``
@@ -420,10 +437,10 @@ class _SegmentPanels:
             yield k, x[rule] + 1.0, self.seg[k], self.mask[k], (
                 local, w[rule], origin, self.ray[origin, None], jac, absorbed[jac])
 
-    def _complex_block(self, block, u):
+    def _complex_block(self, block, u, factor):
         """One log matrix, one matmul pair, one exp and two batched matmuls
-        per block: the (K, R) weighted node sums sum_k w_k f(z_k) of the K
-        entries and their moduli sums sum_k w_k |f(z_k)|."""
+        per block: the (2, K, R) sums of the K entries, factor sum_k w_k
+        f(z_k), stacked on their moduli sums, |factor| sum_k w_k |f(z_k)|."""
         pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
         mag, arg = _factor_logs(self.re[origin, None, :] + (u * ray.real)[..., None],
@@ -433,19 +450,28 @@ class _SegmentPanels:
         values.real, values.imag = _by_piece(mag, pieces), _by_piece(arg, pieces)
         values = np.exp(values, out=values).reshape(u.shape[0], u.shape[1], r_count)
         w = w[:, None, :]
-        return np.matmul(w, values)[:, 0], np.matmul(w, np.abs(values))[:, 0]
+        return np.stack((factor * np.matmul(w, values)[:, 0],
+                         np.abs(factor) * np.matmul(w, np.abs(values))[:, 0]))
+
+    def _summed(self, n, block_sums, total):
+        """``total`` plus the n-node sums of every block, each entry's added
+        to its segment on the second last axis: ``block_sums(block, u,
+        factor)`` returns the (..., K, R) sums of the block's K entries at
+        their nodes u, times their factors; the row mask zeroes the pairs
+        an entry does not feed, and np.add.at adds the entries in order, so
+        each segment sums its entries in entry order."""
+        for k, x1, seg, mask, block in self._batches_at(n):
+            vals = block_sums(block, self.lo[k, None] + self.h[k, None] * x1, self.factor[k, None])
+            np.add.at(total, (..., seg, slice(None)), np.where(mask, vals, 0.0))
+        return total
 
     def sums(self, n):
         """(R, S) panel sums with n nodes per panel, in complex arithmetic,
         and the (R, S) sums of their entries' moduli, |factor| sum_k w_k
         |f(z_k)| per entry, the scale of their rounding (bound)."""
-        total = np.zeros((self.s_count, 2, self.mask.shape[1]), complex)
-        for k, x1, seg, mask, block in self._batches_at(n):
-            values, moduli = self._complex_block(block, self.lo[k, None] + self.h[k, None] * x1)
-            factor = self.factor[k, None]
-            both = np.stack((factor * values, np.abs(factor) * moduli), axis=1)
-            np.add.at(total, seg, np.where(mask[:, None], both, 0.0))
-        return total[:, 0].T, total[:, 1].real.T
+        total = np.zeros((2, self.s_count, self.mask.shape[1]), complex)
+        total = self._summed(n, self._complex_block, total)
+        return total[0].T, total[1].real.T
 
     def bound(self, n, moduli):
         """(R, S) bound on the error of the n-node sums of every segment and
@@ -631,12 +657,11 @@ class IntervalLayout:
         key = count.tobytes()
         found = self._by_count.get(key)
         if found is None:
-            free = np.arange(count.size).repeat(count)
+            free, steps = _steps(count)
             mask = (self._valid[free >> 1] if self._plan["derivatives"]
                     else np.ones((free.size, self._rows.shape[1]), bool))
             order, power, entries = _entries(free, self._jacobi, self._plan["group"], mask)
             entries["_batches"] = {}  # the blocks of its sums, shared by its fills
-            steps = np.arange(free.size) - (count.cumsum() - count).repeat(count)
             found = self._by_count[key] = free, steps, order, power, entries
         return found
 
@@ -664,10 +689,8 @@ class IntervalLayout:
         padded = padded.ravel()
         reach = padded[self._reach] / 2.0
         b = np.minimum(reach, padded[self._outer]) / 2.0
-        (m_r, e_r), (m_b, e_b) = np.frexp(reach), np.frexp(b)
-        free, steps, order, power, entries = self._structure(e_r - e_b + (m_b < m_r))
-        lo = np.ldexp(b[free], steps)
-        hi = np.minimum(reach[free], lo + lo)
+        free, steps, order, power, entries = self._structure(_doublings(b, reach))
+        lo, hi = _dyadic(b, reach, free, steps)
         plan.__dict__.update(self._plan, **entries)
         plan.gaps, plan.re = gaps, offsets
         plan.lo = np.concatenate((lo, self._zeros))[order]
@@ -774,22 +797,28 @@ class IntervalPlan(_SegmentPanels):
     s_j, g_{j+1} above s_{j+1}, none at the ends of the tuple).  Its
     Jacobi panel is [0, b], b = min(g/2, neighbour)/2, and its free panels
     are [b 2^i, min(g/2, b 2^(i+1))] for i < n, the least n with
-    b 2^n >= g/2, read off the binary exponents of g/2 and b.  These are
-    the breaks _graded_panels gives the interval, bit for bit; its halving
-    never fires on one.  It raises ValueError for an interval index
-    outside 0..M-2 and DomainError, naming the first bad tuple and its
-    first bad gap or partial sum, unless every gap is at least the least
-    normal float, np.finfo(float).tiny, and every offset finite.  Only
-    then is b positive and every point of an interval nearer its ends than
-    any other prevertex: a subnormal gap can round b to 0, a zero,
-    negative or infinite gap puts no prevertex where the breaks assume it,
-    and a NaN gap integrates to 0.
+    b 2^n >= g/2: the dyadic breaks of _doublings and _dyadic, which grade
+    the ends of segments too, so _graded_panels gives the interval the
+    same breaks bit for bit; its halving never fires on one.  It raises
+    ValueError for an interval index outside 0..M-2 and DomainError,
+    naming the first bad tuple and its first bad gap or partial sum,
+    unless every gap is at least the least normal float,
+    np.finfo(float).tiny, and every offset finite.  Only then is b
+    positive and every point of an interval nearer its ends than any
+    other prevertex: a subnormal gap can round b to 0, a zero, negative or
+    infinite gap puts no prevertex where the breaks assume it, and a NaN
+    gap integrates to 0.  Near that floor it accepts gaps it cannot
+    always integrate: gaps of about 1e-300 against negative exponents
+    overflow a sum to inf, and a Jacobi panel a few subnormals long can
+    read h^(1+e) * integrand = 0 * inf = NaN.  The certificate
+    (_certified) refuses both with QuadratureFailure, not DomainError.
 
     On an interval every factor t - s_m is real and keeps one sign, negative
     exactly for m > j, the factor (u * -1)^e_{j+1} that the Jacobi panel at
     s_{j+1} absorbs included.  So ``integrate_abs`` sums in real arithmetic
     the integral of prod |t - s_m|^e_m, from log|t - s_m| with no arctan2
-    and the real factor h^(1+e) of each entry.  With ``derivatives`` each
+    and the real factor h^(1+e) of each entry, in the block loop that sums
+    segments (_summed).  With ``derivatives`` each
     row e is followed by the M rows e - delta_m, whose integrands are that
     of e times the real, signed 1/(t - s_m), on the same entries and rules
     as e, so no rule is built for them; only intervals have such rows.  A
@@ -805,11 +834,11 @@ class IntervalPlan(_SegmentPanels):
         t, j = self.tup[i], self.j[i]
         return f"interval ({j}, {j + 1}) of tuple {t}, gap {self.gaps[t, j]}"
 
-    def _real_block(self, block, u):
+    def _real_block(self, block, u, factor):
         """One log|d| matrix, one real matmul per piece and one exp per
         block, plus for the derivative rows one reciprocal and one real
         batched matmul: the (K, R) real sums of the moduli, signed by 1/d
-        on the derivative rows."""
+        on the derivative rows, times the entries' factors."""
         pieces, w, origin, ray, jac, absorbed = block
         r_count = pieces[0][2].shape[1]
         d = self.re[origin, None, :] + (u * ray)[..., None]
@@ -817,23 +846,18 @@ class IntervalPlan(_SegmentPanels):
         mag = np.log(np.abs(d))
         values = np.exp(_by_piece(mag, pieces)).reshape(u.shape[0], -1, r_count)
         vals = np.einsum("pnr,pn->pr", values, w)
-        if not self.derivatives:
-            return vals
-        # rows e - delta_m: the integrand of e times the real, signed 1/d
-        weighted = (values * w[..., None]).transpose(0, 2, 1)
-        vals = np.concatenate((vals[..., None], weighted @ (1.0 / d)), axis=2)
-        return vals.reshape(u.shape[0], -1)
+        if self.derivatives:  # rows e - delta_m: the integrand of e times the real, signed 1/d
+            weighted = (values * w[..., None]).transpose(0, 2, 1)
+            vals = np.concatenate((vals[..., None], weighted @ (1.0 / d)), axis=2)
+            vals = vals.reshape(u.shape[0], -1)
+        return factor * vals
 
     def integrate_abs(self, n):
         """(R, S) real interval sums with n nodes per panel, R counting the
         derivative rows: the integrals of the moduli of the integrands,
-        never negative on a base row."""
-        total = np.zeros((self.s_count, self.mask.shape[1]))
-        for k, x1, seg, mask, block in self._batches_at(n):
-            u = self.lo[k, None] + self.h[k, None] * x1
-            vals = self.factor[k, None] * self._real_block(block, u)
-            np.add.at(total, seg, np.where(mask, vals, 0.0))
-        return total.T
+        never negative on a base row, from the block loop of the segment
+        sums (_summed) with the real block routine."""
+        return self._summed(n, self._real_block, np.zeros((self.s_count, self.mask.shape[1]))).T
 
 
 def _row_shape(exps):
@@ -845,7 +869,9 @@ def _row_shape(exps):
 def interval_abs_integral(gaps, exps, j):
     """Lengths of the images of real intervals (s_j, s_{j+1}), the
     integrals of the moduli of the integrands, certified to relative
-    accuracy 1e-12 by 12 against 24 nodes.
+    accuracy 1e-12 by 12 against 24 nodes: the plan's sums at both counts
+    pass _certified, the one comparison IntervalLayout.point and
+    segment_integral make too.
 
     ``gaps`` holds the gaps s_{m+1} - s_m of one tuple or of a (T, M-1)
     stack of tuples, a family in one call; ``j`` is one interval index or
@@ -857,12 +883,14 @@ def interval_abs_integral(gaps, exps, j):
     Returns the row axis R of a stack followed by the shape of ``j``, a
     scalar for one row and index; raises QuadratureFailure naming the
     interval, its tuple row and its gap if an interval and row change by
-    more than that from 12 to 24 nodes, and DomainError or ValueError for
+    more than that from 12 to 24 nodes or read inf or NaN (gaps near the
+    least normal float, IntervalPlan), and DomainError or ValueError for
     the gaps or indices IntervalPlan rejects.
     """
     exps, j = np.asarray(exps, float), np.asarray(j, int)
     plan = IntervalPlan(gaps, exps, j)
-    sums = _doubled(plan.integrate_abs, _REL_TOL, 0.0, plan.name)
+    sums = _certified(plan.integrate_abs(_BASE_NODES), plan.integrate_abs(2 * _BASE_NODES),
+                      _REL_TOL, 0.0, plan.name)
     return sums.reshape(_row_shape(exps) + j.shape)[()]
 
 

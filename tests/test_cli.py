@@ -165,6 +165,17 @@ class TestVerify:
         assert "rotation" in capsys.readouterr().err
         assert not (tmp_path / "zero_dh.obj").exists()
 
+    def test_unbuildable_file_fails_verification(self, solved_file, tmp_path, capsys):
+        # a file that loads but is not converged, with no stored Weierstrass
+        # data to check: building them fails (NotReflexive), a failed check
+        data = json.loads(solved_file.read_text())
+        data["converged"] = False
+        del data["weierstrass"]
+        bad = tmp_path / "not_converged.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad)]) == 3
+        assert capsys.readouterr().err == "FAIL NotReflexive: solution record not converged\n"
+
 
 class TestMesh:
     def test_genus0_mesh(self, tmp_path):
@@ -240,6 +251,13 @@ class TestSweep:
                      "--lambdas", "1e-6,1e-3,0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("grid", ["1e-6,1e-3", "1e-6,1e-3,8,2"])
+    def test_grid_without_three_parts_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--kind", "extlength", "--lambdas", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: expected min,max,count: {grid}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1e-8,inf,3", "1e-8,nan,3", "nan,1e-3,3", "inf,inf,3"])
     @pytest.mark.parametrize("kind", ["extlength", "coalescence"])
     def test_non_finite_grid_bound_usage_error(self, tmp_path, monkeypatch, capsys, grid, kind):
@@ -283,6 +301,17 @@ class TestSweep:
                      "--out", str(out), *extra]) == 1
         assert not out.exists()
         assert solves == []
+
+    def test_coalescence_below_genus_3_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a genus-2 zigzag has no pair of periods a_j, a_(j+1) to fit:
+        # refused before the base solve
+        solves = []
+        monkeypatch.setattr(sys.modules["zigzag.cli"], "continuation_solve",
+                            lambda *args: solves.append(args))
+        out = tmp_path / "coal.csv"
+        assert main(["sweep", "--kind", "coalescence", "--genus", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: coalescence sweep needs --genus >= 3\n"
+        assert not out.exists() and solves == []
 
     def test_coalescence_sign_contrast(self, tmp_path):
         out = tmp_path / "coal.csv"
@@ -386,8 +415,25 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert calls == []
 
+    def test_write_error_after_the_work_exits_1(self, tmp_path, capsys):
+        # an --out naming a directory passes the check of its parent and
+        # fails only when the finished sweep opens it
+        assert main(["sweep", "--kind", "extlength", "--lambdas", "1e-6,1e-3,3",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
 
 class TestSolutionFileRoundTrip:
+    def test_unknown_schema_version_is_refused(self, solved_file, tmp_path):
+        data = json.loads(solved_file.read_text())
+        data["schema_version"] = 2
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"^unsupported schema version 2$"):
+            zio.solution_to_record(zio.load_solution(path))
+
     def test_lossless(self, solved_file):
         sf = zio.load_solution(solved_file)
         rec = zio.solution_to_record(sf)

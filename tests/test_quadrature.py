@@ -14,10 +14,10 @@ import pytest
 
 import zigzag as zz
 from zigzag.errors import DomainError, QuadratureFailure
-from zigzag.quadrature import (_BASE_NODES, _SEGMENT_TOL, IntervalLayout, IntervalPlan, _ends,
-                                _graded_panels, _rule, _segment_panels, _segment_reach,
-                                _SegmentPanels, arc_integral, interval_abs_integral,
-                                segment_integral)
+from zigzag.quadrature import (_BASE_NODES, _SEGMENT_TOL, IntervalLayout, IntervalPlan, _doublings,
+                                _dyadic, _ends, _graded_panels, _rule, _segment_panels,
+                                _segment_reach, _SegmentPanels, _steps, arc_integral,
+                                interval_abs_integral, segment_integral)
 from zigzag.scmap import _directions
 
 
@@ -183,7 +183,9 @@ class TestValidityMask:
         masked = np.array([[r % (m_count + 1) - 1 in (i, i + 1) for i in j] for r in range(len(rows))])
         for n in (quad._BASE_NODES, 2 * quad._BASE_NODES):  # no entry feeds a masked pair
             assert np.all(plan.integrate_abs(n)[masked] == 0.0)
-        value = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, str)
+        value = quad._certified(plan.integrate_abs(quad._BASE_NODES),
+                                plan.integrate_abs(2 * quad._BASE_NODES), quad._REL_TOL, 0.0,
+                                str)
         assert min(built) > -1.0 and plan.rules.min() > -1.0
         assert np.all(value[masked] == 0.0)
         for r, i in zip(*np.nonzero(~masked)):
@@ -580,7 +582,9 @@ class TestCertifiedAgainstFineSums:
         total, dlog = certified_jacobian(gaps, rows, j)
         seg = segment_integral(prev, rows, 1.5j, ends)
         plan = IntervalPlan(gaps, rows, j, derivatives=True)
-        certified = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, str)
+        certified = quad._certified(plan.integrate_abs(quad._BASE_NODES),
+                                    plan.integrate_abs(2 * quad._BASE_NODES), quad._REL_TOL,
+                                    0.0, str)
         monkeypatch.setattr(quad, "_BASE_NODES", 48)
         fine_value = interval_abs_integral(gaps, rows, j)
         fine_total, fine_dlog = certified_jacobian(gaps, rows, j)
@@ -765,9 +769,36 @@ def random_gaps(rng, kind, shape):
     return gaps
 
 
+def doubling_loop(b, reach):
+    """Reference loop for the dyadic grader: the free panels (end, lo, hi)
+    of each end, its first break b doubled while below its reach."""
+    panels = []
+    for end, (lo, top) in enumerate(zip(b.tolist(), reach.tolist())):
+        while lo < top:
+            panels.append((end, lo, min(top, lo + lo)))
+            lo = panels[-1][2]
+    return panels
+
+
 class TestClosedFormIntervalPlan:
     FIELDS = ("seg", "origin", "lo", "h", "absorbed", "factor", "mask", "rules", "rule",
               "re", "im", "ray", "rows")
+
+    def test_dyadic_grader_equals_the_doubling_loop(self):
+        # the breaks that _doublings counts and _dyadic places, for segment
+        # and interval ends alike, against doubling b one panel at a time:
+        # reaches of the three kinds of random_gaps (down to the least
+        # normal float), first breaks from b = reach (no free panel) down
+        # to subnormals, and b the reach over a power of two
+        rng = np.random.default_rng(35)
+        for case in range(300):
+            reach = random_gaps(rng, case % 3, 40)
+            b = np.minimum(reach, random_gaps(rng, (case + 1) % 3, 40)) / 2.0
+            b[:4], b[4:8] = reach[:4], reach[4:8] / 2.0 ** rng.integers(1, 50, 4)
+            b[8:10] = np.finfo(float).tiny * 2.0 ** -np.arange(1, 3)
+            end, i = _steps(_doublings(b, reach))
+            lo, hi = _dyadic(b, reach, end, i)
+            assert list(zip(end.tolist(), lo.tolist(), hi.tolist())) == doubling_loop(b, reach)
 
     def test_plan_arrays_equal_the_graded_construction(self):
         # seeded random stacks: T = 1..3 tuples of 1..11 gaps, log-uniform
@@ -883,7 +914,9 @@ class TestUnsignedSums:
                 if derivatives:
                     continue
                 try:
-                    sums = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, plan.name)
+                    sums = quad._certified(plan.integrate_abs(quad._BASE_NODES),
+                                           plan.integrate_abs(2 * quad._BASE_NODES),
+                                           quad._REL_TOL, 0.0, plan.name)
                 except QuadratureFailure:
                     with pytest.raises(QuadratureFailure):
                         interval_abs_integral(gaps, rows, j)
@@ -1116,7 +1149,9 @@ class TestSegmentIntegral:
         # the lengths are the certified real sums of the plan themselves
         quad = sys.modules["zigzag.quadrature"]
         plan = IntervalPlan(np.diff(prev), rows, j)
-        sums = quad._doubled(plan.integrate_abs, quad._REL_TOL, 0.0, plan.name)
+        sums = quad._certified(plan.integrate_abs(quad._BASE_NODES),
+                               plan.integrate_abs(2 * quad._BASE_NODES), quad._REL_TOL, 0.0,
+                               plan.name)
         assert sums.dtype == np.float64
         assert np.array_equal(value, sums)
 

@@ -416,6 +416,36 @@ class TestNewtonFallback:
             _newton_batch(system, np.zeros((1, 1)), "rootless test system")
         assert err.value.trace == [1.0]
 
+    @pytest.mark.parametrize("bad", ["F", "J"])
+    def test_non_finite_values_end_newton(self, bad):
+        # a NaN in F, or an inf in J, at the seed ends the solve before its
+        # max|F| is recorded, with DomainError as the cause
+        def system(u):
+            r, J = u - 1.0, np.eye(2)[None].copy()
+            if bad == "F":
+                r[0, 1] = np.nan
+            else:
+                J[0, 0, 1] = np.inf
+            return self.exact(r, J)
+
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((1, 2)), "non-finite test system")
+        assert err.value.trace == []
+        assert isinstance(err.value.__cause__, DomainError)
+        assert str(err.value.__cause__) == "F or its Jacobian is not finite"
+
+    def test_sixtieth_point_ends_newton(self):
+        # F(u) = u - 1 with J = 10: each step cuts max|F| by 0.9 alone, so
+        # the 60th point is still far from converged and ends the solve
+        def system(u):
+            return self.exact(u - 1.0, 10.0 * np.eye(2)[None])
+
+        with pytest.raises(NoConvergence) as err:
+            _newton_batch(system, np.zeros((1, 2)), "slow test system")
+        assert len(err.value.trace) == 60 and err.value.__cause__ is None
+        assert err.value.trace[-1] == pytest.approx(0.9 ** 59)
+        assert all(b < a for a, b in zip(err.value.trace, err.value.trace[1:]))
+
 
 def stacked_problems(z, patterns):
     """(system, seeds) of the parameter problems of z under ``patterns`` as
@@ -670,6 +700,13 @@ class TestCoalescenceFit:
         _, c1, res = zz.coalescence_log_fit(self.deltas, members, zz.ne_pattern(3), j)
         assert res < 1e-3
         assert abs(c1) < 1e-4
+
+    def test_misfit_family_is_rejected(self):
+        # the members against the gaps in reverse order: |a_j| no longer
+        # follows the log model, and the fit is refused
+        members = zz.make_coalescing_family(self.base, 1, self.deltas)
+        with pytest.raises(zz.FitFailure, match=r"^log model rejected: relative residual"):
+            zz.coalescence_log_fit(self.deltas, members[::-1], zz.ne_pattern(3), 1)
 
     def test_needs_two_decades(self):
         with pytest.raises(ValueError):

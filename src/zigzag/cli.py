@@ -94,25 +94,22 @@ def _solve(p, k):
 
 
 def _load(path):
-    """(record, stored Weierstrass data or None) of a solution file, or
-    None after reporting why the file cannot be loaded."""
+    """The record of a solution file, with the Weierstrass data of its
+    stored block if it has one, or None after reporting why the file
+    cannot be loaded."""
     try:
-        sf = zio.load_solution(path)
-        record = zio.solution_to_record(sf)
-        wd = zio.weierstrass_from_solution(sf) if "weierstrass" in sf.data else None
+        return zio.solution_to_record(zio.load_solution(path))
     except (OSError, ValueError, LookupError, TypeError, AttributeError, ZigzagError) as exc:
         print(f"error: cannot load {path}: {exc}", file=sys.stderr)
         return None
-    return record, wd
 
 
 def cmd_verify(args) -> int:
-    loaded = _load(args.path)
-    if loaded is None:
+    record = _load(args.path)
+    if record is None:
         return USAGE_EXIT
-    record, wd = loaded
     try:
-        wd = wd or build_weierstrass(record)
+        wd = build_weierstrass(record)
         report = verify_periods(wd)
     except PeriodMismatch as exc:
         print(f"FAIL {exc}", file=sys.stderr)
@@ -133,12 +130,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    loaded = _load(args.path)
-    if loaded is None:
+    record = _load(args.path)
+    if record is None:
         return USAGE_EXIT
-    record, wd = loaded
     try:
-        wd = wd or build_weierstrass(record)
+        wd = build_weierstrass(record)
         radius = args.radius
         if radius is None:
             top = wd.prevertices.values[-1]
@@ -212,18 +208,23 @@ def main(argv=None) -> int:
     """Run one command; exit 1 on bad usage, unreadable input or an output
     path that cannot be written, 2 on a failed solve, 3 on a failed check.
 
-    An ``--out`` whose directory does not exist is refused before the
-    command does any work.  Other write errors, such as a directory without
-    write permission, surface only when the file is opened, after the work.
+    An ``--out`` whose directory does not exist, or that names a
+    directory, is refused before the command does any work.  Other write
+    errors, such as a directory without write permission or a full
+    device, surface only when the file is written, after the work.
     """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    out_dir = os.path.dirname(getattr(args, "out", None) or "")
+    out = getattr(args, "out", None) or ""
+    out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
-        print(f"error: cannot write {args.out}: no directory {out_dir}", file=sys.stderr)
+        print(f"error: cannot write {out}: no directory {out_dir}", file=sys.stderr)
+        return USAGE_EXIT
+    if os.path.isdir(out):
+        print(f"error: cannot write {out}: it is a directory", file=sys.stderr)
         return USAGE_EXIT
     handlers = {
         "solve": cmd_solve,

@@ -25,21 +25,25 @@ failure of either ends it, and each tuple is bit for bit that of its
 solve alone (scmap.solve_parameter_problems).  The
 record keeps what Newton did: max|F| at every Newton point, one fill
 each, from its 12-node sum but for the last, which is the certified
-max|F| at the solution.
+max|F| at the solution.  It also keeps the Weierstrass data of the
+solution, on the tuple the shared solve returns, with the scales of the
+NE and SW sides its certificate summed: no kernel call follows D's
+certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotReflexive
-from .geometry import ZigzagParams, canonicalize
-from .scmap import (Prevertices, _log_ratios, _newton_batch, _side_system, ne_pattern,
+from .geometry import ZigzagParams, build_vertices, canonicalize
+from .scmap import (_D_TOL, Prevertices, _log_ratios, _newton_batch, _side_system, ne_pattern,
                     solve_parameter_problems, sw_pattern)
 from .elliptic import extremal_lengths
+from .weierstrass import WeierstrassData, _weierstrass_data
 
 __all__ = [
     "SolutionRecord",
@@ -48,8 +52,6 @@ __all__ = [
     "minimize",
     "continuation_solve",
 ]
-
-_D_TOL = 1e-10  # the height certificate: a solve is converged iff D < _D_TOL
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,10 @@ class SolutionRecord:
     # smallest singular value of the exact Jacobian of F at the shared
     # solution (NaN without unknowns): nonzero certifies an isolated zero
     sigma_min: float = math.nan
+    # Weierstrass data on the shared solve's tuple (minimize, genus >= 2)
+    # or from a file's stored block; None for weierstrass.build_weierstrass
+    # to build them from the NE and SW tuples
+    weierstrass: WeierstrassData | None = field(default=None, compare=False, repr=False)
 
 
 def _height_from_ext(ext_ne, ext_sw) -> float:
@@ -114,35 +120,40 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     Newton point takes F and its exact Jacobian for both patterns from one
     fill of the solve's layout and one 12-node sum, uncompared; the point
     Newton returns is certified by 12 against 24 nodes on its plan, and
-    the NE sides, the Jacobian and its smallest singular value, stored as
-    the isolation certificate, are taken from those certified values.
-    Genus 0 and 1 have no unknowns.  The zigzag is read off the normalized
-    NE sides; the stacked cold NE and SW parameter solves of height_parts
-    then give D as an independent certificate, and the record is converged iff
-    D < 1e-10, a bar some 16 orders above the D of a solution; the record
-    stores D for any stricter bar.  It keeps max|F| at every Newton point,
-    as the solver returns it: each entry but the last from one 12-node
-    sum, and the last the certified max|F| at the solution.
+    the NE and SW sides, the Jacobian and its smallest singular value,
+    stored as the isolation certificate, are taken from those certified
+    values.  Genus 0 and 1 have no unknowns.  The zigzag is read off the
+    normalized NE sides, and the record's Weierstrass data are the
+    returned tuple with the scales of both certified sides, normalized
+    onto the zigzag's chain (weierstrass._weierstrass_data, no kernel
+    call).  The stacked cold NE and SW parameter solves of height_parts
+    then give D as an independent certificate, and the record is converged
+    iff D < 1e-10, a bar some 16 orders above the D of a solution; the
+    record stores D for any stricter bar.  It keeps max|F| at every Newton
+    point, as the solver returns it: each entry but the last from one
+    12-node sum, and the last the certified max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
     residuals: tuple[float, ...] = ()
     sigma_min = math.nan
+    wd = None
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
 
         def shared(sides, ratios, J):  # both patterns share one kernel plan
-            return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides[:, 0]
+            return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides
 
-        [(_, history, (_, jac, ne))] = _newton_batch(_side_system(rows, 1, shared),
-                                                     _log_ratios(np.asarray(z.side_lengths))[None],
-                                                     f"shared-prevertex solve from {z}")
+        [(u, history, (_, jac, sides))] = _newton_batch(
+            _side_system(rows, 1, shared), _log_ratios(np.asarray(z.side_lengths))[None],
+            f"shared-prevertex solve from {z}")
         residuals = tuple(history)
-        z = canonicalize(ZigzagParams(p, k, tuple(ne)))
+        z = canonicalize(ZigzagParams(p, k, tuple(sides[0])))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
+        wd = _weierstrass_data(build_vertices(z), Prevertices(p, np.exp(u)), sides[::-1])
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
     return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < _D_TOL, residuals,
-                          sigma_min)
+                          sigma_min, wd)
 
 
 def continuation_solve(p: int, k: int = 2) -> SolutionRecord:

@@ -10,7 +10,13 @@ smallest singular value of its certified Jacobian (``jacobian_sigma_min``).
 Each prevertex tuple is stored as its values and its gaps s_{m+1} - s_m
 (``prev_ne_gaps``, ``prev_sw_gaps``, ``weierstrass.prevertex_gaps``), and
 loads from its p-1 free gaps above s_1 (``_prevertices``): the stored
-gaps, or the differences of the values in a file without them.
+gaps, or the differences of the values in a file without them.  The
+``weierstrass`` block of a converged solution holds the record's
+Weierstrass data: at genus >= 2 the tuple of the shared-prevertex solve
+and the scales of its certified sides.  Files written before the record
+carried them store the tuple whose free gaps are the means of the NE and
+SW ones, with its scales; they load, verify and round-trip as before, for
+a loaded record carries its file's block.
 """
 
 from __future__ import annotations
@@ -75,7 +81,8 @@ class SolutionFile:
 
 def record_to_solution(record: SolutionRecord) -> SolutionFile:
     """The solution file of a record; a converged record also gets the
-    Weierstrass block that build_weierstrass makes from it."""
+    Weierstrass block of build_weierstrass: the record's own data as they
+    are, or those built for a record without them."""
     summary = {"newton_residuals": list(record.residuals)}
     if not math.isnan(record.sigma_min):  # only solves with unknowns have a Jacobian
         summary["jacobian_sigma_min"] = record.sigma_min
@@ -162,10 +169,13 @@ def _zigzag(d) -> ZigzagParams:
 
 
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
-    """The record of a solution file.  Every stored number must be a JSON
-    number and every vector a list of them (ValueError otherwise), so a
-    string is never cast: the extremal lengths, the height, the Newton
-    residuals and sigma_min as much as the zigzag and its tuples."""
+    """The record of a solution file, carrying the Weierstrass data of its
+    stored block, if it has one (weierstrass_from_solution), so that a
+    file loaded and saved again is the same file.  Every stored number
+    must be a JSON number and every vector a list of them (ValueError
+    otherwise), so a string is never cast: the extremal lengths, the
+    height, the Newton residuals and sigma_min as much as the zigzag and
+    its tuples."""
     d = sf.data
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('schema_version')}")
@@ -183,6 +193,7 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
         d["converged"],
         _numbers(summary.get("newton_residuals", []), "newton_residuals"),
         _number(summary.get("jacobian_sigma_min", math.nan), "jacobian_sigma_min"),
+        _weierstrass(d["weierstrass"], z) if "weierstrass" in d else None,
     )
 
 
@@ -193,7 +204,12 @@ def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
     w = d.get("weierstrass")
     if w is None:
         raise ValueError("solution file carries no weierstrass block")
-    z = _zigzag(d)
+    return _weierstrass(w, _zigzag(d))
+
+
+def _weierstrass(w, z: ZigzagParams) -> WeierstrassData:
+    """The WeierstrassData of the stored block ``w`` of the zigzag z, with
+    the chain build_vertices(z)."""
     return WeierstrassData(
         z.genus,
         z.turn_order,

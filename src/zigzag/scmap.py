@@ -18,8 +18,9 @@ reversed order (s_j lands on the mirror vertex P_{-j}) and the SW integrand
 traces P_{-p}, ..., P_p directly; a complex-linear normalization cannot
 swap the two since the raw images are mirror congruent.  ``_developments``
 matches each developed chain to build_vertices in its own order.  A
-solution's Weierstrass data is checked against one chain, build_vertices
-of the solved zigzag, whether built fresh or loaded from its file.
+solution's Weierstrass data is normalized onto one chain, build_vertices
+of the solved zigzag, and checked against it, whether built fresh or
+loaded from its file.
 
 The parameter problem here and the shared-prevertex solve of
 ``height.minimize`` are both posed in log side ratios over log-gaps and
@@ -218,6 +219,7 @@ def _side_system(exponents, count, residual):
 
 
 _NEWTON_TOL = 1e-12  # sup norm of the log-ratio residual, shared and cold solves alike
+_D_TOL = 1e-10  # the height certificate: a solve is converged iff D < _D_TOL
 _NEWTON_FAILURES = (np.linalg.LinAlgError, QuadratureFailure, DomainError)
 
 
@@ -358,30 +360,34 @@ def _development(prev: Prevertices, pat: ExponentPattern):
     return _developments(prev, (pat,))[0]
 
 
-def _developments(prev: Prevertices, patterns):
+def _developments(prev: Prevertices, patterns, sides=None, chain=None):
     """[(A, steps, targets)]: for each of ``patterns``, the development of
-    its SC integrand along the real axis and its normalization onto the
-    induced zigzag's vertex chain.
+    its SC integrand along the real axis and its normalization onto a
+    vertex chain.
 
     steps[m] is the raw image of the interval (s_m, s_{m+1}), m = 0..2p-1:
     its length from positive_sides (mirror intervals have equal lengths)
-    times its _directions.  targets is build_vertices of the zigzag with
-    these sides, in the order the integrand develops it: P_{-p}, ..., P_p
-    for SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] - targets[p]) /
-    steps[p] turns and scales the raw image of (s_0, s_1) onto its side,
-    so s_m develops onto targets[m] and (s_m, s_{m+1}) onto A * steps[m].
-    The sides of every pattern come from one kernel call, the tuple
-    stacked once per pattern with that pattern's row, each bit for bit
-    as its call alone.
+    times its _directions.  targets is ``chain``, by default build_vertices
+    of the zigzag induced by the pattern's own sides, in the order the
+    integrand develops it: P_{-p}, ..., P_p for SW, P_p, ..., P_{-p} for
+    NE.  A = (targets[p+1] - targets[p]) / steps[p] turns and scales the
+    raw image of (s_0, s_1) onto its side, so s_m develops onto targets[m]
+    and (s_m, s_{m+1}) onto A * steps[m].  The sides of every pattern come
+    from one kernel call, the tuple stacked once per pattern with that
+    pattern's row, each bit for bit as its call alone; ``sides``, the
+    (len(patterns), p) positive sides already summed on this tuple (a
+    certificate's), takes no kernel call.
     """
     p = prev.genus
     exps = np.stack([pat.exponents for pat in patterns])
-    sides = positive_sides(np.tile(prev.gaps, (len(exps), 1)), exps[:, None])[0]
+    if sides is None:
+        sides = positive_sides(np.tile(prev.gaps, (len(exps), 1)), exps[:, None])[0]
     out = []
     for pat, pos, direction in zip(patterns, sides, _directions(exps)):
         steps = np.concatenate((pos[::-1], pos)) * direction
-        chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos)))).vertices
-        targets = np.asarray(chain[::-1] if pat.orientation == "NE" else chain)
+        own = chain if chain is not None else build_vertices(
+            ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos))))
+        targets = np.asarray(own.vertices[::-1] if pat.orientation == "NE" else own.vertices)
         out.append(((targets[p + 1] - targets[p]) / steps[p], steps, targets))
     return out
 

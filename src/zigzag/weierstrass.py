@@ -2,9 +2,12 @@
 
 At a reflexive zigzag the two prevertex tuples coincide, so both SC
 integrands live on a common half-plane sheet, over the shared tuple
-whose free gaps above s_1 are the means of those of the NE and SW
-solutions (scmap.Prevertices).  With chi_sw and chi_ne the two
-(mutually reciprocal) integrands, the three forms
+(scmap.Prevertices) that the shared-prevertex solve of height.minimize
+returns and certifies; its certificate's side sums give the scales.  A
+record without that solve (genus 0 and 1, a record built by hand, a file
+without its Weierstrass block) takes the tuple whose free gaps above s_1
+are the means of those of its NE and SW solutions.  With chi_sw and
+chi_ne the two (mutually reciprocal) integrands, the three forms
 
     alpha = e^{-i pi/4} * A * chi_sw(t) dt      (periods 2 e^{-i pi/4}(P_j - P_{j+1}))
     beta  = e^{-i pi/4} * B * chi_ne(t) dt      (conjugate periods)
@@ -27,14 +30,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
-from .height import _D_TOL
-from .scmap import Prevertices, _developments, _directions, ne_pattern, sw_pattern
+from .scmap import _D_TOL, Prevertices, _developments, _directions, ne_pattern, sw_pattern
 from . import quadrature as quad
 
 __all__ = [
@@ -139,17 +141,18 @@ def build_weierstrass(sol) -> WeierstrassData:
     """Weierstrass data of a converged SolutionRecord.
 
     The NE and SW prevertex tuples must agree within 1e-5, the square root
-    of the height certificate bar 1e-10, relative to the largest prevertex;
-    their free gaps are averaged into the shared tuple.  The chain is
-    build_vertices of the solved zigzag, as weierstrass_from_solution takes
-    it from a file, so a record and its file are checked alike, and
-    verify_periods fails a zigzag its tuple does not develop.  Only the
-    scales come from the developments of both integrands on the shared
-    tuple, from one kernel call with the tuple stacked twice, rows SW and
-    NE, each scale bit for bit that of its integrand alone
-    (scmap._developments): the phases of A_ne and A_sw are fixed by (p, k)
-    so that c^2 = -i A_ne A_sw is positive real for every tuple, and the
-    principal root c is positive real: the image of (s_0, s_1) under dh.
+    of the height certificate bar 1e-10, relative to the largest prevertex
+    (NotReflexive otherwise).  The data are the record's own,
+    ``sol.weierstrass``: those of its shared-prevertex solve at genus >= 2
+    (height.minimize), or the block of the file it was loaded from.  A
+    record without them (genus 0 and 1, which have no shared solve, a
+    record built by hand, a converged file without a block) takes the
+    shared tuple whose free gaps are the means of the NE and SW ones and
+    the scales of _weierstrass_data on it, from one kernel call.  Either
+    way the chain is build_vertices of the record's zigzag, as
+    weierstrass_from_solution takes it from a file, so a record and its
+    file are checked alike, and verify_periods fails a zigzag its tuple
+    does not develop.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
@@ -161,17 +164,33 @@ def build_weierstrass(sol) -> WeierstrassData:
             f"prevertex tuples differ by {spread:.3e} "
             f"(tolerance {_REFLEXIVE_TOL * scale:.3e})"
         )
-    p, k = sol.zigzag.genus, sol.zigzag.turn_order
-    shared = Prevertices(p, 0.5 * np.add(ne.free, sw.free))
     chain = build_vertices(sol.zigzag)
+    if sol.weierstrass is not None:
+        return replace(sol.weierstrass, chain=chain)
+    return _weierstrass_data(chain, Prevertices(ne.genus, 0.5 * np.add(ne.free, sw.free)))
+
+
+def _weierstrass_data(chain: VertexChain, prev: Prevertices, sides=None) -> WeierstrassData:
+    """The Weierstrass data of ``chain``'s zigzag on the tuple ``prev``.
+
+    The scales are the A of the developments of both integrands, rows SW
+    and NE, each normalized onto ``chain`` (scmap._developments): from one
+    kernel call with the tuple stacked twice, each bit for bit that of its
+    integrand alone, or from ``sides``, the (2, p) positive sides of the
+    SW and NE rows already certified on ``prev``, with no kernel call.
+    The phases of A_ne and A_sw are fixed by (p, k), so that
+    c^2 = -i A_ne A_sw is positive real for every tuple, and the principal
+    root c is positive real: the image of (s_0, s_1) under dh.
+    """
+    p, k = chain.genus, chain.turn_order
     if p == 0:
         scale_sw, scale_ne = 1.0 + 0j, 1j
     else:
-        (a_sw, _, _), (a_ne, _, _) = _developments(shared, (sw_pattern(p, k), ne_pattern(p, k)))
+        (a_sw, _, _), (a_ne, _, _) = _developments(prev, (sw_pattern(p, k), ne_pattern(p, k)),
+                                                   sides, chain)
         scale_sw, scale_ne = complex(a_sw), complex(a_ne)
-
     c = cmath.sqrt(-1j * scale_ne * scale_sw)
-    return WeierstrassData(p, k, shared, scale_ne, scale_sw, c, chain)
+    return WeierstrassData(p, k, prev, scale_ne, scale_sw, c, chain)
 
 
 def _dh_defects(wd: WeierstrassData) -> tuple[float, float]:

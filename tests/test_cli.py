@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -175,6 +176,25 @@ class TestVerify:
         bad.write_text(json.dumps(data))
         assert main(["verify", str(bad)]) == 3
         assert capsys.readouterr().err == "FAIL NotReflexive: solution record not converged\n"
+
+
+class TestFileWithoutWeierstrassBlock:
+    def test_verifies_and_meshes(self, solved_file, tmp_path, capsys):
+        # a converged file whose weierstrass block was deleted builds its
+        # data from the mean of its NE and SW tuples, and still verifies
+        # and meshes
+        data = json.loads(solved_file.read_text())
+        del data["weierstrass"]
+        path = tmp_path / "no_block.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for check in ("alpha periods", "conjugate periods", "dh periods"):
+            [line] = [line for line in lines if line.startswith(check)]
+            assert float(line.split()[-1]) <= 1e-12, line
+        obj = tmp_path / "no_block.obj"
+        assert main(["mesh", str(path), "--resolution", "8", "--out", str(obj)]) == 0
+        assert obj.read_text().count("\nf ") > 0
 
 
 class TestMesh:
@@ -401,27 +421,38 @@ class TestUnwritableOutput:
         lambda sol: ["solve", "--genus", "0", "--out", "/nonexistent/x.json"],
         lambda sol: ["mesh", str(sol), "--resolution", "8", "--out", "/nonexistent/m.obj"],
         lambda sol: ["sweep", "--kind", "extlength", "--out", "/nonexistent/s.csv"],
-    ], ids=["solve", "mesh", "sweep"])
+        lambda sol: ["solve", "--genus", "80", "--out", str(sol.parent)],
+        lambda sol: ["mesh", str(sol), "--resolution", "8", "--out", str(sol.parent)],
+        lambda sol: ["sweep", "--kind", "extlength", "--out", str(sol.parent)],
+    ], ids=["solve", "mesh", "sweep", "solve into a directory", "mesh into a directory",
+            "sweep into a directory"])
     def test_usage_error_without_traceback(self, solved_file, capsys, monkeypatch, argv):
-        # a missing output directory is refused before any work is done
+        # a missing output directory, or an --out naming a directory, is
+        # refused before any work is done
         calls = []
         for module, name in (("zigzag.cli", "continuation_solve"), ("zigzag.cli", "generate_mesh"),
                              ("zigzag.elliptic", "extremal_length_quad")):
             monkeypatch.setattr(sys.modules[module], name,
                                 lambda *args, name=name: calls.append(name))
-        assert main(argv(solved_file)) == 1
+        args = argv(solved_file)
+        assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "/nonexistent/" in err
+        assert err.startswith("error: cannot write ") and args[-1] in err
         assert "Traceback" not in err
         assert calls == []
 
-    def test_write_error_after_the_work_exits_1(self, tmp_path, capsys):
-        # an --out naming a directory passes the check of its parent and
-        # fails only when the finished sweep opens it
+    def test_write_error_after_the_work_exits_1(self, capsys, monkeypatch):
+        # a full device passes every check before the work and fails only
+        # when the finished sweep writes its file
+        quad = sys.modules["zigzag.elliptic"].extremal_length_quad
+        calls = []
+        monkeypatch.setattr(sys.modules["zigzag.elliptic"], "extremal_length_quad",
+                            lambda lam: calls.append(lam) or quad(lam))
         assert main(["sweep", "--kind", "extlength", "--lambdas", "1e-6,1e-3,3",
-                     "--out", str(tmp_path)]) == 1
+                     "--out", "/dev/full"]) == 1
+        assert len(calls) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
         assert "Traceback" not in err
 
 

@@ -303,21 +303,40 @@ class TestWorkCounter:
                             lambda self: tuples.append(1) or post_init(self))
         record, sums, solves = self.counted_solve(monkeypatch, 5, 2)
         assert solves == [5, 5]
-        assert len(tuples) <= 2  # Newton points take gaps, not Prevertices
+        # Newton points take gaps, not Prevertices: the tuples are the one
+        # the shared solve returns and the two of D's cold solves
+        assert len(tuples) == 3
         assert len(record.residuals) == 5 and len(kernel_plans) == 9
         self.check_certified_once(record, sums, len(kernel_plans))
 
     def test_genus5_layouts(self, interval_layouts, kernel_plans):
         # one interval layout per Newton solve, filled at each of its
-        # points: the shared solve (one tuple, both patterns' rows), the
-        # stacked cold solves of D (two tuples, a row each) and the
-        # one-shot side lengths of build_weierstrass (no derivative rows);
-        # the fills are the Newton points' kernel plans and the scales' one
+        # points: the shared solve (one tuple, both patterns' rows) and the
+        # stacked cold solves of D (two tuples, a row each); the fills are
+        # the Newton points' kernel plans, and the Weierstrass data of the
+        # solved record, scaled from the shared solve's certified sides,
+        # add neither a layout nor a plan
         record = zz.continuation_solve(5, 2)
         zz.build_weierstrass(record)
         assert [layout[1:] for layout in interval_layouts] == [
-            ((1, 10), (2, 11), True), ((2, 10), (2, 1, 11), True), ((2, 10), (2, 1, 11), False)]
-        assert len(kernel_plans) == 9 + 1
+            ((1, 10), (2, 11), True), ((2, 10), (2, 1, 11), True)]
+        assert len(kernel_plans) == 9
+
+    def test_no_sum_follows_the_height_certificate(self, monkeypatch, tmp_path):
+        # zigzag solve writes the Weierstrass data the record carries: the
+        # last sum of the command is the certificate of D's cold solves
+        quad = sys.modules["zigzag.quadrature"]
+        integrate, sums = quad.IntervalPlan.integrate_abs, []
+        monkeypatch.setattr(quad.IntervalPlan, "integrate_abs",
+                            lambda self, n: sums.append((self, n)) or integrate(self, n))
+        from zigzag.cli import main
+        assert main(["solve", "--genus", "5", "--out", str(tmp_path / "p5.json")]) == 0
+        data = json.loads((tmp_path / "p5.json").read_text())
+        plan, n = sums[-1]
+        assert len(sums) == 9 + 2 and n == 2 * quad._BASE_NODES
+        assert plan.rows.shape == (2, 11, 1)
+        assert np.array_equal(plan.gaps, [data["prev_ne_gaps"], data["prev_sw_gaps"]])
+        assert "weierstrass" in data
 
     def test_no_layout_outlives_its_solve(self, interval_layouts):
         # a layout lives as long as its Newton system: none is kept in a

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import zigzag as zz
 from zigzag import io as zio, quadrature, weierstrass
 from zigzag.errors import DomainError, NotReflexive, PeriodMismatch
-from zigzag.scmap import _development
+from zigzag.scmap import _development, _developments, _side_system
 
 
 def enneper_closed_form(z):
@@ -76,14 +76,20 @@ class TestBuildWeierstrass:
 
     @pytest.mark.parametrize("p, k", [(5, 2), (12, 3)])
     def test_both_scales_from_one_kernel_plan(self, kernel_plans, p, k):
-        # the shared tuple stacked twice, rows SW and NE: one plan, and each
-        # scale bit for bit that of its integrand developed alone
+        # a solved record carries its data, so building them takes no plan;
+        # a record without them stacks the mean of its NE and SW tuples
+        # twice, rows SW and NE: one plan, and each scale bit for bit that
+        # of its integrand developed alone onto the record's chain
         record = zz.continuation_solve(p, k)
         kernel_plans.clear()
-        wd = zz.build_weierstrass(record)
+        assert zz.build_weierstrass(record) == record.weierstrass
+        assert kernel_plans == []
+        wd = zz.build_weierstrass(dataclasses.replace(record, weierstrass=None))
         assert len(kernel_plans) == 1
-        assert wd.scale_sw == complex(_development(wd.prevertices, zz.sw_pattern(p, k))[0])
-        assert wd.scale_ne == complex(_development(wd.prevertices, zz.ne_pattern(p, k))[0])
+        assert wd.prevertices == zz.Prevertices(
+            p, 0.5 * np.add(record.prev_ne.free, record.prev_sw.free))
+        for scale, pat in ((wd.scale_sw, zz.sw_pattern(p, k)), (wd.scale_ne, zz.ne_pattern(p, k))):
+            assert scale == complex(_developments(wd.prevertices, (pat,), chain=wd.chain)[0][0])
 
     def test_genus0_is_enneper_data(self, wd_by_genus):
         wd = wd_by_genus[0]
@@ -136,6 +142,33 @@ class TestBuildWeierstrass:
         loaded = zio.weierstrass_from_solution(zio.SolutionFile(json.loads(text)))
         assert fresh == loaded and fresh.prevertices.gaps == loaded.prevertices.gaps
         assert zz.verify_periods(fresh) == zz.verify_periods(loaded)
+
+
+class TestSharedSolveData:
+    """A solved record's Weierstrass data are those of the tuple its shared
+    solve returns, with the scales of the sides its certificate summed."""
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (5, 2), (4, 3), (12, 3), (40, 2)])
+    def test_stored_tuple_is_the_shared_solve_s(self, p, k):
+        record = zz.continuation_solve(p, k)
+        wd = record.weierstrass
+        rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
+        system = _side_system(rows, 1, lambda sides, ratios, J: (ratios[:, 0] - ratios[:, 1],
+                                                                  sides))
+        _, certify = system(np.log(wd.prevertices.free)[None])
+        F, sides = certify()
+        assert np.max(np.abs(F)) <= 1e-12
+        # the certified sides, rows SW and NE, give the record's data bit
+        # for bit, and a fresh development of each integrand its scale
+        assert weierstrass._weierstrass_data(wd.chain, wd.prevertices, sides[0][::-1]) == wd
+        for scale, pat in ((wd.scale_sw, zz.sw_pattern(p, k)), (wd.scale_ne, zz.ne_pattern(p, k))):
+            fresh = complex(_development(wd.prevertices, pat)[0])
+            assert abs(scale - fresh) <= 1e-14 * abs(fresh)
+
+    def test_no_data_below_genus_2(self, ladder5):
+        # genus 0 and 1 have no shared solve; their data are built on demand
+        assert ladder5[0].weierstrass is None and ladder5[1].weierstrass is None
+        assert ladder5[2].weierstrass is not None
 
 
 class TestVerifyPeriods:

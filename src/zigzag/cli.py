@@ -46,7 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--radius", type=float, default=None,
                         help="half-disk radius (default 1.5x the largest prevertex)")
     p_mesh.add_argument("--resolution", type=int, default=24)
-    p_mesh.add_argument("--out", default=None, help="OBJ output path")
+    p_mesh.add_argument("--out", default=None,
+                        help="OBJ output path (default the solution path with its "
+                             "extension, if any, replaced by .obj)")
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -73,13 +75,12 @@ def cmd_solve(args) -> int:
     if args.genus < 0 or args.k < 2:
         print("error: need --genus >= 0 and --k >= 2", file=sys.stderr)
         return USAGE_EXIT
-    out = args.out or f"zigzag_p{args.genus}_k{args.k}.json"
     record = _solve(args.genus, args.k)
     if record is None:
         return SOLVE_EXIT
-    zio.save_solution(out, record)
+    zio.save_solution(args.out, record)
     print(f"genus {args.genus} (k={args.k}) solved: height {record.height:.3e}, "
-          f"written to {out}")
+          f"written to {args.out}")
     return 0
 
 
@@ -143,9 +144,8 @@ def cmd_mesh(args) -> int:
     except (ZigzagError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    out = args.out or (args.path.rsplit(".", 1)[0] + ".obj")
-    zio.write_obj(out, mesh)
-    print(f"mesh with {len(mesh.triangles)} triangles written to {out}")
+    zio.write_obj(args.out, mesh)
+    print(f"mesh with {len(mesh.triangles)} triangles written to {args.out}")
     return 0
 
 
@@ -208,17 +208,23 @@ def main(argv=None) -> int:
     """Run one command; exit 1 on bad usage, unreadable input or an output
     path that cannot be written, 2 on a failed solve, 3 on a failed check.
 
-    An ``--out`` whose directory does not exist, or that names a
-    directory, is refused before the command does any work.  Other write
-    errors, such as a directory without write permission or a full
-    device, surface only when the file is written, after the work.
+    The default ``--out`` of solve and mesh is derived from their inputs
+    here.  An ``--out``, given or default, whose directory does not exist,
+    or that names a directory, is refused before the command does any
+    work.  Other write errors, such as a directory without write
+    permission or a full device, surface only when the file is written,
+    after the work.
     """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    out = getattr(args, "out", None) or ""
+    if args.command == "solve" and not args.out:
+        args.out = f"zigzag_p{args.genus}_k{args.k}.json"
+    if args.command == "mesh" and not args.out:
+        args.out = os.path.splitext(args.path)[0] + ".obj"
+    out = getattr(args, "out", "")
     out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
         print(f"error: cannot write {out}: no directory {out_dir}", file=sys.stderr)

@@ -28,7 +28,7 @@ each, from its 12-node sum but for the last, which is the certified
 max|F| at the solution.  It also keeps the Weierstrass data of the
 solution, on the tuple the shared solve returns, with the scales of the
 NE and SW sides its certificate summed: no kernel call follows D's
-certificate.
+certificate.  Genus 0 and 1 take theirs on the fixed tuple.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NotReflexive
 from .geometry import ZigzagParams, build_vertices, canonicalize
 from .scmap import (_D_TOL, Prevertices, _log_ratios, _newton_batch, _side_system, ne_pattern,
-                    solve_parameter_problems, sw_pattern)
+                    positive_sides, solve_parameter_problems, sw_pattern)
 from .elliptic import extremal_lengths
 from .weierstrass import WeierstrassData, _weierstrass_data
 
@@ -73,9 +73,9 @@ class SolutionRecord:
     # smallest singular value of the exact Jacobian of F at the shared
     # solution (NaN without unknowns): nonzero certifies an isolated zero
     sigma_min: float = math.nan
-    # Weierstrass data on the shared solve's tuple (minimize, genus >= 2)
-    # or from a file's stored block; None for weierstrass.build_weierstrass
-    # to build them from the NE and SW tuples
+    # Weierstrass data built by minimize or read from a file's stored
+    # block; None in a record built by hand or loaded from a file that is
+    # not converged, which weierstrass.build_weierstrass refuses
     weierstrass: WeierstrassData | None = field(default=None, compare=False, repr=False)
 
 
@@ -122,22 +122,23 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     Newton returns is certified by 12 against 24 nodes on its plan, and
     the NE and SW sides, the Jacobian and its smallest singular value,
     stored as the isolation certificate, are taken from those certified
-    values.  Genus 0 and 1 have no unknowns.  The zigzag is read off the
-    normalized NE sides, and the record's Weierstrass data are the
-    returned tuple with the scales of both certified sides, normalized
-    onto the zigzag's chain (weierstrass._weierstrass_data, no kernel
-    call).  The stacked cold NE and SW parameter solves of height_parts
-    then give D as an independent certificate, and the record is converged
-    iff D < 1e-10, a bar some 16 orders above the D of a solution; the
-    record stores D for any stricter bar.  It keeps max|F| at every Newton
-    point, as the solver returns it: each entry but the last from one
-    12-node sum, and the last the certified max|F| at the solution.
+    values.  The zigzag is read off the normalized NE sides, and the
+    record's Weierstrass data are the returned tuple with the scales of
+    both certified sides, normalized onto the zigzag's chain
+    (weierstrass._weierstrass_data, no kernel call).  Genus 0 and 1 have
+    no unknowns: their data are those of the fixed tuple, with the sides
+    of one kernel call per pattern at genus 1.  The stacked cold NE and
+    SW parameter solves of height_parts then give D as an independent
+    certificate, and the record is converged iff D < 1e-10, a bar some
+    16 orders above the D of a solution; the record stores D for any
+    stricter bar.  It keeps max|F| at every Newton point, as the solver
+    returns it: each entry but the last from one 12-node sum, and the last
+    the certified max|F| at the solution.
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
     residuals: tuple[float, ...] = ()
     sigma_min = math.nan
-    wd = None
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
 
@@ -150,7 +151,12 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(sides[0])))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
-        wd = _weierstrass_data(build_vertices(z), Prevertices(p, np.exp(u)), sides[::-1])
+        prev, sides = Prevertices(p, np.exp(u)), sides[::-1]
+    else:  # the fixed tuple: one kernel call per pattern, SW then NE
+        prev = Prevertices(p, ())
+        sides = np.array([positive_sides(prev.gaps, pat.exponents)
+                          for pat in (sw_pattern(p, k), ne_pattern(p, k))])
+    wd = _weierstrass_data(build_vertices(z), prev, sides)
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
     return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < _D_TOL, residuals,
                           sigma_min, wd)

@@ -16,7 +16,8 @@ Weierstrass data: at genus >= 2 the tuple of the shared-prevertex solve
 and the scales of its certified sides.  Files written before the record
 carried them store the tuple whose free gaps are the means of the NE and
 SW ones, with its scales; they load, verify and round-trip as before, for
-a loaded record carries its file's block.
+a loaded record carries its file's block.  Every converged file has one:
+a converged file without it is refused (ValueError).
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ class SolutionFile:
 
 def record_to_solution(record: SolutionRecord) -> SolutionFile:
     """The solution file of a record; a converged record also gets the
-    Weierstrass block of build_weierstrass: the record's own data as they
-    are, or those built for a record without them."""
+    Weierstrass block of its own data, as build_weierstrass returns them."""
     summary = {"newton_residuals": list(record.residuals)}
     if not math.isnan(record.sigma_min):  # only solves with unknowns have a Jacobian
         summary["jacobian_sigma_min"] = record.sigma_min
@@ -170,8 +170,8 @@ def _zigzag(d) -> ZigzagParams:
 
 def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     """The record of a solution file, carrying the Weierstrass data of its
-    stored block, if it has one (weierstrass_from_solution), so that a
-    file loaded and saved again is the same file.  Every stored number
+    stored block, so that a file loaded and saved again is the same file;
+    a converged file without the block is refused.  Every stored number
     must be a JSON number and every vector a list of them (ValueError
     otherwise), so a string is never cast: the extremal lengths, the
     height, the Newton residuals and sigma_min as much as the zigzag and
@@ -180,6 +180,8 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('schema_version')}")
     z = _zigzag(d)
+    if d["converged"] and "weierstrass" not in d:
+        raise ValueError("converged solution file carries no weierstrass block")
     # files written before the Newton history was stored carry other
     # summary keys, which are ignored: they load with no residuals
     summary = d.get("trace_summary", {})
@@ -198,13 +200,10 @@ def solution_to_record(sf: SolutionFile) -> SolutionRecord:
 
 
 def weierstrass_from_solution(sf: SolutionFile) -> WeierstrassData:
-    """Rebuild WeierstrassData from the stored constants (no re-solve); each
-    complex constant must be exactly two JSON numbers (ValueError)."""
-    d = sf.data
-    w = d.get("weierstrass")
-    if w is None:
-        raise ValueError("solution file carries no weierstrass block")
-    return _weierstrass(w, _zigzag(d))
+    """The stored Weierstrass data of a solution file (no re-solve):
+    build_weierstrass of its record, by the checks of solution_to_record,
+    so a converged file without its block raises ValueError."""
+    return build_weierstrass(solution_to_record(sf))
 
 
 def _weierstrass(w, z: ZigzagParams) -> WeierstrassData:

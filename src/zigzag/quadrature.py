@@ -1,88 +1,35 @@
 """Panel quadrature for products with algebraic endpoint singularities.
 
-Integrands here are of the form prod_m (z - s_m)^{e_m} with real nodes s_m
-and exponents e_m > -1.  Singular endpoints are absorbed by Gauss-Jacobi
-rules; the rest of a real interval or of a straight segment in the closed
-upper half-plane is covered by Gauss-Legendre panels no longer than their
-distance to the nearest foreign singularity (the one-half rule of compound
-Gauss-Jacobi SC quadrature, Driscoll & Trefethen, Schwarz-Christoffel
-Mapping, ch. 3), so every panel sees an analytic integrand with a uniformly
-fat Bernstein ellipse.  ``_rule`` builds each Gauss-Jacobi rule in numpy
-(Golub & Welsch 1969): Jacobi-matrix eigenvalues polished by Newton steps
-as nodes, weights from their closed form.  A segment between two points
-of the closed upper half-plane, not both real, meets the real axis at
-most at an endpoint, so no path needs a detour around a prevertex.
+Integrands are prod_m (z - s_m)^{e_m} with real nodes s_m and exponents
+e_m > -1.  A singular end takes a Gauss-Jacobi rule (``_rule``); the
+rest of a path takes Gauss-Legendre panels no longer than their
+distance to the nearest other singularity, the one-half rule of
+compound Gauss-Jacobi SC quadrature (Driscoll & Trefethen,
+Schwarz-Christoffel Mapping, ch. 3), each half of a path graded from its
+own end, as SCPACK integrates each half of a path (Trefethen 1980).  A
+segment between two points of the closed upper half-plane, not both
+real, meets the real axis at most at an end, so no path needs a detour
+around a prevertex.  A fixed node count set by the tolerance, 12 nodes
+per panel with 24 to compare, serves every integrand, as in Driscoll &
+Trefethen's SC Toolbox, with no adaptive doubling past it.
 
-One blocked kernel computes every integral.  ``_SegmentPanels`` grades
-the panels of all segments at once, as arrays, from each end up to that
-end's reach.  Each half of a segment is graded from its own end, as
-SCPACK integrates each half of a path (Trefethen 1980): its offsets, its
-factors z - s_m and its Gauss-Jacobi end panel are all measured from that
-end, so a prevertex just beyond either end keeps its distance exact and
-every Jacobi rule has the one orientation (0, e).  A segment with no
-prevertex at either end that is no longer than its clearance at the
-midpoint, as a short mesh chord is, meets the one-half rule whole: it is
-one Gauss-Legendre panel from z0.  A segment off the axis may graze a
-prevertex, so its free panels are halved while longer than their
-midpoint clearance.  A real interval cannot, so ``IntervalPlan`` takes
-its first break from two gaps per end and skips the clearance test and
-the halving.  One dyadic grader serves both kernels: ``_doublings``
-reads the number of breaks b 2^i up to an end's reach off the binary
-exponents of b and the reach, and ``_dyadic`` places them.  The panels
-are flattened into entries that each carry their rule and the exponent
-rows they feed; the nodes of every entry are evaluated in blocks of
-about 2^14 node x prevertex entries, with one log(z - s_m) matrix per
-block serving every row, and one block loop, ``_summed``, adds the
-blocks of both kernels to their segments.  ``segment_integral`` returns
-the contour integrals, itself giving an end on a prevertex its Jacobi
-panel, summed in complex arithmetic.  On a real interval (s_j, s_{j+1})
-every factor t - s_m is real and keeps its sign, so the integrand has a
-constant argument, which scmap gives the interval's image, and the
-kernel sums its modulus in real arithmetic: log|t - s_m| with no arctan2
-and a real factor h^(1+e) per entry.  Each such sum adds positive
-weights times an exp, so it is never negative.
-``interval_abs_integral`` returns the certified sums, the lengths of
-the intervals' images, and ``IntervalLayout.point`` the same
-sums with their exact signed derivatives in every log-gap, on the same
-panels, with no complex number at a Newton point.  Both take a stack of
-tuples, one tuple being a stack of one, by their gaps s_{m+1} - s_m, not
-their prevertices:
-every offset is a partial sum of gaps of the interval's own tuple and every
-length a gap, so no digit of a gap 1e-8 of the prevertices is lost to their
-absolute size.  Their exponent rows are one stack shared by every tuple, or
-rows per tuple, as a stacked solve gives each member its own row: each
-tuple's entries are then gathered apart and cut into the blocks a call on
-that tuple alone would take, and a block of several small tuples
-takes one matmul per tuple, so every value equals, bit for bit, that of
-the call on its tuple alone.  ``IntervalPlan`` rejects a gap below the
-least normal float (np.finfo(float).tiny), including every gap that is
-not positive, or a partial sum that is not finite (DomainError); where
-gaps it accepts overflow a sum, the certificate refuses them
-(QuadratureFailure).
-Segments keep absolute coordinates; ``arc_integral`` sums two segments
-through its arc's apex.  A segment is proven at 12 nodes:
-``_SegmentPanels.bound`` bounds the error of every entry a priori, from
-the Bernstein ellipse its panel's clearance gives it (Trefethen, ATAP
-ch. 8 and 19), plus a rounding term, and ``segment_integral`` returns
-the 12-node sums of every segment whose summed bound meets its
-tolerance.  The few that miss are summed again at 24 nodes on the same
-panels, and they and every interval pass one routine, ``_certified``,
-which compares the sums of each item and row at 12 and at 24 nodes,
-else QuadratureFailure: each call of ``interval_abs_integral`` takes
-both sums.  A Newton iterate needs an accurate F, not a certified one:
-``IntervalLayout.point`` returns the integrals and their derivatives
-from the 12-node sum alone, with a function that certifies that same
-point later, summing the same plan at 24 nodes and comparing every item,
-so a solve pays the comparison only at the point it returns.  A Newton
-point is one fill of the solve's ``IntervalLayout``: what a plan takes from
-everything but the gaps (ends, neighbours, Jacobi entries and their
-rules, rows, masks, the unpacking of the Jacobian) is built once per
-solve, and the entries and blocks of each vector of panel counts once,
-at its first fill; a fill computes the offsets, breaks and factors
-alone, bit for bit those of a fresh IntervalPlan, which is itself the
-one-shot fill of a layout.  A fixed node count set by
-the tolerance, as in Driscoll & Trefethen's SC Toolbox, serves every
-integrand here, with no adaptive doubling past it.
+One blocked kernel computes every integral:
+
+- ``_doublings`` and ``_dyadic`` place the dyadic breaks of every end,
+  graded for segments by ``_graded_panels`` and in closed form for real
+  intervals by ``IntervalLayout``;
+- ``_SegmentPanels`` flattens panels into entries, each with its rule
+  and row mask, and one block loop, ``_summed``, adds them in complex
+  arithmetic (``sums``) or, on a real interval, in real arithmetic
+  (``IntervalPlan.integrate_abs``); ``bound`` is its a priori error;
+- ``IntervalLayout`` holds what the plans of one stack of tuples share,
+  and an ``IntervalPlan`` is one fill of it at the tuples' gaps;
+- ``_certified`` is the one comparison of 12- against 24-node sums.
+
+The entry points are ``interval_abs_integral`` (certified lengths of the
+images of real intervals), ``IntervalLayout.point`` (a Newton point's
+integrals and derivatives, certified later), ``segment_integral``
+(contour integrals, proven a priori or compared) and ``product_value``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ the usual labelling, the NE pattern starts and ends with +(k-1)/k
 Developed along the real axis, the NE integrand traces the vertex chain in
 reversed order (s_j lands on the mirror vertex P_{-j}) and the SW integrand
 traces P_{-p}, ..., P_p directly; a complex-linear normalization cannot
-swap the two since the raw images are mirror congruent.  ``_developments``
+swap the two since the raw images are mirror congruent.  ``_development``
 matches each developed chain to build_vertices in its own order.  A
 solution's Weierstrass data is normalized onto one chain, build_vertices
 of the solved zigzag, and checked against it, whether built fresh or
@@ -44,9 +44,7 @@ exponent row.  A member that has converged rides along at its point
 until no member steps; then one certificate compares the whole plan.
 The first failure of any member ends the stack.  The kernel gives each
 member's values bit for bit as its call alone, so each member's tuple
-and history are those of its solve alone.  ``_developments`` takes the
-sides of several patterns on one tuple from one kernel call the same
-way.
+and history are those of its solve alone.
 """
 
 from __future__ import annotations
@@ -168,14 +166,10 @@ def positive_sides(gaps, exponents) -> np.ndarray:
     j = 0..p-1, of the tuple s_{-p}..s_p with the 2p gaps s_{m+1} - s_m,
     under one exponent pattern, or under each row of an (R, 2p+1) stack of
     patterns as an (R, p) array, all from one call of the shared
-    quadrature kernel.  A (T, 2p) stack of tuples takes a (T, R, 2p+1)
-    stack of patterns, R rows per tuple, and gives (R, T, p).  The mirror
-    interval (s_{-j-1}, s_{-j}) has the same length, since prevertices and
-    exponents are symmetric."""
-    gaps = np.asarray(gaps, dtype=float)
-    p = gaps.shape[-1] // 2
-    j = np.broadcast_to(np.arange(p, 2 * p), gaps.shape[:-1] + (p,))
-    return quad.interval_abs_integral(gaps, exponents, j)
+    quadrature kernel.  The mirror interval (s_{-j-1}, s_{-j}) has the same
+    length, since prevertices and exponents are symmetric."""
+    p = len(gaps) // 2
+    return quad.interval_abs_integral(gaps, exponents, np.arange(p, 2 * p))
 
 
 def _log_ratios(sides: np.ndarray) -> np.ndarray:
@@ -356,40 +350,24 @@ def _directions(exps) -> np.ndarray:
 
 
 def _development(prev: Prevertices, pat: ExponentPattern):
-    """(A, steps, targets) of _developments for one pattern."""
-    return _developments(prev, (pat,))[0]
-
-
-def _developments(prev: Prevertices, patterns, sides=None, chain=None):
-    """[(A, steps, targets)]: for each of ``patterns``, the development of
-    its SC integrand along the real axis and its normalization onto a
-    vertex chain.
+    """(A, steps, targets): the development of the SC integrand of ``pat``
+    along the real axis and its normalization onto a vertex chain.
 
     steps[m] is the raw image of the interval (s_m, s_{m+1}), m = 0..2p-1:
     its length from positive_sides (mirror intervals have equal lengths)
-    times its _directions.  targets is ``chain``, by default build_vertices
-    of the zigzag induced by the pattern's own sides, in the order the
-    integrand develops it: P_{-p}, ..., P_p for SW, P_p, ..., P_{-p} for
-    NE.  A = (targets[p+1] - targets[p]) / steps[p] turns and scales the
-    raw image of (s_0, s_1) onto its side, so s_m develops onto targets[m]
-    and (s_m, s_{m+1}) onto A * steps[m].  The sides of every pattern come
-    from one kernel call, the tuple stacked once per pattern with that
-    pattern's row, each bit for bit as its call alone; ``sides``, the
-    (len(patterns), p) positive sides already summed on this tuple (a
-    certificate's), takes no kernel call.
+    times its _directions.  targets is build_vertices of the zigzag induced
+    by the pattern's own sides, in the order the integrand develops it:
+    P_{-p}, ..., P_p for SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] -
+    targets[p]) / steps[p] turns and scales the raw image of (s_0, s_1)
+    onto its side, so s_m develops onto targets[m] and (s_m, s_{m+1}) onto
+    A * steps[m].
     """
     p = prev.genus
-    exps = np.stack([pat.exponents for pat in patterns])
-    if sides is None:
-        sides = positive_sides(np.tile(prev.gaps, (len(exps), 1)), exps[:, None])[0]
-    out = []
-    for pat, pos, direction in zip(patterns, sides, _directions(exps)):
-        steps = np.concatenate((pos[::-1], pos)) * direction
-        own = chain if chain is not None else build_vertices(
-            ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos))))
-        targets = np.asarray(own.vertices[::-1] if pat.orientation == "NE" else own.vertices)
-        out.append(((targets[p + 1] - targets[p]) / steps[p], steps, targets))
-    return out
+    pos = positive_sides(prev.gaps, pat.exponents)
+    steps = np.concatenate((pos[::-1], pos)) * _directions(pat.exponents)
+    chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos))))
+    targets = np.asarray(chain.vertices[::-1] if pat.orientation == "NE" else chain.vertices)
+    return (targets[p + 1] - targets[p]) / steps[p], steps, targets
 
 
 def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:

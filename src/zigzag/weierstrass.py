@@ -3,11 +3,12 @@
 At a reflexive zigzag the two prevertex tuples coincide, so both SC
 integrands live on a common half-plane sheet, over the shared tuple
 (scmap.Prevertices) that the shared-prevertex solve of height.minimize
-returns and certifies; its certificate's side sums give the scales.  A
-record without that solve (genus 0 and 1, a record built by hand, a file
-without its Weierstrass block) takes the tuple whose free gaps above s_1
-are the means of those of its NE and SW solutions.  With chi_sw and
-chi_ne the two (mutually reciprocal) integrands, the three forms
+returns and certifies; its certificate's side sums give the scales.  At
+genus 0 and 1, which have no free gap, the tuple is fixed.  height.minimize
+builds these data for every record it solves, and a solution file stores
+them, so build_weierstrass only checks a record and returns its data.
+With chi_sw and chi_ne the two (mutually reciprocal) integrands, the
+three forms
 
     alpha = e^{-i pi/4} * A * chi_sw(t) dt      (periods 2 e^{-i pi/4}(P_j - P_{j+1}))
     beta  = e^{-i pi/4} * B * chi_ne(t) dt      (conjugate periods)
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NotReflexive, PeriodMismatch
 from .geometry import VertexChain, build_vertices
-from .scmap import _D_TOL, Prevertices, _developments, _directions, ne_pattern, sw_pattern
+from .scmap import _D_TOL, Prevertices, _directions, ne_pattern, sw_pattern
 from . import quadrature as quad
 
 __all__ = [
@@ -143,16 +144,11 @@ def build_weierstrass(sol) -> WeierstrassData:
     The NE and SW prevertex tuples must agree within 1e-5, the square root
     of the height certificate bar 1e-10, relative to the largest prevertex
     (NotReflexive otherwise).  The data are the record's own,
-    ``sol.weierstrass``: those of its shared-prevertex solve at genus >= 2
-    (height.minimize), or the block of the file it was loaded from.  A
-    record without them (genus 0 and 1, which have no shared solve, a
-    record built by hand, a converged file without a block) takes the
-    shared tuple whose free gaps are the means of the NE and SW ones and
-    the scales of _weierstrass_data on it, from one kernel call.  Either
-    way the chain is build_vertices of the record's zigzag, as
-    weierstrass_from_solution takes it from a file, so a record and its
+    ``sol.weierstrass``: those height.minimize built, or the block of the
+    file it was loaded from (ValueError for a record without them), on
+    the chain build_vertices of the record's zigzag, so a record and its
     file are checked alike, and verify_periods fails a zigzag its tuple
-    does not develop.
+    does not develop.  No kernel call.
     """
     if not sol.converged:
         raise NotReflexive("solution record not converged")
@@ -164,31 +160,32 @@ def build_weierstrass(sol) -> WeierstrassData:
             f"prevertex tuples differ by {spread:.3e} "
             f"(tolerance {_REFLEXIVE_TOL * scale:.3e})"
         )
-    chain = build_vertices(sol.zigzag)
-    if sol.weierstrass is not None:
-        return replace(sol.weierstrass, chain=chain)
-    return _weierstrass_data(chain, Prevertices(ne.genus, 0.5 * np.add(ne.free, sw.free)))
+    if sol.weierstrass is None:
+        raise ValueError("solution record carries no Weierstrass data")
+    return replace(sol.weierstrass, chain=build_vertices(sol.zigzag))
 
 
-def _weierstrass_data(chain: VertexChain, prev: Prevertices, sides=None) -> WeierstrassData:
-    """The Weierstrass data of ``chain``'s zigzag on the tuple ``prev``.
+def _weierstrass_data(chain: VertexChain, prev: Prevertices, sides) -> WeierstrassData:
+    """The Weierstrass data of ``chain``'s zigzag on the tuple ``prev``,
+    from ``sides``, the (2, p) positive sides of the SW and NE rows summed
+    on ``prev``; no kernel call.
 
-    The scales are the A of the developments of both integrands, rows SW
-    and NE, each normalized onto ``chain`` (scmap._developments): from one
-    kernel call with the tuple stacked twice, each bit for bit that of its
-    integrand alone, or from ``sides``, the (2, p) positive sides of the
-    SW and NE rows already certified on ``prev``, with no kernel call.
-    The phases of A_ne and A_sw are fixed by (p, k), so that
-    c^2 = -i A_ne A_sw is positive real for every tuple, and the principal
-    root c is positive real: the image of (s_0, s_1) under dh.
+    Each scale is the A of the development of its integrand normalized
+    onto ``chain`` (scmap._development): the chain's side from P_0 to
+    P_1 for SW, and to P_{-1} for NE, which develops the chain reversed,
+    over the raw image of (s_0, s_1).  The phases of A_ne and A_sw are
+    fixed by (p, k), so that c^2 = -i A_ne A_sw is positive real for every
+    tuple, and the principal root c is positive real: the image of
+    (s_0, s_1) under dh.  Genus 0 takes A_sw = 1 and A_ne = i.
     """
     p, k = chain.genus, chain.turn_order
     if p == 0:
         scale_sw, scale_ne = 1.0 + 0j, 1j
     else:
-        (a_sw, _, _), (a_ne, _, _) = _developments(prev, (sw_pattern(p, k), ne_pattern(p, k)),
-                                                   sides, chain)
-        scale_sw, scale_ne = complex(a_sw), complex(a_ne)
+        v = np.asarray(chain.vertices)
+        rows = np.stack((sw_pattern(p, k).exponents, ne_pattern(p, k).exponents))
+        a = np.array([v[p + 1] - v[p], v[p - 1] - v[p]]) / (sides[:, 0] * _directions(rows)[:, p])
+        scale_sw, scale_ne = complex(a[0]), complex(a[1])
     c = cmath.sqrt(-1j * scale_ne * scale_sw)
     return WeierstrassData(p, k, prev, scale_ne, scale_sw, c, chain)
 
@@ -221,7 +218,7 @@ def verify_periods(wd: WeierstrassData) -> PeriodReport:
           which is 2 e^{-i pi/4}(P_j - P_{j+1}) for turn order 2;
       (b) int beta equals the complex conjugate of int alpha;
       (c) dh = c dt is exact on the cover, so its periods vanish once the
-          constant obeys the conditions imposed by build_weierstrass:
+          constant obeys the conditions imposed by _weierstrass_data:
           c^2 = -i scale_ne scale_sw and c positive real.  ``dh_periods``
           holds the two relative defects |c^2 + i scale_ne scale_sw| / |c|^2
           and |Im c| / |c|.
@@ -391,7 +388,7 @@ def generate_mesh(wd: WeierstrassData, radius: float, resolution: int) -> Surfac
     line at angle -arg(lambda_sw) / 2 to the x1-axis.  For genus >= 1 the
     vertex chain obeys P_{-j} - P_0 = i conj(P_j - P_0); the side P_0 P_1
     maps to P_0 P_{-1} as z -> i lambda_sw conj(z), so lambda_sw = 1 and
-    R = diag(1, -1, -1).  At genus 0 build_weierstrass sets scale_sw = 1,
+    R = diag(1, -1, -1).  At genus 0 _weierstrass_data sets scale_sw = 1,
     so lambda_sw = i e^{i pi E_sw}, which is 1 only for turn order 2.
     R is taken from the data by _diagonal_rotation, which raises
     ValueError unless c is real with c^2 = -i A_ne A_sw.  Requires a

@@ -179,22 +179,22 @@ class TestVerify:
 
 
 class TestFileWithoutWeierstrassBlock:
-    def test_verifies_and_meshes(self, solved_file, tmp_path, capsys):
-        # a converged file whose weierstrass block was deleted builds its
-        # data from the mean of its NE and SW tuples, and still verifies
-        # and meshes
+    def test_is_refused(self, solved_file, tmp_path, capsys):
+        # a converged file stores its Weierstrass data; one whose block was
+        # deleted is refused on load, naming the block, before any work
         data = json.loads(solved_file.read_text())
         del data["weierstrass"]
         path = tmp_path / "no_block.json"
         path.write_text(json.dumps(data))
-        assert main(["verify", str(path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        for check in ("alpha periods", "conjugate periods", "dh periods"):
-            [line] = [line for line in lines if line.startswith(check)]
-            assert float(line.split()[-1]) <= 1e-12, line
         obj = tmp_path / "no_block.obj"
-        assert main(["mesh", str(path), "--resolution", "8", "--out", str(obj)]) == 0
-        assert obj.read_text().count("\nf ") > 0
+        for argv in (["verify", str(path)], ["mesh", str(path), "--out", str(obj)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: cannot load {path}: converged solution file carries no "
+                           "weierstrass block\n")
+        assert not obj.exists()
+        with pytest.raises(ValueError, match="no weierstrass block"):
+            zio.weierstrass_from_solution(zio.SolutionFile(data))
 
 
 class TestMesh:
@@ -454,6 +454,37 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
         assert "Traceback" not in err
+
+
+class TestDefaultOutput:
+    @pytest.mark.parametrize("path, out", [("runs.v1/sol", "runs.v1/sol.obj"),
+                                           ("./p2", "./p2.obj")])
+    def test_mesh_replaces_only_the_extension(self, solved_file, tmp_path, monkeypatch, path, out):
+        # the default OBJ sits beside its solution file: a dot in a
+        # directory name or a file without an extension keeps its name
+        monkeypatch.chdir(tmp_path)
+        Path(path).parent.mkdir(exist_ok=True)
+        Path(path).write_text(solved_file.read_text())
+        assert main(["mesh", path, "--resolution", "8"]) == 0
+        assert Path(out).read_text().count("\nf ") > 0
+        assert sorted(os.listdir(Path(path).parent)) == sorted([Path(path).name, Path(out).name])
+
+    @pytest.mark.parametrize("argv, out", [
+        (["solve", "--genus", "2"], "zigzag_p2_k2.json"),
+        (["mesh", "p2.json"], "p2.obj"),
+    ], ids=["solve", "mesh"])
+    def test_default_naming_a_directory_is_refused_before_any_work(
+            self, solved_file, tmp_path, capsys, monkeypatch, argv, out):
+        monkeypatch.chdir(tmp_path)
+        Path("p2.json").write_text(solved_file.read_text())
+        Path(out).mkdir()
+        calls = []
+        for name in ("continuation_solve", "_load"):
+            monkeypatch.setattr(sys.modules["zigzag.cli"], name,
+                                lambda *args, name=name: calls.append(name))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory\n"
+        assert calls == []
 
 
 class TestSolutionFileRoundTrip:

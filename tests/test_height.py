@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zigzag as zz
 from zigzag.errors import DomainError, NoConvergence, QuadratureFailure, ZigzagError
@@ -394,6 +395,49 @@ class TestIsolationCertificate:
             sigma = np.linalg.svd(fd, compute_uv=False)[-1]
             assert rec.sigma_min > 0.0
             assert abs(rec.sigma_min - sigma) <= 1e-6 * sigma
+
+
+def residual_and_height(p, k, free):
+    """max|F| of the shared tuple with the free gaps ``free``, F the
+    residual of the shared-prevertex solve, and the height D of the zigzag
+    its NE sides induce."""
+    rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
+    ne, sw = positive_sides(zz.Prevertices(p, free).gaps, rows)
+    f = float(np.max(np.abs(np.log(ne[1:] / ne[0]) - np.log(sw[1:] / sw[0]))))
+    return f, zz.height(zz.ZigzagParams(p, k, tuple(ne / ne.sum())))
+
+
+@st.composite
+def shared_tuples(draw):
+    """Genus 2..5, turn order 2 or 3 and p-1 free gaps log-uniform in
+    [0.2, 3]: in general not a reflexive tuple."""
+    p = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([2, 3]))
+    u = draw(st.lists(st.floats(math.log(0.2), math.log(3.0)), min_size=p - 1, max_size=p - 1))
+    return p, k, np.exp(u)
+
+
+class TestHeightAgainstResidual:
+    """D is a certificate separate from the shared solve: it reads zero
+    exactly where the residual F of the shared solve does, and grows as
+    max|F|^2 away from it, so it can fail."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(shared_tuples())
+    def test_free_tuples(self, problem):
+        f, d = residual_and_height(*problem)
+        assert 1e-3 <= d / f**2 <= 1e3
+
+    @pytest.mark.parametrize("p, k", [(p, k) for k in (2, 3) for p in range(2, 6)])
+    def test_solved_tuples_perturbed(self, ladder5, p, k):
+        rec = ladder5[p] if k == 2 else zz.continuation_solve(p, k)
+        u = np.log(rec.weierstrass.prevertices.free)
+        f, d = residual_and_height(p, k, np.exp(u))
+        assert f <= 1e-12 and d < 1e-10
+        direction = np.random.default_rng(p + 10 * k).normal(size=p - 1)
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            f, d = residual_and_height(p, k, np.exp(u + eps * direction / np.linalg.norm(direction)))
+            assert 1e-3 <= d / f**2 <= 1e3, eps
 
 
 class TestProperness:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import zigzag as zz
 from zigzag import io as zio, quadrature, weierstrass
 from zigzag.errors import DomainError, NotReflexive, PeriodMismatch
-from zigzag.scmap import _development, _developments, _side_system
+from zigzag.scmap import _development, _side_system
 
 
 def enneper_closed_form(z):
@@ -74,22 +74,23 @@ class TestBuildWeierstrass:
         a_sw = _development(prev, zz.sw_pattern(p, k))[0]
         assert abs(cmath.phase(-1j * a_ne * a_sw)) <= 1e-12
 
-    @pytest.mark.parametrize("p, k", [(5, 2), (12, 3)])
-    def test_both_scales_from_one_kernel_plan(self, kernel_plans, p, k):
-        # a solved record carries its data, so building them takes no plan;
-        # a record without them stacks the mean of its NE and SW tuples
-        # twice, rows SW and NE: one plan, and each scale bit for bit that
-        # of its integrand developed alone onto the record's chain
-        record = zz.continuation_solve(p, k)
+    @pytest.mark.parametrize("p, k", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3),
+                                      (4, 3)])
+    def test_takes_no_kernel_plan(self, ladder5, karcher_k3, kernel_plans, p, k):
+        # every record carries its data, and so does every file written
+        # from it: building them, from the record or from its file, only
+        # checks the record and builds no kernel plan
+        record = {2: ladder5, 3: karcher_k3}[k].get(p) or zz.continuation_solve(p, k)
+        text = zio.record_to_solution(record).dumps()
         kernel_plans.clear()
         assert zz.build_weierstrass(record) == record.weierstrass
+        loaded = zio.solution_to_record(zio.SolutionFile(json.loads(text)))
+        assert zz.build_weierstrass(loaded) == record.weierstrass
         assert kernel_plans == []
-        wd = zz.build_weierstrass(dataclasses.replace(record, weierstrass=None))
-        assert len(kernel_plans) == 1
-        assert wd.prevertices == zz.Prevertices(
-            p, 0.5 * np.add(record.prev_ne.free, record.prev_sw.free))
-        for scale, pat in ((wd.scale_sw, zz.sw_pattern(p, k)), (wd.scale_ne, zz.ne_pattern(p, k))):
-            assert scale == complex(_developments(wd.prevertices, (pat,), chain=wd.chain)[0][0])
+
+    def test_record_without_data_is_refused(self, genus2):
+        with pytest.raises(ValueError, match="carries no Weierstrass data"):
+            zz.build_weierstrass(dataclasses.replace(genus2, weierstrass=None))
 
     def test_genus0_is_enneper_data(self, wd_by_genus):
         wd = wd_by_genus[0]
@@ -165,10 +166,33 @@ class TestSharedSolveData:
             fresh = complex(_development(wd.prevertices, pat)[0])
             assert abs(scale - fresh) <= 1e-14 * abs(fresh)
 
-    def test_no_data_below_genus_2(self, ladder5):
-        # genus 0 and 1 have no shared solve; their data are built on demand
-        assert ladder5[0].weierstrass is None and ladder5[1].weierstrass is None
-        assert ladder5[2].weierstrass is not None
+    def test_every_record_carries_data(self, ladder5, karcher_k3):
+        # genus 0 takes the constants A_sw = 1, A_ne = i; genus 1, whose
+        # tuple is fixed, takes each scale bit for bit from a fresh
+        # development of its integrand, as every genus takes its data
+        assert all(rec.weierstrass is not None for rec in ladder5.values())
+        wd0 = ladder5[0].weierstrass
+        assert (wd0.scale_sw, wd0.scale_ne) == (1.0, 1j)
+        for wd in (ladder5[1].weierstrass, karcher_k3[1].weierstrass):
+            assert wd.prevertices == zz.Prevertices(1, ())
+            for scale, pat in ((wd.scale_sw, zz.sw_pattern(1, wd.turn_order)),
+                               (wd.scale_ne, zz.ne_pattern(1, wd.turn_order))):
+                assert scale == complex(_development(wd.prevertices, pat)[0])
+
+    @pytest.mark.parametrize("k, block", [
+        (2, {"scale_ne": complex(-3.5029173858408279e-17, 0.57206982262635975),
+             "scale_sw": complex(0.83462684167407308, -5.1106154506930918e-17),
+             "dh_scale": complex(0.69098829894267089, 0.0)}),
+        (3, {"scale_ne": complex(0.13703733311838201, 0.51143028973154359),
+             "scale_sw": complex(0.83816711791218756, 0.22458620236689192),
+             "dh_scale": complex(0.67782058554224145, -1.0237065754437463e-17)}),
+    ])
+    def test_frozen_genus1_block(self, k, block):
+        # the shape of the kernel call decides the last bits of the genus-1
+        # scales: one call per pattern, each bit for bit that of a stacked
+        # call, and unlike one call of both rows on one tuple
+        data = zio.record_to_solution(zz.continuation_solve(1, k)).data["weierstrass"]
+        assert data == {"prevertices": [-1.0, 0.0, 1.0], "prevertex_gaps": [1.0, 1.0], **block}
 
 
 class TestVerifyPeriods:

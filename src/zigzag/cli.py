@@ -210,10 +210,10 @@ def main(argv=None) -> int:
 
     The default ``--out`` of solve and mesh is derived from their inputs
     here.  An ``--out``, given or default, whose directory does not exist,
-    or that names a directory, is refused before the command does any
-    work.  Other write errors, such as a directory without write
-    permission or a full device, surface only when the file is written,
-    after the work.
+    that names a directory, or that is the command's input file, is
+    refused before the command does any work.  Other write errors, such
+    as a directory without write permission or a full device, surface
+    only when the file is written, after the work.
     """
     parser = _build_parser()
     try:
@@ -231,6 +231,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     if os.path.isdir(out):
         print(f"error: cannot write {out}: it is a directory", file=sys.stderr)
+        return USAGE_EXIT
+    path = getattr(args, "path", "")
+    if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+        print(f"error: cannot write {out}: it is the input {path}", file=sys.stderr)
         return USAGE_EXIT
     handlers = {
         "solve": cmd_solve,

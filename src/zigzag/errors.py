@@ -24,12 +24,9 @@ class NoConvergence(ZigzagError):
     a converged solve returns as its residuals: each from one 12-node sum,
     or the certified value where a point that looked converged was
     certified and found not to be.  A point whose certification fails is
-    not in it.  A stacked solve ends at its first failure and carries the
-    trace of the member that failed: the member whose step did not reduce
-    its max|F| or could not be taken; for a point the kernel refused, the
-    first member still stepping; for a failed certificate, the first
-    member waiting for it.  The message ends with its length and last
-    entry.
+    not in it.  A stacked solve is one solve with one history, the max|F|
+    over all its members at each point, and ends at its first failure
+    with that history.  The message ends with its length and last entry.
     """
 
     def __init__(self, message, trace=None):

@@ -20,9 +20,9 @@ result is the certificate, and the smallest singular value of the
 Jacobian at the solution certifies that the zero is isolated.  D takes
 the NE and SW parameter problems cold, as one stacked Newton solve with
 one layout, filled once per Newton point for both members, each on its
-own exponent row, and one certificate once neither steps; the first
-failure of either ends it, and each tuple is bit for bit that of its
-solve alone (scmap.solve_parameter_problems).  The
+own exponent row, one history, the max|F| of both, and one certificate
+once neither steps; its first failure ends it, and each tuple is bit
+for bit that of its solve alone (scmap.solve_parameter_problems).  The
 record keeps what Newton did: max|F| at every Newton point, one fill
 each, from its 12-node sum but for the last, which is the certified
 max|F| at the solution.  It also keeps the Weierstrass data of the
@@ -137,7 +137,7 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
     """
     z = canonicalize(z0)
     p, k = z.genus, z.turn_order
-    residuals: tuple[float, ...] = ()
+    residuals = []
     sigma_min = math.nan
     if p >= 2:
         rows = np.stack((ne_pattern(p, k).exponents, sw_pattern(p, k).exponents))
@@ -145,10 +145,9 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
         def shared(sides, ratios, J):  # both patterns share one kernel plan
             return ratios[:, 0] - ratios[:, 1], J[:, 0] - J[:, 1], sides
 
-        [(u, history, (_, jac, sides))] = _newton_batch(
-            _side_system(rows, 1, shared), _log_ratios(np.asarray(z.side_lengths))[None],
+        (u,), residuals, (_, (jac,), (sides,)) = _newton_batch(
+            _side_system(rows[None], shared), _log_ratios(np.asarray(z.side_lengths))[None],
             f"shared-prevertex solve from {z}")
-        residuals = tuple(history)
         z = canonicalize(ZigzagParams(p, k, tuple(sides[0])))
         sigma_min = float(np.linalg.svd(jac, compute_uv=False)[-1])
         prev, sides = Prevertices(p, np.exp(u)), sides[::-1]
@@ -158,7 +157,7 @@ def minimize(z0: ZigzagParams) -> SolutionRecord:
                           for pat in (sw_pattern(p, k), ne_pattern(p, k))])
     wd = _weierstrass_data(build_vertices(z), prev, sides)
     prev_ne, prev_sw, ext_ne, ext_sw, d = height_parts(z)
-    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < _D_TOL, residuals,
+    return SolutionRecord(z, prev_ne, prev_sw, ext_ne, ext_sw, d, d < _D_TOL, tuple(residuals),
                           sigma_min, wd)
 
 

@@ -669,11 +669,12 @@ class IntervalLayout:
         signed derivatives g_i dI_j/dg_i in the log of every gap of the
         interval's own tuple (_unpack), from one sum at _BASE_NODES (12)
         nodes per panel, with no comparison.
-        ``certify()`` sums the same plan at twice that, once however often
-        it is called, compares the two on every interval and row, to 1e-12
-        relative, and returns the certified (I, g dI/dg), or raises
-        QuadratureFailure naming the first failing interval; so a solve
-        certifies the point it returns without building its plan again.
+        ``certify()`` sums the same plan at twice that, each time it is
+        called (a Newton solve calls it at most once per point), compares
+        the two on every interval and row, to 1e-12 relative, and returns
+        the certified (I, g dI/dg), or raises QuadratureFailure naming the
+        first failing interval; so a solve certifies the point it returns
+        without building its plan again.
         I has the row axis of a stack of rows followed by the shape of
         ``j``, g dI/dg the gap axis i of length M-1 inserted before the
         shape of ``j``.  The fill raises DomainError for the gaps
@@ -681,12 +682,10 @@ class IntervalLayout:
         plan = self.fill(gaps)
         scale = plan.gaps[plan.tup].T  # the gaps of each interval's tuple, (M-1, S)
         coarse = plan.integrate_abs(_BASE_NODES)
-        fine = []
 
         def certify():
-            if not fine:
-                fine.append(plan.integrate_abs(2 * _BASE_NODES))
-            return self._unpack(_certified(coarse, fine[0], _REL_TOL, 0.0, plan.name), scale)
+            fine = plan.integrate_abs(2 * _BASE_NODES)
+            return self._unpack(_certified(coarse, fine, _REL_TOL, 0.0, plan.name), scale)
 
         return self._unpack(coarse, scale), certify
 

@@ -40,11 +40,12 @@ The parameter problems of several patterns on one zigzag are one stacked
 Newton solve (``solve_parameter_problems``, ``_newton_batch``), as the
 height D takes its NE and SW solves: every Newton point is one fill of
 the layout of the whole stack, each member summed against its own
-exponent row.  A member that has converged rides along at its point
-until no member steps; then one certificate compares the whole plan.
-The first failure of any member ends the stack.  The kernel gives each
-member's values bit for bit as its call alone, so each member's tuple
-and history are those of its solve alone.
+exponent row, and the solve keeps one history, the stack's max|F|.  A
+member that has converged rides along at its point while others step;
+once none steps, one certificate compares the whole plan.  The first
+failure ends the stack.  The kernel gives each member's values bit for
+bit as its call alone, so each member's tuple and certified values are
+those of its solve alone.
 """
 
 from __future__ import annotations
@@ -179,23 +180,22 @@ def _log_ratios(sides: np.ndarray) -> np.ndarray:
     return np.log(sides[..., 1:] / sides[..., :1])
 
 
-def _side_system(exponents, count, residual):
+def _side_system(exponents, residual):
     """The Newton system ``system(u)`` of the raw positive sides of a stack
-    of ``count`` tuples with (count, p-1) log-gaps u, from one interval
-    layout built here, filled once per call and kept as long as the system.
+    of T tuples with (T, p-1) log-gaps u, from one interval layout built
+    here, filled once per call and kept as long as the system.
 
-    ``exponents`` is an (R, 2p+1) stack of rows shared by every tuple or a
-    (count, R, 2p+1) stack, R rows for each tuple.  A call returns the
-    Newton point (residual(sides, ratios, J), certify): the (T, R, p)
-    sides, their _log_ratios and the exact (T, R, p-1, p-1) Jacobian of
-    those over u, from one 12-node sum with no comparison, and
+    ``exponents`` is a (T, R, 2p+1) stack, R rows for each tuple.  A call
+    returns the Newton point (residual(sides, ratios, J), certify): the
+    (T, R, p) sides, their _log_ratios and the exact (T, R, p-1, p-1)
+    Jacobian of those over u, from one 12-node sum with no comparison, and
     ``certify()`` the same from the certified sums at the same u, the
     sides then equal to positive_sides, or QuadratureFailure
     (quadrature.IntervalLayout.point); each tuple's equal bit for bit to
     its call alone.  u_i is the log of the gap above s_{i+1} and of its
     mirror below s_{-i-1}, so d log I = (g dI/dg of both gaps) / I.
     """
-    p = (np.shape(exponents)[-1] - 1) // 2
+    count, p = len(exponents), (np.shape(exponents)[-1] - 1) // 2
     layout = quad.IntervalLayout((count, 2 * p), exponents,
                                  np.tile(np.arange(p, 2 * p), (count, 1)), derivatives=True)
     above, below = np.arange(p + 1, 2 * p), np.arange(p - 2, -1, -1)
@@ -218,90 +218,71 @@ _NEWTON_FAILURES = (np.linalg.LinAlgError, QuadratureFailure, DomainError)
 
 
 def _newton_batch(system, u0, label):
-    """Plain Newton on a stack of T independent systems, one kernel call
-    per Newton point: for each member, (u, residuals, values), log-gaps u
-    with a certified max|F(u)| <= _NEWTON_TOL, max|F| at every Newton
-    point, strictly decreasing, and its certified values at u.
+    """Plain Newton on a stack of T independent systems as one solve, one
+    kernel call per Newton point: (u, history, values), the (T, n)
+    log-gaps u at which every member's certified max|F| is <= _NEWTON_TOL,
+    the stack's max|F| at every Newton point, strictly decreasing, and the
+    certified values at u, stacked over the members.
 
     ``system(u)`` takes the (T, n) log-gaps of the whole stack and returns
     its Newton point (values, certify) from one fill of one layout
     (_side_system): values = (F, J, ...) stacked over the members,
     F(u) and its exact Jacobian first, from one 12-node sum with no
     comparison, and ``certify()`` the same at the same u, certified by 12
-    against 24 nodes on that plan.  An accepted step already holds its
-    Jacobian: one kernel plan per Newton point.  A member whose 12-node
-    max|F| is <= _NEWTON_TOL stops stepping and rides along at its u while
-    the others step.  Once no member steps, one certificate compares the
-    whole plan; a member returns its point if the certified max|F| is
-    still <= _NEWTON_TOL, and otherwise steps on from the certified F and
-    J.  So every entry of residuals but the last is max|F| from one 12-node
-    sum (a certified one where a point that looked converged was not), and
-    the last is the certified max|F| at the returned u.  The kernel gives
-    each member's values bit for bit as its call alone, so a member that
-    rides along or waits for the certificate keeps the u and residuals of
-    its solve alone.
+    against 24 nodes on that plan.  A member whose max|F| is <= _NEWTON_TOL
+    does not step and rides along at its u while others step.  Once no
+    member steps, one certificate compares the whole plan; the solve
+    returns if the certified max|F| of every member is still <=
+    _NEWTON_TOL, and otherwise the members above it step on from the
+    certified F and J.  So every entry of history but the last is the
+    stack's max|F| from one 12-node sum (a certified one where a point
+    that looked converged was not), and the last is the certified max|F|
+    at the returned u.  The kernel gives each member's values bit for bit
+    as its call alone, and a member that does not step keeps its u, so
+    each member's u and certified values are those of its solve alone.
 
-    Newton takes full steps, at most 60 Newton points per member.  The
-    first failure ends the stack: NoConvergence ``"<label> stalled"``
-    carrying the residuals so far of the member it ends, when a step does
-    not reduce that member's max|F|, its J is singular, its F or J is not
-    finite (DomainError), or its 60th point has not converged.  A point
-    the kernel rejects (a step so long that a gap leaves the
-    floating-point range) ends the first member still stepping, and a
-    failed certificate the first member waiting for it, the LinAlgError,
-    QuadratureFailure or DomainError chained as the cause.
+    Newton takes full steps, at most 60 Newton points.  The first failure
+    ends the solve: NoConvergence ``"<label> stalled"`` carrying the
+    history so far, when a step does not reduce the stack's max|F|, a J
+    is singular, an F or J is not finite (DomainError), or the 60th point
+    has not converged.  A point the kernel rejects (a step so long that a
+    gap leaves the floating-point range) or a failed certificate ends it
+    too, the LinAlgError, QuadratureFailure or DomainError chained as the
+    cause.
     """
-    u = np.array(u0, dtype=float)
-    residuals = [[] for _ in u]
-    results = [None] * len(u)
+    u, history = np.array(u0, dtype=float), []
 
-    def stalled(m, cause=None):
-        err = NoConvergence(f"{label} stalled", residuals[m])
+    def stalled(cause=None):
+        err = NoConvergence(f"{label} stalled", history)
         err.__cause__ = cause
         return err
 
-    def ending(f, m):  # f(), or the NoConvergence of member m for its failure
+    def ending(f):  # f(), or the NoConvergence of the solve for its failure
         try:
             return f()
         except _NEWTON_FAILURES as exc:
-            raise stalled(m, exc)
+            raise stalled(exc)
 
-    def max_f(m, values):  # max|F| of member m in the stacked values
-        r, J = values[0][m], values[1][m]
-        if not (np.isfinite(r).all() and np.isfinite(J).all()):
-            raise stalled(m, DomainError("F or its Jacobian is not finite"))
-        return float(np.max(np.abs(r)))
-
-    def accept(m, f, values):  # record max|F| = f of member m, then step it
-        if residuals[m] and not f < residuals[m][-1]:
-            raise stalled(m)
-        residuals[m].append(f)
-        if f <= _NEWTON_TOL:  # certified
-            results[m] = (u[m].copy(), residuals[m], tuple(v[m] for v in values))
-            return
-        if len(residuals[m]) == 60:
-            raise stalled(m)
-        u[m] += ending(lambda: np.linalg.solve(values[1][m], -values[0][m]), m)
-        stepping.append(m)
-
-    stepping, waiting = list(range(len(u))), []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the point
-        while stepping or waiting:
-            if stepping:
-                values, certify = ending(lambda: system(u), stepping[0])
-                moved, stepping = stepping, []
-                for m in moved:
-                    f = max_f(m, values)
-                    if f <= _NEWTON_TOL:  # rides along until no member steps
-                        waiting.append(m)
-                    else:
-                        accept(m, f, values)
-            else:  # one certificate of the whole plan
-                moved, waiting = sorted(waiting), []
-                certified = ending(certify, moved[0])
-                for m in moved:
-                    accept(m, max_f(m, certified), certified)
-    return results
+        values, certify = ending(lambda: system(u))
+        while True:
+            F, J = values[0], values[1]
+            if not (np.isfinite(F).all() and np.isfinite(J).all()):
+                raise stalled(DomainError("F or its Jacobian is not finite"))
+            f = np.abs(F).max(axis=-1)
+            if certify and (f <= _NEWTON_TOL).all():  # one certificate of the whole plan
+                values, certify = ending(certify), None
+                continue
+            if history and not f.max() < history[-1]:
+                raise stalled()
+            history.append(float(f.max()))
+            if history[-1] <= _NEWTON_TOL:  # certified
+                return u, history, values
+            if len(history) == 60:
+                raise stalled()
+            step = f > _NEWTON_TOL  # a converged member rides along
+            u[step] += ending(lambda: np.linalg.solve(J[step], -F[step][..., None])[..., 0])
+            values, certify = ending(lambda: system(u))
 
 
 def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ...]:
@@ -325,13 +306,9 @@ def solve_parameter_problems(z: ZigzagParams, patterns) -> tuple[Prevertices, ..
 
     target = _log_ratios(np.asarray(z.side_lengths))
     exps = np.stack([pat.exponents for pat in patterns])[:, None, :]  # one row per member
-
-    def residual(sides, ratios, J):
-        return ratios[:, 0] - target, J[:, 0]
-
-    results = _newton_batch(_side_system(exps, len(exps), residual),
-                            np.tile(target, (len(exps), 1)), f"parameter problem for {z}")
-    return tuple(Prevertices(p, np.exp(u)) for u, _, _ in results)
+    system = _side_system(exps, lambda sides, ratios, J: (ratios[:, 0] - target, J[:, 0]))
+    u, _, _ = _newton_batch(system, np.tile(target, (len(exps), 1)), f"parameter problem for {z}")
+    return tuple(Prevertices(p, np.exp(v)) for v in u)
 
 
 def solve_parameter_problem(z: ZigzagParams, pat: ExponentPattern) -> Prevertices:
@@ -360,9 +337,11 @@ def _development(prev: Prevertices, pat: ExponentPattern):
     P_{-p}, ..., P_p for SW, P_p, ..., P_{-p} for NE.  A = (targets[p+1] -
     targets[p]) / steps[p] turns and scales the raw image of (s_0, s_1)
     onto its side, so s_m develops onto targets[m] and (s_m, s_{m+1}) onto
-    A * steps[m].
+    A * steps[m].  Raises DomainError at genus 0, whose chain has no side.
     """
     p = prev.genus
+    if p == 0:
+        raise DomainError("genus 0 has no vertex chain to normalize onto")
     pos = positive_sides(prev.gaps, pat.exponents)
     steps = np.concatenate((pos[::-1], pos)) * _directions(pat.exponents)
     chain = build_vertices(ZigzagParams(p, pat.turn_order, tuple(pos / np.sum(pos))))
@@ -382,7 +361,8 @@ def forward_map(prev: Prevertices, pat: ExponentPattern, t: complex) -> complex:
     times that integral; a t on a prevertex s_j ends the segment from
     s_{j-1} with the Gauss-Jacobi panel of s_j.  That segment passes no
     other prevertex, and its panels shrink toward nearby ones by the
-    one-half rule.  Raises DomainError for t below the real axis.
+    one-half rule.  Raises DomainError for t below the real axis, and at
+    genus 0, which has no chain.
     """
     t = complex(t)
     if t.imag < 0.0:
@@ -399,7 +379,10 @@ def periods(prev: Prevertices, pat: ExponentPattern) -> tuple[complex, ...]:
 
     Moduli equal the side lengths of the normalized vertex chain; for turn
     order 2 consecutive periods differ in direction by a factor +-i.
+    Genus 0 has no positive side and no period.
     """
+    if prev.genus == 0:
+        return ()
     A, steps, _ = _development(prev, pat)
     return tuple(complex(a) for a in A * steps[prev.genus:])
 

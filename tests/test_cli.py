@@ -487,6 +487,24 @@ class TestDefaultOutput:
         assert calls == []
 
 
+class TestInputIsNotOverwritten:
+    @pytest.mark.parametrize("path, extra", [("sol.obj", []), ("p2.json", ["--out", "./p2.json"])],
+                             ids=["default out", "given out"])
+    def test_mesh_over_its_input_is_refused(self, solved_file, tmp_path, capsys, monkeypatch,
+                                            path, extra):
+        # a solution file named .obj is its own default OBJ, and an --out
+        # may name the input by another path: either is refused before
+        # any work, and the input still verifies
+        monkeypatch.chdir(tmp_path)
+        data = solved_file.read_bytes()
+        Path(path).write_bytes(data)
+        assert main(["mesh", path, "--resolution", "8"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and f"it is the input {path}" in err
+        assert Path(path).read_bytes() == data
+        assert main(["verify", path]) == 0
+
+
 class TestSolutionFileRoundTrip:
     def test_unknown_schema_version_is_refused(self, solved_file, tmp_path):
         data = json.loads(solved_file.read_text())

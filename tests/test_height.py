@@ -116,8 +116,8 @@ class TestMinimize:
         side_system = height_mod._side_system
         calls = []
 
-        def counted(rows, count, residual):
-            system = side_system(rows, count, residual)
+        def counted(rows, residual):
+            system = side_system(rows, residual)
             return lambda u: calls.append(u) or system(u)
 
         monkeypatch.setattr(height_mod, "_side_system", counted)
@@ -320,7 +320,7 @@ class TestWorkCounter:
         record = zz.continuation_solve(5, 2)
         zz.build_weierstrass(record)
         assert [layout[1:] for layout in interval_layouts] == [
-            ((1, 10), (2, 11), True), ((2, 10), (2, 1, 11), True)]
+            ((1, 10), (1, 2, 11), True), ((2, 10), (2, 1, 11), True)]
         assert len(kernel_plans) == 9
 
     def test_no_sum_follows_the_height_certificate(self, monkeypatch, tmp_path):

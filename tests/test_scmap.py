@@ -259,7 +259,7 @@ class TestExactJacobian:
 
         # the 12-node values of a Newton iterate and the certified values of
         # the same point, whose sides are the certified sides
-        system = _side_system(rows, 1, lambda sides, ratios, J: (sides[0], J[0]))
+        system = _side_system(rows[None], lambda sides, ratios, J: (sides[0], J[0]))
         (rough, rough_jac), certify = system(u[None])
         sides, jac = certify()
         assert np.array_equal(sides, sides_at(u))
@@ -327,7 +327,7 @@ class TestNewtonFallback:
     def test_step_to_a_subnormal_gap_ends_newton(self):
         # the seed steps to the log-gaps (0, -745), whose second gap
         # exp(-745) = 5e-324 the kernel refuses at once (DomainError)
-        log_ratios = _side_system(zz.ne_pattern(3, 2).exponents[None, :], 1,
+        log_ratios = _side_system(zz.ne_pattern(3, 2).exponents[None, None],
                                   lambda sides, r, J: (r[:, 0], J[:, 0]))
 
         def system(u):
@@ -348,7 +348,7 @@ class TestNewtonFallback:
         # The kernel refuses that tuple at once (DomainError), with no
         # overflow warning first (an error under the suite's filterwarnings);
         # in a stack the first member is converged at the seed and rides along
-        log_ratios = _side_system(zz.ne_pattern(3, 2).exponents[None, :], count,
+        log_ratios = _side_system(np.tile(zz.ne_pattern(3, 2).exponents, (count, 1, 1)),
                                   lambda sides, r, J: (r[:, 0], J[:, 0]))
         seed = np.zeros((count, 2))
         seed[-1] = -709.0
@@ -402,8 +402,8 @@ class TestNewtonFallback:
 
             return (u - (1.0 if u[0, 0] <= 1.0 else root), np.eye(1)[None]), certify
 
-        [(u, residuals, (r, _))] = _newton_batch(system, np.zeros((1, 1)), "offset test system")
-        assert certified == [1.0, root] and u[0] == root and r[0] == 0.0
+        u, residuals, (r, _) = _newton_batch(system, np.zeros((1, 1)), "offset test system")
+        assert certified == [1.0, root] and u[0, 0] == root and r[0, 0] == 0.0
         assert residuals == [1.0, pytest.approx(1e-9, rel=1e-6), 0.0]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
@@ -452,25 +452,46 @@ def stacked_problems(z, patterns):
     one stack for _newton_batch, each member on its own exponent row."""
     target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
     system = _side_system(np.stack([pat.exponents for pat in patterns])[:, None, :],
-                          len(patterns), lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
+                          lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
     return system, np.tile(target, (len(patterns), 1))
 
 
 def solo_problem(z, pat):
-    """(u, residuals, values) of one parameter problem solved alone, a
-    stack of one member on the shared-row path of one tuple."""
-    target = _log_ratios(np.asarray(zz.canonicalize(z).side_lengths))
-    system = _side_system(pat.exponents[None], 1, lambda sides, r, J: (r[:, 0] - target, J[:, 0]))
-    [result] = _newton_batch(system, target[None], "solo")
-    return result
+    """(u, history, values) of one parameter problem solved alone, a stack
+    of one member."""
+    system, seeds = stacked_problems(z, (pat,))
+    return _newton_batch(system, seeds, "solo")
+
+
+def solo_histories(z, patterns, u, values):
+    """The histories of the parameter problems of z under ``patterns``,
+    each solved alone, having checked that the stacked solve's u and
+    certified values are bit for bit theirs, member by member."""
+    histories = []
+    for m, pat in enumerate(patterns):
+        solo_u, history, solo_values = solo_problem(z, pat)
+        assert np.array_equal(u[m], solo_u[0])
+        assert all(np.array_equal(a[m], b[0]) for a, b in zip(values, solo_values))
+        histories.append(history)
+    return histories
+
+
+@st.composite
+def stacked_sides(draw):
+    """Genus 2-6, turn order 2-4 and p sides log-uniform in [0.2, 3]."""
+    p = draw(st.integers(2, 6))
+    k = draw(st.sampled_from((2, 3, 4)))
+    logs = draw(st.lists(st.floats(math.log(0.2), math.log(3.0)), min_size=p, max_size=p))
+    return p, k, tuple(np.exp(logs))
 
 
 class TestStackedNewton:
-    """_newton_batch iterates a stack of systems on one layout, one kernel
-    plan per Newton point: a converged member rides along at its point,
-    one certificate compares the whole plan once no member steps, and the
-    first failure ends the stack; each member's u and history are bit for
-    bit those of its solve alone."""
+    """_newton_batch iterates a stack of systems on one layout as one
+    solve, one kernel plan per Newton point and one history, the stack's
+    max|F|: a converged member rides along at its point, one certificate
+    compares the whole plan once no member steps, and the first failure
+    ends the stack; each member's u and certified values are bit for bit
+    those of its solve alone."""
 
     CASES = [
         (5, 2, (1.0, 0.8, 1.2, 0.9, 1.1)),
@@ -487,26 +508,41 @@ class TestStackedNewton:
         z = zz.ZigzagParams(p, k, sides)
         patterns = (zz.ne_pattern(p, k), zz.sw_pattern(p, k))
         system, seeds = stacked_problems(z, patterns)
-        results = _newton_batch(system, seeds, "NE and SW")
+        u, history, values = _newton_batch(system, seeds, "NE and SW")
         stacked_plans = len(kernel_plans)
         assert [layout[1:] for layout in interval_layouts] == [((2, 2 * p), (2, 1, 2 * p + 1),
                                                                 True)]
-        for pat, (u, history, values) in zip(patterns, results):
-            solo_u, solo_history, solo_values = solo_problem(z, pat)
-            assert np.array_equal(u, solo_u) and history == solo_history
-            assert all(np.array_equal(a, b) for a, b in zip(values, solo_values))
+        solo = solo_histories(z, patterns, u, values)
+        # the stack's history is the pointwise max of the solo histories,
+        # the shorter padded with its last, certified, entry
+        n = max(len(h) for h in solo)
+        padded = [h + h[-1:] * (n - len(h)) for h in solo]
+        assert history == [max(f) for f in zip(*padded)]
         # one plan per Newton point of the stack, not one per member
-        assert stacked_plans == max(len(h) for _, h, _ in results)
+        assert stacked_plans == len(history)
         if (p, k) in ((9, 4), (4, 2)):
-            assert [len(h) for _, h, _ in results] == [4, 5]
+            assert [len(h) for h in solo] == [4, 5]
         prevs = zz.solve_parameter_problems(z, patterns)
         for pat, prev in zip(patterns, prevs):
             assert prev.gaps == zz.solve_parameter_problem(z, pat).gaps
 
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(stacked_sides())
+    def test_any_stack_is_its_solo_solves(self, problem):
+        p, k, sides = problem
+        z = zz.ZigzagParams(p, k, sides)
+        patterns = (zz.ne_pattern(p, k), zz.sw_pattern(p, k))
+        system, seeds = stacked_problems(z, patterns)
+        u, history, values = _newton_batch(system, seeds, "NE and SW")
+        solo = solo_histories(z, patterns, u, values)
+        assert all(b < a for a, b in zip(history, history[1:]))
+        assert history[-1] == max(h[-1] for h in solo)
+
     def test_refused_trial_point_ends_the_stack(self, interval_layouts, kernel_plans):
         # member 0's seed steps to the log-gaps (0, -745), whose gap
         # exp(-745) = 5e-324 the kernel refuses: the stacked trial point
-        # ends the stack with member 0's NoConvergence, on one layout
+        # ends the stack, on one layout, with a history of the seed's
+        # max|F|, member 0's
         z = zz.ZigzagParams(3, 2, (1.0, 0.7, 1.3))
         patterns = (zz.ne_pattern(3), zz.sw_pattern(3))
         system, seeds = stacked_problems(z, patterns)
@@ -528,7 +564,7 @@ class TestStackedNewton:
     def test_certificate_failure_ends_the_stack(self):
         # F(u) = u - 1 for both members, solved by the first step; the one
         # certificate of the stack fails there and ends the solve, with the
-        # history of the first member waiting for it
+        # stack's history
         calls = []
 
         def system(u):
@@ -550,7 +586,8 @@ class TestStackedNewton:
     def test_failing_member_is_raised_as_alone(self, monkeypatch, p, k, sides):
         # with gaps rounded through absolute prevertices (TestNewtonFallback)
         # the SW solve of these zigzags stalls and the NE solve converges:
-        # the stack raises the SW failure, history and message as alone
+        # the stack stalls at the same point as SW alone, with the same
+        # message, and its history, the stack's max|F|, is at least SW's
         monkeypatch.setattr(sys.modules["zigzag.scmap"], "_symmetric_gaps", rounded_gaps)
         z = zz.ZigzagParams(p, k, sides)
         ne, sw = zz.ne_pattern(p, k), zz.sw_pattern(p, k)
@@ -559,7 +596,9 @@ class TestStackedNewton:
         for patterns in ((ne, sw), (sw, ne)):
             with pytest.raises(NoConvergence) as stacked:
                 zz.solve_parameter_problems(z, patterns)
-            assert stacked.value.trace == alone.value.trace
+            trace, solo = stacked.value.trace, alone.value.trace
+            assert len(trace) == len(solo) and trace[-1] == solo[-1]
+            assert all(f >= g for f, g in zip(trace, solo))
             assert str(stacked.value) == str(alone.value)
         assert zz.solve_parameter_problems(z, (ne,))[0].gaps == zz.solve_parameter_problem(z, ne).gaps
 
@@ -601,6 +640,11 @@ class TestForwardMap:
         prev = zz.Prevertices(1, ())
         with pytest.raises(DomainError):
             zz.forward_map(prev, zz.sw_pattern(1), 0.5 - 1e-9j)
+
+    @pytest.mark.parametrize("pattern", [zz.ne_pattern, zz.sw_pattern])
+    def test_genus0_has_no_chain_to_map_onto(self, pattern):
+        with pytest.raises(DomainError, match="genus 0"):
+            zz.forward_map(zz.Prevertices(0, ()), pattern(0), 0.5 + 0.5j)
 
 
 def mp_segment_from_zero(prevs, exps, t):
@@ -646,6 +690,10 @@ class TestPeriods:
         prev = zz.Prevertices(1, ())
         per = zz.periods(prev, zz.ne_pattern(1))
         assert math.isclose(abs(per[0]), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("pattern", [zz.ne_pattern, zz.sw_pattern])
+    def test_genus0_has_no_period(self, pattern):
+        assert zz.periods(zz.Prevertices(0, ()), pattern(0)) == ()
 
 
 class TestCoalescenceFit:

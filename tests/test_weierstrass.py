@@ -154,8 +154,8 @@ class TestSharedSolveData:
         record = zz.continuation_solve(p, k)
         wd = record.weierstrass
         rows = np.stack((zz.ne_pattern(p, k).exponents, zz.sw_pattern(p, k).exponents))
-        system = _side_system(rows, 1, lambda sides, ratios, J: (ratios[:, 0] - ratios[:, 1],
-                                                                  sides))
+        system = _side_system(rows[None], lambda sides, ratios, J: (ratios[:, 0] - ratios[:, 1],
+                                                                     sides))
         _, certify = system(np.log(wd.prevertices.free)[None])
         F, sides = certify()
         assert np.max(np.abs(F)) <= 1e-12
